@@ -170,6 +170,14 @@ def _number(cfg: dict, key: str, path: str) -> float:
     return float(value)
 
 
+def _integer(value, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def _absolutize_file_refs(node, base_dir: Path) -> None:
     """Rewrite relative {"file": ...} matrix references against the config's
     own directory, in place."""
@@ -255,20 +263,15 @@ def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
     path = "scenario.average"
     if not isinstance(avg, dict):
         raise ConfigError(f"{path}: expected an object")
-    samples = int(_number(avg, "samples", path))
-    seed = int(avg.get("seed", 0))
+    samples = _integer(_require(avg, "samples", path), f"{path}.samples")
+    seed = _integer(avg.get("seed", 0), f"{path}.seed")
     scheme = avg.get("scheme", "stratified-random")
     horizon = avg.get("horizon", "auto")
     if horizon == "auto":
         if spectrum is None:
             raise ConfigError(f"{path}.horizon: 'auto' is only available for quantum scenarios")
-        return TimeAverageConfig(
-            horizon=quantum.default_average_config(spectrum).horizon,
-            samples=samples,
-            scheme=scheme,
-            seed=seed,
-        )
-    if not isinstance(horizon, (int, float)) or isinstance(horizon, bool):
+        horizon = quantum.default_average_config(spectrum).horizon
+    elif not isinstance(horizon, (int, float)) or isinstance(horizon, bool):
         raise ConfigError(f"{path}.horizon: expected a number or 'auto'")
     try:
         return TimeAverageConfig(horizon=float(horizon), samples=samples, scheme=scheme, seed=seed)
@@ -414,18 +417,24 @@ def _build_quantum(cfg: dict) -> _Runtime:
     return _Runtime("quantum", probe, avg, cfg["epsilon"], diagnostics)
 
 
-def _build_classical_pure(cfg: dict) -> _Runtime:
+def _map_and_partition(cfg: dict) -> tuple[dict, classical.InvertibleMap, classical.Partition]:
     system = _obj(cfg["system"], "scenario.system")
     meas = _obj(cfg["measurement"], "scenario.measurement")
     mapping = classical.map_from_config(
         _obj(_require(system, "map", "scenario.system"), "scenario.system.map"),
         "scenario.system.map",
     )
+    path = "scenario.measurement.partition"
     partition = classical.partition_from_config(
-        _obj(_require(meas, "partition", "scenario.measurement"),
-             "scenario.measurement.partition"),
-        "scenario.measurement.partition",
+        _obj(_require(meas, "partition", "scenario.measurement"), path), path
     )
+    if partition.dim != mapping.dim:
+        raise ConfigError(f"{path}: {partition.dim}-d partition for {mapping.dim}-d map")
+    return system, mapping, partition
+
+
+def _build_classical_pure(cfg: dict) -> _Runtime:
+    system, mapping, partition = _map_and_partition(cfg)
     point_cfg = _require(system, "point", "scenario.system")
     try:
         point = classical.PhasePoint(point_cfg)
@@ -443,17 +452,7 @@ def _build_classical_pure(cfg: dict) -> _Runtime:
 
 
 def _build_classical_ensemble(cfg: dict) -> _Runtime:
-    system = _obj(cfg["system"], "scenario.system")
-    meas = _obj(cfg["measurement"], "scenario.measurement")
-    mapping = classical.map_from_config(
-        _obj(_require(system, "map", "scenario.system"), "scenario.system.map"),
-        "scenario.system.map",
-    )
-    partition = classical.partition_from_config(
-        _obj(_require(meas, "partition", "scenario.measurement"),
-             "scenario.measurement.partition"),
-        "scenario.measurement.partition",
-    )
+    system, mapping, partition = _map_and_partition(cfg)
     ens_cfg = _obj(_require(system, "ensemble", "scenario.system"), "scenario.system.ensemble")
     path = "scenario.system.ensemble"
     try:
@@ -528,8 +527,8 @@ _BUILDERS = {
 
 def _build_runtime(cfg: dict) -> _Runtime:
     kind = cfg["kind"]
-    epsilon = cfg["epsilon"]
-    if not isinstance(epsilon, (int, float)) or not 0.0 <= epsilon < 1.0:
+    epsilon = _number(cfg, "epsilon", "scenario")
+    if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"scenario.epsilon: must lie in [0, 1), got {epsilon!r}")
     return _BUILDERS[kind](cfg)
 

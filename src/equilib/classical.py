@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -224,7 +224,6 @@ class Partition:
     records the geometry for serialization.
     """
 
-    cell_of: Callable[[PhasePoint], int]
     cell_count: int
     description: dict
     cells_of_many: Callable[[np.ndarray], np.ndarray]
@@ -232,6 +231,14 @@ class Partition:
     def __post_init__(self):
         if self.cell_count < 1:
             raise DomainError("a partition needs at least one cell")
+
+    @property
+    def dim(self) -> int:
+        """Number of coordinates the partition reads."""
+        return len(self.description["edges"]) if self.description["kind"] == "grid" else 1
+
+    def cell_of(self, x: PhasePoint) -> int:
+        return int(self.cells_of_many(x.as_array()[None, :])[0])
 
 
 def _axis_index(values: np.ndarray, inner_edges: np.ndarray) -> np.ndarray:
@@ -254,13 +261,11 @@ def interval_partition(edges: Sequence[float]) -> Partition:
     count = e.size - 1
 
     def cells(pts: np.ndarray) -> np.ndarray:
+        if pts.shape[1] != 1:
+            raise DimensionError(f"partition is 1-d, points are {pts.shape[1]}-d")
         return _axis_index(pts[:, 0], inner)
 
-    def cell(x: PhasePoint) -> int:
-        return int(cells(x.as_array()[None, :])[0])
-
     return Partition(
-        cell_of=cell,
         cell_count=count,
         description={"kind": "interval", "edges": [float(v) for v in e]},
         cells_of_many=cells,
@@ -291,11 +296,7 @@ def grid_partition(edges_by_dim: Sequence[Sequence[float]]) -> Partition:
             idx = idx * counts[d] + _axis_index(pts[:, d], inner)
         return idx
 
-    def cell(x: PhasePoint) -> int:
-        return int(cells(x.as_array()[None, :])[0])
-
     return Partition(
-        cell_of=cell,
         cell_count=total,
         description={"kind": "grid", "edges": [[float(v) for v in e] for e in axes]},
         cells_of_many=cells,
@@ -309,35 +310,51 @@ def grid_partition(edges_by_dim: Sequence[Sequence[float]]) -> Partition:
 MAX_ORBIT_STEPS = 1_000_000
 
 
-class _OrbitCache:
-    """Incrementally extended orbit of one point cloud under a map.
+def _orbit(points: np.ndarray, mapping: InvertibleMap, steps) -> Iterator[np.ndarray]:
+    """The cloud ``points`` at each distinct step of ``steps``, ascending: the
+    one orbit engine. The request is checked before the first step; then one
+    ``forward_many`` call per step, holding only the current cloud."""
+    steps = np.unique(steps)
+    if steps.size and not 0 <= steps[0] <= steps[-1] <= MAX_ORBIT_STEPS:
+        raise DomainError(
+            f"orbit steps {steps[0]:g} to {steps[-1]:g} outside [0, {MAX_ORBIT_STEPS}], "
+            "the cap for double-precision iteration"
+        )
 
-    sample(t) calls arrive in arbitrary order but typically ascending; the
-    cache extends the orbit once and reuses it, so evaluating M times costs
-    M map applications rather than M^2. Cached values are a pure function of
-    the step index, so evaluation order cannot change any result.
-    """
+    def walk(cloud=points, at=0):
+        for step in steps.astype(np.int64):
+            for _ in range(step - at):
+                cloud = mapping.forward_many(cloud)
+            at = step
+            yield cloud
 
-    def __init__(self, pts: np.ndarray, mapping: InvertibleMap):
-        self._states = [pts]
-        self._mapping = mapping
-
-    def state_at(self, step: int) -> np.ndarray:
-        if step > MAX_ORBIT_STEPS:
-            raise DomainError(
-                f"orbit step {step} beyond the {MAX_ORBIT_STEPS}-step cap for "
-                "double-precision iteration"
-            )
-        while len(self._states) <= step:
-            self._states.append(self._mapping.forward_many(self._states[-1]))
-        return self._states[step]
+    return walk()
 
 
-def _step_of(t: float) -> int:
-    step = int(round(t))
-    if step < 0:
-        raise DomainError(f"probe times must be >= 0, got {t!r}")
-    return step
+def _orbit_rows(points: np.ndarray, mapping: InvertibleMap, times, row) -> np.ndarray:
+    """``row(cloud)`` for the cloud at step round(t), for each of ``times``."""
+    steps, where = np.unique(np.rint(np.asarray(times, dtype=float)), return_inverse=True)
+    return np.array([row(cloud) for cloud in _orbit(points, mapping, steps)])[where]
+
+
+def _cloud_probe(
+    points: np.ndarray, weights: np.ndarray, mapping: InvertibleMap, partition: Partition
+) -> TrajectoryProbe:
+    """Probe of a weighted cloud: its cell histogram at step round(t)."""
+    if points.shape[1] != mapping.dim:
+        raise DimensionError(f"points are {points.shape[1]}-d, map is {mapping.dim}-d")
+    n_cells = partition.cell_count
+
+    def histogram(cloud: np.ndarray) -> np.ndarray:
+        return np.bincount(partition.cells_of_many(cloud), weights=weights, minlength=n_cells)
+
+    def sample_many(times: np.ndarray) -> np.ndarray:
+        return _orbit_rows(points, mapping, times, histogram)
+
+    def sample(t: float) -> OutcomeDistribution:
+        return OutcomeDistribution(sample_many(np.array([t]))[0])
+
+    return TrajectoryProbe(sample=sample, outcome_count=n_cells, sample_many=sample_many)
 
 
 def classical_probe(
@@ -345,22 +362,7 @@ def classical_probe(
 ) -> TrajectoryProbe:
     """Probe of a single pure state: sample(t) is the indicator of the cell
     occupied at step round(t)."""
-    mapping._check(x)
-    cache = _OrbitCache(x.as_array()[None, :], mapping)
-    n_cells = partition.cell_count
-
-    def sample(t: float) -> OutcomeDistribution:
-        cell = int(partition.cells_of_many(cache.state_at(_step_of(t)))[0])
-        return OutcomeDistribution.indicator(cell, n_cells)
-
-    def sample_many(times: np.ndarray) -> np.ndarray:
-        steps = [_step_of(float(t)) for t in times]
-        block = np.zeros((len(steps), n_cells))
-        for k, step in enumerate(steps):
-            block[k, int(partition.cells_of_many(cache.state_at(step))[0])] = 1.0
-        return block
-
-    return TrajectoryProbe(sample=sample, outcome_count=n_cells, sample_many=sample_many)
+    return _cloud_probe(x.as_array()[None, :], np.ones(1), mapping, partition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,26 +430,7 @@ def ensemble_probe(
     ensemble: ClassicalEnsemble, mapping: InvertibleMap, partition: Partition
 ) -> TrajectoryProbe:
     """Probe of a mixed classical state: the weight-averaged cell indicator."""
-    if ensemble.dim != mapping.dim:
-        raise DimensionError(f"ensemble is {ensemble.dim}-d, map is {mapping.dim}-d")
-    cache = _OrbitCache(np.asarray(ensemble.points), mapping)
-    n_cells = partition.cell_count
-    weights = np.asarray(ensemble.weights)
-    memo: dict[int, np.ndarray] = {}
-
-    def _dist(step: int) -> np.ndarray:
-        if step not in memo:
-            cells = partition.cells_of_many(cache.state_at(step))
-            memo[step] = np.bincount(cells, weights=weights, minlength=n_cells)
-        return memo[step]
-
-    def sample(t: float) -> OutcomeDistribution:
-        return OutcomeDistribution(_dist(_step_of(t)))
-
-    def sample_many(times: np.ndarray) -> np.ndarray:
-        return np.stack([_dist(_step_of(float(t))) for t in times])
-
-    return TrajectoryProbe(sample=sample, outcome_count=n_cells, sample_many=sample_many)
+    return _cloud_probe(ensemble.points, ensemble.weights, mapping, partition)
 
 
 def ensemble_noise_floor(ensemble: ClassicalEnsemble, omega: OutcomeDistribution) -> float:
@@ -501,11 +484,33 @@ def mixed_equilibration_bound(cell_count: int, delta: float) -> float:
     return math.sqrt(cell_count * delta / 2.0)
 
 
-def _occupation_block(
-    x: PhasePoint, mapping: InvertibleMap, partition: Partition, steps: np.ndarray
-) -> np.ndarray:
-    probe = classical_probe(x, mapping, partition)
-    return probe.distributions_at(steps)
+def _pair(x: PhasePoint, y: PhasePoint, mapping: InvertibleMap) -> np.ndarray:
+    mapping._check(x)
+    mapping._check(y)
+    return np.array([x.coords, y.coords])
+
+
+def _batched_defects(
+    points: np.ndarray,
+    mapping: InvertibleMap,
+    partition: Partition,
+    cfg: TimeAverageConfig,
+    batches: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch-means defect and standard error of each orbit pair (x, y) listed in ``points``."""
+    if batches < 2:
+        raise DomainError("need at least 2 batches")
+    times = sample_times(cfg)
+    usable = (times.size // batches) * batches
+    if usable == 0:
+        raise DomainError("fewer samples than batches")
+    cells = _orbit_rows(points, mapping, times[:usable], partition.cells_of_many)
+    # cell indicators, (pair, x|y, batch, sample in batch, cell)
+    ind = np.eye(partition.cell_count)[cells.T].reshape(
+        -1, 2, batches, usable // batches, partition.cell_count)
+    bxs, bys = ind[:, 0], ind[:, 1]
+    per_batch = (bxs * bys).mean(axis=2) - bxs.mean(axis=2) * bys.mean(axis=2)
+    return per_batch.mean(axis=1), per_batch.std(axis=1, ddof=1) / math.sqrt(batches)
 
 
 def correlation_defect(
@@ -521,9 +526,8 @@ def correlation_defect(
     steps. A near-zero vector is the signature of a decorrelating
     (chaotic-subspace) pair; same-orbit pairs return p_j(1 - p_j).
     """
-    times = sample_times(cfg)
-    bx = _occupation_block(x, mapping, partition, times)
-    by = _occupation_block(y, mapping, partition, times)
+    cells = _orbit_rows(_pair(x, y, mapping), mapping, sample_times(cfg), partition.cells_of_many)
+    bx, by = np.eye(partition.cell_count)[cells.T]
     return (bx * by).mean(axis=0) - bx.mean(axis=0) * by.mean(axis=0)
 
 
@@ -541,21 +545,8 @@ def correlation_defect_batched(
     defect is computed per block and the spread of block values gives a
     standard error that tolerates serial correlation in the orbits.
     """
-    if batches < 2:
-        raise DomainError("need at least 2 batches")
-    times = sample_times(cfg)
-    usable = (times.size // batches) * batches
-    if usable == 0:
-        raise DomainError("fewer samples than batches")
-    bx = _occupation_block(x, mapping, partition, times[:usable])
-    by = _occupation_block(y, mapping, partition, times[:usable])
-    n_cells = partition.cell_count
-    shape = (batches, usable // batches, n_cells)
-    bxs, bys = bx.reshape(shape), by.reshape(shape)
-    per_batch = (bxs * bys).mean(axis=1) - bxs.mean(axis=1) * bys.mean(axis=1)
-    defect = per_batch.mean(axis=0)
-    stderr = per_batch.std(axis=0, ddof=1) / math.sqrt(batches)
-    return defect, stderr
+    defect, stderr = _batched_defects(_pair(x, y, mapping), mapping, partition, cfg, batches)
+    return defect[0], stderr[0]
 
 
 def decorrelation_audit(
@@ -576,27 +567,24 @@ def decorrelation_audit(
     rate is ``family_risk``. Returns (fraction of pairs consistent with
     zero, number of pairs tested).
     """
-    from scipy import stats
+    from scipy.special import stdtrit
 
     idx = np.flatnonzero(np.asarray(ensemble.chaotic_flags))
     if idx.size < 2:
         raise DomainError("need at least two chaotic-flagged points to audit")
+    if pair_count < 1:
+        raise DomainError(f"need at least one pair to audit, got {pair_count}")
+    if ensemble.dim != mapping.dim:
+        raise DimensionError(f"ensemble is {ensemble.dim}-d, map is {mapping.dim}-d")
     rng = np.random.default_rng(seed)
+    pairs = np.concatenate([rng.choice(idx, size=2, replace=False) for _ in range(pair_count)])
+    defect, stderr = _batched_defects(ensemble.points[pairs], mapping, partition, cfg, batches)
     # Sidak split of the per-pair risk over the outcomes tested jointly
     per_outcome = 1.0 - (1.0 - family_risk) ** (1.0 / partition.cell_count)
-    threshold = float(stats.t.ppf(1.0 - per_outcome / 2.0, df=batches - 1))
-    passed = 0
-    tested = 0
-    for _ in range(pair_count):
-        i, j = rng.choice(idx, size=2, replace=False)
-        x = PhasePoint(tuple(ensemble.points[i]))
-        y = PhasePoint(tuple(ensemble.points[j]))
-        defect, stderr = correlation_defect_batched(x, y, mapping, partition, cfg, batches)
-        z = np.abs(defect) / np.maximum(stderr, 1e-300)
-        tested += 1
-        if np.all(z <= threshold):
-            passed += 1
-    return passed / tested, tested
+    threshold = float(stdtrit(batches - 1, 1.0 - per_outcome / 2.0))  # t quantile
+    z = np.abs(defect) / np.maximum(stderr, 1e-300)
+    passed = int(np.all(z <= threshold, axis=1).sum())
+    return passed / pair_count, pair_count
 
 
 def contaminated_cat_ensemble(
@@ -641,12 +629,11 @@ def write_orbit_csv(
     """Dump an orbit as CSV rows (step, coord..., cell)."""
     if steps < 1:
         raise DomainError("need at least one step")
-    cache = _OrbitCache(x.as_array()[None, :], mapping)
+    orbit = _orbit(x.as_array()[None, :], mapping, np.arange(steps))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step"] + [f"coord{d}" for d in range(x.dim)] + ["cell"])
-        for k in range(steps):
-            state = cache.state_at(k)
+        for k, state in enumerate(orbit):
             cell = int(partition.cells_of_many(state)[0])
             writer.writerow([k] + [f"{v:.17g}" for v in state[0]] + [cell])
 

@@ -121,21 +121,33 @@ class TrajectoryProbe:
     initial state's outcome statistics. ``sample_many``, when provided, is a
     vectorized equivalent returning a ``(len(times), outcome_count)`` array;
     the estimators use it as a fast path and fall back to ``sample``.
+
+    Both must be pure functions of the times: ``distributions_at`` keeps its
+    last block, read-only, and returns it again for exactly the same times.
     """
 
     sample: Callable[[float], OutcomeDistribution]
     outcome_count: int
     sample_many: Callable[[np.ndarray], np.ndarray] | None = None
+    _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.outcome_count < 1:
             raise DomainError("a probe needs at least one outcome")
 
     def distributions_at(self, times: np.ndarray) -> np.ndarray:
-        """Stack probe samples at the given times into a (M, N) array."""
+        """Stack probe samples at the given times into a read-only (M, N) array."""
         times = np.asarray(times, dtype=float)
+        last = self._last[:]  # one read, so times and block always belong together
+        if not (last and np.array_equal(last[0], times)):
+            last = [times.copy(), self._sample_block(times)]
+            last[1].setflags(write=False)
+            self._last[:] = last
+        return last[1]
+
+    def _sample_block(self, times: np.ndarray) -> np.ndarray:
         if self.sample_many is not None:
-            block = np.asarray(self.sample_many(times), dtype=float)
+            block = np.array(self.sample_many(times), dtype=float)
             if block.shape != (times.size, self.outcome_count):
                 raise DimensionError(
                     f"sample_many returned shape {block.shape}, "

@@ -87,6 +87,43 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="scenario.average"):
             load_scenario(cfg)
 
+    def test_string_seed_names_its_path(self):
+        cfg = synthetic_config(average={"horizon": 100.0, "samples": 400, "seed": "abc"})
+        with pytest.raises(ConfigError, match=r"scenario\.average\.seed"):
+            load_scenario(cfg)
+
+    def test_fractional_samples_name_their_path(self):
+        cfg = synthetic_config(average={"horizon": 100.0, "samples": 64.9, "seed": 3})
+        with pytest.raises(ConfigError, match=r"scenario\.average\.samples"):
+            load_scenario(cfg)
+        # an integral float is an integer count
+        cfg["average"]["samples"] = 64.0
+        assert run_scenario(load_scenario(cfg))[0].error is None
+
+    def test_boolean_epsilon_in_sweep_rejected(self):
+        cfg = synthetic_config(sweep={"epsilon": [0.3, False]})
+        with pytest.raises(ConfigError, match=r"scenario\.epsilon"):
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            {"kind": "interval", "edges": [0.0, 0.5, 1.0]},
+            {"kind": "grid", "edges": [[0.0, 0.5, 1.0]]},
+        ],
+        ids=["interval", "1-d grid"],
+    )
+    def test_partition_dimension_checked_at_load(self, partition):
+        cfg = {
+            "kind": "classical-pure",
+            "epsilon": 0.2,
+            "average": {"horizon": 64, "samples": 64, "scheme": "uniform-grid"},
+            "system": {"map": {"name": "cat-map"}, "point": [0.2, 0.6]},
+            "measurement": {"partition": partition},
+        }
+        with pytest.raises(ConfigError, match=r"scenario\.measurement\.partition"):
+            load_scenario(cfg)
+
     def test_auto_horizon_only_quantum(self):
         cfg = synthetic_config(average={"horizon": "auto", "samples": 100})
         with pytest.raises(ConfigError, match="horizon"):

@@ -1,12 +1,15 @@
 """Classical maps, partitions, probes and the pure/mixed-state results."""
 
 import csv
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from equilib.classical import (
+    MAX_ORBIT_STEPS,
     ClassicalEnsemble,
     PhasePoint,
     baker_map,
@@ -45,6 +48,18 @@ from equilib.core import (
 GOLDEN = (math.sqrt(5) - 1) / 2
 
 STEPS = lambda m: TimeAverageConfig(horizon=m, samples=m, scheme="uniform-grid")  # noqa: E731
+QUADRANTS = grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
+
+
+def counting_map(mapping):
+    """``mapping`` with a ``forward_many`` that logs each call's point count."""
+    calls = []
+
+    def forward_many(pts):
+        calls.append(len(pts))
+        return mapping.forward_many(pts)
+
+    return dataclasses.replace(mapping, forward_many=forward_many), calls
 
 
 class TestPhasePoint:
@@ -145,6 +160,15 @@ class TestPartitions:
         # every cell of this partition has positive measure, so all appear
         assert np.unique(cells).size == part.cell_count
 
+    def test_interval_rejects_points_that_are_not_1d(self):
+        part = interval_partition([0.0, 0.5, 1.0])
+        assert part.dim == 1
+        with pytest.raises(DimensionError):
+            part.cells_of_many(np.array([[0.2, 0.7]]))
+        with pytest.raises(DimensionError):
+            part.cell_of(PhasePoint((0.2, 0.7)))
+        assert grid_partition([[0.0, 1.0], [0.0, 0.5, 1.0]]).dim == 2
+
     def test_bad_edges(self):
         with pytest.raises(DomainError):
             interval_partition([0.0, 0.5, 0.4, 1.0])
@@ -184,6 +208,70 @@ class TestClassicalProbe:
         probe = classical_probe(PhasePoint(0.1), rotation_map(GOLDEN), part)
         with pytest.raises(DomainError):
             probe.sample(-1.0)
+
+
+class TestOrbitEngine:
+    def test_ensemble_is_weighted_sum_of_pure_probes(self):
+        # bincount adds each point's weight in point order, exactly as this
+        # loop does, so the two agree bit for bit
+        rng = np.random.default_rng(8)
+        ens = ClassicalEnsemble(rng.random((5, 2)), rng.dirichlet(np.ones(5)))
+        part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.8, 1.0]])
+        times = np.concatenate([rng.uniform(0.0, 200.0, 40), [7.0, 7.0, 0.0]])
+        block = ensemble_probe(ens, cat_map(), part).distributions_at(times)
+        expected = np.zeros_like(block)
+        for point, weight in zip(ens.points, ens.weights):
+            pure = classical_probe(PhasePoint(tuple(point)), cat_map(), part)
+            expected = expected + weight * pure.distributions_at(times)
+        assert np.array_equal(block, expected)
+
+    def test_steps_once_to_the_largest_requested_step(self):
+        mapping, calls = counting_map(cat_map())
+        probe = ensemble_probe(contaminated_cat_ensemble(50, 0.1, seed=1), mapping, QUADRANTS)
+        probe.distributions_at(np.array([10.0, 3.0, 3.4, 0.0]))
+        assert calls == [50] * 10
+
+    @pytest.mark.parametrize("kind", ["pure", "ensemble"])
+    def test_step_cap_checked_before_any_map_call(self, kind):
+        mapping, calls = counting_map(cat_map())
+        if kind == "pure":
+            probe = classical_probe(PhasePoint((0.2, 0.6)), mapping, QUADRANTS)
+        else:
+            probe = ensemble_probe(contaminated_cat_ensemble(50, 0.1, seed=1), mapping, QUADRANTS)
+        with pytest.raises(DomainError, match="cap"):
+            probe.distributions_at(np.array([1.0, 5.0, MAX_ORBIT_STEPS + 1.0]))
+        with pytest.raises(DomainError, match="cap"):
+            probe.sample(1e300)
+        assert calls == []
+
+    def test_ensemble_rejects_negative_time(self):
+        mapping, calls = counting_map(cat_map())
+        probe = ensemble_probe(contaminated_cat_ensemble(50, 0.1, seed=1), mapping, QUADRANTS)
+        with pytest.raises(DomainError):
+            probe.sample(-1.0)
+        with pytest.raises(DomainError):
+            probe.distributions_at(np.array([3.0, -2.0]))
+        assert calls == []
+
+    def test_orbit_csv_checks_the_cap_before_writing(self, tmp_path):
+        mapping, calls = counting_map(cat_map())
+        path = tmp_path / "orbit.csv"
+        with pytest.raises(DomainError, match="cap"):
+            write_orbit_csv(PhasePoint((0.2, 0.7)), mapping, QUADRANTS, MAX_ORBIT_STEPS + 2, path)
+        assert calls == [] and not path.exists()
+
+    def test_long_horizon_memory_is_bounded(self):
+        # holding every orbit state took about 320 MB here
+        ens = contaminated_cat_ensemble(1000, delta=0.1, seed=9300)
+        probe = ensemble_probe(ens, cat_map(), QUADRANTS)
+        cfg = TimeAverageConfig(horizon=20_000, samples=500, scheme="uniform-grid")
+        tracemalloc.start()
+        try:
+            time_average_distribution(probe, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestPureClosedForm:
@@ -315,6 +403,28 @@ class TestEnsembles:
         omega = OutcomeDistribution([0.25] * 4)
         expected = 0.5 * math.sqrt(2 / math.pi) * 4 * math.sqrt(0.25 * 0.75 / 1000)
         assert ensemble_noise_floor(ens, omega) == pytest.approx(expected, rel=1e-12)
+
+    def test_audit_matches_reference_pair_loop(self):
+        from scipy import stats
+
+        ens = contaminated_cat_ensemble(400, delta=0.1, seed=11)
+        part = grid_partition([[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]])
+        cfg = TimeAverageConfig(horizon=777, samples=700, seed=3)
+        pair_count, seed, batches, risk = 40, 2, 16, 0.2
+        # the audit's own recipe, one pair at a time with the same rng draws
+        rng = np.random.default_rng(seed)
+        idx = np.flatnonzero(ens.chaotic_flags)
+        per_outcome = 1.0 - (1.0 - risk) ** (1.0 / part.cell_count)
+        threshold = stats.t.ppf(1.0 - per_outcome / 2.0, df=batches - 1)
+        passed = 0
+        for _ in range(pair_count):
+            i, j = rng.choice(idx, size=2, replace=False)
+            x, y = PhasePoint(tuple(ens.points[i])), PhasePoint(tuple(ens.points[j]))
+            defect, stderr = correlation_defect_batched(x, y, cat_map(), part, cfg, batches)
+            passed += bool(np.all(np.abs(defect) / np.maximum(stderr, 1e-300) <= threshold))
+        assert 0 < passed < pair_count
+        audit = decorrelation_audit(ens, cat_map(), part, cfg, pair_count, seed, batches, risk)
+        assert audit == (passed / pair_count, pair_count)
 
     def test_audit_passes_on_chaotic_cloud(self):
         ens = contaminated_cat_ensemble(400, delta=0.1, seed=11)

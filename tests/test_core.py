@@ -1,5 +1,6 @@
 """Core distributions, distinguishability, time averages and verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -210,6 +211,57 @@ class TestTimeAverageDistribution:
         assert time_average_distribution(vec, cfg) == time_average_distribution(
             scalar, cfg
         )
+
+
+class TestProbeMemo:
+    @staticmethod
+    def counting_probe():
+        calls = []
+
+        def many(times):
+            calls.append(np.array(times))
+            return cosine_probe().sample_many(times)
+
+        return TrajectoryProbe(cosine_probe().sample, 2, many), calls
+
+    def test_one_block_per_config(self):
+        probe, calls = self.counting_probe()
+        cfg = TimeAverageConfig(horizon=30.0, samples=64, seed=3)
+        omega = time_average_distribution(probe, cfg)
+        average_distinguishability(probe, omega, cfg)
+        equilibration_report(probe, 0.3, cfg)
+        assert len(calls) == 1
+        other = TimeAverageConfig(horizon=30.0, samples=64, seed=4)
+        omega = time_average_distribution(probe, other)
+        average_distinguishability(probe, omega, other)
+        assert len(calls) == 2
+        # the memo holds one block: going back to the first config samples again
+        time_average_distribution(probe, cfg)
+        assert len(calls) == 3
+
+    def test_block_is_read_only(self):
+        probe, _ = self.counting_probe()
+        block = probe.distributions_at(np.linspace(0.0, 5.0, 8))
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.5
+
+    def test_keyed_by_value_not_by_array(self):
+        probe, calls = self.counting_probe()
+        times = np.linspace(0.0, 5.0, 8)
+        first = probe.distributions_at(times)
+        times[0] = 1.0
+        second = probe.distributions_at(times)
+        assert len(calls) == 2
+        assert first[0, 0] == 1.0 and second[0, 0] != 1.0
+
+    def test_replace_does_not_carry_the_memo(self):
+        probe, calls = self.counting_probe()
+        cfg = TimeAverageConfig(horizon=30.0, samples=64, seed=3)
+        time_average_distribution(probe, cfg)
+        clone, clone_calls = self.counting_probe()
+        swapped = dataclasses.replace(probe, sample_many=clone.sample_many)
+        time_average_distribution(swapped, cfg)
+        assert len(calls) == 1 and len(clone_calls) == 1
 
 
 class TestAverageDistinguishability:
