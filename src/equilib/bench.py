@@ -170,11 +170,14 @@ def _number(cfg: dict, key: str, path: str) -> float:
     return float(value)
 
 
-def _integer(value, path: str) -> int:
+def _integer(cfg: dict, key: str, path: str, default: int | None = None) -> int:
+    """``cfg[key]`` as an integer (an integral float counts); required when
+    no default is given."""
+    value = _require(cfg, key, path) if default is None else cfg.get(key, default)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
     return value
 
 
@@ -240,7 +243,7 @@ def load_scenario(source: dict | str | Path, name: str | None = None) -> Scenari
             _build_runtime(_apply_overrides(raw, point))
         except ConfigError:
             raise
-        except Exception:
+        except (ValueError, FloatingPointError, np.linalg.LinAlgError):
             pass
     return Scenario(name=name, kind=kind, config=raw, sweep_points=tuple(points))
 
@@ -263,8 +266,8 @@ def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
     path = "scenario.average"
     if not isinstance(avg, dict):
         raise ConfigError(f"{path}: expected an object")
-    samples = _integer(_require(avg, "samples", path), f"{path}.samples")
-    seed = _integer(avg.get("seed", 0), f"{path}.seed")
+    samples = _integer(avg, "samples", path)
+    seed = _integer(avg, "seed", path, 0)
     scheme = avg.get("scheme", "stratified-random")
     horizon = avg.get("horizon", "auto")
     if horizon == "auto":
@@ -313,12 +316,14 @@ def _matrix_node(node, path: str) -> np.ndarray:
 def _build_quantum(cfg: dict) -> _Runtime:
     system = _obj(cfg["system"], "scenario.system")
     meas = _obj(cfg["measurement"], "scenario.measurement")
-    gap_tol = cfg.get("gap_tol")
+    gap_tol = None if cfg.get("gap_tol") is None else _number(cfg, "gap_tol", "scenario")
+    if gap_tol is not None and gap_tol < 0:
+        raise ConfigError(f"scenario.gap_tol: must be nonnegative, got {gap_tol!r}")
     path = "scenario.system"
     if "sampler" in system:
         s = _obj(system["sampler"], f"{path}.sampler")
-        dim = int(_number(s, "dim", f"{path}.sampler"))
-        seed = int(_number(s, "seed", f"{path}.sampler"))
+        dim = _integer(s, "dim", f"{path}.sampler")
+        seed = _integer(s, "seed", f"{path}.sampler")
         spec_kind = s.get("spectrum", "generic")
         try:
             spectrum = quantum.random_spectrum(dim, seed, spec_kind, s.get("spacing", 1.0))
@@ -365,8 +370,8 @@ def _build_quantum(cfg: dict) -> _Runtime:
     mpath = "scenario.measurement"
     if "sampler" in meas:
         s = _obj(meas["sampler"], f"{mpath}.sampler")
-        outcomes = int(_number(s, "outcomes", f"{mpath}.sampler"))
-        seed = int(_number(s, "seed", f"{mpath}.sampler"))
+        outcomes = _integer(s, "outcomes", f"{mpath}.sampler")
+        seed = _integer(s, "seed", f"{mpath}.sampler")
         name = s.get("name", "random")
         try:
             if name == "random":
@@ -409,7 +414,8 @@ def _build_quantum(cfg: dict) -> _Runtime:
         "D_G": d_g,
         "gap_tolerance": base_tol,
         "D_G_sensitivity": {
-            f"{f:g}x": quantum.max_gap_degeneracy(spectrum, f * base_tol) if base_tol > 0 else d_g
+            f"{f:g}x": quantum.max_gap_degeneracy(spectrum, f * base_tol)
+            if base_tol > 0 and f != 1.0 else d_g
             for f in (0.1, 1.0, 10.0)
         },
         "single_eigenspace": spectrum.eigenspace_count < 2,
@@ -461,10 +467,10 @@ def _build_classical_ensemble(cfg: dict) -> _Runtime:
             if s.get("name", "contaminated-cat") != "contaminated-cat":
                 raise ConfigError(f"{path}.sampler.name: unknown sampler {s.get('name')!r}")
             ensemble = classical.contaminated_cat_ensemble(
-                count=int(_number(s, "count", f"{path}.sampler")),
+                count=_integer(s, "count", f"{path}.sampler"),
                 delta=_number(s, "delta", f"{path}.sampler"),
-                seed=int(_number(s, "seed", f"{path}.sampler")),
-                lattice=int(s.get("lattice", 4)),
+                seed=_integer(s, "seed", f"{path}.sampler"),
+                lattice=_integer(s, "lattice", f"{path}.sampler", 4),
             )
         else:
             ensemble = classical.ClassicalEnsemble(
@@ -501,12 +507,15 @@ def _build_synthetic(cfg: dict) -> _Runtime:
     system = _obj(cfg["system"], "scenario.system")
     recipe = _obj(_require(system, "probe", "scenario.system"), "scenario.system.probe")
     path = "scenario.system.probe"
+    outcomes = _integer(recipe, "outcomes", path)
+    seed = _integer(recipe, "seed", path)
+    mode_count = _integer(recipe, "mode_count", path, 3)
     try:
         probe = synthetic_probe(
-            outcomes=int(_number(recipe, "outcomes", path)),
-            seed=int(_number(recipe, "seed", path)),
+            outcomes=outcomes,
+            seed=seed,
             dominant_weight=recipe.get("dominant_weight"),
-            mode_count=int(recipe.get("mode_count", 3)),
+            mode_count=mode_count,
             amplitude=recipe.get("amplitude", 0.6),
         )
     except ValueError as exc:

@@ -351,10 +351,7 @@ def _cloud_probe(
     def sample_many(times: np.ndarray) -> np.ndarray:
         return _orbit_rows(points, mapping, times, histogram)
 
-    def sample(t: float) -> OutcomeDistribution:
-        return OutcomeDistribution(sample_many(np.array([t]))[0])
-
-    return TrajectoryProbe(sample=sample, outcome_count=n_cells, sample_many=sample_many)
+    return TrajectoryProbe(sample_many=sample_many, outcome_count=n_cells)
 
 
 def classical_probe(

@@ -163,7 +163,8 @@ def bounds(outcomes, d_eff, d_g, epsilon, delta, eigenvalues):
                 tol = factor * base
                 deg = quantum.max_gap_degeneracy(spectrum, tol if tol > 0 else None)
                 click.echo(f"gap-degeneracy @ {factor:g}x tolerance ({tol:.3e}): {deg}")
-            d_g = quantum.max_gap_degeneracy(spectrum, base if base > 0 else None)
+                if factor == 1.0:
+                    d_g = deg
         if d_eff is not None:
             value = quantum.equilibration_bound(outcomes, d_g, d_eff)
             click.echo(f"spectral bound (N={outcomes}, D_G={d_g}, d_eff={d_eff:g}): "

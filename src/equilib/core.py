@@ -114,26 +114,28 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True)
 class TrajectoryProbe:
-    """A state, evolution and measurement bundled as ``t -> distribution``.
+    """A state, evolution and measurement bundled as ``times -> distributions``.
 
-    ``sample(t)`` must return an :class:`OutcomeDistribution` of length
-    ``outcome_count`` for every t >= 0, with ``sample(0)`` reproducing the
-    initial state's outcome statistics. ``sample_many``, when provided, is a
-    vectorized equivalent returning a ``(len(times), outcome_count)`` array;
-    the estimators use it as a fast path and fall back to ``sample``.
-
-    Both must be pure functions of the times: ``distributions_at`` keeps its
-    last block, read-only, and returns it again for exactly the same times.
+    ``sample_many`` maps a 1-d array of M times t >= 0 to an
+    ``(M, outcome_count)`` array whose row k is the outcome distribution at
+    ``times[k]``; at t = 0 it reproduces the initial state's outcome
+    statistics. It must be a pure function of the times: ``distributions_at``
+    keeps its last validated block, read-only, and returns it again for
+    exactly the same times. ``sample(t)`` is the one-time view of the same
+    block and leaves that memo untouched.
     """
 
-    sample: Callable[[float], OutcomeDistribution]
+    sample_many: Callable[[np.ndarray], np.ndarray]
     outcome_count: int
-    sample_many: Callable[[np.ndarray], np.ndarray] | None = None
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.outcome_count < 1:
             raise DomainError("a probe needs at least one outcome")
+
+    def sample(self, t: float) -> OutcomeDistribution:
+        """Outcome distribution at one time."""
+        return OutcomeDistribution(self._sample_block(np.array([float(t)]))[0])
 
     def distributions_at(self, times: np.ndarray) -> np.ndarray:
         """Stack probe samples at the given times into a read-only (M, N) array."""
@@ -146,24 +148,13 @@ class TrajectoryProbe:
         return last[1]
 
     def _sample_block(self, times: np.ndarray) -> np.ndarray:
-        if self.sample_many is not None:
-            block = np.array(self.sample_many(times), dtype=float)
-            if block.shape != (times.size, self.outcome_count):
-                raise DimensionError(
-                    f"sample_many returned shape {block.shape}, "
-                    f"expected {(times.size, self.outcome_count)}"
-                )
-            _validate_sample_block(block)
-            return block
-        block = np.empty((times.size, self.outcome_count))
-        for k, t in enumerate(times):
-            dist = self.sample(float(t))
-            if len(dist) != self.outcome_count:
-                raise DimensionError(
-                    f"probe returned {len(dist)} outcomes at t={t}, "
-                    f"expected {self.outcome_count}"
-                )
-            block[k] = dist.probs
+        block = np.array(self.sample_many(times), dtype=float)
+        if block.shape != (times.size, self.outcome_count):
+            raise DimensionError(
+                f"sample_many returned shape {block.shape}, "
+                f"expected {(times.size, self.outcome_count)}"
+            )
+        _validate_sample_block(block)
         return block
 
 
@@ -413,11 +404,8 @@ def equilibration_report(
         raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
     if quadrature_error < 0.0:
         raise DomainError("quadrature error must be nonnegative")
-    block = probe.distributions_at(sample_times(cfg))
-    mean_dist = block.mean(axis=0)
-    omega = OutcomeDistribution(mean_dist / mean_dist.sum())
-    series = 0.5 * np.abs(block - omega.probs).sum(axis=1)
-    mean, stderr = _series_estimate(series)
+    omega = time_average_distribution(probe, cfg)
+    mean, stderr = average_distinguishability(probe, omega, cfg)
     stderr += quadrature_error
     return EquilibrationReport(
         mean_distinguishability=mean,
@@ -467,7 +455,4 @@ def synthetic_probe(
         weights = base * factors
         return weights / weights.sum(axis=1, keepdims=True)
 
-    def sample(t: float) -> OutcomeDistribution:
-        return OutcomeDistribution(_raw(np.array([t]))[0])
-
-    return TrajectoryProbe(sample=sample, outcome_count=outcomes, sample_many=_raw)
+    return TrajectoryProbe(sample_many=_raw, outcome_count=outcomes)

@@ -408,10 +408,7 @@ def quantum_probe(
         # clip 1-ulp excursions so strict downstream validation stays happy
         return np.clip(out, 0.0, 1.0)
 
-    def sample(t: float) -> OutcomeDistribution:
-        return OutcomeDistribution(_block(np.array([t]))[0])
-
-    return TrajectoryProbe(sample=sample, outcome_count=n_out, sample_many=_block)
+    return TrajectoryProbe(sample_many=_block, outcome_count=n_out)
 
 
 def default_average_config(
@@ -431,60 +428,31 @@ def default_average_config(
     return TimeAverageConfig(horizon=horizon, samples=samples, seed=seed)
 
 
-def _support_rotation(rho_e: np.ndarray, spectrum: HamiltonianSpectrum) -> np.ndarray:
-    """Basis change, block-diagonal over eigenspaces, rotating each
-    within-eigenspace block of a pure state onto a single basis vector."""
-    d = spectrum.dim
-    w = np.eye(d, dtype=complex)
-    for group in spectrum.eigenspaces:
-        if len(group) == 1:
-            continue
-        g = list(group)
-        block = rho_e[np.ix_(g, g)]
-        vals, vecs = np.linalg.eigh(block)
-        # descending population: the support vector comes first
-        w[np.ix_(g, g)] = vecs[:, ::-1]
-    return w
-
-
 def projector_second_moment(
     rho: DensityMatrix, projector, spectrum: HamiltonianSpectrum
 ) -> float:
-    """Exact infinite-time average of |tr(P (rho_t - omega))|^2 for pure states.
+    """Exact infinite-time average of |tr(M (rho_t - omega))|^2.
 
-    Works in an energy basis rotated so the state occupies a single vector
-    inside each degenerate eigenspace; then the average is a closed sum over
-    equal-gap classes: sum over classes of |sum of rho_nj P_jn|^2. Mixed
-    states are rejected; purify them first.
+    For any state, pure or mixed, and any Hermitian ``projector`` M (a
+    projector or any other POVM element): tr(M rho_t) - tr(M omega) is a sum
+    over ordered pairs (a, b) of distinct eigenspaces of
+    exp(-i (E_a - E_b) t) tr(rho_ab M_ba), with rho_ab = P_a rho P_b, so the
+    average is the closed sum over equal-gap classes of
+    |sum over the class of tr(rho_ab M_ba)|^2.
     """
     proj = _as_square_complex(projector, "the projector")
     if rho.dim != spectrum.dim or proj.shape[0] != spectrum.dim:
         raise DimensionError("state, projector and spectrum dimensions differ")
-    if not rho.is_pure:
-        raise DomainError(
-            f"exact second moment needs a pure state (purity {rho.purity:.6f}); "
-            "route mixed states through purify()"
-        )
     rho_e = spectrum.to_energy_basis(rho.matrix)
     proj_e = spectrum.to_energy_basis(proj)
-    w = _support_rotation(rho_e, spectrum)
-    rho_r = w.conj().T @ rho_e @ w
-    proj_r = w.conj().T @ proj_e @ w
-
-    # after the rotation the state has one support index per eigenspace
-    diag = np.real(np.diag(rho_r))
-    support = [int(g[np.argmax(diag[list(g)])]) for g in map(list, spectrum.eigenspaces)]
-
+    # block_trace[a, b] = tr(rho_ab M_ba), the amplitude of gap E_a - E_b
+    labels = spectrum.space_of_index
+    block_trace = np.zeros((spectrum.eigenspace_count,) * 2, dtype=complex)
+    np.add.at(block_trace, (labels[:, None], labels[None, :]), rho_e * proj_e.T)
     table = gap_table(spectrum)
-    total = 0.0
-    for cls in table.classes:
-        acc = 0.0 + 0.0j
-        for k in cls:
-            n_space, j_space = table.pairs[k]
-            n_idx, j_idx = support[n_space], support[j_space]
-            acc += rho_r[n_idx, j_idx] * proj_r[j_idx, n_idx]
-        total += abs(acc) ** 2
-    return float(total)
+    return float(
+        sum(abs(sum(block_trace[table.pairs[k]] for k in cls)) ** 2 for cls in table.classes)
+    )
 
 
 def purify(rho: DensityMatrix) -> DensityMatrix:

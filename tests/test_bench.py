@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from equilib import bench, cli
+from equilib import bench, cli, quantum
 from equilib.bench import (
     BOUND_NAMES,
     CSV_COLUMNS,
@@ -57,6 +57,61 @@ def synthetic_config(**overrides):
     return cfg
 
 
+def sampled_quantum_config():
+    return {
+        "name": "sampled",
+        "kind": "quantum",
+        "epsilon": 0.4,
+        "average": {"horizon": "auto", "samples": 200, "seed": 5},
+        "system": {"sampler": {"dim": 8, "seed": 21}},
+        "measurement": {"sampler": {"name": "projective", "outcomes": 3, "seed": 22}},
+    }
+
+
+def ensemble_config():
+    return {
+        "name": "ensemble",
+        "kind": "classical-ensemble",
+        "epsilon": 0.4,
+        "average": {"horizon": 64, "samples": 64, "scheme": "uniform-grid"},
+        "system": {
+            "map": {"name": "cat-map"},
+            "ensemble": {"sampler": {"count": 100, "delta": 0.1, "seed": 4, "lattice": 4}},
+        },
+        "measurement": {
+            "partition": {"kind": "grid", "edges": [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]}
+        },
+    }
+
+
+# every integer field of the scenario samplers, with a valid value
+INTEGER_FIELDS = [
+    (sampled_quantum_config, "system.sampler.dim", 8),
+    (sampled_quantum_config, "system.sampler.seed", 21),
+    (sampled_quantum_config, "measurement.sampler.outcomes", 3),
+    (sampled_quantum_config, "measurement.sampler.seed", 22),
+    (ensemble_config, "system.ensemble.sampler.count", 100),
+    (ensemble_config, "system.ensemble.sampler.seed", 4),
+    (ensemble_config, "system.ensemble.sampler.lattice", 4),
+    (synthetic_config, "system.probe.outcomes", 3),
+    (synthetic_config, "system.probe.seed", 5),
+    (synthetic_config, "system.probe.mode_count", 3),
+]
+
+
+def count_gap_tables(monkeypatch) -> list:
+    """Record the tolerance of every gap table built from now on."""
+    calls = []
+    original = quantum.gap_table
+
+    def counting(spectrum, gap_tol=None):
+        calls.append(gap_tol)
+        return original(spectrum, gap_tol)
+
+    monkeypatch.setattr(quantum, "gap_table", counting)
+    return calls
+
+
 class TestLoadScenario:
     def test_missing_fields_report_paths(self):
         with pytest.raises(ConfigError, match="scenario.kind"):
@@ -99,6 +154,32 @@ class TestLoadScenario:
         # an integral float is an integer count
         cfg["average"]["samples"] = 64.0
         assert run_scenario(load_scenario(cfg))[0].error is None
+
+    @pytest.mark.parametrize(
+        "make, field, value", INTEGER_FIELDS, ids=[f for _, f, _ in INTEGER_FIELDS]
+    )
+    def test_integer_field_names_its_path(self, make, field, value):
+        for bad in (value + 0.9, str(value)):
+            cfg = bench._apply_overrides(make(), {field: bad})
+            with pytest.raises(ConfigError, match=r"scenario\." + field.replace(".", r"\.")):
+                load_scenario(cfg)
+        # an integral float is an integer
+        assert load_scenario(bench._apply_overrides(make(), {field: float(value)}))
+
+    @pytest.mark.parametrize("gap_tol", ["abc", True, -1.0], ids=["string", "boolean", "negative"])
+    def test_bad_gap_tol_names_its_path(self, gap_tol):
+        cfg = qubit_config(gap_tol=gap_tol)
+        with pytest.raises(ConfigError, match=r"scenario\.gap_tol"):
+            load_scenario(cfg)
+
+    def test_unexpected_build_error_surfaces_at_load(self, monkeypatch):
+        # only the numeric failures run_scenario records are deferred
+        def broken(cfg):
+            raise TypeError("not a numeric failure")
+
+        monkeypatch.setitem(bench._BUILDERS, "synthetic-probe", broken)
+        with pytest.raises(TypeError, match="not a numeric failure"):
+            load_scenario(synthetic_config())
 
     def test_boolean_epsilon_in_sweep_rejected(self):
         cfg = synthetic_config(sweep={"epsilon": [0.3, False]})
@@ -229,6 +310,12 @@ class TestRunScenario:
         assert thm3.status == STATUS_SATISFIED
         assert rec.params["delta"] == pytest.approx(0.1)
         assert rec.params["quadrature_floor"] > 0
+
+    def test_one_gap_table_per_tolerance(self, monkeypatch):
+        calls = count_gap_tables(monkeypatch)
+        diagnostics = bench._build_runtime(sampled_quantum_config()).diagnostics
+        assert len(calls) == 3
+        assert diagnostics["D_G_sensitivity"]["1x"] == diagnostics["D_G"]
 
     def test_empty_sweep_gives_no_records(self):
         scenario = load_scenario(synthetic_config(sweep={"system.probe.seed": []}))
@@ -378,6 +465,16 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert result.output.count("gap-degeneracy") == 3
         assert ": 3" in result.output
+
+    def test_bounds_eigenvalues_reuses_the_1x_degeneracy(self, monkeypatch):
+        calls = count_gap_tables(monkeypatch)
+        result = CliRunner().invoke(
+            cli.main,
+            ["bounds", "-n", "2", "--eigenvalues", "0,1,2,3", "--effective-dimension", "4"],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 3
+        assert "D_G=3," in result.output
 
     def test_any_violation_helper(self):
         ok = RunRecord(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from equilib import classical, quantum
 from equilib.core import (
     AverageEstimate,
     DimensionError,
@@ -30,13 +31,31 @@ from equilib.core import (
 )
 
 
+def builder_probes():
+    """One probe from each builder, by name."""
+    grid = classical.grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
+    spec = quantum.random_spectrum(4, 2)
+    return {
+        "quantum": quantum.quantum_probe(
+            quantum.random_mixed_state(4, 1), spec, quantum.random_povm(4, 3, 3)
+        ),
+        "classical": classical.classical_probe(
+            classical.PhasePoint((0.2, 0.6)), classical.cat_map(), grid
+        ),
+        "ensemble": classical.ensemble_probe(
+            classical.contaminated_cat_ensemble(50, 0.1, seed=4), classical.cat_map(), grid
+        ),
+        "synthetic": synthetic_probe(3, seed=4),
+    }
+
+
 def constant_probe(values):
     dist = OutcomeDistribution(values)
 
     def many(times):
         return np.tile(dist.probs, (len(times), 1))
 
-    return TrajectoryProbe(lambda t: dist, len(dist), many)
+    return TrajectoryProbe(many, len(dist))
 
 
 def cosine_probe():
@@ -46,9 +65,7 @@ def cosine_probe():
         c = np.cos(np.asarray(times, dtype=float))
         return np.column_stack(((1 + c) / 2, (1 - c) / 2))
 
-    return TrajectoryProbe(
-        lambda t: OutcomeDistribution(many([t])[0]), 2, many
-    )
+    return TrajectoryProbe(many, 2)
 
 
 class TestOutcomeDistribution:
@@ -182,9 +199,7 @@ class TestTimeAverageDistribution:
             block[steps % 4 != 0, 1] = 1.0
             return block
 
-        probe = TrajectoryProbe(
-            lambda t: OutcomeDistribution(many([t])[0]), 2, many
-        )
+        probe = TrajectoryProbe(many, 2)
         cfg = TimeAverageConfig(horizon=4096, samples=4096, scheme="uniform-grid")
         avg = time_average_distribution(probe, cfg)
         assert avg.allclose(OutcomeDistribution([0.25, 0.75]), atol=1e-12)
@@ -193,24 +208,19 @@ class TestTimeAverageDistribution:
         def bad(times):
             return np.full((len(times), 2), 0.9)
 
-        probe = TrajectoryProbe(lambda t: OutcomeDistribution([0.5, 0.5]), 2, bad)
+        probe = TrajectoryProbe(bad, 2)
         cfg = TimeAverageConfig(horizon=1.0, samples=4)
         with pytest.raises(DistributionError):
             time_average_distribution(probe, cfg)
 
     def test_wrong_length_sample(self):
-        probe = TrajectoryProbe(lambda t: OutcomeDistribution([1.0]), 2)
+        # a block of one outcome per time from a probe declaring two
+        probe = TrajectoryProbe(lambda times: np.ones((len(times), 1)), 2)
         cfg = TimeAverageConfig(horizon=1.0, samples=4)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"shape \(4, 1\)"):
             time_average_distribution(probe, cfg)
-
-    def test_scalar_and_vector_paths_agree(self):
-        vec = cosine_probe()
-        scalar = TrajectoryProbe(vec.sample, vec.outcome_count, None)
-        cfg = TimeAverageConfig(horizon=30.0, samples=64, seed=3)
-        assert time_average_distribution(vec, cfg) == time_average_distribution(
-            scalar, cfg
-        )
+        with pytest.raises(DimensionError):
+            probe.sample(0.5)
 
 
 class TestProbeMemo:
@@ -222,7 +232,7 @@ class TestProbeMemo:
             calls.append(np.array(times))
             return cosine_probe().sample_many(times)
 
-        return TrajectoryProbe(cosine_probe().sample, 2, many), calls
+        return TrajectoryProbe(many, 2), calls
 
     def test_one_block_per_config(self):
         probe, calls = self.counting_probe()
@@ -238,6 +248,16 @@ class TestProbeMemo:
         # the memo holds one block: going back to the first config samples again
         time_average_distribution(probe, cfg)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("builder", ["quantum", "classical", "ensemble", "synthetic"])
+    def test_sample_is_a_block_row_and_keeps_the_memo(self, builder):
+        probe = builder_probes()[builder]
+        times = np.arange(8.0)
+        block = probe.distributions_at(times)
+        single = probe.sample(11.0)
+        # the earlier block is still the memoised one
+        assert probe.distributions_at(times) is block
+        assert single == OutcomeDistribution(probe.distributions_at([11.0])[0])
 
     def test_block_is_read_only(self):
         probe, _ = self.counting_probe()
@@ -290,7 +310,7 @@ class TestAverageDistinguishability:
             block[steps % 4 != 0, 1] = 1.0
             return block
 
-        probe = TrajectoryProbe(lambda t: OutcomeDistribution(many([t])[0]), 2, many)
+        probe = TrajectoryProbe(many, 2)
         cfg = TimeAverageConfig(horizon=4096, samples=4096, scheme="uniform-grid")
         omega = time_average_distribution(probe, cfg)
         est = average_distinguishability(probe, omega, cfg)

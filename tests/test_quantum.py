@@ -362,11 +362,27 @@ class TestSecondMoment:
         value = projector_second_moment(PLUS, SIGMA_X_POVM.elements[0], QUBIT_H)
         assert value == pytest.approx(0.125, abs=1e-12)
 
-    def test_rejects_mixed(self):
-        with pytest.raises(DomainError):
-            projector_second_moment(
-                DensityMatrix(np.eye(2) / 2), SIGMA_X_POVM.elements[0], QUBIT_H
+    def test_mixed_state_with_povm_element(self):
+        # no purification needed: the block-trace sum equals the purified
+        # route and the time-sampled second moment
+        for kind, seed in (("generic", 5), ("equally-spaced", 6)):
+            d = 4
+            rho = random_mixed_state(d, seed)
+            spec = random_spectrum(d, seed + 20, kind=kind)
+            povm = random_povm(d, 3, seed + 40)
+            element = povm.elements[0]
+            assert np.abs(element @ element - element).max() > 1e-3  # not a projector
+            exact = projector_second_moment(rho, element, spec)
+            purified = projector_second_moment(
+                purify(rho), np.kron(element, np.eye(d)), extend_hamiltonian(spec, d)
             )
+            assert exact == pytest.approx(purified, abs=1e-12)
+            cfg = default_average_config(spec, samples=4000, seed=seed)
+            block = quantum_probe(rho, spec, povm).distributions_at(sample_times(cfg))
+            omega_p = povm.probabilities(dephase(rho, spec))[0]
+            series = (block[:, 0] - omega_p) ** 2
+            stderr = series.std(ddof=1) / math.sqrt(series.size)
+            assert abs(series.mean() - exact) <= 3.0 * stderr + 1e-12
 
     @pytest.mark.parametrize("kind", ["generic", "equally-spaced"])
     def test_matches_time_sampling(self, kind):
