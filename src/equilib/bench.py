@@ -406,7 +406,7 @@ def _build_quantum(cfg: dict) -> _Runtime:
     avg = _average_config(cfg, spectrum)
     d_eff = quantum.effective_dimension(rho, spectrum)
     base_tol = quantum.GAP_REL_TOL * spectrum.spectral_range if gap_tol is None else gap_tol
-    d_g = quantum.max_gap_degeneracy(spectrum, base_tol if base_tol > 0 else None)
+    d_g = quantum.max_gap_degeneracy(spectrum, base_tol)
     diagnostics = {
         "N": povm.outcome_count,
         "d": spectrum.dim,
@@ -510,13 +510,18 @@ def _build_synthetic(cfg: dict) -> _Runtime:
     outcomes = _integer(recipe, "outcomes", path)
     seed = _integer(recipe, "seed", path)
     mode_count = _integer(recipe, "mode_count", path, 3)
+    dominant_weight = (
+        None if recipe.get("dominant_weight") is None
+        else _number(recipe, "dominant_weight", path)
+    )
+    amplitude = _number(recipe, "amplitude", path) if "amplitude" in recipe else 0.6
     try:
         probe = synthetic_probe(
             outcomes=outcomes,
             seed=seed,
-            dominant_weight=recipe.get("dominant_weight"),
+            dominant_weight=dominant_weight,
             mode_count=mode_count,
-            amplitude=recipe.get("amplitude", 0.6),
+            amplitude=amplitude,
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None

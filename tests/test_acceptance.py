@@ -183,7 +183,10 @@ def _second_moment_horizon(spectrum, samples: int) -> float:
     from equilib.quantum import gap_table
 
     table = gap_table(spectrum)
-    values = sorted({table.values[cls[0]] for cls in table.classes})
+    # the first member of each class in stable sorted order
+    order = np.argsort(table.values, kind="stable")
+    _, first = np.unique(table.class_of[order], return_index=True)
+    values = sorted(set(table.values[order[first]]))
     scales = {abs(v) for v in values if v != 0}
     for i in range(len(values)):
         for j in range(i + 1, len(values)):

@@ -172,6 +172,16 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=r"scenario\.gap_tol"):
             load_scenario(cfg)
 
+    @pytest.mark.parametrize("field", ["amplitude", "dominant_weight"])
+    def test_synthetic_probe_number_names_its_path(self, field):
+        for bad in ("big", True):
+            cfg = synthetic_config()
+            cfg["system"]["probe"][field] = bad
+            with pytest.raises(ConfigError, match=r"scenario\.system\.probe\." + field):
+                load_scenario(cfg)
+        cfg["system"]["probe"][field] = 0.5
+        assert load_scenario(cfg)
+
     def test_unexpected_build_error_surfaces_at_load(self, monkeypatch):
         # only the numeric failures run_scenario records are deferred
         def broken(cfg):
@@ -316,6 +326,17 @@ class TestRunScenario:
         diagnostics = bench._build_runtime(sampled_quantum_config()).diagnostics
         assert len(calls) == 3
         assert diagnostics["D_G_sensitivity"]["1x"] == diagnostics["D_G"]
+
+    def test_zero_gap_tol_is_the_tolerance_used(self):
+        cfg = sampled_quantum_config()
+        cfg["system"]["sampler"]["spectrum"] = "equally-spaced"
+        assert bench._build_runtime(cfg).diagnostics["D_G"] == 7
+        cfg["gap_tol"] = 0
+        diagnostics = bench._build_runtime(cfg).diagnostics
+        assert diagnostics["gap_tolerance"] == 0.0
+        # at a literal zero tolerance every gap is its own class
+        assert diagnostics["D_G"] == 1
+        assert diagnostics["D_G_sensitivity"] == {"0.1x": 1, "1x": 1, "10x": 1}
 
     def test_empty_sweep_gives_no_records(self):
         scenario = load_scenario(synthetic_config(sweep={"system.probe.seed": []}))

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,68 @@ def brute_force_gap_degeneracy(energies, tol):
         count = sum(1 for h in gaps if abs(g - h) < tol)
         best = max(best, count)
     return best
+
+
+def tuple_gap_table(spectrum, gap_tol=None):
+    """Reference gap table: nested-loop pairs and tuple classes, each class
+    the stable-sorted run of gaps whose consecutive spacing is < gap_tol."""
+    if gap_tol is None:
+        gap_tol = GAP_REL_TOL * spectrum.spectral_range
+    energies = spectrum.eigenspace_energies
+    s = energies.size
+    pairs = [(n, j) for n in range(s) for j in range(s) if n != j]
+    values = np.array([energies[n] - energies[j] for n, j in pairs])
+    order = np.argsort(values, kind="stable")
+    classes = []
+    for rank, k in enumerate(order):
+        if classes and gap_tol > 0 and values[k] - values[order[rank - 1]] < gap_tol:
+            classes[-1].append(int(k))
+        else:
+            classes.append([int(k)])
+    return pairs, values, classes
+
+
+def write_tuple_spectrum_csv(spectrum, path, gap_tol=None):
+    """Reference CSV export from the tuple table, row for row."""
+    pairs, values, classes = tuple_gap_table(spectrum, gap_tol)
+    class_of = {k: c for c, cls in enumerate(classes) for k in cls}
+    size_of = {k: len(cls) for cls in classes for k in cls}
+    energies = spectrum.eigenspace_energies
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["space_n", "space_j", "energy_n", "energy_j", "gap", "gap_class", "class_size"]
+        )
+        for k, (n, j) in enumerate(pairs):
+            writer.writerow(
+                [n, j, f"{energies[n]:.17g}", f"{energies[j]:.17g}", f"{values[k]:.17g}",
+                 class_of[k], size_of[k]]
+            )
+
+
+def einsum_block(rho, spectrum, povm, times):
+    """Reference sample block: the direct three-operand contraction."""
+    rho_e = spectrum.to_energy_basis(rho.matrix)
+    coeff = np.stack([rho_e * spectrum.to_energy_basis(m).T for m in povm.elements])
+    u = np.exp(-1j * np.outer(times, spectrum.eigenvalues))
+    p = np.einsum("jnm,tn,tm->tj", coeff, u, u.conj(), optimize=True).real
+    return np.clip(p, 0.0, 1.0)
+
+
+def degenerate_spectrum(seed):
+    """Six levels in three eigenspaces (multiplicities 2, 3, 1), Haar basis."""
+    vals = [0.0, 0.0, 1.3, 1.3, 1.3, 2.9]
+    return HamiltonianSpectrum(vals, haar_unitary(6, np.random.default_rng(seed)))
+
+
+GAP_SPECTRA = {
+    "generic": lambda: random_spectrum(12, 40),
+    "ladder": lambda: random_spectrum(9, 41, kind="equally-spaced"),
+    # eigenspaces with repeated levels, and gaps 0.2 and 0.25 apart
+    "degenerate": lambda: HamiltonianSpectrum(
+        [0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 3.2, 4.45, 4.45, 6.0]
+    ),
+}
 
 
 class TestDensityMatrix:
@@ -263,10 +326,48 @@ class TestGapDegeneracy:
     def test_antisymmetry_and_monotonicity(self):
         spec = HamiltonianSpectrum([0.0, 1.0, 2.0, 3.5])
         table = gap_table(spec)
-        lookup = {pair: table.values[k] for k, pair in enumerate(table.pairs)}
+        lookup = {tuple(pair): table.values[k] for k, pair in enumerate(table.pairs.tolist())}
         for (n, j), value in lookup.items():
             assert lookup[(j, n)] == -value
         assert max_gap_degeneracy(spec, 1e-12) <= max_gap_degeneracy(spec, 1.0)
+
+
+class TestGapTable:
+    @pytest.mark.parametrize("gap_tol", [None, 0.0, 0.3], ids=["default", "zero", "0.3"])
+    @pytest.mark.parametrize("kind", sorted(GAP_SPECTRA))
+    def test_equals_tuple_table(self, kind, gap_tol):
+        spec = GAP_SPECTRA[kind]()
+        pairs, values, classes = tuple_gap_table(spec, gap_tol)
+        table = gap_table(spec, gap_tol)
+        assert table.pairs.shape == (len(pairs), 2)
+        assert [tuple(p) for p in table.pairs.tolist()] == pairs
+        assert np.array_equal(table.values, values)
+        expected = np.empty(len(pairs), dtype=np.int64)
+        for c, cls in enumerate(classes):
+            expected[cls] = c
+        assert np.array_equal(table.class_of, expected)
+        assert table.max_degeneracy == max(len(c) for c in classes)
+        assert max_gap_degeneracy(spec, gap_tol) == max(len(c) for c in classes)
+
+    @pytest.mark.parametrize("gap_tol", [None, 0.0, 0.3], ids=["default", "zero", "0.3"])
+    @pytest.mark.parametrize("kind", sorted(GAP_SPECTRA))
+    def test_spectrum_csv_rows_unchanged(self, kind, gap_tol, tmp_path):
+        spec = GAP_SPECTRA[kind]()
+        write_spectrum_csv(spec, tmp_path / "labels.csv", gap_tol)
+        write_tuple_spectrum_csv(spec, tmp_path / "tuples.csv", gap_tol)
+        assert (tmp_path / "labels.csv").read_bytes() == (tmp_path / "tuples.csv").read_bytes()
+
+    def test_single_eigenspace_is_empty(self):
+        table = gap_table(HamiltonianSpectrum([2.0, 2.0, 2.0]))
+        assert table.pairs.shape == (0, 2)
+        assert table.values.size == 0 and table.class_of.size == 0
+        assert table.max_degeneracy == 1
+
+    def test_arrays_are_read_only(self):
+        table = gap_table(GAP_SPECTRA["ladder"]())
+        for arr in (table.pairs, table.values, table.class_of):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestBounds:
@@ -349,6 +450,47 @@ class TestQuantumProbe:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             quantum_probe(PLUS, random_spectrum(3, 0), SIGMA_X_POVM)
+
+    @pytest.mark.parametrize(
+        "d, n_out, kind, mixed, projective, samples",
+        [
+            (5, 3, "generic", False, False, 300),
+            (6, 2, "equally-spaced", True, True, 300),
+            (6, 3, "degenerate", False, True, 300),
+            (6, 4, "degenerate", True, False, 300),
+            (8, 3, "equally-spaced", False, False, 3000),
+            # chunk is 65,536 // (8 * 64) = 128; 1000 is not a multiple of it
+            (64, 8, "generic", True, False, 1000),
+        ],
+    )
+    def test_block_equals_einsum(self, d, n_out, kind, mixed, projective, samples):
+        seed = 7 * d + n_out
+        if kind == "degenerate":
+            spec = degenerate_spectrum(seed)
+        else:
+            spec = random_spectrum(d, seed, kind=kind)
+        rho = (random_mixed_state if mixed else random_pure_state)(d, seed + 1)
+        povm = (projective_povm if projective else random_povm)(d, n_out, seed + 2)
+        times = np.random.default_rng(seed + 3).uniform(0.0, 500.0, samples)
+        block = quantum_probe(rho, spec, povm).sample_many(times)
+        assert block.shape == (samples, n_out)
+        assert np.abs(block - einsum_block(rho, spec, povm, times)).max() < 1e-12
+
+    def test_block_memory_is_bounded(self):
+        # the (M, N*d) GEMM intermediate is chunked at 1 MB; unchunked it
+        # would be 3000 * 8 * 64 complex entries, about 25 MB
+        d, n_out = 64, 8
+        probe = quantum_probe(
+            random_pure_state(d, 1), random_spectrum(d, 2), random_povm(d, n_out, 3)
+        )
+        times = np.linspace(0.0, 300.0, 3000)
+        tracemalloc.start()
+        try:
+            probe.sample_many(times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestSecondMoment:
