@@ -13,8 +13,10 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -141,12 +143,15 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: the raw config plus the expanded sweep grid."""
+    """Validated scenario: the raw config, the expanded sweep grid and, per
+    point, its runtime or numeric build failure with the build's seconds."""
 
     name: str
     kind: str
     config: dict
     sweep_points: tuple[dict, ...] = field(default_factory=tuple)
+    built: tuple[tuple[_Runtime | _Failure, float], ...] = field(
+        default=(), compare=False, repr=False)
 
 
 # --- config parsing ----------------------------------------------------------
@@ -211,6 +216,8 @@ def load_scenario(source: dict | str | Path, name: str | None = None) -> Scenari
     if not isinstance(raw, dict):
         raise ConfigError("scenario: expected a JSON object")
     name = raw.get("name", name or "scenario")
+    if not isinstance(name, str):
+        raise ConfigError(f"scenario.name: expected a string, got {type(name).__name__}")
     kind = _require(raw, "kind", "scenario")
     if kind not in KINDS:
         raise ConfigError(f"scenario.kind: unknown kind {kind!r}, expected one of {KINDS}")
@@ -229,6 +236,8 @@ def load_scenario(source: dict | str | Path, name: str | None = None) -> Scenari
         if not isinstance(sweep, dict):
             raise ConfigError("scenario.sweep: expected an object of path -> value list")
         keys = sorted(sweep)
+        if "kind" in sweep:
+            raise ConfigError("scenario.sweep.kind: the scenario kind cannot be swept")
         for k in keys:
             if not isinstance(sweep[k], list):
                 raise ConfigError(f"scenario.sweep.{k}: expected a list of values")
@@ -236,16 +245,23 @@ def load_scenario(source: dict | str | Path, name: str | None = None) -> Scenari
             dict(zip(keys, combo))
             for combo in itertools.product(*(sweep[k] for k in keys))
         ]
-    # every sweep point must be internally consistent before any run starts;
-    # numeric failures are a run-level concern and stay deferred
+    # every sweep point is built once, before any run starts; numeric failures
+    # are kept for run_scenario to record. An empty grid still validates.
+    built = []
     for point in points or [{}]:
+        resolved = _apply_overrides(raw, point)
+        start = time.perf_counter()
         try:
-            _build_runtime(_apply_overrides(raw, point))
+            rt = _build_runtime(resolved)
         except ConfigError:
             raise
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError):
-            pass
-    return Scenario(name=name, kind=kind, config=raw, sweep_points=tuple(points))
+        except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            avg = _obj(resolved["average"], "scenario.average")
+            seed = _integer(avg, "seed", "scenario.average", 0)
+            rt = _Failure(f"{type(exc).__name__}: {exc}", seed)
+        built.append((rt, time.perf_counter() - start))
+    return Scenario(name=name, kind=kind, config=raw, sweep_points=tuple(points),
+                    built=tuple(built[:len(points)]))
 
 
 def _apply_overrides(raw: dict, overrides: dict) -> dict:
@@ -282,21 +298,29 @@ def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+@dataclass(frozen=True)
 class _Runtime:
     """Everything needed to execute one resolved sweep point.
 
     ``quadrature_error_of`` maps the measured equilibrium distribution to the
     resolution floor of a quadrature-discretized probe (0 for exact probes);
-    it is evaluated at run time, never during validation.
+    it is evaluated at run time, never at load.
     """
 
-    def __init__(self, kind, probe, cfg, epsilon, diagnostics, quadrature_error_of=None):
-        self.kind = kind
-        self.probe: TrajectoryProbe = probe
-        self.cfg: TimeAverageConfig = cfg
-        self.epsilon = epsilon
-        self.diagnostics: dict = diagnostics
-        self.quadrature_error_of = quadrature_error_of
+    kind: str
+    probe: TrajectoryProbe
+    cfg: TimeAverageConfig
+    epsilon: float
+    diagnostics: dict
+    quadrature_error_of: Callable[[OutcomeDistribution], float] | None = None
+
+
+@dataclass(frozen=True)
+class _Failure:
+    """A sweep point whose build failed numerically, as its record shows it."""
+
+    error: str
+    seed: int
 
 
 def _matrix_node(node, path: str) -> np.ndarray:
@@ -325,8 +349,11 @@ def _build_quantum(cfg: dict) -> _Runtime:
         dim = _integer(s, "dim", f"{path}.sampler")
         seed = _integer(s, "seed", f"{path}.sampler")
         spec_kind = s.get("spectrum", "generic")
+        spacing = _number(s, "spacing", f"{path}.sampler") if "spacing" in s else 1.0
+        if not (math.isfinite(spacing) and spacing > 0):
+            raise ConfigError(f"{path}.sampler.spacing: must be finite and > 0, got {spacing!r}")
         try:
-            spectrum = quantum.random_spectrum(dim, seed, spec_kind, s.get("spacing", 1.0))
+            spectrum = quantum.random_spectrum(dim, seed, spec_kind, spacing)
         except ValueError as exc:
             raise ConfigError(f"{path}.sampler.spectrum: {exc}") from None
         state_kind = s.get("state", "pure")
@@ -593,63 +620,53 @@ def _evaluate_bounds(rt: _Runtime, report: EquilibrationReport) -> dict[str, Bou
     return checks
 
 
-def run_scenario(scenario: Scenario) -> list[RunRecord]:
-    """Execute every sweep point of a scenario, in grid order.
+def _measure(rt: _Runtime, overrides: dict) -> tuple[EquilibrationReport, dict, dict]:
+    """Sample one built point: its report, bound checks and record params."""
+    params = {**overrides, **rt.diagnostics}
+    floor = 0.0
+    if rt.quadrature_error_of is not None:
+        omega = time_average_distribution(rt.probe, rt.cfg)
+        floor = params["quadrature_floor"] = rt.quadrature_error_of(omega)
+    report = equilibration_report(rt.probe, rt.epsilon, rt.cfg, quadrature_error=floor)
+    checks = _evaluate_bounds(rt, report)
+    bound_values = {name: chk.value for name, chk in checks.items() if chk.value is not None}
+    return replace(report, bound_values=bound_values), checks, params
 
-    A numeric failure in one point is recorded on its record (bounds all
-    not-applicable) and the sweep continues.
+
+def run_scenario(scenario: Scenario) -> list[RunRecord]:
+    """Execute every sweep point of a scenario, in grid order, on the
+    runtimes ``load_scenario`` built; a record's ``wall_time`` includes the
+    build of its point.
+
+    A numeric failure in one point, at build or while sampling, is recorded
+    on its record (bounds all not-applicable) and the sweep continues.
     """
     records: list[RunRecord] = []
-    for overrides in scenario.sweep_points:
-        resolved = _apply_overrides(scenario.config, overrides)
+    for overrides, (rt, build_s) in zip(scenario.sweep_points, scenario.built, strict=True):
         start = time.perf_counter()
-        try:
-            rt = _build_runtime(resolved)
-            floor = 0.0
-            if rt.quadrature_error_of is not None:
-                omega = time_average_distribution(rt.probe, rt.cfg)
-                floor = rt.quadrature_error_of(omega)
-                rt.diagnostics["quadrature_floor"] = floor
-            report = equilibration_report(
-                rt.probe, rt.epsilon, rt.cfg, quadrature_error=floor
+        params, report, error = dict(overrides), None, None
+        checks = {name: BoundCheck(None, STATUS_NA) for name in BOUND_NAMES}
+        if isinstance(rt, _Failure):
+            seed, error = rt.seed, rt.error
+        else:
+            seed = rt.cfg.seed
+            try:
+                report, checks, params = _measure(rt, overrides)
+            except ConfigError:
+                raise
+            except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+        records.append(
+            RunRecord(
+                scenario=scenario.name,
+                params=_plain(params),
+                report=report,
+                bounds=checks,
+                wall_time=build_s + time.perf_counter() - start,
+                seed=seed,
+                error=error,
             )
-            checks = _evaluate_bounds(rt, report)
-            report = EquilibrationReport(
-                mean_distinguishability=report.mean_distinguishability,
-                standard_error=report.standard_error,
-                equilibrium_distribution=report.equilibrium_distribution,
-                epsilon=report.epsilon,
-                verdict=report.verdict,
-                bound_values={
-                    name: chk.value for name, chk in checks.items() if chk.value is not None
-                },
-            )
-            params = dict(overrides)
-            params.update(rt.diagnostics)
-            records.append(
-                RunRecord(
-                    scenario=scenario.name,
-                    params=_plain(params),
-                    report=report,
-                    bounds=checks,
-                    wall_time=time.perf_counter() - start,
-                    seed=rt.cfg.seed,
-                )
-            )
-        except ConfigError:
-            raise
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            records.append(
-                RunRecord(
-                    scenario=scenario.name,
-                    params=_plain(dict(overrides)),
-                    report=None,
-                    bounds={name: BoundCheck(None, STATUS_NA) for name in BOUND_NAMES},
-                    wall_time=time.perf_counter() - start,
-                    seed=int(resolved.get("average", {}).get("seed", 0)),
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+        )
     return records
 
 

@@ -18,17 +18,13 @@ EXIT_VIOLATION = 2
 
 
 def _apply_flag_overrides(scenario, seed, horizon, samples, gap_tol):
-    cfg = dict(scenario.config)
-    avg = dict(cfg.get("average", {}))
-    if seed is not None:
-        avg["seed"] = seed
-    if horizon is not None:
-        avg["horizon"] = horizon
-    if samples is not None:
-        avg["samples"] = samples
-    cfg["average"] = avg
-    if gap_tol is not None:
-        cfg["gap_tol"] = gap_tol
+    """The scenario reloaded with the flags that are set; unchanged when none is."""
+    flags = {"average.seed": seed, "average.horizon": horizon, "average.samples": samples,
+             "gap_tol": gap_tol}
+    overrides = {path: value for path, value in flags.items() if value is not None}
+    if not overrides:
+        return scenario
+    cfg = bench._apply_overrides(scenario.config, overrides)
     return bench.load_scenario(cfg, name=scenario.name)
 
 
@@ -123,8 +119,7 @@ def verify(seed, horizon, samples, gap_tol, out, fmt):
     try:
         records = []
         for scenario in bench.builtin_scenarios():
-            if any(v is not None for v in (seed, horizon, samples, gap_tol)):
-                scenario = _apply_flag_overrides(scenario, seed, horizon, samples, gap_tol)
+            scenario = _apply_flag_overrides(scenario, seed, horizon, samples, gap_tol)
             records.extend(bench.run_scenario(scenario))
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc

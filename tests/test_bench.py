@@ -112,6 +112,18 @@ def count_gap_tables(monkeypatch) -> list:
     return calls
 
 
+def count_builds(monkeypatch) -> list:
+    """Record the kind of every sweep-point build from now on."""
+    calls = []
+    for kind, original in list(bench._BUILDERS.items()):
+        def counting(cfg, kind=kind, original=original):
+            calls.append(kind)
+            return original(cfg)
+
+        monkeypatch.setitem(bench._BUILDERS, kind, counting)
+    return calls
+
+
 class TestLoadScenario:
     def test_missing_fields_report_paths(self):
         with pytest.raises(ConfigError, match="scenario.kind"):
@@ -124,6 +136,41 @@ class TestLoadScenario:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="scenario.kind"):
             load_scenario({"kind": "acoustic", "epsilon": 0.1})
+
+    @pytest.mark.parametrize(
+        "kinds", [["synthetic-probe", "acoustic"], ["quantum"]], ids=["unknown", "other-kind"]
+    )
+    def test_kind_cannot_be_swept(self, kinds):
+        with pytest.raises(ConfigError, match=r"scenario\.sweep\.kind"):
+            load_scenario(synthetic_config(sweep={"kind": kinds}))
+
+    def test_name_must_be_a_string(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"scenario\.name"):
+            load_scenario(synthetic_config(name=5))
+        cfg = synthetic_config()
+        del cfg["name"]
+        path = tmp_path / "from-stem.json"
+        path.write_text(json.dumps(cfg))
+        assert load_scenario(path).name == "from-stem"
+        assert load_scenario(cfg).name == "scenario"
+
+    @pytest.mark.parametrize("spacing", ["wide", 0.0, -1.0, float("inf")])
+    def test_bad_spacing_names_its_path(self, spacing):
+        cfg = sampled_quantum_config()
+        cfg["system"]["sampler"].update(spectrum="equally-spaced", spacing=spacing)
+        with pytest.raises(ConfigError, match=r"scenario\.system\.sampler\.spacing"):
+            load_scenario(cfg)
+
+    def test_spacing_scales_the_ladder(self):
+        cfg = sampled_quantum_config()
+        cfg["system"]["sampler"].update(spectrum="equally-spaced")
+        for spacing in (1.0, 2.5):
+            cfg["system"]["sampler"]["spacing"] = spacing
+            rt, _ = load_scenario(cfg).built[0]
+            assert rt.diagnostics["gap_tolerance"] == pytest.approx(
+                quantum.GAP_REL_TOL * 7 * spacing
+            )
+            assert rt.diagnostics["D_G"] == 7
 
     def test_bad_matrix_payload(self):
         cfg = qubit_config()
@@ -338,9 +385,37 @@ class TestRunScenario:
         assert diagnostics["D_G"] == 1
         assert diagnostics["D_G_sensitivity"] == {"0.1x": 1, "1x": 1, "10x": 1}
 
-    def test_empty_sweep_gives_no_records(self):
+    def test_empty_sweep_gives_no_records(self, monkeypatch):
+        builds = count_builds(monkeypatch)
         scenario = load_scenario(synthetic_config(sweep={"system.probe.seed": []}))
+        # the base config is still validated, and nothing is kept
+        assert builds == ["synthetic-probe"]
+        assert scenario.built == ()
         assert run_scenario(scenario) == []
+        with pytest.raises(ConfigError, match=r"scenario\.system\.probe\.outcomes"):
+            load_scenario(synthetic_config(
+                system={"probe": {"outcomes": 0.5, "seed": 5}}, sweep={"epsilon": []}
+            ))
+
+    def test_each_sweep_point_is_built_once(self, monkeypatch):
+        builds = count_builds(monkeypatch)
+        scenario = load_scenario(synthetic_config(sweep={"system.probe.seed": [1, 2, 3]}))
+        assert len(builds) == 3
+        records = run_scenario(scenario)
+        assert len(builds) == 3
+        assert [r.error for r in records] == [None] * 3
+
+    def test_running_twice_gives_equal_records(self):
+        scenario = load_scenario(ensemble_config())
+        first, second = run_scenario(scenario), run_scenario(scenario)
+        assert first[0].params["quadrature_floor"] > 0
+        assert second[0].params["quadrature_floor"] == first[0].params["quadrature_floor"]
+        assert "quadrature_floor" not in scenario.built[0][0].diagnostics
+
+        def outputs(records):
+            return [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in records]
+
+        assert outputs(first) == outputs(second)
 
     def test_sweep_grid_size(self):
         scenario = load_scenario(
@@ -439,6 +514,25 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
         assert len(load_records(out)) == 2
+
+    @pytest.mark.parametrize("command, sweep", [
+        ("run", None), ("sweep", {"system.probe.seed": [1, 2, 3]}),
+    ], ids=["run", "sweep"])
+    def test_one_build_per_sweep_point(self, tmp_path, monkeypatch, command, sweep):
+        path = tmp_path / "scn.json"
+        cfg = synthetic_config() if sweep is None else synthetic_config(sweep=sweep)
+        path.write_text(json.dumps(cfg))
+        builds = count_builds(monkeypatch)
+        result = CliRunner().invoke(cli.main, [command, str(path)])
+        assert result.exit_code == 0, result.output
+        assert len(builds) == (1 if sweep is None else 3)
+
+    def test_verify_builds_each_point_once(self, monkeypatch):
+        points = sum(len(s.sweep_points) for s in builtin_scenarios())
+        builds = count_builds(monkeypatch)
+        result = CliRunner().invoke(cli.main, ["verify"])
+        assert result.exit_code == 0, result.output
+        assert len(builds) == points
 
     def test_sweep_requires_grid(self, tmp_path):
         path = tmp_path / "scn.json"
