@@ -200,8 +200,14 @@ def _absolutize_file_refs(node, base_dir: Path) -> None:
             _absolutize_file_refs(value, base_dir)
 
 
-def load_scenario(source: dict | str | Path, name: str | None = None) -> Scenario:
-    """Parse and validate a scenario from a dict or a JSON file path."""
+def load_scenario(
+    source: dict | str | Path, name: str | None = None, overrides: dict | None = None
+) -> Scenario:
+    """Parse and validate a scenario from a dict or a JSON file path.
+
+    ``overrides`` maps dotted config paths to values set on the raw config
+    before validation, under any sweep grid; ``source`` is not modified.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
@@ -215,6 +221,8 @@ def load_scenario(source: dict | str | Path, name: str | None = None) -> Scenari
         raw = source
     if not isinstance(raw, dict):
         raise ConfigError("scenario: expected a JSON object")
+    if overrides:
+        raw = _apply_overrides(raw, overrides)
     name = raw.get("name", name or "scenario")
     if not isinstance(name, str):
         raise ConfigError(f"scenario.name: expected a string, got {type(name).__name__}")
@@ -341,8 +349,8 @@ def _build_quantum(cfg: dict) -> _Runtime:
     system = _obj(cfg["system"], "scenario.system")
     meas = _obj(cfg["measurement"], "scenario.measurement")
     gap_tol = None if cfg.get("gap_tol") is None else _number(cfg, "gap_tol", "scenario")
-    if gap_tol is not None and gap_tol < 0:
-        raise ConfigError(f"scenario.gap_tol: must be nonnegative, got {gap_tol!r}")
+    if gap_tol is not None and not (math.isfinite(gap_tol) and gap_tol >= 0):
+        raise ConfigError(f"scenario.gap_tol: must be finite and nonnegative, got {gap_tol!r}")
     path = "scenario.system"
     if "sampler" in system:
         s = _obj(system["sampler"], f"{path}.sampler")
@@ -739,8 +747,9 @@ def load_records(path) -> list[RunRecord]:
 
 # --- built-in verification suite ----------------------------------------------
 
-def builtin_scenarios() -> list[Scenario]:
-    """Compact scenario suite touching every bound; used by `equilib verify`."""
+def builtin_scenarios(overrides: dict | None = None) -> list[Scenario]:
+    """Compact scenario suite touching every bound; used by `equilib verify`.
+    ``overrides`` is applied to every scenario as in ``load_scenario``."""
     sigma_x_plus = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
     sigma_x_minus = [[[0.5, 0.0], [-0.5, 0.0]], [[-0.5, 0.0], [0.5, 0.0]]]
 
@@ -824,4 +833,4 @@ def builtin_scenarios() -> list[Scenario]:
                                   "amplitude": 0.4}},
         },
     ]
-    return [load_scenario(cfg) for cfg in configs]
+    return [load_scenario(cfg, overrides=overrides) for cfg in configs]

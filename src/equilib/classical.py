@@ -9,7 +9,6 @@ orbit average over integer steps.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -26,7 +25,6 @@ from .core import (
     sample_times,
 )
 
-ROUNDTRIP_TOL = 1e-9   # backward(forward(x)) must return within this, per coordinate
 WEIGHT_TOL = 1e-9      # ensemble weights must sum to 1 within this
 
 
@@ -42,6 +40,8 @@ class PhasePoint:
         wrapped = tuple(float(c) % 1.0 for c in coords)
         if len(wrapped) == 0:
             raise DomainError("a phase point needs at least one coordinate")
+        if not all(map(math.isfinite, wrapped)):
+            raise DomainError(f"coordinates must be finite, got {tuple(coords)!r}")
         object.__setattr__(self, "coords", wrapped)
 
     @property
@@ -52,38 +52,19 @@ class PhasePoint:
         return np.array(self.coords)
 
 
-def torus_distance(a: PhasePoint, b: PhasePoint) -> float:
-    """Max over coordinates of the wrap-around distance."""
-    if a.dim != b.dim:
-        raise DimensionError("phase points of different dimension")
-    diff = np.abs(a.as_array() - b.as_array())
-    return float(np.minimum(diff, 1.0 - diff).max())
-
-
 @dataclass(frozen=True)
 class InvertibleMap:
     """Reversible discrete-time dynamics on the torus.
 
-    ``forward``/``backward`` act on single points; ``forward_many`` /
-    ``backward_many`` act on an (n, dim) array of points and exist for every
-    catalogue map (ensemble evolution would be hopeless point by point).
-    ``config`` is the serializable recipe for catalogue maps; compositions
-    have none.
+    ``forward_many``/``backward_many`` act on an (n, dim) array of points; a
+    single point is the one-row case. ``map_from_config`` builds catalogue
+    maps from their scenario-config form.
     """
 
     name: str
     dim: int
     forward_many: Callable[[np.ndarray], np.ndarray]
     backward_many: Callable[[np.ndarray], np.ndarray]
-    config: dict | None = None
-
-    def forward(self, x: PhasePoint) -> PhasePoint:
-        self._check(x)
-        return PhasePoint(tuple(self.forward_many(x.as_array()[None, :])[0]))
-
-    def backward(self, x: PhasePoint) -> PhasePoint:
-        self._check(x)
-        return PhasePoint(tuple(self.backward_many(x.as_array()[None, :])[0]))
 
     def _check(self, x: PhasePoint) -> None:
         if x.dim != self.dim:
@@ -109,13 +90,7 @@ def rotation_map(angles: Sequence[float] | float) -> InvertibleMap:
         return (pts - shift) % 1.0
 
     label = ",".join(f"{a:g}" for a in shift)
-    return InvertibleMap(
-        f"rotation({label})",
-        shift.size,
-        fwd,
-        bwd,
-        config={"name": "rotation", "angles": [float(a) for a in shift]},
-    )
+    return InvertibleMap(f"rotation({label})", shift.size, fwd, bwd)
 
 
 _CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -140,7 +115,7 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
         def bwd(pts: np.ndarray) -> np.ndarray:
             return (pts @ _CAT_INV.T) % 1.0
 
-        return InvertibleMap("cat-map", 2, fwd, bwd, config={"name": "cat-map"})
+        return InvertibleMap("cat-map", 2, fwd, bwd)
 
     if lattice < 1:
         raise DomainError(f"lattice denominator must be >= 1, got {lattice}")
@@ -156,9 +131,7 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
         k = np.rint(pts * q).astype(np.int64)
         return ((k @ inv.T) % q) / q
 
-    return InvertibleMap(
-        f"cat-map(lattice={q})", 2, fwd, bwd, config={"name": "cat-map", "lattice": q}
-    )
+    return InvertibleMap(f"cat-map(lattice={q})", 2, fwd, bwd)
 
 
 def baker_map() -> InvertibleMap:
@@ -177,7 +150,7 @@ def baker_map() -> InvertibleMap:
         half = np.floor(2.0 * y)
         return np.column_stack(((x + half) / 2.0 % 1.0, (2.0 * y) % 1.0))
 
-    return InvertibleMap("baker-map", 2, fwd, bwd, config={"name": "baker-map"})
+    return InvertibleMap("baker-map", 2, fwd, bwd)
 
 
 def compose_maps(*maps: InvertibleMap, name: str | None = None) -> InvertibleMap:
@@ -200,19 +173,6 @@ def compose_maps(*maps: InvertibleMap, name: str | None = None) -> InvertibleMap
 
     label = name or "composed(" + ">".join(m.name for m in maps) + ")"
     return InvertibleMap(label, dim, fwd, bwd)
-
-
-def evolve(x: PhasePoint, mapping: InvertibleMap, steps: int) -> PhasePoint:
-    """Apply the map ``steps`` times (backward map for negative steps).
-
-    Purity is preserved by construction: a reversible map sends points to
-    points, never to mixtures.
-    """
-    arr = x.as_array()[None, :]
-    step_fn = mapping.forward_many if steps >= 0 else mapping.backward_many
-    for _ in range(abs(int(steps))):
-        arr = step_fn(arr)
-    return PhasePoint(tuple(arr[0]))
 
 
 @dataclass(frozen=True)
@@ -387,7 +347,10 @@ class ClassicalEnsemble:
         if len(points) and isinstance(points[0], PhasePoint):
             arr = np.array([p.coords for p in points], dtype=float)
         else:
-            arr = np.asarray(points, dtype=float) % 1.0
+            arr = np.asarray(points, dtype=float)
+            if not np.isfinite(arr).all():
+                raise DomainError("points must be finite")
+            arr = arr % 1.0
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DomainError("ensemble needs a nonempty (n, dim) point set")
         n = arr.shape[0]
@@ -399,8 +362,8 @@ class ClassicalEnsemble:
         )
         if w.shape != (n,) or flags.shape != (n,):
             raise DimensionError("points, weights and chaotic flags must have equal length")
-        if w.min() < 0.0:
-            raise DomainError("weights must be nonnegative")
+        if not (np.isfinite(w).all() and w.min() >= 0.0):
+            raise DomainError("weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise DomainError(f"weights sum to {w.sum()!r}, expected 1 within {WEIGHT_TOL}")
         for name, val in (("points", arr), ("weights", w), ("chaotic_flags", flags)):
@@ -616,34 +579,7 @@ def contaminated_cat_ensemble(
     return ClassicalEnsemble(points, None, flags)
 
 
-def write_orbit_csv(
-    x: PhasePoint,
-    mapping: InvertibleMap,
-    partition: Partition,
-    steps: int,
-    path,
-) -> None:
-    """Dump an orbit as CSV rows (step, coord..., cell)."""
-    if steps < 1:
-        raise DomainError("need at least one step")
-    orbit = _orbit(x.as_array()[None, :], mapping, np.arange(steps))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"coord{d}" for d in range(x.dim)] + ["cell"])
-        for k, state in enumerate(orbit):
-            cell = int(partition.cells_of_many(state)[0])
-            writer.writerow([k] + [f"{v:.17g}" for v in state[0]] + [cell])
-
-
-# --- scenario-config serialization -----------------------------------------
-
-def map_to_config(mapping: InvertibleMap) -> dict:
-    if mapping.config is None:
-        raise DomainError(
-            f"map {mapping.name!r} has no config form (composed maps are not serializable)"
-        )
-    return dict(mapping.config)
-
+# --- scenario-config parsing ------------------------------------------------
 
 def map_from_config(cfg: dict, path: str = "map") -> InvertibleMap:
     from .core import ConfigError
@@ -658,10 +594,6 @@ def map_from_config(cfg: dict, path: str = "map") -> InvertibleMap:
     if name == "baker-map":
         return baker_map()
     raise ConfigError(f"{path}.name: unknown map {name!r}")
-
-
-def partition_to_config(partition: Partition) -> dict:
-    return dict(partition.description)
 
 
 def partition_from_config(cfg: dict, path: str = "partition") -> Partition:

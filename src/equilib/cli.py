@@ -17,15 +17,11 @@ from .core import ConfigError
 EXIT_VIOLATION = 2
 
 
-def _apply_flag_overrides(scenario, seed, horizon, samples, gap_tol):
-    """The scenario reloaded with the flags that are set; unchanged when none is."""
+def _flag_overrides(seed, horizon, samples, gap_tol) -> dict:
+    """The config overrides of the flags that are set."""
     flags = {"average.seed": seed, "average.horizon": horizon, "average.samples": samples,
              "gap_tol": gap_tol}
-    overrides = {path: value for path, value in flags.items() if value is not None}
-    if not overrides:
-        return scenario
-    cfg = bench._apply_overrides(scenario.config, overrides)
-    return bench.load_scenario(cfg, name=scenario.name)
+    return {path: value for path, value in flags.items() if value is not None}
 
 
 def _print_records(records):
@@ -84,10 +80,10 @@ def main():
 def run(config, seed, horizon, samples, gap_tol, out, fmt):
     """Execute a single scenario (no sweep grid)."""
     try:
-        scenario = bench.load_scenario(config)
+        scenario = bench.load_scenario(
+            config, overrides=_flag_overrides(seed, horizon, samples, gap_tol))
         if len(scenario.sweep_points) != 1 or scenario.sweep_points[0]:
             raise ConfigError("scenario has a sweep grid; use the `sweep` command")
-        scenario = _apply_flag_overrides(scenario, seed, horizon, samples, gap_tol)
         records = bench.run_scenario(scenario)
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -101,10 +97,10 @@ def run(config, seed, horizon, samples, gap_tol, out, fmt):
 def sweep(config, seed, horizon, samples, gap_tol, out, fmt):
     """Execute a scenario over its sweep grid."""
     try:
-        scenario = bench.load_scenario(config)
+        scenario = bench.load_scenario(
+            config, overrides=_flag_overrides(seed, horizon, samples, gap_tol))
         if "sweep" not in scenario.config:
             raise ConfigError("scenario has no sweep grid; use the `run` command")
-        scenario = _apply_flag_overrides(scenario, seed, horizon, samples, gap_tol)
         records = bench.run_scenario(scenario)
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -118,8 +114,7 @@ def verify(seed, horizon, samples, gap_tol, out, fmt):
     """Run the built-in scenario suite and check every bound."""
     try:
         records = []
-        for scenario in bench.builtin_scenarios():
-            scenario = _apply_flag_overrides(scenario, seed, horizon, samples, gap_tol)
+        for scenario in bench.builtin_scenarios(_flag_overrides(seed, horizon, samples, gap_tol)):
             records.extend(bench.run_scenario(scenario))
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc

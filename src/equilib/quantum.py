@@ -10,7 +10,6 @@ coinciding energy gaps.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -296,18 +295,6 @@ def max_gap_degeneracy(spectrum: HamiltonianSpectrum, gap_tol: float | None = No
     return gap_table(spectrum, gap_tol).max_degeneracy
 
 
-def evolve_density(rho: DensityMatrix, spectrum: HamiltonianSpectrum, t: float) -> DensityMatrix:
-    """Unitary evolution for time ``t``: energy-basis element (n, j) picks up
-    the phase exp(-i (E_n - E_j) t)."""
-    if rho.dim != spectrum.dim:
-        raise DimensionError(f"state is {rho.dim}-d, spectrum is {spectrum.dim}-d")
-    phases = np.exp(-1j * spectrum.eigenvalues * t)
-    rho_e = spectrum.to_energy_basis(rho.matrix)
-    evolved = spectrum.from_energy_basis(rho_e * np.outer(phases, phases.conj()))
-    # re-Hermitize against rounding before revalidation
-    return DensityMatrix(0.5 * (evolved + evolved.conj().T))
-
-
 def dephase(rho: DensityMatrix, spectrum: HamiltonianSpectrum) -> DensityMatrix:
     """Equilibrium state: erase coherences between distinct eigenspaces.
 
@@ -353,18 +340,6 @@ def equilibration_bound(outcomes: int, gap_degeneracy: int, effective_dim: float
     if effective_dim < 1.0:
         raise DomainError(f"effective dimension must be >= 1, got {effective_dim!r}")
     return 0.5 * math.sqrt(gap_degeneracy * (outcomes - 1) / effective_dim)
-
-
-def equilibration_bound_coarse(outcomes: int, gap_degeneracy: int, effective_dim: float) -> float:
-    """Older, looser variant of the bound with ``outcomes`` in place of
-    ``outcomes - 1``; kept for tightness comparisons."""
-    if outcomes < 1:
-        raise DomainError(f"outcome count must be >= 1, got {outcomes}")
-    if gap_degeneracy < 1:
-        raise DomainError(f"gap degeneracy must be >= 1, got {gap_degeneracy}")
-    if effective_dim < 1.0:
-        raise DomainError(f"effective dimension must be >= 1, got {effective_dim!r}")
-    return 0.5 * math.sqrt(gap_degeneracy * outcomes / effective_dim)
 
 
 def max_outcomes_for_equilibration(
@@ -603,17 +578,7 @@ def uneven_povm(dim: int, outcomes: int, leak: float, seed: int) -> POVM:
     return POVM([(1.0 - leak) * eye] + [leak * m for m in rest.elements])
 
 
-# --- export and matrix codecs ------------------------------------------------
-
-def matrix_to_pairs(matrix: np.ndarray) -> dict:
-    """Encode a complex matrix as a row-major list of (real, imag) pairs."""
-    arr = np.asarray(matrix, dtype=complex)
-    return {
-        "rows": int(arr.shape[0]),
-        "cols": int(arr.shape[1]),
-        "data": [[float(v.real), float(v.imag)] for v in arr.reshape(-1)],
-    }
-
+# --- matrix codec -------------------------------------------------------------
 
 def matrix_from_pairs(cfg: dict, path: str = "matrix") -> np.ndarray:
     from .core import ConfigError
@@ -629,22 +594,3 @@ def matrix_from_pairs(cfg: dict, path: str = "matrix") -> np.ndarray:
     except (TypeError, ValueError):
         raise ConfigError(f"{path}.data: entries must be (real, imag) pairs") from None
     return flat.reshape(rows, cols)
-
-
-def write_spectrum_csv(spectrum: HamiltonianSpectrum, path, gap_tol: float | None = None) -> None:
-    """Export the gap table as CSV rows
-    (space_n, space_j, energy_n, energy_j, gap, gap_class, class_size)."""
-    table = gap_table(spectrum, gap_tol)
-    class_size = np.bincount(table.class_of)[table.class_of]
-    energies = spectrum.eigenspace_energies
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["space_n", "space_j", "energy_n", "energy_j", "gap", "gap_class", "class_size"]
-        )
-        for (n, j), gap, c, size in zip(
-            table.pairs.tolist(), table.values, table.class_of.tolist(), class_size.tolist()
-        ):
-            writer.writerow(
-                [n, j, f"{energies[n]:.17g}", f"{energies[j]:.17g}", f"{gap:.17g}", c, size]
-            )

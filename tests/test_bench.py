@@ -1,5 +1,6 @@
 """Scenario loading, the sweep runner, report emission and the CLI."""
 
+import copy
 import json
 import math
 
@@ -97,6 +98,11 @@ INTEGER_FIELDS = [
     (synthetic_config, "system.probe.seed", 5),
     (synthetic_config, "system.probe.mode_count", 3),
 ]
+
+
+def outputs(records) -> list:
+    """The records as dicts, without their wall times."""
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in records]
 
 
 def count_gap_tables(monkeypatch) -> list:
@@ -207,13 +213,15 @@ class TestLoadScenario:
     )
     def test_integer_field_names_its_path(self, make, field, value):
         for bad in (value + 0.9, str(value)):
-            cfg = bench._apply_overrides(make(), {field: bad})
             with pytest.raises(ConfigError, match=r"scenario\." + field.replace(".", r"\.")):
-                load_scenario(cfg)
+                load_scenario(make(), overrides={field: bad})
         # an integral float is an integer
-        assert load_scenario(bench._apply_overrides(make(), {field: float(value)}))
+        assert load_scenario(make(), overrides={field: float(value)})
 
-    @pytest.mark.parametrize("gap_tol", ["abc", True, -1.0], ids=["string", "boolean", "negative"])
+    @pytest.mark.parametrize(
+        "gap_tol", ["abc", True, -1.0, math.nan, math.inf],
+        ids=["string", "boolean", "negative", "nan", "inf"],
+    )
     def test_bad_gap_tol_names_its_path(self, gap_tol):
         cfg = qubit_config(gap_tol=gap_tol)
         with pytest.raises(ConfigError, match=r"scenario\.gap_tol"):
@@ -261,6 +269,41 @@ class TestLoadScenario:
         }
         with pytest.raises(ConfigError, match=r"scenario\.measurement\.partition"):
             load_scenario(cfg)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_point_names_its_path(self, tmp_path, bad):
+        cfg = {
+            "kind": "classical-pure",
+            "epsilon": 0.2,
+            "average": {"horizon": 64, "samples": 64, "scheme": "uniform-grid"},
+            "system": {"map": {"name": "cat-map"}, "point": [0.2, 0.6]},
+            "measurement": {"partition": {"kind": "grid", "edges": [[0.0, 1.0], [0.0, 1.0]]}},
+        }
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(cfg).replace("0.2, 0.6", f"{bad}, 0.6"))
+        with pytest.raises(ConfigError, match=r"scenario\.system\.point: .*finite"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("field", ["points", "weights"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_ensemble_names_its_path(self, field, bad):
+        points, weights = [[0.1, 0.2], [0.6, 0.7]], [0.5, 0.5]
+        if field == "points":
+            points[0][0] = bad
+        else:
+            weights[0] = bad
+        cfg = ensemble_config()
+        cfg["system"]["ensemble"] = {"points": points, "weights": weights}
+        with pytest.raises(ConfigError, match=r"scenario\.system\.ensemble: .*finite"):
+            load_scenario(cfg)
+
+    def test_overrides_sit_under_the_sweep_grid(self):
+        cfg = synthetic_config(sweep={"average.seed": [1, 2]})
+        before = copy.deepcopy(cfg)
+        scenario = load_scenario(cfg, overrides={"average.seed": 9, "average.samples": 100})
+        assert cfg == before
+        assert [rt.cfg.seed for rt, _ in scenario.built] == [1, 2]
+        assert [rt.cfg.samples for rt, _ in scenario.built] == [100, 100]
 
     def test_auto_horizon_only_quantum(self):
         cfg = synthetic_config(average={"horizon": "auto", "samples": 100})
@@ -411,10 +454,6 @@ class TestRunScenario:
         assert first[0].params["quadrature_floor"] > 0
         assert second[0].params["quadrature_floor"] == first[0].params["quadrature_floor"]
         assert "quadrature_floor" not in scenario.built[0][0].diagnostics
-
-        def outputs(records):
-            return [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in records]
-
         assert outputs(first) == outputs(second)
 
     def test_sweep_grid_size(self):
@@ -515,17 +554,28 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert len(load_records(out)) == 2
 
-    @pytest.mark.parametrize("command, sweep", [
-        ("run", None), ("sweep", {"system.probe.seed": [1, 2, 3]}),
-    ], ids=["run", "sweep"])
-    def test_one_build_per_sweep_point(self, tmp_path, monkeypatch, command, sweep):
+    @pytest.mark.parametrize("command, sweep, flags", [
+        ("run", None, []),
+        ("sweep", {"system.probe.seed": [1, 2, 3]}, []),
+        ("run", None, ["--samples", "500"]),
+        ("sweep", {"system.probe.seed": [1, 2, 3]}, ["--seed", "4"]),
+    ], ids=["run", "sweep", "run-samples-flag", "sweep-seed-flag"])
+    def test_one_build_per_sweep_point(self, tmp_path, monkeypatch, command, sweep, flags):
         path = tmp_path / "scn.json"
         cfg = synthetic_config() if sweep is None else synthetic_config(sweep=sweep)
         path.write_text(json.dumps(cfg))
+        out = tmp_path / "records.json"
         builds = count_builds(monkeypatch)
-        result = CliRunner().invoke(cli.main, [command, str(path)])
+        result = CliRunner().invoke(
+            cli.main, [command, str(path), *flags, "--out", str(out), "--format", "json"]
+        )
         assert result.exit_code == 0, result.output
         assert len(builds) == (1 if sweep is None else 3)
+        # the flags act as if written into the config
+        if flags:
+            field = {"--samples": "samples", "--seed": "seed"}[flags[0]]
+            cfg["average"][field] = int(flags[1])
+        assert outputs(load_records(out)) == outputs(run_scenario(load_scenario(cfg)))
 
     def test_verify_builds_each_point_once(self, monkeypatch):
         points = sum(len(s.sweep_points) for s in builtin_scenarios())
@@ -533,6 +583,28 @@ class TestCli:
         result = CliRunner().invoke(cli.main, ["verify"])
         assert result.exit_code == 0, result.output
         assert len(builds) == points
+
+    def test_verify_with_a_flag_builds_each_point_once(self, tmp_path, monkeypatch):
+        configs = [copy.deepcopy(s.config) for s in builtin_scenarios()]
+        for cfg in configs:
+            cfg["average"]["samples"] = 500
+        points = sum(len(s.sweep_points) for s in builtin_scenarios())
+        out = tmp_path / "records.json"
+        builds = count_builds(monkeypatch)
+        result = CliRunner().invoke(
+            cli.main, ["verify", "--samples", "500", "--out", str(out), "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(builds) == points
+        expected = [r for cfg in configs for r in run_scenario(load_scenario(cfg))]
+        assert outputs(load_records(out)) == outputs(expected)
+
+    def test_non_finite_gap_tol_flag_fails(self, tmp_path):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(qubit_config()))
+        result = CliRunner().invoke(cli.main, ["run", str(path), "--gap-tol", "nan"])
+        assert result.exit_code == 1
+        assert "scenario.gap_tol" in result.output
 
     def test_sweep_requires_grid(self, tmp_path):
         path = tmp_path / "scn.json"

@@ -1,6 +1,5 @@
 """Classical maps, partitions, probes and the pure/mixed-state results."""
 
-import csv
 import dataclasses
 import math
 import tracemalloc
@@ -23,18 +22,13 @@ from equilib.classical import (
     decorrelation_audit,
     ensemble_noise_floor,
     ensemble_probe,
-    evolve,
     grid_partition,
     interval_partition,
     map_from_config,
-    map_to_config,
     mixed_equilibration_bound,
     partition_from_config,
-    partition_to_config,
     pure_average_distinguishability,
     rotation_map,
-    torus_distance,
-    write_orbit_csv,
 )
 from equilib.core import (
     ConfigError,
@@ -62,6 +56,21 @@ def counting_map(mapping):
     return dataclasses.replace(mapping, forward_many=forward_many), calls
 
 
+def iterate(coords, mapping, steps):
+    """``coords`` after ``steps`` applications of the map, backward when negative."""
+    pts = np.array([coords], dtype=float)
+    step = mapping.forward_many if steps >= 0 else mapping.backward_many
+    for _ in range(abs(steps)):
+        pts = step(pts)
+    return pts[0]
+
+
+def wrap_distance(a, b):
+    """Max over coordinates of the wrap-around distance."""
+    diff = np.abs(np.asarray(a) - np.asarray(b))
+    return float(np.minimum(diff, 1.0 - diff).max())
+
+
 class TestPhasePoint:
     def test_wraps(self):
         assert PhasePoint((1.25, -0.25)).coords == (0.25, 0.75)
@@ -73,21 +82,30 @@ class TestPhasePoint:
         with pytest.raises(DomainError):
             PhasePoint(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # inf % 1.0 is nan, so an unchecked point would carry nan into every orbit
+        with pytest.raises(DomainError, match="finite"):
+            PhasePoint((bad, 0.3))
+
 
 class TestMaps:
     def test_evolve_zero_steps(self):
-        x = PhasePoint(0.3)
-        assert evolve(x, rotation_map(0.1), 0) == x
+        # step 0 of an orbit is the initial point, reached without a map call
+        mapping, calls = counting_map(rotation_map(0.1))
+        probe = classical_probe(PhasePoint(0.3), mapping, interval_partition([0.0, 0.5, 1.0]))
+        assert probe.sample(0.0).probs.tolist() == [1.0, 0.0]
+        assert calls == []
 
     def test_rotation_example(self):
         # 0.1 + 2 * 0.25 mod 1 = 0.6
-        out = evolve(PhasePoint(0.1), rotation_map(0.25), 2)
-        assert out.coords[0] == pytest.approx(0.6, abs=1e-15)
+        out = iterate([0.1], rotation_map(0.25), 2)
+        assert out[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_negative_steps_are_backward(self):
-        x = PhasePoint((0.3, 0.8))
+        x = (0.3, 0.8)
         cm = cat_map()
-        assert torus_distance(evolve(evolve(x, cm, 5), cm, -5), x) < 1e-12
+        assert wrap_distance(iterate(iterate(x, cm, 5), cm, -5), x) < 1e-12
 
     @pytest.mark.parametrize(
         "mapping",
@@ -107,23 +125,22 @@ class TestMaps:
         if "lattice" in mapping.name:
             pts = np.rint(pts * 64) / 64 % 1.0
         back = mapping.backward_many(mapping.forward_many(pts))
-        diff = np.abs(back - pts)
-        assert np.minimum(diff, 1.0 - diff).max() < 1e-9
+        assert wrap_distance(back, pts) < 1e-9
 
     def test_cat_roundtrip_seven_steps(self):
-        x = PhasePoint((0.137, 0.912))
-        y = evolve(evolve(x, cat_map(), 7), cat_map(), -7)
-        assert torus_distance(x, y) < 1e-9
+        x = (0.137, 0.912)
+        y = iterate(iterate(x, cat_map(), 7), cat_map(), -7)
+        assert wrap_distance(x, y) < 1e-9
 
     def test_lattice_cat_is_periodic(self):
         # the cat matrix has order 3 mod 4, so 1/4-lattice orbits close in 3 steps
         m = cat_map(lattice=4)
-        x = PhasePoint((0.25, 0.5))
-        assert evolve(x, m, 3) == x
+        x = (0.25, 0.5)
+        assert tuple(iterate(x, m, 3)) == x
 
     def test_dimension_check(self):
         with pytest.raises(DimensionError):
-            cat_map().forward(PhasePoint(0.5))
+            classical_probe(PhasePoint(0.5), cat_map(), QUADRANTS)
 
     def test_compose_empty(self):
         with pytest.raises(DomainError):
@@ -253,13 +270,6 @@ class TestOrbitEngine:
             probe.distributions_at(np.array([3.0, -2.0]))
         assert calls == []
 
-    def test_orbit_csv_checks_the_cap_before_writing(self, tmp_path):
-        mapping, calls = counting_map(cat_map())
-        path = tmp_path / "orbit.csv"
-        with pytest.raises(DomainError, match="cap"):
-            write_orbit_csv(PhasePoint((0.2, 0.7)), mapping, QUADRANTS, MAX_ORBIT_STEPS + 2, path)
-        assert calls == [] and not path.exists()
-
     def test_long_horizon_memory_is_bounded(self):
         # holding every orbit state took about 320 MB here
         ens = contaminated_cat_ensemble(1000, delta=0.1, seed=9300)
@@ -378,6 +388,14 @@ class TestEnsembles:
         with pytest.raises(DomainError):
             ClassicalEnsemble([PhasePoint(0.1), PhasePoint(0.2)], weights=[1.5, -0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_and_weights_rejected(self, bad):
+        # nan fails both the "< 0" and the sum-to-1 comparison, so neither catches it
+        with pytest.raises(DomainError, match="finite"):
+            ClassicalEnsemble(np.array([[bad, 0.3], [0.1, 0.2]]))
+        with pytest.raises(DomainError, match="finite"):
+            ClassicalEnsemble(np.array([[0.5, 0.3], [0.1, 0.2]]), weights=[bad, 0.5])
+
     def test_periodic_weight(self):
         ens = ClassicalEnsemble(
             [PhasePoint((0.1, 0.2)), PhasePoint((0.3, 0.4)), PhasePoint((0.5, 0.6))],
@@ -438,26 +456,26 @@ class TestEnsembles:
 
 class TestSerialization:
     @pytest.mark.parametrize(
-        "mapping",
-        [rotation_map((0.25, 0.5)), rotation_map(GOLDEN), cat_map(), cat_map(lattice=8),
-         baker_map()],
-        ids=lambda m: m.name,
+        "cfg, mapping",
+        [pytest.param(cfg, m, id=m.name) for cfg, m in [
+            ({"name": "rotation", "angles": [0.25, 0.5]}, rotation_map((0.25, 0.5))),
+            ({"name": "rotation", "angles": [GOLDEN]}, rotation_map(GOLDEN)),
+            ({"name": "cat-map"}, cat_map()),
+            ({"name": "cat-map", "lattice": 8}, cat_map(lattice=8)),
+            ({"name": "baker-map"}, baker_map()),
+        ]],
     )
-    def test_map_roundtrip(self, mapping):
-        clone = map_from_config(map_to_config(mapping))
+    def test_map_roundtrip(self, cfg, mapping):
+        clone = map_from_config(cfg)
         assert clone.name == mapping.name
         pts = np.random.default_rng(0).random((16, mapping.dim))
         if "lattice" in mapping.name:
             pts = np.rint(pts * 8) / 8 % 1.0
         assert np.array_equal(clone.forward_many(pts), mapping.forward_many(pts))
 
-    def test_compose_not_serializable(self):
-        with pytest.raises(DomainError, match="config form"):
-            map_to_config(compose_maps(cat_map(), baker_map()))
-
     def test_partition_roundtrip(self):
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.75, 1.0]])
-        clone = partition_from_config(partition_to_config(part))
+        clone = partition_from_config(part.description)
         pts = np.random.default_rng(1).random((64, 2))
         assert np.array_equal(clone.cells_of_many(pts), part.cells_of_many(pts))
 
@@ -468,15 +486,3 @@ class TestSerialization:
             partition_from_config({"kind": "voronoi"})
         with pytest.raises(ConfigError, match="partition.edges"):
             partition_from_config({"kind": "interval", "edges": [0.5, 1.0]})
-
-    def test_orbit_csv(self, tmp_path):
-        part = grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
-        path = tmp_path / "orbit.csv"
-        write_orbit_csv(PhasePoint((0.2, 0.7)), cat_map(), part, 20, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "coord0", "coord1", "cell"]
-        assert len(rows) == 21
-        # cell column consistent with the partition
-        x = PhasePoint((float(rows[5][1]), float(rows[5][2])))
-        assert int(rows[5][3]) == part.cell_of(x)

@@ -1,0 +1,31 @@
+"""The README's API example runs as written and prints what its comments say."""
+
+import contextlib
+import io
+import math
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_api_tour_prints_its_commented_values():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    # a print's expected output is the comment that ends its last line:
+    # "~0.318 (...)" means it rounds to 0.318, a bare word is printed verbatim
+    expected = re.findall(r"\)\s+# (.+)$", block, flags=re.M)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(expected) == len(printed) == 3
+    for text, comment in zip(printed, expected):
+        if comment.startswith("~"):
+            value = comment[1:].split()[0]
+            assert round(float(text), len(value.split(".")[1])) == float(value), comment
+        else:
+            assert text == comment
+    # the qubit example: the sampled mean estimates 1/pi, and the bound is
+    # (1/2) sqrt((N - 1) D_G / d_eff) with N = 2, D_G = 1, d_eff = 2
+    assert abs(float(printed[0]) - 1 / math.pi) < 5e-3
+    assert math.isclose(float(printed[1]), 0.5 * math.sqrt(0.5), rel_tol=1e-15)
