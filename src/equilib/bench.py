@@ -186,6 +186,22 @@ def _integer(cfg: dict, key: str, path: str, default: int | None = None) -> int:
     return value
 
 
+def _entries(cfg: dict, key: str, path: str, kind: type) -> np.ndarray | None:
+    """``cfg[key]``, a nested list of JSON numbers (``kind`` float) or JSON
+    booleans (``kind`` bool), as an array; None when absent or null. A string
+    such as "0.5" or "false" is an error, not a value."""
+    if cfg.get(key) is None:
+        return None
+    bad = [
+        v for v in np.asarray(cfg[key], dtype=object).ravel()
+        if not isinstance(v, (int, float)) or isinstance(v, bool) != (kind is bool)
+    ]
+    if bad:
+        what = "JSON booleans" if kind is bool else "numbers"
+        raise ConfigError(f"{path}.{key}: expected {what}, got {bad[0]!r}")
+    return np.asarray(cfg[key], dtype=kind)
+
+
 def _absolutize_file_refs(node, base_dir: Path) -> None:
     """Rewrite relative {"file": ...} matrix references against the config's
     own directory, in place."""
@@ -508,10 +524,13 @@ def _build_classical_ensemble(cfg: dict) -> _Runtime:
                 lattice=_integer(s, "lattice", f"{path}.sampler", 4),
             )
         else:
+            points = _entries(ens_cfg, "points", path, float)
+            if points is None:
+                raise ConfigError(f"{path}.points: required")
             ensemble = classical.ClassicalEnsemble(
-                np.asarray(_require(ens_cfg, "points", path), dtype=float),
-                ens_cfg.get("weights"),
-                ens_cfg.get("chaotic_flags"),
+                points,
+                _entries(ens_cfg, "weights", path, float),
+                _entries(ens_cfg, "chaotic_flags", path, bool),
             )
     except ConfigError:
         raise

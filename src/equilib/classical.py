@@ -71,6 +71,14 @@ class InvertibleMap:
             raise DimensionError(f"map {self.name!r} is {self.dim}-d, point is {x.dim}-d")
 
 
+def _wrapped(v: np.ndarray) -> np.ndarray:
+    """``v`` mod 1, in place. For finite entries ``v - floor(v)`` is bit for
+    bit numpy's ``v % 1.0``, negative entries and -0.0 included, and much
+    cheaper."""
+    v -= np.floor(v)
+    return v
+
+
 def rotation_map(angles: Sequence[float] | float) -> InvertibleMap:
     """Rigid rotation of the torus: x -> x + angles (mod 1), per coordinate.
 
@@ -84,17 +92,13 @@ def rotation_map(angles: Sequence[float] | float) -> InvertibleMap:
         raise DomainError("rotation needs at least one angle")
 
     def fwd(pts: np.ndarray) -> np.ndarray:
-        return (pts + shift) % 1.0
+        return _wrapped(pts + shift)
 
     def bwd(pts: np.ndarray) -> np.ndarray:
-        return (pts - shift) % 1.0
+        return _wrapped(pts - shift)
 
     label = ",".join(f"{a:g}" for a in shift)
     return InvertibleMap(f"rotation({label})", shift.size, fwd, bwd)
-
-
-_CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
-_CAT_INV = np.array([[1.0, -1.0], [-1.0, 2.0]])
 
 
 def cat_map(lattice: int | None = None) -> InvertibleMap:
@@ -107,29 +111,45 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
     to the nearest lattice point; such orbits are exactly periodic, which is
     how short periodic (non-chaotic) trajectories are produced.
     """
+    # Each entry of (2x + y, x + y) and of the inverse (x - y, 2y - x) is
+    # one rounded sum of exact terms, as in the matrix product it replaces.
     if lattice is None:
 
         def fwd(pts: np.ndarray) -> np.ndarray:
-            return (pts @ _CAT.T) % 1.0
+            x, y = pts[:, 0], pts[:, 1]
+            out = np.empty_like(pts)
+            out[:, 0] = x + x + y
+            out[:, 1] = x + y
+            return _wrapped(out)
 
         def bwd(pts: np.ndarray) -> np.ndarray:
-            return (pts @ _CAT_INV.T) % 1.0
+            x, y = pts[:, 0], pts[:, 1]
+            out = np.empty_like(pts)
+            out[:, 0] = x - y
+            out[:, 1] = y + y - x
+            return _wrapped(out)
 
         return InvertibleMap("cat-map", 2, fwd, bwd)
 
     if lattice < 1:
         raise DomainError(f"lattice denominator must be >= 1, got {lattice}")
     q = int(lattice)
-    mat = np.array([[2, 1], [1, 1]], dtype=np.int64)
-    inv = np.array([[1, -1], [-1, 2]], dtype=np.int64)
+
+    def lattice_step(pts: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
+        # (a kx + b ky, c kx + d ky) mod q on the integer lattice coordinates
+        k = np.rint(pts * q).astype(np.int64)
+        kx, ky = k[:, 0], k[:, 1]
+        out = np.empty_like(k)
+        out[:, 0] = a * kx + b * ky
+        out[:, 1] = c * kx + d * ky
+        out %= q
+        return out / q
 
     def fwd(pts: np.ndarray) -> np.ndarray:
-        k = np.rint(pts * q).astype(np.int64)
-        return ((k @ mat.T) % q) / q
+        return lattice_step(pts, 2, 1, 1, 1)
 
     def bwd(pts: np.ndarray) -> np.ndarray:
-        k = np.rint(pts * q).astype(np.int64)
-        return ((k @ inv.T) % q) / q
+        return lattice_step(pts, 1, -1, -1, 2)
 
     return InvertibleMap(f"cat-map(lattice={q})", 2, fwd, bwd)
 
@@ -142,46 +162,27 @@ def baker_map() -> InvertibleMap:
 
     def fwd(pts: np.ndarray) -> np.ndarray:
         x, y = pts[:, 0], pts[:, 1]
-        half = np.floor(2.0 * x)
-        return np.column_stack(((2.0 * x) % 1.0, (y + half) / 2.0 % 1.0))
+        out = np.empty_like(pts)
+        out[:, 0] = 2.0 * x
+        out[:, 1] = (y + np.floor(out[:, 0])) / 2.0
+        return _wrapped(out)
 
     def bwd(pts: np.ndarray) -> np.ndarray:
         x, y = pts[:, 0], pts[:, 1]
-        half = np.floor(2.0 * y)
-        return np.column_stack(((x + half) / 2.0 % 1.0, (2.0 * y) % 1.0))
+        out = np.empty_like(pts)
+        out[:, 1] = 2.0 * y
+        out[:, 0] = (x + np.floor(out[:, 1])) / 2.0
+        return _wrapped(out)
 
     return InvertibleMap("baker-map", 2, fwd, bwd)
-
-
-def compose_maps(*maps: InvertibleMap, name: str | None = None) -> InvertibleMap:
-    """Composition of catalogue maps, applied left to right."""
-    if len(maps) == 0:
-        raise DomainError("compose_maps needs at least one map")
-    dim = maps[0].dim
-    if any(m.dim != dim for m in maps):
-        raise DimensionError("cannot compose maps of different dimension")
-
-    def fwd(pts: np.ndarray) -> np.ndarray:
-        for m in maps:
-            pts = m.forward_many(pts)
-        return pts
-
-    def bwd(pts: np.ndarray) -> np.ndarray:
-        for m in reversed(maps):
-            pts = m.backward_many(pts)
-        return pts
-
-    label = name or "composed(" + ">".join(m.name for m in maps) + ")"
-    return InvertibleMap(label, dim, fwd, bwd)
 
 
 @dataclass(frozen=True)
 class Partition:
     """Measurement that assigns every phase point to one of ``cell_count`` cells.
 
-    ``cell_of`` maps a point to a 0-based cell index; ``cells_of_many`` is the
-    array version used by orbit and ensemble evaluation. ``description``
-    records the geometry for serialization.
+    ``cells_of_many`` maps an (n, dim) array of points to their 0-based cell
+    indices. ``description`` records the geometry for serialization.
     """
 
     cell_count: int
@@ -196,9 +197,6 @@ class Partition:
     def dim(self) -> int:
         """Number of coordinates the partition reads."""
         return len(self.description["edges"]) if self.description["kind"] == "grid" else 1
-
-    def cell_of(self, x: PhasePoint) -> int:
-        return int(self.cells_of_many(x.as_array()[None, :])[0])
 
 
 def _axis_index(values: np.ndarray, inner_edges: np.ndarray) -> np.ndarray:
@@ -270,31 +268,54 @@ def grid_partition(edges_by_dim: Sequence[Sequence[float]]) -> Partition:
 MAX_ORBIT_STEPS = 1_000_000
 
 
-def _orbit(points: np.ndarray, mapping: InvertibleMap, steps) -> Iterator[np.ndarray]:
-    """The cloud ``points`` at each distinct step of ``steps``, ascending: the
-    one orbit engine. The request is checked before the first step; then one
-    ``forward_many`` call per step, holding only the current cloud."""
-    steps = np.unique(steps)
+# Clouds are classified a block of consecutive steps at a time; a block holds
+# at most this many coordinates, the size cap of a quantum_probe chunk.
+_BLOCK_COORDS = 65_536
+
+
+def _orbit_steps(times) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct steps round(t) of ``times``, ascending, and the index of
+    each time's step among them."""
+    return np.unique(np.rint(np.asarray(times, dtype=float)), return_inverse=True)
+
+
+def _orbit_cells(
+    points: np.ndarray, mapping: InvertibleMap, partition: Partition, steps: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Cells of the cloud ``points`` at each of the distinct ascending
+    ``steps``, as ``(k, n)`` blocks of k consecutive steps: the one orbit
+    engine.
+
+    The request is checked before the first step. Then there is one
+    ``forward_many`` call per step and one ``cells_of_many`` call per block,
+    a block buffering clouds of at most ``_BLOCK_COORDS`` coordinates, so the
+    memory held is one block whatever the horizon.
+    """
     if steps.size and not 0 <= steps[0] <= steps[-1] <= MAX_ORBIT_STEPS:
         raise DomainError(
             f"orbit steps {steps[0]:g} to {steps[-1]:g} outside [0, {MAX_ORBIT_STEPS}], "
             "the cap for double-precision iteration"
         )
+    n, dim = points.shape
+    clouds = np.empty((min(steps.size, max(1, _BLOCK_COORDS // points.size)), n, dim))
 
-    def walk(cloud=points, at=0):
+    def classify(k: int) -> np.ndarray:
+        return partition.cells_of_many(clouds[:k].reshape(k * n, dim)).reshape(k, n)
+
+    def walk(cloud=points, at=0, k=0):
         for step in steps.astype(np.int64):
             for _ in range(step - at):
                 cloud = mapping.forward_many(cloud)
             at = step
-            yield cloud
+            clouds[k] = cloud
+            k += 1
+            if k == len(clouds):
+                yield classify(k)
+                k = 0
+        if k:
+            yield classify(k)
 
     return walk()
-
-
-def _orbit_rows(points: np.ndarray, mapping: InvertibleMap, times, row) -> np.ndarray:
-    """``row(cloud)`` for the cloud at step round(t), for each of ``times``."""
-    steps, where = np.unique(np.rint(np.asarray(times, dtype=float)), return_inverse=True)
-    return np.array([row(cloud) for cloud in _orbit(points, mapping, steps)])[where]
 
 
 def _cloud_probe(
@@ -305,11 +326,20 @@ def _cloud_probe(
         raise DimensionError(f"points are {points.shape[1]}-d, map is {mapping.dim}-d")
     n_cells = partition.cell_count
 
-    def histogram(cloud: np.ndarray) -> np.ndarray:
-        return np.bincount(partition.cells_of_many(cloud), weights=weights, minlength=n_cells)
-
     def sample_many(times: np.ndarray) -> np.ndarray:
-        return _orbit_rows(points, mapping, times, histogram)
+        steps, where = _orbit_steps(times)
+        hist = np.empty((steps.size, n_cells))
+        at = 0
+        for cells in _orbit_cells(points, mapping, partition, steps):
+            k = len(cells)
+            # one bin per (step, cell); bincount adds each bin's weights in
+            # point order, as a histogram of each cloud on its own would
+            bins = cells + n_cells * np.arange(k)[:, None]
+            hist[at : at + k] = np.bincount(
+                bins.ravel(), np.tile(weights, k), k * n_cells
+            ).reshape(k, n_cells)
+            at += k
+        return hist[where]
 
     return TrajectoryProbe(sample_many=sample_many, outcome_count=n_cells)
 
@@ -320,6 +350,14 @@ def classical_probe(
     """Probe of a single pure state: sample(t) is the indicator of the cell
     occupied at step round(t)."""
     return _cloud_probe(x.as_array()[None, :], np.ones(1), mapping, partition)
+
+
+def _typed(values, name: str, kinds: str, what: str) -> np.ndarray:
+    """``values`` as an array whose dtype kind is one of ``kinds``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in kinds:
+        raise DomainError(f"{name} must be {what}, got {arr.dtype} entries")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,18 +385,23 @@ class ClassicalEnsemble:
         if len(points) and isinstance(points[0], PhasePoint):
             arr = np.array([p.coords for p in points], dtype=float)
         else:
-            arr = np.asarray(points, dtype=float)
+            arr = _typed(points, "points", "iuf", "numbers").astype(float)
             if not np.isfinite(arr).all():
                 raise DomainError("points must be finite")
-            arr = arr % 1.0
+            arr = _wrapped(arr)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DomainError("ensemble needs a nonempty (n, dim) point set")
         n = arr.shape[0]
-        w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+        w = (
+            np.full(n, 1.0 / n)
+            if weights is None
+            else _typed(weights, "weights", "iuf", "numbers").astype(float)
+        )
+        # a cast would count any non-empty string, "false" included, as True
         flags = (
             np.ones(n, dtype=bool)
             if chaotic_flags is None
-            else np.asarray(chaotic_flags, dtype=bool)
+            else _typed(chaotic_flags, "chaotic_flags", "b", "booleans")
         )
         if w.shape != (n,) or flags.shape != (n,):
             raise DimensionError("points, weights and chaotic flags must have equal length")
@@ -450,6 +493,39 @@ def _pair(x: PhasePoint, y: PhasePoint, mapping: InvertibleMap) -> np.ndarray:
     return np.array([x.coords, y.coords])
 
 
+def _defects(
+    points: np.ndarray,
+    mapping: InvertibleMap,
+    partition: Partition,
+    times: np.ndarray,
+    batches: int,
+) -> np.ndarray:
+    """Correlation defect of each orbit pair (x, y) listed in ``points``, per
+    batch of consecutive ``times``: shape (pairs, batches, cells).
+
+    Over the L samples of a batch the defect of cell j is
+    n_xy/L - (n_x/L)(n_y/L), where n_x, n_y and n_xy count the samples with x
+    in j, y in j and both. The counts are exact integers, so this equals the
+    means of 0/1 indicators bit for bit.
+    """
+    n_cells = partition.cell_count
+    pairs, per = len(points) // 2, len(times) // batches
+    steps, where = _orbit_steps(times)
+    batch = np.arange(len(times)) // per
+    counts = np.zeros((3, pairs * batches * n_cells), dtype=np.int64)
+    at = 0
+    for cells in _orbit_cells(points, mapping, partition, steps):
+        mine = (where >= at) & (where < at + len(cells))
+        sampled = cells[where[mine] - at]
+        x, y = sampled[:, 0::2], sampled[:, 1::2]
+        bins = (np.arange(pairs) * batches + batch[mine][:, None]) * n_cells
+        for row, hits in zip(counts, (bins + x, bins + y, (bins + x)[x == y])):
+            row += np.bincount(hits.ravel(), minlength=row.size)
+        at += len(cells)
+    n_x, n_y, n_xy = counts.reshape(3, pairs, batches, n_cells) / per
+    return n_xy - n_x * n_y
+
+
 def _batched_defects(
     points: np.ndarray,
     mapping: InvertibleMap,
@@ -464,12 +540,7 @@ def _batched_defects(
     usable = (times.size // batches) * batches
     if usable == 0:
         raise DomainError("fewer samples than batches")
-    cells = _orbit_rows(points, mapping, times[:usable], partition.cells_of_many)
-    # cell indicators, (pair, x|y, batch, sample in batch, cell)
-    ind = np.eye(partition.cell_count)[cells.T].reshape(
-        -1, 2, batches, usable // batches, partition.cell_count)
-    bxs, bys = ind[:, 0], ind[:, 1]
-    per_batch = (bxs * bys).mean(axis=2) - bxs.mean(axis=2) * bys.mean(axis=2)
+    per_batch = _defects(points, mapping, partition, times[:usable], batches)
     return per_batch.mean(axis=1), per_batch.std(axis=1, ddof=1) / math.sqrt(batches)
 
 
@@ -486,9 +557,7 @@ def correlation_defect(
     steps. A near-zero vector is the signature of a decorrelating
     (chaotic-subspace) pair; same-orbit pairs return p_j(1 - p_j).
     """
-    cells = _orbit_rows(_pair(x, y, mapping), mapping, sample_times(cfg), partition.cells_of_many)
-    bx, by = np.eye(partition.cell_count)[cells.T]
-    return (bx * by).mean(axis=0) - bx.mean(axis=0) * by.mean(axis=0)
+    return _defects(_pair(x, y, mapping), mapping, partition, sample_times(cfg), 1)[0, 0]
 
 
 def correlation_defect_batched(

@@ -148,6 +148,8 @@ class TrajectoryProbe:
         return last[1]
 
     def _sample_block(self, times: np.ndarray) -> np.ndarray:
+        if times.size == 0:
+            raise DimensionError("a sample block needs at least one time")
         block = np.array(self.sample_many(times), dtype=float)
         if block.shape != (times.size, self.outcome_count):
             raise DimensionError(

@@ -297,6 +297,34 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=r"scenario\.system\.ensemble: .*finite"):
             load_scenario(cfg)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("chaotic_flags", ["false", "false"]),
+            ("chaotic_flags", [1, 0]),
+            ("weights", ["0.5", "0.5"]),
+            ("weights", [0.5, True]),
+            ("points", [["0.1", "0.2"], [0.6, 0.7]]),
+            ("points", [[0.1], [0.6, 0.7]]),
+        ],
+    )
+    def test_ensemble_field_types_name_their_path(self, field, bad):
+        ensemble = {"points": [[0.1, 0.2], [0.6, 0.7]], "weights": [0.5, 0.5],
+                    "chaotic_flags": [False, False]}
+        ensemble[field] = bad
+        cfg = ensemble_config()
+        cfg["system"]["ensemble"] = ensemble
+        with pytest.raises(ConfigError, match=rf"scenario\.system\.ensemble\.{field}: expected"):
+            load_scenario(cfg)
+
+    def test_false_flags_put_every_point_outside_the_chaotic_subspace(self):
+        cfg = ensemble_config()
+        cfg["system"]["ensemble"] = {"points": [[0.1, 0.2], [0.6, 0.7]],
+                                     "chaotic_flags": [False, False]}
+        rec = run_scenario(load_scenario(cfg))[0]
+        assert rec.params["delta"] == 1.0
+        assert rec.bounds["thm3-mixing"].status == STATUS_NA
+
     def test_overrides_sit_under_the_sweep_grid(self):
         cfg = synthetic_config(sweep={"average.seed": [1, 2]})
         before = copy.deepcopy(cfg)

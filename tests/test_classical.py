@@ -6,16 +6,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from equilib import classical
 from equilib.classical import (
     MAX_ORBIT_STEPS,
     ClassicalEnsemble,
+    InvertibleMap,
     PhasePoint,
     baker_map,
     cat_map,
     check_necessity,
     classical_probe,
-    compose_maps,
     contaminated_cat_ensemble,
     correlation_defect,
     correlation_defect_batched,
@@ -36,6 +38,7 @@ from equilib.core import (
     DomainError,
     OutcomeDistribution,
     TimeAverageConfig,
+    sample_times,
     time_average_distribution,
 )
 
@@ -56,6 +59,39 @@ def counting_map(mapping):
     return dataclasses.replace(mapping, forward_many=forward_many), calls
 
 
+def counting_partition(partition):
+    """``partition`` with a ``cells_of_many`` that logs each call's point count."""
+    calls = []
+
+    def cells_of_many(pts):
+        calls.append(len(pts))
+        return partition.cells_of_many(pts)
+
+    return dataclasses.replace(partition, cells_of_many=cells_of_many), calls
+
+
+def compose(*maps):
+    """The maps applied left to right (their inverses right to left)."""
+
+    def fwd(pts):
+        for m in maps:
+            pts = m.forward_many(pts)
+        return pts
+
+    def bwd(pts):
+        for m in reversed(maps):
+            pts = m.backward_many(pts)
+        return pts
+
+    name = "composed(" + ">".join(m.name for m in maps) + ")"
+    return InvertibleMap(name, maps[0].dim, fwd, bwd)
+
+
+def cell_of(partition, coords):
+    """The cell of one phase point."""
+    return int(partition.cells_of_many(PhasePoint(coords).as_array()[None, :])[0])
+
+
 def iterate(coords, mapping, steps):
     """``coords`` after ``steps`` applications of the map, backward when negative."""
     pts = np.array([coords], dtype=float)
@@ -69,6 +105,61 @@ def wrap_distance(a, b):
     """Max over coordinates of the wrap-around distance."""
     diff = np.abs(np.asarray(a) - np.asarray(b))
     return float(np.minimum(diff, 1.0 - diff).max())
+
+
+def same_bits(a, b):
+    """Equal shapes and identical float64 bit patterns (so -0.0 != 0.0)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# The formulas the map kernels replaced, kept as their oracle: a matrix
+# product or a shift, then numpy's floor-mod.
+CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
+CAT_INV = np.array([[1.0, -1.0], [-1.0, 2.0]])
+
+
+def reference_lattice(pts, mat, q):
+    k = np.rint(pts * q).astype(np.int64)
+    return ((k @ mat.astype(np.int64).T) % q) / q
+
+
+def reference_baker(pts, forward):
+    x, y = pts[:, 0], pts[:, 1]
+    if forward:
+        half = np.floor(2.0 * x)
+        return np.column_stack(((2.0 * x) % 1.0, (y + half) / 2.0 % 1.0))
+    half = np.floor(2.0 * y)
+    return np.column_stack(((x + half) / 2.0 % 1.0, (2.0 * y) % 1.0))
+
+
+def reference_cells(points, mapping, partition, times):
+    """Cells of the cloud at each step round(t), classified one step at a time."""
+    steps = np.rint(times).astype(np.int64)
+    cloud, at, by_step = points, 0, {}
+    for step in sorted(set(steps.tolist())):
+        for _ in range(step - at):
+            cloud = mapping.forward_many(cloud)
+        at = step
+        by_step[step] = partition.cells_of_many(cloud)
+    return np.array([by_step[step] for step in steps])
+
+
+def reference_block(points, weights, mapping, partition, times):
+    """One weighted histogram per time."""
+    return np.array([
+        np.bincount(cells, weights=weights, minlength=partition.cell_count)
+        for cells in reference_cells(points, mapping, partition, times)
+    ])
+
+
+def reference_defects(points, mapping, partition, times, batches):
+    """The one-hot form of the batched defects: indicator tensors, then means."""
+    cells = reference_cells(points, mapping, partition, times)
+    n_cells, per = partition.cell_count, len(times) // batches
+    ind = np.eye(n_cells)[cells.T].reshape(-1, 2, batches, per, n_cells)
+    bxs, bys = ind[:, 0], ind[:, 1]
+    return (bxs * bys).mean(axis=2) - bxs.mean(axis=2) * bys.mean(axis=2)
 
 
 class TestPhasePoint:
@@ -115,7 +206,7 @@ class TestMaps:
             cat_map(),
             cat_map(lattice=64),
             baker_map(),
-            compose_maps(cat_map(), baker_map()),
+            compose(cat_map(), baker_map()),
         ],
         ids=lambda m: m.name,
     )
@@ -142,32 +233,91 @@ class TestMaps:
         with pytest.raises(DimensionError):
             classical_probe(PhasePoint(0.5), cat_map(), QUADRANTS)
 
-    def test_compose_empty(self):
-        with pytest.raises(DomainError):
-            compose_maps()
+
+EDGES = np.array([0.0, np.nextafter(1.0, 0.0), np.nextafter(0.5, 0.0), 0.5, 0.25, 0.75,
+                  1 / 3, 1e-300, 5e-324])
+
+
+def clouds(dim):
+    """Random, edge-value and out-of-range clouds of ``dim``-d points."""
+    rng = np.random.default_rng(21)
+    grid = np.stack(np.meshgrid(*[EDGES] * dim), -1).reshape(-1, dim)
+    return {"random": rng.random((2000, dim)), "edges": grid,
+            "outside": rng.uniform(-4.0, 4.0, (2000, dim))}
+
+
+class TestKernels:
+    """The map kernels against the matrix-product and floor-mod formulas
+    they replaced, bit for bit, negative intermediates included."""
+
+    @pytest.mark.parametrize("label", ["random", "edges", "outside"])
+    def test_cat(self, label):
+        pts = clouds(2)[label]
+        assert same_bits(cat_map().forward_many(pts), (pts @ CAT.T) % 1.0)
+        assert same_bits(cat_map().backward_many(pts), (pts @ CAT_INV.T) % 1.0)
+
+    @pytest.mark.parametrize("q", [4, 7, 64])
+    @pytest.mark.parametrize("label", ["lattice", "random", "edges"])
+    def test_lattice_cat(self, q, label):
+        # off-lattice inputs are snapped to the nearest lattice point first
+        rng = np.random.default_rng(q)
+        pts = rng.integers(0, q, (2000, 2)) / q if label == "lattice" else clouds(2)[label]
+        m = cat_map(lattice=q)
+        assert same_bits(m.forward_many(pts), reference_lattice(pts, CAT, q))
+        assert same_bits(m.backward_many(pts), reference_lattice(pts, CAT_INV, q))
+
+    @pytest.mark.parametrize(
+        "angles", [(GOLDEN,), (0.3, 0.711), (-0.37, -2.6), (2.71, 1e6 + 0.3), (-1e-20,)]
+    )
+    @pytest.mark.parametrize("label", ["random", "edges", "outside"])
+    def test_rotation(self, angles, label):
+        # a shift of -1e-20 takes 0.0 to -1e-20, which both forms round to 1.0
+        pts = clouds(len(angles))[label]
+        shift = np.array(angles)
+        m = rotation_map(angles)
+        assert same_bits(m.forward_many(pts), (pts + shift) % 1.0)
+        assert same_bits(m.backward_many(pts), (pts - shift) % 1.0)
+
+    @pytest.mark.parametrize("label", ["random", "edges", "outside"])
+    def test_baker(self, label):
+        pts = clouds(2)[label]
+        assert same_bits(baker_map().forward_many(pts), reference_baker(pts, True))
+        assert same_bits(baker_map().backward_many(pts), reference_baker(pts, False))
+
+    def test_wrap_of_negatives_and_signed_zero(self):
+        v = np.array([-0.0, 0.0, -1e-20, -0.25, -1.0, -2.5, -3.7, 1.0, 2.0**52 + 1, -(2.0**53)])
+        assert same_bits(classical._wrapped(v.copy()), v % 1.0)
+
+    def test_long_cat_orbit_matches_reference_loop(self):
+        pts = np.random.default_rng(5).random((1000, 2))
+        new = ref = pts
+        for _ in range(20_000):
+            new = cat_map().forward_many(new)
+            ref = (ref @ CAT.T) % 1.0
+        assert same_bits(new, ref)
 
 
 class TestPartitions:
     def test_interval_cells(self):
         part = interval_partition([0.0, 0.25, 0.75, 1.0])
         assert part.cell_count == 3
-        assert part.cell_of(PhasePoint(0.1)) == 0
-        assert part.cell_of(PhasePoint(0.5)) == 1
-        assert part.cell_of(PhasePoint(0.9)) == 2
+        assert cell_of(part, 0.1) == 0
+        assert cell_of(part, 0.5) == 1
+        assert cell_of(part, 0.9) == 2
 
     def test_edge_goes_to_lower_cell(self):
         part = interval_partition([0.0, 0.5, 1.0])
-        assert part.cell_of(PhasePoint(0.5)) == 0
-        assert part.cell_of(PhasePoint(0.5 + 1e-12)) == 1
-        assert part.cell_of(PhasePoint(0.0)) == 0
+        assert cell_of(part, 0.5) == 0
+        assert cell_of(part, 0.5 + 1e-12) == 1
+        assert cell_of(part, 0.0) == 0
 
     def test_grid_row_major(self):
         part = grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
         assert part.cell_count == 4
-        assert part.cell_of(PhasePoint((0.1, 0.1))) == 0
-        assert part.cell_of(PhasePoint((0.1, 0.9))) == 1
-        assert part.cell_of(PhasePoint((0.9, 0.1))) == 2
-        assert part.cell_of(PhasePoint((0.9, 0.9))) == 3
+        assert cell_of(part, (0.1, 0.1)) == 0
+        assert cell_of(part, (0.1, 0.9)) == 1
+        assert cell_of(part, (0.9, 0.1)) == 2
+        assert cell_of(part, (0.9, 0.9)) == 3
 
     def test_covers_space(self):
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.2, 0.9, 1.0]])
@@ -183,7 +333,7 @@ class TestPartitions:
         with pytest.raises(DimensionError):
             part.cells_of_many(np.array([[0.2, 0.7]]))
         with pytest.raises(DimensionError):
-            part.cell_of(PhasePoint((0.2, 0.7)))
+            cell_of(part, (0.2, 0.7))
         assert grid_partition([[0.0, 1.0], [0.0, 0.5, 1.0]]).dim == 2
 
     def test_bad_edges(self):
@@ -283,6 +433,68 @@ class TestOrbitEngine:
             tracemalloc.stop()
         assert peak < 50e6
 
+    def test_long_horizon_peak_is_a_few_blocks(self):
+        # the clouds or cells of all 500 sampled steps at once would pass 8 MB
+        ens = contaminated_cat_ensemble(1000, delta=0.1, seed=9300)
+        probe = ensemble_probe(ens, cat_map(), QUADRANTS)
+        cfg = TimeAverageConfig(horizon=20_000, samples=500, scheme="uniform-grid")
+        tracemalloc.start()
+        try:
+            time_average_distribution(probe, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+# unsorted, repeated and half-integer times (np.rint sends 2.5 to 2, 3.5 to 4)
+ODD_TIMES = np.array([17.0, 3.5, 3.5, 0.0, 2.5, 40.0, 17.0, 0.5, 1.5, 29.4, 12.6, 39.5, 8.0])
+
+
+class TestBlockedClassification:
+    """Several steps' clouds are classified in one call; with a small block
+    cap one request spans several blocks, and every block matches a
+    per-step loop bit for bit."""
+
+    @pytest.mark.parametrize("cap", [2, 6, 25, 10**6])
+    @pytest.mark.parametrize("mapping", [cat_map(), baker_map(), cat_map(lattice=8)],
+                             ids=lambda m: m.name)
+    def test_ensemble_block_matches_per_step_loop(self, monkeypatch, cap, mapping):
+        monkeypatch.setattr(classical, "_BLOCK_COORDS", cap)
+        rng = np.random.default_rng(4)
+        ens = ClassicalEnsemble(rng.random((5, 2)), rng.dirichlet(np.ones(5)))
+        part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.8, 1.0]])
+        block = ensemble_probe(ens, mapping, part).distributions_at(ODD_TIMES)
+        expected = reference_block(ens.points, ens.weights, mapping, part, ODD_TIMES)
+        assert same_bits(block, expected)
+
+    @pytest.mark.parametrize("cap", [1, 4, 10**6])
+    def test_pure_block_matches_per_step_loop(self, monkeypatch, cap):
+        monkeypatch.setattr(classical, "_BLOCK_COORDS", cap)
+        part = interval_partition([0.0, 0.2, 0.5, 1.0])
+        x = PhasePoint(0.123)
+        block = classical_probe(x, rotation_map(GOLDEN), part).distributions_at(ODD_TIMES)
+        expected = reference_block(x.as_array()[None, :], np.ones(1), rotation_map(GOLDEN),
+                                   part, ODD_TIMES)
+        assert same_bits(block, expected)
+
+    def test_one_cells_call_per_block(self, monkeypatch):
+        # 50 two-d points: a 1000-coordinate cap holds 10 steps per block
+        monkeypatch.setattr(classical, "_BLOCK_COORDS", 1000)
+        part, calls = counting_partition(QUADRANTS)
+        ens = contaminated_cat_ensemble(50, 0.1, seed=1)
+        ensemble_probe(ens, cat_map(), part).distributions_at(np.arange(25.0))
+        assert calls == [500, 500, 250]
+
+    @pytest.mark.parametrize("kind", ["pure", "ensemble"])
+    def test_zero_times_is_a_dimension_error(self, kind):
+        if kind == "pure":
+            probe = classical_probe(PhasePoint((0.2, 0.6)), cat_map(), QUADRANTS)
+        else:
+            probe = ensemble_probe(contaminated_cat_ensemble(50, 0.1, seed=1), cat_map(), QUADRANTS)
+        with pytest.raises(DimensionError):
+            probe.distributions_at(np.array([]))
+
 
 class TestPureClosedForm:
     @pytest.mark.parametrize(
@@ -364,6 +576,58 @@ class TestCorrelationDefect:
         assert defect == pytest.approx([0.0] * 2, abs=1e-14)
 
 
+class TestDefectsAgainstOneHot:
+    """The count-based defects against the one-hot indicator form."""
+
+    CONFIGS = [
+        TimeAverageConfig(horizon=320, samples=320, scheme="uniform-grid"),
+        TimeAverageConfig(horizon=777, samples=700, seed=3),
+        # 640 samples over 100 steps: most steps are sampled several times
+        TimeAverageConfig(horizon=100, samples=640, seed=5),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["grid", "stratified", "repeated"])
+    @pytest.mark.parametrize("mapping", [cat_map(), baker_map(), rotation_map((GOLDEN, 0.3))],
+                             ids=lambda m: m.name)
+    def test_pair_defects(self, monkeypatch, cfg, mapping):
+        monkeypatch.setattr(classical, "_BLOCK_COORDS", 60)
+        part = grid_partition([[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]])
+        x, y = PhasePoint((0.2137, 0.5821)), PhasePoint((0.7301, 0.1193))
+        pair = np.array([x.coords, y.coords])
+        times = sample_times(cfg)
+        plain = reference_defects(pair, mapping, part, times, 1)[0, 0]
+        assert same_bits(correlation_defect(x, y, mapping, part, cfg), plain)
+        batches = 16
+        per_batch = reference_defects(pair, mapping, part, times[: cfg.samples // batches * batches],
+                                      batches)[0]
+        defect, stderr = correlation_defect_batched(x, y, mapping, part, cfg, batches)
+        assert same_bits(defect, per_batch.mean(axis=0))
+        assert same_bits(stderr, per_batch.std(axis=0, ddof=1) / math.sqrt(batches))
+
+    def test_many_pairs_and_audit(self, monkeypatch):
+        monkeypatch.setattr(classical, "_BLOCK_COORDS", 500)
+        ens = contaminated_cat_ensemble(300, delta=0.1, seed=11)
+        part = grid_partition([[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]])
+        cfg = TimeAverageConfig(horizon=300, samples=330, seed=3)
+        pair_count, seed, batches, risk = 30, 2, 16, 0.2
+        # the audit's own pair draws
+        rng = np.random.default_rng(seed)
+        idx = np.flatnonzero(ens.chaotic_flags)
+        pairs = np.concatenate([rng.choice(idx, size=2, replace=False) for _ in range(pair_count)])
+        times = sample_times(cfg)[: cfg.samples // batches * batches]
+        per_batch = reference_defects(ens.points[pairs], cat_map(), part, times, batches)
+        defect = per_batch.mean(axis=1)
+        stderr = per_batch.std(axis=1, ddof=1) / math.sqrt(batches)
+        got = classical._batched_defects(ens.points[pairs], cat_map(), part, cfg, batches)
+        assert same_bits(got[0], defect) and same_bits(got[1], stderr)
+        per_outcome = 1.0 - (1.0 - risk) ** (1.0 / part.cell_count)
+        threshold = stats.t.ppf(1.0 - per_outcome / 2.0, df=batches - 1)
+        passed = int(np.all(np.abs(defect) / np.maximum(stderr, 1e-300) <= threshold, axis=1).sum())
+        assert 0 < passed < pair_count
+        audit = decorrelation_audit(ens, cat_map(), part, cfg, pair_count, seed, batches, risk)
+        assert audit == (passed / pair_count, pair_count)
+
+
 class TestEnsembles:
     def test_single_point_reduces_to_pure_probe(self):
         part = grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
@@ -396,6 +660,26 @@ class TestEnsembles:
         with pytest.raises(DomainError, match="finite"):
             ClassicalEnsemble(np.array([[0.5, 0.3], [0.1, 0.2]]), weights=[bad, 0.5])
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("chaotic_flags", ["false", "false"]),
+            ("chaotic_flags", [1, 0]),
+            ("chaotic_flags", [True, math.nan]),
+            ("weights", ["0.5", "0.5"]),
+            ("weights", [True, False]),
+            ("points", [["0.1", "0.2"], ["0.6", "0.7"]]),
+        ],
+    )
+    def test_field_types(self, field, bad):
+        # a cast to bool would count the string "false" as chaotic
+        fields = {"points": [[0.1, 0.2], [0.6, 0.7]], "weights": [0.5, 0.5],
+                  "chaotic_flags": [False, False]}
+        ClassicalEnsemble(**fields)
+        fields[field] = bad
+        with pytest.raises(DomainError, match=field):
+            ClassicalEnsemble(**fields)
+
     def test_periodic_weight(self):
         ens = ClassicalEnsemble(
             [PhasePoint((0.1, 0.2)), PhasePoint((0.3, 0.4)), PhasePoint((0.5, 0.6))],
@@ -423,8 +707,6 @@ class TestEnsembles:
         assert ensemble_noise_floor(ens, omega) == pytest.approx(expected, rel=1e-12)
 
     def test_audit_matches_reference_pair_loop(self):
-        from scipy import stats
-
         ens = contaminated_cat_ensemble(400, delta=0.1, seed=11)
         part = grid_partition([[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]])
         cfg = TimeAverageConfig(horizon=777, samples=700, seed=3)
