@@ -270,6 +270,51 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=r"scenario\.measurement\.partition"):
             load_scenario(cfg)
 
+    @pytest.mark.parametrize(
+        "map_cfg, field",
+        [
+            ({"name": "rotation", "angles": [math.nan]}, "angles"),
+            ({"name": "rotation", "angles": [math.inf]}, "angles"),
+            ({"name": "rotation", "angles": ["0.25"]}, "angles"),
+            ({"name": "cat-map", "lattice": "4"}, "lattice"),
+            ({"name": "cat-map", "lattice": 2.5}, "lattice"),
+            ({"name": "cat-map", "lattice": 0}, "lattice"),
+            ({"name": "cat-map", "lattice": True}, "lattice"),
+        ],
+    )
+    def test_bad_map_fields_name_their_path(self, map_cfg, field):
+        # a NaN angle used to step a NaN orbit and report `equilibrates`
+        dim = 1 if map_cfg["name"] == "rotation" else 2
+        cfg = {
+            "kind": "classical-pure",
+            "epsilon": 0.2,
+            "average": {"horizon": 64, "samples": 64, "scheme": "uniform-grid"},
+            "system": {"map": map_cfg, "point": [0.2, 0.6][:dim]},
+            "measurement": {"partition": {"kind": "grid", "edges": [[0.0, 0.5, 1.0]] * dim}},
+        }
+        with pytest.raises(ConfigError, match=rf"scenario\.system\.map\.{field}: "):
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[0.0, math.nan, 1.0], ["0", "0.5", "1"], [0.0, 0.5, 0.5, 1.0], 0.5],
+        ids=["nan", "strings", "repeated", "number"],
+    )
+    @pytest.mark.parametrize("kind", ["interval", "grid"])
+    def test_bad_partition_edges_name_their_path(self, kind, edges):
+        # [0.0, NaN, 1.0] used to load and report `equilibrates` with omega [1, 0]
+        cfg = {
+            "kind": "classical-pure",
+            "epsilon": 0.2,
+            "average": {"horizon": 64, "samples": 64, "scheme": "uniform-grid"},
+            "system": {"map": {"name": "rotation", "angles": [0.25]}, "point": [0.2]},
+            "measurement": {
+                "partition": {"kind": kind, "edges": edges if kind == "interval" else [edges]}
+            },
+        }
+        with pytest.raises(ConfigError, match=r"scenario\.measurement\.partition\.edges: "):
+            load_scenario(cfg)
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_non_finite_point_names_its_path(self, tmp_path, bad):
         cfg = {

@@ -2,7 +2,12 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +238,22 @@ class TestMaps:
         with pytest.raises(DimensionError):
             classical_probe(PhasePoint(0.5), cat_map(), QUADRANTS)
 
+    @pytest.mark.parametrize(
+        "angles", [math.nan, [0.25, math.inf], [-math.inf], ["0.25"], "0.25", [True], [], [[0.25]]]
+    )
+    def test_rotation_angles_must_be_finite_numbers(self, angles):
+        # a NaN angle would step a NaN orbit, which no partition cell owns
+        with pytest.raises(DomainError, match="angle"):
+            rotation_map(angles)
+
+    @pytest.mark.parametrize("lattice", ["4", 2.5, 0, -3, True, math.nan, math.inf, [4]])
+    def test_lattice_must_be_an_integer_of_at_least_one(self, lattice):
+        with pytest.raises(DomainError, match="lattice"):
+            cat_map(lattice=lattice)
+
+    def test_integral_float_lattice_is_the_integer_lattice(self):
+        assert cat_map(lattice=8.0).name == cat_map(lattice=8).name == "cat-map(lattice=8)"
+
 
 EDGES = np.array([0.0, np.nextafter(1.0, 0.0), np.nextafter(0.5, 0.0), 0.5, 0.25, 0.75,
                   1 / 3, 1e-300, 5e-324])
@@ -341,6 +362,80 @@ class TestPartitions:
             interval_partition([0.0, 0.5, 0.4, 1.0])
         with pytest.raises(DomainError):
             interval_partition([0.1, 1.0])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[0.0, math.nan, 1.0], [0.0, 0.5, math.nan], [0.0, math.inf, 1.0], [0.0, 0.5, 0.5, 1.0],
+         ["0", "0.5", "1"], [0.0, "0.5", 1.0], [False, True], [0.0, None, 1.0]],
+    )
+    def test_edges_must_be_increasing_numbers(self, edges):
+        # np.any(np.diff(e) <= 0) is False for a NaN difference; np.all(> 0) is not
+        with pytest.raises(DomainError, match="edges"):
+            interval_partition(edges)
+        with pytest.raises(DomainError, match="edges"):
+            grid_partition([[0.0, 0.5, 1.0], edges])
+
+
+def searchsorted_cells(pts, edges_by_dim):
+    """Row-major cell index of each point by ``searchsorted`` on the inner edges."""
+    idx = np.zeros(len(pts), dtype=np.int64)
+    for d, e in enumerate(edges_by_dim):
+        e = np.asarray(e, dtype=float)
+        idx = idx * (e.size - 1) + np.searchsorted(e[1:-1], pts[:, d], side="left")
+    return idx
+
+
+class TestCountClassification:
+    """Edge counting against ``searchsorted(..., 'left')``, the rule it
+    replaced, bit for bit: points on an edge go to the lower cell."""
+
+    EDGE_SETS = [
+        [0.0, 1.0],
+        [0.0, 0.5, 1.0],
+        [0.0, 0.25, 0.5, 0.75, 1.0],
+        [0.0, 1e-300, 1 / 3, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0), 1.0],
+        np.linspace(0.0, 1.0, 202).tolist(),  # 200 inner edges
+    ]
+
+    @staticmethod
+    def values(edges):
+        rng = np.random.default_rng(len(edges))
+        e = np.asarray(edges)
+        return np.concatenate([
+            rng.random(3000),
+            e,
+            np.nextafter(e, -1.0),
+            np.nextafter(e, 2.0),
+            [0.0, -0.0, np.nextafter(1.0, 0.0), 5e-324],
+            rng.uniform(-4.0, 4.0, 3000),
+        ])
+
+    @pytest.mark.parametrize("edges", EDGE_SETS, ids=lambda e: f"{len(e) - 2}-inner")
+    def test_axis_index(self, edges):
+        inner = np.asarray(edges)[1:-1]
+        v = self.values(edges)
+        got = classical._axis_index(v, inner)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(inner, v, side="left"))
+        # the in-place form adds the count to what is there
+        base = np.arange(v.size, dtype=np.int64)
+        assert np.array_equal(classical._axis_index(v, inner, base.copy()), base + got)
+
+    @pytest.mark.parametrize("edges", EDGE_SETS, ids=lambda e: f"{len(e) - 2}-inner")
+    def test_interval_partition(self, edges):
+        pts = self.values(edges)[:, None]
+        cells = interval_partition(edges).cells_of_many(pts)
+        assert np.array_equal(cells, searchsorted_cells(pts, [edges]))
+
+    @pytest.mark.parametrize("second", EDGE_SETS, ids=lambda e: f"{len(e) - 2}-inner")
+    def test_grid_partition(self, second):
+        first = self.EDGE_SETS[3]
+        rng = np.random.default_rng(9)
+        for axes in ([first, second], [second, first], [first, second, self.EDGE_SETS[2]]):
+            cloud = np.column_stack([rng.choice(self.values(e), 8000) for e in axes])
+            cells = grid_partition(axes).cells_of_many(cloud)
+            assert cells.dtype == np.int64
+            assert np.array_equal(cells, searchsorted_cells(cloud, axes))
 
 
 class TestClassicalProbe:
@@ -734,6 +829,55 @@ class TestEnsembles:
         )
         assert tested == 25
         assert frac >= 0.96
+
+
+class TestTQuantile:
+    """The audit threshold, Student's t two-sided quantile, against scipy."""
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 7, 10, 15, 31, 63, 64, 100, 255, 1000])
+    def test_matches_scipy(self, df):
+        # t.isf(tail / 2) is t.ppf(1 - tail / 2) without rounding 1 - tail / 2,
+        # which alone moves the df = 1 quantile at tail 1e-7 by 6e-10
+        for tail in [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5]:
+            expected = stats.t.isf(tail / 2, df)
+            assert classical._t_quantile(tail, df) == pytest.approx(expected, rel=1e-12)
+
+    def test_closed_forms(self):
+        # df = 1 is the Cauchy law and df = 2 has P(|T| > t) = 1 - t / sqrt(2 + t^2)
+        for tail in [1e-7, 0.01, 0.5, 0.9]:
+            cauchy = 1.0 / math.tan(math.pi * tail / 2)
+            assert classical._t_quantile(tail, 1) == pytest.approx(cauchy, rel=1e-14)
+            two = (1 - tail) * math.sqrt(2.0 / (tail * (2 - tail)))
+            assert classical._t_quantile(tail, 2) == pytest.approx(two, rel=1e-14)
+
+    @pytest.mark.parametrize("tail", [0.0, 1.0, -0.1, math.nan])
+    def test_domain(self, tail):
+        with pytest.raises(DomainError):
+            classical._t_quantile(tail, 5)
+
+    @pytest.mark.parametrize("risk", [0.0, 1.0, 1.5, math.nan])
+    def test_audit_family_risk_domain(self, risk):
+        ens = contaminated_cat_ensemble(50, delta=0.0, seed=1)
+        with pytest.raises(DomainError, match="family risk"):
+            decorrelation_audit(ens, cat_map(), QUADRANTS, STEPS(64), 5, family_risk=risk)
+
+    def test_audit_imports_no_scipy(self):
+        script = textwrap.dedent("""
+            import sys
+            from equilib import classical
+            from equilib.core import TimeAverageConfig
+            ens = classical.contaminated_cat_ensemble(200, delta=0.1, seed=3)
+            part = classical.grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
+            cfg = TimeAverageConfig(horizon=256, samples=256, scheme="uniform-grid")
+            frac, tested = classical.decorrelation_audit(ens, classical.cat_map(), part, cfg, 10)
+            assert tested == 10 and 0.0 <= frac <= 1.0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        src = str(Path(classical.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSerialization:
