@@ -35,14 +35,12 @@ class PhasePoint:
     coords: tuple[float, ...]
 
     def __init__(self, coords: Sequence[float] | float):
-        if isinstance(coords, (int, float)):
-            coords = (float(coords),)
-        wrapped = tuple(float(c) % 1.0 for c in coords)
-        if len(wrapped) == 0:
+        arr = np.atleast_1d(_typed(coords, "coordinates", "iuf", "numbers")).astype(float)
+        if arr.ndim != 1 or arr.size == 0:
             raise DomainError("a phase point needs at least one coordinate")
-        if not all(map(math.isfinite, wrapped)):
-            raise DomainError(f"coordinates must be finite, got {tuple(coords)!r}")
-        object.__setattr__(self, "coords", wrapped)
+        if not np.isfinite(arr).all():
+            raise DomainError(f"coordinates must be finite, got {arr.tolist()!r}")
+        object.__setattr__(self, "coords", tuple(float(c) % 1.0 for c in arr))
 
     @property
     def dim(self) -> int:
@@ -87,10 +85,15 @@ _CAT_INV_T = np.array([[1.0, -1.0], [-1.0, 2.0]]).T
 
 
 def _typed(values, name: str, kinds: str, what: str) -> np.ndarray:
-    """``values`` as an array whose dtype kind is one of ``kinds``."""
+    """``values`` as an array whose dtype kind is one of ``kinds``. A list that
+    mixes booleans with numbers fails too, though numpy would promote it."""
     arr = np.asarray(values)
     if arr.dtype.kind not in kinds:
         raise DomainError(f"{name} must be {what}, got {arr.dtype} entries")
+    if "b" not in kinds and not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+    ):
+        raise DomainError(f"{name} must be {what}, got a boolean in {values!r}")
     return arr
 
 
@@ -100,7 +103,7 @@ def rotation_map(angles: Sequence[float] | float) -> InvertibleMap:
     Irrational angles give equidistributing (but never mixing) orbits;
     rational angles give periodic ones. The non-chaotic control case.
     """
-    shift = _typed(np.atleast_1d(angles), "angles", "iuf", "numbers").astype(float)
+    shift = np.atleast_1d(_typed(angles, "angles", "iuf", "numbers")).astype(float)
     if shift.ndim != 1 or shift.size == 0:
         raise DomainError("rotation needs a nonempty list of angles")
     if not np.isfinite(shift).all():

@@ -280,6 +280,8 @@ class TestLoadScenario:
             ({"name": "cat-map", "lattice": 2.5}, "lattice"),
             ({"name": "cat-map", "lattice": 0}, "lattice"),
             ({"name": "cat-map", "lattice": True}, "lattice"),
+            # numpy would promote the boolean to 1.0
+            ({"name": "rotation", "angles": [0.25, True]}, "angles"),
         ],
     )
     def test_bad_map_fields_name_their_path(self, map_cfg, field):
@@ -297,8 +299,8 @@ class TestLoadScenario:
 
     @pytest.mark.parametrize(
         "edges",
-        [[0.0, math.nan, 1.0], ["0", "0.5", "1"], [0.0, 0.5, 0.5, 1.0], 0.5],
-        ids=["nan", "strings", "repeated", "number"],
+        [[0.0, math.nan, 1.0], ["0", "0.5", "1"], [0.0, 0.5, 0.5, 1.0], 0.5, [0.0, 0.5, True]],
+        ids=["nan", "strings", "repeated", "number", "boolean"],
     )
     @pytest.mark.parametrize("kind", ["interval", "grid"])
     def test_bad_partition_edges_name_their_path(self, kind, edges):
@@ -328,6 +330,53 @@ class TestLoadScenario:
         path.write_text(json.dumps(cfg).replace("0.2, 0.6", f"{bad}, 0.6"))
         with pytest.raises(ConfigError, match=r"scenario\.system\.point: .*finite"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("point", [["0.2", "0.6"], [True, 0.6]], ids=["strings", "boolean"])
+    def test_non_number_point_names_its_path(self, point):
+        # unchecked, these would run as the point (0.2, 0.6) and (0.0, 0.6)
+        cfg = {
+            "kind": "classical-pure",
+            "epsilon": 0.2,
+            "average": {"horizon": 64, "samples": 64, "scheme": "uniform-grid"},
+            "system": {"map": {"name": "cat-map"}, "point": point},
+            "measurement": {"partition": {"kind": "grid", "edges": [[0.0, 1.0], [0.0, 1.0]]}},
+        }
+        with pytest.raises(ConfigError, match=r"scenario\.system\.point: .*numbers"):
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "field, path",
+        [
+            ("state", r"scenario\.system\.state"),
+            ("vector", r"scenario\.system\.state"),
+            ("povm", r"scenario\.measurement\.povm"),
+            ("eigenvectors", r"scenario\.system\.hamiltonian"),
+            ("hamiltonian", r"scenario\.system\.hamiltonian\.matrix"),
+        ],
+        ids=["state", "vector", "povm", "eigenvectors", "hamiltonian"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_quantum_matrix_names_its_path(self, field, path, bad):
+        # a NaN passes every `> tol` check; unchecked, these would load and
+        # then fail as "probe produced non-finite probabilities"
+        def matrix(data):
+            return {"rows": 2, "cols": 2, "data": data}
+
+        tainted = matrix([[0.5, 0.0], [bad, 0.0], [bad, 0.0], [0.5, 0.0]])
+        cfg = qubit_config()
+        if field == "state":
+            cfg["system"]["state"] = {"matrix": tainted}
+        elif field == "vector":
+            cfg["system"]["state"] = {"vector": [[bad, 0.0], [1.0, 0.0]]}
+        elif field == "povm":
+            cfg["measurement"]["povm"][0] = tainted
+        elif field == "eigenvectors":
+            cfg["system"]["hamiltonian"]["eigenvectors"] = matrix(
+                [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [bad, 0.0]])
+        else:
+            cfg["system"]["hamiltonian"] = {"matrix": tainted}
+        with pytest.raises(ConfigError, match=path + ": .*non-finite"):
+            load_scenario(cfg)
 
     @pytest.mark.parametrize("field", ["points", "weights"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -184,6 +184,15 @@ class TestPhasePoint:
         with pytest.raises(DomainError, match="finite"):
             PhasePoint((bad, 0.3))
 
+    @pytest.mark.parametrize(
+        "bad", [["0.2", "0.6"], [True, 0.6], [0.2, np.True_], True, "0.3"],
+        ids=["strings", "boolean", "numpy-boolean", "scalar-boolean", "scalar-string"],
+    )
+    def test_non_numbers_rejected(self, bad):
+        # float() would read "0.2" as 0.2 and True as 1.0
+        with pytest.raises(DomainError, match="coordinates must be numbers"):
+            PhasePoint(bad)
+
 
 class TestMaps:
     def test_evolve_zero_steps(self):
@@ -239,7 +248,9 @@ class TestMaps:
             classical_probe(PhasePoint(0.5), cat_map(), QUADRANTS)
 
     @pytest.mark.parametrize(
-        "angles", [math.nan, [0.25, math.inf], [-math.inf], ["0.25"], "0.25", [True], [], [[0.25]]]
+        "angles",
+        [math.nan, [0.25, math.inf], [-math.inf], ["0.25"], "0.25", [True], [], [[0.25]],
+         [0.25, True]],
     )
     def test_rotation_angles_must_be_finite_numbers(self, angles):
         # a NaN angle would step a NaN orbit, which no partition cell owns

@@ -156,6 +156,16 @@ class TestDensityMatrix:
         with pytest.raises(DomainError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # every other check is a `> tol` comparison, which NaN passes
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix(np.full((2, 2), bad))
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix(np.array([[0.5, bad], [bad, 0.5]]))
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix.from_vector([bad, 1.0])
+
 
 class TestPOVM:
     def test_valid(self):
@@ -175,6 +185,11 @@ class TestPOVM:
         with pytest.raises(DimensionError):
             POVM([np.eye(2) * 0.5, np.eye(3) * 0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="element 1 has non-finite"):
+            POVM([np.eye(2) * 0.5, np.array([[0.5, bad], [bad, 0.5]])])
+
     def test_identity_povm(self):
         povm = POVM([np.eye(3)])
         assert povm.probabilities(DensityMatrix(np.eye(3) / 3)) == OutcomeDistribution([1.0])
@@ -188,6 +203,13 @@ class TestHamiltonianSpectrum:
     def test_requires_unitary(self):
         with pytest.raises(DomainError):
             HamiltonianSpectrum([0.0, 1.0], np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="eigenvector matrix has non-finite"):
+            HamiltonianSpectrum([0.0, 1.0], np.array([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(DomainError, match="Hamiltonian has non-finite"):
+            HamiltonianSpectrum.from_matrix(np.array([[0.0, bad], [bad, 1.0]]))
 
     def test_eigenspace_grouping(self):
         spec = HamiltonianSpectrum([0.0, 0.0, 1.0, 2.0])
@@ -240,6 +262,35 @@ class TestEvolveDensity:
             assert np.abs(out - out.conj().T).max() < 1e-9
             assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho.matrix), atol=1e-9)
             assert_probe_matches_evolution(rho, spec, random_povm(d, 3, seed + 90), times)
+
+    def test_large_times(self):
+        # an auto horizon grows as 1 / (minimum gap), so phases E t can reach 1e10
+        rng = np.random.default_rng(8)
+        spec = random_spectrum(10, 81)
+        times = np.concatenate([np.geomspace(1.0, 1e9, 10), rng.uniform(1e8, 1e9, size=6)])
+        assert np.outer(times, spec.eigenvalues).max() > 5e9
+        assert_probe_matches_evolution(
+            random_mixed_state(10, 82), spec, random_povm(10, 4, 83), times
+        )
+
+    def test_phases_at_odd_multiples_of_pi(self):
+        # E_n t = (2k + 1) pi puts tan(E_n t / 2) at a pole of the phase
+        # formula, up to the rounding of pi
+        spec = HamiltonianSpectrum([0.0, 0.7, 1.0, 2.3], haar_unitary(4, np.random.default_rng(9)))
+        odd = np.array([1.0, 3.0, 5.0, 101.0, 100_001.0])
+        times = np.concatenate([odd * math.pi / e for e in spec.eigenvalues[1:]])
+        assert_probe_matches_evolution(
+            random_pure_state(4, 91), spec, random_povm(4, 3, 92), times
+        )
+
+    def test_sampled_block_starts_at_the_initial_statistics(self):
+        rho = random_mixed_state(6, 93)
+        spec = random_spectrum(6, 94)
+        povm = random_povm(6, 4, 95)
+        times = sample_times(TimeAverageConfig(horizon=40.0, samples=64, scheme="uniform-grid"))
+        assert times[0] == 0.0
+        block = assert_probe_matches_evolution(rho, spec, povm, times)
+        assert np.abs(block[0] - povm.probabilities(rho).probs).max() < 1e-12
 
 
 class TestDephase:
