@@ -10,6 +10,7 @@ status of every analytic bound: satisfied, violated, or not-applicable.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import json
@@ -186,12 +187,29 @@ def _integer(cfg: dict, key: str, path: str, default: int | None = None) -> int:
     return value
 
 
-def _entries(cfg: dict, key: str, path: str, kind: type) -> np.ndarray | None:
+@contextlib.contextmanager
+def _field(path: str):
+    """Decode the config field ``path``: a TypeError or ValueError raised
+    inside becomes a ConfigError naming it; a ConfigError passes through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _entries(
+    cfg: dict, key: str, path: str, kind: type = float, optional: bool = False
+) -> np.ndarray | None:
     """``cfg[key]``, a nested list of JSON numbers (``kind`` float) or JSON
-    booleans (``kind`` bool), as an array; None when absent or null. A string
-    such as "0.5" or "false" is an error, not a value."""
+    booleans (``kind`` bool), as an array. Absent or null, it is None when
+    ``optional`` and an error otherwise. A string such as "0.5" or "false" is
+    an error, not a value."""
     if cfg.get(key) is None:
-        return None
+        if optional:
+            return None
+        raise ConfigError(f"{path}.{key}: required")
     bad = [
         v for v in np.asarray(cfg[key], dtype=object).ravel()
         if not isinstance(v, (int, float)) or isinstance(v, bool) != (kind is bool)
@@ -200,6 +218,18 @@ def _entries(cfg: dict, key: str, path: str, kind: type) -> np.ndarray | None:
         what = "JSON booleans" if kind is bool else "numbers"
         raise ConfigError(f"{path}.{key}: expected {what}, got {bad[0]!r}")
     return np.asarray(cfg[key], dtype=kind)
+
+
+def _pairs(cfg: dict, key: str, path: str) -> np.ndarray:
+    """``cfg[key]``, a list of [real, imag] number pairs, as a complex vector
+    holding exactly ``complex(real, imag)`` of each pair, signed zeros
+    included (``real + 1j * imag`` would not)."""
+    parts = _entries(cfg, key, path)
+    if parts.ndim != 2 or parts.shape[1] != 2:
+        raise ConfigError(f"{path}.{key}: entries must be (real, imag) pairs")
+    values = np.empty(len(parts), dtype=complex)
+    values.real, values.imag = parts.T
+    return values
 
 
 def _absolutize_file_refs(node, base_dir: Path) -> None:
@@ -316,10 +346,8 @@ def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
         horizon = quantum.default_average_config(spectrum).horizon
     elif not isinstance(horizon, (int, float)) or isinstance(horizon, bool):
         raise ConfigError(f"{path}.horizon: expected a number or 'auto'")
-    try:
+    with _field(path):
         return TimeAverageConfig(horizon=float(horizon), samples=samples, scheme=scheme, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -348,17 +376,58 @@ class _Failure:
 
 
 def _matrix_node(node, path: str) -> np.ndarray:
+    """A matrix given as {"rows", "cols", "data"}, its entries [real, imag]
+    pairs in row-major order; inline, or in the JSON file {"file": ...}."""
     node = _obj(node, path)
     if "file" in node:
-        ref = Path(node["file"])
+        with _field(f"{path}.file"):
+            ref = Path(node["file"])
         try:
             inner = json.loads(ref.read_text())
         except OSError as exc:
             raise ConfigError(f"{path}.file: cannot read {ref} ({exc})") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}.file: invalid JSON in {ref} ({exc})") from None
-        return quantum.matrix_from_pairs(_obj(inner, path), path)
-    return quantum.matrix_from_pairs(node, path)
+        node = _obj(inner, path)
+    rows, cols = _integer(node, "rows", path), _integer(node, "cols", path)
+    for key, size in (("rows", rows), ("cols", cols)):
+        if size < 1:
+            raise ConfigError(f"{path}.{key}: must be at least 1, got {size}")
+    data = _pairs(node, "data", path)
+    if data.size != rows * cols:
+        raise ConfigError(f"{path}.data: expected {rows * cols} pairs, got {data.size}")
+    return data.reshape(rows, cols)
+
+
+def _map_node(node, path: str) -> classical.InvertibleMap:
+    """A catalogue map: {"name": "rotation", "angles": [...]}, {"name":
+    "cat-map", "lattice": q} (lattice optional) or {"name": "baker-map"}."""
+    node = _obj(node, path)
+    name = node.get("name")
+    if name == "baker-map":
+        return classical.baker_map()
+    if name == "rotation":
+        angles = _require(node, "angles", path)
+        with _field(f"{path}.angles"):
+            return classical.rotation_map(angles)
+    if name == "cat-map":
+        with _field(f"{path}.lattice"):
+            return classical.cat_map(node.get("lattice"))
+    raise ConfigError(f"{path}.name: unknown map {name!r}")
+
+
+def _partition_node(node, path: str) -> classical.Partition:
+    """A partition: {"kind": "interval" or "grid", "edges": ...}, the form
+    ``Partition.description`` records."""
+    node = _obj(node, path)
+    kind = node.get("kind")
+    if kind not in ("interval", "grid"):
+        raise ConfigError(f"{path}.kind: unknown partition kind {kind!r}")
+    edges = _require(node, "edges", path)
+    with _field(f"{path}.edges"):
+        if kind == "interval":
+            return classical.interval_partition(edges)
+        return classical.grid_partition(edges)
 
 
 def _build_quantum(cfg: dict) -> _Runtime:
@@ -376,10 +445,8 @@ def _build_quantum(cfg: dict) -> _Runtime:
         spacing = _number(s, "spacing", f"{path}.sampler") if "spacing" in s else 1.0
         if not (math.isfinite(spacing) and spacing > 0):
             raise ConfigError(f"{path}.sampler.spacing: must be finite and > 0, got {spacing!r}")
-        try:
+        with _field(f"{path}.sampler.spectrum"):
             spectrum = quantum.random_spectrum(dim, seed, spec_kind, spacing)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.sampler.spectrum: {exc}") from None
         state_kind = s.get("state", "pure")
         if state_kind == "pure":
             rho = quantum.random_pure_state(dim, seed + 1)
@@ -390,33 +457,25 @@ def _build_quantum(cfg: dict) -> _Runtime:
     else:
         ham = _obj(_require(system, "hamiltonian", path), f"{path}.hamiltonian")
         if "eigenvalues" in ham:
+            vals = _entries(ham, "eigenvalues", f"{path}.hamiltonian")
             vecs = None
             if "eigenvectors" in ham:
                 vecs = _matrix_node(ham["eigenvectors"], f"{path}.hamiltonian.eigenvectors")
-            try:
-                spectrum = quantum.HamiltonianSpectrum(ham["eigenvalues"], vecs)
-            except ValueError as exc:
-                raise ConfigError(f"{path}.hamiltonian: {exc}") from None
+            with _field(f"{path}.hamiltonian"):
+                spectrum = quantum.HamiltonianSpectrum(vals, vecs)
         else:
             mat = _matrix_node(_require(ham, "matrix", f"{path}.hamiltonian"),
                                f"{path}.hamiltonian.matrix")
-            try:
+            with _field(f"{path}.hamiltonian.matrix"):
                 spectrum = quantum.HamiltonianSpectrum.from_matrix(mat)
-            except ValueError as exc:
-                raise ConfigError(f"{path}.hamiltonian.matrix: {exc}") from None
         state = _obj(_require(system, "state", path), f"{path}.state")
-        try:
+        with _field(f"{path}.state"):
             if "vector" in state:
-                vec = np.array([complex(re, im) for re, im in state["vector"]])
-                rho = quantum.DensityMatrix.from_vector(vec)
+                rho = quantum.DensityMatrix.from_vector(_pairs(state, "vector", f"{path}.state"))
             else:
                 rho = quantum.DensityMatrix(
                     _matrix_node(_require(state, "matrix", f"{path}.state"), f"{path}.state.matrix")
                 )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.state: {exc}") from None
 
     mpath = "scenario.measurement"
     if "sampler" in meas:
@@ -424,7 +483,7 @@ def _build_quantum(cfg: dict) -> _Runtime:
         outcomes = _integer(s, "outcomes", f"{mpath}.sampler")
         seed = _integer(s, "seed", f"{mpath}.sampler")
         name = s.get("name", "random")
-        try:
+        with _field(f"{mpath}.sampler"):
             if name == "random":
                 povm = quantum.random_povm(spectrum.dim, outcomes, seed)
             elif name == "projective":
@@ -435,18 +494,14 @@ def _build_quantum(cfg: dict) -> _Runtime:
                 )
             else:
                 raise ConfigError(f"{mpath}.sampler.name: unknown sampler {name!r}")
-        except ValueError as exc:
-            raise ConfigError(f"{mpath}.sampler: {exc}") from None
     else:
         elements = _require(meas, "povm", mpath)
         if not isinstance(elements, list) or not elements:
             raise ConfigError(f"{mpath}.povm: expected a nonempty list of matrices")
-        try:
+        with _field(f"{mpath}.povm"):
             povm = quantum.POVM(
                 [_matrix_node(el, f"{mpath}.povm[{k}]") for k, el in enumerate(elements)]
             )
-        except ValueError as exc:
-            raise ConfigError(f"{mpath}.povm: {exc}") from None
 
     if povm.dim != spectrum.dim or rho.dim != spectrum.dim:
         raise ConfigError(
@@ -477,14 +532,9 @@ def _build_quantum(cfg: dict) -> _Runtime:
 def _map_and_partition(cfg: dict) -> tuple[dict, classical.InvertibleMap, classical.Partition]:
     system = _obj(cfg["system"], "scenario.system")
     meas = _obj(cfg["measurement"], "scenario.measurement")
-    mapping = classical.map_from_config(
-        _obj(_require(system, "map", "scenario.system"), "scenario.system.map"),
-        "scenario.system.map",
-    )
+    mapping = _map_node(_require(system, "map", "scenario.system"), "scenario.system.map")
     path = "scenario.measurement.partition"
-    partition = classical.partition_from_config(
-        _obj(_require(meas, "partition", "scenario.measurement"), path), path
-    )
+    partition = _partition_node(_require(meas, "partition", "scenario.measurement"), path)
     if partition.dim != mapping.dim:
         raise ConfigError(f"{path}: {partition.dim}-d partition for {mapping.dim}-d map")
     return system, mapping, partition
@@ -493,10 +543,8 @@ def _map_and_partition(cfg: dict) -> tuple[dict, classical.InvertibleMap, classi
 def _build_classical_pure(cfg: dict) -> _Runtime:
     system, mapping, partition = _map_and_partition(cfg)
     point_cfg = _require(system, "point", "scenario.system")
-    try:
+    with _field("scenario.system.point"):
         point = classical.PhasePoint(point_cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"scenario.system.point: {exc}") from None
     if point.dim != mapping.dim:
         raise ConfigError(
             f"scenario.system.point: {point.dim}-d point for {mapping.dim}-d map"
@@ -512,7 +560,7 @@ def _build_classical_ensemble(cfg: dict) -> _Runtime:
     system, mapping, partition = _map_and_partition(cfg)
     ens_cfg = _obj(_require(system, "ensemble", "scenario.system"), "scenario.system.ensemble")
     path = "scenario.system.ensemble"
-    try:
+    with _field(path):
         if "sampler" in ens_cfg:
             s = _obj(ens_cfg["sampler"], f"{path}.sampler")
             if s.get("name", "contaminated-cat") != "contaminated-cat":
@@ -524,18 +572,11 @@ def _build_classical_ensemble(cfg: dict) -> _Runtime:
                 lattice=_integer(s, "lattice", f"{path}.sampler", 4),
             )
         else:
-            points = _entries(ens_cfg, "points", path, float)
-            if points is None:
-                raise ConfigError(f"{path}.points: required")
             ensemble = classical.ClassicalEnsemble(
-                points,
-                _entries(ens_cfg, "weights", path, float),
-                _entries(ens_cfg, "chaotic_flags", path, bool),
+                _entries(ens_cfg, "points", path),
+                _entries(ens_cfg, "weights", path, optional=True),
+                _entries(ens_cfg, "chaotic_flags", path, bool, optional=True),
             )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
     if ensemble.dim != mapping.dim:
         raise ConfigError(f"{path}: {ensemble.dim}-d points for {mapping.dim}-d map")
     probe = classical.ensemble_probe(ensemble, mapping, partition)
@@ -569,7 +610,7 @@ def _build_synthetic(cfg: dict) -> _Runtime:
         else _number(recipe, "dominant_weight", path)
     )
     amplitude = _number(recipe, "amplitude", path) if "amplitude" in recipe else 0.6
-    try:
+    with _field(path):
         probe = synthetic_probe(
             outcomes=outcomes,
             seed=seed,
@@ -577,8 +618,6 @@ def _build_synthetic(cfg: dict) -> _Runtime:
             mode_count=mode_count,
             amplitude=amplitude,
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
     diagnostics = {"N": probe.outcome_count}
     return _Runtime(
         "synthetic-probe", probe, _average_config(cfg), cfg["epsilon"], diagnostics

@@ -55,8 +55,7 @@ class InvertibleMap:
     """Reversible discrete-time dynamics on the torus.
 
     ``forward_many``/``backward_many`` act on an (n, dim) array of points; a
-    single point is the one-row case. ``map_from_config`` builds catalogue
-    maps from their scenario-config form.
+    single point is the one-row case.
     """
 
     name: str
@@ -723,40 +722,3 @@ def contaminated_cat_ensemble(
     points = np.vstack([pts, periodic])
     flags = np.concatenate([np.ones(n_chaotic, bool), np.zeros(n_periodic, bool)])
     return ClassicalEnsemble(points, None, flags)
-
-
-# --- scenario-config parsing ------------------------------------------------
-
-def map_from_config(cfg: dict, path: str = "map") -> InvertibleMap:
-    from .core import ConfigError
-
-    name = cfg.get("name")
-    if name == "baker-map":
-        return baker_map()
-    if name == "rotation" and "angles" not in cfg:
-        raise ConfigError(f"{path}.angles: required for rotation")
-    try:
-        if name == "rotation":
-            return rotation_map(cfg["angles"])
-        if name == "cat-map":
-            return cat_map(cfg.get("lattice"))
-    except (TypeError, ValueError) as exc:
-        field = "angles" if name == "rotation" else "lattice"
-        raise ConfigError(f"{path}.{field}: {exc}") from None
-    raise ConfigError(f"{path}.name: unknown map {name!r}")
-
-
-def partition_from_config(cfg: dict, path: str = "partition") -> Partition:
-    from .core import ConfigError
-
-    kind = cfg.get("kind")
-    try:
-        if kind == "interval":
-            return interval_partition(cfg["edges"])
-        if kind == "grid":
-            return grid_partition(cfg["edges"])
-    except KeyError:
-        raise ConfigError(f"{path}.edges: required") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.edges: {exc}") from None
-    raise ConfigError(f"{path}.kind: unknown partition kind {kind!r}")

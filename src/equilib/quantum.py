@@ -156,7 +156,7 @@ class HamiltonianSpectrum:
     eigenvectors: np.ndarray
     eigenspaces: tuple[tuple[int, ...], ...]
 
-    def __init__(self, eigenvalues, eigenvectors=None, degeneracy_tol: float | None = None):
+    def __init__(self, eigenvalues, eigenvectors=None):
         vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
         if vals.size < 1 or not np.all(np.isfinite(vals)):
             raise DomainError("need a nonempty list of finite eigenvalues")
@@ -172,8 +172,7 @@ class HamiltonianSpectrum:
             if np.abs(vecs.conj().T @ vecs - np.eye(d)).max() > UNITARY_TOL:
                 raise DomainError("eigenvector columns are not orthonormal")
         spread = float(vals[-1] - vals[0])
-        if degeneracy_tol is None:
-            degeneracy_tol = DEGENERACY_REL_TOL * spread
+        degeneracy_tol = DEGENERACY_REL_TOL * spread
         if spread == 0.0:
             groups = [list(range(d))]
         else:
@@ -193,12 +192,12 @@ class HamiltonianSpectrum:
         object.__setattr__(self, "eigenspaces", tuple(tuple(g) for g in groups))
 
     @staticmethod
-    def from_matrix(hamiltonian, degeneracy_tol: float | None = None) -> "HamiltonianSpectrum":
+    def from_matrix(hamiltonian) -> "HamiltonianSpectrum":
         arr = _as_square_complex(hamiltonian, "a Hamiltonian")
         if np.abs(arr - arr.conj().T).max() > HERMITIAN_TOL:
             raise DomainError("Hamiltonian is not Hermitian")
         vals, vecs = np.linalg.eigh(arr)
-        return HamiltonianSpectrum(vals, vecs, degeneracy_tol)
+        return HamiltonianSpectrum(vals, vecs)
 
     @property
     def dim(self) -> int:
@@ -427,16 +426,15 @@ def default_average_config(
     spectrum: HamiltonianSpectrum,
     samples: int = 10_000,
     seed: int = 0,
-    cycles: float = 1_000.0,
 ) -> TimeAverageConfig:
     """Averaging horizon resolving the slowest oscillation of the spectrum.
 
-    The horizon covers ``cycles`` periods of the smallest nonzero gap,
+    The horizon covers 1,000 periods of the smallest nonzero gap,
     under stratified-random sampling. A single-eigenspace spectrum has no
     dynamics at all; any horizon works and 1.0 is used.
     """
     gap = spectrum.minimum_gap()
-    horizon = cycles * 2.0 * math.pi / gap if gap > 0 else 1.0
+    horizon = 1_000.0 * 2.0 * math.pi / gap if gap > 0 else 1.0
     return TimeAverageConfig(horizon=horizon, samples=samples, seed=seed)
 
 
@@ -607,21 +605,3 @@ def uneven_povm(dim: int, outcomes: int, leak: float, seed: int) -> POVM:
     rest = random_povm(dim, outcomes - 1, seed)
     eye = np.eye(dim)
     return POVM([(1.0 - leak) * eye] + [leak * m for m in rest.elements])
-
-
-# --- matrix codec -------------------------------------------------------------
-
-def matrix_from_pairs(cfg: dict, path: str = "matrix") -> np.ndarray:
-    from .core import ConfigError
-
-    for key in ("rows", "cols", "data"):
-        if key not in cfg:
-            raise ConfigError(f"{path}.{key}: required")
-    rows, cols, data = cfg["rows"], cfg["cols"], cfg["data"]
-    if len(data) != rows * cols:
-        raise ConfigError(f"{path}.data: expected {rows * cols} pairs, got {len(data)}")
-    try:
-        flat = np.array([complex(re, im) for re, im in data])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.data: entries must be (real, imag) pairs") from None
-    return flat.reshape(rows, cols)

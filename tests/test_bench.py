@@ -100,6 +100,55 @@ INTEGER_FIELDS = [
 ]
 
 
+def explicit_quantum_config():
+    """The qubit scenario with its Hamiltonian as a matrix and its state as a
+    vector."""
+    cfg = qubit_config(name="qubit-matrix-vector")
+    cfg["system"] = {
+        "hamiltonian": {"matrix": {"rows": 2, "cols": 2,
+                                   "data": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}},
+        "state": {"vector": [[0.6, 0.0], [0.8, 0.0]]},
+    }
+    return cfg
+
+
+def eigenbasis_quantum_config():
+    """The qubit scenario with an explicit eigenvector matrix."""
+    cfg = qubit_config(name="qubit-eigenbasis")
+    cfg["system"]["hamiltonian"]["eigenvectors"] = {
+        "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+    return cfg
+
+
+def explicit_ensemble_config():
+    cfg = ensemble_config()
+    cfg["name"] = "ensemble-explicit"
+    cfg["system"]["ensemble"] = {"points": [[0.1, 0.2], [0.6, 0.7], [0.25, 0.5]],
+                                 "weights": [0.25, 0.25, 0.5],
+                                 "chaotic_flags": [True, True, False]}
+    return cfg
+
+
+def with_leaf(cfg: dict, keys: tuple, value) -> dict:
+    """A copy of ``cfg`` with the value at the key path ``keys`` replaced."""
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return cfg
+
+
+def leaves(node, keys: tuple = ()):
+    """Every scalar in a JSON tree, with its key path."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from leaves(value, keys + (key,))
+    else:
+        yield keys, node
+
+
 def outputs(records) -> list:
     """The records as dicts, without their wall times."""
     return [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in records]
@@ -477,6 +526,106 @@ class TestLoadScenario:
         path.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError, match="cannot read"):
             load_scenario(path)
+
+
+class TestConfigBoundary:
+    # each used to load as a number, escape as a bare TypeError, or load and
+    # become a numeric-failure record (rows = cols = -2 reshaped as -1 twice)
+    @pytest.mark.parametrize(
+        "make, keys, value, path",
+        [
+            pytest.param(qubit_config, ("system", "hamiltonian", "eigenvalues"), ["0", "1"],
+                         r"scenario\.system\.hamiltonian\.eigenvalues", id="eigenvalue-strings"),
+            pytest.param(qubit_config, ("system", "hamiltonian", "eigenvalues"), [False, True],
+                         r"scenario\.system\.hamiltonian\.eigenvalues", id="eigenvalue-booleans"),
+            pytest.param(qubit_config, ("system", "hamiltonian", "eigenvalues", 0), {},
+                         r"scenario\.system\.hamiltonian\.eigenvalues", id="eigenvalue-object"),
+            pytest.param(qubit_config, ("system", "state", "matrix", "data", 1), [0.5, False],
+                         r"scenario\.system\.state\.matrix\.data", id="state-pair-boolean"),
+            pytest.param(qubit_config, ("measurement", "povm", 1, "data", 0), [0.5, False],
+                         r"scenario\.measurement\.povm\[1\]\.data", id="povm-pair-boolean"),
+            pytest.param(explicit_quantum_config, ("system", "hamiltonian", "matrix", "data", 3),
+                         [1.0, False], r"scenario\.system\.hamiltonian\.matrix\.data",
+                         id="hamiltonian-pair-boolean"),
+            pytest.param(eigenbasis_quantum_config,
+                         ("system", "hamiltonian", "eigenvectors", "data", 0), [1.0, False],
+                         r"scenario\.system\.hamiltonian\.eigenvectors\.data",
+                         id="eigenvector-pair-boolean"),
+            pytest.param(explicit_quantum_config, ("system", "state", "vector", 0), [0.6, False],
+                         r"scenario\.system\.state\.vector", id="vector-pair-boolean"),
+            pytest.param(qubit_config, ("system", "state", "matrix", "rows"), None,
+                         r"scenario\.system\.state\.matrix\.rows", id="rows-null"),
+            pytest.param(qubit_config, ("measurement", "povm", 1, "cols"), None,
+                         r"scenario\.measurement\.povm\[1\]\.cols", id="cols-null"),
+            pytest.param(explicit_quantum_config, ("system", "hamiltonian", "matrix", "data"), True,
+                         r"scenario\.system\.hamiltonian\.matrix\.data", id="data-boolean"),
+            pytest.param(qubit_config, ("system", "state", "matrix", "rows"), "2",
+                         r"scenario\.system\.state\.matrix\.rows", id="rows-string"),
+            pytest.param(qubit_config, ("system", "state", "matrix"), {"file": 5},
+                         r"scenario\.system\.state\.matrix\.file", id="file-number"),
+            pytest.param(eigenbasis_quantum_config, ("system", "hamiltonian", "eigenvectors"),
+                         {"rows": -2, "cols": -2, "data": [[1.0, 0.0], [0.0, 0.0],
+                                                           [0.0, 0.0], [1.0, 0.0]]},
+                         r"scenario\.system\.hamiltonian\.eigenvectors\.rows",
+                         id="rows-negative"),
+        ],
+    )
+    def test_bad_quantum_leaf_names_its_path(self, make, keys, value, path):
+        with pytest.raises(ConfigError, match=path + ": "):
+            load_scenario(with_leaf(make(), keys, value))
+
+    def test_pairs_are_complex_bit_for_bit(self):
+        pairs = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [1.5, -2.25]]
+        got = bench._matrix_node({"rows": 2, "cols": 2, "data": pairs}, "matrix")
+        want = np.array([complex(re, im) for re, im in pairs]).reshape(2, 2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "sampler, path",
+        [({"name": "nope", "outcomes": 3, "seed": 22}, "scenario.measurement.sampler.name"),
+         ({"name": "uneven", "outcomes": 3, "seed": 22}, "scenario.measurement.sampler.leak")],
+        ids=["unknown-name", "missing-leak"],
+    )
+    def test_sampler_error_names_one_path(self, sampler, path):
+        cfg = sampled_quantum_config()
+        cfg["measurement"]["sampler"] = sampler
+        with pytest.raises(ConfigError) as info:
+            load_scenario(cfg)
+        message = str(info.value)
+        assert message.startswith(path + ": ")
+        assert message.count(path) == message.count("scenario.") == 1
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [scn.config for scn in builtin_scenarios()]
+        + [explicit_quantum_config(), eigenbasis_quantum_config(), explicit_ensemble_config()],
+        ids=lambda cfg: cfg["name"],
+    )
+    def test_every_leaf_fails_only_as_a_config_error(self, cfg):
+        # few samples and short horizons keep each of the many runs quick
+        cfg = copy.deepcopy(cfg)
+        cfg["average"]["samples"] = 16
+        if cfg["average"]["horizon"] != "auto":
+            cfg["average"]["horizon"] = 64
+        assert all(rec.error is None for rec in run_scenario(load_scenario(cfg)))
+        escapes, loaded = [], []
+        swept = cfg.get("sweep", {})
+        for keys, leaf in leaves(cfg):
+            # a field the sweep grid sets is not read from its own leaf
+            numeric = (isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
+                       and ".".join(map(str, keys)) not in swept)
+            for value in ["x", True, None, [], {}, [[1]], -1, "2", str(leaf), False]:
+                try:
+                    run_scenario(load_scenario(with_leaf(cfg, keys, value)))
+                except ConfigError:
+                    continue
+                except Exception as exc:  # collected, to report every escape at once
+                    escapes.append((keys, value, repr(exc)))
+                    continue
+                if numeric and isinstance(value, (str, bool)):
+                    loaded.append((keys, value))
+        assert escapes == []
+        assert loaded == []
 
 
 class TestRunScenario:

@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 from equilib import classical
+from equilib.bench import _map_node, _partition_node
 from equilib.classical import (
     MAX_ORBIT_STEPS,
     ClassicalEnsemble,
@@ -31,9 +32,7 @@ from equilib.classical import (
     ensemble_probe,
     grid_partition,
     interval_partition,
-    map_from_config,
     mixed_equilibration_bound,
-    partition_from_config,
     pure_average_distinguishability,
     rotation_map,
 )
@@ -903,7 +902,7 @@ class TestSerialization:
         ]],
     )
     def test_map_roundtrip(self, cfg, mapping):
-        clone = map_from_config(cfg)
+        clone = _map_node(cfg, "map")
         assert clone.name == mapping.name
         pts = np.random.default_rng(0).random((16, mapping.dim))
         if "lattice" in mapping.name:
@@ -912,14 +911,14 @@ class TestSerialization:
 
     def test_partition_roundtrip(self):
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.75, 1.0]])
-        clone = partition_from_config(part.description)
+        clone = _partition_node(part.description, "partition")
         pts = np.random.default_rng(1).random((64, 2))
         assert np.array_equal(clone.cells_of_many(pts), part.cells_of_many(pts))
 
     def test_config_errors_carry_paths(self):
         with pytest.raises(ConfigError, match="system.map.name"):
-            map_from_config({"name": "hyperion"}, "scenario.system.map")
+            _map_node({"name": "hyperion"}, "scenario.system.map")
         with pytest.raises(ConfigError, match="partition.kind"):
-            partition_from_config({"kind": "voronoi"})
+            _partition_node({"kind": "voronoi"}, "partition")
         with pytest.raises(ConfigError, match="partition.edges"):
-            partition_from_config({"kind": "interval", "edges": [0.5, 1.0]})
+            _partition_node({"kind": "interval", "edges": [0.5, 1.0]}, "partition")

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from equilib.bench import _matrix_node
 from equilib.core import (
     DimensionError,
     DomainError,
@@ -28,7 +29,6 @@ from equilib.quantum import (
     extend_povm,
     gap_table,
     haar_unitary,
-    matrix_from_pairs,
     max_gap_degeneracy,
     max_outcomes_for_equilibration,
     partial_trace_ancilla,
@@ -670,16 +670,16 @@ class TestCodecsAndExport:
         rng = np.random.default_rng(2)
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         pairs = [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
-        clone = matrix_from_pairs({"rows": 3, "cols": 3, "data": pairs})
+        clone = _matrix_node({"rows": 3, "cols": 3, "data": pairs}, "matrix")
         assert np.array_equal(clone, m)
 
     def test_matrix_from_pairs_errors(self):
         from equilib.core import ConfigError
 
         with pytest.raises(ConfigError, match="matrix.data"):
-            matrix_from_pairs({"rows": 2, "cols": 2, "data": [[0, 0]]})
+            _matrix_node({"rows": 2, "cols": 2, "data": [[0, 0]]}, "matrix")
         with pytest.raises(ConfigError, match="matrix.rows"):
-            matrix_from_pairs({"cols": 2, "data": []})
+            _matrix_node({"cols": 2, "data": []}, "matrix")
 
     def test_default_average_config(self):
         cfg = default_average_config(QUBIT_H, samples=128, seed=4)

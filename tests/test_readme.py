@@ -1,10 +1,14 @@
-"""The README's API example runs as written and prints what its comments say."""
+"""The README's examples run as written: the API tour prints what its comments
+say, and the scenario config loads and equilibrates."""
 
 import contextlib
 import io
+import json
 import math
 import re
 from pathlib import Path
+
+from equilib.bench import STATUS_SATISFIED, load_scenario, run_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +33,11 @@ def test_api_tour_prints_its_commented_values():
     # (1/2) sqrt((N - 1) D_G / d_eff) with N = 2, D_G = 1, d_eff = 2
     assert abs(float(printed[0]) - 1 / math.pi) < 5e-3
     assert math.isclose(float(printed[1]), 0.5 * math.sqrt(0.5), rel_tol=1e-15)
+
+
+def test_scenario_example_equilibrates():
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    (record,) = run_scenario(load_scenario(json.loads(block)))
+    assert record.error is None
+    assert record.report.verdict == "equilibrates"
+    assert record.bounds["thm5-spectral"].status == STATUS_SATISFIED
