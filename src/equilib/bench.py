@@ -173,7 +173,8 @@ def _number(cfg: dict, key: str, path: str) -> float:
     value = _require(cfg, key, path)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-    return float(value)
+    with _field(f"{path}.{key}"):
+        return float(value)
 
 
 def _integer(cfg: dict, key: str, path: str, default: int | None = None) -> int:
@@ -187,15 +188,24 @@ def _integer(cfg: dict, key: str, path: str, default: int | None = None) -> int:
     return value
 
 
+def _seed(cfg: dict, path: str, default: int | None = None) -> int:
+    """``cfg["seed"]``, an integer >= 0."""
+    seed = _integer(cfg, "seed", path, default)
+    if seed < 0:
+        raise ConfigError(f"{path}.seed: must be >= 0, got {seed}")
+    return seed
+
+
 @contextlib.contextmanager
 def _field(path: str):
-    """Decode the config field ``path``: a TypeError or ValueError raised
-    inside becomes a ConfigError naming it; a ConfigError passes through."""
+    """Decode the config field ``path``: a TypeError, ValueError or
+    OverflowError raised inside becomes a ConfigError naming it; a
+    ConfigError passes through."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -217,7 +227,8 @@ def _entries(
     if bad:
         what = "JSON booleans" if kind is bool else "numbers"
         raise ConfigError(f"{path}.{key}: expected {what}, got {bad[0]!r}")
-    return np.asarray(cfg[key], dtype=kind)
+    with _field(f"{path}.{key}"):
+        return np.asarray(cfg[key], dtype=kind)
 
 
 def _pairs(cfg: dict, key: str, path: str) -> np.ndarray:
@@ -311,7 +322,7 @@ def load_scenario(
             raise
         except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
             avg = _obj(resolved["average"], "scenario.average")
-            seed = _integer(avg, "seed", "scenario.average", 0)
+            seed = _seed(avg, "scenario.average", 0)
             rt = _Failure(f"{type(exc).__name__}: {exc}", seed)
         built.append((rt, time.perf_counter() - start))
     return Scenario(name=name, kind=kind, config=raw, sweep_points=tuple(points),
@@ -336,8 +347,10 @@ def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
     path = "scenario.average"
     if not isinstance(avg, dict):
         raise ConfigError(f"{path}: expected an object")
-    samples = _integer(avg, "samples", path)
-    seed = _integer(avg, "seed", path, 0)
+    with _field(f"{path}.samples"):
+        # an array length: a count beyond int64 fails here, not at run time
+        samples = int(np.int64(_integer(avg, "samples", path)))
+    seed = _seed(avg, path, 0)
     scheme = avg.get("scheme", "stratified-random")
     horizon = avg.get("horizon", "auto")
     if horizon == "auto":
@@ -346,8 +359,10 @@ def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
         horizon = quantum.default_average_config(spectrum).horizon
     elif not isinstance(horizon, (int, float)) or isinstance(horizon, bool):
         raise ConfigError(f"{path}.horizon: expected a number or 'auto'")
+    else:
+        horizon = _number(avg, "horizon", path)
     with _field(path):
-        return TimeAverageConfig(horizon=float(horizon), samples=samples, scheme=scheme, seed=seed)
+        return TimeAverageConfig(horizon=horizon, samples=samples, scheme=scheme, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -440,7 +455,7 @@ def _build_quantum(cfg: dict) -> _Runtime:
     if "sampler" in system:
         s = _obj(system["sampler"], f"{path}.sampler")
         dim = _integer(s, "dim", f"{path}.sampler")
-        seed = _integer(s, "seed", f"{path}.sampler")
+        seed = _seed(s, f"{path}.sampler")
         spec_kind = s.get("spectrum", "generic")
         spacing = _number(s, "spacing", f"{path}.sampler") if "spacing" in s else 1.0
         if not (math.isfinite(spacing) and spacing > 0):
@@ -481,7 +496,7 @@ def _build_quantum(cfg: dict) -> _Runtime:
     if "sampler" in meas:
         s = _obj(meas["sampler"], f"{mpath}.sampler")
         outcomes = _integer(s, "outcomes", f"{mpath}.sampler")
-        seed = _integer(s, "seed", f"{mpath}.sampler")
+        seed = _seed(s, f"{mpath}.sampler")
         name = s.get("name", "random")
         with _field(f"{mpath}.sampler"):
             if name == "random":
@@ -511,18 +526,15 @@ def _build_quantum(cfg: dict) -> _Runtime:
     probe = quantum.quantum_probe(rho, spectrum, povm)
     avg = _average_config(cfg, spectrum)
     d_eff = quantum.effective_dimension(rho, spectrum)
-    base_tol = quantum.GAP_REL_TOL * spectrum.spectral_range if gap_tol is None else gap_tol
-    d_g = quantum.max_gap_degeneracy(spectrum, base_tol)
+    table = quantum.gap_table(spectrum, gap_tol)
     diagnostics = {
         "N": povm.outcome_count,
         "d": spectrum.dim,
         "d_eff": d_eff,
-        "D_G": d_g,
-        "gap_tolerance": base_tol,
+        "D_G": table.max_degeneracy,
+        "gap_tolerance": table.tolerance,
         "D_G_sensitivity": {
-            f"{f:g}x": quantum.max_gap_degeneracy(spectrum, f * base_tol)
-            if base_tol > 0 and f != 1.0 else d_g
-            for f in (0.1, 1.0, 10.0)
+            f"{f:g}x": deg for f, deg in quantum.gap_degeneracy_sensitivity(table).items()
         },
         "single_eigenspace": spectrum.eigenspace_count < 2,
     }
@@ -568,7 +580,7 @@ def _build_classical_ensemble(cfg: dict) -> _Runtime:
             ensemble = classical.contaminated_cat_ensemble(
                 count=_integer(s, "count", f"{path}.sampler"),
                 delta=_number(s, "delta", f"{path}.sampler"),
-                seed=_integer(s, "seed", f"{path}.sampler"),
+                seed=_seed(s, f"{path}.sampler"),
                 lattice=_integer(s, "lattice", f"{path}.sampler", 4),
             )
         else:
@@ -603,7 +615,7 @@ def _build_synthetic(cfg: dict) -> _Runtime:
     recipe = _obj(_require(system, "probe", "scenario.system"), "scenario.system.probe")
     path = "scenario.system.probe"
     outcomes = _integer(recipe, "outcomes", path)
-    seed = _integer(recipe, "seed", path)
+    seed = _seed(recipe, path)
     mode_count = _integer(recipe, "mode_count", path, 3)
     dominant_weight = (
         None if recipe.get("dominant_weight") is None

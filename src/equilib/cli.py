@@ -147,14 +147,11 @@ def bounds(outcomes, d_eff, d_g, epsilon, delta, eigenvalues):
     try:
         if eigenvalues is not None:
             values = [float(v) for v in eigenvalues.split(",")]
-            spectrum = quantum.HamiltonianSpectrum(sorted(values))
-            base = quantum.GAP_REL_TOL * spectrum.spectral_range
-            for factor in (0.1, 1.0, 10.0):
-                tol = factor * base
-                deg = quantum.max_gap_degeneracy(spectrum, tol if tol > 0 else None)
-                click.echo(f"gap-degeneracy @ {factor:g}x tolerance ({tol:.3e}): {deg}")
-                if factor == 1.0:
-                    d_g = deg
+            table = quantum.gap_table(quantum.HamiltonianSpectrum(sorted(values)))
+            for factor, deg in quantum.gap_degeneracy_sensitivity(table).items():
+                click.echo(f"gap-degeneracy @ {factor:g}x tolerance "
+                           f"({factor * table.tolerance:.3e}): {deg}")
+            d_g = table.max_degeneracy
         if d_eff is not None:
             value = quantum.equilibration_bound(outcomes, d_g, d_eff)
             click.echo(f"spectral bound (N={outcomes}, D_G={d_g}, d_eff={d_eff:g}): "

@@ -194,6 +194,8 @@ class TimeAverageConfig:
             raise DomainError(f"need at least 2 samples, got {self.samples}")
         if self.scheme not in (SCHEME_UNIFORM, SCHEME_STRATIFIED):
             raise DomainError(f"unknown sampling scheme {self.scheme!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 def sample_times(cfg: TimeAverageConfig) -> np.ndarray:

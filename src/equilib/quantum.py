@@ -135,26 +135,24 @@ class POVM:
         return OutcomeDistribution(p)
 
 
-def _group_close(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices of ascending ``values`` whose consecutive spacing is < tol."""
-    groups: list[list[int]] = [[0]]
-    for k in range(1, values.size):
-        if values[k] - values[k - 1] < tol:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return groups
+def _chain_classes(ascending: np.ndarray, tol: float) -> np.ndarray:
+    """Class labels 0, 1, ... of ``ascending`` values: a class starts at every
+    value at least ``tol`` above its predecessor, so ``tol <= 0`` splits all."""
+    labels = np.zeros(ascending.size, dtype=np.int64)
+    labels[1:] = np.diff(ascending) >= tol
+    return np.cumsum(labels, out=labels)
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpectrum:
     """Spectral data of a Hamiltonian: ascending eigenvalues, a unitary of
-    eigenvector columns, and the grouping of indices into degenerate
-    eigenspaces at the construction tolerance."""
+    eigenvector columns, and the eigenspace label of each index. Neighbours
+    closer than DEGENERACY_REL_TOL times the spectral range chain into one
+    eigenspace; a chain wider than that tolerance is rejected as ambiguous."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    eigenspaces: tuple[tuple[int, ...], ...]
+    space_of_index: np.ndarray
 
     def __init__(self, eigenvalues, eigenvectors=None):
         vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
@@ -172,24 +170,25 @@ class HamiltonianSpectrum:
             if np.abs(vecs.conj().T @ vecs - np.eye(d)).max() > UNITARY_TOL:
                 raise DomainError("eigenvector columns are not orthonormal")
         spread = float(vals[-1] - vals[0])
-        degeneracy_tol = DEGENERACY_REL_TOL * spread
-        if spread == 0.0:
-            groups = [list(range(d))]
-        else:
-            groups = _group_close(vals, degeneracy_tol)
-            for g in groups:
-                if vals[g[-1]] - vals[g[0]] >= degeneracy_tol > 0:
-                    raise DomainError(
-                        "eigenvalue clustering is ambiguous at this tolerance "
-                        f"(chained spread {vals[g[-1]] - vals[g[0]]:.3e})"
-                    )
+        degeneracy_tol = DEGENERACY_REL_TOL * spread if spread > 0 else math.inf
+        labels = _chain_classes(vals, degeneracy_tol)
+        sizes = np.bincount(labels)
+        last = np.cumsum(sizes) - 1
+        chained = vals[last] - vals[last - sizes + 1]
+        # a tolerance that underflows to 0 leaves only singletons, never ambiguous
+        wide = chained[(chained >= degeneracy_tol) & (chained > 0)]
+        if wide.size:
+            raise DomainError(
+                "eigenvalue clustering is ambiguous at this tolerance "
+                f"(chained spread {wide[0]:.3e})"
+            )
         vals = vals.copy()
-        vals.setflags(write=False)
         vecs = vecs.copy()
-        vecs.setflags(write=False)
+        for arr in (vals, vecs, labels):
+            arr.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
-        object.__setattr__(self, "eigenspaces", tuple(tuple(g) for g in groups))
+        object.__setattr__(self, "space_of_index", labels)
 
     @staticmethod
     def from_matrix(hamiltonian) -> "HamiltonianSpectrum":
@@ -205,19 +204,13 @@ class HamiltonianSpectrum:
 
     @property
     def eigenspace_count(self) -> int:
-        return len(self.eigenspaces)
+        return int(self.space_of_index[-1]) + 1
 
     @cached_property
     def eigenspace_energies(self) -> np.ndarray:
         """Representative (mean) energy per eigenspace, ascending."""
-        return np.array([self.eigenvalues[list(g)].mean() for g in self.eigenspaces])
-
-    @cached_property
-    def space_of_index(self) -> np.ndarray:
-        labels = np.empty(self.dim, dtype=np.int64)
-        for s, group in enumerate(self.eigenspaces):
-            labels[list(group)] = s
-        return labels
+        labels = self.space_of_index
+        return np.bincount(labels, weights=self.eigenvalues) / np.bincount(labels)
 
     @property
     def spectral_range(self) -> float:
@@ -266,7 +259,8 @@ def gap_table(spectrum: HamiltonianSpectrum, gap_tol: float | None = None) -> Ga
     contribute one gap per eigenspace pair, and the zero gaps internal to an
     eigenspace are excluded. Sorted gaps chain into one class while
     consecutive ones differ by less than ``gap_tol`` (default: GAP_REL_TOL
-    times the spectral range); at a tolerance of 0 every gap is its own class.
+    times the spectral range), the rule that also chains eigenvalues into
+    eigenspaces; at a tolerance of 0 every gap is its own class.
     """
     if gap_tol is None:
         gap_tol = GAP_REL_TOL * spectrum.spectral_range
@@ -275,12 +269,8 @@ def gap_table(spectrum: HamiltonianSpectrum, gap_tol: float | None = None) -> Ga
     n, j = np.nonzero(~np.eye(s, dtype=bool))
     values = energies[n] - energies[j]
     order = np.argsort(values, kind="stable")
-    # a class starts at every sorted gap at least gap_tol above its
-    # predecessor; sorted differences are >= 0, so gap_tol <= 0 splits all
-    starts = np.zeros(values.size, dtype=np.int64)
-    starts[1:] = np.diff(values[order]) >= gap_tol
     class_of = np.empty(values.size, dtype=np.int64)
-    class_of[order] = np.cumsum(starts)
+    class_of[order] = _chain_classes(values[order], gap_tol)
     pairs = np.stack([n, j], axis=1)
     for arr in (pairs, values, class_of):
         arr.setflags(write=False)
@@ -294,9 +284,21 @@ def max_gap_degeneracy(spectrum: HamiltonianSpectrum, gap_tol: float | None = No
     degeneracy is then 1 (the resulting bound is vacuous and callers should
     flag it).
     """
-    if spectrum.eigenspace_count < 2:
-        return 1
     return gap_table(spectrum, gap_tol).max_degeneracy
+
+
+def gap_degeneracy_sensitivity(table: GapTable) -> dict[float, int]:
+    """Largest gap-class size when the gaps of ``table`` are re-clustered at
+    0.1, 1 and 10 times its tolerance, keyed by the factor. The value at 1 is
+    ``table.max_degeneracy``; a spread across factors means the degeneracy
+    hinges on the tolerance."""
+    ascending = np.sort(table.values)
+    degeneracy = {}
+    for factor in (0.1, 1.0, 10.0):
+        labels = _chain_classes(ascending, factor * table.tolerance)
+        # no gaps at all (one eigenspace) counts as 1, as in GapTable
+        degeneracy[factor] = int(np.bincount(labels).max(initial=1))
+    return degeneracy
 
 
 def dephase(rho: DensityMatrix, spectrum: HamiltonianSpectrum) -> DensityMatrix:
@@ -320,7 +322,7 @@ def eigenspace_weights(rho: DensityMatrix, spectrum: HamiltonianSpectrum) -> np.
     if rho.dim != spectrum.dim:
         raise DimensionError(f"state is {rho.dim}-d, spectrum is {spectrum.dim}-d")
     diag = np.real(np.diag(spectrum.to_energy_basis(rho.matrix)))
-    return np.array([diag[list(g)].sum() for g in spectrum.eigenspaces])
+    return np.bincount(spectrum.space_of_index, weights=diag)
 
 
 def effective_dimension(rho: DensityMatrix, spectrum: HamiltonianSpectrum) -> float:

@@ -162,6 +162,10 @@ class TestTimeAverageConfig:
         with pytest.raises(DomainError):
             TimeAverageConfig(horizon=1.0, samples=10, scheme="sobol")
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            TimeAverageConfig(horizon=1.0, samples=10, seed=-1)
+
     def test_uniform_grid_times(self):
         cfg = TimeAverageConfig(horizon=10.0, samples=5, scheme="uniform-grid")
         assert np.array_equal(sample_times(cfg), [0.0, 2.0, 4.0, 6.0, 8.0])

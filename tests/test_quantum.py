@@ -18,6 +18,7 @@ from equilib.core import (
 from equilib.quantum import (
     POVM,
     DensityMatrix,
+    DEGENERACY_REL_TOL,
     GAP_REL_TOL,
     HamiltonianSpectrum,
     default_average_config,
@@ -27,6 +28,7 @@ from equilib.quantum import (
     equilibration_bound,
     extend_hamiltonian,
     extend_povm,
+    gap_degeneracy_sensitivity,
     gap_table,
     haar_unitary,
     max_gap_degeneracy,
@@ -86,6 +88,32 @@ def tuple_gap_table(spectrum, gap_tol=None):
         else:
             classes.append([int(k)])
     return pairs, values, classes
+
+
+def loop_eigenspaces(values):
+    """Reference eigenspaces: a Python loop over ascending ``values`` that
+    starts a new group wherever the spacing reaches DEGENERACY_REL_TOL times
+    the spectral range (one group when that range is 0)."""
+    spread = values[-1] - values[0]
+    if spread == 0.0:
+        return [list(range(len(values)))]
+    tol = DEGENERACY_REL_TOL * spread
+    groups = [[0]]
+    for k in range(1, len(values)):
+        if values[k] - values[k - 1] < tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return groups
+
+
+def planted_clusters(rng):
+    """Ascending levels in clusters of 1-9 copies, each copy within a few
+    1e-13 of its cluster's centre, so the clusters are unambiguous."""
+    centres = np.sort(rng.uniform(-5.0, 5.0, size=rng.integers(1, 8)))
+    vals = [c + rng.uniform(0.0, 1e-13) * rng.integers(0, 2)
+            for c in centres for _ in range(rng.integers(1, 10))]
+    return np.sort(vals)
 
 
 def reference_evolution(rho, spectrum, t):
@@ -213,13 +241,49 @@ class TestHamiltonianSpectrum:
 
     def test_eigenspace_grouping(self):
         spec = HamiltonianSpectrum([0.0, 0.0, 1.0, 2.0])
-        assert spec.eigenspaces == ((0, 1), (2,), (3,))
+        assert spec.space_of_index.tolist() == [0, 0, 1, 2]
         assert spec.eigenspace_count == 3
 
     def test_fully_degenerate(self):
         spec = HamiltonianSpectrum([2.0, 2.0, 2.0])
-        assert spec.eigenspaces == ((0, 1, 2),)
+        assert spec.space_of_index.tolist() == [0, 0, 0]
         assert spec.minimum_gap() == 0.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, 0.0, 1.0, 2.0], [2.0, 2.0, 2.0], [1.5]]
+        + [planted_clusters(np.random.default_rng(seed)) for seed in range(20)],
+        ids=["levels", "degenerate", "single"] + [f"planted{seed}" for seed in range(20)],
+    )
+    def test_labels_match_the_loop(self, values):
+        d = len(values)
+        rng = np.random.default_rng(d)
+        spec = HamiltonianSpectrum(values, haar_unitary(d, rng))
+        rho = random_mixed_state(d, d + 1)
+        groups = loop_eigenspaces(np.asarray(values))
+        expected = np.empty(d, dtype=np.int64)
+        for s, group in enumerate(groups):
+            expected[group] = s
+        assert spec.space_of_index.tolist() == expected.tolist()
+        assert spec.eigenspace_count == len(groups)
+        diag = np.real(np.diag(spec.to_energy_basis(rho.matrix)))
+        np.testing.assert_allclose(
+            spec.eigenspace_energies, [spec.eigenvalues[g].mean() for g in groups],
+            rtol=1e-15, atol=0)
+        np.testing.assert_allclose(
+            eigenspace_weights(rho, spec), [diag[g].sum() for g in groups],
+            rtol=1e-15, atol=0)
+
+    def test_labels_are_read_only(self):
+        with pytest.raises(ValueError):
+            HamiltonianSpectrum([0.0, 1.0]).space_of_index[0] = 1
+
+    def test_ambiguous_chain(self):
+        # each neighbour is within the 1e-9 tolerance, the chain is not
+        with pytest.raises(DomainError, match="ambiguous"):
+            HamiltonianSpectrum([0.0, 7e-10, 1.4e-9, 1.0])
+        spec = HamiltonianSpectrum([0.0, 7e-10, 1.0])
+        assert spec.space_of_index.tolist() == [0, 0, 1]
 
     def test_from_matrix(self):
         rng = np.random.default_rng(0)
@@ -407,6 +471,19 @@ class TestGapTable:
         assert table.pairs.shape == (0, 2)
         assert table.values.size == 0 and table.class_of.size == 0
         assert table.max_degeneracy == 1
+
+    @pytest.mark.parametrize("gap_tol", [None, 0.0, 0.3], ids=["default", "zero", "0.3"])
+    @pytest.mark.parametrize("kind", sorted(GAP_SPECTRA))
+    def test_sensitivity_equals_three_tables(self, kind, gap_tol):
+        spec = GAP_SPECTRA[kind]()
+        table = gap_table(spec, gap_tol)
+        assert gap_degeneracy_sensitivity(table) == {
+            f: max_gap_degeneracy(spec, f * table.tolerance) for f in (0.1, 1.0, 10.0)
+        }
+
+    def test_single_eigenspace_sensitivity(self):
+        table = gap_table(HamiltonianSpectrum([2.0, 2.0, 2.0]))
+        assert gap_degeneracy_sensitivity(table) == {0.1: 1, 1.0: 1, 10.0: 1}
 
     def test_arrays_are_read_only(self):
         table = gap_table(GAP_SPECTRA["ladder"]())
