@@ -17,13 +17,14 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import classical, quantum
 from .core import (
+    MAX_SAMPLES,
     ConfigError,
     OutcomeDistribution,
     EquilibrationReport,
@@ -69,7 +70,7 @@ class BoundCheck:
         return {"value": self.value, "status": self.status}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RunRecord:
     """One executed sweep point: parameters, measurement, bound statuses."""
 
@@ -85,11 +86,6 @@ class RunRecord:
         missing = [name for name in BOUND_NAMES if name not in self.bounds]
         if missing:
             raise ConfigError(f"record is missing bound entries: {missing}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RunRecord):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
         rep = None
@@ -347,9 +343,9 @@ def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
     path = "scenario.average"
     if not isinstance(avg, dict):
         raise ConfigError(f"{path}: expected an object")
-    with _field(f"{path}.samples"):
-        # an array length: a count beyond int64 fails here, not at run time
-        samples = int(np.int64(_integer(avg, "samples", path)))
+    samples = _integer(avg, "samples", path)
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"{path}.samples: must be at most {MAX_SAMPLES}, got {samples}")
     seed = _seed(avg, path, 0)
     scheme = avg.get("scheme", "stratified-random")
     horizon = avg.get("horizon", "auto")
@@ -369,17 +365,24 @@ def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
 class _Runtime:
     """Everything needed to execute one resolved sweep point.
 
-    ``quadrature_error_of`` maps the measured equilibrium distribution to the
-    resolution floor of a quadrature-discretized probe (0 for exact probes);
-    it is evaluated at run time, never at load.
+    ``params`` go into the point's record. ``bound_values`` holds the value
+    of every bound that applies to the point, by name; universal sufficiency
+    applies to all and comes first. ``quadrature_error_of`` maps the measured
+    equilibrium distribution to the resolution floor of a
+    quadrature-discretized probe (0 for exact probes); it is evaluated at run
+    time, never at load.
     """
 
-    kind: str
     probe: TrajectoryProbe
     cfg: TimeAverageConfig
     epsilon: float
-    diagnostics: dict
+    params: dict
+    bound_values: dict[str, float]
     quadrature_error_of: Callable[[OutcomeDistribution], float] | None = None
+
+    def __post_init__(self):
+        universal = {"thm1-sufficiency": 1.0 - self.epsilon / 2.0}
+        object.__setattr__(self, "bound_values", {**universal, **self.bound_values})
 
 
 @dataclass(frozen=True)
@@ -527,7 +530,7 @@ def _build_quantum(cfg: dict) -> _Runtime:
     avg = _average_config(cfg, spectrum)
     d_eff = quantum.effective_dimension(rho, spectrum)
     table = quantum.gap_table(spectrum, gap_tol)
-    diagnostics = {
+    params = {
         "N": povm.outcome_count,
         "d": spectrum.dim,
         "d_eff": d_eff,
@@ -538,7 +541,8 @@ def _build_quantum(cfg: dict) -> _Runtime:
         },
         "single_eigenspace": spectrum.eigenspace_count < 2,
     }
-    return _Runtime("quantum", probe, avg, cfg["epsilon"], diagnostics)
+    bound = quantum.equilibration_bound(povm.outcome_count, table.max_degeneracy, d_eff)
+    return _Runtime(probe, avg, cfg["epsilon"], params, {"thm5-spectral": bound})
 
 
 def _map_and_partition(cfg: dict) -> tuple[dict, classical.InvertibleMap, classical.Partition]:
@@ -562,10 +566,9 @@ def _build_classical_pure(cfg: dict) -> _Runtime:
             f"scenario.system.point: {point.dim}-d point for {mapping.dim}-d map"
         )
     probe = classical.classical_probe(point, mapping, partition)
-    diagnostics = {"N": partition.cell_count, "map": mapping.name}
-    return _Runtime(
-        "classical-pure", probe, _average_config(cfg), cfg["epsilon"], diagnostics
-    )
+    params = {"N": partition.cell_count, "map": mapping.name}
+    return _Runtime(probe, _average_config(cfg), cfg["epsilon"], params,
+                    {"thm2-necessity": 1.0 - cfg["epsilon"]})
 
 
 def _build_classical_ensemble(cfg: dict) -> _Runtime:
@@ -592,18 +595,23 @@ def _build_classical_ensemble(cfg: dict) -> _Runtime:
     if ensemble.dim != mapping.dim:
         raise ConfigError(f"{path}: {ensemble.dim}-d points for {mapping.dim}-d map")
     probe = classical.ensemble_probe(ensemble, mapping, partition)
-    diagnostics = {
+    delta = ensemble.periodic_weight
+    params = {
         "N": partition.cell_count,
         "map": mapping.name,
-        "delta": ensemble.periodic_weight,
+        "delta": delta,
         "ensemble_size": ensemble.size,
     }
+    # the mixing bound covers mostly chaotic mixtures only
+    bounds = {}
+    if delta <= 0.5:
+        bounds["thm3-mixing"] = classical.mixed_equilibration_bound(partition.cell_count, delta)
     return _Runtime(
-        "classical-ensemble",
         probe,
         _average_config(cfg),
         cfg["epsilon"],
-        diagnostics,
+        params,
+        bounds,
         # the cloud resolves distinguishability only down to its own
         # sampling noise, which belongs in the reported standard error
         quadrature_error_of=lambda omega: classical.ensemble_noise_floor(ensemble, omega),
@@ -630,10 +638,7 @@ def _build_synthetic(cfg: dict) -> _Runtime:
             mode_count=mode_count,
             amplitude=amplitude,
         )
-    diagnostics = {"N": probe.outcome_count}
-    return _Runtime(
-        "synthetic-probe", probe, _average_config(cfg), cfg["epsilon"], diagnostics
-    )
+    return _Runtime(probe, _average_config(cfg), cfg["epsilon"], {"N": probe.outcome_count}, {})
 
 
 _BUILDERS = {
@@ -654,61 +659,43 @@ def _build_runtime(cfg: dict) -> _Runtime:
 
 # --- execution ---------------------------------------------------------------
 
-def _evaluate_bounds(rt: _Runtime, report: EquilibrationReport) -> dict[str, BoundCheck]:
+def _evaluate_bounds(report: EquilibrationReport) -> dict[str, BoundCheck]:
+    """Check each bound in ``report.bound_values`` by its theorem's rule;
+    every other bound is not-applicable."""
     mean = report.mean_distinguishability
     err = report.standard_error
-    eps = rt.epsilon
+    eps = report.epsilon
     omega = report.equilibrium_distribution
-    checks: dict[str, BoundCheck] = {}
-
-    if check_sufficiency(omega, eps):
-        status = STATUS_SATISFIED if mean <= eps + 3.0 * err else STATUS_VIOLATED
-    else:
-        status = STATUS_NA
-    checks["thm1-sufficiency"] = BoundCheck(value=1.0 - eps / 2.0, status=status)
-
-    if rt.kind == "classical-pure":
-        statistically_equilibrated = mean <= eps - 3.0 * err
-        if statistically_equilibrated and not classical.check_necessity(omega, eps):
-            status = STATUS_VIOLATED
+    checks = {name: BoundCheck(value=None, status=STATUS_NA) for name in BOUND_NAMES}
+    for name, value in report.bound_values.items():
+        if name == "thm1-sufficiency":
+            if not check_sufficiency(omega, eps):
+                status = STATUS_NA
+            else:
+                status = STATUS_SATISFIED if mean <= eps + 3.0 * err else STATUS_VIOLATED
+        elif name == "thm2-necessity":
+            statistically_equilibrated = mean <= eps - 3.0 * err
+            if statistically_equilibrated and not classical.check_necessity(omega, eps):
+                status = STATUS_VIOLATED
+            else:
+                status = STATUS_SATISFIED
         else:
-            status = STATUS_SATISFIED
-        checks["thm2-necessity"] = BoundCheck(value=1.0 - eps, status=status)
-    else:
-        checks["thm2-necessity"] = BoundCheck(value=None, status=STATUS_NA)
-
-    if rt.kind == "classical-ensemble" and rt.diagnostics.get("delta", 1.0) <= 0.5:
-        bound = classical.mixed_equilibration_bound(
-            rt.diagnostics["N"], rt.diagnostics["delta"]
-        )
-        status = STATUS_SATISFIED if mean <= bound + 3.0 * err else STATUS_VIOLATED
-        checks["thm3-mixing"] = BoundCheck(value=bound, status=status)
-    else:
-        checks["thm3-mixing"] = BoundCheck(value=None, status=STATUS_NA)
-
-    if rt.kind == "quantum":
-        bound = quantum.equilibration_bound(
-            rt.diagnostics["N"], rt.diagnostics["D_G"], rt.diagnostics["d_eff"]
-        )
-        status = STATUS_VIOLATED if mean - 3.0 * err > bound else STATUS_SATISFIED
-        checks["thm5-spectral"] = BoundCheck(value=bound, status=status)
-    else:
-        checks["thm5-spectral"] = BoundCheck(value=None, status=STATUS_NA)
-
+            # every other bound is an upper bound on the mean distinguishability
+            status = STATUS_VIOLATED if mean - 3.0 * err > value else STATUS_SATISFIED
+        checks[name] = BoundCheck(value=value, status=status)
     return checks
 
 
 def _measure(rt: _Runtime, overrides: dict) -> tuple[EquilibrationReport, dict, dict]:
     """Sample one built point: its report, bound checks and record params."""
-    params = {**overrides, **rt.diagnostics}
+    params = {**overrides, **rt.params}
     floor = 0.0
     if rt.quadrature_error_of is not None:
         omega = time_average_distribution(rt.probe, rt.cfg)
         floor = params["quadrature_floor"] = rt.quadrature_error_of(omega)
-    report = equilibration_report(rt.probe, rt.epsilon, rt.cfg, quadrature_error=floor)
-    checks = _evaluate_bounds(rt, report)
-    bound_values = {name: chk.value for name, chk in checks.items() if chk.value is not None}
-    return replace(report, bound_values=bound_values), checks, params
+    report = equilibration_report(rt.probe, rt.epsilon, rt.cfg,
+                                  bound_values=rt.bound_values, quadrature_error=floor)
+    return report, _evaluate_bounds(report), params
 
 
 def run_scenario(scenario: Scenario) -> list[RunRecord]:
@@ -730,8 +717,6 @@ def run_scenario(scenario: Scenario) -> list[RunRecord]:
             seed = rt.cfg.seed
             try:
                 report, checks, params = _measure(rt, overrides)
-            except ConfigError:
-                raise
             except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
         records.append(

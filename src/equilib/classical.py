@@ -22,6 +22,7 @@ from .core import (
     TimeAverageConfig,
     TrajectoryProbe,
     THRESHOLD_SLACK,
+    check_epsilon,
     sample_times,
 )
 
@@ -486,8 +487,7 @@ def check_necessity(omega: OutcomeDistribution, epsilon: float) -> bool:
     distribution ``omega`` can epsilon-equilibrate: the dominant cell must
     carry weight at least 1 - epsilon. True does not promise equilibration.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    check_epsilon(epsilon)
     return omega.max_probability >= 1.0 - epsilon - THRESHOLD_SLACK
 
 

@@ -24,6 +24,10 @@ NORM_TOL = 1e-9    # tolerance on the normalization of a distribution
 # by a 1-ulp rounding of the threshold.
 THRESHOLD_SLACK = 1e-12
 
+# Largest sample count of one time average: every count is an array length,
+# so a larger one would fail with a MemoryError at run time, not at load.
+MAX_SAMPLES = 1_000_000
+
 VERDICT_EQUILIBRATES = "equilibrates"
 VERDICT_DOES_NOT = "does-not-equilibrate"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -46,6 +50,12 @@ class DistributionError(ValueError):
 
 class ConfigError(ValueError):
     """A scenario configuration is inconsistent; message carries the field path."""
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise DomainError unless the tolerance ``epsilon`` lies in [0, 1)."""
+    if not 0.0 <= epsilon < 1.0:
+        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +202,8 @@ class TimeAverageConfig:
             raise DomainError(f"horizon must be finite and positive, got {self.horizon!r}")
         if self.samples < 2:
             raise DomainError(f"need at least 2 samples, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise DomainError(f"need at most {MAX_SAMPLES} samples, got {self.samples}")
         if self.scheme not in (SCHEME_UNIFORM, SCHEME_STRATIFIED):
             raise DomainError(f"unknown sampling scheme {self.scheme!r}")
         if self.seed < 0:
@@ -248,8 +260,7 @@ def multi_distinguishability(
 def multi_measurement_budget(epsilon: float, measurement_count: int) -> float:
     """Per-measurement tolerance that keeps the max-distinguishability over
     ``measurement_count`` measurements within ``epsilon``."""
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    check_epsilon(epsilon)
     if measurement_count < 1:
         raise DomainError(f"measurement count must be >= 1, got {measurement_count}")
     return epsilon / measurement_count
@@ -263,8 +274,7 @@ def check_sufficiency(omega: OutcomeDistribution, epsilon: float) -> bool:
     epsilon-equilibrates, in any theory. A False return says nothing either
     way.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    check_epsilon(epsilon)
     return omega.max_probability >= 1.0 - epsilon / 2.0 - THRESHOLD_SLACK
 
 
@@ -344,7 +354,7 @@ def decide_verdict(mean: float, standard_error: float, epsilon: float) -> str:
     return VERDICT_INCONCLUSIVE
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EquilibrationReport:
     """Outcome of one equilibration measurement.
 
@@ -366,8 +376,7 @@ class EquilibrationReport:
             raise DomainError("mean distinguishability must lie in [0, 1]")
         if self.standard_error < 0.0:
             raise DomainError("standard error must be nonnegative")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise DomainError("epsilon must lie in [0, 1)")
+        check_epsilon(self.epsilon)
         if self.verdict not in (VERDICT_EQUILIBRATES, VERDICT_DOES_NOT, VERDICT_INCONCLUSIVE):
             raise DomainError(f"unknown verdict {self.verdict!r}")
         mean, err = self.mean_distinguishability, self.standard_error
@@ -375,18 +384,6 @@ class EquilibrationReport:
             raise DomainError("verdict 'equilibrates' inconsistent with the estimate")
         if self.verdict == VERDICT_DOES_NOT and mean - 2.0 * err <= self.epsilon:
             raise DomainError("verdict 'does-not-equilibrate' inconsistent with the estimate")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EquilibrationReport):
-            return NotImplemented
-        return (
-            self.mean_distinguishability == other.mean_distinguishability
-            and self.standard_error == other.standard_error
-            and self.equilibrium_distribution == other.equilibrium_distribution
-            and self.epsilon == other.epsilon
-            and self.verdict == other.verdict
-            and self.bound_values == other.bound_values
-        )
 
 
 def equilibration_report(
@@ -404,8 +401,7 @@ def equilibration_report(
     time-sampling standard error when the probe itself is a finite quadrature
     of a continuous state (see ``classical.ensemble_noise_floor``).
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    check_epsilon(epsilon)
     if quadrature_error < 0.0:
         raise DomainError("quadrature error must be nonnegative")
     omega = time_average_distribution(probe, cfg)

@@ -23,6 +23,7 @@ from .core import (
     OutcomeDistribution,
     TimeAverageConfig,
     TrajectoryProbe,
+    check_epsilon,
 )
 
 HERMITIAN_TOL = 1e-10
@@ -333,7 +334,8 @@ def effective_dimension(rho: DensityMatrix, spectrum: HamiltonianSpectrum) -> fl
     state of a nondegenerate Hamiltonian.
     """
     weights = eigenspace_weights(rho, spectrum)
-    return 1.0 / float(np.sum(weights**2))
+    # clamped: the rounded weights of an eigenstate can give 1/sum(w^2) < 1
+    return max(1.0, 1.0 / float(np.sum(weights**2)))
 
 
 def equilibration_bound(outcomes: int, gap_degeneracy: int, effective_dim: float) -> float:
@@ -353,8 +355,7 @@ def max_outcomes_for_equilibration(
 ) -> int:
     """Largest measurement size that still guarantees epsilon-equilibration:
     floor(4 * effective_dim * epsilon^2 / gap_degeneracy + 1)."""
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    check_epsilon(epsilon)
     if effective_dim < 1.0:
         raise DomainError(f"effective dimension must be >= 1, got {effective_dim!r}")
     if gap_degeneracy < 1:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from equilib import bench, cli, quantum
+from equilib import bench, classical, cli, quantum
 from equilib.bench import (
     BOUND_NAMES,
     CSV_COLUMNS,
@@ -24,7 +24,14 @@ from equilib.bench import (
     load_scenario,
     run_scenario,
 )
-from equilib.core import ConfigError
+from equilib.core import (
+    MAX_SAMPLES,
+    ConfigError,
+    EquilibrationReport,
+    OutcomeDistribution,
+    check_sufficiency,
+    decide_verdict,
+)
 
 
 def qubit_config(**overrides):
@@ -222,10 +229,10 @@ class TestLoadScenario:
         for spacing in (1.0, 2.5):
             cfg["system"]["sampler"]["spacing"] = spacing
             rt, _ = load_scenario(cfg).built[0]
-            assert rt.diagnostics["gap_tolerance"] == pytest.approx(
+            assert rt.params["gap_tolerance"] == pytest.approx(
                 quantum.GAP_REL_TOL * 7 * spacing
             )
-            assert rt.diagnostics["D_G"] == 7
+            assert rt.params["D_G"] == 7
 
     def test_bad_matrix_payload(self):
         cfg = qubit_config()
@@ -256,6 +263,14 @@ class TestLoadScenario:
         # an integral float is an integer count
         cfg["average"]["samples"] = 64.0
         assert run_scenario(load_scenario(cfg))[0].error is None
+
+    def test_sample_count_cap_names_its_path(self):
+        for samples in (MAX_SAMPLES + 1, 10**15):
+            with pytest.raises(ConfigError, match=r"^scenario\.average\.samples: "):
+                load_scenario(synthetic_config(), overrides={"average.samples": samples})
+        # the cap itself loads (and is not run here)
+        scenario = load_scenario(synthetic_config(), overrides={"average.samples": MAX_SAMPLES})
+        assert scenario.built[0][0].cfg.samples == MAX_SAMPLES
 
     @pytest.mark.parametrize(
         "make, field, value", INTEGER_FIELDS, ids=[f for _, f, _ in INTEGER_FIELDS]
@@ -723,22 +738,44 @@ class TestRunScenario:
         assert rec.params["delta"] == pytest.approx(0.1)
         assert rec.params["quadrature_floor"] > 0
 
+    def test_energy_eigenstate_is_stationary(self):
+        # the rounded eigenspace weights of an eigenstate can put 1/sum(w^2)
+        # below 1; an eigenstate is stationary, so the spectral bound holds
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            hamiltonian = (a + a.conj().T) / 2
+            ground = np.linalg.eigh(hamiltonian)[1][:, 0]
+            cfg = qubit_config(
+                system={
+                    "hamiltonian": {"matrix": {
+                        "rows": 3, "cols": 3,
+                        "data": [[z.real, z.imag] for z in hamiltonian.ravel().tolist()]}},
+                    "state": {"vector": [[z.real, z.imag] for z in ground.tolist()]},
+                },
+                measurement={"sampler": {"name": "random", "outcomes": 2, "seed": 3}},
+            )
+            rec = run_scenario(load_scenario(cfg))[0]
+            assert rec.error is None
+            assert rec.params["d_eff"] >= 1.0
+            assert rec.bounds["thm5-spectral"].status == STATUS_SATISFIED
+
     def test_one_gap_table_per_tolerance(self, monkeypatch):
         calls = count_gap_tables(monkeypatch)
-        diagnostics = bench._build_runtime(sampled_quantum_config()).diagnostics
+        params = bench._build_runtime(sampled_quantum_config()).params
         assert len(calls) == 1
-        assert diagnostics["D_G_sensitivity"]["1x"] == diagnostics["D_G"]
+        assert params["D_G_sensitivity"]["1x"] == params["D_G"]
 
     def test_zero_gap_tol_is_the_tolerance_used(self):
         cfg = sampled_quantum_config()
         cfg["system"]["sampler"]["spectrum"] = "equally-spaced"
-        assert bench._build_runtime(cfg).diagnostics["D_G"] == 7
+        assert bench._build_runtime(cfg).params["D_G"] == 7
         cfg["gap_tol"] = 0
-        diagnostics = bench._build_runtime(cfg).diagnostics
-        assert diagnostics["gap_tolerance"] == 0.0
+        params = bench._build_runtime(cfg).params
+        assert params["gap_tolerance"] == 0.0
         # at a literal zero tolerance every gap is its own class
-        assert diagnostics["D_G"] == 1
-        assert diagnostics["D_G_sensitivity"] == {"0.1x": 1, "1x": 1, "10x": 1}
+        assert params["D_G"] == 1
+        assert params["D_G_sensitivity"] == {"0.1x": 1, "1x": 1, "10x": 1}
 
     def test_empty_sweep_gives_no_records(self, monkeypatch):
         builds = count_builds(monkeypatch)
@@ -765,7 +802,7 @@ class TestRunScenario:
         first, second = run_scenario(scenario), run_scenario(scenario)
         assert first[0].params["quadrature_floor"] > 0
         assert second[0].params["quadrature_floor"] == first[0].params["quadrature_floor"]
-        assert "quadrature_floor" not in scenario.built[0][0].diagnostics
+        assert "quadrature_floor" not in scenario.built[0][0].params
         assert outputs(first) == outputs(second)
 
     def test_sweep_grid_size(self):
@@ -823,6 +860,16 @@ class TestEmission:
         path = tmp_path / "out.json"
         emit_report(records, "json", path)
         assert load_records(path) == records
+
+    def test_record_equality_compares_every_field(self):
+        rec = run_scenario(load_scenario(synthetic_config()))[0]
+        assert RunRecord.from_dict(rec.to_dict()) == rec
+        data = rec.to_dict()
+        data["wall_time"] += 1.0
+        assert RunRecord.from_dict(data) != rec
+        data = rec.to_dict()
+        data["report"]["bound_values"]["thm1-sufficiency"] = 0.0
+        assert RunRecord.from_dict(data) != rec
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError, match="format"):
@@ -910,6 +957,14 @@ class TestCli:
         assert len(builds) == points
         expected = [r for cfg in configs for r in run_scenario(load_scenario(cfg))]
         assert outputs(load_records(out)) == outputs(expected)
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**15])
+    def test_samples_flag_above_the_cap_fails(self, tmp_path, samples):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(synthetic_config()))
+        result = CliRunner().invoke(cli.main, ["run", str(path), "--samples", str(samples)])
+        assert result.exit_code == 1
+        assert "scenario.average.samples" in result.output
 
     def test_non_finite_gap_tol_flag_fails(self, tmp_path):
         path = tmp_path / "scn.json"
@@ -1000,3 +1055,136 @@ class TestBuiltinSuite:
         assert records
         assert all(r.error is None for r in records)
         assert not any_violation(records)
+
+
+def reference_bounds(kind: str, params: dict, report: EquilibrationReport) -> dict:
+    """The bound evaluation that branched on the scenario kind and read its
+    inputs back out of the point's params after sampling; kept as the oracle
+    of the evaluation by each bound's own rule."""
+    mean = report.mean_distinguishability
+    err = report.standard_error
+    eps = report.epsilon
+    omega = report.equilibrium_distribution
+    checks = {}
+
+    if check_sufficiency(omega, eps):
+        status = STATUS_SATISFIED if mean <= eps + 3.0 * err else STATUS_VIOLATED
+    else:
+        status = STATUS_NA
+    checks["thm1-sufficiency"] = BoundCheck(value=1.0 - eps / 2.0, status=status)
+
+    if kind == "classical-pure":
+        statistically_equilibrated = mean <= eps - 3.0 * err
+        if statistically_equilibrated and not classical.check_necessity(omega, eps):
+            status = STATUS_VIOLATED
+        else:
+            status = STATUS_SATISFIED
+        checks["thm2-necessity"] = BoundCheck(value=1.0 - eps, status=status)
+    else:
+        checks["thm2-necessity"] = BoundCheck(value=None, status=STATUS_NA)
+
+    if kind == "classical-ensemble" and params.get("delta", 1.0) <= 0.5:
+        bound = classical.mixed_equilibration_bound(params["N"], params["delta"])
+        status = STATUS_SATISFIED if mean <= bound + 3.0 * err else STATUS_VIOLATED
+        checks["thm3-mixing"] = BoundCheck(value=bound, status=status)
+    else:
+        checks["thm3-mixing"] = BoundCheck(value=None, status=STATUS_NA)
+
+    if kind == "quantum":
+        bound = quantum.equilibration_bound(params["N"], params["D_G"], params["d_eff"])
+        status = STATUS_VIOLATED if mean - 3.0 * err > bound else STATUS_SATISFIED
+        checks["thm5-spectral"] = BoundCheck(value=bound, status=status)
+    else:
+        checks["thm5-spectral"] = BoundCheck(value=None, status=STATUS_NA)
+
+    return checks
+
+
+def own_bound_values(kind: str, epsilon: float, params: dict) -> dict:
+    """The bounds a builder of ``kind`` records for a point, besides the
+    universal one, from the point's params."""
+    if kind == "quantum":
+        return {"thm5-spectral": quantum.equilibration_bound(
+            params["N"], params["D_G"], params["d_eff"])}
+    if kind == "classical-pure":
+        return {"thm2-necessity": 1.0 - epsilon}
+    if kind == "classical-ensemble" and params["delta"] <= 0.5:
+        return {"thm3-mixing": classical.mixed_equilibration_bound(params["N"], params["delta"])}
+    return {}
+
+
+class TestBoundRules:
+    def compare(self, kind, epsilon, params, mean, err, probs) -> tuple[bool, dict]:
+        """Check one point both ways; return the checks and whether the point
+        is the one allowed difference: a thm3 bound b on which
+        `mean <= b + 3 err` and the shared `not mean - 3 err > b` disagree."""
+        own = own_bound_values(kind, epsilon, params)
+        bound_values = bench._Runtime(None, None, epsilon, params, own).bound_values
+        report = EquilibrationReport(
+            mean, err, OutcomeDistribution(probs), epsilon,
+            decide_verdict(mean, err, epsilon), bound_values,
+        )
+        new, ref = bench._evaluate_bounds(report), reference_bounds(kind, params, report)
+        b = own.get("thm3-mixing")
+        flipped = b is not None and (mean <= b + 3.0 * err) == (mean - 3.0 * err > b)
+        if flipped:
+            status = STATUS_VIOLATED if mean - 3.0 * err > b else STATUS_SATISFIED
+            assert new["thm3-mixing"] == BoundCheck(b, status)
+            ref["thm3-mixing"] = new["thm3-mixing"]
+        assert list(new.items()) == list(ref.items())
+        return flipped, new
+
+    def test_random_points_match_the_kind_branching_oracle(self):
+        rng = np.random.default_rng(2024)
+        statuses = set()
+        for _ in range(4000):
+            kind = bench.KINDS[rng.integers(4)]
+            n = int(rng.integers(1, 7))
+            params = {"N": n, "D_G": int(rng.integers(1, 5)),
+                      "d_eff": float(rng.uniform(1.0, 30.0)), "delta": float(rng.random())}
+            if rng.random() < 0.5:
+                probs = rng.dirichlet(np.ones(n))
+            else:
+                top = rng.uniform(1.0 / n, 1.0)
+                probs = np.concatenate(([top], (1.0 - top) * rng.dirichlet(np.ones(n - 1))))
+            err = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 0.05))
+            mean, epsilon = float(rng.random()), float(rng.random())
+            flipped, checks = self.compare(kind, epsilon, params, mean, err, probs)
+            assert not flipped
+            statuses.update((name, chk.status) for name, chk in checks.items())
+        # every bound was seen satisfied, violated and not-applicable
+        assert statuses == {(name, s) for name in BOUND_NAMES
+                            for s in (STATUS_SATISFIED, STATUS_VIOLATED, STATUS_NA)}
+
+    def test_edges_match_the_kind_branching_oracle(self):
+        def around(x):
+            return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+        flips = 0
+        for epsilon in (0.0, 0.2, 0.35, 0.5, 0.9):
+            tops = {t for x in (1.0 - epsilon / 2.0, 1.0 - epsilon, 0.5)
+                    for t in around(x) if t <= 1.0}
+            for delta in (0.1, *around(0.5)):
+                params = {"N": 2, "D_G": 1, "d_eff": 2.0, "delta": delta}
+                thm3 = classical.mixed_equilibration_bound(2, min(delta, 0.5))
+                thm5 = quantum.equilibration_bound(2, 1, 2.0)
+                for err in (0.0, 0.01, 0.1 / 3.0):
+                    centres = (epsilon + 3.0 * err, epsilon - 3.0 * err,
+                               thm3 + 3.0 * err, thm5 + 3.0 * err)
+                    means = {m for c in centres for m in around(c) if 0.0 <= m <= 1.0}
+                    for kind in bench.KINDS:
+                        for top in tops:
+                            for mean in means:
+                                flips += self.compare(
+                                    kind, epsilon, params, mean, err, [top, 1.0 - top])[0]
+        # the two thm3 forms do part within an ulp of mean = b + 3 err
+        assert flips > 0
+
+    def test_builders_record_the_bounds_of_their_kind(self):
+        mostly_periodic = load_scenario(
+            ensemble_config(), overrides={"system.ensemble.sampler.delta": 0.9})
+        for scenario in [*builtin_scenarios(), mostly_periodic]:
+            for rt, _ in scenario.built:
+                own = own_bound_values(scenario.kind, rt.epsilon, rt.params)
+                assert rt.bound_values == {"thm1-sufficiency": 1.0 - rt.epsilon / 2.0, **own}
+                assert list(rt.bound_values) == [n for n in BOUND_NAMES if n in rt.bound_values]

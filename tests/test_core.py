@@ -8,6 +8,7 @@ import pytest
 
 from equilib import classical, quantum
 from equilib.core import (
+    MAX_SAMPLES,
     AverageEstimate,
     DimensionError,
     DistributionError,
@@ -161,6 +162,12 @@ class TestTimeAverageConfig:
             TimeAverageConfig(horizon=1.0, samples=1)
         with pytest.raises(DomainError):
             TimeAverageConfig(horizon=1.0, samples=10, scheme="sobol")
+
+    def test_sample_count_cap(self):
+        assert TimeAverageConfig(horizon=1.0, samples=MAX_SAMPLES).samples == MAX_SAMPLES
+        for samples in (MAX_SAMPLES + 1, 10**15):
+            with pytest.raises(DomainError, match="at most"):
+                TimeAverageConfig(horizon=1.0, samples=samples)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed must be >= 0"):
@@ -351,6 +358,28 @@ class TestCheckSufficiency:
     def test_domain(self):
         with pytest.raises(DomainError):
             check_sufficiency(OutcomeDistribution([1.0]), 1.0)
+
+
+EPSILON_CALLERS = {
+    "multi_measurement_budget": lambda eps: multi_measurement_budget(eps, 2),
+    "check_sufficiency": lambda eps: check_sufficiency(OutcomeDistribution([1.0]), eps),
+    "EquilibrationReport": lambda eps: EquilibrationReport(
+        0.0, 0.0, OutcomeDistribution([1.0]), eps, "equilibrates"),
+    "equilibration_report": lambda eps: equilibration_report(
+        constant_probe([1.0]), eps, TimeAverageConfig(horizon=1.0, samples=4)),
+    "check_necessity": lambda eps: classical.check_necessity(OutcomeDistribution([1.0]), eps),
+    "max_outcomes_for_equilibration": lambda eps: quantum.max_outcomes_for_equilibration(
+        eps, 2.0, 1),
+}
+
+
+@pytest.mark.parametrize("caller", EPSILON_CALLERS)
+def test_one_epsilon_domain(caller):
+    for eps in (-0.1, 1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"epsilon must lie in \[0, 1\)"):
+            EPSILON_CALLERS[caller](eps)
+    for eps in (0.0, 0.5, math.nextafter(1.0, 0.0)):
+        EPSILON_CALLERS[caller](eps)
 
 
 class TestMultiMeasurement:

@@ -410,6 +410,22 @@ class TestEffectiveDimension:
     def test_plus_state(self):
         assert effective_dimension(PLUS, QUBIT_H) == pytest.approx(2.0)
 
+    def test_eigenstates_of_haar_spectra(self):
+        # rounded eigenspace weights can put 1/sum(w^2) a hair below 1, the
+        # domain edge of the spectral bound; the result is clamped there
+        below = 0
+        for d in range(2, 9):
+            for seed in range(5):
+                spec = random_spectrum(d, seed)
+                for k in range(d):
+                    eigenstate = DensityMatrix.from_vector(spec.eigenvectors[:, k])
+                    weights = eigenspace_weights(eigenstate, spec)
+                    below += 1.0 / np.sum(weights**2) < 1.0
+                    d_eff = effective_dimension(eigenstate, spec)
+                    assert 1.0 <= d_eff <= 1.0 + 1e-12
+                    assert equilibration_bound(2, 1, d_eff) == pytest.approx(0.5)
+        assert below > 0
+
     def test_weights_sum_to_one(self):
         rho = random_mixed_state(6, 2)
         spec = random_spectrum(6, 3)
