@@ -282,9 +282,9 @@ def load_scenario(
     kind = _require(raw, "kind", "scenario")
     if kind not in KINDS:
         raise ConfigError(f"scenario.kind: unknown kind {kind!r}, expected one of {KINDS}")
-    epsilon = _number(raw, "epsilon", "scenario")
-    if not 0.0 <= epsilon < 1.0:
-        raise ConfigError(f"scenario.epsilon: must lie in [0, 1), got {epsilon}")
+    # the base epsilon must be there, but only the epsilon a point is built
+    # with is checked, in _build_runtime: a sweep may replace the base's
+    _require(raw, "epsilon", "scenario")
     _require(raw, "average", "scenario")
     _require(raw, "system", "scenario")
     if kind != "synthetic-probe":
@@ -306,8 +306,9 @@ def load_scenario(
             dict(zip(keys, combo))
             for combo in itertools.product(*(sweep[k] for k in keys))
         ]
-    # every sweep point is built once, before any run starts; numeric failures
-    # are kept for run_scenario to record. An empty grid still validates.
+    # every sweep point is built once, before any run starts, and checks the
+    # epsilon it is built with; numeric failures are kept for run_scenario to
+    # record. An empty grid still validates the base config.
     built = []
     for point in points or [{}]:
         resolved = _apply_overrides(raw, point)
@@ -448,7 +449,7 @@ def _partition_node(node, path: str) -> classical.Partition:
         return classical.grid_partition(edges)
 
 
-def _build_quantum(cfg: dict) -> _Runtime:
+def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
     system = _obj(cfg["system"], "scenario.system")
     meas = _obj(cfg["measurement"], "scenario.measurement")
     gap_tol = None if cfg.get("gap_tol") is None else _number(cfg, "gap_tol", "scenario")
@@ -542,7 +543,7 @@ def _build_quantum(cfg: dict) -> _Runtime:
         "single_eigenspace": spectrum.eigenspace_count < 2,
     }
     bound = quantum.equilibration_bound(povm.outcome_count, table.max_degeneracy, d_eff)
-    return _Runtime(probe, avg, cfg["epsilon"], params, {"thm5-spectral": bound})
+    return _Runtime(probe, avg, epsilon, params, {"thm5-spectral": bound})
 
 
 def _map_and_partition(cfg: dict) -> tuple[dict, classical.InvertibleMap, classical.Partition]:
@@ -556,7 +557,7 @@ def _map_and_partition(cfg: dict) -> tuple[dict, classical.InvertibleMap, classi
     return system, mapping, partition
 
 
-def _build_classical_pure(cfg: dict) -> _Runtime:
+def _build_classical_pure(cfg: dict, epsilon: float) -> _Runtime:
     system, mapping, partition = _map_and_partition(cfg)
     point_cfg = _require(system, "point", "scenario.system")
     with _field("scenario.system.point"):
@@ -567,11 +568,11 @@ def _build_classical_pure(cfg: dict) -> _Runtime:
         )
     probe = classical.classical_probe(point, mapping, partition)
     params = {"N": partition.cell_count, "map": mapping.name}
-    return _Runtime(probe, _average_config(cfg), cfg["epsilon"], params,
-                    {"thm2-necessity": 1.0 - cfg["epsilon"]})
+    return _Runtime(probe, _average_config(cfg), epsilon, params,
+                    {"thm2-necessity": 1.0 - epsilon})
 
 
-def _build_classical_ensemble(cfg: dict) -> _Runtime:
+def _build_classical_ensemble(cfg: dict, epsilon: float) -> _Runtime:
     system, mapping, partition = _map_and_partition(cfg)
     ens_cfg = _obj(_require(system, "ensemble", "scenario.system"), "scenario.system.ensemble")
     path = "scenario.system.ensemble"
@@ -609,7 +610,7 @@ def _build_classical_ensemble(cfg: dict) -> _Runtime:
     return _Runtime(
         probe,
         _average_config(cfg),
-        cfg["epsilon"],
+        epsilon,
         params,
         bounds,
         # the cloud resolves distinguishability only down to its own
@@ -618,7 +619,7 @@ def _build_classical_ensemble(cfg: dict) -> _Runtime:
     )
 
 
-def _build_synthetic(cfg: dict) -> _Runtime:
+def _build_synthetic(cfg: dict, epsilon: float) -> _Runtime:
     system = _obj(cfg["system"], "scenario.system")
     recipe = _obj(_require(system, "probe", "scenario.system"), "scenario.system.probe")
     path = "scenario.system.probe"
@@ -638,7 +639,7 @@ def _build_synthetic(cfg: dict) -> _Runtime:
             mode_count=mode_count,
             amplitude=amplitude,
         )
-    return _Runtime(probe, _average_config(cfg), cfg["epsilon"], {"N": probe.outcome_count}, {})
+    return _Runtime(probe, _average_config(cfg), epsilon, {"N": probe.outcome_count}, {})
 
 
 _BUILDERS = {
@@ -650,11 +651,11 @@ _BUILDERS = {
 
 
 def _build_runtime(cfg: dict) -> _Runtime:
-    kind = cfg["kind"]
+    """Build one point; its epsilon is decoded here, once, as a float."""
     epsilon = _number(cfg, "epsilon", "scenario")
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"scenario.epsilon: must lie in [0, 1), got {epsilon!r}")
-    return _BUILDERS[kind](cfg)
+    return _BUILDERS[cfg["kind"]](cfg, epsilon)
 
 
 # --- execution ---------------------------------------------------------------

@@ -381,8 +381,17 @@ def quantum_probe(
     # copy), so the sum over n is one GEMM per chunk of times
     coeff = np.stack([rho_e * spectrum.to_energy_basis(m).T for m in povm.elements])
     flat = coeff.transpose(1, 0, 2).reshape(d, n_out * d)
-    # halving is exact, so ts * half is exactly theta / 2 for theta = E t
-    half = 0.5 * spectrum.eigenvalues
+    # A constant shift of the spectrum is a global phase, which moves no
+    # probability, but an offset far beyond the spread costs E t the low bits
+    # that tell the levels apart. So phases are taken from the lowest level
+    # E_0 when every level lies within a factor 2 of it, where each E - E_0
+    # is exact (Sterbenz). Elsewhere the shift gains nothing, since E - E_0
+    # then rounds by as much as E t does. Halving is exact, so ts * half is
+    # exactly theta / 2 for theta = (E - origin) t.
+    low, high = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]
+    within_two = 0.0 < low and high <= 2.0 * low or high < 0.0 and 2.0 * high <= low
+    origin = low if within_two else 0.0
+    half = 0.5 * (spectrum.eigenvalues - origin)
     # at most 65,536 complex entries (1 MB) in the (m, N*d) intermediate
     chunk = max(1, 65_536 // (n_out * d))
 

@@ -178,9 +178,9 @@ def count_builds(monkeypatch) -> list:
     """Record the kind of every sweep-point build from now on."""
     calls = []
     for kind, original in list(bench._BUILDERS.items()):
-        def counting(cfg, kind=kind, original=original):
+        def counting(cfg, epsilon, kind=kind, original=original):
             calls.append(kind)
-            return original(cfg)
+            return original(cfg, epsilon)
 
         monkeypatch.setitem(bench._BUILDERS, kind, counting)
     return calls
@@ -303,7 +303,7 @@ class TestLoadScenario:
 
     def test_unexpected_build_error_surfaces_at_load(self, monkeypatch):
         # only the numeric failures run_scenario records are deferred
-        def broken(cfg):
+        def broken(cfg, epsilon):
             raise TypeError("not a numeric failure")
 
         monkeypatch.setitem(bench._BUILDERS, "synthetic-probe", broken)
@@ -314,6 +314,38 @@ class TestLoadScenario:
         cfg = synthetic_config(sweep={"epsilon": [0.3, False]})
         with pytest.raises(ConfigError, match=r"scenario\.epsilon"):
             load_scenario(cfg)
+
+    def test_only_built_epsilons_are_checked(self):
+        # every point sets its own epsilon, so the base's is never built
+        scenario = load_scenario(synthetic_config(epsilon=2.0, sweep={"epsilon": [0.1, 0.2]}))
+        assert [rt.epsilon for rt, _ in scenario.built] == [0.1, 0.2]
+        # an empty grid and a scenario without a sweep build the base
+        for sweep in ({"sweep": {"epsilon": []}}, {}):
+            with pytest.raises(ConfigError, match=r"scenario\.epsilon: must lie in \[0, 1\)"):
+                load_scenario(synthetic_config(epsilon=2.0, **sweep))
+
+    @pytest.mark.parametrize(
+        "config",
+        [qubit_config, ensemble_config, synthetic_config,
+         lambda: {
+             "kind": "classical-pure",
+             "epsilon": 0.1,
+             "average": {"horizon": 64, "samples": 64, "scheme": "uniform-grid"},
+             "system": {"map": {"name": "cat-map"}, "point": [0.2, 0.6]},
+             "measurement": {"partition": {"kind": "grid",
+                                           "edges": [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]}},
+         }],
+        ids=["quantum", "classical-ensemble", "synthetic-probe", "classical-pure"],
+    )
+    def test_integral_epsilon_records_as_a_float(self, config):
+        records = []
+        for epsilon in (0, 0.0):
+            cfg = config()
+            cfg["epsilon"] = epsilon
+            scenario = load_scenario(cfg)
+            assert type(scenario.built[0][0].epsilon) is float
+            records.append(json.dumps(outputs(run_scenario(scenario))))
+        assert records[0] == records[1]
 
     @pytest.mark.parametrize(
         "partition",
@@ -816,10 +848,10 @@ class TestRunScenario:
     def test_runtime_error_recorded_and_sweep_continues(self, monkeypatch):
         original = bench._BUILDERS["synthetic-probe"]
 
-        def flaky(cfg):
+        def flaky(cfg, epsilon):
             if cfg["system"]["probe"]["seed"] == 2:
                 raise np.linalg.LinAlgError("eigendecomposition did not converge")
-            return original(cfg)
+            return original(cfg, epsilon)
 
         monkeypatch.setitem(bench._BUILDERS, "synthetic-probe", flaky)
         scenario = load_scenario(synthetic_config(sweep={"system.probe.seed": [1, 2, 3]}))

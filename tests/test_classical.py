@@ -448,6 +448,50 @@ class TestCountClassification:
             assert np.array_equal(cells, searchsorted_cells(cloud, axes))
 
 
+def layouts(pts):
+    """``pts`` C-ordered, F-ordered and as a strided view into a wider array."""
+    wide = np.full((2 * len(pts), 2 * pts.shape[1] + 1), np.nan)
+    wide[::2, 1::2] = pts
+    return {"C": np.ascontiguousarray(pts), "F": np.asfortranarray(pts),
+            "strided": wide[::2, 1::2]}
+
+
+CATALOGUE = [cat_map(), cat_map(lattice=7), rotation_map(GOLDEN), rotation_map((0.3, 0.711)),
+             baker_map()]
+
+
+class TestLayouts:
+    """Maps and partitions read their input in any memory layout, and give
+    the same bits for each."""
+
+    @pytest.mark.parametrize("mapping", CATALOGUE, ids=lambda m: m.name)
+    @pytest.mark.parametrize("label", ["random", "edges", "outside"])
+    def test_maps(self, mapping, label):
+        pts = clouds(mapping.dim)[label]
+        for step in (mapping.forward_many, mapping.backward_many):
+            expected = step(np.ascontiguousarray(pts))
+            for layout, arr in layouts(pts).items():
+                before = arr.copy()
+                assert same_bits(step(arr), expected), layout
+                assert same_bits(arr, before), layout
+
+    @pytest.mark.parametrize("edges", TestCountClassification.EDGE_SETS,
+                             ids=lambda e: f"{len(e) - 2}-inner")
+    def test_partitions(self, edges):
+        values = TestCountClassification.values(edges)
+        rng = np.random.default_rng(len(edges))
+        grid_axes = [TestCountClassification.EDGE_SETS[3], edges]
+        for partition, pts in (
+            (interval_partition(edges), values[:, None]),
+            (grid_partition(grid_axes),
+             np.column_stack([rng.choice(TestCountClassification.values(e), 4000)
+                              for e in grid_axes])),
+        ):
+            expected = partition.cells_of_many(np.ascontiguousarray(pts))
+            for layout, arr in layouts(pts).items():
+                assert np.array_equal(partition.cells_of_many(arr), expected), layout
+
+
 class TestClassicalProbe:
     def test_initial_indicator(self):
         part = interval_partition([0.0, 0.5, 1.0])
@@ -582,6 +626,22 @@ class TestBlockedClassification:
         expected = reference_block(x.as_array()[None, :], np.ones(1), rotation_map(GOLDEN),
                                    part, ODD_TIMES)
         assert same_bits(block, expected)
+
+    @pytest.mark.parametrize("every", [1, 7], ids=["every-step", "sparse-steps"])
+    @pytest.mark.parametrize("mapping", [cat_map(), baker_map()], ids=lambda m: m.name)
+    def test_workload_shaped_block_matches_per_step_loop(self, every, mapping):
+        # 1000 two-d points at the real cap: 32 steps a block, so 300 steps
+        # make nine full blocks and a short one
+        ens = contaminated_cat_ensemble(1000, 0.1, seed=9300)
+        part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.8, 1.0]])
+        times = np.arange(300.0) * every
+        steps, _ = classical._orbit_steps(times)
+        blocks = list(classical._orbit_cells(ens.points, mapping, part, steps))
+        assert [len(b) for b in blocks] == [32] * 9 + [12]
+        expected = reference_cells(ens.points, mapping, part, times)
+        assert np.array_equal(np.concatenate(blocks), expected)
+        block = ensemble_probe(ens, mapping, part).distributions_at(times)
+        assert same_bits(block, reference_block(ens.points, ens.weights, mapping, part, times))
 
     def test_one_cells_call_per_block(self, monkeypatch):
         # 50 two-d points: a 1000-coordinate cap holds 10 steps per block

@@ -579,6 +579,21 @@ class TestQuantumProbe:
         with pytest.raises(DimensionError):
             quantum_probe(PLUS, random_spectrum(3, 0), SIGMA_X_POVM)
 
+    @pytest.mark.parametrize("offset", [2.0**10, 2.0**20, 2.0**30, -(2.0**30)])
+    def test_energy_offset_is_a_global_phase(self, offset):
+        # levels on a 2^-20 grid stay exact under these shifts, so only the
+        # offset itself could move the block
+        rng = np.random.default_rng(31)
+        levels = np.sort(rng.integers(0, 2**22, 8)) * 2.0**-20
+        vecs = haar_unitary(8, rng)
+        rho, povm = random_mixed_state(8, 32), random_povm(8, 3, 33)
+        times = rng.uniform(0.0, 500.0, 300)
+        block = quantum_probe(rho, HamiltonianSpectrum(levels, vecs), povm).sample_many(times)
+        shifted = HamiltonianSpectrum(levels + offset, vecs)
+        assert np.array_equal(shifted.eigenvalues - offset, levels)
+        moved = quantum_probe(rho, shifted, povm).sample_many(times)
+        assert np.abs(moved - block).max() < 1e-10
+
     @pytest.mark.parametrize(
         "d, n_out, kind, mixed, projective, samples",
         [
