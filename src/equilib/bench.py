@@ -716,8 +716,11 @@ def run_scenario(scenario: Scenario) -> list[RunRecord]:
             seed, error = rt.seed, rt.error
         else:
             seed = rt.cfg.seed
+            if "epsilon" in params:
+                # the float the point was built with, not the swept JSON number
+                params["epsilon"] = rt.epsilon
             try:
-                report, checks, params = _measure(rt, overrides)
+                report, checks, params = _measure(rt, params)
             except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
         records.append(

@@ -156,6 +156,21 @@ def leaves(node, keys: tuple = ()):
         yield keys, node
 
 
+def classical_pure_config() -> dict:
+    return {
+        "kind": "classical-pure",
+        "epsilon": 0.1,
+        "average": {"horizon": 64, "samples": 64, "scheme": "uniform-grid"},
+        "system": {"map": {"name": "cat-map"}, "point": [0.2, 0.6]},
+        "measurement": {"partition": {"kind": "grid",
+                                      "edges": [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]}},
+    }
+
+
+KIND_CONFIGS = [qubit_config, ensemble_config, synthetic_config, classical_pure_config]
+KIND_IDS = ["quantum", "classical-ensemble", "synthetic-probe", "classical-pure"]
+
+
 def outputs(records) -> list:
     """The records as dicts, without their wall times."""
     return [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in records]
@@ -324,19 +339,7 @@ class TestLoadScenario:
             with pytest.raises(ConfigError, match=r"scenario\.epsilon: must lie in \[0, 1\)"):
                 load_scenario(synthetic_config(epsilon=2.0, **sweep))
 
-    @pytest.mark.parametrize(
-        "config",
-        [qubit_config, ensemble_config, synthetic_config,
-         lambda: {
-             "kind": "classical-pure",
-             "epsilon": 0.1,
-             "average": {"horizon": 64, "samples": 64, "scheme": "uniform-grid"},
-             "system": {"map": {"name": "cat-map"}, "point": [0.2, 0.6]},
-             "measurement": {"partition": {"kind": "grid",
-                                           "edges": [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]}},
-         }],
-        ids=["quantum", "classical-ensemble", "synthetic-probe", "classical-pure"],
-    )
+    @pytest.mark.parametrize("config", KIND_CONFIGS, ids=KIND_IDS)
     def test_integral_epsilon_records_as_a_float(self, config):
         records = []
         for epsilon in (0, 0.0):
@@ -345,6 +348,18 @@ class TestLoadScenario:
             scenario = load_scenario(cfg)
             assert type(scenario.built[0][0].epsilon) is float
             records.append(json.dumps(outputs(run_scenario(scenario))))
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("config", KIND_CONFIGS, ids=KIND_IDS)
+    def test_swept_integral_epsilon_records_as_a_float(self, config):
+        # the record's params hold the float each point was built with
+        records = []
+        for epsilon in (0, 0.0):
+            cfg = config()
+            cfg["sweep"] = {"epsilon": [epsilon]}
+            (record,) = run_scenario(load_scenario(cfg))
+            assert type(record.params["epsilon"]) is float
+            records.append(json.dumps(outputs([record])))
         assert records[0] == records[1]
 
     @pytest.mark.parametrize(
@@ -378,6 +393,11 @@ class TestLoadScenario:
             ({"name": "cat-map", "lattice": True}, "lattice"),
             # numpy would promote the boolean to 1.0
             ({"name": "rotation", "angles": [0.25, True]}, "angles"),
+            # above 2**52 lattice orbits are no longer exact; 2**62 put points
+            # at 1.0 and 2**63 raised a bare OverflowError while sampling
+            ({"name": "cat-map", "lattice": 2**52 + 1}, "lattice"),
+            ({"name": "cat-map", "lattice": 2**62}, "lattice"),
+            ({"name": "cat-map", "lattice": 2**63}, "lattice"),
         ],
     )
     def test_bad_map_fields_name_their_path(self, map_cfg, field):

@@ -53,14 +53,20 @@ QUADRANTS = grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
 
 
 def counting_map(mapping):
-    """``mapping`` with a ``forward_many`` that logs each call's point count."""
+    """``mapping`` with a ``forward_many`` and a ``forward_point`` that log
+    each call's point count (1 for a point)."""
     calls = []
 
     def forward_many(pts):
         calls.append(len(pts))
         return mapping.forward_many(pts)
 
-    return dataclasses.replace(mapping, forward_many=forward_many), calls
+    def forward_point(coords):
+        calls.append(1)
+        return mapping.forward_point(coords)
+
+    counted = dataclasses.replace(mapping, forward_many=forward_many, forward_point=forward_point)
+    return counted, calls
 
 
 def counting_partition(partition):
@@ -87,8 +93,13 @@ def compose(*maps):
             pts = m.backward_many(pts)
         return pts
 
+    def fwd_point(coords):
+        for m in maps:
+            coords = m.forward_point(coords)
+        return coords
+
     name = "composed(" + ">".join(m.name for m in maps) + ")"
-    return InvertibleMap(name, maps[0].dim, fwd, bwd)
+    return InvertibleMap(name, maps[0].dim, fwd, bwd, fwd_point)
 
 
 def cell_of(partition, coords):
@@ -263,6 +274,23 @@ class TestMaps:
 
     def test_integral_float_lattice_is_the_integer_lattice(self):
         assert cat_map(lattice=8.0).name == cat_map(lattice=8).name == "cat-map(lattice=8)"
+
+    @pytest.mark.parametrize("lattice", [2**52 + 1, 3**33, 2**62, 2**63, 2.0**60, np.int64(2**62)])
+    def test_lattice_is_at_most_2_to_the_52(self, lattice):
+        with pytest.raises(DomainError, match=r"at most 2\*\*52"):
+            cat_map(lattice=lattice)
+
+    def test_lattice_sites_round_trip_up_to_the_bound(self):
+        # the map reads a site k/q back as rint(k/q * q); up to 2**52 that is
+        # k, whatever q, and above it some k are lost
+        rng = np.random.default_rng(52)
+        for q in (2**52, 2**52 - 1, 3**32, 2**20 + 7):
+            k = np.concatenate([rng.integers(0, q, 50_000), q - 1 - np.arange(1000)])
+            assert np.array_equal(np.rint(k / q * q), k), q
+        q = 3**33
+        k = rng.integers(0, q, 50_000)
+        assert not np.array_equal(np.rint(k / q * q), k)
+        assert cat_map(lattice=2**52).name == "cat-map(lattice=4503599627370496)"
 
 
 EDGES = np.array([0.0, np.nextafter(1.0, 0.0), np.nextafter(0.5, 0.0), 0.5, 0.25, 0.75,
@@ -659,6 +687,120 @@ class TestBlockedClassification:
             probe = ensemble_probe(contaminated_cat_ensemble(50, 0.1, seed=1), cat_map(), QUADRANTS)
         with pytest.raises(DimensionError):
             probe.distributions_at(np.array([]))
+
+
+# the maps of the one-point kernel tests, with their lattice denominators
+POINT_MAPS = [
+    (rotation_map(GOLDEN), None),
+    (rotation_map((GOLDEN, 0.3, math.sqrt(2) - 1)), None),
+    (cat_map(), None),
+    (cat_map(lattice=4), 4),
+    (cat_map(lattice=2**20), 2**20),
+    (cat_map(lattice=3**32), 3**32),
+    (cat_map(lattice=2**52), 2**52),
+    (baker_map(), None),
+]
+POINT_MAP_IDS = [m.name for m, _ in POINT_MAPS]
+
+
+def start_points(dim, q):
+    """Two random points, all-0.0, all-(1 - 2**-53) and, on a lattice, two
+    sites: the starts of the one-point orbit tests."""
+    rng = np.random.default_rng(dim)
+    starts = [*rng.random((2, dim)), np.zeros(dim), np.full(dim, 1.0 - 2.0**-53)]
+    if q is not None:
+        starts += [*(rng.integers(0, q, (2, dim)) / q)]
+    return [tuple(p.tolist()) for p in starts]
+
+
+def recording_partition(partition):
+    """``partition`` with a ``cells_of_many`` that keeps a copy of each
+    call's points."""
+    seen = []
+
+    def cells_of_many(pts):
+        seen.append(np.array(pts))
+        return partition.cells_of_many(pts)
+
+    return dataclasses.replace(partition, cells_of_many=cells_of_many), seen
+
+
+def reference_orbit(coords, mapping, steps):
+    """The point at each distinct ascending step, stepped by ``forward_many``
+    one row at a time."""
+    pts, at, orbit = np.array([coords]), 0, []
+    for step in steps.astype(np.int64):
+        for _ in range(step - at):
+            pts = mapping.forward_many(pts)
+        at = step
+        orbit.append(pts[0])
+    return np.array(orbit)
+
+
+class TestPointKernels:
+    """A single point steps through ``forward_point`` in Python floats; every
+    kernel gives the bits of its one-row ``forward_many``, and the one-point
+    probe those of the per-step array loop."""
+
+    @pytest.mark.parametrize("mapping, q", POINT_MAPS, ids=POINT_MAP_IDS)
+    def test_one_step_matches_the_array_kernel(self, mapping, q):
+        # Rounding is checked here, one step from inputs of every grain: on
+        # float cat orbits (x + y) + x and 2x + y hardly ever differ (not
+        # once in 3,000 steps from three random starts). The edge inputs
+        # include -0.0 and 1.0, which orbits on [0, 1) never produce.
+        edges = np.array([-0.0, 0.0, 1.0 - 2.0**-53, 1.0, 0.5, 5e-324, 1e-300, -1e-20])
+        grid = np.stack(np.meshgrid(*[edges] * mapping.dim), -1).reshape(-1, mapping.dim)
+        rng = np.random.default_rng(3)
+        sets = [grid, *clouds(mapping.dim).values()]
+        if q is not None:
+            sets.append(rng.integers(0, q, (500, 2)) / q)
+        for pts in sets:
+            for p in pts:
+                point = mapping.forward_point(tuple(p.tolist()))
+                assert type(point) is tuple and all(type(c) is float for c in point)
+                assert same_bits(np.array([point]), mapping.forward_many(p[None, :])), p
+
+    @pytest.mark.parametrize("mapping, q", POINT_MAPS, ids=POINT_MAP_IDS)
+    def test_sparse_stratified_times(self, mapping, q):
+        cfg = TimeAverageConfig(horizon=1000, samples=128, scheme="stratified-random", seed=7)
+        times = sample_times(cfg)
+        steps, _ = classical._orbit_steps(times)
+        part = grid_partition([np.linspace(0.0, 1.0, 6)] * mapping.dim)
+        for start in start_points(mapping.dim, q):
+            recorder, seen = recording_partition(part)
+            probe = classical_probe(PhasePoint(start), mapping, recorder)
+            block = probe.distributions_at(times)
+            assert same_bits(np.concatenate(seen), reference_orbit(start, mapping, steps))
+            expected = reference_block(np.array([start]), np.ones(1), mapping, part, times)
+            assert same_bits(block, expected)
+
+    @pytest.mark.parametrize("mapping", [cat_map(), cat_map(lattice=2**52), baker_map()],
+                             ids=lambda m: m.name)
+    def test_consecutive_steps_across_a_block_boundary(self, mapping):
+        # a 2-d point fills 32,768 steps a block, so 40,000 steps take two;
+        # the per-step loop's cells give the expected one-hot rows
+        times = np.arange(40_000.0)
+        start = start_points(2, None)[0]
+        part = grid_partition([np.linspace(0.0, 1.0, 6)] * 2)
+        recorder, seen = recording_partition(part)
+        block = classical_probe(PhasePoint(start), mapping, recorder).distributions_at(times)
+        assert [len(pts) for pts in seen] == [32_768, 7_232]
+        orbit = reference_orbit(start, mapping, times)
+        assert same_bits(np.concatenate(seen), orbit)
+        assert same_bits(block, np.eye(part.cell_count)[part.cells_of_many(orbit)])
+
+    @pytest.mark.parametrize("n, unused", [(1, "forward_many"), (2, "forward_point")])
+    def test_the_point_count_chooses_the_kernel(self, n, unused):
+        # a one-point ensemble is stepped as a point too
+        def refuse(_):
+            raise AssertionError(f"{unused} called")
+
+        mapping = dataclasses.replace(cat_map(), **{unused: refuse})
+        ens = ClassicalEnsemble(np.random.default_rng(n).random((n, 2)))
+        times = np.arange(6.0)
+        block = ensemble_probe(ens, mapping, QUADRANTS).distributions_at(times)
+        expected = reference_block(ens.points, ens.weights, cat_map(), QUADRANTS, times)
+        assert same_bits(block, expected)
 
 
 class TestPureClosedForm:
