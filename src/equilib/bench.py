@@ -578,15 +578,21 @@ def _build_classical_ensemble(cfg: dict, epsilon: float) -> _Runtime:
     path = "scenario.system.ensemble"
     with _field(path):
         if "sampler" in ens_cfg:
-            s = _obj(ens_cfg["sampler"], f"{path}.sampler")
+            sp = f"{path}.sampler"
+            s = _obj(ens_cfg["sampler"], sp)
             if s.get("name", "contaminated-cat") != "contaminated-cat":
-                raise ConfigError(f"{path}.sampler.name: unknown sampler {s.get('name')!r}")
-            ensemble = classical.contaminated_cat_ensemble(
-                count=_integer(s, "count", f"{path}.sampler"),
-                delta=_number(s, "delta", f"{path}.sampler"),
-                seed=_seed(s, f"{path}.sampler"),
-                lattice=_integer(s, "lattice", f"{path}.sampler", 4),
-            )
+                raise ConfigError(f"{sp}.name: unknown sampler {s.get('name')!r}")
+            count, delta = _integer(s, "count", sp), _number(s, "delta", sp)
+            seed, lattice = _seed(s, sp), _integer(s, "lattice", sp, 4)
+            if count < 1:
+                raise ConfigError(f"{sp}.count: must be at least 1, got {count}")
+            if not 0.0 <= delta <= 1.0:
+                raise ConfigError(f"{sp}.delta: must lie in [0, 1], got {delta!r}")
+            if not classical.is_sampler_lattice(lattice):
+                raise ConfigError(
+                    f"{sp}.lattice: must be a power of two from 2 to 2**51, got {lattice!r}"
+                )
+            ensemble = classical.contaminated_cat_ensemble(count, delta, seed, lattice)
         else:
             ensemble = classical.ClassicalEnsemble(
                 _entries(ens_cfg, "points", path),

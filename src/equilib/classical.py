@@ -54,25 +54,21 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class InvertibleMap:
-    """Reversible discrete-time dynamics on the torus.
+    """Reversible discrete-time dynamics on the torus, stepped forward only,
+    since time averages run over t >= 0.
 
-    ``forward_many``/``backward_many`` act on an (n, dim) array of points of
-    any memory layout, which they leave as it is, and return a new (n, dim)
-    array, of any layout. ``forward_point`` is the forward step of one point
-    as a tuple of Python floats, returning a new tuple; for every point of
-    the torus it gives the bits of the one-row ``forward_many``, so a
-    one-point orbit is the same whichever kernel steps it.
+    ``forward_many`` acts on an (n, dim) array of points of any memory
+    layout, which it leaves as it is, and returns a new (n, dim) array, of
+    any layout. ``forward_point`` is the step of one point as a tuple of
+    Python floats, returning a new tuple; for every point of the torus it
+    gives the bits of the one-row ``forward_many``, so a one-point orbit is
+    the same whichever kernel steps it.
     """
 
     name: str
     dim: int
     forward_many: Callable[[np.ndarray], np.ndarray]
-    backward_many: Callable[[np.ndarray], np.ndarray]
     forward_point: Callable[[tuple[float, ...]], tuple[float, ...]]
-
-    def _check(self, x: PhasePoint) -> None:
-        if x.dim != self.dim:
-            raise DimensionError(f"map {self.name!r} is {self.dim}-d, point is {x.dim}-d")
 
 
 def _wrapped(v: np.ndarray) -> np.ndarray:
@@ -90,13 +86,12 @@ def _wrapped(v: np.ndarray) -> np.ndarray:
     return v
 
 
-# The cat map and its inverse act on row vectors as ``pts @ M.T``. Every
-# entry is 1, -1 or 2, so each output entry is one rounded sum of two exact
-# products, whatever order BLAS adds them in. The transposes are stored
-# C-contiguous: a ``.T`` view is F-ordered, and matmul of an (n, 2) cloud
-# with an F-ordered operand ran 2.3x slower at n = 1000.
+# The cat map acts on row vectors as ``pts @ M.T``. Every entry is 1 or 2,
+# so each output entry is one rounded sum of two exact products, whatever
+# order BLAS adds them in. The transpose is stored C-contiguous: a ``.T``
+# view is F-ordered, and matmul of an (n, 2) cloud with an F-ordered operand
+# ran 2.3x slower at n = 1000.
 _CAT_T = np.ascontiguousarray(np.array([[2.0, 1.0], [1.0, 1.0]]).T)
-_CAT_INV_T = np.ascontiguousarray(np.array([[1.0, -1.0], [-1.0, 2.0]]).T)
 
 
 def _typed(values, name: str, kinds: str, what: str) -> np.ndarray:
@@ -127,16 +122,19 @@ def rotation_map(angles: Sequence[float] | float) -> InvertibleMap:
     def fwd(pts: np.ndarray) -> np.ndarray:
         return _wrapped(pts + shift)
 
-    def bwd(pts: np.ndarray) -> np.ndarray:
-        return _wrapped(pts - shift)
-
     shifts = tuple(shift.tolist())
+    if len(shifts) == 1:
+        # the circle steps without building a list: 0.2 us a step, not 0.75
+        (a,) = shifts
 
-    def fwd_point(coords: tuple[float, ...]) -> tuple[float, ...]:
-        return tuple([(x + a) % 1.0 for x, a in zip(coords, shifts)])
+        def fwd_point(coords: tuple[float, ...]) -> tuple[float, ...]:
+            return ((coords[0] + a) % 1.0,)
+    else:
+        def fwd_point(coords: tuple[float, ...]) -> tuple[float, ...]:
+            return tuple([(x + a) % 1.0 for x, a in zip(coords, shifts)])
 
     label = ",".join(f"{a:g}" for a in shift)
-    return InvertibleMap(f"rotation({label})", shift.size, fwd, bwd, fwd_point)
+    return InvertibleMap(f"rotation({label})", shift.size, fwd, fwd_point)
 
 
 def cat_map(lattice: int | None = None) -> InvertibleMap:
@@ -159,15 +157,12 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
         def fwd(pts: np.ndarray) -> np.ndarray:
             return _wrapped(pts @ _CAT_T)
 
-        def bwd(pts: np.ndarray) -> np.ndarray:
-            return _wrapped(pts @ _CAT_INV_T)
-
         def fwd_point(coords: tuple[float, ...]) -> tuple[float, ...]:
             # each entry of the product is one rounded sum of exact terms
             x, y = coords
             return ((x + x + y) % 1.0, (x + y) % 1.0)
 
-        return InvertibleMap("cat-map", 2, fwd, bwd, fwd_point)
+        return InvertibleMap("cat-map", 2, fwd, fwd_point)
 
     number = isinstance(lattice, (int, float, np.integer, np.floating))
     if isinstance(lattice, bool) or not (number and float(lattice).is_integer() and lattice >= 1):
@@ -178,21 +173,15 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
             f"lattice denominator must be at most 2**52 for exact orbits, got {lattice!r}"
         )
 
-    def lattice_step(pts: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
-        # (a kx + b ky, c kx + d ky) mod q on the integer lattice coordinates
+    def fwd(pts: np.ndarray) -> np.ndarray:
+        # (2 kx + ky, kx + ky) mod q on the integer lattice coordinates
         k = np.rint(pts * q).astype(np.int64)
         kx, ky = k[:, 0], k[:, 1]
         out = np.empty_like(k)
-        out[:, 0] = a * kx + b * ky
-        out[:, 1] = c * kx + d * ky
+        out[:, 0] = 2 * kx + ky
+        out[:, 1] = kx + ky
         out %= q
         return out / q
-
-    def fwd(pts: np.ndarray) -> np.ndarray:
-        return lattice_step(pts, 2, 1, 1, 1)
-
-    def bwd(pts: np.ndarray) -> np.ndarray:
-        return lattice_step(pts, 1, -1, -1, 2)
 
     def fwd_point(coords: tuple[float, ...]) -> tuple[float, ...]:
         # Python ints never overflow, nor does the int64 kernel while
@@ -200,7 +189,7 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
         kx, ky = round(coords[0] * q), round(coords[1] * q)
         return ((kx + kx + ky) % q / q, (kx + ky) % q / q)
 
-    return InvertibleMap(f"cat-map(lattice={q})", 2, fwd, bwd, fwd_point)
+    return InvertibleMap(f"cat-map(lattice={q})", 2, fwd, fwd_point)
 
 
 def baker_map() -> InvertibleMap:
@@ -216,13 +205,6 @@ def baker_map() -> InvertibleMap:
         out[:, 1] = (y + np.floor(out[:, 0])) / 2.0
         return _wrapped(out)
 
-    def bwd(pts: np.ndarray) -> np.ndarray:
-        x, y = pts[:, 0], pts[:, 1]
-        out = np.empty_like(pts)
-        out[:, 1] = 2.0 * y
-        out[:, 0] = (x + np.floor(out[:, 1])) / 2.0
-        return _wrapped(out)
-
     def fwd_point(coords: tuple[float, ...]) -> tuple[float, ...]:
         # math.floor's int drops the sign of a -0.0 floor; the sum it changes,
         # -0.0 + -0.0, wraps to +0.0 either way
@@ -230,7 +212,7 @@ def baker_map() -> InvertibleMap:
         u = 2.0 * x
         return (u % 1.0, (y + math.floor(u)) / 2.0 % 1.0)
 
-    return InvertibleMap("baker-map", 2, fwd, bwd, fwd_point)
+    return InvertibleMap("baker-map", 2, fwd, fwd_point)
 
 
 @dataclass(frozen=True)
@@ -457,8 +439,8 @@ def _cloud_probe(
 def classical_probe(
     x: PhasePoint, mapping: InvertibleMap, partition: Partition
 ) -> TrajectoryProbe:
-    """Probe of a single pure state: sample(t) is the indicator of the cell
-    occupied at step round(t)."""
+    """Probe of a single pure state: its row at time t is the indicator of
+    the cell occupied at step round(t)."""
     return _cloud_probe(x.as_array()[None, :], np.ones(1), mapping, partition)
 
 
@@ -588,12 +570,6 @@ def mixed_equilibration_bound(cell_count: int, delta: float) -> float:
     return math.sqrt(cell_count * delta / 2.0)
 
 
-def _pair(x: PhasePoint, y: PhasePoint, mapping: InvertibleMap) -> np.ndarray:
-    mapping._check(x)
-    mapping._check(y)
-    return np.array([x.coords, y.coords])
-
-
 def _defects(
     points: np.ndarray,
     mapping: InvertibleMap,
@@ -603,6 +579,9 @@ def _defects(
 ) -> np.ndarray:
     """Correlation defect of each orbit pair (x, y) listed in ``points``, per
     batch of consecutive ``times``: shape (pairs, batches, cells).
+
+    The defect is the per-cell covariance of the two orbits' cell indicators:
+    near zero for a decorrelating pair, p_j(1 - p_j) for one orbit twice.
 
     Over the L samples of a batch the defect of cell j is
     n_xy/L - (n_x/L)(n_y/L), where n_x, n_y and n_xy count the samples with x
@@ -643,40 +622,6 @@ def _batched_defects(
         raise DomainError("fewer samples than batches")
     per_batch = _defects(points, mapping, partition, times[:usable], batches)
     return per_batch.mean(axis=1), per_batch.std(axis=1, ddof=1) / math.sqrt(batches)
-
-
-def correlation_defect(
-    x: PhasePoint,
-    y: PhasePoint,
-    mapping: InvertibleMap,
-    partition: Partition,
-    cfg: TimeAverageConfig,
-) -> np.ndarray:
-    """Per-outcome covariance of two orbits' cell indicators over time.
-
-    Estimates <p_j(x_t) p_j(y_t)> - <p_j(x_t)><p_j(y_t)> on the sampled
-    steps. A near-zero vector is the signature of a decorrelating
-    (chaotic-subspace) pair; same-orbit pairs return p_j(1 - p_j).
-    """
-    return _defects(_pair(x, y, mapping), mapping, partition, sample_times(cfg), 1)[0, 0]
-
-
-def correlation_defect_batched(
-    x: PhasePoint,
-    y: PhasePoint,
-    mapping: InvertibleMap,
-    partition: Partition,
-    cfg: TimeAverageConfig,
-    batches: int = 16,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Correlation defect plus a batch-means standard error per outcome.
-
-    The sampled steps are split into ``batches`` contiguous blocks; the
-    defect is computed per block and the spread of block values gives a
-    standard error that tolerates serial correlation in the orbits.
-    """
-    defect, stderr = _batched_defects(_pair(x, y, mapping), mapping, partition, cfg, batches)
-    return defect[0], stderr[0]
 
 
 def _t_tail(t: float, df: int) -> float:
@@ -775,6 +720,14 @@ def decorrelation_audit(
     return passed / pair_count, pair_count
 
 
+def is_sampler_lattice(q) -> bool:
+    """Whether ``contaminated_cat_ensemble`` takes the lattice ``q``: a power
+    of two from 2 to 2**51, whose sites the float ``cat_map()`` keeps exact,
+    as every 2 kx + ky < 3q is an exact double while 3q <= 2**53."""
+    number = isinstance(q, (int, np.integer)) and not isinstance(q, bool)
+    return number and 2 <= q <= 2**51 and q & (q - 1) == 0
+
+
 def contaminated_cat_ensemble(
     count: int,
     delta: float,
@@ -785,14 +738,19 @@ def contaminated_cat_ensemble(
 
     The contaminating points sit on the exact rational lattice (k/q, l/q),
     where the cat map is periodic with a short period; they are flagged
-    non-chaotic. Pair with ``cat_map()`` for the bulk and note the lattice
-    points stay exactly periodic even under the plain double-precision map
-    when q is a power of two.
+    non-chaotic. The points are meant for the plain double-precision
+    ``cat_map()``, which keeps them exactly on their orbits only when q is
+    a power of two from 2 to 2**51: at q = 3 or 5 one step moves some of
+    them up to half a site off the lattice, at 2**52 one step rounds some
+    of them to the wrong site, and at q = 1 all sit on the origin's fixed
+    point.
     """
     if count < 1:
         raise DomainError("ensemble needs at least one point")
     if not 0.0 <= delta <= 1.0:
         raise DomainError("delta must lie in [0, 1]")
+    if not is_sampler_lattice(lattice):
+        raise DomainError(f"lattice must be a power of two from 2 to 2**51, got {lattice!r}")
     rng = np.random.default_rng(seed)
     n_periodic = int(round(delta * count))
     n_chaotic = count - n_periodic

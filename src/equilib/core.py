@@ -108,18 +108,6 @@ class OutcomeDistribution:
     def max_probability(self) -> float:
         return float(self.probs.max())
 
-    @staticmethod
-    def indicator(index: int, size: int) -> "OutcomeDistribution":
-        """Deterministic distribution putting all weight on one outcome."""
-        if not 0 <= index < size:
-            raise DomainError(f"indicator index {index} outside range({size})")
-        probs = np.zeros(size)
-        probs[index] = 1.0
-        return OutcomeDistribution(probs)
-
-    @staticmethod
-    def uniform(size: int) -> "OutcomeDistribution":
-        return OutcomeDistribution(np.full(size, 1.0 / size))
 
 
 @dataclass(frozen=True)
@@ -129,10 +117,9 @@ class TrajectoryProbe:
     ``sample_many`` maps a 1-d array of M times t >= 0 to an
     ``(M, outcome_count)`` array whose row k is the outcome distribution at
     ``times[k]``; at t = 0 it reproduces the initial state's outcome
-    statistics. It must be a pure function of the times: ``distributions_at``
-    keeps its last validated block, read-only, and returns it again for
-    exactly the same times. ``sample(t)`` is the one-time view of the same
-    block and leaves that memo untouched.
+    statistics. It must be a pure function of the times. ``distributions_at``
+    is the one way to read it: it validates the block, keeps the last one,
+    read-only, and returns it again for exactly the same times.
     """
 
     sample_many: Callable[[np.ndarray], np.ndarray]
@@ -143,21 +130,12 @@ class TrajectoryProbe:
         if self.outcome_count < 1:
             raise DomainError("a probe needs at least one outcome")
 
-    def sample(self, t: float) -> OutcomeDistribution:
-        """Outcome distribution at one time."""
-        return OutcomeDistribution(self._sample_block(np.array([float(t)]))[0])
-
     def distributions_at(self, times: np.ndarray) -> np.ndarray:
         """Stack probe samples at the given times into a read-only (M, N) array."""
         times = np.asarray(times, dtype=float)
         last = self._last[:]  # one read, so times and block always belong together
-        if not (last and np.array_equal(last[0], times)):
-            last = [times.copy(), self._sample_block(times)]
-            last[1].setflags(write=False)
-            self._last[:] = last
-        return last[1]
-
-    def _sample_block(self, times: np.ndarray) -> np.ndarray:
+        if last and np.array_equal(last[0], times):
+            return last[1]
         if times.size == 0:
             raise DimensionError("a sample block needs at least one time")
         block = np.array(self.sample_many(times), dtype=float)
@@ -166,20 +144,18 @@ class TrajectoryProbe:
                 f"sample_many returned shape {block.shape}, "
                 f"expected {(times.size, self.outcome_count)}"
             )
-        _validate_sample_block(block)
+        if not np.all(np.isfinite(block)):
+            raise DistributionError("probe produced non-finite probabilities")
+        if block.min() < -ENTRY_TOL or block.max() > 1.0 + ENTRY_TOL:
+            raise DistributionError("probe produced probabilities outside [0, 1]")
+        sums = block.sum(axis=1)
+        bad = np.abs(sums - 1.0) > NORM_TOL
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DistributionError(f"probe sample {k} sums to {sums[k]!r}, expected 1")
+        block.setflags(write=False)
+        self._last[:] = [times.copy(), block]
         return block
-
-
-def _validate_sample_block(block: np.ndarray) -> None:
-    if not np.all(np.isfinite(block)):
-        raise DistributionError("probe produced non-finite probabilities")
-    if block.min() < -ENTRY_TOL or block.max() > 1.0 + ENTRY_TOL:
-        raise DistributionError("probe produced probabilities outside [0, 1]")
-    sums = block.sum(axis=1)
-    bad = np.abs(sums - 1.0) > NORM_TOL
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise DistributionError(f"probe sample {k} sums to {sums[k]!r}, expected 1")
 
 
 @dataclass(frozen=True)

@@ -367,7 +367,7 @@ def max_outcomes_for_equilibration(
 def quantum_probe(
     rho: DensityMatrix, spectrum: HamiltonianSpectrum, povm: POVM
 ) -> TrajectoryProbe:
-    """Probe whose sample(t) lists tr(M_j rho_t) for the POVM elements."""
+    """Probe whose row at time t lists tr(M_j rho_t) for the POVM elements."""
     if rho.dim != spectrum.dim or povm.dim != spectrum.dim:
         raise DimensionError(
             f"dimensions differ: state {rho.dim}, spectrum {spectrum.dim}, "

@@ -527,6 +527,25 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=rf"scenario\.system\.ensemble\.{field}: expected"):
             load_scenario(cfg)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("count", 0), ("count", -5), ("delta", -0.1), ("delta", 1.5), ("delta", math.nan),
+         *[("lattice", q) for q in (0, -3, 1, 3, 6, 2**52, 2**64)]],
+    )
+    def test_bad_sampler_fields_name_their_path(self, field, bad):
+        # lattice 0 and -3 used to fail as `scenario.system.ensemble: high <= 0`;
+        # 1, 3 and 5 loaded, with every periodic point at the origin or
+        # drifting off its lattice
+        path = f"system.ensemble.sampler.{field}"
+        with pytest.raises(ConfigError, match=r"scenario\." + path.replace(".", r"\.") + ": must"):
+            load_scenario(ensemble_config(), overrides={path: bad})
+
+    @pytest.mark.parametrize("lattice", [2, 4, 2**51])
+    def test_sampler_lattices_up_to_2_to_the_51_load(self, lattice):
+        scenario = load_scenario(
+            ensemble_config(), overrides={"system.ensemble.sampler.lattice": lattice})
+        assert scenario.built[0][0].params["delta"] == pytest.approx(0.1)
+
     def test_false_flags_put_every_point_outside_the_chaotic_subspace(self):
         cfg = ensemble_config()
         cfg["system"]["ensemble"] = {"points": [[0.1, 0.2], [0.6, 0.7]],

@@ -25,8 +25,6 @@ from equilib.classical import (
     check_necessity,
     classical_probe,
     contaminated_cat_ensemble,
-    correlation_defect,
-    correlation_defect_batched,
     decorrelation_audit,
     ensemble_noise_floor,
     ensemble_probe,
@@ -81,16 +79,11 @@ def counting_partition(partition):
 
 
 def compose(*maps):
-    """The maps applied left to right (their inverses right to left)."""
+    """The maps applied left to right."""
 
     def fwd(pts):
         for m in maps:
             pts = m.forward_many(pts)
-        return pts
-
-    def bwd(pts):
-        for m in reversed(maps):
-            pts = m.backward_many(pts)
         return pts
 
     def fwd_point(coords):
@@ -99,7 +92,7 @@ def compose(*maps):
         return coords
 
     name = "composed(" + ">".join(m.name for m in maps) + ")"
-    return InvertibleMap(name, maps[0].dim, fwd, bwd, fwd_point)
+    return InvertibleMap(name, maps[0].dim, fwd, fwd_point)
 
 
 def cell_of(partition, coords):
@@ -107,11 +100,10 @@ def cell_of(partition, coords):
     return int(partition.cells_of_many(PhasePoint(coords).as_array()[None, :])[0])
 
 
-def iterate(coords, mapping, steps):
-    """``coords`` after ``steps`` applications of the map, backward when negative."""
+def iterate(coords, step, steps):
+    """``coords`` after ``steps`` applications of the array kernel ``step``."""
     pts = np.array([coords], dtype=float)
-    step = mapping.forward_many if steps >= 0 else mapping.backward_many
-    for _ in range(abs(steps)):
+    for _ in range(steps):
         pts = step(pts)
     return pts[0]
 
@@ -146,6 +138,15 @@ def reference_baker(pts, forward):
         return np.column_stack(((2.0 * x) % 1.0, (y + half) / 2.0 % 1.0))
     half = np.floor(2.0 * y)
     return np.column_stack(((x + half) / 2.0 % 1.0, (2.0 * y) % 1.0))
+
+
+# Maps step forward only; the round-trip tests step back through these.
+def cat_inverse(pts):
+    return (pts @ CAT_INV.T) % 1.0
+
+
+def baker_inverse(pts):
+    return reference_baker(pts, False)
 
 
 def reference_cells(points, mapping, partition, times):
@@ -209,49 +210,51 @@ class TestMaps:
         # step 0 of an orbit is the initial point, reached without a map call
         mapping, calls = counting_map(rotation_map(0.1))
         probe = classical_probe(PhasePoint(0.3), mapping, interval_partition([0.0, 0.5, 1.0]))
-        assert probe.sample(0.0).probs.tolist() == [1.0, 0.0]
+        assert probe.distributions_at([0.0])[0].tolist() == [1.0, 0.0]
         assert calls == []
 
     def test_rotation_example(self):
         # 0.1 + 2 * 0.25 mod 1 = 0.6
-        out = iterate([0.1], rotation_map(0.25), 2)
+        out = iterate([0.1], rotation_map(0.25).forward_many, 2)
         assert out[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_negative_steps_are_backward(self):
         x = (0.3, 0.8)
         cm = cat_map()
-        assert wrap_distance(iterate(iterate(x, cm, 5), cm, -5), x) < 1e-12
+        assert wrap_distance(iterate(iterate(x, cm.forward_many, 5), cat_inverse, 5), x) < 1e-12
 
     @pytest.mark.parametrize(
-        "mapping",
+        "mapping, inverse",
         [
-            rotation_map(GOLDEN),
-            rotation_map((0.3, 0.711)),
-            cat_map(),
-            cat_map(lattice=64),
-            baker_map(),
-            compose(cat_map(), baker_map()),
+            pytest.param(m, inverse, id=m.name)
+            for m, inverse in [
+                (rotation_map(GOLDEN), lambda pts: (pts - GOLDEN) % 1.0),
+                (rotation_map((0.3, 0.711)), lambda pts: (pts - np.array([0.3, 0.711])) % 1.0),
+                (cat_map(), cat_inverse),
+                (cat_map(lattice=64), lambda pts: reference_lattice(pts, CAT_INV, 64)),
+                (baker_map(), baker_inverse),
+                (compose(cat_map(), baker_map()), lambda pts: cat_inverse(baker_inverse(pts))),
+            ]
         ],
-        ids=lambda m: m.name,
     )
-    def test_reversibility(self, mapping):
+    def test_reversibility(self, mapping, inverse):
         rng = np.random.default_rng(7)
         pts = rng.random((1000, mapping.dim))
         if "lattice" in mapping.name:
             pts = np.rint(pts * 64) / 64 % 1.0
-        back = mapping.backward_many(mapping.forward_many(pts))
+        back = inverse(mapping.forward_many(pts))
         assert wrap_distance(back, pts) < 1e-9
 
     def test_cat_roundtrip_seven_steps(self):
         x = (0.137, 0.912)
-        y = iterate(iterate(x, cat_map(), 7), cat_map(), -7)
+        y = iterate(iterate(x, cat_map().forward_many, 7), cat_inverse, 7)
         assert wrap_distance(x, y) < 1e-9
 
     def test_lattice_cat_is_periodic(self):
         # the cat matrix has order 3 mod 4, so 1/4-lattice orbits close in 3 steps
         m = cat_map(lattice=4)
         x = (0.25, 0.5)
-        assert tuple(iterate(x, m, 3)) == x
+        assert tuple(iterate(x, m.forward_many, 3)) == x
 
     def test_dimension_check(self):
         with pytest.raises(DimensionError):
@@ -313,7 +316,6 @@ class TestKernels:
     def test_cat(self, label):
         pts = clouds(2)[label]
         assert same_bits(cat_map().forward_many(pts), (pts @ CAT.T) % 1.0)
-        assert same_bits(cat_map().backward_many(pts), (pts @ CAT_INV.T) % 1.0)
 
     @pytest.mark.parametrize("q", [4, 7, 64])
     @pytest.mark.parametrize("label", ["lattice", "random", "edges"])
@@ -323,7 +325,6 @@ class TestKernels:
         pts = rng.integers(0, q, (2000, 2)) / q if label == "lattice" else clouds(2)[label]
         m = cat_map(lattice=q)
         assert same_bits(m.forward_many(pts), reference_lattice(pts, CAT, q))
-        assert same_bits(m.backward_many(pts), reference_lattice(pts, CAT_INV, q))
 
     @pytest.mark.parametrize(
         "angles", [(GOLDEN,), (0.3, 0.711), (-0.37, -2.6), (2.71, 1e6 + 0.3), (-1e-20,)]
@@ -335,13 +336,11 @@ class TestKernels:
         shift = np.array(angles)
         m = rotation_map(angles)
         assert same_bits(m.forward_many(pts), (pts + shift) % 1.0)
-        assert same_bits(m.backward_many(pts), (pts - shift) % 1.0)
 
     @pytest.mark.parametrize("label", ["random", "edges", "outside"])
     def test_baker(self, label):
         pts = clouds(2)[label]
         assert same_bits(baker_map().forward_many(pts), reference_baker(pts, True))
-        assert same_bits(baker_map().backward_many(pts), reference_baker(pts, False))
 
     def test_wrap_of_negatives_and_signed_zero(self):
         v = np.array([-0.0, 0.0, -1e-20, -0.25, -1.0, -2.5, -3.7, 1.0, 2.0**52 + 1, -(2.0**53)])
@@ -496,12 +495,11 @@ class TestLayouts:
     @pytest.mark.parametrize("label", ["random", "edges", "outside"])
     def test_maps(self, mapping, label):
         pts = clouds(mapping.dim)[label]
-        for step in (mapping.forward_many, mapping.backward_many):
-            expected = step(np.ascontiguousarray(pts))
-            for layout, arr in layouts(pts).items():
-                before = arr.copy()
-                assert same_bits(step(arr), expected), layout
-                assert same_bits(arr, before), layout
+        expected = mapping.forward_many(np.ascontiguousarray(pts))
+        for layout, arr in layouts(pts).items():
+            before = arr.copy()
+            assert same_bits(mapping.forward_many(arr), expected), layout
+            assert same_bits(arr, before), layout
 
     @pytest.mark.parametrize("edges", TestCountClassification.EDGE_SETS,
                              ids=lambda e: f"{len(e) - 2}-inner")
@@ -524,7 +522,7 @@ class TestClassicalProbe:
     def test_initial_indicator(self):
         part = interval_partition([0.0, 0.5, 1.0])
         probe = classical_probe(PhasePoint(0.7), rotation_map(GOLDEN), part)
-        assert probe.sample(0.0) == OutcomeDistribution([0.0, 1.0])
+        assert probe.distributions_at([0.0])[0].tolist() == [0.0, 1.0]
 
     def test_golden_rotation_equidistributes(self):
         part = interval_partition([0.0, 0.5, 1.0])
@@ -545,13 +543,13 @@ class TestClassicalProbe:
         times = np.arange(20.0)
         block = probe.distributions_at(times)
         for k, t in enumerate(times):
-            assert probe.sample(t) == OutcomeDistribution(block[k])
+            assert np.array_equal(probe.distributions_at([t])[0], block[k])
 
     def test_rejects_negative_time(self):
         part = interval_partition([0.0, 0.5, 1.0])
         probe = classical_probe(PhasePoint(0.1), rotation_map(GOLDEN), part)
         with pytest.raises(DomainError):
-            probe.sample(-1.0)
+            probe.distributions_at([-1.0])
 
 
 class TestOrbitEngine:
@@ -585,14 +583,14 @@ class TestOrbitEngine:
         with pytest.raises(DomainError, match="cap"):
             probe.distributions_at(np.array([1.0, 5.0, MAX_ORBIT_STEPS + 1.0]))
         with pytest.raises(DomainError, match="cap"):
-            probe.sample(1e300)
+            probe.distributions_at([1e300])
         assert calls == []
 
     def test_ensemble_rejects_negative_time(self):
         mapping, calls = counting_map(cat_map())
         probe = ensemble_probe(contaminated_cat_ensemble(50, 0.1, seed=1), mapping, QUADRANTS)
         with pytest.raises(DomainError):
-            probe.sample(-1.0)
+            probe.distributions_at([-1.0])
         with pytest.raises(DomainError):
             probe.distributions_at(np.array([3.0, -2.0]))
         assert calls == []
@@ -860,26 +858,25 @@ class TestCorrelationDefect:
         # same periodic orbit: defect_j = p_j (1 - p_j) with p_j = 1/4
         part = interval_partition([0.0, 0.25, 0.5, 0.75, 1.0])
         cfg = STEPS(512)
-        x = PhasePoint(0.1)
-        defect = correlation_defect(x, x, rotation_map(0.25), part, cfg)
+        pair = np.array([[0.1], [0.1]])
+        defect = classical._defects(pair, rotation_map(0.25), part, sample_times(cfg), 1)[0, 0]
         assert defect == pytest.approx([3 / 16] * 4, abs=1e-12)
 
     def test_generic_cat_pair_decorrelates(self):
         part = grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
         cfg = STEPS(4096)
-        x = PhasePoint((0.2137, 0.5821))
-        y = PhasePoint((0.7301, 0.1193))
-        defect, stderr = correlation_defect_batched(x, y, cat_map(), part, cfg)
-        assert np.all(np.abs(defect) < 3.0 * stderr)
+        pair = np.array([[0.2137, 0.5821], [0.7301, 0.1193]])
+        defect, stderr = classical._batched_defects(pair, cat_map(), part, cfg, 16)
+        assert np.all(np.abs(defect[0]) < 3.0 * stderr[0])
 
     def test_deterministic_factor_gives_zero(self):
         # x never leaves cell 0, so its indicator is constant and the
         # covariance with anything vanishes
         part = interval_partition([0.0, 0.9, 1.0])
         cfg = STEPS(256)
-        x = PhasePoint(0.05)   # orbit {0.05, 0.3, 0.55, 0.8} inside cell 0
-        y = PhasePoint(0.47)
-        defect = correlation_defect(x, y, rotation_map(0.25), part, cfg)
+        # x = 0.05 has the orbit {0.05, 0.3, 0.55, 0.8}, inside cell 0
+        pair = np.array([[0.05], [0.47]])
+        defect = classical._defects(pair, rotation_map(0.25), part, sample_times(cfg), 1)[0, 0]
         assert defect == pytest.approx([0.0] * 2, abs=1e-14)
 
 
@@ -899,17 +896,16 @@ class TestDefectsAgainstOneHot:
     def test_pair_defects(self, monkeypatch, cfg, mapping):
         monkeypatch.setattr(classical, "_BLOCK_COORDS", 60)
         part = grid_partition([[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]])
-        x, y = PhasePoint((0.2137, 0.5821)), PhasePoint((0.7301, 0.1193))
-        pair = np.array([x.coords, y.coords])
+        pair = np.array([[0.2137, 0.5821], [0.7301, 0.1193]])
         times = sample_times(cfg)
-        plain = reference_defects(pair, mapping, part, times, 1)[0, 0]
-        assert same_bits(correlation_defect(x, y, mapping, part, cfg), plain)
+        plain = reference_defects(pair, mapping, part, times, 1)
+        assert same_bits(classical._defects(pair, mapping, part, times, 1), plain)
         batches = 16
         per_batch = reference_defects(pair, mapping, part, times[: cfg.samples // batches * batches],
-                                      batches)[0]
-        defect, stderr = correlation_defect_batched(x, y, mapping, part, cfg, batches)
-        assert same_bits(defect, per_batch.mean(axis=0))
-        assert same_bits(stderr, per_batch.std(axis=0, ddof=1) / math.sqrt(batches))
+                                      batches)
+        defect, stderr = classical._batched_defects(pair, mapping, part, cfg, batches)
+        assert same_bits(defect, per_batch.mean(axis=1))
+        assert same_bits(stderr, per_batch.std(axis=1, ddof=1) / math.sqrt(batches))
 
     def test_many_pairs_and_audit(self, monkeypatch):
         monkeypatch.setattr(classical, "_BLOCK_COORDS", 500)
@@ -949,7 +945,7 @@ class TestEnsembles:
         part = interval_partition([0.0, 0.5, 1.0])
         ens = ClassicalEnsemble([PhasePoint(0.1), PhasePoint(0.7)])
         probe = ensemble_probe(ens, rotation_map(0.0), part)
-        assert probe.sample(0.0) == OutcomeDistribution([0.5, 0.5])
+        assert probe.distributions_at([0.0])[0].tolist() == [0.5, 0.5]
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -1007,6 +1003,23 @@ class TestEnsembles:
             rolled = m.forward_many(rolled)
         assert np.array_equal(rolled, periodic)
 
+    @pytest.mark.parametrize("lattice", [0, -3, 1, 3, 5, 6, 2**52, 2**64, 4.0, True])
+    def test_contaminated_lattice_is_a_power_of_two_up_to_2_to_the_51(self, lattice):
+        with pytest.raises(DomainError, match="lattice"):
+            contaminated_cat_ensemble(20, delta=0.5, seed=1, lattice=lattice)
+
+    @pytest.mark.parametrize("q", [2, 4, 2**20, 2**51, 3, 5, 2**52])
+    def test_float_cat_map_keeps_lattice_orbits_up_to_2_to_the_51(self, q):
+        # the bound of the contaminated-cat lattice: float and lattice
+        # orbits agree bit for bit for powers of two up to 2**51 only
+        pts = np.random.default_rng(q % 1000).integers(0, q, (2000, 2)) / q
+        floats, sites = pts, pts
+        agree = True
+        for _ in range(60):
+            floats, sites = cat_map().forward_many(floats), cat_map(q).forward_many(sites)
+            agree &= np.array_equal(floats, sites)
+        assert agree == classical.is_sampler_lattice(q)
+
     def test_noise_floor_formula(self):
         ens = contaminated_cat_ensemble(1000, delta=0.0, seed=1)
         omega = OutcomeDistribution([0.25] * 4)
@@ -1026,8 +1039,8 @@ class TestEnsembles:
         passed = 0
         for _ in range(pair_count):
             i, j = rng.choice(idx, size=2, replace=False)
-            x, y = PhasePoint(tuple(ens.points[i])), PhasePoint(tuple(ens.points[j]))
-            defect, stderr = correlation_defect_batched(x, y, cat_map(), part, cfg, batches)
+            pair = ens.points[[i, j]]
+            defect, stderr = classical._batched_defects(pair, cat_map(), part, cfg, batches)
             passed += bool(np.all(np.abs(defect) / np.maximum(stderr, 1e-300) <= threshold))
         assert 0 < passed < pair_count
         audit = decorrelation_audit(ens, cat_map(), part, cfg, pair_count, seed, batches, risk)

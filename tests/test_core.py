@@ -102,14 +102,6 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
 
-    def test_indicator_uniform(self):
-        assert OutcomeDistribution.indicator(1, 3) == OutcomeDistribution([0, 1, 0])
-        assert OutcomeDistribution.uniform(4).allclose(
-            OutcomeDistribution([0.25] * 4), atol=0
-        )
-        with pytest.raises(DomainError):
-            OutcomeDistribution.indicator(3, 3)
-
 
 class TestDistinguishability:
     def test_identical_is_zero(self):
@@ -231,7 +223,7 @@ class TestTimeAverageDistribution:
         with pytest.raises(DimensionError, match=r"shape \(4, 1\)"):
             time_average_distribution(probe, cfg)
         with pytest.raises(DimensionError):
-            probe.sample(0.5)
+            probe.distributions_at([0.5])
 
 
 class TestProbeMemo:
@@ -262,13 +254,13 @@ class TestProbeMemo:
 
     @pytest.mark.parametrize("builder", ["quantum", "classical", "ensemble", "synthetic"])
     def test_sample_is_a_block_row_and_keeps_the_memo(self, builder):
+        # a one-time block is the row of any block holding that time, and
+        # it is then the memoised block
         probe = builder_probes()[builder]
-        times = np.arange(8.0)
-        block = probe.distributions_at(times)
-        single = probe.sample(11.0)
-        # the earlier block is still the memoised one
-        assert probe.distributions_at(times) is block
-        assert single == OutcomeDistribution(probe.distributions_at([11.0])[0])
+        block = probe.distributions_at(np.append(np.arange(8.0), 11.0))
+        single = probe.distributions_at([11.0])
+        assert np.array_equal(single[0], block[-1])
+        assert probe.distributions_at([11.0]) is single
 
     def test_block_is_read_only(self):
         probe, _ = self.counting_probe()
@@ -476,7 +468,7 @@ class TestSyntheticProbe:
     def test_scalar_matches_vector(self):
         probe = synthetic_probe(3, seed=4)
         t = 1.37
-        assert probe.sample(t).probs == pytest.approx(
+        assert probe.distributions_at([t])[0] == pytest.approx(
             probe.sample_many(np.array([t]))[0]
         )
 
@@ -489,8 +481,8 @@ class TestSyntheticProbe:
 
     def test_sample_zero_is_initial(self):
         probe = synthetic_probe(3, seed=1)
-        assert probe.sample(0.0) == OutcomeDistribution(
-            probe.sample_many(np.array([0.0]))[0]
+        assert np.array_equal(
+            probe.distributions_at([0.0])[0], probe.sample_many(np.array([0.0]))[0]
         )
 
     def test_isinstance_estimate(self):

@@ -542,28 +542,26 @@ class TestQuantumProbe:
     def test_stationary_state_constant(self):
         ground = DensityMatrix(np.diag([1.0, 0.0]))
         probe = quantum_probe(ground, QUBIT_H, SIGMA_X_POVM)
-        a = probe.sample(0.0)
-        b = probe.sample(13.7)
-        assert a.allclose(b, atol=1e-12)
+        a, b = probe.distributions_at([0.0, 13.7])
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_qubit_analytic(self):
         probe = quantum_probe(PLUS, QUBIT_H, SIGMA_X_POVM)
         for t in np.linspace(0.0, 12.0, 25):
             expected = [(1 + math.cos(t)) / 2, (1 - math.cos(t)) / 2]
-            assert probe.sample(float(t)).allclose(
-                OutcomeDistribution(expected), atol=1e-12
-            )
+            assert np.allclose(probe.distributions_at([t])[0], expected, rtol=0.0, atol=1e-12)
 
     def test_identity_povm_constant_one(self):
         probe = quantum_probe(PLUS, QUBIT_H, POVM([np.eye(2)]))
-        assert probe.sample(3.2).allclose(OutcomeDistribution([1.0]), atol=1e-12)
+        assert np.allclose(probe.distributions_at([3.2])[0], [1.0], rtol=0.0, atol=1e-12)
 
     def test_sample_zero_is_initial_statistics(self):
         rho = random_mixed_state(5, 8)
         spec = random_spectrum(5, 9)
         povm = random_povm(5, 3, 10)
         probe = quantum_probe(rho, spec, povm)
-        assert probe.sample(0.0).allclose(povm.probabilities(rho), atol=1e-12)
+        first = OutcomeDistribution(probe.distributions_at([0.0])[0])
+        assert first.allclose(povm.probabilities(rho), atol=1e-12)
 
     def test_scalar_vector_agree(self):
         rho = random_mixed_state(4, 1)
@@ -573,7 +571,8 @@ class TestQuantumProbe:
         times = np.linspace(0.0, 40.0, 17)
         block = probe.distributions_at(times)
         for k, t in enumerate(times):
-            assert probe.sample(float(t)).allclose(OutcomeDistribution(block[k]), atol=1e-12)
+            row = probe.distributions_at([t])[0]
+            assert np.allclose(row, block[k], rtol=0.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
