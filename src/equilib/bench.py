@@ -15,6 +15,7 @@ import copy
 import itertools
 import json
 import math
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -459,11 +460,17 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
     if "sampler" in system:
         s = _obj(system["sampler"], f"{path}.sampler")
         dim = _integer(s, "dim", f"{path}.sampler")
+        if dim < 1:
+            raise ConfigError(f"{path}.sampler.dim: must be at least 1, got {dim}")
         seed = _seed(s, f"{path}.sampler")
         spec_kind = s.get("spectrum", "generic")
         spacing = _number(s, "spacing", f"{path}.sampler") if "spacing" in s else 1.0
         if not (math.isfinite(spacing) and spacing > 0):
             raise ConfigError(f"{path}.sampler.spacing: must be finite and > 0, got {spacing!r}")
+        # the top level spacing * (dim - 1) must be finite; compared against
+        # the exact int dim - 1, since a huge dim overflows a float
+        if dim - 1 > sys.float_info.max / spacing:
+            raise ConfigError(f"{path}.sampler.spacing: {spacing!r} * (dim - 1) overflows")
         with _field(f"{path}.sampler.spectrum"):
             spectrum = quantum.random_spectrum(dim, seed, spec_kind, spacing)
         state_kind = s.get("state", "pure")

@@ -56,17 +56,27 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __init__(self, matrix):
+        arr = self._by_construction(matrix).matrix
+        if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
+            raise DomainError("density matrix has a negative eigenvalue")
+        object.__setattr__(self, "matrix", arr)
+
+    @classmethod
+    def _by_construction(cls, matrix) -> "DensityMatrix":
+        """A state from a matrix that is positive semidefinite by construction:
+        every check of ``__init__`` but its O(d^3) eigenvalue test, which the
+        tests run on each sampler's output instead."""
         arr = _as_square_complex(matrix, "a density matrix")
         if np.abs(arr - arr.conj().T).max() > HERMITIAN_TOL:
             raise DomainError("density matrix is not Hermitian")
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > TRACE_TOL:
             raise DomainError(f"density matrix has trace {tr!r}, expected 1")
-        if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
-            raise DomainError("density matrix has a negative eigenvalue")
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", arr)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -89,7 +99,8 @@ class DensityMatrix:
         if norm == 0:
             raise DomainError("cannot build a state from the zero vector")
         v = v / norm
-        return DensityMatrix(np.outer(v, v.conj()))
+        # v v^H is positive semidefinite for every finite v
+        return DensityMatrix._by_construction(np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +110,17 @@ class POVM:
     elements: tuple[np.ndarray, ...]
 
     def __init__(self, elements: Sequence):
+        mats = self._by_construction(elements).elements
+        for k, arr in enumerate(mats):
+            if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
+                raise DomainError(f"measurement element {k} is not positive semidefinite")
+        object.__setattr__(self, "elements", mats)
+
+    @classmethod
+    def _by_construction(cls, elements: Sequence) -> "POVM":
+        """A measurement from elements that are positive semidefinite by
+        construction: every check of ``__init__`` but its O(d^3) eigenvalue
+        tests, which the tests run on each sampler's output instead."""
         if len(elements) == 0:
             raise DomainError("a measurement needs at least one element")
         mats = []
@@ -111,15 +133,15 @@ class POVM:
                 raise DimensionError("measurement elements have mixed dimensions")
             if np.abs(arr - arr.conj().T).max() > HERMITIAN_TOL:
                 raise DomainError(f"measurement element {k} is not Hermitian")
-            if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
-                raise DomainError(f"measurement element {k} is not positive semidefinite")
             arr = arr.copy()
             arr.setflags(write=False)
             mats.append(arr)
         total = sum(mats)
         if np.abs(total - np.eye(dim)).max() > TRACE_TOL:
             raise DomainError("measurement elements do not sum to the identity")
-        object.__setattr__(self, "elements", tuple(mats))
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "elements", tuple(mats))
+        return povm
 
     @property
     def outcome_count(self) -> int:
@@ -540,6 +562,11 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise DomainError(f"dimension must be >= 1, got {dim}")
+
+
 def random_spectrum(
     dim: int,
     seed: int,
@@ -553,10 +580,13 @@ def random_spectrum(
     ladder 0, spacing, 2*spacing, ... whose gaps are maximally degenerate.
     Both use a Haar-random eigenbasis.
     """
+    _check_dim(dim)
     rng = np.random.default_rng(seed)
     if kind == "generic":
         vals = np.sort(rng.uniform(0.0, float(dim), dim))
     elif kind == "equally-spaced":
+        if not math.isfinite(spacing * (dim - 1)):
+            raise DomainError(f"spacing {spacing!r} overflows at level {dim - 1}")
         vals = spacing * np.arange(dim, dtype=float)
     else:
         raise DomainError(f"unknown spectrum kind {kind!r}")
@@ -564,21 +594,25 @@ def random_spectrum(
 
 
 def random_pure_state(dim: int, seed: int) -> DensityMatrix:
+    _check_dim(dim)
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return DensityMatrix.from_vector(psi)
 
 
 def random_mixed_state(dim: int, seed: int) -> DensityMatrix:
+    _check_dim(dim)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m))
+    # a Gram matrix over its trace
+    return DensityMatrix._by_construction(m / np.trace(m))
 
 
 def random_povm(dim: int, outcomes: int, seed: int) -> POVM:
     """Random positive decomposition of the identity: normalize random PSD
     matrices by the inverse square root of their sum."""
+    _check_dim(dim)
     if outcomes < 1:
         raise DomainError("need at least one outcome")
     rng = np.random.default_rng(seed)
@@ -588,13 +622,15 @@ def random_povm(dim: int, outcomes: int, seed: int) -> POVM:
         parts.append(g @ g.conj().T)
     total = sum(parts)
     vals, vecs = np.linalg.eigh(total)
-    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.conj().T
-    return POVM([inv_sqrt @ p @ inv_sqrt for p in parts])
+    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    # congruences S P S of Gram matrices P
+    return POVM._by_construction([inv_sqrt @ p @ inv_sqrt for p in parts])
 
 
 def projective_povm(dim: int, outcomes: int, seed: int) -> POVM:
     """Projective measurement from a Haar-random basis, its vectors dealt
     round-robin into ``outcomes`` groups."""
+    _check_dim(dim)
     if not 1 <= outcomes <= dim:
         raise DomainError(f"projective measurement needs 1 <= outcomes <= dim, got {outcomes}")
     rng = np.random.default_rng(seed)
@@ -603,7 +639,8 @@ def projective_povm(dim: int, outcomes: int, seed: int) -> POVM:
     for col in range(dim):
         v = u[:, col]
         elements[col % outcomes] += np.outer(v, v.conj())
-    return POVM(elements)
+    # sums of outer products
+    return POVM._by_construction(elements)
 
 
 def uneven_povm(dim: int, outcomes: int, leak: float, seed: int) -> POVM:
@@ -616,4 +653,5 @@ def uneven_povm(dim: int, outcomes: int, leak: float, seed: int) -> POVM:
         raise DomainError("need at least two outcomes")
     rest = random_povm(dim, outcomes - 1, seed)
     eye = np.eye(dim)
-    return POVM([(1.0 - leak) * eye] + [leak * m for m in rest.elements])
+    # nonnegative multiples of the identity and of random_povm's elements
+    return POVM._by_construction([(1.0 - leak) * eye] + [leak * m for m in rest.elements])

@@ -231,11 +231,20 @@ class TestLoadScenario:
         assert load_scenario(path).name == "from-stem"
         assert load_scenario(cfg).name == "scenario"
 
-    @pytest.mark.parametrize("spacing", ["wide", 0.0, -1.0, float("inf")])
+    # 1e308 passes as a number, but the top level 7e308 of the 8-level
+    # ladder overflows
+    @pytest.mark.parametrize("spacing", ["wide", 0.0, -1.0, float("inf"), 1e308])
     def test_bad_spacing_names_its_path(self, spacing):
         cfg = sampled_quantum_config()
         cfg["system"]["sampler"].update(spectrum="equally-spaced", spacing=spacing)
         with pytest.raises(ConfigError, match=r"scenario\.system\.sampler\.spacing"):
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_sampler_dim_below_one_names_its_path(self, dim):
+        cfg = sampled_quantum_config()
+        cfg["system"]["sampler"]["dim"] = dim
+        with pytest.raises(ConfigError, match=r"scenario\.system\.sampler\.dim: must be at"):
             load_scenario(cfg)
 
     def test_spacing_scales_the_ladder(self):
@@ -493,6 +502,48 @@ class TestLoadScenario:
             cfg["system"]["hamiltonian"] = {"matrix": tainted}
         with pytest.raises(ConfigError, match=path + ": .*non-finite"):
             load_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "field, path",
+        [("state", r"scenario\.system\.state"), ("povm", r"scenario\.measurement\.povm")],
+    )
+    def test_non_psd_quantum_matrix_names_its_path(self, field, path):
+        # file matrices keep the eigenvalue check that sampler outputs skip
+        def diag(a, b):
+            return {"rows": 2, "cols": 2, "data": [[a, 0.0], [0.0, 0.0], [0.0, 0.0], [b, 0.0]]}
+
+        cfg = qubit_config()
+        if field == "state":
+            cfg["system"]["state"] = {"matrix": diag(1.5, -0.5)}
+        else:
+            # each element has a negative eigenvalue; together they sum to I
+            cfg["measurement"]["povm"] = [diag(1.5, -0.5), diag(-0.5, 1.5)]
+        with pytest.raises(ConfigError, match=path + ": .*(negative eigenvalue|not positive)"):
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "config, calls", [(sampled_quantum_config, 0), (qubit_config, 3)], ids=["sampler", "file"]
+    )
+    def test_only_file_matrices_run_the_eigenvalue_check(self, monkeypatch, config, calls):
+        # the qubit config reads one state and two POVM elements from the file
+        counted = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            counted.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        cfg = config()
+        if config is sampled_quantum_config:
+            cfg["measurement"]["sampler"]["leak"] = 0.2
+            cfg["sweep"] = {
+                "system.sampler.state": ["pure", "mixed"],
+                "measurement.sampler.name": ["random", "projective", "uneven"],
+            }
+        built = load_scenario(cfg).built
+        assert all(isinstance(rt, bench._Runtime) for rt, _ in built)
+        assert len(counted) == calls
 
     @pytest.mark.parametrize("field", ["points", "weights"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

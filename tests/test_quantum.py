@@ -739,6 +739,68 @@ class TestPurification:
         assert np.abs(block1 - block2).max() < 1e-9
 
 
+# the samplers that skip the O(d^3) eigenvalue test because their output is
+# positive semidefinite by construction; projective_povm deals one basis
+# vector per outcome up to d = 64 and 4 outcomes at 256, where one element
+# per basis vector would cost 256 eigvalsh calls on 256 x 256 matrices
+BY_CONSTRUCTION = {
+    "random_povm": lambda d, seed: random_povm(d, 3, seed),
+    "projective_povm": lambda d, seed: projective_povm(d, d if d <= 64 else 4, seed),
+    "uneven_povm-leak-0": lambda d, seed: uneven_povm(d, 3, 0.0, seed),
+    "uneven_povm-leak-0.999": lambda d, seed: uneven_povm(d, 3, 0.999, seed),
+    "random_mixed_state": random_mixed_state,
+    "random_pure_state": random_pure_state,
+}
+
+
+class TestValidByConstruction:
+    """The guarantee the samplers' skipped eigenvalue test gave at run time:
+    their outputs pass the full public check."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 33, 64, 256])
+    @pytest.mark.parametrize("sampler", list(BY_CONSTRUCTION))
+    def test_outputs_pass_the_full_check(self, sampler, dim):
+        for seed in (0, 1, 2):
+            built = BY_CONSTRUCTION[sampler](dim, seed)
+            if isinstance(built, POVM):
+                checked = POVM(built.elements).elements
+                assert all(np.array_equal(a, b) for a, b in zip(checked, built.elements))
+            else:
+                assert np.array_equal(DensityMatrix(built.matrix).matrix, built.matrix)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 33, 64, 256])
+    def test_from_vector_passes_the_full_check(self, dim):
+        # a file's state.vector reaches from_vector as it stands
+        rng = np.random.default_rng(dim)
+        vectors = [np.eye(dim)[dim - 1], np.full(dim, -3.0)]
+        for scale in (1e-100, 1.0, 1e100):
+            vectors.append(scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim)))
+        for v in vectors:
+            rho = DensityMatrix.from_vector(v)
+            assert np.array_equal(DensityMatrix(rho.matrix).matrix, rho.matrix)
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_samplers_refuse_dim_below_one(self, dim):
+        samplers = [
+            lambda: random_spectrum(dim, 0),
+            lambda: random_spectrum(dim, 0, kind="equally-spaced"),
+            lambda: random_pure_state(dim, 0),
+            lambda: random_mixed_state(dim, 0),
+            lambda: random_povm(dim, 2, 0),
+            lambda: projective_povm(dim, 1, 0),
+            lambda: uneven_povm(dim, 3, 0.1, 0),
+        ]
+        for sample in samplers:
+            with pytest.raises(DomainError, match=f"dimension must be >= 1, got {dim}"):
+                sample()
+
+    def test_ladder_spacing_must_not_overflow(self):
+        with pytest.raises(DomainError, match="overflows"):
+            random_spectrum(3, 0, kind="equally-spaced", spacing=1e308)
+        # the top level 1e308 of a two-level ladder is finite
+        assert random_spectrum(2, 0, kind="equally-spaced", spacing=1e308).dim == 2
+
+
 class TestGenerators:
     def test_seeded_determinism(self):
         assert np.array_equal(
