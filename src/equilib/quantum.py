@@ -56,23 +56,24 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __init__(self, matrix):
-        arr = self._by_construction(matrix).matrix
+        # the one copy: the state never aliases the caller's array
+        arr = self._by_construction(np.array(matrix, dtype=complex)).matrix
         if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
             raise DomainError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", arr)
 
     @classmethod
-    def _by_construction(cls, matrix) -> "DensityMatrix":
-        """A state from a matrix that is positive semidefinite by construction:
-        every check of ``__init__`` but its O(d^3) eigenvalue test, which the
-        tests run on each sampler's output instead."""
+    def _by_construction(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """A state from a fresh complex matrix that is positive semidefinite by
+        construction: every check of ``__init__`` but its O(d^3) eigenvalue
+        test, which the tests run on each sampler's output instead. The state
+        takes ``matrix`` over and freezes it, so no caller may keep it."""
         arr = _as_square_complex(matrix, "a density matrix")
         if np.abs(arr - arr.conj().T).max() > HERMITIAN_TOL:
             raise DomainError("density matrix is not Hermitian")
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > TRACE_TOL:
             raise DomainError(f"density matrix has trace {tr!r}, expected 1")
-        arr = arr.copy()
         arr.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", arr)
@@ -95,52 +96,61 @@ class DensityMatrix:
         v = np.asarray(psi, dtype=complex).reshape(-1)
         if not np.isfinite(v).all():
             raise DomainError("state vector has non-finite entries")
-        norm = np.linalg.norm(v)
-        if norm == 0:
+        peak = max(np.abs(v.real).max(initial=0.0), np.abs(v.imag).max(initial=0.0))
+        if peak == 0:
             raise DomainError("cannot build a state from the zero vector")
-        v = v / norm
+        # the norm of a finite vector can overflow or underflow. Scaling by
+        # the power of two just above its largest entry first keeps it in
+        # range, and the scaling is exact, so v / |v| keeps its bits wherever
+        # the unscaled norm was representable
+        exp = math.frexp(peak)[1]
+        scaled = np.empty_like(v)
+        np.ldexp(v.real, -exp, out=scaled.real)
+        np.ldexp(v.imag, -exp, out=scaled.imag)
+        v = scaled / np.linalg.norm(scaled)
         # v v^H is positive semidefinite for every finite v
         return DensityMatrix._by_construction(np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True, eq=False)
 class POVM:
-    """Measurement: positive operators summing to the identity."""
+    """Measurement: positive operators summing to the identity, held as one
+    read-only complex ``(N, d, d)`` array whose slice ``elements[j]`` is
+    element j."""
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __init__(self, elements: Sequence):
-        mats = self._by_construction(elements).elements
-        for k, arr in enumerate(mats):
-            if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
-                raise DomainError(f"measurement element {k} is not positive semidefinite")
-        object.__setattr__(self, "elements", mats)
-
-    @classmethod
-    def _by_construction(cls, elements: Sequence) -> "POVM":
-        """A measurement from elements that are positive semidefinite by
-        construction: every check of ``__init__`` but its O(d^3) eigenvalue
-        tests, which the tests run on each sampler's output instead."""
         if len(elements) == 0:
             raise DomainError("a measurement needs at least one element")
-        mats = []
-        dim = None
-        for k, el in enumerate(elements):
-            arr = _as_square_complex(el, f"measurement element {k}")
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
-                raise DimensionError("measurement elements have mixed dimensions")
+        mats = [_as_square_complex(el, f"measurement element {k}") for k, el in enumerate(elements)]
+        if any(arr.shape != mats[0].shape for arr in mats):
+            raise DimensionError("measurement elements have mixed dimensions")
+        # np.stack is the one copy: the measurement never aliases the caller's arrays
+        stack = self._by_construction(np.stack(mats)).elements
+        for k, arr in enumerate(stack):
+            if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
+                raise DomainError(f"measurement element {k} is not positive semidefinite")
+        object.__setattr__(self, "elements", stack)
+
+    @classmethod
+    def _by_construction(cls, stack: np.ndarray) -> "POVM":
+        """A measurement from a fresh complex ``(N, d, d)`` stack of elements
+        that are positive semidefinite by construction: every check of
+        ``__init__`` but its O(d^3) eigenvalue tests, which the tests run on
+        each sampler's output instead. The measurement takes ``stack`` over
+        and freezes it, so no caller may keep it."""
+        total = np.zeros(stack.shape[1:], dtype=complex)
+        for k, arr in enumerate(stack):
+            _as_square_complex(arr, f"measurement element {k}")
             if np.abs(arr - arr.conj().T).max() > HERMITIAN_TOL:
                 raise DomainError(f"measurement element {k} is not Hermitian")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            mats.append(arr)
-        total = sum(mats)
-        if np.abs(total - np.eye(dim)).max() > TRACE_TOL:
+            total += arr
+        if np.abs(total - np.eye(stack.shape[1])).max() > TRACE_TOL:
             raise DomainError("measurement elements do not sum to the identity")
+        stack.setflags(write=False)
         povm = object.__new__(cls)
-        object.__setattr__(povm, "elements", tuple(mats))
+        object.__setattr__(povm, "elements", stack)
         return povm
 
     @property
@@ -149,7 +159,7 @@ class POVM:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def probabilities(self, rho: DensityMatrix) -> OutcomeDistribution:
         if rho.dim != self.dim:
@@ -162,7 +172,10 @@ def _chain_classes(ascending: np.ndarray, tol: float) -> np.ndarray:
     """Class labels 0, 1, ... of ``ascending`` values: a class starts at every
     value at least ``tol`` above its predecessor, so ``tol <= 0`` splits all."""
     labels = np.zeros(ascending.size, dtype=np.int64)
-    labels[1:] = np.diff(ascending) >= tol
+    # a difference beyond the double range rounds to inf, which still
+    # compares as >= tol, so the overflow it warns of changes no label
+    with np.errstate(over="ignore"):
+        labels[1:] = np.diff(ascending) >= tol
     return np.cumsum(labels, out=labels)
 
 
@@ -399,10 +412,13 @@ def quantum_probe(
     d = spectrum.dim
     n_out = povm.outcome_count
     # coefficient tensor: p_j(t) = sum_{nm} coeff[j, n, m] u_n(t) conj(u_m(t)),
-    # u_n(t) = exp(-i E_n t); flat[n, j*d + m] = coeff[j, n, m] (a contiguous
-    # copy), so the sum over n is one GEMM per chunk of times
-    coeff = np.stack([rho_e * spectrum.to_energy_basis(m).T for m in povm.elements])
-    flat = coeff.transpose(1, 0, 2).reshape(d, n_out * d)
+    # u_n(t) = exp(-i E_n t); flat[n, j*d + m] = coeff[j, n, m], written in
+    # place through its (d, N, d) view, so the sum over n is one GEMM per
+    # chunk of times
+    flat = np.empty((d, n_out * d), dtype=complex)
+    coeff = flat.reshape(d, n_out, d)
+    for j, m in enumerate(povm.elements):
+        np.multiply(rho_e, spectrum.to_energy_basis(m).T, out=coeff[:, j])
     # A constant shift of the spectrum is a global phase, which moves no
     # probability, but an offset far beyond the spread costs E t the low bits
     # that tell the levels apart. So phases are taken from the lowest level
@@ -616,15 +632,24 @@ def random_povm(dim: int, outcomes: int, seed: int) -> POVM:
     if outcomes < 1:
         raise DomainError("need at least one outcome")
     rng = np.random.default_rng(seed)
-    parts = []
-    for _ in range(outcomes):
+    # the Gram matrices P are written into the stack, then each slot is
+    # overwritten by its congruence S P S
+    stack = np.empty((outcomes, dim, dim), dtype=complex)
+    total = np.zeros((dim, dim), dtype=complex)
+    for p in stack:
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        parts.append(g @ g.conj().T)
-    total = sum(parts)
+        np.matmul(g, g.conj().T, out=p)
+        total += p
     vals, vecs = np.linalg.eigh(total)
     inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    # congruences S P S of Gram matrices P
-    return POVM._by_construction([inv_sqrt @ p @ inv_sqrt for p in parts])
+    del vals, vecs
+    for p in stack:
+        # total's buffer holds each S P in turn
+        np.matmul(inv_sqrt, p, out=total)
+        np.matmul(total, inv_sqrt, out=p)
+    # the checks run with the stack as the only d x d set alive
+    del total, inv_sqrt
+    return POVM._by_construction(stack)
 
 
 def projective_povm(dim: int, outcomes: int, seed: int) -> POVM:
@@ -635,12 +660,12 @@ def projective_povm(dim: int, outcomes: int, seed: int) -> POVM:
         raise DomainError(f"projective measurement needs 1 <= outcomes <= dim, got {outcomes}")
     rng = np.random.default_rng(seed)
     u = haar_unitary(dim, rng)
-    elements = [np.zeros((dim, dim), dtype=complex) for _ in range(outcomes)]
-    for col in range(dim):
-        v = u[:, col]
-        elements[col % outcomes] += np.outer(v, v.conj())
-    # sums of outer products
-    return POVM._by_construction(elements)
+    stack = np.empty((outcomes, dim, dim), dtype=complex)
+    for j, p in enumerate(stack):
+        # the projector onto outcome j's basis vectors: one product U_j U_j^H
+        group = u[:, j::outcomes]
+        np.matmul(group, group.conj().T, out=p)
+    return POVM._by_construction(stack)
 
 
 def uneven_povm(dim: int, outcomes: int, leak: float, seed: int) -> POVM:
@@ -652,6 +677,8 @@ def uneven_povm(dim: int, outcomes: int, leak: float, seed: int) -> POVM:
     if outcomes < 2:
         raise DomainError("need at least two outcomes")
     rest = random_povm(dim, outcomes - 1, seed)
-    eye = np.eye(dim)
     # nonnegative multiples of the identity and of random_povm's elements
-    return POVM._by_construction([(1.0 - leak) * eye] + [leak * m for m in rest.elements])
+    stack = np.empty((outcomes, dim, dim), dtype=complex)
+    stack[0] = (1.0 - leak) * np.eye(dim)
+    np.multiply(rest.elements, leak, out=stack[1:])
+    return POVM._by_construction(stack)

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,30 @@ class TestLoadScenario:
         cfg["system"]["sampler"].update(spectrum="equally-spaced", spacing=spacing)
         with pytest.raises(ConfigError, match=r"scenario\.system\.sampler\.spacing"):
             load_scenario(cfg)
+
+    def test_gaps_beyond_the_double_range_load_quietly(self):
+        # the gaps are +-1e308, so the difference of the sorted pair is inf
+        cfg = sampled_quantum_config()
+        cfg["system"]["sampler"].update(dim=2, spectrum="equally-spaced", spacing=1e308)
+        cfg["measurement"]["sampler"]["outcomes"] = 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rt, _ = load_scenario(cfg).built[0]
+        assert rt.params["D_G"] == 1
+        assert rt.params["D_G_sensitivity"] == {"0.1x": 1, "1x": 1, "10x": 1}
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_state_vector_beyond_a_representable_norm_loads(self, scale):
+        def built(vector):
+            cfg = explicit_quantum_config()
+            cfg["system"]["state"] = {"vector": [[x, 0.0] for x in vector]}
+            return load_scenario(cfg).built[0][0]
+
+        rt, plus = built([scale, scale]), built([1.0, 1.0])
+        times = np.linspace(0.0, 10.0, 7)
+        assert rt.params == plus.params
+        drift = rt.probe.distributions_at(times) - plus.probe.distributions_at(times)
+        assert np.abs(drift).max() < 1e-15
 
     @pytest.mark.parametrize("dim", [0, -2])
     def test_sampler_dim_below_one_names_its_path(self, dim):

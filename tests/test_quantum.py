@@ -56,6 +56,16 @@ SIGMA_X_POVM = POVM(
 )
 
 
+def traced_peak(run) -> int:
+    """Peak bytes that ``run()`` allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def brute_force_gap_degeneracy(energies, tol):
     """Independent oracle: O(P^2) pairwise comparison of eigenspace gaps."""
     gaps = [
@@ -172,6 +182,38 @@ class TestDensityMatrix:
         assert rho.is_pure
         assert np.trace(rho.matrix) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324, 1.7e308])
+    def test_from_vector_at_extreme_scales(self, scale):
+        # |v| itself underflows to 0 or overflows to inf for each of these
+        for v in ([scale, scale], [scale, 1j * scale]):
+            rho = DensityMatrix.from_vector(v)
+            expected = DensityMatrix.from_vector([1.0, v[1] / scale]).matrix
+            # scaled entries round differently from 1.0 by a few ulps
+            assert np.abs(rho.matrix - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64, 256])
+    def test_from_vector_keeps_the_bits_of_a_representable_norm(self, dim):
+        # the reference is the plain v / |v|, exact wherever |v| is finite and
+        # nonzero; random_pure_state draws its vector as the first draw here
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            vectors = [rng.normal(size=dim) + 1j * rng.normal(size=dim)]
+            vectors += [scale * vectors[0] for scale in (1e-150, 3e-7, 4e12, 1e150)]
+            for v in vectors:
+                unit = v / np.linalg.norm(v)
+                rho = DensityMatrix.from_vector(v)
+                assert np.array_equal(rho.matrix, np.outer(unit, unit.conj()))
+            assert np.array_equal(
+                random_pure_state(dim, seed).matrix, DensityMatrix.from_vector(vectors[0]).matrix
+            )
+
+    def test_does_not_alias_its_input(self):
+        arr = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(arr)
+        arr[0, 0] = 0.9
+        assert rho.matrix[0, 0] == 0.5
+        assert not rho.matrix.flags.writeable
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.array([[0.5, 0.3], [0.0, 0.5]]))
@@ -221,6 +263,42 @@ class TestPOVM:
     def test_identity_povm(self):
         povm = POVM([np.eye(3)])
         assert povm.probabilities(DensityMatrix(np.eye(3) / 3)) == OutcomeDistribution([1.0])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SIGMA_X_POVM,
+            lambda: random_povm(5, 3, 1),
+            lambda: projective_povm(5, 2, 1),
+            lambda: uneven_povm(5, 3, 0.2, 1),
+            lambda: extend_povm(SIGMA_X_POVM, 2),
+        ],
+        ids=["public", "random", "projective", "uneven", "extended"],
+    )
+    def test_elements_are_one_read_only_stack(self, build):
+        povm = build()
+        n, d = povm.outcome_count, povm.dim
+        assert isinstance(povm.elements, np.ndarray)
+        assert povm.elements.shape == (n, d, d) and povm.elements.dtype == complex
+        assert len(povm.elements) == n and len(list(povm.elements)) == n
+        assert np.array_equal(povm.elements[n - 1], list(povm.elements)[-1])
+        assert not povm.elements.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            povm.elements[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            povm.elements[n - 1] += 1.0
+
+    def test_does_not_alias_its_input(self):
+        arrays = [np.eye(2, dtype=complex) * 0.25, np.eye(2, dtype=complex) * 0.75]
+        povm = POVM(arrays)
+        arrays[0][0, 0] = 9.0
+        assert np.array_equal(povm.elements, [np.eye(2) * 0.25, np.eye(2) * 0.75])
+        # a stack passed whole is copied too
+        stack = np.array(arrays)
+        stack[0, 0, 0] = 0.25
+        povm = POVM(stack)
+        stack[1] = 0.0
+        assert np.array_equal(povm.elements, [np.eye(2) * 0.25, np.eye(2) * 0.75])
 
 
 class TestHamiltonianSpectrum:
@@ -626,13 +704,14 @@ class TestQuantumProbe:
             random_pure_state(d, 1), random_spectrum(d, 2), random_povm(d, n_out, 3)
         )
         times = np.linspace(0.0, 300.0, 3000)
-        tracemalloc.start()
-        try:
-            probe.sample_many(times)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        assert traced_peak(lambda: probe.sample_many(times)) < 4e6
+
+    def test_build_memory_at_d_256(self):
+        # flat, the (d, N*d) GEMM operand, is written in place: 4.2 MB plus
+        # one element's basis change (7.3 MB measured); a stacked coefficient
+        # tensor reshaped into flat would peak at 9.4 MB
+        rho, spec, povm = random_pure_state(256, 1), random_spectrum(256, 2), random_povm(256, 4, 3)
+        assert traced_peak(lambda: quantum_probe(rho, spec, povm)) < 8.4e6
 
 
 class TestSecondMoment:
@@ -799,6 +878,26 @@ class TestValidByConstruction:
             random_spectrum(3, 0, kind="equally-spaced", spacing=1e308)
         # the top level 1e308 of a two-level ladder is finite
         assert random_spectrum(2, 0, kind="equally-spaced", spacing=1e308).dim == 2
+
+
+class TestSamplerMemory:
+    """At d = 256 one element is 1.05 MB and N = 4 elements 4.2 MB. Each
+    sampler writes its elements into one stack that the POVM takes over, so
+    it holds about two element sets at its peak (measured: random 10.5 MB,
+    uneven 10.6 MB, projective 8.5 MB). A sampler that built a list of
+    elements for the POVM to copy would peak at 19.5, 16.4 and 12.2 MB."""
+
+    @pytest.mark.parametrize(
+        "build, limit",
+        [
+            (lambda: random_povm(256, 4, 0), 12e6),
+            (lambda: uneven_povm(256, 4, 0.1, 0), 12e6),
+            (lambda: projective_povm(256, 4, 0), 10e6),
+        ],
+        ids=["random", "uneven", "projective"],
+    )
+    def test_peak_at_d_256(self, build, limit):
+        assert traced_peak(build) < limit
 
 
 class TestGenerators:
