@@ -788,8 +788,6 @@ def emit_report(records: list[RunRecord], fmt: str, path) -> None:
         return
     if fmt != "csv":
         raise ConfigError(f"format: expected 'csv' or 'json', got {fmt!r}")
-    if not records:
-        raise ConfigError("cannot infer a CSV header from an empty record list")
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
         rep = rec.report

@@ -373,12 +373,12 @@ def _orbit_cells(
     def classify(k: int) -> np.ndarray:
         return partition.cells_of_many(columns[:, :k].reshape(dim, k * n).T).reshape(k, n)
 
-    def walk(cloud=points, at=0, k=0):
+    def walk(state, forward, rows, at=0, k=0):
         for step in steps.astype(np.int64):
             for _ in range(step - at):
-                cloud = mapping.forward_many(cloud)
+                state = forward(state)
             at = step
-            columns[:, k] = cloud.T
+            rows[k] = state
             k += 1
             if k == columns.shape[1]:
                 yield classify(k)
@@ -386,22 +386,12 @@ def _orbit_cells(
         if k:
             yield classify(k)
 
-    def walk_point(at=0, k=0):
+    # rows[k] is the (n, dim) cloud of the block's step k
+    rows = columns.transpose(1, 2, 0)
+    if n == 1:
         # the point's coordinates go straight into the buffer's one column
-        point, rows = tuple(points[0].tolist()), columns[:, :, 0].T
-        for step in steps.astype(np.int64):
-            for _ in range(step - at):
-                point = mapping.forward_point(point)
-            at = step
-            rows[k] = point
-            k += 1
-            if k == columns.shape[1]:
-                yield classify(k)
-                k = 0
-        if k:
-            yield classify(k)
-
-    return walk_point() if n == 1 else walk()
+        return walk(tuple(points[0].tolist()), mapping.forward_point, rows[:, 0])
+    return walk(points, mapping.forward_many, rows)
 
 
 def _cloud_probe(

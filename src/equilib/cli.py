@@ -74,21 +74,28 @@ def main():
     """Equilibration bound checking for classical and quantum dynamics."""
 
 
+def _run_file(config, flags, out, fmt, sweep: bool):
+    """Load, run and write one scenario file, refusing a grid under `run` and
+    its absence under `sweep`; a ``ConfigError`` becomes a click error."""
+    try:
+        scenario = bench.load_scenario(config, overrides=_flag_overrides(*flags))
+        if sweep and "sweep" not in scenario.config:
+            raise ConfigError("scenario has no sweep grid; use the `run` command")
+        if not sweep and (len(scenario.sweep_points) != 1 or scenario.sweep_points[0]):
+            raise ConfigError("scenario has a sweep grid; use the `sweep` command")
+        records = bench.run_scenario(scenario)
+        _print_records(records)
+        _finish(records, out, fmt)
+    except ConfigError as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
 @main.command()
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @_with_common
 def run(config, seed, horizon, samples, gap_tol, out, fmt):
     """Execute a single scenario (no sweep grid)."""
-    try:
-        scenario = bench.load_scenario(
-            config, overrides=_flag_overrides(seed, horizon, samples, gap_tol))
-        if len(scenario.sweep_points) != 1 or scenario.sweep_points[0]:
-            raise ConfigError("scenario has a sweep grid; use the `sweep` command")
-        records = bench.run_scenario(scenario)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
-    _print_records(records)
-    _finish(records, out, fmt)
+    _run_file(config, (seed, horizon, samples, gap_tol), out, fmt, sweep=False)
 
 
 @main.command()
@@ -96,16 +103,7 @@ def run(config, seed, horizon, samples, gap_tol, out, fmt):
 @_with_common
 def sweep(config, seed, horizon, samples, gap_tol, out, fmt):
     """Execute a scenario over its sweep grid."""
-    try:
-        scenario = bench.load_scenario(
-            config, overrides=_flag_overrides(seed, horizon, samples, gap_tol))
-        if "sweep" not in scenario.config:
-            raise ConfigError("scenario has no sweep grid; use the `run` command")
-        records = bench.run_scenario(scenario)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
-    _print_records(records)
-    _finish(records, out, fmt)
+    _run_file(config, (seed, horizon, samples, gap_tol), out, fmt, sweep=True)
 
 
 @main.command()

@@ -350,7 +350,8 @@ def dephase(rho: DensityMatrix, spectrum: HamiltonianSpectrum) -> DensityMatrix:
     mask = labels[:, None] == labels[None, :]
     rho_e = spectrum.to_energy_basis(rho.matrix)
     out = spectrum.from_energy_basis(np.where(mask, rho_e, 0.0))
-    return DensityMatrix(0.5 * (out + out.conj().T))
+    # a pinching of a positive semidefinite matrix
+    return DensityMatrix._by_construction(0.5 * (out + out.conj().T))
 
 
 def eigenspace_weights(rho: DensityMatrix, spectrum: HamiltonianSpectrum) -> np.ndarray:
@@ -399,26 +400,36 @@ def max_outcomes_for_equilibration(
     return int(math.floor(value + 1e-12))
 
 
+def _energy_coefficients(
+    rho: DensityMatrix, spectrum: HamiltonianSpectrum, elements: np.ndarray
+) -> np.ndarray:
+    """The ``(d, N, d)`` tensor ``coeff[n, j, m] = rho_nm (M_j)_mn`` in the
+    energy basis, for an ``(N, d, d)`` stack of measurement elements: the one
+    place an element enters that basis. tr(M_j rho_t) is
+    sum_{nm} coeff[n, j, m] exp(-i (E_n - E_m) t), and the entries with n in
+    eigenspace a and m in b sum to the gap amplitude tr(rho_ab M_j,ba)."""
+    d = spectrum.dim
+    if rho.dim != d or elements.shape[1:] != (d, d):
+        raise DimensionError(
+            f"dimensions differ: state {rho.dim}, spectrum {d}, "
+            f"measurement {elements.shape[-1]}"
+        )
+    rho_e = spectrum.to_energy_basis(rho.matrix)
+    coeff = np.empty((d, len(elements), d), dtype=complex)
+    for j, m in enumerate(elements):
+        np.multiply(rho_e, spectrum.to_energy_basis(m).T, out=coeff[:, j])
+    return coeff
+
+
 def quantum_probe(
     rho: DensityMatrix, spectrum: HamiltonianSpectrum, povm: POVM
 ) -> TrajectoryProbe:
     """Probe whose row at time t lists tr(M_j rho_t) for the POVM elements."""
-    if rho.dim != spectrum.dim or povm.dim != spectrum.dim:
-        raise DimensionError(
-            f"dimensions differ: state {rho.dim}, spectrum {spectrum.dim}, "
-            f"measurement {povm.dim}"
-        )
-    rho_e = spectrum.to_energy_basis(rho.matrix)
     d = spectrum.dim
     n_out = povm.outcome_count
-    # coefficient tensor: p_j(t) = sum_{nm} coeff[j, n, m] u_n(t) conj(u_m(t)),
-    # u_n(t) = exp(-i E_n t); flat[n, j*d + m] = coeff[j, n, m], written in
-    # place through its (d, N, d) view, so the sum over n is one GEMM per
-    # chunk of times
-    flat = np.empty((d, n_out * d), dtype=complex)
-    coeff = flat.reshape(d, n_out, d)
-    for j, m in enumerate(povm.elements):
-        np.multiply(rho_e, spectrum.to_energy_basis(m).T, out=coeff[:, j])
+    # flat[n, j*d + m] = coeff[n, j, m], a view of the contiguous tensor, so
+    # the sum over n is one GEMM per chunk of times
+    flat = _energy_coefficients(rho, spectrum, povm.elements).reshape(d, n_out * d)
     # A constant shift of the spectrum is a global phase, which moves no
     # probability, but an offset far beyond the spread costs E t the low bits
     # that tell the levels apart. So phases are taken from the lowest level
@@ -501,16 +512,14 @@ def projector_second_moment(
     |sum over the class of tr(rho_ab M_ba)|^2.
     """
     proj = _as_square_complex(projector, "the projector")
-    if rho.dim != spectrum.dim or proj.shape[0] != spectrum.dim:
-        raise DimensionError("state, projector and spectrum dimensions differ")
-    rho_e = spectrum.to_energy_basis(rho.matrix)
-    proj_e = spectrum.to_energy_basis(proj)
-    # block_trace[a, b] = tr(rho_ab M_ba), the amplitude of gap E_a - E_b
-    labels = spectrum.space_of_index
-    block_trace = np.zeros((spectrum.eigenspace_count,) * 2, dtype=complex)
-    np.add.at(block_trace, (labels[:, None], labels[None, :]), rho_e * proj_e.T)
+    amp = _energy_coefficients(rho, spectrum, proj[None])[:, 0].ravel()
+    # block[a*s + b] = tr(rho_ab M_ba), the amplitude of gap E_a - E_b: each
+    # eigenspace pair's bin sums its (n, m) entries in row-major order
+    labels, s = spectrum.space_of_index, spectrum.eigenspace_count
+    pair = (labels[:, None] * s + labels[None, :]).ravel()
+    block = np.bincount(pair, amp.real, s * s) + 1j * np.bincount(pair, amp.imag, s * s)
     table = gap_table(spectrum)
-    amplitude = block_trace[table.pairs[:, 0], table.pairs[:, 1]]
+    amplitude = block[table.pairs[:, 0] * s + table.pairs[:, 1]]
     per_class = np.bincount(table.class_of, weights=amplitude.real) + 1j * np.bincount(
         table.class_of, weights=amplitude.imag
     )
@@ -528,16 +537,11 @@ def purify(rho: DensityMatrix) -> DensityMatrix:
     as the original state.
     """
     vals, vecs = np.linalg.eigh(rho.matrix)
-    vals = np.clip(vals, 0.0, None)
-    d = rho.dim
-    psi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if vals[i] > 0.0:
-            ancilla = np.zeros(d)
-            ancilla[i] = 1.0
-            psi += math.sqrt(vals[i]) * np.kron(vecs[:, i], ancilla)
+    # psi[k*d + i] = sqrt(lambda_i) (v_i)_k: eigenvector i paired with ancilla level i
+    psi = (vecs * np.sqrt(np.clip(vals, 0.0, None))).reshape(-1)
     psi /= np.linalg.norm(psi)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    # psi psi^H is positive semidefinite
+    return DensityMatrix._by_construction(np.outer(psi, psi.conj()))
 
 
 def partial_trace_ancilla(rho: DensityMatrix, system_dim: int) -> DensityMatrix:
@@ -547,7 +551,8 @@ def partial_trace_ancilla(rho: DensityMatrix, system_dim: int) -> DensityMatrix:
         raise DimensionError(f"cannot split dimension {d} as system {system_dim} x ancilla")
     da = d // system_dim
     reshaped = rho.matrix.reshape(system_dim, da, system_dim, da)
-    return DensityMatrix(np.einsum("iaja->ij", reshaped))
+    # a partial trace of a positive semidefinite matrix
+    return DensityMatrix._by_construction(np.einsum("iaja->ij", reshaped))
 
 
 def extend_hamiltonian(spectrum: HamiltonianSpectrum, ancilla_dim: int) -> HamiltonianSpectrum:
@@ -565,8 +570,11 @@ def extend_povm(povm: POVM, ancilla_dim: int) -> POVM:
     """The measurement M_j (x) identity acting on system plus ancilla."""
     if ancilla_dim < 1:
         raise DomainError("ancilla dimension must be >= 1")
-    eye = np.eye(ancilla_dim)
-    return POVM([np.kron(m, eye) for m in povm.elements])
+    n, d, a = povm.outcome_count, povm.dim, ancilla_dim
+    # stack[j, k, x, l, x] = (M_j)_kl: each M_j (x) I, positive semidefinite
+    stack = np.zeros((n, d, a, d, a), dtype=complex)
+    stack[:, :, np.arange(a), :, np.arange(a)] = povm.elements
+    return POVM._by_construction(stack.reshape(n, d * a, d * a))
 
 
 # --- seeded generators for random instances ---------------------------------

@@ -996,9 +996,11 @@ class TestEmission:
         emit_report(run_scenario(load_scenario(qubit_config())), "csv", b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_csv_empty_records(self, tmp_path):
-        with pytest.raises(ConfigError, match="empty"):
-            emit_report([], "csv", tmp_path / "x.csv")
+    def test_csv_empty_records_write_the_header_alone(self, tmp_path):
+        # the columns are a fixed contract, so no record is needed to name them
+        path = tmp_path / "x.csv"
+        emit_report([], "csv", path)
+        assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
     def test_json_roundtrip_identical(self, tmp_path):
         records = run_scenario(
@@ -1119,6 +1121,21 @@ class TestCli:
         result = CliRunner().invoke(cli.main, ["run", str(path), "--gap-tol", "nan"])
         assert result.exit_code == 1
         assert "scenario.gap_tol" in result.output
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", ",".join(CSV_COLUMNS) + "\n"),
+        ("json", "[]\n"),
+    ], ids=["csv", "json"])
+    def test_sweep_over_an_empty_grid(self, tmp_path, fmt, text):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(synthetic_config(sweep={"epsilon": []})))
+        out = tmp_path / f"records.{fmt}"
+        result = CliRunner().invoke(
+            cli.main, ["sweep", str(path), "--out", str(out), "--format", fmt]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == f"wrote 0 record(s) to {out}\n"
+        assert out.read_text() == text
 
     def test_sweep_requires_grid(self, tmp_path):
         path = tmp_path / "scn.json"

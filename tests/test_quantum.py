@@ -17,6 +17,7 @@ from equilib.core import (
 )
 from equilib.quantum import (
     POVM,
+    _energy_coefficients,
     DensityMatrix,
     DEGENERACY_REL_TOL,
     GAP_REL_TOL,
@@ -152,6 +153,43 @@ def einsum_block(rho, spectrum, povm, times):
     u = np.exp(-1j * np.outer(times, spectrum.eigenvalues))
     p = np.einsum("jnm,tn,tm->tj", coeff, u, u.conj(), optimize=True).real
     return np.clip(p, 0.0, 1.0)
+
+
+def scatter_second_moment(rho, projector, spectrum):
+    """Reference second moment: the amplitudes tr(rho_ab M_ba) scattered into
+    an (s, s) table with np.add.at, then summed per gap class."""
+    rho_e = spectrum.to_energy_basis(rho.matrix)
+    proj_e = spectrum.to_energy_basis(np.asarray(projector, dtype=complex))
+    labels = spectrum.space_of_index
+    block_trace = np.zeros((spectrum.eigenspace_count,) * 2, dtype=complex)
+    np.add.at(block_trace, (labels[:, None], labels[None, :]), rho_e * proj_e.T)
+    table = gap_table(spectrum)
+    amplitude = block_trace[table.pairs[:, 0], table.pairs[:, 1]]
+    per_class = np.bincount(table.class_of, weights=amplitude.real) + 1j * np.bincount(
+        table.class_of, weights=amplitude.imag
+    )
+    return float(np.sum(np.abs(per_class) ** 2))
+
+
+def kron_purify(rho):
+    """Reference purification: sqrt(lambda_i) v_i (x) e_i summed one positive
+    eigenvalue at a time, as a density matrix."""
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals = np.clip(vals, 0.0, None)
+    d = rho.dim
+    psi = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        if vals[i] > 0.0:
+            ancilla = np.zeros(d)
+            ancilla[i] = 1.0
+            psi += math.sqrt(vals[i]) * np.kron(vecs[:, i], ancilla)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def paired_spectrum(dim, seed):
+    """Levels 0, 0, 1, 1, 2, ... in a Haar basis: eigenspaces of size 2."""
+    return HamiltonianSpectrum(np.arange(dim) // 2, haar_unitary(dim, np.random.default_rng(seed)))
 
 
 def degenerate_spectrum(seed):
@@ -714,7 +752,46 @@ class TestQuantumProbe:
         assert traced_peak(lambda: quantum_probe(rho, spec, povm)) < 8.4e6
 
 
+class TestEnergyCoefficients:
+    @pytest.mark.parametrize("d, n_out", [(1, 1), (2, 3), (5, 4), (12, 2)])
+    def test_matches_per_element_products(self, d, n_out):
+        for seed in (0, 1):
+            spec = (random_spectrum if seed else paired_spectrum)(d, seed)
+            rho, povm = random_mixed_state(d, seed + 2), random_povm(d, n_out, seed + 3)
+            coeff = _energy_coefficients(rho, spec, povm.elements)
+            assert coeff.shape == (d, n_out, d)
+            vecs = spec.eigenvectors
+            rho_e = vecs.conj().T @ rho.matrix @ vecs
+            for j, m in enumerate(povm.elements):
+                assert np.array_equal(coeff[:, j], rho_e * (vecs.conj().T @ m @ vecs).T)
+
+    def test_dimension_mismatch(self):
+        message = "dimensions differ: state 2, spectrum 3, measurement 3"
+        with pytest.raises(DimensionError, match=message):
+            _energy_coefficients(PLUS, random_spectrum(3, 0), random_povm(3, 2, 1).elements)
+        with pytest.raises(DimensionError, match="state 2, spectrum 2, measurement 3"):
+            projector_second_moment(PLUS, np.eye(3), QUBIT_H)
+
+
 class TestSecondMoment:
+    def test_bits_of_the_scatter_routine(self):
+        # generic, ladder and ancilla-degenerate (H (x) I) spectra, pure and
+        # mixed states, two elements per instance: 240 comparisons
+        rng = np.random.default_rng(19)
+        for i in range(120):
+            d = int(rng.integers(1, 13))
+            kind = ("generic", "ladder", "ancilla")[i % 3]
+            if kind == "ancilla":
+                system = max(1, d // 2)
+                spec, d = extend_hamiltonian(random_spectrum(system, i), 2), 2 * system
+            else:
+                spec = random_spectrum(d, i, kind="equally-spaced" if kind == "ladder" else kind)
+            rho = (random_mixed_state if i % 2 else random_pure_state)(d, i + 1)
+            for m in random_povm(d, 2, i + 2).elements:
+                assert projector_second_moment(rho, m, spec) == scatter_second_moment(
+                    rho, m, spec
+                )
+
     def test_eigenstate_is_zero(self):
         ground = DensityMatrix(np.diag([1.0, 0.0]))
         proj = SIGMA_X_POVM.elements[0]
@@ -801,6 +878,23 @@ class TestPurification:
         ancilla = partial_trace_ancilla(DensityMatrix(swapped), 2)
         assert np.abs(ancilla.matrix - np.eye(2) / 2).max() < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16])
+    def test_values_of_the_kron_loop(self, d):
+        # full-rank, pure (rank 1) and dephased states; a pure state's zero
+        # eigenvalues give zeros that may differ only in sign
+        states = [random_mixed_state(d, d), random_pure_state(d, d + 1),
+                  dephase(random_pure_state(d, d + 2), random_spectrum(d, d + 3))]
+        for rho in states:
+            assert np.array_equal(purify(rho).matrix, kron_purify(rho))
+
+    @pytest.mark.parametrize("d, ancilla", [(1, 1), (2, 3), (5, 2), (4, 4)])
+    def test_extend_povm_is_m_kron_identity(self, d, ancilla):
+        povm = random_povm(d, 3, d + ancilla)
+        extended = extend_povm(povm, ancilla).elements
+        assert extended.shape == (3, d * ancilla, d * ancilla)
+        for m, big in zip(povm.elements, extended):
+            assert np.array_equal(big, np.kron(m, np.eye(ancilla)))
+
     def test_preserves_average_distinguishability(self):
         rho = random_mixed_state(3, 13)
         spec = random_spectrum(3, 14)
@@ -832,6 +926,21 @@ BY_CONSTRUCTION = {
 }
 
 
+# the derived objects that skip the eigenvalue test: a pinching (dephase), a
+# partial trace, an outer product (purify) and M_j (x) I (extend_povm) of
+# valid inputs are positive semidefinite by construction
+DERIVED = {
+    "dephase": lambda d, seed: dephase(random_mixed_state(d, seed), random_spectrum(d, seed)),
+    "dephase-paired": lambda d, seed: dephase(
+        random_pure_state(d, seed), paired_spectrum(d, seed)
+    ),
+    "partial_trace_ancilla": lambda d, seed: partial_trace_ancilla(
+        random_mixed_state(3 * d, seed), d
+    ),
+    "extend_povm": lambda d, seed: extend_povm(random_povm(d, 3, seed), 2),
+}
+
+
 class TestValidByConstruction:
     """The guarantee the samplers' skipped eigenvalue test gave at run time:
     their outputs pass the full public check."""
@@ -846,6 +955,26 @@ class TestValidByConstruction:
                 assert all(np.array_equal(a, b) for a, b in zip(checked, built.elements))
             else:
                 assert np.array_equal(DensityMatrix(built.matrix).matrix, built.matrix)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 33, 64])
+    @pytest.mark.parametrize("derive", list(DERIVED))
+    def test_derived_objects_pass_the_full_check(self, derive, dim):
+        for seed in (0, 1, 2):
+            built = DERIVED[derive](dim, seed)
+            if isinstance(built, POVM):
+                assert np.array_equal(POVM(built.elements).elements, built.elements)
+            else:
+                assert np.array_equal(DensityMatrix(built.matrix).matrix, built.matrix)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+    def test_purify_passes_the_full_check(self, dim):
+        # the output is dim^2-dimensional, so the dimensions stop at 16
+        for seed in (0, 1, 2):
+            for rho in (random_mixed_state(dim, seed), random_pure_state(dim, seed)):
+                pure = purify(rho)
+                assert np.array_equal(DensityMatrix(pure.matrix).matrix, pure.matrix)
+                traced = partial_trace_ancilla(pure, dim)
+                assert np.array_equal(DensityMatrix(traced.matrix).matrix, traced.matrix)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 33, 64, 256])
     def test_from_vector_passes_the_full_check(self, dim):
