@@ -142,6 +142,8 @@ def verify(seed, horizon, samples, gap_tol, out, fmt):
                    "of the default gap tolerance.")
 def bounds(outcomes, d_eff, d_g, epsilon, delta, eigenvalues):
     """Print analytic bound values without simulating anything."""
+    if epsilon is not None and d_eff is None:
+        raise click.UsageError("--epsilon needs --effective-dimension")
     try:
         if eigenvalues is not None:
             values = [float(v) for v in eigenvalues.split(",")]
@@ -156,7 +158,7 @@ def bounds(outcomes, d_eff, d_g, epsilon, delta, eigenvalues):
                        f"{value:.10g}")
             if outcomes >= 2 and d_eff == 1.0:
                 click.echo("note: effective dimension 1 makes this bound vacuous (>= 1/2)")
-        if epsilon is not None and d_eff is not None:
+        if epsilon is not None:
             n_max = quantum.max_outcomes_for_equilibration(epsilon, d_eff, d_g)
             click.echo(f"max outcomes guaranteeing {epsilon:g}-equilibration: {n_max}")
         if delta is not None:

@@ -381,8 +381,8 @@ def equilibration_bound(outcomes: int, gap_degeneracy: int, effective_dim: float
         raise DomainError(f"outcome count must be >= 1, got {outcomes}")
     if gap_degeneracy < 1:
         raise DomainError(f"gap degeneracy must be >= 1, got {gap_degeneracy}")
-    if effective_dim < 1.0:
-        raise DomainError(f"effective dimension must be >= 1, got {effective_dim!r}")
+    if not 1.0 <= effective_dim < math.inf:
+        raise DomainError(f"effective dimension must be finite and >= 1, got {effective_dim!r}")
     return 0.5 * math.sqrt(gap_degeneracy * (outcomes - 1) / effective_dim)
 
 
@@ -392,8 +392,8 @@ def max_outcomes_for_equilibration(
     """Largest measurement size that still guarantees epsilon-equilibration:
     floor(4 * effective_dim * epsilon^2 / gap_degeneracy + 1)."""
     check_epsilon(epsilon)
-    if effective_dim < 1.0:
-        raise DomainError(f"effective dimension must be >= 1, got {effective_dim!r}")
+    if not 1.0 <= effective_dim < math.inf:
+        raise DomainError(f"effective dimension must be finite and >= 1, got {effective_dim!r}")
     if gap_degeneracy < 1:
         raise DomainError(f"gap degeneracy must be >= 1, got {gap_degeneracy}")
     value = 4.0 * effective_dim * epsilon * epsilon / gap_degeneracy + 1.0

@@ -1178,6 +1178,21 @@ class TestCli:
         assert "max outcomes" in result.output and ": 5" in result.output
         assert f"{math.sqrt(5 * 0.02 / 2):.10g}" in result.output
 
+    @pytest.mark.parametrize("flags", [
+        ["--effective-dimension", "nan"],
+        ["--effective-dimension", "inf", "--epsilon", "0.5"],
+    ])
+    def test_bounds_rejects_a_non_finite_effective_dimension(self, flags):
+        result = CliRunner().invoke(cli.main, ["bounds", "--outcomes", "2", *flags])
+        assert result.exit_code == 1
+        assert "Error: effective dimension must be finite" in result.output
+        assert "bound (" not in result.output
+
+    def test_bounds_epsilon_needs_the_effective_dimension(self):
+        result = CliRunner().invoke(cli.main, ["bounds", "--outcomes", "2", "--epsilon", "0.3"])
+        assert result.exit_code == 2
+        assert "--effective-dimension" in result.output
+
     def test_bounds_eigenvalues_sensitivity(self):
         result = CliRunner().invoke(cli.main, ["bounds", "-n", "2", "--eigenvalues", "0,1,2,3"])
         assert result.exit_code == 0, result.output

@@ -432,6 +432,9 @@ class TestCountClassification:
         [0.0, 0.25, 0.5, 0.75, 1.0],
         [0.0, 1e-300, 1 / 3, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0), 1.0],
         np.linspace(0.0, 1.0, 202).tolist(),  # 200 inner edges
+        # the widest counts of a uint8 index and the first of a uint16 one
+        np.linspace(0.0, 1.0, 257).tolist(),
+        np.linspace(0.0, 1.0, 258).tolist(),
     ]
 
     @staticmethod
@@ -473,6 +476,31 @@ class TestCountClassification:
             cells = grid_partition(axes).cells_of_many(cloud)
             assert cells.dtype == np.int64
             assert np.array_equal(cells, searchsorted_cells(cloud, axes))
+
+    # Cell counts at the edges of the uint8 and uint16 index types, in both
+    # axis orders: a lone axis of 256 cells must not scale a uint8 index by
+    # 256, nor one of 65,536 cells a uint16 index by 65,536.
+    @pytest.mark.parametrize("shape", [
+        (255, 1), (1, 255), (256, 1), (1, 256), (257, 1), (1, 257),
+        (255, 257), (257, 255), (256, 256), (65_536, 1), (1, 65_536),
+        (65_537, 1), (1, 65_537),
+    ], ids=lambda s: "x".join(map(str, s)))
+    def test_grid_at_the_index_widths(self, shape):
+        axes = [np.linspace(0.0, 1.0, count + 1).tolist() for count in shape]
+        rng = np.random.default_rng(sum(shape))
+        columns = []
+        for e in axes:
+            # every edge of a narrow axis; of a wide one, a sample and the ends
+            e = np.asarray(e)
+            if e.size > 300:
+                e = np.concatenate([e[:3], rng.choice(e, 300), e[-3:]])
+            columns.append(rng.choice(self.values(e.tolist()), 2000))
+        corners = [np.zeros(2), np.full(2, np.nextafter(1.0, 0.0)), np.ones(2)]
+        cloud = np.vstack([np.column_stack(columns), *corners])
+        cells = grid_partition(axes).cells_of_many(cloud)
+        assert cells.dtype == np.int64
+        assert np.array_equal(cells, searchsorted_cells(cloud, axes))
+        assert cells.max() == math.prod(shape) - 1
 
 
 def layouts(pts):
@@ -516,6 +544,49 @@ class TestLayouts:
             expected = partition.cells_of_many(np.ascontiguousarray(pts))
             for layout, arr in layouts(pts).items():
                 assert np.array_equal(partition.cells_of_many(arr), expected), layout
+
+
+def row_cat(pts):
+    """The float cat kernel as it stood before it stepped coordinate rows:
+    the cloud's rows times the C-stored transpose, then ``v - floor(v)``."""
+    v = pts @ np.ascontiguousarray(CAT.T)
+    return v - np.floor(v)
+
+
+class TestCatRows:
+    """The cat map steps a cloud as coordinate rows, ``M @ pts.T``; each
+    entry is still one rounded sum of two exact terms, so it gives the bits
+    of the row kernel for clouds of any size and layout."""
+
+    # the first two rows alone hold 0.0, 0.5 and the largest double below 1.0
+    TOP = np.nextafter(1.0, 0.0)
+    SPECIAL = [(0.0, 0.5), (TOP, 0.0), (0.5, TOP), (0.0, 0.0), (0.5, 0.5), (TOP, TOP),
+               (0.5, 0.0), (TOP, 0.5), (0.0, TOP)]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_cloud_step(self, n, order):
+        pts = np.random.default_rng(n).random((n, 2))
+        pts[: len(self.SPECIAL)] = self.SPECIAL[:n]
+        pts = np.array(pts, order=order)
+        before = pts.copy()
+        mapping = cat_map()
+        got = mapping.forward_many(pts)
+        assert same_bits(got, row_cat(pts))
+        assert same_bits(got, [mapping.forward_point(tuple(p)) for p in pts.tolist()])
+        assert same_bits(pts, before)
+
+    def test_orbit_cells_of_the_row_kernel(self):
+        pts = np.random.default_rng(20).random((1000, 2))
+        pts[: len(self.SPECIAL)] = self.SPECIAL
+        edges = [[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]]
+        steps = np.arange(2000.0)
+        ref, seen = pts, 0
+        for cells in classical._orbit_cells(pts, cat_map(), grid_partition(edges), steps):
+            for row in cells:
+                assert np.array_equal(row, searchsorted_cells(ref, edges)), seen
+                ref, seen = row_cat(ref), seen + 1
+        assert seen == steps.size
 
 
 class TestClassicalProbe:

@@ -653,6 +653,14 @@ class TestBounds:
         with pytest.raises(DomainError):
             max_outcomes_for_equilibration(1.0, 2.0, 1)
 
+    @pytest.mark.parametrize("d_eff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_effective_dimension(self, d_eff):
+        # a NaN passes a `< 1` check; an infinite one overflowed the floor
+        with pytest.raises(DomainError, match="finite"):
+            equilibration_bound(2, 1, d_eff)
+        with pytest.raises(DomainError, match="finite"):
+            max_outcomes_for_equilibration(0.5, d_eff, 1)
+
 
 class TestQuantumProbe:
     def test_stationary_state_constant(self):
