@@ -23,9 +23,6 @@ from .core import (
     decide_verdict,
     distinguishability,
     equilibration_report,
-    guessing_probability,
-    multi_distinguishability,
-    multi_measurement_budget,
     sample_times,
     synthetic_probe,
     time_average_distribution,
@@ -49,9 +46,6 @@ __all__ = [
     "decide_verdict",
     "distinguishability",
     "equilibration_report",
-    "guessing_probability",
-    "multi_distinguishability",
-    "multi_measurement_budget",
     "sample_times",
     "synthetic_probe",
     "time_average_distribution",

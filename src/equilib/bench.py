@@ -34,7 +34,6 @@ from .core import (
     check_sufficiency,
     equilibration_report,
     synthetic_probe,
-    time_average_distribution,
 )
 
 KINDS = ("quantum", "classical-pure", "classical-ensemble", "synthetic-probe")
@@ -703,12 +702,10 @@ def _evaluate_bounds(report: EquilibrationReport) -> dict[str, BoundCheck]:
 def _measure(rt: _Runtime, overrides: dict) -> tuple[EquilibrationReport, dict, dict]:
     """Sample one built point: its report, bound checks and record params."""
     params = {**overrides, **rt.params}
-    floor = 0.0
+    report = equilibration_report(rt.probe, rt.epsilon, rt.cfg, rt.bound_values,
+                                  rt.quadrature_error_of)
     if rt.quadrature_error_of is not None:
-        omega = time_average_distribution(rt.probe, rt.cfg)
-        floor = params["quadrature_floor"] = rt.quadrature_error_of(omega)
-    report = equilibration_report(rt.probe, rt.epsilon, rt.cfg,
-                                  bound_values=rt.bound_values, quadrature_error=floor)
+        params["quadrature_floor"] = rt.quadrature_error_of(report.equilibrium_distribution)
     return report, _evaluate_bounds(report), params
 
 

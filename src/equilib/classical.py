@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -669,6 +670,7 @@ def _t_tail(t: float, df: int) -> float:
     return scale * rest
 
 
+@lru_cache
 def _t_quantile(tail: float, df: int) -> float:
     """The t > 0 with P(|T| > t) = ``tail`` for Student's t with integer
     ``df`` >= 1: the two-sided quantile, by bisection down to adjacent doubles."""

@@ -212,36 +212,6 @@ def distinguishability(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
-def guessing_probability(d: float) -> float:
-    """Success probability of guessing which of two states was measured,
-    given their distinguishability ``d``: 1/2 + d/2."""
-    if not 0.0 <= d <= 1.0:
-        raise DomainError(f"distinguishability must lie in [0, 1], got {d!r}")
-    return 0.5 + 0.5 * d
-
-
-def multi_distinguishability(
-    pairs: Sequence[tuple[OutcomeDistribution, OutcomeDistribution]],
-) -> float:
-    """Largest distinguishability over a set of measurement outcome pairs.
-
-    Models an observer who may pick, per time, the most revealing of several
-    measurements.
-    """
-    if len(pairs) == 0:
-        raise DomainError("need at least one measurement pair")
-    return max(distinguishability(p, q) for p, q in pairs)
-
-
-def multi_measurement_budget(epsilon: float, measurement_count: int) -> float:
-    """Per-measurement tolerance that keeps the max-distinguishability over
-    ``measurement_count`` measurements within ``epsilon``."""
-    check_epsilon(epsilon)
-    if measurement_count < 1:
-        raise DomainError(f"measurement count must be >= 1, got {measurement_count}")
-    return epsilon / measurement_count
-
-
 def check_sufficiency(omega: OutcomeDistribution, epsilon: float) -> bool:
     """Universal sufficient condition for epsilon-equilibration.
 
@@ -257,15 +227,9 @@ def check_sufficiency(omega: OutcomeDistribution, epsilon: float) -> bool:
 def time_average_distribution(
     probe: TrajectoryProbe, cfg: TimeAverageConfig
 ) -> OutcomeDistribution:
-    """Empirical time average of a probe's outcome distribution.
-
-    The per-outcome mean over the sampled times, renormalized to sum exactly
-    to 1 (each entry is already a mean of probabilities, so the shift is at
-    the level of accumulated rounding).
-    """
-    block = probe.distributions_at(sample_times(cfg))
-    mean = block.mean(axis=0)
-    return OutcomeDistribution(mean / mean.sum())
+    """Empirical time average of a probe's outcome distribution: the ω of
+    ``equilibration_report``, read without the distances."""
+    return _in_sample_omega(probe.distributions_at(sample_times(cfg)))
 
 
 def average_distinguishability(
@@ -278,13 +242,8 @@ def average_distinguishability(
     correlated trajectories this is a heuristic, not an exact error bar;
     stratified sampling keeps it conservative in practice.
     """
-    if len(omega) != probe.outcome_count:
-        raise DimensionError(
-            f"omega has {len(omega)} outcomes, probe has {probe.outcome_count}"
-        )
-    block = probe.distributions_at(sample_times(cfg))
-    series = 0.5 * np.abs(block - omega.probs).sum(axis=1)
-    return _series_estimate(series)
+    _, mean, errors = _estimate(probe.distributions_at(sample_times(cfg)), omega)
+    return AverageEstimate(mean, sum(errors.values()))
 
 
 def average_multi_distinguishability(
@@ -300,20 +259,44 @@ def average_multi_distinguishability(
     if len(probes) == 0 or len(probes) != len(omegas):
         raise DimensionError("need equally many probes and equilibrium distributions")
     times = sample_times(cfg)
-    per_probe = []
-    for probe, omega in zip(probes, omegas):
-        if len(omega) != probe.outcome_count:
-            raise DimensionError("equilibrium distribution does not match its probe")
-        block = probe.distributions_at(times)
-        per_probe.append(0.5 * np.abs(block - omega.probs).sum(axis=1))
-    series = np.max(per_probe, axis=0)
-    return _series_estimate(series)
+    series = np.max(
+        [_distances(p.distributions_at(times), w) for p, w in zip(probes, omegas)], axis=0
+    )
+    mean, errors = _series_reduction(series)
+    return AverageEstimate(mean, sum(errors.values()))
 
 
-def _series_estimate(series: np.ndarray) -> AverageEstimate:
+def _estimate(
+    block: np.ndarray, omega: OutcomeDistribution | None = None
+) -> tuple[OutcomeDistribution, float, dict[str, float]]:
+    """The one reduction of an ``(M, N)`` sample block: ω (by default the
+    block's in-sample mean), the mean distinguishability from it and the
+    standard error by named component; the components sum, in their order,
+    to the standard error."""
+    if omega is None:
+        omega = _in_sample_omega(block)
+    return (omega, *_series_reduction(_distances(block, omega)))
+
+
+def _in_sample_omega(block: np.ndarray) -> OutcomeDistribution:
+    """The per-outcome mean over the sampled times, renormalized to sum
+    exactly to 1 (each entry is already a mean of probabilities, so the
+    shift is at the level of accumulated rounding)."""
+    mean = block.mean(axis=0)
+    return OutcomeDistribution(mean / mean.sum())
+
+
+def _distances(block: np.ndarray, omega: OutcomeDistribution) -> np.ndarray:
+    """The distinguishability of each row of ``block`` from ``omega``."""
+    if len(omega) != block.shape[1]:
+        raise DimensionError(f"omega has {len(omega)} outcomes, probe has {block.shape[1]}")
+    return 0.5 * np.abs(block - omega.probs).sum(axis=1)
+
+
+def _series_reduction(series: np.ndarray) -> tuple[float, dict[str, float]]:
+    """The mean of a distinguishability series and its named error components."""
     mean = float(series.mean())
-    stderr = float(series.std(ddof=1) / math.sqrt(series.size))
-    return AverageEstimate(mean, stderr)
+    return mean, {"time": float(series.std(ddof=1) / math.sqrt(series.size))}
 
 
 def decide_verdict(mean: float, standard_error: float, epsilon: float) -> str:
@@ -334,8 +317,9 @@ def decide_verdict(mean: float, standard_error: float, epsilon: float) -> str:
 class EquilibrationReport:
     """Outcome of one equilibration measurement.
 
-    ``standard_error`` is the total estimator uncertainty: the time-sampling
-    error plus, for quadrature-discretized ensembles, their resolution floor.
+    ``standard_error`` is the total estimator uncertainty, finite: the
+    time-sampling error plus, for quadrature-discretized ensembles, their
+    resolution floor.
     ``bound_values`` maps bound names to analytic values that applied to the
     run.
     """
@@ -350,8 +334,10 @@ class EquilibrationReport:
     def __post_init__(self):
         if not 0.0 <= self.mean_distinguishability <= 1.0:
             raise DomainError("mean distinguishability must lie in [0, 1]")
-        if self.standard_error < 0.0:
-            raise DomainError("standard error must be nonnegative")
+        if not 0.0 <= self.standard_error < math.inf:
+            raise DomainError(
+                f"standard error must be finite and nonnegative, got {self.standard_error!r}"
+            )
         check_epsilon(self.epsilon)
         if self.verdict not in (VERDICT_EQUILIBRATES, VERDICT_DOES_NOT, VERDICT_INCONCLUSIVE):
             raise DomainError(f"unknown verdict {self.verdict!r}")
@@ -367,22 +353,26 @@ def equilibration_report(
     epsilon: float,
     cfg: TimeAverageConfig,
     bound_values: dict[str, float] | None = None,
-    quadrature_error: float = 0.0,
+    quadrature_error_of: Callable[[OutcomeDistribution], float] | None = None,
 ) -> EquilibrationReport:
     """Measure a probe against the epsilon-equilibration definition.
 
-    Samples the probe once over ``cfg``, uses the in-sample mean as the
-    empirical equilibrium distribution, and averages the distinguishability
-    from it over the same times. ``quadrature_error`` is added to the
-    time-sampling standard error when the probe itself is a finite quadrature
-    of a continuous state (see ``classical.ensemble_noise_floor``).
+    Draws the times of ``cfg`` once, reads one sample block and reduces it
+    in one pass: the in-sample mean is the empirical equilibrium
+    distribution ω, and the distinguishability from it is averaged over the
+    same times. ``quadrature_error_of`` maps that ω to the resolution floor
+    of a probe that is itself a finite quadrature of a continuous state (see
+    ``classical.ensemble_noise_floor``); the floor is added to the
+    time-sampling standard error.
     """
     check_epsilon(epsilon)
-    if quadrature_error < 0.0:
-        raise DomainError("quadrature error must be nonnegative")
-    omega = time_average_distribution(probe, cfg)
-    mean, stderr = average_distinguishability(probe, omega, cfg)
-    stderr += quadrature_error
+    omega, mean, errors = _estimate(probe.distributions_at(sample_times(cfg)))
+    if quadrature_error_of is not None:
+        floor = quadrature_error_of(omega)
+        if not 0.0 <= floor < math.inf:
+            raise DomainError(f"quadrature error must be finite and nonnegative, got {floor!r}")
+        errors["quadrature"] = floor
+    stderr = sum(errors.values())
     return EquilibrationReport(
         mean_distinguishability=mean,
         standard_error=stderr,

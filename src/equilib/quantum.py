@@ -11,6 +11,7 @@ coinciding energy gaps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -397,6 +398,9 @@ def max_outcomes_for_equilibration(
     if gap_degeneracy < 1:
         raise DomainError(f"gap degeneracy must be >= 1, got {gap_degeneracy}")
     value = 4.0 * effective_dim * epsilon * epsilon / gap_degeneracy + 1.0
+    if not math.isfinite(value):
+        raise DomainError(f"4 d_eff eps^2 / D_G + 1 exceeds the largest float, "
+                          f"{sys.float_info.max:.3e}, at d_eff={effective_dim!r}")
     return int(math.floor(value + 1e-12))
 
 

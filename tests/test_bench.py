@@ -1,6 +1,7 @@
 """Scenario loading, the sweep runner, report emission and the CLI."""
 
 import copy
+import dataclasses
 import json
 import math
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from equilib import bench, classical, cli, quantum
+from equilib import bench, classical, cli, core, quantum
 from equilib.bench import (
     BOUND_NAMES,
     CSV_COLUMNS,
@@ -1188,6 +1189,15 @@ class TestCli:
         assert "Error: effective dimension must be finite" in result.output
         assert "bound (" not in result.output
 
+    def test_bounds_max_outcomes_beyond_the_float_range(self):
+        result = CliRunner().invoke(
+            cli.main,
+            ["bounds", "-n", "2", "--effective-dimension", "1e308", "--epsilon", "0.9"],
+        )
+        assert result.exit_code == 1
+        assert "Error: 4 d_eff eps^2 / D_G + 1 exceeds the largest float" in result.output
+        assert "Traceback" not in result.output
+
     def test_bounds_epsilon_needs_the_effective_dimension(self):
         result = CliRunner().invoke(cli.main, ["bounds", "--outcomes", "2", "--epsilon", "0.3"])
         assert result.exit_code == 2
@@ -1226,6 +1236,34 @@ class TestBuiltinSuite:
         assert kinds == {
             "quantum", "classical-pure", "classical-ensemble", "synthetic-probe",
         }
+
+    def test_each_record_samples_once(self, monkeypatch):
+        times_calls = []
+        original = core.sample_times
+
+        def counting_times(cfg):
+            times_calls.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(core, "sample_times", counting_times)
+        for scenario in builtin_scenarios():
+            for point, (rt, build_s) in zip(scenario.sweep_points, scenario.built, strict=True):
+                block_calls = []
+
+                def counting_block(times, inner=rt.probe.sample_many):
+                    block_calls.append(len(times))
+                    return inner(times)
+
+                # a fresh probe, with no block kept, on this one point
+                probe = dataclasses.replace(rt.probe, sample_many=counting_block)
+                one = dataclasses.replace(
+                    scenario, sweep_points=(point,),
+                    built=((dataclasses.replace(rt, probe=probe), build_s),),
+                )
+                times_calls.clear()
+                [record] = run_scenario(one)
+                assert record.error is None
+                assert (len(times_calls), block_calls) == (1, [rt.cfg.samples]), scenario.name
 
     def test_shipped_suite_never_violates(self):
         records = []

@@ -1151,6 +1151,26 @@ class TestTQuantile:
         with pytest.raises(DomainError):
             classical._t_quantile(tail, 5)
 
+    def test_audits_share_one_bisection(self, monkeypatch):
+        calls = []
+        original = classical._t_tail
+
+        def counting(t, df):
+            calls.append(df)
+            return original(t, df)
+
+        monkeypatch.setattr(classical, "_t_tail", counting)
+        classical._t_quantile.cache_clear()
+        ens = contaminated_cat_ensemble(50, delta=0.0, seed=1)
+        risk, batches = 0.01, 8
+        decorrelation_audit(ens, cat_map(), QUADRANTS, STEPS(64), 5, 0, batches, risk)
+        bisection = len(calls)
+        decorrelation_audit(ens, cat_map(), QUADRANTS, STEPS(64), 5, 1, batches, risk)
+        per_outcome = 1.0 - (1.0 - risk) ** (1.0 / QUADRANTS.cell_count)
+        cached = classical._t_quantile(per_outcome, batches - 1)
+        assert bisection > 0 and len(calls) == bisection
+        assert cached.hex() == classical._t_quantile.__wrapped__(per_outcome, batches - 1).hex()
+
     @pytest.mark.parametrize("risk", [0.0, 1.0, 1.5, math.nan])
     def test_audit_family_risk_domain(self, risk):
         ens = contaminated_cat_ensemble(50, delta=0.0, seed=1)

@@ -23,13 +23,15 @@ from equilib.core import (
     decide_verdict,
     distinguishability,
     equilibration_report,
-    guessing_probability,
-    multi_distinguishability,
-    multi_measurement_budget,
     sample_times,
     synthetic_probe,
     time_average_distribution,
 )
+
+
+def builder_ensemble():
+    """The cloud behind ``builder_probes()["ensemble"]``."""
+    return classical.contaminated_cat_ensemble(50, 0.1, seed=4)
 
 
 def builder_probes():
@@ -43,9 +45,7 @@ def builder_probes():
         "classical": classical.classical_probe(
             classical.PhasePoint((0.2, 0.6)), classical.cat_map(), grid
         ),
-        "ensemble": classical.ensemble_probe(
-            classical.contaminated_cat_ensemble(50, 0.1, seed=4), classical.cat_map(), grid
-        ),
+        "ensemble": classical.ensemble_probe(builder_ensemble(), classical.cat_map(), grid),
         "synthetic": synthetic_probe(3, seed=4),
     }
 
@@ -130,18 +130,6 @@ class TestDistinguishability:
             distinguishability(
                 OutcomeDistribution([1.0]), OutcomeDistribution([0.5, 0.5])
             )
-
-
-class TestGuessingProbability:
-    @pytest.mark.parametrize("d,expected", [(0.0, 0.5), (1.0, 1.0), (0.2, 0.6)])
-    def test_values(self, d, expected):
-        assert guessing_probability(d) == pytest.approx(expected, abs=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            guessing_probability(-0.1)
-        with pytest.raises(DomainError):
-            guessing_probability(1.5)
 
 
 class TestTimeAverageConfig:
@@ -353,7 +341,6 @@ class TestCheckSufficiency:
 
 
 EPSILON_CALLERS = {
-    "multi_measurement_budget": lambda eps: multi_measurement_budget(eps, 2),
     "check_sufficiency": lambda eps: check_sufficiency(OutcomeDistribution([1.0]), eps),
     "EquilibrationReport": lambda eps: EquilibrationReport(
         0.0, 0.0, OutcomeDistribution([1.0]), eps, "equilibrates"),
@@ -375,40 +362,6 @@ def test_one_epsilon_domain(caller):
 
 
 class TestMultiMeasurement:
-    def test_single_pair(self):
-        p = OutcomeDistribution([0.7, 0.3])
-        q = OutcomeDistribution([0.5, 0.5])
-        assert multi_distinguishability([(p, q)]) == distinguishability(p, q)
-
-    def test_max_over_pairs(self):
-        mk = OutcomeDistribution
-        pairs = [
-            (mk([0.6, 0.4]), mk([0.5, 0.5])),   # D = 0.1
-            (mk([0.9, 0.1]), mk([0.5, 0.5])),   # D = 0.4
-            (mk([0.7, 0.3]), mk([0.5, 0.5])),   # D = 0.2
-        ]
-        assert multi_distinguishability(pairs) == pytest.approx(0.4, abs=1e-15)
-
-    def test_identical_pairs(self):
-        p = OutcomeDistribution([0.2, 0.8])
-        assert multi_distinguishability([(p, p), (p, p)]) == 0.0
-
-    def test_empty(self):
-        with pytest.raises(DomainError):
-            multi_distinguishability([])
-
-    @pytest.mark.parametrize(
-        "eps,k,expected", [(0.1, 1, 0.1), (0.1, 5, 0.02), (0.3, 3, 0.1)]
-    )
-    def test_budget(self, eps, k, expected):
-        assert multi_measurement_budget(eps, k) == pytest.approx(expected, abs=1e-15)
-
-    def test_budget_domain(self):
-        with pytest.raises(DomainError):
-            multi_measurement_budget(1.0, 2)
-        with pytest.raises(DomainError):
-            multi_measurement_budget(0.1, 0)
-
     def test_average_max_bounded_by_sum(self):
         cfg = TimeAverageConfig(horizon=200.0, samples=512, seed=17)
         probes = [synthetic_probe(3, s) for s in (1, 2, 3)]
@@ -418,6 +371,28 @@ class TestMultiMeasurement:
             average_distinguishability(p, w, cfg).mean for p, w in zip(probes, omegas)
         )
         assert est.mean <= total + 1e-12
+
+    def test_average_max_is_the_mean_of_the_pointwise_max(self):
+        cfg = TimeAverageConfig(horizon=200.0, samples=512, seed=17)
+        probes = [synthetic_probe(3, s) for s in (1, 2)] + [synthetic_probe(5, 3)]
+        omegas = [time_average_distribution(p, cfg) for p in probes]
+        est = average_multi_distinguishability(probes, omegas, cfg)
+        times = sample_times(cfg)
+        series = np.max([
+            0.5 * np.abs(p.sample_many(times) - w.probs).sum(axis=1)
+            for p, w in zip(probes, omegas)
+        ], axis=0)
+        assert est.mean.hex() == float(series.mean()).hex()
+        assert est.standard_error.hex() == float(series.std(ddof=1) / math.sqrt(512)).hex()
+
+    def test_average_max_dimension_mismatch(self):
+        cfg = TimeAverageConfig(horizon=10.0, samples=8)
+        probes = [synthetic_probe(3, 1), synthetic_probe(2, 2)]
+        omegas = [time_average_distribution(probes[0], cfg), OutcomeDistribution([1.0])]
+        with pytest.raises(DimensionError, match="omega has 1 outcomes, probe has 2"):
+            average_multi_distinguishability(probes, omegas, cfg)
+        with pytest.raises(DimensionError):
+            average_multi_distinguishability(probes, omegas[:1], cfg)
 
 
 class TestVerdicts:
@@ -450,10 +425,47 @@ class TestVerdicts:
         probe = constant_probe([0.3, 0.7])
         cfg = TimeAverageConfig(horizon=4.0, samples=16, seed=2)
         plain = equilibration_report(probe, 0.25, cfg)
-        padded = equilibration_report(probe, 0.25, cfg, quadrature_error=0.01)
+        seen = []
+        padded = equilibration_report(
+            probe, 0.25, cfg, quadrature_error_of=lambda omega: seen.append(omega) or 0.01
+        )
         assert padded.standard_error == pytest.approx(
             plain.standard_error + 0.01, abs=1e-15
         )
+        # the floor is a function of the report's own equilibrium distribution
+        assert seen == [padded.equilibrium_distribution]
+
+    @pytest.mark.parametrize("stderr", [math.nan, math.inf])
+    def test_report_rejects_a_non_finite_standard_error(self, stderr):
+        omega = OutcomeDistribution([0.5, 0.5])
+        with pytest.raises(DomainError, match="standard error must be finite"):
+            EquilibrationReport(0.1, stderr, omega, 0.2, "inconclusive")
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -0.01])
+    def test_report_rejects_a_bad_quadrature_floor(self, floor):
+        cfg = TimeAverageConfig(horizon=4.0, samples=16, seed=2)
+        with pytest.raises(DomainError, match="quadrature error must be finite and nonnegative"):
+            equilibration_report(constant_probe([0.3, 0.7]), 0.25, cfg,
+                                 quadrature_error_of=lambda omega: floor)
+
+    @pytest.mark.parametrize("builder", ["quantum", "classical", "ensemble", "synthetic"])
+    def test_report_has_the_bits_of_the_public_reads(self, builder):
+        def floor_of(omega):
+            if builder != "ensemble":
+                return 0.0
+            return classical.ensemble_noise_floor(builder_ensemble(), omega)
+
+        cfg = TimeAverageConfig(horizon=300.0, samples=500, seed=8)
+        report = equilibration_report(builder_probes()[builder], 0.3, cfg,
+                                      quadrature_error_of=floor_of)
+        probe = builder_probes()[builder]  # a fresh probe, with no block kept
+        omega = time_average_distribution(probe, cfg)
+        est = average_distinguishability(probe, omega, cfg)
+        assert report.equilibrium_distribution.probs.tobytes() == omega.probs.tobytes()
+        assert report.mean_distinguishability.hex() == est.mean.hex()
+        floor = floor_of(omega)
+        assert report.standard_error.hex() == (est.standard_error + floor).hex()
+        assert builder != "ensemble" or floor > 0.0
 
 
 class TestSyntheticProbe:

@@ -4,7 +4,6 @@ soundness sweeps behind the universal sufficiency and chain inequalities."""
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from equilib.classical import (
@@ -26,9 +25,6 @@ from equilib.core import (
     decide_verdict,
     distinguishability,
     equilibration_report,
-    guessing_probability,
-    multi_distinguishability,
-    multi_measurement_budget,
     synthetic_probe,
     time_average_distribution,
 )
@@ -74,34 +70,6 @@ class TestMetricAxioms:
             assert np.array_equal(p.probs, q.probs)
         # triangle inequality
         assert distinguishability(p, r) <= dpq + distinguishability(q, r) + 1e-12
-
-
-class TestGuessingAlgebra:
-    @given(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=1.0),
-    )
-    @settings(max_examples=200)
-    def test_affine_and_monotone(self, d1, d2, lam):
-        mix = lam * d1 + (1 - lam) * d2
-        affine = lam * guessing_probability(d1) + (1 - lam) * guessing_probability(d2)
-        assert guessing_probability(mix) == pytest.approx(affine, abs=1e-12)
-        lo, hi = min(d1, d2), max(d1, d2)
-        assert guessing_probability(lo) <= guessing_probability(hi)
-        assert 0.5 <= guessing_probability(d1) <= 1.0
-
-
-class TestBudgetAlgebra:
-    @given(
-        st.floats(min_value=0.0, max_value=0.999),
-        st.integers(min_value=1, max_value=50),
-    )
-    @settings(max_examples=200)
-    def test_budget_scales(self, eps, k):
-        budget = multi_measurement_budget(eps, k)
-        assert budget * k == pytest.approx(eps, abs=1e-12)
-        assert budget <= eps
 
 
 class TestBoundAlgebra:
@@ -199,11 +167,6 @@ class TestMaxDistinguishabilityChain:
                 for p, w in zip(probes, omegas)
             )
             assert max_est.mean <= total + 1e-12
-
-    def test_pointwise_max_is_max(self):
-        mk = OutcomeDistribution
-        pairs = [(mk([0.9, 0.1]), mk([0.5, 0.5])), (mk([0.6, 0.4]), mk([0.5, 0.5]))]
-        assert multi_distinguishability(pairs) == pytest.approx(0.4)
 
 
 class TestClassicalTheoremSweeps:

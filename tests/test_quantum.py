@@ -661,6 +661,16 @@ class TestBounds:
         with pytest.raises(DomainError, match="finite"):
             max_outcomes_for_equilibration(0.5, d_eff, 1)
 
+    @pytest.mark.parametrize("eps,deff", [(0.9, 1e308), (0.99, 5e307)])
+    def test_max_outcomes_beyond_the_float_range(self, eps, deff):
+        # 4 d_eff eps^2 is inf for a finite d_eff, which the floor cannot take
+        with pytest.raises(DomainError, match="exceeds the largest float"):
+            max_outcomes_for_equilibration(eps, deff, 1)
+
+    def test_max_outcomes_near_the_float_range(self):
+        value = max_outcomes_for_equilibration(0.9, 4e307, 2)
+        assert value == int(4.0 * 4e307 * 0.9 * 0.9 / 2 + 1.0)
+
 
 class TestQuantumProbe:
     def test_stationary_state_constant(self):
