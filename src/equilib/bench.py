@@ -33,6 +33,7 @@ from .core import (
     TrajectoryProbe,
     check_sufficiency,
     equilibration_report,
+    sample_times,
     synthetic_probe,
 )
 
@@ -111,31 +112,34 @@ class RunRecord:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "RunRecord":
+    def from_dict(data: dict, path: str = "record") -> "RunRecord":
+        """The record ``to_dict`` wrote; a missing or malformed field is a
+        ConfigError naming it under ``path``."""
+        data = _obj(data, path)
         rep = None
         if data.get("report") is not None:
-            r = data["report"]
-            rep = EquilibrationReport(
-                mean_distinguishability=r["mean_distinguishability"],
-                standard_error=r["standard_error"],
-                equilibrium_distribution=OutcomeDistribution(r["equilibrium_distribution"]),
-                epsilon=r["epsilon"],
-                verdict=r["verdict"],
-                bound_values=dict(r["bound_values"]),
-            )
-        bounds = {
-            name: BoundCheck(value=chk["value"], status=chk["status"])
-            for name, chk in data["bounds"].items()
-        }
-        return RunRecord(
-            scenario=data["scenario"],
-            params=data["params"],
-            report=rep,
-            bounds=bounds,
-            wall_time=data["wall_time"],
-            seed=data["seed"],
-            error=data.get("error"),
-        )
+            rpath = f"{path}.report"
+            r = _obj(data["report"], rpath)
+            keys = ("mean_distinguishability", "standard_error", "equilibrium_distribution",
+                    "epsilon", "verdict", "bound_values")
+            values = {key: _require(r, key, rpath) for key in keys}
+            with _field(rpath):
+                values["equilibrium_distribution"] = OutcomeDistribution(
+                    values["equilibrium_distribution"])
+                values["bound_values"] = dict(values["bound_values"])
+                rep = EquilibrationReport(**values)
+        bpath = f"{path}.bounds"
+        bounds = {}
+        for name, chk in _obj(_require(data, "bounds", path), bpath).items():
+            cpath = f"{bpath}.{name}"
+            chk = _obj(chk, cpath)
+            bounds[name] = BoundCheck(_require(chk, "value", cpath), _require(chk, "status", cpath))
+        fields = {key: _require(data, key, path)
+                  for key in ("scenario", "params", "wall_time", "seed")}
+        try:
+            return RunRecord(report=rep, bounds=bounds, error=data.get("error"), **fields)
+        except ConfigError as exc:
+            raise ConfigError(f"{bpath}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -436,8 +440,9 @@ def _map_node(node, path: str) -> classical.InvertibleMap:
 
 
 def _partition_node(node, path: str) -> classical.Partition:
-    """A partition: {"kind": "interval" or "grid", "edges": ...}, the form
-    ``Partition.description`` records."""
+    """A box partition: {"kind": "interval", "edges": [...]} on the circle,
+    or {"kind": "grid", "edges": [[...], ...]} with one edge list per
+    coordinate, the lists that ``Partition.edges`` holds as arrays."""
     node = _obj(node, path)
     kind = node.get("kind")
     if kind not in ("interval", "grid"):
@@ -552,6 +557,15 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
     return _Runtime(probe, avg, epsilon, params, {"thm5-spectral": bound})
 
 
+def _orbit_average_config(cfg: dict) -> TimeAverageConfig:
+    """The averaging of a classical point, whose orbit must reach the step
+    of its last sample time within the cap."""
+    avg = _average_config(cfg)
+    with _field("scenario.average.horizon"):
+        classical.check_orbit_steps(np.rint(sample_times(avg)[[0, -1]]))
+    return avg
+
+
 def _map_and_partition(cfg: dict) -> tuple[dict, classical.InvertibleMap, classical.Partition]:
     system = _obj(cfg["system"], "scenario.system")
     meas = _obj(cfg["measurement"], "scenario.measurement")
@@ -574,7 +588,7 @@ def _build_classical_pure(cfg: dict, epsilon: float) -> _Runtime:
         )
     probe = classical.classical_probe(point, mapping, partition)
     params = {"N": partition.cell_count, "map": mapping.name}
-    return _Runtime(probe, _average_config(cfg), epsilon, params,
+    return _Runtime(probe, _orbit_average_config(cfg), epsilon, params,
                     {"thm2-necessity": 1.0 - epsilon})
 
 
@@ -621,7 +635,7 @@ def _build_classical_ensemble(cfg: dict, epsilon: float) -> _Runtime:
         bounds["thm3-mixing"] = classical.mixed_equilibration_bound(partition.cell_count, delta)
     return _Runtime(
         probe,
-        _average_config(cfg),
+        _orbit_average_config(cfg),
         epsilon,
         params,
         bounds,
@@ -808,8 +822,16 @@ def emit_report(records: list[RunRecord], fmt: str, path) -> None:
 
 
 def load_records(path) -> list[RunRecord]:
-    data = json.loads(Path(path).read_text())
-    return [RunRecord.from_dict(d) for d in data]
+    """The records of a JSON report that ``emit_report`` wrote. A malformed
+    file is a ConfigError naming the file, or the field of record k as
+    ``records[k].<field>``."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, list):
+        raise ConfigError(f"{path}: expected a JSON list of records, got {type(data).__name__}")
+    return [RunRecord.from_dict(d, f"records[{k}]") for k, d in enumerate(data)]
 
 
 # --- built-in verification suite ----------------------------------------------

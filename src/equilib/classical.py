@@ -25,6 +25,7 @@ from .core import (
     THRESHOLD_SLACK,
     check_epsilon,
     sample_times,
+    typed_array,
 )
 
 WEIGHT_TOL = 1e-9      # ensemble weights must sum to 1 within this
@@ -38,7 +39,7 @@ class PhasePoint:
     coords: tuple[float, ...]
 
     def __init__(self, coords: Sequence[float] | float):
-        arr = np.atleast_1d(_typed(coords, "coordinates", "iuf", "numbers")).astype(float)
+        arr = np.atleast_1d(typed_array(coords, "coordinates", "iuf", "numbers")).astype(float)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("a phase point needs at least one coordinate")
         if not np.isfinite(arr).all():
@@ -98,26 +99,13 @@ def _wrapped(v: np.ndarray) -> np.ndarray:
 _CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 
 
-def _typed(values, name: str, kinds: str, what: str) -> np.ndarray:
-    """``values`` as an array whose dtype kind is one of ``kinds``. A list that
-    mixes booleans with numbers fails too, though numpy would promote it."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in kinds:
-        raise DomainError(f"{name} must be {what}, got {arr.dtype} entries")
-    if "b" not in kinds and not isinstance(values, np.ndarray) and any(
-        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
-    ):
-        raise DomainError(f"{name} must be {what}, got a boolean in {values!r}")
-    return arr
-
-
 def rotation_map(angles: Sequence[float] | float) -> InvertibleMap:
     """Rigid rotation of the torus: x -> x + angles (mod 1), per coordinate.
 
     Irrational angles give equidistributing (but never mixing) orbits;
     rational angles give periodic ones. The non-chaotic control case.
     """
-    shift = np.atleast_1d(_typed(angles, "angles", "iuf", "numbers")).astype(float)
+    shift = np.atleast_1d(typed_array(angles, "angles", "iuf", "numbers")).astype(float)
     if shift.ndim != 1 or shift.size == 0:
         raise DomainError("rotation needs a nonempty list of angles")
     if not np.isfinite(shift).all():
@@ -219,103 +207,62 @@ def baker_map() -> InvertibleMap:
     return InvertibleMap("baker-map", 2, fwd, fwd_point)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Measurement that assigns every phase point to one of ``cell_count`` cells.
+    """Box partition of the torus, the measurement that assigns every phase
+    point to one of ``cell_count`` cells.
 
-    ``cells_of_many`` maps an (n, dim) array of points, of any memory layout,
-    to their 0-based cell indices. ``description`` records the geometry for
-    serialization.
+    ``edges`` holds one read-only float array per coordinate, increasing
+    strictly from 0.0 to 1.0; the cells are the boxes of that grid, indexed
+    in row-major order. ``cells_of_many`` maps an (n, dim) array of points,
+    of any memory layout, to their 0-based int64 cell indices.
     """
 
-    cell_count: int
-    description: dict
+    edges: tuple[np.ndarray, ...]
     cells_of_many: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.cell_count < 1:
-            raise DomainError("a partition needs at least one cell")
 
     @property
     def dim(self) -> int:
         """Number of coordinates the partition reads."""
-        return len(self.description["edges"]) if self.description["kind"] == "grid" else 1
+        return len(self.edges)
 
-
-def _axis_index(
-    values: np.ndarray, inner_edges: np.ndarray, idx: np.ndarray | None = None
-) -> np.ndarray:
-    """The number of ``inner_edges`` strictly below each value, added in
-    place to ``idx``. By default the count runs in the narrowest unsigned
-    type that holds ``len(inner_edges)`` and is returned widened to int64.
-
-    For finite values this is ``searchsorted(inner_edges, values, 'left')``:
-    a point exactly on an edge goes to the lower-index cell, the fixed
-    tie-breaking rule for box partitions. On the contiguous columns of the
-    orbit engine's blocks, counting into a uint8 index costs about 0.3-0.5
-    ns per edge per point (2-vCPU Xeon, 32,000 points), where an int64
-    index cost 1 ns, so it beats ``searchsorted`` up to some 250 inner
-    edges; the partitions in use have at most a few. An 8-cell grid
-    classifies a block of 32 steps of 1000 points in a median 69 us,
-    against 165 us with an int64 index.
-    """
-    if idx is None:
-        narrow = np.zeros(values.shape, dtype=np.min_scalar_type(len(inner_edges)))
-        return _axis_index(values, inner_edges, narrow).astype(np.int64)
-    for e in inner_edges:
-        idx += values > e
-    return idx
+    @property
+    def cell_count(self) -> int:
+        """Number of cells, the product of the axes' interval counts."""
+        return math.prod(e.size - 1 for e in self.edges)
 
 
 def _edges(edges) -> np.ndarray:
-    """``edges`` as a float array of numbers increasing strictly from 0.0 to 1.0."""
-    e = _typed(edges, "edges", "iuf", "numbers").astype(float)
+    """``edges`` as a read-only float array increasing strictly from 0.0 to 1.0."""
+    e = typed_array(edges, "edges", "iuf", "numbers").astype(float)
     if e.ndim != 1 or e.size < 2 or e[0] != 0.0 or e[-1] != 1.0 or not np.all(np.diff(e) > 0):
         raise DomainError(f"edges must increase strictly from 0.0 to 1.0, got {e.tolist()!r}")
+    e.setflags(write=False)
     return e
 
 
-def interval_partition(edges: Sequence[float]) -> Partition:
-    """Partition of the circle into half-open intervals given by ``edges``.
+def _box_partition(axes: tuple[np.ndarray, ...]) -> Partition:
+    """The partition into the boxes of the validated edge arrays ``axes``.
 
-    ``edges`` must start at 0.0, end at 1.0 and increase strictly; cell j
-    covers (edges[j], edges[j+1]], except cell 0 which also owns 0. Points
-    exactly on an interior edge belong to the lower-index cell.
+    A point's index along an axis is the number of its inner edges strictly
+    below the coordinate, for finite values ``searchsorted(inner, x,
+    'left')``: a point exactly on an edge goes to the lower-index cell. The
+    row-major index is built by Horner's rule over the axes of more than one
+    cell, which alone add to it, and counted in the narrowest unsigned type
+    that holds ``cell_count - 1``: each factor after the first is then at
+    most half the cell count, so it fits that type, where the count of a
+    lone axis may not (256 is no uint8, even to scale an index of zeros).
+
+    On the contiguous columns of the orbit engine's blocks, counting into a
+    uint8 index costs about 0.3-0.5 ns per edge per point (2-vCPU Xeon,
+    32,000 points), where an int64 index cost 1 ns, so it beats
+    ``searchsorted`` up to some 250 inner edges; the partitions in use have
+    at most a few. An 8-cell grid classifies a block of 32 steps of 1000
+    points in a median 69 us, against 165 us with an int64 index.
     """
-    e = _edges(edges)
-    inner = e[1:-1]
-    count = e.size - 1
-
-    def cells(pts: np.ndarray) -> np.ndarray:
-        if pts.shape[1] != 1:
-            raise DimensionError(f"partition is 1-d, points are {pts.shape[1]}-d")
-        return _axis_index(pts[:, 0], inner)
-
-    return Partition(
-        cell_count=count,
-        description={"kind": "interval", "edges": [float(v) for v in e]},
-        cells_of_many=cells,
-    )
-
-
-def grid_partition(edges_by_dim: Sequence[Sequence[float]]) -> Partition:
-    """Axis-aligned box partition: a grid with per-dimension edge lists.
-
-    Cells are indexed in row-major order over the grid; edge points go to
-    the lower-index cell along each axis.
-    """
-    axes = [_edges(e) for e in edges_by_dim]
-    if len(axes) == 0:
-        raise DomainError("grid needs at least one dimension")
     counts = [e.size - 1 for e in axes]
-    total = int(np.prod(counts))
-    # Horner's rule over the axes of more than one cell, which alone add to
-    # the row-major index. The index is counted in the narrowest unsigned
-    # type that holds total - 1: each factor after the first is then at most
-    # total / 2, so it fits that type, where the count of a lone axis may not
-    # (256 is no uint8, even to scale an index of zeros).
     factors = [(d, c, e[1:-1]) for d, (c, e) in enumerate(zip(counts, axes)) if c > 1]
-    index_type = np.min_scalar_type(total - 1)
+    index_type = np.min_scalar_type(math.prod(counts) - 1)
 
     def cells(pts: np.ndarray) -> np.ndarray:
         if pts.shape[1] != len(axes):
@@ -324,14 +271,34 @@ def grid_partition(edges_by_dim: Sequence[Sequence[float]]) -> Partition:
         for i, (d, count, inner) in enumerate(factors):
             if i:
                 idx *= count
-            _axis_index(pts[:, d], inner, idx)
+            values = pts[:, d]
+            for e in inner:
+                idx += values > e
         return idx.astype(np.int64)
 
-    return Partition(
-        cell_count=total,
-        description={"kind": "grid", "edges": [[float(v) for v in e] for e in axes]},
-        cells_of_many=cells,
-    )
+    return Partition(axes, cells)
+
+
+def interval_partition(edges: Sequence[float]) -> Partition:
+    """The one-axis grid: the circle in half-open intervals given by ``edges``.
+
+    ``edges`` must start at 0.0, end at 1.0 and increase strictly; cell j
+    covers (edges[j], edges[j+1]], except cell 0 which also owns 0. Points
+    exactly on an interior edge belong to the lower-index cell.
+    """
+    return _box_partition((_edges(edges),))
+
+
+def grid_partition(edges_by_dim: Sequence[Sequence[float]]) -> Partition:
+    """Axis-aligned box partition: a grid with per-dimension edge lists.
+
+    Cells are indexed in row-major order over the grid; edge points go to
+    the lower-index cell along each axis.
+    """
+    axes = tuple(_edges(e) for e in edges_by_dim)
+    if len(axes) == 0:
+        raise DomainError("grid needs at least one dimension")
+    return _box_partition(axes)
 
 
 # Chaotic maps amplify rounding exponentially; beyond this many steps a
@@ -344,6 +311,16 @@ MAX_ORBIT_STEPS = 1_000_000
 # Clouds are classified a block of consecutive steps at a time; a block holds
 # at most this many coordinates, the size cap of a quantum_probe chunk.
 _BLOCK_COORDS = 65_536
+
+
+def check_orbit_steps(steps: np.ndarray) -> None:
+    """Raise DomainError unless the ascending orbit ``steps`` lie in
+    [0, MAX_ORBIT_STEPS]."""
+    if steps.size and not 0 <= steps[0] <= steps[-1] <= MAX_ORBIT_STEPS:
+        raise DomainError(
+            f"orbit steps {steps[0]:g} to {steps[-1]:g} outside [0, {MAX_ORBIT_STEPS}], "
+            "the cap for double-precision iteration"
+        )
 
 
 def _orbit_steps(times) -> tuple[np.ndarray, np.ndarray]:
@@ -377,11 +354,7 @@ def _orbit_cells(
     of Python floats through ``forward_point``, which gives the same bits at
     a fraction of the cost of numpy calls on a one-row array.
     """
-    if steps.size and not 0 <= steps[0] <= steps[-1] <= MAX_ORBIT_STEPS:
-        raise DomainError(
-            f"orbit steps {steps[0]:g} to {steps[-1]:g} outside [0, {MAX_ORBIT_STEPS}], "
-            "the cap for double-precision iteration"
-        )
+    check_orbit_steps(steps)
     n, dim = points.shape
     columns = np.empty((dim, _block_steps(points, steps), n))
 
@@ -476,7 +449,7 @@ class ClassicalEnsemble:
         if len(points) and isinstance(points[0], PhasePoint):
             arr = np.array([p.coords for p in points], dtype=float)
         else:
-            arr = _typed(points, "points", "iuf", "numbers").astype(float)
+            arr = typed_array(points, "points", "iuf", "numbers").astype(float)
             if not np.isfinite(arr).all():
                 raise DomainError("points must be finite")
             arr = _wrapped(arr)
@@ -486,13 +459,13 @@ class ClassicalEnsemble:
         w = (
             np.full(n, 1.0 / n)
             if weights is None
-            else _typed(weights, "weights", "iuf", "numbers").astype(float)
+            else typed_array(weights, "weights", "iuf", "numbers").astype(float)
         )
         # a cast would count any non-empty string, "false" included, as True
         flags = (
             np.ones(n, dtype=bool)
             if chaotic_flags is None
-            else _typed(chaotic_flags, "chaotic_flags", "b", "booleans")
+            else typed_array(chaotic_flags, "chaotic_flags", "b", "booleans")
         )
         if w.shape != (n,) or flags.shape != (n,):
             raise DimensionError("points, weights and chaotic flags must have equal length")

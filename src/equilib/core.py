@@ -58,6 +58,21 @@ def check_epsilon(epsilon: float) -> None:
         raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
 
 
+def typed_array(values, name: str, kinds: str, what: str) -> np.ndarray:
+    """``values`` as an array whose dtype kind is one of ``kinds``, else a
+    DomainError naming ``name``: the one reader of numeric input. A list that
+    mixes booleans with numbers fails too, though numpy would promote it. An
+    array comes back as it is, without a copy."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in kinds:
+        raise DomainError(f"{name} must be {what}, got {arr.dtype} entries")
+    if "b" not in kinds and not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+    ):
+        raise DomainError(f"{name} must be {what}, got a boolean in {values!r}")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Probability vector over the outcomes of one measurement.

@@ -25,6 +25,7 @@ from .core import (
     TimeAverageConfig,
     TrajectoryProbe,
     check_epsilon,
+    typed_array,
 )
 
 HERMITIAN_TOL = 1e-10
@@ -41,7 +42,7 @@ GAP_REL_TOL = 1e-9
 
 
 def _as_square_complex(matrix, what: str) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
+    arr = typed_array(matrix, what, "iufc", "numbers").astype(complex, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{what} must be a square matrix, got shape {arr.shape}")
     # every check below is a `> tol` comparison, which NaN passes
@@ -58,7 +59,8 @@ class DensityMatrix:
 
     def __init__(self, matrix):
         # the one copy: the state never aliases the caller's array
-        arr = self._by_construction(np.array(matrix, dtype=complex)).matrix
+        numbers = typed_array(matrix, "a density matrix", "iufc", "numbers")
+        arr = self._by_construction(np.array(numbers, dtype=complex)).matrix
         if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
             raise DomainError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", arr)
@@ -94,7 +96,8 @@ class DensityMatrix:
 
     @staticmethod
     def from_vector(psi: Sequence[complex] | np.ndarray) -> "DensityMatrix":
-        v = np.asarray(psi, dtype=complex).reshape(-1)
+        v = typed_array(psi, "a state vector", "iufc", "numbers").astype(complex, copy=False)
+        v = v.reshape(-1)
         if not np.isfinite(v).all():
             raise DomainError("state vector has non-finite entries")
         peak = max(np.abs(v.real).max(initial=0.0), np.abs(v.imag).max(initial=0.0))
@@ -192,7 +195,8 @@ class HamiltonianSpectrum:
     space_of_index: np.ndarray
 
     def __init__(self, eigenvalues, eigenvectors=None):
-        vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
+        vals = typed_array(eigenvalues, "eigenvalues", "iuf", "numbers").astype(float, copy=False)
+        vals = vals.reshape(-1)
         if vals.size < 1 or not np.all(np.isfinite(vals)):
             raise DomainError("need a nonempty list of finite eigenvalues")
         if np.any(np.diff(vals) < 0):

@@ -691,6 +691,23 @@ class TestLoadScenario:
             load_scenario(path)
 
 
+class TestOrbitCap:
+    @pytest.mark.parametrize("make", [classical_pure_config, ensemble_config],
+                             ids=["classical-pure", "classical-ensemble"])
+    def test_horizon_past_the_cap_fails_at_load(self, monkeypatch, make):
+        monkeypatch.setattr(classical, "MAX_ORBIT_STEPS", 50)
+        # on a uniform grid of 8 samples the last time is 7/8 of the horizon
+        at, past = 400 / 7, 408 / 7
+        average = {"horizon": at, "samples": 8, "scheme": "uniform-grid"}
+        grids = [core.TimeAverageConfig(h, 8, "uniform-grid") for h in (at, past)]
+        assert [np.rint(core.sample_times(g)[-1]) for g in grids] == [50, 51]
+        records = run_scenario(load_scenario({**make(), "average": average}))
+        assert [rec.error for rec in records] == [None]
+        message = r"^scenario\.average\.horizon: orbit steps 0 to 51 outside \[0, 50\]"
+        with pytest.raises(ConfigError, match=message):
+            load_scenario({**make(), "average": {**average, "horizon": past}})
+
+
 class TestConfigBoundary:
     # each used to load as a number, escape as a bare TypeError, or load and
     # become a numeric-failure record (rows = cols = -2 reshaped as -1 twice)
@@ -978,6 +995,29 @@ class TestRunScenario:
         assert all(chk.status == STATUS_NA for chk in records[1].bounds.values())
         assert records[2].error is None
 
+    def test_sampling_error_recorded_and_sweep_continues(self, monkeypatch):
+        original = bench._BUILDERS["synthetic-probe"]
+
+        def failing_sampler(cfg, epsilon):
+            rt = original(cfg, epsilon)
+            if cfg["system"]["probe"]["seed"] != 2:
+                return rt
+
+            def sample_many(times):
+                raise FloatingPointError("overflow encountered in the probe")
+
+            return dataclasses.replace(rt, probe=core.TrajectoryProbe(sample_many, 3))
+
+        monkeypatch.setitem(bench._BUILDERS, "synthetic-probe", failing_sampler)
+        records = run_scenario(load_scenario(synthetic_config(
+            sweep={"system.probe.seed": [1, 2, 3]})))
+        assert [rec.error for rec in records] == [
+            None, "FloatingPointError: overflow encountered in the probe", None]
+        failed = records[1]
+        assert (failed.report, failed.seed) == (None, 3)
+        assert all(chk == BoundCheck(None, STATUS_NA) for chk in failed.bounds.values())
+        assert records[2].report is not None
+
 
 class TestEmission:
     def test_csv_header_and_rows(self, tmp_path):
@@ -1010,6 +1050,31 @@ class TestEmission:
         path = tmp_path / "out.json"
         emit_report(records, "json", path)
         assert load_records(path) == records
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            (lambda text: text.replace('"bounds"', '"unbounded"', 1),
+             r"^records\[0\]\.bounds: required$"),
+            (lambda text: json.dumps([json.loads(text)[0], {
+                **json.loads(text)[1],
+                "report": {**json.loads(text)[1]["report"], "standard_error": math.nan}}]),
+             r"^records\[1\]\.report: standard error must be finite and nonnegative, got nan$"),
+            (lambda text: json.dumps({"records": json.loads(text)}),
+             r"out\.json: expected a JSON list of records, got dict$"),
+            (lambda text: text[:-3], r"out\.json: invalid JSON \("),
+            (lambda text: json.dumps([{**json.loads(text)[0], "bounds": {}}]),
+             r"^records\[0\]\.bounds: record is missing bound entries"),
+        ],
+        ids=["missing-field", "nan-stderr", "top-level-object", "bad-json", "missing-bound"],
+    )
+    def test_load_records_names_the_malformed_field(self, tmp_path, defect, message):
+        path = tmp_path / "out.json"
+        emit_report(run_scenario(load_scenario(synthetic_config(
+            sweep={"system.probe.seed": [1, 2]}))), "json", path)
+        path.write_text(defect(path.read_text()))
+        with pytest.raises(ConfigError, match=message):
+            load_records(path)
 
     def test_record_equality_compares_every_field(self):
         rec = run_scenario(load_scenario(synthetic_config()))[0]

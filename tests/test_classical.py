@@ -394,6 +394,14 @@ class TestPartitions:
             cell_of(part, (0.2, 0.7))
         assert grid_partition([[0.0, 1.0], [0.0, 0.5, 1.0]]).dim == 2
 
+    def test_edges_are_read_only_float_copies(self):
+        given = np.array([0, 1, 2, 4]) / 4
+        part = grid_partition([given, [0, 1]])
+        assert (part.dim, part.cell_count) == (2, 3)
+        assert [e.tolist() for e in part.edges] == [[0.0, 0.25, 0.5, 1.0], [0.0, 1.0]]
+        assert all(e.dtype == float and not e.flags.writeable for e in part.edges)
+        assert given.flags.writeable
+
     def test_bad_edges(self):
         with pytest.raises(DomainError):
             interval_partition([0.0, 0.5, 0.4, 1.0])
@@ -451,20 +459,10 @@ class TestCountClassification:
         ])
 
     @pytest.mark.parametrize("edges", EDGE_SETS, ids=lambda e: f"{len(e) - 2}-inner")
-    def test_axis_index(self, edges):
-        inner = np.asarray(edges)[1:-1]
-        v = self.values(edges)
-        got = classical._axis_index(v, inner)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, np.searchsorted(inner, v, side="left"))
-        # the in-place form adds the count to what is there
-        base = np.arange(v.size, dtype=np.int64)
-        assert np.array_equal(classical._axis_index(v, inner, base.copy()), base + got)
-
-    @pytest.mark.parametrize("edges", EDGE_SETS, ids=lambda e: f"{len(e) - 2}-inner")
     def test_interval_partition(self, edges):
         pts = self.values(edges)[:, None]
         cells = interval_partition(edges).cells_of_many(pts)
+        assert cells.dtype == np.int64
         assert np.array_equal(cells, searchsorted_cells(pts, [edges]))
 
     @pytest.mark.parametrize("second", EDGE_SETS, ids=lambda e: f"{len(e) - 2}-inner")
@@ -1217,7 +1215,8 @@ class TestSerialization:
 
     def test_partition_roundtrip(self):
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.75, 1.0]])
-        clone = _partition_node(part.description, "partition")
+        node = {"kind": "grid", "edges": [e.tolist() for e in part.edges]}
+        clone = _partition_node(node, "partition")
         pts = np.random.default_rng(1).random((64, 2))
         assert np.array_equal(clone.cells_of_many(pts), part.cells_of_many(pts))
 

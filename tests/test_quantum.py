@@ -339,6 +339,29 @@ class TestPOVM:
         assert np.array_equal(povm.elements, [np.eye(2) * 0.25, np.eye(2) * 0.75])
 
 
+# every quantum constructor, given strings, booleans or None where numbers belong
+NOT_NUMBERS = [
+    (HamiltonianSpectrum, ["0", "1"]),
+    (HamiltonianSpectrum, [False, True]),
+    (HamiltonianSpectrum, [0.0, True]),
+    (lambda v: HamiltonianSpectrum([0.0, 1.0], v), [["1", "0"], ["0", "1"]]),
+    (lambda v: HamiltonianSpectrum([0.0, 1.0], v), [[True, 0.0], [0.0, 1.0]]),
+    (HamiltonianSpectrum.from_matrix, [["0", "0"], ["0", "1"]]),
+    (DensityMatrix.from_vector, ["1", "0"]),
+    (DensityMatrix.from_vector, [True, False]),
+    (DensityMatrix.from_vector, [1.0, None]),
+    (DensityMatrix, [["1", "0"], ["0", "0"]]),
+    (DensityMatrix, [[True, False], [False, False]]),
+    (lambda v: POVM([v, np.diag([0.0, 1.0])]), [[1.0, 0.0], [0.0, False]]),
+]
+
+
+@pytest.mark.parametrize("build, values", NOT_NUMBERS)
+def test_constructors_refuse_strings_and_booleans(build, values):
+    with pytest.raises(DomainError, match="must be numbers"):
+        build(values)
+
+
 class TestHamiltonianSpectrum:
     def test_requires_ascending(self):
         with pytest.raises(DomainError):
