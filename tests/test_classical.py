@@ -690,6 +690,47 @@ class TestOrbitEngine:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_pure_peak_does_not_grow_with_the_horizon(self):
+        # the one-point walk gathers only the requested steps' coordinates,
+        # a block at a time, so 512 sampled steps hold as much whether they
+        # span 10^4 steps or 2 * 10^5
+        def peak(horizon):
+            probe = classical_probe(PhasePoint((0.2137, 0.5821)), cat_map(), QUADRANTS)
+            cfg = TimeAverageConfig(horizon=horizon, samples=512, scheme="uniform-grid")
+            tracemalloc.start()
+            try:
+                time_average_distribution(probe, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # one-time allocations out of the way
+        assert abs(peak(10_000) - peak(200_000)) < 64 * 1024
+
+
+# the maps of the one-point kernel tests, with their lattice denominators
+POINT_MAPS = [
+    (rotation_map(GOLDEN), None),
+    (rotation_map((GOLDEN, 0.3, math.sqrt(2) - 1)), None),
+    (cat_map(), None),
+    (cat_map(lattice=4), 4),
+    (cat_map(lattice=2**20), 2**20),
+    (cat_map(lattice=3**32), 3**32),
+    (cat_map(lattice=2**52), 2**52),
+    (baker_map(), None),
+]
+POINT_MAP_IDS = [m.name for m, _ in POINT_MAPS]
+
+
+def start_points(dim, q):
+    """Two random points, all-0.0, all-(1 - 2**-53) and, on a lattice, two
+    sites: the starts of the one-point orbit tests."""
+    rng = np.random.default_rng(dim)
+    starts = [*rng.random((2, dim)), np.zeros(dim), np.full(dim, 1.0 - 2.0**-53)]
+    if q is not None:
+        starts += [*(rng.integers(0, q, (2, dim)) / q)]
+    return [tuple(p.tolist()) for p in starts]
+
 
 # unsorted, repeated and half-integer times (np.rint sends 2.5 to 2, 3.5 to 4)
 ODD_TIMES = np.array([17.0, 3.5, 3.5, 0.0, 2.5, 40.0, 17.0, 0.5, 1.5, 29.4, 12.6, 39.5, 8.0])
@@ -712,15 +753,25 @@ class TestBlockedClassification:
         expected = reference_block(ens.points, ens.weights, mapping, part, ODD_TIMES)
         assert same_bits(block, expected)
 
-    @pytest.mark.parametrize("cap", [1, 4, 10**6])
-    def test_pure_block_matches_per_step_loop(self, monkeypatch, cap):
+    @pytest.mark.parametrize("with_zero", [True, False], ids=["from-step-0", "from-step-2"])
+    @pytest.mark.parametrize("cap", [1, 4, 9, 10**6])
+    @pytest.mark.parametrize("mapping, q", POINT_MAPS, ids=POINT_MAP_IDS)
+    def test_pure_block_matches_per_step_loop(self, monkeypatch, mapping, q, cap, with_zero):
+        # ODD_TIMES asks for the 8 steps 0, 2, 4, 8, 13, 17, 29, 40; without
+        # step 0 the one-point walk's first gap is 2, not 0
         monkeypatch.setattr(classical, "_BLOCK_COORDS", cap)
-        part = interval_partition([0.0, 0.2, 0.5, 1.0])
-        x = PhasePoint(0.123)
-        block = classical_probe(x, rotation_map(GOLDEN), part).distributions_at(ODD_TIMES)
-        expected = reference_block(x.as_array()[None, :], np.ones(1), rotation_map(GOLDEN),
-                                   part, ODD_TIMES)
-        assert same_bits(block, expected)
+        times = ODD_TIMES if with_zero else ODD_TIMES[np.rint(ODD_TIMES) > 0]
+        steps, _ = classical._orbit_steps(times)
+        block = max(1, cap // mapping.dim)
+        part = grid_partition([[0.0, 0.2, 0.5, 1.0]] * mapping.dim)
+        for start in start_points(mapping.dim, q):
+            recorder, seen = recording_partition(part)
+            got = classical_probe(PhasePoint(start), mapping, recorder).distributions_at(times)
+            assert [len(pts) for pts in seen] == [
+                min(block, steps.size - at) for at in range(0, steps.size, block)
+            ]
+            expected = reference_block(np.array([start]), np.ones(1), mapping, part, times)
+            assert same_bits(got, expected)
 
     @pytest.mark.parametrize("every", [1, 7], ids=["every-step", "sparse-steps"])
     @pytest.mark.parametrize("mapping", [cat_map(), baker_map()], ids=lambda m: m.name)
@@ -754,30 +805,6 @@ class TestBlockedClassification:
             probe = ensemble_probe(contaminated_cat_ensemble(50, 0.1, seed=1), cat_map(), QUADRANTS)
         with pytest.raises(DimensionError):
             probe.distributions_at(np.array([]))
-
-
-# the maps of the one-point kernel tests, with their lattice denominators
-POINT_MAPS = [
-    (rotation_map(GOLDEN), None),
-    (rotation_map((GOLDEN, 0.3, math.sqrt(2) - 1)), None),
-    (cat_map(), None),
-    (cat_map(lattice=4), 4),
-    (cat_map(lattice=2**20), 2**20),
-    (cat_map(lattice=3**32), 3**32),
-    (cat_map(lattice=2**52), 2**52),
-    (baker_map(), None),
-]
-POINT_MAP_IDS = [m.name for m, _ in POINT_MAPS]
-
-
-def start_points(dim, q):
-    """Two random points, all-0.0, all-(1 - 2**-53) and, on a lattice, two
-    sites: the starts of the one-point orbit tests."""
-    rng = np.random.default_rng(dim)
-    starts = [*rng.random((2, dim)), np.zeros(dim), np.full(dim, 1.0 - 2.0**-53)]
-    if q is not None:
-        starts += [*(rng.integers(0, q, (2, dim)) / q)]
-    return [tuple(p.tolist()) for p in starts]
 
 
 def recording_partition(partition):

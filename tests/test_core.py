@@ -204,6 +204,21 @@ class TestTimeAverageDistribution:
         with pytest.raises(DistributionError):
             time_average_distribution(probe, cfg)
 
+    @pytest.mark.parametrize("excess, fails", [(2e-9, True), (5e-10, False)])
+    def test_row_sum_tolerance(self, excess, fails):
+        # NORM_TOL is 1e-9: sample 2 sums to 1 + excess
+        def many(times):
+            block = np.full((len(times), 2), 0.5)
+            block[2, 0] += excess
+            return block
+
+        probe = TrajectoryProbe(many, 2)
+        if fails:
+            with pytest.raises(DistributionError, match=r"probe sample 2 sums to .*1\.000000002"):
+                probe.distributions_at(np.arange(4.0))
+        else:
+            assert probe.distributions_at(np.arange(4.0))[2, 0] == 0.5 + excess
+
     def test_wrong_length_sample(self):
         # a block of one outcome per time from a probe declaring two
         probe = TrajectoryProbe(lambda times: np.ones((len(times), 1)), 2)
