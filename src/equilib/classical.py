@@ -496,8 +496,9 @@ class ClassicalEnsemble:
             raise DimensionError("points, weights and chaotic flags must have equal length")
         if not (np.isfinite(w).all() and w.min() >= 0.0):
             raise DomainError("weights must be finite and nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise DomainError(f"weights sum to {w.sum()!r}, expected 1 within {WEIGHT_TOL}")
+        total = float(w.sum())
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise DomainError(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
         for name, val in (("points", arr), ("weights", w), ("chaotic_flags", flags)):
             val = val.copy()
             val.setflags(write=False)

@@ -169,7 +169,7 @@ class TrajectoryProbe:
         bad = np.abs(sums - 1.0) > NORM_TOL
         if bad.any():
             k = int(np.argmax(bad))
-            raise DistributionError(f"probe sample {k} sums to {sums[k]!r}, expected 1")
+            raise DistributionError(f"probe sample {k} sums to {float(sums[k])!r}, expected 1")
         block.setflags(write=False)
         self._last[:] = [times.copy(), block]
         return block

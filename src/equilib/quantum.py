@@ -363,7 +363,10 @@ def eigenspace_weights(rho: DensityMatrix, spectrum: HamiltonianSpectrum) -> np.
     """Population of each energy eigenspace, tr(P_s rho)."""
     if rho.dim != spectrum.dim:
         raise DimensionError(f"state is {rho.dim}-d, spectrum is {spectrum.dim}-d")
-    diag = np.real(np.diag(spectrum.to_energy_basis(rho.matrix)))
+    # the diagonal of V^H rho V alone, (V^H rho V)_nn = sum_a conj(V_an)
+    # (rho V)_an: one d^3 product instead of two
+    vecs = spectrum.eigenvectors
+    diag = (vecs.conj() * (rho.matrix @ vecs)).sum(axis=0).real
     return np.bincount(spectrum.space_of_index, weights=diag)
 
 
@@ -429,15 +432,54 @@ def _energy_coefficients(
     return coeff
 
 
+def _ladder_step(eigenvalues: np.ndarray) -> float:
+    """The step delta when the levels are exactly E_0 + delta k in float64,
+    k = 0, ..., d - 1, and 0.0 for every other spectrum. Levels ascend, so
+    delta > 0 unless all of them are equal, which gives 0.0 as well."""
+    if eigenvalues.size < 2:
+        return 0.0
+    step = eigenvalues[1] - eigenvalues[0]
+    exact = np.array_equal(eigenvalues - eigenvalues[0], step * np.arange(eigenvalues.size))
+    return float(step) if exact else 0.0
+
+
+def _unit_phases(tau: np.ndarray, r: np.ndarray, u: np.ndarray) -> None:
+    """Write u = exp(-i theta) from tau = theta / 2, which it overwrites with
+    tan(theta / 2); with r = 1 / (1 + tau^2), cos theta = 2r - 1 and
+    sin theta = 2 tau r."""
+    np.tan(tau, out=tau)
+    np.multiply(tau, tau, out=r)
+    r += 1.0
+    np.reciprocal(r, out=r)
+    np.multiply(r, 2.0, out=u.real)
+    u.real -= 1.0
+    np.multiply(tau, r, out=u.imag)
+    u.imag *= -2.0
+
+
 def quantum_probe(
     rho: DensityMatrix, spectrum: HamiltonianSpectrum, povm: POVM
 ) -> TrajectoryProbe:
-    """Probe whose row at time t lists tr(M_j rho_t) for the POVM elements."""
-    d = spectrum.dim
-    n_out = povm.outcome_count
+    """Probe whose row at time t lists tr(M_j rho_t) for the POVM elements.
+
+    An exactly equally spaced spectrum samples through the polynomial block,
+    every other one through the bilinear block; the spectrum decides."""
+    coeff = _energy_coefficients(rho, spectrum, povm.elements)
+    step = _ladder_step(spectrum.eigenvalues)
+    if step:
+        block = _polynomial_block(coeff, step)
+    else:
+        block = _bilinear_block(coeff, spectrum.eigenvalues)
+    return TrajectoryProbe(sample_many=block, outcome_count=povm.outcome_count)
+
+
+def _bilinear_block(coeff: np.ndarray, eigenvalues: np.ndarray):
+    """Sample block of any spectrum: p_j(t) = Re sum_n conj(u_n) sum_m
+    coeff[n, j, m] u_m with u = exp(-i E t), in O(N d^2) per time."""
+    d, n_out = coeff.shape[:2]
     # flat[n, j*d + m] = coeff[n, j, m], a view of the contiguous tensor, so
     # the sum over n is one GEMM per chunk of times
-    flat = _energy_coefficients(rho, spectrum, povm.elements).reshape(d, n_out * d)
+    flat = coeff.reshape(d, n_out * d)
     # A constant shift of the spectrum is a global phase, which moves no
     # probability, but an offset far beyond the spread costs E t the low bits
     # that tell the levels apart. So phases are taken from the lowest level
@@ -445,10 +487,10 @@ def quantum_probe(
     # is exact (Sterbenz). Elsewhere the shift gains nothing, since E - E_0
     # then rounds by as much as E t does. Halving is exact, so ts * half is
     # exactly theta / 2 for theta = (E - origin) t.
-    low, high = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]
+    low, high = eigenvalues[0], eigenvalues[-1]
     within_two = 0.0 < low and high <= 2.0 * low or high < 0.0 and 2.0 * high <= low
     origin = low if within_two else 0.0
-    half = 0.5 * (spectrum.eigenvalues - origin)
+    half = 0.5 * (eigenvalues - origin)
     # at most 65,536 complex entries (1 MB) in the (m, N*d) intermediate
     chunk = max(1, 65_536 // (n_out * d))
 
@@ -465,17 +507,8 @@ def quantum_probe(
             ts = times[start : start + chunk]
             m = ts.size
             tau, r, u, x = tau_buf[:m], r_buf[:m], u_buf[:m], x_buf[:m]
-            # u = exp(-i theta) from tau = tan(theta / 2) and r = 1 / (1 + tau^2):
-            # cos theta = 2r - 1 and sin theta = 2 tau r
             np.multiply(ts[:, None], half, out=tau)
-            np.tan(tau, out=tau)
-            np.multiply(tau, tau, out=r)
-            r += 1.0
-            np.reciprocal(r, out=r)
-            np.multiply(r, 2.0, out=u.real)
-            u.real -= 1.0
-            np.multiply(tau, r, out=u.imag)
-            u.imag *= -2.0
+            _unit_phases(tau, r, u)
             np.matmul(u, flat, out=x)
             # Re(x conj(u)) = x_re u_re + x_im u_im: one real contraction over
             # the interleaved (re, im) views, with no conjugate copy
@@ -488,7 +521,64 @@ def quantum_probe(
         # clip 1-ulp excursions so strict downstream validation stays happy
         return np.clip(out, 0.0, 1.0)
 
-    return TrajectoryProbe(sample_many=_block, outcome_count=n_out)
+    return _block
+
+
+def _polynomial_block(coeff: np.ndarray, step: float):
+    """Sample block of the ladder E_n = E_0 + step n, in O(N d) per time.
+
+    Every gap E_n - E_m is (n - m) step, so with z = exp(-i step t)
+    tr(M_j rho_t) = sum_q c_qj z^q, where c_qj sums coeff[n, j, m] over
+    n - m = q. Since |z| = 1, c_q z^q + c_-q z^-q has the real part of
+    a_q z^q with a_q = c_q + conj(c_-q), so p_j(t) = Re c_0j + Re sum_{q >= 1}
+    a_qj z^q: one phase and d - 1 powers of it per time. E_0 is a global
+    phase and drops out exactly."""
+    d, n_out = coeff.shape[:2]
+    # one label-difference bincount per part: bin (n - m + d - 1) * N + j
+    n, j, m = np.ogrid[:d, :n_out, :d]
+    label = ((n - m + d - 1) * n_out + j).ravel()
+    bins = (2 * d - 1) * n_out
+    c = np.bincount(label, coeff.real.ravel(), bins) + 1j * np.bincount(
+        label, coeff.imag.ravel(), bins
+    )
+    c = c.reshape(2 * d - 1, n_out)
+    c0 = c[d - 1].real.copy()
+    # a[j, q - 1] = c_q + conj(c_-q) for q = 1, ..., d - 1
+    a = (c[d:] + c[d - 2 :: -1].conj()).T.copy()
+    half = 0.5 * step
+    powers = d - 1
+    # at most 65,536 complex entries (1 MB) in each of the (d - 1, m) powers
+    # and the (N, m) product
+    chunk = max(1, 65_536 // max(powers, n_out))
+
+    def _block(times: np.ndarray) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        out = np.empty((times.size, n_out))
+        rows = min(chunk, times.size)
+        tau_buf, r_buf = np.empty(rows), np.empty(rows)
+        z_buf = np.empty(powers * rows, dtype=complex)
+        x_buf = np.empty(n_out * rows, dtype=complex)
+        for start in range(0, times.size, chunk):
+            ts = times[start : start + chunk]
+            m = ts.size
+            tau, r = tau_buf[:m], r_buf[:m]
+            # power-major and contiguous: z[q - 1] is z^q at each time
+            z = z_buf[: powers * m].reshape(powers, m)
+            x = x_buf[: n_out * m].reshape(n_out, m)
+            np.multiply(ts, half, out=tau)
+            _unit_phases(tau, r, z[0])
+            # doubling: z^(k+1..2k) = z^(1..k) z^k, one contiguous multiply
+            k = 1
+            while k < powers:
+                span = min(k, powers - k)
+                np.multiply(z[:span], z[k - 1], out=z[k : k + span])
+                k += span
+            np.matmul(a, z, out=x)
+            np.add(x.real.T, c0, out=out[start : start + m])
+        # clip 1-ulp excursions so strict downstream validation stays happy
+        return np.clip(out, 0.0, 1.0)
+
+    return _block
 
 
 def default_average_config(

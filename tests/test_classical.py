@@ -1044,7 +1044,7 @@ class TestEnsembles:
         assert probe.distributions_at([0.0])[0].tolist() == [0.5, 0.5]
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^weights sum to 0\.5, expected 1 within 1e-09$"):
             ClassicalEnsemble([PhasePoint(0.1)], weights=[0.5])
         with pytest.raises(DimensionError):
             ClassicalEnsemble([PhasePoint(0.1)], weights=[0.5, 0.5])

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from equilib import quantum
 from equilib.bench import _matrix_node
 from equilib.core import (
     DimensionError,
@@ -570,6 +571,26 @@ class TestEffectiveDimension:
         spec = random_spectrum(6, 3)
         assert eigenspace_weights(rho, spec).sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_product_matches_the_full_basis_change(self):
+        # the reference reads the diagonal of the whole V^H rho V
+        def two_products(rho, spec):
+            diag = np.real(np.diag(spec.to_energy_basis(rho.matrix)))
+            weights = np.bincount(spec.space_of_index, weights=diag)
+            return max(1.0, 1.0 / float(np.sum(weights**2)))
+
+        spectra = [QUBIT_H, degenerate_spectrum(3), paired_spectrum(8, 4)]
+        spectra += [make() for make in GAP_SPECTRA.values()]
+        spectra += [random_spectrum(d, d) for d in (1, 2, 5, 32, 64)]
+        spectra += [extend_hamiltonian(random_spectrum(4, 5), 3)]
+        for spec in spectra:
+            d = spec.dim
+            states = [random_pure_state(d, d + 1), random_mixed_state(d, d + 2)]
+            states += [DensityMatrix(np.eye(d) / d)]
+            states += [DensityMatrix.from_vector(spec.eigenvectors[:, k]) for k in (0, d - 1)]
+            for rho in states:
+                expected = two_products(rho, spec)
+                assert effective_dimension(rho, spec) == pytest.approx(expected, rel=1e-12, abs=0)
+
 
 class TestGapDegeneracy:
     def test_generic_spectrum_vs_brute_force(self):
@@ -751,21 +772,39 @@ class TestQuantumProbe:
         assert np.abs(moved - block).max() < 1e-10
 
     @pytest.mark.parametrize(
-        "d, n_out, kind, mixed, projective, samples",
+        "d, n_out, kind, spacing, mixed, projective, samples",
         [
-            (5, 3, "generic", False, False, 300),
-            (6, 2, "equally-spaced", True, True, 300),
-            (6, 3, "degenerate", False, True, 300),
-            (6, 4, "degenerate", True, False, 300),
-            (8, 3, "equally-spaced", False, False, 3000),
+            (5, 3, "generic", None, False, False, 300),
+            (6, 2, "equally-spaced", 1.0, True, True, 300),
+            (6, 3, "degenerate", None, False, True, 300),
+            (6, 4, "degenerate", None, True, False, 300),
+            (8, 3, "equally-spaced", 1.0, False, False, 3000),
             # chunk is 65,536 // (8 * 64) = 128; 1000 is not a multiple of it
-            (64, 8, "generic", True, False, 1000),
+            (64, 8, "generic", None, True, False, 1000),
+            # ladders, which take the polynomial block
+            (4, 2, "equally-spaced", 0.1, False, False, 300),
+            (7, 3, "equally-spaced", 0.3, True, True, 300),
+            (12, 4, "equally-spaced", 1e-3, True, False, 300),
+            (9, 5, "equally-spaced", 7.0, False, True, 300),
+            # more outcomes than powers: chunk is 65,536 // 4
+            (2, 4, "equally-spaced", 0.3, True, False, 300),
+            (10, 3, "offset-ladder", 0.25, True, False, 300),
+            (10, 4, "offset-ladder", 0.25, False, True, 300),
+            (32, 5, "equally-spaced", 0.3, True, True, 1000),
+            # chunk is 65,536 // 31 = 2114, so the second chunk is short
+            (32, 8, "equally-spaced", 1.0, False, False, 3000),
         ],
     )
-    def test_block_equals_einsum(self, d, n_out, kind, mixed, projective, samples):
+    def test_block_equals_einsum(self, d, n_out, kind, spacing, mixed, projective, samples):
         seed = 7 * d + n_out
         if kind == "degenerate":
             spec = degenerate_spectrum(seed)
+        elif kind == "offset-ladder":
+            # E_0 = 5: on a dyadic step the levels stay an exact ladder
+            levels = 5.0 + spacing * np.arange(d)
+            spec = HamiltonianSpectrum(levels, haar_unitary(d, np.random.default_rng(seed)))
+        elif kind == "equally-spaced":
+            spec = random_spectrum(d, seed, kind=kind, spacing=spacing)
         else:
             spec = random_spectrum(d, seed, kind=kind)
         rho = (random_mixed_state if mixed else random_pure_state)(d, seed + 1)
@@ -774,6 +813,56 @@ class TestQuantumProbe:
         block = quantum_probe(rho, spec, povm).sample_many(times)
         assert block.shape == (samples, n_out)
         assert np.abs(block - einsum_block(rho, spec, povm, times)).max() < 1e-12
+
+    def test_ladders_take_the_polynomial_block(self, monkeypatch):
+        steps = []
+        polynomial = quantum._polynomial_block
+
+        def spy(coeff, step):
+            steps.append(step)
+            return polynomial(coeff, step)
+
+        monkeypatch.setattr(quantum, "_polynomial_block", spy)
+        rng = np.random.default_rng(47)
+        times = rng.uniform(0.0, 500.0, 200)
+
+        def matches_einsum(spec):
+            d = spec.dim
+            rho, povm = random_mixed_state(d, 48), random_povm(d, 3, 49)
+            block = quantum_probe(rho, spec, povm).sample_many(times)
+            return np.abs(block - einsum_block(rho, spec, povm, times)).max() < 1e-12
+
+        # the sampler's spacing * arange(d) is an exact ladder at any spacing
+        for spacing in (0.1, 0.3, 1e-3, 7.0, 1.0 / 3.0, 2.0**-30):
+            for d in (2, 3, 17, 32):
+                steps.clear()
+                spec = random_spectrum(d, d, kind="equally-spaced", spacing=spacing)
+                assert matches_einsum(spec)
+                assert steps == [spacing]
+        vecs = haar_unitary(6, rng)
+        steps.clear()
+        assert matches_einsum(HamiltonianSpectrum(5.0 + 0.25 * np.arange(6), vecs))
+        assert steps == [0.25]
+        # [0.1, 0.2, 0.3] is no ladder in float64: 0.3 - 0.1 != 2 * (0.2 - 0.1)
+        for levels in ([0.0, 1.0, 3.0], [0.1, 0.2, 0.3], [0.0, 0.0, 1.0], [0.7], [2.0] * 3):
+            steps.clear()
+            d = len(levels)
+            assert matches_einsum(HamiltonianSpectrum(levels, haar_unitary(d, rng)))
+            assert steps == []
+
+    def test_ladder_offset_drops_out(self):
+        # the polynomial block sees only the step, so E_0 moves no bit
+        rng = np.random.default_rng(53)
+        vecs = haar_unitary(9, rng)
+        rho, povm = random_pure_state(9, 54), projective_povm(9, 3, 55)
+        times = rng.uniform(0.0, 500.0, 300)
+        blocks = [
+            quantum_probe(rho, HamiltonianSpectrum(origin + 0.125 * np.arange(9), vecs), povm)
+            .sample_many(times)
+            for origin in (0.0, 5.0, -(2.0**30))
+        ]
+        assert np.array_equal(blocks[0], blocks[1])
+        assert np.array_equal(blocks[0], blocks[2])
 
     def test_block_memory_is_bounded(self):
         # the (M, N*d) GEMM intermediate is chunked at 1 MB; unchunked it
