@@ -15,7 +15,6 @@ import copy
 import itertools
 import json
 import math
-import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from .core import (
     equilibration_report,
     sample_times,
     synthetic_probe,
+    typed_array,
 )
 
 KINDS = ("quantum", "classical-pure", "classical-ensemble", "synthetic-probe")
@@ -42,6 +42,14 @@ KINDS = ("quantum", "classical-pure", "classical-ensemble", "synthetic-probe")
 STATUS_SATISFIED = "satisfied"
 STATUS_VIOLATED = "violated"
 STATUS_NA = "not-applicable"
+
+# The largest sizes a scenario may ask for, each an array length of its build
+# (d of d x d complex matrices), so a larger one fails at load, naming its
+# field, and not as a MemoryError. Sizes in use are far below (dim 256).
+MAX_DIM = 2048
+MAX_OUTCOMES = 1024
+MAX_POINTS = 1_000_000
+MAX_MODES = 1024
 
 BOUND_NAMES = ("thm1-sufficiency", "thm2-necessity", "thm3-mixing", "thm5-spectral")
 
@@ -120,22 +128,26 @@ class RunRecord:
         if data.get("report") is not None:
             rpath = f"{path}.report"
             r = _obj(data["report"], rpath)
-            keys = ("mean_distinguishability", "standard_error", "equilibrium_distribution",
-                    "epsilon", "verdict", "bound_values")
-            values = {key: _require(r, key, rpath) for key in keys}
+            values = {key: _number(r, key, rpath)
+                      for key in ("mean_distinguishability", "standard_error", "epsilon")}
+            vpath = f"{rpath}.bound_values"
+            bound = _obj(_require(r, "bound_values", rpath), vpath)
+            values["bound_values"] = {name: _number(bound, name, vpath) for name in bound}
+            omega = _entries(r, "equilibrium_distribution", rpath)
+            with _field(f"{rpath}.equilibrium_distribution"):
+                omega = OutcomeDistribution(omega)
             with _field(rpath):
-                values["equilibrium_distribution"] = OutcomeDistribution(
-                    values["equilibrium_distribution"])
-                values["bound_values"] = dict(values["bound_values"])
-                rep = EquilibrationReport(**values)
+                rep = EquilibrationReport(**values, equilibrium_distribution=omega,
+                                          verdict=_require(r, "verdict", rpath))
         bpath = f"{path}.bounds"
         bounds = {}
         for name, chk in _obj(_require(data, "bounds", path), bpath).items():
             cpath = f"{bpath}.{name}"
             chk = _obj(chk, cpath)
-            bounds[name] = BoundCheck(_require(chk, "value", cpath), _require(chk, "status", cpath))
-        fields = {key: _require(data, key, path)
-                  for key in ("scenario", "params", "wall_time", "seed")}
+            value = None if _require(chk, "value", cpath) is None else _number(chk, "value", cpath)
+            bounds[name] = BoundCheck(value, _require(chk, "status", cpath))
+        fields = {key: _require(data, key, path) for key in ("scenario", "params")}
+        fields.update(wall_time=_number(data, "wall_time", path), seed=_seed(data, path))
         try:
             return RunRecord(report=rep, bounds=bounds, error=data.get("error"), **fields)
         except ConfigError as exc:
@@ -177,23 +189,25 @@ def _number(cfg: dict, key: str, path: str) -> float:
         return float(value)
 
 
-def _integer(cfg: dict, key: str, path: str, default: int | None = None) -> int:
-    """``cfg[key]`` as an integer (an integral float counts); required when
-    no default is given."""
+def _integer(cfg: dict, key: str, path: str, least: float = -math.inf,
+             most: float = math.inf, default: int | None = None) -> int:
+    """``cfg[key]`` as an integer from ``least`` to ``most`` (an integral
+    float counts); required when no default is given."""
     value = _require(cfg, key, path) if default is None else cfg.get(key, default)
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{path}.{key}: must be at least {least}, got {value}")
+    if value > most:
+        raise ConfigError(f"{path}.{key}: must be at most {most}, got {value}")
     return value
 
 
 def _seed(cfg: dict, path: str, default: int | None = None) -> int:
     """``cfg["seed"]``, an integer >= 0."""
-    seed = _integer(cfg, "seed", path, default)
-    if seed < 0:
-        raise ConfigError(f"{path}.seed: must be >= 0, got {seed}")
-    return seed
+    return _integer(cfg, "seed", path, 0, default=default)
 
 
 @contextlib.contextmanager
@@ -210,25 +224,17 @@ def _field(path: str):
 
 
 def _entries(
-    cfg: dict, key: str, path: str, kind: type = float, optional: bool = False
+    cfg: dict, key: str, path: str, dtype: type = float, optional: bool = False
 ) -> np.ndarray | None:
-    """``cfg[key]``, a nested list of JSON numbers (``kind`` float) or JSON
-    booleans (``kind`` bool), as an array. Absent or null, it is None when
-    ``optional`` and an error otherwise. A string such as "0.5" or "false" is
-    an error, not a value."""
+    """``cfg[key]``, a nested list of JSON numbers (or, for ``dtype`` bool,
+    JSON booleans), as the array ``typed_array`` reads, by its rule; absent
+    or null, it is None when ``optional`` and an error otherwise."""
     if cfg.get(key) is None:
         if optional:
             return None
         raise ConfigError(f"{path}.{key}: required")
-    bad = [
-        v for v in np.asarray(cfg[key], dtype=object).ravel()
-        if not isinstance(v, (int, float)) or isinstance(v, bool) != (kind is bool)
-    ]
-    if bad:
-        what = "JSON booleans" if kind is bool else "numbers"
-        raise ConfigError(f"{path}.{key}: expected {what}, got {bad[0]!r}")
     with _field(f"{path}.{key}"):
-        return np.asarray(cfg[key], dtype=kind)
+        return typed_array(cfg[key], key, dtype)
 
 
 def _pairs(cfg: dict, key: str, path: str) -> np.ndarray:
@@ -331,26 +337,24 @@ def load_scenario(
 
 
 def _apply_overrides(raw: dict, overrides: dict) -> dict:
+    """A copy of ``raw`` with each dotted path set to its value; an absent or
+    null node on the way is created, any other non-object one is an error."""
     cfg = copy.deepcopy(raw)
     for dotted, value in overrides.items():
         node = cfg
         parts = dotted.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node.get(part), dict):
+        for k, part in enumerate(parts[:-1]):
+            if node.get(part) is None:
                 node[part] = {}
-            node = node[part]
+            node = _obj(node[part], ".".join(["scenario", *parts[:k + 1]]))
         node[parts[-1]] = value
     return cfg
 
 
 def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
-    avg = cfg["average"]
     path = "scenario.average"
-    if not isinstance(avg, dict):
-        raise ConfigError(f"{path}: expected an object")
-    samples = _integer(avg, "samples", path)
-    if samples > MAX_SAMPLES:
-        raise ConfigError(f"{path}.samples: must be at most {MAX_SAMPLES}, got {samples}")
+    avg = _obj(cfg["average"], path)
+    samples = _integer(avg, "samples", path, 2, MAX_SAMPLES)
     seed = _seed(avg, path, 0)
     scheme = avg.get("scheme", "stratified-random")
     horizon = avg.get("horizon", "auto")
@@ -358,8 +362,6 @@ def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
         if spectrum is None:
             raise ConfigError(f"{path}.horizon: 'auto' is only available for quantum scenarios")
         horizon = quantum.default_average_config(spectrum).horizon
-    elif not isinstance(horizon, (int, float)) or isinstance(horizon, bool):
-        raise ConfigError(f"{path}.horizon: expected a number or 'auto'")
     else:
         horizon = _number(avg, "horizon", path)
     with _field(path):
@@ -412,10 +414,7 @@ def _matrix_node(node, path: str) -> np.ndarray:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}.file: invalid JSON in {ref} ({exc})") from None
         node = _obj(inner, path)
-    rows, cols = _integer(node, "rows", path), _integer(node, "cols", path)
-    for key, size in (("rows", rows), ("cols", cols)):
-        if size < 1:
-            raise ConfigError(f"{path}.{key}: must be at least 1, got {size}")
+    rows, cols = (_integer(node, key, path, 1, MAX_DIM) for key in ("rows", "cols"))
     data = _pairs(node, "data", path)
     if data.size != rows * cols:
         raise ConfigError(f"{path}.data: expected {rows * cols} pairs, got {data.size}")
@@ -463,17 +462,13 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
     path = "scenario.system"
     if "sampler" in system:
         s = _obj(system["sampler"], f"{path}.sampler")
-        dim = _integer(s, "dim", f"{path}.sampler")
-        if dim < 1:
-            raise ConfigError(f"{path}.sampler.dim: must be at least 1, got {dim}")
+        dim = _integer(s, "dim", f"{path}.sampler", 1, MAX_DIM)
         seed = _seed(s, f"{path}.sampler")
         spec_kind = s.get("spectrum", "generic")
         spacing = _number(s, "spacing", f"{path}.sampler") if "spacing" in s else 1.0
         if not (math.isfinite(spacing) and spacing > 0):
             raise ConfigError(f"{path}.sampler.spacing: must be finite and > 0, got {spacing!r}")
-        # the top level spacing * (dim - 1) must be finite; compared against
-        # the exact int dim - 1, since a huge dim overflows a float
-        if dim - 1 > sys.float_info.max / spacing:
+        if not math.isfinite(spacing * (dim - 1)):
             raise ConfigError(f"{path}.sampler.spacing: {spacing!r} * (dim - 1) overflows")
         with _field(f"{path}.sampler.spectrum"):
             spectrum = quantum.random_spectrum(dim, seed, spec_kind, spacing)
@@ -510,7 +505,7 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
     mpath = "scenario.measurement"
     if "sampler" in meas:
         s = _obj(meas["sampler"], f"{mpath}.sampler")
-        outcomes = _integer(s, "outcomes", f"{mpath}.sampler")
+        outcomes = _integer(s, "outcomes", f"{mpath}.sampler", 1, MAX_OUTCOMES)
         seed = _seed(s, f"{mpath}.sampler")
         name = s.get("name", "random")
         with _field(f"{mpath}.sampler"):
@@ -602,10 +597,8 @@ def _build_classical_ensemble(cfg: dict, epsilon: float) -> _Runtime:
             s = _obj(ens_cfg["sampler"], sp)
             if s.get("name", "contaminated-cat") != "contaminated-cat":
                 raise ConfigError(f"{sp}.name: unknown sampler {s.get('name')!r}")
-            count, delta = _integer(s, "count", sp), _number(s, "delta", sp)
-            seed, lattice = _seed(s, sp), _integer(s, "lattice", sp, 4)
-            if count < 1:
-                raise ConfigError(f"{sp}.count: must be at least 1, got {count}")
+            count, delta = _integer(s, "count", sp, 1, MAX_POINTS), _number(s, "delta", sp)
+            seed, lattice = _seed(s, sp), _integer(s, "lattice", sp, default=4)
             if not 0.0 <= delta <= 1.0:
                 raise ConfigError(f"{sp}.delta: must lie in [0, 1], got {delta!r}")
             if not classical.is_sampler_lattice(lattice):
@@ -649,9 +642,9 @@ def _build_synthetic(cfg: dict, epsilon: float) -> _Runtime:
     system = _obj(cfg["system"], "scenario.system")
     recipe = _obj(_require(system, "probe", "scenario.system"), "scenario.system.probe")
     path = "scenario.system.probe"
-    outcomes = _integer(recipe, "outcomes", path)
+    outcomes = _integer(recipe, "outcomes", path, 1, MAX_OUTCOMES)
     seed = _seed(recipe, path)
-    mode_count = _integer(recipe, "mode_count", path, 3)
+    mode_count = _integer(recipe, "mode_count", path, 0, MAX_MODES, default=3)
     dominant_weight = (
         None if recipe.get("dominant_weight") is None
         else _number(recipe, "dominant_weight", path)

@@ -39,11 +39,9 @@ class PhasePoint:
     coords: tuple[float, ...]
 
     def __init__(self, coords: Sequence[float] | float):
-        arr = np.atleast_1d(typed_array(coords, "coordinates", "iuf", "numbers")).astype(float)
+        arr = np.atleast_1d(typed_array(coords, "coordinates"))
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("a phase point needs at least one coordinate")
-        if not np.isfinite(arr).all():
-            raise DomainError(f"coordinates must be finite, got {arr.tolist()!r}")
         object.__setattr__(self, "coords", tuple(float(c) % 1.0 for c in arr))
 
     @property
@@ -105,11 +103,9 @@ def rotation_map(angles: Sequence[float] | float) -> InvertibleMap:
     Irrational angles give equidistributing (but never mixing) orbits;
     rational angles give periodic ones. The non-chaotic control case.
     """
-    shift = np.atleast_1d(typed_array(angles, "angles", "iuf", "numbers")).astype(float)
+    shift = np.array(typed_array(angles, "angles"), ndmin=1)
     if shift.ndim != 1 or shift.size == 0:
         raise DomainError("rotation needs a nonempty list of angles")
-    if not np.isfinite(shift).all():
-        raise DomainError(f"angles must be finite, got {shift.tolist()!r}")
 
     def fwd(pts: np.ndarray) -> np.ndarray:
         return _wrapped(pts + shift)
@@ -234,7 +230,7 @@ class Partition:
 
 def _edges(edges) -> np.ndarray:
     """``edges`` as a read-only float array increasing strictly from 0.0 to 1.0."""
-    e = typed_array(edges, "edges", "iuf", "numbers").astype(float)
+    e = np.array(typed_array(edges, "edges"))
     if e.ndim != 1 or e.size < 2 or e[0] != 0.0 or e[-1] != 1.0 or not np.all(np.diff(e) > 0):
         raise DomainError(f"edges must increase strictly from 0.0 to 1.0, got {e.tolist()!r}")
     e.setflags(write=False)
@@ -474,28 +470,18 @@ class ClassicalEnsemble:
         if len(points) and isinstance(points[0], PhasePoint):
             arr = np.array([p.coords for p in points], dtype=float)
         else:
-            arr = typed_array(points, "points", "iuf", "numbers").astype(float)
-            if not np.isfinite(arr).all():
-                raise DomainError("points must be finite")
-            arr = _wrapped(arr)
+            arr = _wrapped(np.array(typed_array(points, "points")))
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DomainError("ensemble needs a nonempty (n, dim) point set")
         n = arr.shape[0]
-        w = (
-            np.full(n, 1.0 / n)
-            if weights is None
-            else typed_array(weights, "weights", "iuf", "numbers").astype(float)
-        )
+        w = np.full(n, 1.0 / n) if weights is None else typed_array(weights, "weights")
         # a cast would count any non-empty string, "false" included, as True
-        flags = (
-            np.ones(n, dtype=bool)
-            if chaotic_flags is None
-            else typed_array(chaotic_flags, "chaotic_flags", "b", "booleans")
-        )
+        flags = (np.ones(n, dtype=bool) if chaotic_flags is None
+                 else typed_array(chaotic_flags, "chaotic_flags", bool))
         if w.shape != (n,) or flags.shape != (n,):
             raise DimensionError("points, weights and chaotic flags must have equal length")
-        if not (np.isfinite(w).all() and w.min() >= 0.0):
-            raise DomainError("weights must be finite and nonnegative")
+        if w.min() < 0.0:
+            raise DomainError("weights must be nonnegative")
         total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_TOL:
             raise DomainError(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")

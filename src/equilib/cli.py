@@ -44,7 +44,10 @@ def _print_records(records):
 
 def _finish(records, out, fmt):
     if out is not None:
-        bench.emit_report(records, fmt, out)
+        try:
+            bench.emit_report(records, fmt, out)
+        except OSError as exc:
+            raise click.ClickException(f"cannot write {out} ({exc.strerror})") from exc
         click.echo(f"wrote {len(records)} record(s) to {out}")
     if bench.any_violation(records):
         click.echo("bound VIOLATED beyond statistical tolerance", err=True)

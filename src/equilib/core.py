@@ -58,18 +58,40 @@ def check_epsilon(epsilon: float) -> None:
         raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
 
 
-def typed_array(values, name: str, kinds: str, what: str) -> np.ndarray:
-    """``values`` as an array whose dtype kind is one of ``kinds``, else a
-    DomainError naming ``name``: the one reader of numeric input. A list that
-    mixes booleans with numbers fails too, though numpy would promote it. An
-    array comes back as it is, without a copy."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in kinds:
-        raise DomainError(f"{name} must be {what}, got {arr.dtype} entries")
-    if "b" not in kinds and not isinstance(values, np.ndarray) and any(
-        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
-    ):
-        raise DomainError(f"{name} must be {what}, got a boolean in {values!r}")
+# per target dtype: the entry types it reads, and the dtype kinds of the
+# arrays it takes as they are
+_ENTRY_RULES = {float: ((int, float, np.integer, np.floating), "iuf"),
+                complex: ((int, float, complex, np.number), "iufc"),
+                bool: ((bool, np.bool_), "b")}
+
+
+def typed_array(values, name: str, dtype: type = float) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (float, complex or bool), else a
+    DomainError naming ``name``: the one reader of every outside number, in
+    scenario fields, record files and Python calls alike. Any int or float
+    is a number, one past int64 too, read as the nearest double; one past
+    the double range fails. A string, None, a boolean among numbers or a
+    number among booleans fails, though numpy would convert it, and float
+    and complex entries must be finite. An array already of ``dtype`` comes
+    back as it is, without a copy."""
+    types, kinds = _ENTRY_RULES[dtype]
+    what = "booleans" if dtype is bool else "numbers"
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        # one test per entry type: numpy would promote a boolean among
+        # numbers and keep an integer past int64 as an object
+        values = np.asarray(values, dtype=object)
+        for t in set(map(type, values.flat)):
+            if not issubclass(t, types) or (dtype is not bool and issubclass(t, bool)):
+                bad = next(v for v in values.flat if type(v) is t)
+                raise DomainError(f"{name} must be {what}, got {bad!r}")
+    elif values.dtype.kind not in kinds:
+        raise DomainError(f"{name} must be {what}, got {values.dtype} entries")
+    try:
+        arr = values.astype(dtype, copy=False)
+    except OverflowError:
+        raise DomainError(f"{name} has an integer beyond the double range") from None
+    if dtype is not bool and not np.isfinite(arr).all():
+        raise DomainError(f"{name} has non-finite entries")
     return arr
 
 

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -169,8 +170,57 @@ def classical_pure_config() -> dict:
     }
 
 
+def rotation_config() -> dict:
+    """A circle rotation measured on two intervals."""
+    return {
+        "kind": "classical-pure",
+        "epsilon": 0.2,
+        "average": {"horizon": 64, "samples": 64, "scheme": "uniform-grid"},
+        "system": {"map": {"name": "rotation", "angles": [0.25]}, "point": [0.2]},
+        "measurement": {"partition": {"kind": "interval", "edges": [0.0, 0.5, 1.0]}},
+    }
+
+
+# every numeric array field of a scenario: the config it sits in, the key
+# path of one of its entries, and the field's full dotted path
+NUMERIC_FIELDS = [
+    (qubit_config, ("system", "hamiltonian", "eigenvalues", 1),
+     "scenario.system.hamiltonian.eigenvalues"),
+    (eigenbasis_quantum_config, ("system", "hamiltonian", "eigenvectors", "data", 0, 0),
+     "scenario.system.hamiltonian.eigenvectors.data"),
+    (explicit_quantum_config, ("system", "hamiltonian", "matrix", "data", 3, 0),
+     "scenario.system.hamiltonian.matrix.data"),
+    (qubit_config, ("system", "state", "matrix", "data", 0, 1), "scenario.system.state.matrix.data"),
+    (qubit_config, ("measurement", "povm", 1, "data", 1, 0), "scenario.measurement.povm[1].data"),
+    (explicit_quantum_config, ("system", "state", "vector", 0, 0), "scenario.system.state.vector"),
+    (rotation_config, ("system", "map", "angles", 0), "scenario.system.map.angles"),
+    (rotation_config, ("measurement", "partition", "edges", 1),
+     "scenario.measurement.partition.edges"),
+    (classical_pure_config, ("measurement", "partition", "edges", 1, 1),
+     "scenario.measurement.partition.edges"),
+    (classical_pure_config, ("system", "point", 1), "scenario.system.point"),
+    (explicit_ensemble_config, ("system", "ensemble", "points", 1, 0),
+     "scenario.system.ensemble.points"),
+    (explicit_ensemble_config, ("system", "ensemble", "weights", 2),
+     "scenario.system.ensemble.weights"),
+    (explicit_ensemble_config, ("system", "ensemble", "chaotic_flags", 0),
+     "scenario.system.ensemble.chaotic_flags"),
+]
+NUMERIC_FIELD_IDS = [f"{path}-{make.__name__}" for make, _, path in NUMERIC_FIELDS]
+
+
 KIND_CONFIGS = [qubit_config, ensemble_config, synthetic_config, classical_pure_config]
 KIND_IDS = ["quantum", "classical-ensemble", "synthetic-probe", "classical-pure"]
+
+
+def edit_record(k: int, mutate):
+    """A defect of a JSON report's text: ``mutate`` applied to record ``k``."""
+    def defect(text):
+        records = json.loads(text)
+        mutate(records[k])
+        return json.dumps(records)
+
+    return defect
 
 
 def outputs(records) -> list:
@@ -498,11 +548,11 @@ class TestLoadScenario:
     @pytest.mark.parametrize(
         "field, path",
         [
-            ("state", r"scenario\.system\.state"),
-            ("vector", r"scenario\.system\.state"),
-            ("povm", r"scenario\.measurement\.povm"),
-            ("eigenvectors", r"scenario\.system\.hamiltonian"),
-            ("hamiltonian", r"scenario\.system\.hamiltonian\.matrix"),
+            ("state", r"scenario\.system\.state\.matrix\.data"),
+            ("vector", r"scenario\.system\.state\.vector"),
+            ("povm", r"scenario\.measurement\.povm\[0\]\.data"),
+            ("eigenvectors", r"scenario\.system\.hamiltonian\.eigenvectors\.data"),
+            ("hamiltonian", r"scenario\.system\.hamiltonian\.matrix\.data"),
         ],
         ids=["state", "vector", "povm", "eigenvectors", "hamiltonian"],
     )
@@ -526,7 +576,7 @@ class TestLoadScenario:
                 [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [bad, 0.0]])
         else:
             cfg["system"]["hamiltonian"] = {"matrix": tainted}
-        with pytest.raises(ConfigError, match=path + ": .*non-finite"):
+        with pytest.raises(ConfigError, match="^" + path + ": .*non-finite"):
             load_scenario(cfg)
 
     @pytest.mark.parametrize(
@@ -581,7 +631,8 @@ class TestLoadScenario:
             weights[0] = bad
         cfg = ensemble_config()
         cfg["system"]["ensemble"] = {"points": points, "weights": weights}
-        with pytest.raises(ConfigError, match=r"scenario\.system\.ensemble: .*finite"):
+        with pytest.raises(ConfigError,
+                           match=rf"^scenario\.system\.ensemble\.{field}: .*non-finite"):
             load_scenario(cfg)
 
     @pytest.mark.parametrize(
@@ -601,7 +652,10 @@ class TestLoadScenario:
         ensemble[field] = bad
         cfg = ensemble_config()
         cfg["system"]["ensemble"] = ensemble
-        with pytest.raises(ConfigError, match=rf"scenario\.system\.ensemble\.{field}: expected"):
+        what = "booleans" if field == "chaotic_flags" else "numbers"
+        with pytest.raises(
+            ConfigError, match=rf"^scenario\.system\.ensemble\.{field}: {field} must be {what}, got "
+        ):
             load_scenario(cfg)
 
     @pytest.mark.parametrize(
@@ -849,6 +903,73 @@ class TestConfigBoundary:
         assert loaded == []
 
 
+    @pytest.mark.parametrize("make, keys, path", NUMERIC_FIELDS, ids=NUMERIC_FIELD_IDS)
+    @pytest.mark.parametrize(
+        "bad", ["0.5", True, None, math.nan, math.inf],
+        ids=["string", "boolean", "null", "nan", "inf"],
+    )
+    def test_every_numeric_field_reads_by_one_rule(self, make, keys, path, bad):
+        flags = keys[-2] == "chaotic_flags"
+        if flags and bad is True:
+            bad = 1  # a number among booleans, as a boolean among numbers
+        # through JSON, so that no two fields share a list
+        cfg = with_leaf(json.loads(json.dumps(make())), keys, bad)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(cfg)
+        assert str(info.value).startswith(path + ": ")
+
+    @pytest.mark.parametrize("make, keys, path", NUMERIC_FIELDS, ids=NUMERIC_FIELD_IDS)
+    def test_an_integer_past_int64_is_a_number(self, make, keys, path):
+        # it may still fail the field's own range rule
+        cfg = with_leaf(json.loads(json.dumps(make())), keys, 2**70)
+        try:
+            load_scenario(cfg)
+        except ConfigError as exc:
+            if keys[-2] == "chaotic_flags":
+                assert "must be booleans" in str(exc)
+            else:
+                assert "must be numbers" not in str(exc)
+
+    @pytest.mark.parametrize(
+        "make, field, size",
+        [
+            (sampled_quantum_config, "system.sampler.dim", 10**7),
+            (sampled_quantum_config, "system.sampler.dim", bench.MAX_DIM + 1),
+            (sampled_quantum_config, "measurement.sampler.outcomes", 10**9),
+            (sampled_quantum_config, "measurement.sampler.outcomes", bench.MAX_OUTCOMES + 1),
+            (ensemble_config, "system.ensemble.sampler.count", 10**13),
+            (ensemble_config, "system.ensemble.sampler.count", bench.MAX_POINTS + 1),
+            (synthetic_config, "system.probe.outcomes", 10**13),
+            (synthetic_config, "system.probe.outcomes", bench.MAX_OUTCOMES + 1),
+            (synthetic_config, "system.probe.mode_count", 10**13),
+            (synthetic_config, "system.probe.mode_count", bench.MAX_MODES + 1),
+        ],
+    )
+    def test_a_size_past_its_cap_names_its_path(self, make, field, size):
+        # each used to fail as a bare MemoryError
+        message = rf"^scenario\.{re.escape(field)}: must be at most \d+, got {size}$"
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(make(), overrides={field: size})
+
+    def test_the_largest_dimension_in_use_loads(self):
+        scenario = load_scenario(sampled_quantum_config(), overrides={"system.sampler.dim": 256})
+        assert scenario.built[0][0].params["d"] == 256
+
+    def test_an_override_never_replaces_a_value(self):
+        # `"average": 5` used to become {"seed": 3} and fail as a missing samples
+        with pytest.raises(ConfigError, match=r"^scenario\.average: expected an object, got int$"):
+            load_scenario(synthetic_config(average=5), overrides={"average.seed": 3})
+        with pytest.raises(ConfigError,
+                           match=r"^scenario\.system\.probe\.seed: expected an object, got int$"):
+            load_scenario(synthetic_config(), overrides={"system.probe.seed.x": 1})
+        # an absent or null node is created, as sweeps need
+        overrides = {"average.horizon": 100.0, "average.samples": 400}
+        absent = synthetic_config()
+        del absent["average"]
+        for cfg in (absent, synthetic_config(average=None)):
+            assert load_scenario(cfg, overrides=overrides).built[0][0].cfg.samples == 400
+
+
 class TestRunScenario:
     def test_qubit_record(self):
         records = run_scenario(load_scenario(qubit_config()))
@@ -1065,8 +1186,29 @@ class TestEmission:
             (lambda text: text[:-3], r"out\.json: invalid JSON \("),
             (lambda text: json.dumps([{**json.loads(text)[0], "bounds": {}}]),
              r"^records\[0\]\.bounds: record is missing bound entries"),
+            # each of these used to load
+            (edit_record(1, lambda r: r.update(seed=True)),
+             r"^records\[1\]\.seed: expected an integer, got True$"),
+            (edit_record(0, lambda r: r.update(wall_time="slow")),
+             r"^records\[0\]\.wall_time: expected a number, got str$"),
+            (edit_record(1, lambda r: r["bounds"]["thm1-sufficiency"].update(value="0.8")),
+             r"^records\[1\]\.bounds\.thm1-sufficiency\.value: expected a number, got str$"),
+            (edit_record(0, lambda r: r["report"]["bound_values"].update(
+                {"thm1-sufficiency": "0.8"})),
+             r"^records\[0\]\.report\.bound_values\.thm1-sufficiency: expected a number, "
+             r"got str$"),
+            (edit_record(1, lambda r: r["report"].update(equilibrium_distribution=["0.5", "0.5"])),
+             r"^records\[1\]\.report\.equilibrium_distribution: equilibrium_distribution must "
+             r"be numbers, got '0\.5'$"),
+            (edit_record(0, lambda r: r["report"].update(equilibrium_distribution=[True, False])),
+             r"^records\[0\]\.report\.equilibrium_distribution: equilibrium_distribution must "
+             r"be numbers, got True$"),
+            (edit_record(1, lambda r: r["report"].update(mean_distinguishability=True)),
+             r"^records\[1\]\.report\.mean_distinguishability: expected a number, got bool$"),
         ],
-        ids=["missing-field", "nan-stderr", "top-level-object", "bad-json", "missing-bound"],
+        ids=["missing-field", "nan-stderr", "top-level-object", "bad-json", "missing-bound",
+             "boolean-seed", "string-wall-time", "string-bound-value", "string-bound-values-entry",
+             "string-omega", "boolean-omega", "boolean-mean"],
     )
     def test_load_records_names_the_malformed_field(self, tmp_path, defect, message):
         path = tmp_path / "out.json"
@@ -1202,6 +1344,17 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert result.output == f"wrote 0 record(s) to {out}\n"
         assert out.read_text() == text
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_an_unwritable_out_is_a_cli_error(self, tmp_path, command):
+        # it used to end, after the whole run, in a FileNotFoundError traceback
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(synthetic_config()))
+        out = tmp_path / "missing" / "x.csv"
+        args = ["run", str(path)] if command == "run" else ["verify"]
+        result = CliRunner().invoke(cli.main, [*args, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.endswith(f"Error: cannot write {out} (No such file or directory)\n")
 
     def test_sweep_requires_grid(self, tmp_path):
         path = tmp_path / "scn.json"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from equilib.core import (
     sample_times,
     synthetic_probe,
     time_average_distribution,
+    typed_array,
 )
 
 
@@ -101,6 +103,60 @@ class TestOutcomeDistribution:
         d = OutcomeDistribution([0.5, 0.5])
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
+
+
+class TestTypedArray:
+    def test_reads_each_dtype(self):
+        for values, dtype in (([1, 2.5], float), ([1, 2.5, 3j], complex), ([True], bool)):
+            arr = typed_array(values, "x", dtype)
+            assert arr.dtype == dtype
+            assert arr.tolist() == values
+
+    def test_valid_entries_keep_their_bits(self):
+        values = [0.1, -0.0, 5e-324, 3, -(2**53) - 1]
+        assert typed_array(values, "x").tobytes() == np.array(values, dtype=float).tobytes()
+
+    def test_an_array_of_the_dtype_is_not_copied(self):
+        for dtype in (float, complex, bool):
+            arr = np.zeros(3, dtype=dtype)
+            assert typed_array(arr, "x", dtype) is arr
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_an_integer_past_int64_reads_as_the_nearest_double(self, dtype):
+        assert typed_array([2**70, -(2**64)], "x", dtype).tolist() == [2.0**70, -(2.0**64)]
+        with pytest.raises(DomainError, match=r"^x has an integer beyond the double range$"):
+            typed_array([0.5, 10**400], "x", dtype)
+
+    @pytest.mark.parametrize(
+        "dtype, bad",
+        [(float, "0.5"), (float, None), (float, True), (float, np.True_), (float, 1j),
+         (float, [0.5]), (complex, "1"), (complex, False), (bool, 1), (bool, 0.0),
+         (bool, "true"), (bool, None)],
+    )
+    def test_refuses_an_entry_of_another_type(self, dtype, bad):
+        # numpy would read every one of these
+        what = "booleans" if dtype is bool else "numbers"
+        message = rf"^x must be {what}, got {re.escape(repr(bad))}$"
+        with pytest.raises(DomainError, match=message):
+            typed_array([[0.5, bad]] if dtype is not bool else [[True, bad]], "x", dtype)
+
+    @pytest.mark.parametrize(
+        "values, dtype, kind",
+        [(np.array([True]), float, "bool"), (np.array([1j]), float, "complex128"),
+         (np.array(["1"]), complex, "<U1"), (np.array([1.0]), bool, "float64")],
+    )
+    def test_refuses_an_array_of_another_kind(self, values, dtype, kind):
+        what = "booleans" if dtype is bool else "numbers"
+        with pytest.raises(DomainError, match=rf"^x must be {what}, got {kind} entries$"):
+            typed_array(values, "x", dtype)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_refuses_non_finite_entries(self, bad):
+        dtypes = (complex,) if isinstance(bad, complex) else (float, complex)
+        for dtype in dtypes:
+            for values in ([0.5, bad], np.array([0.5, bad])):
+                with pytest.raises(DomainError, match=r"^x has non-finite entries$"):
+                    typed_array(values, "x", dtype)
 
 
 class TestDistinguishability:
