@@ -43,13 +43,10 @@ STATUS_SATISFIED = "satisfied"
 STATUS_VIOLATED = "violated"
 STATUS_NA = "not-applicable"
 
-# The largest sizes a scenario may ask for, each an array length of its build
-# (d of d x d complex matrices), so a larger one fails at load, naming its
-# field, and not as a MemoryError. Sizes in use are far below (dim 256).
-MAX_DIM = 2048
-MAX_OUTCOMES = 1024
-MAX_POINTS = 1_000_000
-MAX_MODES = 1024
+# The one size budget: each size is at most MAX_BYTES over the bytes a unit
+# of it costs (a tracemalloc peak, beside its bound), given the sizes before
+# it, so a larger one fails at load, naming its field, not as a MemoryError.
+MAX_BYTES = 2**29
 
 BOUND_NAMES = ("thm1-sufficiency", "thm2-necessity", "thm3-mixing", "thm5-spectral")
 
@@ -186,6 +183,8 @@ def _number(cfg: dict, key: str, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected a number, got {type(value).__name__}")
     with _field(f"{path}.{key}"):
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value!r}")
         return float(value)
 
 
@@ -294,9 +293,8 @@ def load_scenario(
         raise ConfigError(f"scenario.kind: unknown kind {kind!r}, expected one of {KINDS}")
     # the base epsilon must be there, but only the epsilon a point is built
     # with is checked, in _build_runtime: a sweep may replace the base's
-    _require(raw, "epsilon", "scenario")
-    _require(raw, "average", "scenario")
-    _require(raw, "system", "scenario")
+    for key in ("epsilon", "average", "system"):
+        _require(raw, key, "scenario")
     if kind != "synthetic-probe":
         _require(raw, "measurement", "scenario")
     sweep = raw.get("sweep", None)
@@ -351,10 +349,12 @@ def _apply_overrides(raw: dict, overrides: dict) -> dict:
     return cfg
 
 
-def _average_config(cfg: dict, spectrum=None) -> TimeAverageConfig:
+def _average_config(cfg: dict, sample_bytes: int, spectrum=None) -> TimeAverageConfig:
+    """A sample time costs ``sample_bytes``: with N outcomes, 24 (N + 3) for
+    the estimator's rows and the time (tracemalloc: 24-25 N + 16-56)."""
     path = "scenario.average"
     avg = _obj(cfg["average"], path)
-    samples = _integer(avg, "samples", path, 2, MAX_SAMPLES)
+    samples = _integer(avg, "samples", path, 2, min(MAX_SAMPLES, MAX_BYTES // sample_bytes))
     seed = _seed(avg, path, 0)
     scheme = avg.get("scheme", "stratified-random")
     horizon = avg.get("horizon", "auto")
@@ -414,7 +414,7 @@ def _matrix_node(node, path: str) -> np.ndarray:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}.file: invalid JSON in {ref} ({exc})") from None
         node = _obj(inner, path)
-    rows, cols = (_integer(node, key, path, 1, MAX_DIM) for key in ("rows", "cols"))
+    rows, cols = (_integer(node, key, path, 1) for key in ("rows", "cols"))
     data = _pairs(node, "data", path)
     if data.size != rows * cols:
         raise ConfigError(f"{path}.data: expected {rows * cols} pairs, got {data.size}")
@@ -457,19 +457,18 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
     system = _obj(cfg["system"], "scenario.system")
     meas = _obj(cfg["measurement"], "scenario.measurement")
     gap_tol = None if cfg.get("gap_tol") is None else _number(cfg, "gap_tol", "scenario")
-    if gap_tol is not None and not (math.isfinite(gap_tol) and gap_tol >= 0):
-        raise ConfigError(f"scenario.gap_tol: must be finite and nonnegative, got {gap_tol!r}")
+    # 8 complex d x d matrices beside the outcomes' (tracemalloc: 9.1 in all at N = 1)
+    most_dim = math.isqrt(MAX_BYTES // 128)
     path = "scenario.system"
     if "sampler" in system:
         s = _obj(system["sampler"], f"{path}.sampler")
-        dim = _integer(s, "dim", f"{path}.sampler", 1, MAX_DIM)
+        dim = _integer(s, "dim", f"{path}.sampler", 1, most_dim)
         seed = _seed(s, f"{path}.sampler")
         spec_kind = s.get("spectrum", "generic")
         spacing = _number(s, "spacing", f"{path}.sampler") if "spacing" in s else 1.0
-        if not (math.isfinite(spacing) and spacing > 0):
-            raise ConfigError(f"{path}.sampler.spacing: must be finite and > 0, got {spacing!r}")
-        if not math.isfinite(spacing * (dim - 1)):
-            raise ConfigError(f"{path}.sampler.spacing: {spacing!r} * (dim - 1) overflows")
+        if not (spacing > 0 and math.isfinite(spacing * (dim - 1))):
+            raise ConfigError(f"{path}.sampler.spacing: must be > 0 with a finite "
+                              f"spacing * (dim - 1), got {spacing!r}")
         with _field(f"{path}.sampler.spectrum"):
             spectrum = quantum.random_spectrum(dim, seed, spec_kind, spacing)
         state_kind = s.get("state", "pure")
@@ -483,6 +482,7 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
         ham = _obj(_require(system, "hamiltonian", path), f"{path}.hamiltonian")
         if "eigenvalues" in ham:
             vals = _entries(ham, "eigenvalues", f"{path}.hamiltonian")
+            _integer({"eigenvalues": vals.size}, "eigenvalues", f"{path}.hamiltonian", 0, most_dim)
             vecs = None
             if "eigenvectors" in ham:
                 vecs = _matrix_node(ham["eigenvectors"], f"{path}.hamiltonian.eigenvectors")
@@ -496,7 +496,9 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
         state = _obj(_require(system, "state", path), f"{path}.state")
         with _field(f"{path}.state"):
             if "vector" in state:
-                rho = quantum.DensityMatrix.from_vector(_pairs(state, "vector", f"{path}.state"))
+                psi = _pairs(state, "vector", f"{path}.state")
+                _integer({"vector": psi.size}, "vector", f"{path}.state", 0, most_dim)
+                rho = quantum.DensityMatrix.from_vector(psi)
             else:
                 rho = quantum.DensityMatrix(
                     _matrix_node(_require(state, "matrix", f"{path}.state"), f"{path}.state.matrix")
@@ -505,7 +507,9 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
     mpath = "scenario.measurement"
     if "sampler" in meas:
         s = _obj(meas["sampler"], f"{mpath}.sampler")
-        outcomes = _integer(s, "outcomes", f"{mpath}.sampler", 1, MAX_OUTCOMES)
+        # 3 complex d x (d + 2) matrices an outcome (tracemalloc: 2.0-3.06 d x d, 5.25 at d 2)
+        outcomes = _integer(s, "outcomes", f"{mpath}.sampler", 1,
+                            MAX_BYTES // (48 * spectrum.dim * (spectrum.dim + 2)))
         seed = _seed(s, f"{mpath}.sampler")
         name = s.get("name", "random")
         with _field(f"{mpath}.sampler"):
@@ -534,9 +538,10 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
             f"(state {rho.dim}, hamiltonian {spectrum.dim}, measurement {povm.dim})"
         )
     probe = quantum.quantum_probe(rho, spectrum, povm)
-    avg = _average_config(cfg, spectrum)
+    avg = _average_config(cfg, 24 * (povm.outcome_count + 3), spectrum)
     d_eff = quantum.effective_dimension(rho, spectrum)
-    table = quantum.gap_table(spectrum, gap_tol)
+    with _field("scenario.gap_tol"):
+        table = quantum.gap_table(spectrum, gap_tol)
     params = {
         "N": povm.outcome_count,
         "d": spectrum.dim,
@@ -552,10 +557,10 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
     return _Runtime(probe, avg, epsilon, params, {"thm5-spectral": bound})
 
 
-def _orbit_average_config(cfg: dict) -> TimeAverageConfig:
-    """The averaging of a classical point, whose orbit must reach the step
-    of its last sample time within the cap."""
-    avg = _average_config(cfg)
+def _orbit_average_config(cfg: dict, cell_count: int) -> TimeAverageConfig:
+    """The averaging of a classical point on ``cell_count`` cells, whose
+    orbit must reach the step of its last sample time within the cap."""
+    avg = _average_config(cfg, 24 * (cell_count + 3))
     with _field("scenario.average.horizon"):
         classical.check_orbit_steps(np.rint(sample_times(avg)[[0, -1]]))
     return avg
@@ -583,7 +588,7 @@ def _build_classical_pure(cfg: dict, epsilon: float) -> _Runtime:
         )
     probe = classical.classical_probe(point, mapping, partition)
     params = {"N": partition.cell_count, "map": mapping.name}
-    return _Runtime(probe, _orbit_average_config(cfg), epsilon, params,
+    return _Runtime(probe, _orbit_average_config(cfg, partition.cell_count), epsilon, params,
                     {"thm2-necessity": 1.0 - epsilon})
 
 
@@ -597,7 +602,8 @@ def _build_classical_ensemble(cfg: dict, epsilon: float) -> _Runtime:
             s = _obj(ens_cfg["sampler"], sp)
             if s.get("name", "contaminated-cat") != "contaminated-cat":
                 raise ConfigError(f"{sp}.name: unknown sampler {s.get('name')!r}")
-            count, delta = _integer(s, "count", sp, 1, MAX_POINTS), _number(s, "delta", sp)
+            # 128 bytes a point (tracemalloc: 84 at build, 105 through a run)
+            count, delta = _integer(s, "count", sp, 1, MAX_BYTES // 128), _number(s, "delta", sp)
             seed, lattice = _seed(s, sp), _integer(s, "lattice", sp, default=4)
             if not 0.0 <= delta <= 1.0:
                 raise ConfigError(f"{sp}.delta: must lie in [0, 1], got {delta!r}")
@@ -628,7 +634,7 @@ def _build_classical_ensemble(cfg: dict, epsilon: float) -> _Runtime:
         bounds["thm3-mixing"] = classical.mixed_equilibration_bound(partition.cell_count, delta)
     return _Runtime(
         probe,
-        _orbit_average_config(cfg),
+        _orbit_average_config(cfg, partition.cell_count),
         epsilon,
         params,
         bounds,
@@ -642,9 +648,11 @@ def _build_synthetic(cfg: dict, epsilon: float) -> _Runtime:
     system = _obj(cfg["system"], "scenario.system")
     recipe = _obj(_require(system, "probe", "scenario.system"), "scenario.system.probe")
     path = "scenario.system.probe"
-    outcomes = _integer(recipe, "outcomes", path, 1, MAX_OUTCOMES)
+    # at build 32 bytes an outcome, 16 an outcome-mode (tracemalloc: 24-32, 14-17); + 2 rows
+    outcomes = _integer(recipe, "outcomes", path, 1, MAX_BYTES // (32 + 2 * 24))
     seed = _seed(recipe, path)
-    mode_count = _integer(recipe, "mode_count", path, 0, MAX_MODES, default=3)
+    mode_count = _integer(recipe, "mode_count", path, 0,
+                          MAX_BYTES // ((16 + 2 * 16) * (outcomes + 1)), default=3)
     dominant_weight = (
         None if recipe.get("dominant_weight") is None
         else _number(recipe, "dominant_weight", path)
@@ -658,7 +666,9 @@ def _build_synthetic(cfg: dict, epsilon: float) -> _Runtime:
             mode_count=mode_count,
             amplitude=amplitude,
         )
-    return _Runtime(probe, _average_config(cfg), epsilon, {"N": probe.outcome_count}, {})
+    # a time's phases and cosines add 16 bytes an outcome-mode (tracemalloc: 15-16)
+    avg = _average_config(cfg, 24 * (outcomes + 3) + 16 * (outcomes + 1) * mode_count)
+    return _Runtime(probe, avg, epsilon, {"N": probe.outcome_count}, {})
 
 
 _BUILDERS = {
@@ -760,12 +770,8 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 

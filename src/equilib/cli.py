@@ -120,14 +120,9 @@ def verify(seed, horizon, samples, gap_tol, out, fmt):
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
     _print_records(records)
-    violated = sum(
-        chk.status == bench.STATUS_VIOLATED for r in records for chk in r.bounds.values()
-    )
-    checked = sum(
-        chk.status != bench.STATUS_NA for r in records for chk in r.bounds.values()
-    )
-    click.echo(f"checked {checked} bound evaluations across {len(records)} runs, "
-               f"{violated} violated")
+    statuses = [chk.status for r in records for chk in r.bounds.values()]
+    click.echo(f"checked {len(statuses) - statuses.count(bench.STATUS_NA)} bound evaluations "
+               f"across {len(records)} runs, {statuses.count(bench.STATUS_VIOLATED)} violated")
     _finish(records, out, fmt)
 
 

@@ -134,7 +134,8 @@ class OutcomeDistribution:
         return np.array_equal(self.probs, other.probs)
 
     def __hash__(self):
-        return hash(self.probs.tobytes())
+        # + 0.0 maps -0.0 to 0.0, as == does
+        return hash((self.probs + 0.0).tobytes())
 
     def allclose(self, other: "OutcomeDistribution", atol: float = 1e-9) -> bool:
         return len(self) == len(other) and bool(
@@ -378,13 +379,9 @@ class EquilibrationReport:
                 f"standard error must be finite and nonnegative, got {self.standard_error!r}"
             )
         check_epsilon(self.epsilon)
-        if self.verdict not in (VERDICT_EQUILIBRATES, VERDICT_DOES_NOT, VERDICT_INCONCLUSIVE):
-            raise DomainError(f"unknown verdict {self.verdict!r}")
-        mean, err = self.mean_distinguishability, self.standard_error
-        if self.verdict == VERDICT_EQUILIBRATES and mean + 2.0 * err > self.epsilon:
-            raise DomainError("verdict 'equilibrates' inconsistent with the estimate")
-        if self.verdict == VERDICT_DOES_NOT and mean - 2.0 * err <= self.epsilon:
-            raise DomainError("verdict 'does-not-equilibrate' inconsistent with the estimate")
+        verdict = decide_verdict(self.mean_distinguishability, self.standard_error, self.epsilon)
+        if self.verdict != verdict:
+            raise DomainError(f"verdict {self.verdict!r} disagrees with the estimate's {verdict!r}")
 
 
 def equilibration_report(

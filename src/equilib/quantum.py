@@ -281,9 +281,8 @@ class GapTable:
 
     @property
     def max_degeneracy(self) -> int:
-        if self.class_of.size == 0:
-            return 1
-        return int(np.bincount(self.class_of).max())
+        # no gaps at all (one eigenspace) counts as 1
+        return int(np.bincount(self.class_of).max(initial=1))
 
 
 def gap_table(spectrum: HamiltonianSpectrum, gap_tol: float | None = None) -> GapTable:
@@ -294,10 +293,13 @@ def gap_table(spectrum: HamiltonianSpectrum, gap_tol: float | None = None) -> Ga
     eigenspace are excluded. Sorted gaps chain into one class while
     consecutive ones differ by less than ``gap_tol`` (default: GAP_REL_TOL
     times the spectral range), the rule that also chains eigenvalues into
-    eigenspaces; at a tolerance of 0 every gap is its own class.
+    eigenspaces; at a tolerance of 0 every gap is its own class. A given
+    ``gap_tol`` must be finite and nonnegative.
     """
     if gap_tol is None:
         gap_tol = GAP_REL_TOL * spectrum.spectral_range
+    elif not (math.isfinite(gap_tol) and gap_tol >= 0):
+        raise DomainError(f"gap tolerance must be finite and nonnegative, got {gap_tol!r}")
     energies = spectrum.eigenspace_energies
     s = energies.size
     n, j = np.nonzero(~np.eye(s, dtype=bool))

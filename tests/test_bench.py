@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -762,6 +763,198 @@ class TestOrbitCap:
             load_scenario({**make(), "average": {**average, "horizon": past}})
 
 
+def inline_quantum_config() -> dict:
+    """A quantum point of inline eigenvalues 0, 1 and a state vector,
+    measured by a 2-outcome projective sampler."""
+    return {
+        "kind": "quantum",
+        "epsilon": 0.4,
+        "average": {"horizon": "auto", "samples": 100, "seed": 5},
+        "system": {"hamiltonian": {"eigenvalues": [0.0, 1.0]},
+                   "state": {"vector": [[1.0, 0.0], [1.0, 0.0]]}},
+        "measurement": {"sampler": {"name": "projective", "outcomes": 2, "seed": 22}},
+    }
+
+
+# The bytes a unit of each size costs, as bench bounds it: a size is at most
+# MAX_BYTES over its bytes. Quantum: 128 d^2 for the build, 48 d (d + 2) an
+# outcome; quantum and classical runs: 24 (N + 3) a sample time; synthetic:
+# 80 an outcome, 48 (N + 1) a mode, and 24 (N + 3) + 16 (N + 1) modes a
+# sample time; ensembles: 128 a point.
+def quantum_build_bytes(d: int, n: int) -> int:
+    return 128 * d * d + 48 * n * d * (d + 2)
+
+
+def sample_bytes(n: int, modes: int = 0) -> int:
+    return 24 * (n + 3) + 16 * (n + 1) * modes
+
+
+# one size field each: the config, the field's path, a lowered budget, the
+# bound it gives (the budget over the field's bytes at the config's other
+# sizes) and the overrides that set the field to a size n
+BUDGET_BOUNDS = [
+    pytest.param(sampled_quantum_config, "system.sampler.dim", quantum_build_bytes(24, 0), 24,
+                 lambda n: {"system.sampler.dim": n, "measurement.sampler.outcomes": 2},
+                 id="dim"),
+    pytest.param(sampled_quantum_config, "measurement.sampler.outcomes", 48 * 8 * (8 + 2) * 5, 5,
+                 lambda n: {"measurement.sampler.outcomes": n, "average.samples": 50},
+                 id="outcomes-at-dim-8"),
+    pytest.param(inline_quantum_config, "system.hamiltonian.eigenvalues",
+                 quantum_build_bytes(12, 0), 12,
+                 lambda n: {"system.hamiltonian.eigenvalues": [float(k) for k in range(n)],
+                            "system.state.vector": [[1.0, 0.0]] * min(n, 12)},
+                 id="eigenvalue-count"),
+    pytest.param(inline_quantum_config, "system.state.vector", quantum_build_bytes(12, 0), 12,
+                 lambda n: {"system.hamiltonian.eigenvalues": [float(k) for k in range(12)],
+                            "system.state.vector": [[1.0, 0.0]] * n},
+                 id="vector-length"),
+    pytest.param(sampled_quantum_config, "average.samples", sample_bytes(3) * 100, 100,
+                 lambda n: {"average.samples": n}, id="quantum-samples-at-3-outcomes"),
+    pytest.param(classical_pure_config, "average.samples", sample_bytes(4) * 64, 64,
+                 lambda n: {"average.samples": n}, id="grid-samples-at-4-cells"),
+    pytest.param(synthetic_config, "average.samples", sample_bytes(3, 3) * 400, 400,
+                 lambda n: {"average.samples": n, "system.probe.mode_count": 3},
+                 id="synthetic-samples-at-3-outcomes-3-modes"),
+    pytest.param(ensemble_config, "system.ensemble.sampler.count", 128 * 100, 100,
+                 lambda n: {"system.ensemble.sampler.count": n}, id="ensemble-count"),
+    pytest.param(synthetic_config, "system.probe.outcomes", 80 * 10, 10,
+                 lambda n: {"system.probe.outcomes": n, "system.probe.mode_count": 0,
+                            "average.samples": 2},
+                 id="synthetic-outcomes"),
+    pytest.param(synthetic_config, "system.probe.mode_count", 48 * 4 * 5, 5,
+                 lambda n: {"system.probe.mode_count": n, "average.samples": 2},
+                 id="synthetic-modes-at-3-outcomes"),
+]
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that ``run()`` allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSizeBudget:
+    @pytest.mark.parametrize("make, field, budget, bound, at", BUDGET_BOUNDS)
+    def test_a_size_at_its_bound_loads_and_one_more_fails(
+        self, monkeypatch, make, field, budget, bound, at
+    ):
+        # the budget is lowered, as TestOrbitCap lowers the orbit cap, so
+        # nothing large is allocated
+        monkeypatch.setattr(bench, "MAX_BYTES", budget)
+        load_scenario(make(), overrides=at(bound))
+        message = rf"^scenario\.{re.escape(field)}: must be at most {bound}, got {bound + 1}$"
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(make(), overrides=at(bound + 1))
+
+    def test_the_dimension_bound_is_2048(self):
+        message = r"^scenario\.system\.sampler\.dim: must be at most 2048, got 2049$"
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(sampled_quantum_config(), overrides={"system.sampler.dim": 2049})
+
+    @pytest.mark.parametrize("make, overrides, path", [
+        pytest.param(sampled_quantum_config,
+                     {"system.sampler.dim": 256, "measurement.sampler.outcomes": 1024},
+                     "measurement.sampler.outcomes", id="dim-times-outcomes"),
+        pytest.param(inline_quantum_config, {"system.hamiltonian.eigenvalues": [0.0] * 10**5},
+                     "system.hamiltonian.eigenvalues", id="eigenvalue-count"),
+        pytest.param(inline_quantum_config, {"system.state.vector": [[1.0, 0.0]] * 10**5},
+                     "system.state.vector", id="vector-length"),
+        pytest.param(classical_pure_config,
+                     {"measurement.partition.edges": [[k / 1000 for k in range(1001)]] * 2,
+                      "average.samples": 10**6, "average.horizon": 10**6},
+                     "average.samples", id="million-cell-grid"),
+        pytest.param(synthetic_config,
+                     {"system.probe.outcomes": 1024, "system.probe.mode_count": 1024,
+                      "average.samples": 10**6},
+                     "average.samples", id="synthetic-samples-outcomes-modes"),
+    ])
+    def test_a_size_product_past_the_budget_names_its_field(self, make, overrides, path):
+        # under per-field caps each loaded, its run asking for up to TiB, or
+        # failed as a MemoryError
+        with pytest.raises(ConfigError, match=rf"^scenario\.{re.escape(path)}: must be at most"):
+            load_scenario(make(), overrides=overrides)
+
+    def test_every_shape_in_use_loads(self):
+        # scenario-pipeline's dim sweep, quantum-sweep's largest instance as
+        # a sampler scenario, and the verify suite
+        cfg = sampled_quantum_config()
+        cfg["measurement"]["sampler"].update(name="random", outcomes=4)
+        cfg["average"]["samples"] = 500
+        sweep = load_scenario({**cfg, "sweep": {"system.sampler.dim": [64, 128, 192, 256]}})
+        largest = load_scenario(cfg, overrides={"system.sampler.dim": 32, "average.samples": 3000,
+                                                "measurement.sampler.outcomes": 8})
+        built = [rt for scenario in [sweep, largest, *builtin_scenarios()]
+                 for rt, _ in scenario.built]
+        assert len(built) == 4 + 1 + 9
+        assert all(isinstance(rt, bench._Runtime) for rt in built)
+
+    # The memory model is an upper bound: the tracemalloc peak of a build or
+    # a run stays within the bytes that its sizes' bounds allow, so a change
+    # that outgrows its multiplier fails here.
+    @pytest.mark.parametrize("d, n, name", [
+        *((d, n, name) for d in (64, 128) for n, name in [
+            (1, "random"), (1, "projective"), (8, "random"), (8, "projective"), (8, "uneven")]),
+        (2, 512, "uneven"), (4, 256, "random"),
+    ])
+    @pytest.mark.parametrize("spectrum", ["generic", "equally-spaced"])
+    @pytest.mark.parametrize("state", ["pure", "mixed"])
+    def test_a_quantum_build_stays_within_its_bounds(self, d, n, name, spectrum, state):
+        cfg = sampled_quantum_config()
+        cfg["system"]["sampler"].update(dim=d, spectrum=spectrum, state=state)
+        cfg["measurement"]["sampler"].update(name=name, outcomes=n, leak=0.1)
+        bench._build_runtime(cfg)  # once untraced, so no first-call cost is counted
+        assert traced_peak(lambda: bench._build_runtime(cfg)) <= quantum_build_bytes(d, n)
+
+    @pytest.mark.parametrize("make, overrides, n, modes, points", [
+        pytest.param(sampled_quantum_config,
+                     {"system.sampler.dim": 64, "measurement.sampler.outcomes": 1,
+                      "measurement.sampler.name": "random", "average.samples": 4000},
+                     1, 0, 0, id="quantum-d64-N1"),
+        pytest.param(sampled_quantum_config,
+                     {"system.sampler.dim": 128, "measurement.sampler.outcomes": 8,
+                      "average.samples": 4000},
+                     8, 0, 0, id="quantum-d128-N8"),
+        pytest.param(sampled_quantum_config,
+                     {"system.sampler.dim": 64, "system.sampler.spectrum": "equally-spaced",
+                      "measurement.sampler.outcomes": 8, "average.samples": 50_000},
+                     8, 0, 0, id="quantum-ladder-d64-N8"),
+        pytest.param(classical_pure_config,
+                     {"measurement.partition.edges": [[0.0, 1.0], [0.0, 1.0]],
+                      "average.samples": 50_000, "average.horizon": 50_000},
+                     1, 0, 0, id="classical-N1"),
+        pytest.param(classical_pure_config,
+                     {"measurement.partition.edges": [[0.0, 0.25, 0.5, 0.75, 1.0],
+                                                      [0.0, 0.5, 1.0]],
+                      "average.samples": 50_000, "average.horizon": 50_000},
+                     8, 0, 0, id="classical-N8"),
+        pytest.param(ensemble_config,
+                     {"system.ensemble.sampler.count": 2000,
+                      "average.samples": 4000, "average.horizon": 4000},
+                     4, 0, 2000, id="ensemble-N4"),
+        pytest.param(synthetic_config,
+                     {"system.probe.outcomes": 1, "system.probe.mode_count": 0,
+                      "average.samples": 50_000},
+                     1, 0, 0, id="synthetic-N1"),
+        pytest.param(synthetic_config,
+                     {"system.probe.outcomes": 8, "system.probe.mode_count": 16,
+                      "average.samples": 20_000},
+                     8, 16, 0, id="synthetic-N8-16-modes"),
+    ])
+    def test_a_run_stays_within_its_bounds(self, make, overrides, n, modes, points):
+        samples = overrides["average.samples"]
+        run_scenario(load_scenario(make(), overrides=overrides))  # untraced, as above
+        scenario = load_scenario(make(), overrides=overrides)
+        # the sampling blocks also hold fixed buffers that no size bounds: at
+        # most 65,536 entries per quantum chunk buffer and _BLOCK_COORDS
+        # coordinates per classical block
+        allowed = sample_bytes(n, modes) * samples + 128 * points + 4 * 2**20
+        assert traced_peak(lambda: run_scenario(scenario)) <= allowed
+
+
 class TestConfigBoundary:
     # each used to load as a number, escape as a bare TypeError, or load and
     # become a numeric-failure record (rows = cols = -2 reshaped as -1 twice)
@@ -934,15 +1127,10 @@ class TestConfigBoundary:
         "make, field, size",
         [
             (sampled_quantum_config, "system.sampler.dim", 10**7),
-            (sampled_quantum_config, "system.sampler.dim", bench.MAX_DIM + 1),
             (sampled_quantum_config, "measurement.sampler.outcomes", 10**9),
-            (sampled_quantum_config, "measurement.sampler.outcomes", bench.MAX_OUTCOMES + 1),
             (ensemble_config, "system.ensemble.sampler.count", 10**13),
-            (ensemble_config, "system.ensemble.sampler.count", bench.MAX_POINTS + 1),
             (synthetic_config, "system.probe.outcomes", 10**13),
-            (synthetic_config, "system.probe.outcomes", bench.MAX_OUTCOMES + 1),
             (synthetic_config, "system.probe.mode_count", 10**13),
-            (synthetic_config, "system.probe.mode_count", bench.MAX_MODES + 1),
         ],
     )
     def test_a_size_past_its_cap_names_its_path(self, make, field, size):
@@ -1180,7 +1368,7 @@ class TestEmission:
             (lambda text: json.dumps([json.loads(text)[0], {
                 **json.loads(text)[1],
                 "report": {**json.loads(text)[1]["report"], "standard_error": math.nan}}]),
-             r"^records\[1\]\.report: standard error must be finite and nonnegative, got nan$"),
+             r"^records\[1\]\.report\.standard_error: must be finite, got nan$"),
             (lambda text: json.dumps({"records": json.loads(text)}),
              r"out\.json: expected a JSON list of records, got dict$"),
             (lambda text: text[:-3], r"out\.json: invalid JSON \("),
@@ -1205,10 +1393,23 @@ class TestEmission:
              r"be numbers, got True$"),
             (edit_record(1, lambda r: r["report"].update(mean_distinguishability=True)),
              r"^records\[1\]\.report\.mean_distinguishability: expected a number, got bool$"),
+            (edit_record(0, lambda r: r.update(wall_time=math.nan)),
+             r"^records\[0\]\.wall_time: must be finite, got nan$"),
+            (edit_record(1, lambda r: r["bounds"]["thm1-sufficiency"].update(value=math.inf)),
+             r"^records\[1\]\.bounds\.thm1-sufficiency\.value: must be finite, got inf$"),
+            (edit_record(0, lambda r: r["report"]["bound_values"].update(
+                {"thm1-sufficiency": -math.inf})),
+             r"^records\[0\]\.report\.bound_values\.thm1-sufficiency: must be finite, got -inf$"),
+            (edit_record(1, lambda r: r["report"].update(
+                mean_distinguishability=0.1, standard_error=0.01, epsilon=0.5,
+                verdict="inconclusive")),
+             r"^records\[1\]\.report: verdict 'inconclusive' disagrees with the estimate's "
+             r"'equilibrates'$"),
         ],
         ids=["missing-field", "nan-stderr", "top-level-object", "bad-json", "missing-bound",
              "boolean-seed", "string-wall-time", "string-bound-value", "string-bound-values-entry",
-             "string-omega", "boolean-omega", "boolean-mean"],
+             "string-omega", "boolean-omega", "boolean-mean", "nan-wall-time",
+             "infinite-bound-value", "infinite-bound-values-entry", "inconsistent-verdict"],
     )
     def test_load_records_names_the_malformed_field(self, tmp_path, defect, message):
         path = tmp_path / "out.json"

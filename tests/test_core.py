@@ -99,6 +99,12 @@ class TestOutcomeDistribution:
         with pytest.raises(DistributionError):
             OutcomeDistribution([0.5, 0.5 + 5e-9])
 
+    def test_hash_agrees_with_equality(self):
+        # -0.0 == 0.0, so the two distributions are one set member
+        a, b = OutcomeDistribution([1.0, 0.0]), OutcomeDistribution([1.0, -0.0])
+        assert a == b
+        assert len({a, b}) == 1
+
     def test_immutable(self):
         d = OutcomeDistribution([0.5, 0.5])
         with pytest.raises(ValueError):
@@ -480,6 +486,11 @@ class TestVerdicts:
             EquilibrationReport(0.05, 0.1, omega, 0.2, "does-not-equilibrate")
         rep = EquilibrationReport(0.05, 0.01, omega, 0.2, "equilibrates")
         assert rep.verdict == "equilibrates"
+        # the verdict must be decide_verdict's; "inconclusive" used to pass here
+        for verdict in ("inconclusive", "does-not-equilibrate", "bogus"):
+            with pytest.raises(DomainError, match=rf"^verdict '{verdict}' disagrees with the "
+                                                  r"estimate's 'equilibrates'$"):
+                EquilibrationReport(0.1, 0.01, omega, 0.5, verdict)
 
     def test_report_builder(self):
         probe = constant_probe([0.3, 0.7])

@@ -661,6 +661,13 @@ class TestGapTable:
         table = gap_table(HamiltonianSpectrum([2.0, 2.0, 2.0]))
         assert gap_degeneracy_sensitivity(table) == {0.1: 1, 1.0: 1, 10.0: 1}
 
+    @pytest.mark.parametrize("gap_tol", [math.nan, math.inf, -1e-12])
+    def test_a_bad_tolerance_is_refused(self, gap_tol):
+        # a NaN tolerance used to put every gap in one class: D_G 6, not 1
+        with pytest.raises(DomainError, match=r"^gap tolerance must be finite and nonnegative"):
+            gap_table(HamiltonianSpectrum([0.0, 1.0, 3.0]), gap_tol)
+        assert gap_table(HamiltonianSpectrum([0.0, 1.0, 3.0])).max_degeneracy == 1
+
     def test_arrays_are_read_only(self):
         table = gap_table(GAP_SPECTRA["ladder"]())
         for arr in (table.pairs, table.values, table.class_of):

@@ -8,6 +8,7 @@ import math
 import re
 from pathlib import Path
 
+from equilib import bench, classical, core, quantum
 from equilib.bench import STATUS_SATISFIED, load_scenario, run_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,3 +42,17 @@ def test_scenario_example_equilibrates():
     assert record.error is None
     assert record.report.verdict == "equilibrates"
     assert record.bounds["thm5-spectral"].status == STATUS_SATISFIED
+
+
+def test_every_cited_name_exists():
+    # a deleted name cannot stay documented: `core.X`, `bench.X`,
+    # `quantum.X` and `classical.X` name attributes of those modules, and a
+    # bare `MAX_...` one of any of them
+    modules = {"core": core, "bench": bench, "quantum": quantum, "classical": classical}
+    text = README.read_text()
+    cited = re.findall(r"`(core|bench|quantum|classical)\.(\w+)", text)
+    assert cited
+    for module, name in cited:
+        assert hasattr(modules[module], name), f"{module}.{name}"
+    for name in re.findall(r"`(MAX_\w+)", text):
+        assert any(hasattr(m, name) for m in modules.values()), name
