@@ -17,7 +17,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -349,14 +349,14 @@ def _apply_overrides(raw: dict, overrides: dict) -> dict:
     return cfg
 
 
-def _average_config(cfg: dict, sample_bytes: int, spectrum=None) -> TimeAverageConfig:
-    """A sample time costs ``sample_bytes``: with N outcomes, 24 (N + 3) for
-    the estimator's rows and the time (tracemalloc: 24-25 N + 16-56)."""
+def _average_config(cfg: dict, outcomes: int, spectrum=None) -> TimeAverageConfig:
+    """A sample time costs 24 (N + 3) bytes with N ``outcomes`` whatever the kind,
+    for the estimator's rows and the time (tracemalloc: 24-25 N + 16-56)."""
     path = "scenario.average"
     avg = _obj(cfg["average"], path)
-    samples = _integer(avg, "samples", path, 2, min(MAX_SAMPLES, MAX_BYTES // sample_bytes))
+    most = min(MAX_SAMPLES, MAX_BYTES // (24 * (outcomes + 3)))
+    samples = _integer(avg, "samples", path, 2, most)
     seed = _seed(avg, path, 0)
-    scheme = avg.get("scheme", "stratified-random")
     horizon = avg.get("horizon", "auto")
     if horizon == "auto":
         if spectrum is None:
@@ -364,8 +364,10 @@ def _average_config(cfg: dict, sample_bytes: int, spectrum=None) -> TimeAverageC
         horizon = quantum.default_average_config(spectrum).horizon
     else:
         horizon = _number(avg, "horizon", path)
-    with _field(path):
-        return TimeAverageConfig(horizon=horizon, samples=samples, scheme=scheme, seed=seed)
+    with _field(f"{path}.horizon"):
+        config = TimeAverageConfig(horizon=horizon, samples=samples, seed=seed)
+    with _field(f"{path}.scheme"):
+        return replace(config, scheme=avg.get("scheme", config.scheme))
 
 
 @dataclass(frozen=True)
@@ -507,9 +509,9 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
     mpath = "scenario.measurement"
     if "sampler" in meas:
         s = _obj(meas["sampler"], f"{mpath}.sampler")
-        # 3 complex d x (d + 2) matrices an outcome (tracemalloc: 2.0-3.06 d x d, 5.25 at d 2)
+        # 2 complex d x (d + 3) matrices an outcome (tracemalloc: 2.0-2.46 d x d, 3.38 at d 2)
         outcomes = _integer(s, "outcomes", f"{mpath}.sampler", 1,
-                            MAX_BYTES // (48 * spectrum.dim * (spectrum.dim + 2)))
+                            MAX_BYTES // (32 * spectrum.dim * (spectrum.dim + 3)))
         seed = _seed(s, f"{mpath}.sampler")
         name = s.get("name", "random")
         with _field(f"{mpath}.sampler"):
@@ -538,7 +540,7 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
             f"(state {rho.dim}, hamiltonian {spectrum.dim}, measurement {povm.dim})"
         )
     probe = quantum.quantum_probe(rho, spectrum, povm)
-    avg = _average_config(cfg, 24 * (povm.outcome_count + 3), spectrum)
+    avg = _average_config(cfg, povm.outcome_count, spectrum)
     d_eff = quantum.effective_dimension(rho, spectrum)
     with _field("scenario.gap_tol"):
         table = quantum.gap_table(spectrum, gap_tol)
@@ -560,7 +562,7 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
 def _orbit_average_config(cfg: dict, cell_count: int) -> TimeAverageConfig:
     """The averaging of a classical point on ``cell_count`` cells, whose
     orbit must reach the step of its last sample time within the cap."""
-    avg = _average_config(cfg, 24 * (cell_count + 3))
+    avg = _average_config(cfg, cell_count)
     with _field("scenario.average.horizon"):
         classical.check_orbit_steps(np.rint(sample_times(avg)[[0, -1]]))
     return avg
@@ -648,11 +650,11 @@ def _build_synthetic(cfg: dict, epsilon: float) -> _Runtime:
     system = _obj(cfg["system"], "scenario.system")
     recipe = _obj(_require(system, "probe", "scenario.system"), "scenario.system.probe")
     path = "scenario.system.probe"
-    # at build 32 bytes an outcome, 16 an outcome-mode (tracemalloc: 24-32, 14-17); + 2 rows
+    # build: 32 B an outcome, + 2 sample rows, 16 an outcome-mode (tracemalloc: 24-32, 14-17)
     outcomes = _integer(recipe, "outcomes", path, 1, MAX_BYTES // (32 + 2 * 24))
     seed = _seed(recipe, path)
-    mode_count = _integer(recipe, "mode_count", path, 0,
-                          MAX_BYTES // ((16 + 2 * 16) * (outcomes + 1)), default=3)
+    mode_count = _integer(recipe, "mode_count", path, 0, MAX_BYTES // (16 * (outcomes + 1)),
+                          default=3)
     dominant_weight = (
         None if recipe.get("dominant_weight") is None
         else _number(recipe, "dominant_weight", path)
@@ -666,8 +668,7 @@ def _build_synthetic(cfg: dict, epsilon: float) -> _Runtime:
             mode_count=mode_count,
             amplitude=amplitude,
         )
-    # a time's phases and cosines add 16 bytes an outcome-mode (tracemalloc: 15-16)
-    avg = _average_config(cfg, 24 * (outcomes + 3) + 16 * (outcomes + 1) * mode_count)
+    avg = _average_config(cfg, outcomes)
     return _Runtime(probe, avg, epsilon, {"N": probe.outcome_count}, {})
 
 

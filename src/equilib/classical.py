@@ -16,6 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     DimensionError,
     DomainError,
@@ -304,11 +305,6 @@ def grid_partition(edges_by_dim: Sequence[Sequence[float]]) -> Partition:
 MAX_ORBIT_STEPS = 1_000_000
 
 
-# Clouds are classified a block of consecutive steps at a time; a block holds
-# at most this many coordinates, the size cap of a quantum_probe chunk.
-_BLOCK_COORDS = 65_536
-
-
 def check_orbit_steps(steps: np.ndarray) -> None:
     """Raise DomainError unless the ascending orbit ``steps`` lie in
     [0, MAX_ORBIT_STEPS]."""
@@ -327,8 +323,8 @@ def _orbit_steps(times) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_steps(points: np.ndarray, steps: np.ndarray) -> int:
     """Steps per block of ``_orbit_cells``: as many clouds of ``points`` as
-    ``_BLOCK_COORDS`` coordinates hold, at least one, at most every step."""
-    return min(steps.size, max(1, _BLOCK_COORDS // points.size))
+    one chunk of coordinates holds, at least one, at most every step."""
+    return min(steps.size, max(1, core._CHUNK_ENTRIES // points.size))
 
 
 def _orbit_cells(
@@ -340,7 +336,7 @@ def _orbit_cells(
 
     The request is checked before the first step. Then there is one map
     call per step and one ``cells_of_many`` call per block, a block
-    buffering clouds of at most ``_BLOCK_COORDS`` coordinates, so the memory
+    buffering clouds of at most one chunk of coordinates, so the memory
     held is one block whatever the horizon. The buffer is column-major,
     ``(dim, k, n)``: the partition reads the block as a ``(k n, dim)`` view
     whose every coordinate column is contiguous, where its edge counts run
@@ -432,6 +428,8 @@ def _cloud_probe(
                 (cells + offsets[:k]).ravel(), tiled[: k * len(weights)], k * n_cells
             ).reshape(k, n_cells)
             at += k
+        # 200,000 weights of 1/n in one cell sum to 1 + 2.3e-12: past the tolerance
+        hist[hist > 1.0 + core.ENTRY_TOL] = 1.0
         return hist[where]
 
     return TrajectoryProbe(sample_many=sample_many, outcome_count=n_cells)

@@ -28,6 +28,10 @@ THRESHOLD_SLACK = 1e-12
 # so a larger one would fail with a MemoryError at run time, not at load.
 MAX_SAMPLES = 1_000_000
 
+# Every sample block works through its times in chunks of at most this many
+# entries a temporary, so its memory beside its (M, N) rows is fixed.
+_CHUNK_ENTRIES = 65_536
+
 VERDICT_EQUILIBRATES = "equilibrates"
 VERDICT_DOES_NOT = "does-not-equilibrate"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -145,7 +149,6 @@ class OutcomeDistribution:
     @property
     def max_probability(self) -> float:
         return float(self.probs.max())
-
 
 
 @dataclass(frozen=True)
@@ -450,11 +453,15 @@ def synthetic_probe(
     amps *= amplitude / np.maximum(amps.sum(axis=1, keepdims=True), 1e-300)
     freqs = rng.uniform(0.5, 3.0, mode_count)
     phases = rng.uniform(0.0, 2.0 * np.pi, (outcomes, mode_count))
+    chunk = max(1, _CHUNK_ENTRIES // (outcomes * max(1, mode_count)))
 
     def _raw(times: np.ndarray) -> np.ndarray:
-        angles = np.multiply.outer(times, freqs)  # (M, modes)
-        factors = 1.0 + np.einsum("jm,tjm->tj", amps, np.cos(angles[:, None, :] + phases))
-        weights = base * factors
-        return weights / weights.sum(axis=1, keepdims=True)
+        out = np.empty((times.size, outcomes))
+        for start in range(0, times.size, chunk):
+            ts = times[start : start + chunk]
+            angles = np.multiply.outer(ts, freqs)[:, None, :] + phases  # (m, N, modes)
+            weights = base * (1.0 + np.einsum("jm,tjm->tj", amps, np.cos(angles, out=angles)))
+            out[start : start + ts.size] = weights / weights.sum(axis=1, keepdims=True)
+        return out
 
     return TrajectoryProbe(sample_many=_raw, outcome_count=outcomes)

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     DimensionError,
     DomainError,
@@ -486,11 +487,10 @@ def _bilinear_block(coeff: np.ndarray, eigenvalues: np.ndarray):
     within_two = 0.0 < low and high <= 2.0 * low or high < 0.0 and 2.0 * high <= low
     origin = low if within_two else 0.0
     half = 0.5 * (eigenvalues - origin)
-    # at most 65,536 complex entries (1 MB) in the (m, N*d) intermediate
-    chunk = max(1, 65_536 // (n_out * d))
+    # a chunk's (m, N*d) intermediate holds at most one chunk of entries
+    chunk = max(1, core._CHUNK_ENTRIES // (n_out * d))
 
     def _block(times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
         out = np.empty((times.size, n_out))
         # one set of chunk buffers per block: fresh temporaries per chunk cost
         # page faults and raised peak memory
@@ -514,7 +514,7 @@ def _bilinear_block(coeff: np.ndarray, eigenvalues: np.ndarray):
                 out=out[start : start + m],
             )
         # clip 1-ulp excursions so strict downstream validation stays happy
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     return _block
 
@@ -529,25 +529,19 @@ def _polynomial_block(coeff: np.ndarray, step: float):
     a_qj z^q: one phase and d - 1 powers of it per time. E_0 is a global
     phase and drops out exactly."""
     d, n_out = coeff.shape[:2]
-    # one label-difference bincount per part: bin (n - m + d - 1) * N + j
-    n, j, m = np.ogrid[:d, :n_out, :d]
-    label = ((n - m + d - 1) * n_out + j).ravel()
-    bins = (2 * d - 1) * n_out
-    c = np.bincount(label, coeff.real.ravel(), bins) + 1j * np.bincount(
-        label, coeff.imag.ravel(), bins
-    )
-    c = c.reshape(2 * d - 1, n_out)
+    # c[q + d - 1, j] = c_qj: each row n of coeff adds its terms at q = n - m
+    c = np.zeros((2 * d - 1, n_out), dtype=complex)
+    for n in range(d):
+        c[n : n + d] += coeff[n, :, ::-1].T
     c0 = c[d - 1].real.copy()
     # a[j, q - 1] = c_q + conj(c_-q) for q = 1, ..., d - 1
     a = (c[d:] + c[d - 2 :: -1].conj()).T.copy()
     half = 0.5 * step
     powers = d - 1
-    # at most 65,536 complex entries (1 MB) in each of the (d - 1, m) powers
-    # and the (N, m) product
-    chunk = max(1, 65_536 // max(powers, n_out))
+    # at most one chunk of entries in the (d - 1, m) powers and the (N, m) product
+    chunk = max(1, core._CHUNK_ENTRIES // max(powers, n_out))
 
     def _block(times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
         out = np.empty((times.size, n_out))
         rows = min(chunk, times.size)
         tau_buf, r_buf = np.empty(rows), np.empty(rows)
@@ -571,7 +565,7 @@ def _polynomial_block(coeff: np.ndarray, step: float):
             np.matmul(a, z, out=x)
             np.add(x.real.T, c0, out=out[start : start + m])
         # clip 1-ulp excursions so strict downstream validation stays happy
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     return _block
 

@@ -777,16 +777,15 @@ def inline_quantum_config() -> dict:
 
 
 # The bytes a unit of each size costs, as bench bounds it: a size is at most
-# MAX_BYTES over its bytes. Quantum: 128 d^2 for the build, 48 d (d + 2) an
-# outcome; quantum and classical runs: 24 (N + 3) a sample time; synthetic:
-# 80 an outcome, 48 (N + 1) a mode, and 24 (N + 3) + 16 (N + 1) modes a
-# sample time; ensembles: 128 a point.
+# MAX_BYTES over its bytes. Quantum: 128 d^2 for the build, 32 d (d + 3) an
+# outcome; every run: 24 (N + 3) a sample time; synthetic: 80 an outcome and
+# 16 (N + 1) a mode; ensembles: 128 a point.
 def quantum_build_bytes(d: int, n: int) -> int:
-    return 128 * d * d + 48 * n * d * (d + 2)
+    return 128 * d * d + 32 * n * d * (d + 3)
 
 
-def sample_bytes(n: int, modes: int = 0) -> int:
-    return 24 * (n + 3) + 16 * (n + 1) * modes
+def sample_bytes(n: int) -> int:
+    return 24 * (n + 3)
 
 
 # one size field each: the config, the field's path, a lowered budget, the
@@ -796,7 +795,7 @@ BUDGET_BOUNDS = [
     pytest.param(sampled_quantum_config, "system.sampler.dim", quantum_build_bytes(24, 0), 24,
                  lambda n: {"system.sampler.dim": n, "measurement.sampler.outcomes": 2},
                  id="dim"),
-    pytest.param(sampled_quantum_config, "measurement.sampler.outcomes", 48 * 8 * (8 + 2) * 5, 5,
+    pytest.param(sampled_quantum_config, "measurement.sampler.outcomes", 32 * 8 * (8 + 3) * 5, 5,
                  lambda n: {"measurement.sampler.outcomes": n, "average.samples": 50},
                  id="outcomes-at-dim-8"),
     pytest.param(inline_quantum_config, "system.hamiltonian.eigenvalues",
@@ -812,7 +811,7 @@ BUDGET_BOUNDS = [
                  lambda n: {"average.samples": n}, id="quantum-samples-at-3-outcomes"),
     pytest.param(classical_pure_config, "average.samples", sample_bytes(4) * 64, 64,
                  lambda n: {"average.samples": n}, id="grid-samples-at-4-cells"),
-    pytest.param(synthetic_config, "average.samples", sample_bytes(3, 3) * 400, 400,
+    pytest.param(synthetic_config, "average.samples", sample_bytes(3) * 400, 400,
                  lambda n: {"average.samples": n, "system.probe.mode_count": 3},
                  id="synthetic-samples-at-3-outcomes-3-modes"),
     pytest.param(ensemble_config, "system.ensemble.sampler.count", 128 * 100, 100,
@@ -821,7 +820,7 @@ BUDGET_BOUNDS = [
                  lambda n: {"system.probe.outcomes": n, "system.probe.mode_count": 0,
                             "average.samples": 2},
                  id="synthetic-outcomes"),
-    pytest.param(synthetic_config, "system.probe.mode_count", 48 * 4 * 5, 5,
+    pytest.param(synthetic_config, "system.probe.mode_count", 16 * 4 * 5, 5,
                  lambda n: {"system.probe.mode_count": n, "average.samples": 2},
                  id="synthetic-modes-at-3-outcomes"),
 ]
@@ -909,49 +908,48 @@ class TestSizeBudget:
         bench._build_runtime(cfg)  # once untraced, so no first-call cost is counted
         assert traced_peak(lambda: bench._build_runtime(cfg)) <= quantum_build_bytes(d, n)
 
-    @pytest.mark.parametrize("make, overrides, n, modes, points", [
+    @pytest.mark.parametrize("make, overrides, n, points", [
         pytest.param(sampled_quantum_config,
                      {"system.sampler.dim": 64, "measurement.sampler.outcomes": 1,
                       "measurement.sampler.name": "random", "average.samples": 4000},
-                     1, 0, 0, id="quantum-d64-N1"),
+                     1, 0, id="quantum-d64-N1"),
         pytest.param(sampled_quantum_config,
                      {"system.sampler.dim": 128, "measurement.sampler.outcomes": 8,
                       "average.samples": 4000},
-                     8, 0, 0, id="quantum-d128-N8"),
+                     8, 0, id="quantum-d128-N8"),
         pytest.param(sampled_quantum_config,
                      {"system.sampler.dim": 64, "system.sampler.spectrum": "equally-spaced",
                       "measurement.sampler.outcomes": 8, "average.samples": 50_000},
-                     8, 0, 0, id="quantum-ladder-d64-N8"),
+                     8, 0, id="quantum-ladder-d64-N8"),
         pytest.param(classical_pure_config,
                      {"measurement.partition.edges": [[0.0, 1.0], [0.0, 1.0]],
                       "average.samples": 50_000, "average.horizon": 50_000},
-                     1, 0, 0, id="classical-N1"),
+                     1, 0, id="classical-N1"),
         pytest.param(classical_pure_config,
                      {"measurement.partition.edges": [[0.0, 0.25, 0.5, 0.75, 1.0],
                                                       [0.0, 0.5, 1.0]],
                       "average.samples": 50_000, "average.horizon": 50_000},
-                     8, 0, 0, id="classical-N8"),
+                     8, 0, id="classical-N8"),
         pytest.param(ensemble_config,
                      {"system.ensemble.sampler.count": 2000,
                       "average.samples": 4000, "average.horizon": 4000},
-                     4, 0, 2000, id="ensemble-N4"),
+                     4, 2000, id="ensemble-N4"),
         pytest.param(synthetic_config,
                      {"system.probe.outcomes": 1, "system.probe.mode_count": 0,
                       "average.samples": 50_000},
-                     1, 0, 0, id="synthetic-N1"),
+                     1, 0, id="synthetic-N1"),
         pytest.param(synthetic_config,
                      {"system.probe.outcomes": 8, "system.probe.mode_count": 16,
                       "average.samples": 20_000},
-                     8, 16, 0, id="synthetic-N8-16-modes"),
+                     8, 0, id="synthetic-N8-16-modes"),
     ])
-    def test_a_run_stays_within_its_bounds(self, make, overrides, n, modes, points):
+    def test_a_run_stays_within_its_bounds(self, make, overrides, n, points):
         samples = overrides["average.samples"]
         run_scenario(load_scenario(make(), overrides=overrides))  # untraced, as above
         scenario = load_scenario(make(), overrides=overrides)
         # the sampling blocks also hold fixed buffers that no size bounds: at
-        # most 65,536 entries per quantum chunk buffer and _BLOCK_COORDS
-        # coordinates per classical block
-        allowed = sample_bytes(n, modes) * samples + 128 * points + 4 * 2**20
+        # most one chunk, core._CHUNK_ENTRIES entries, in each
+        allowed = sample_bytes(n) * samples + 128 * points + 4 * 2**20
         assert traced_peak(lambda: run_scenario(scenario)) <= allowed
 
 
@@ -1062,6 +1060,21 @@ class TestConfigBoundary:
         message = str(info.value)
         assert message.startswith(f"scenario.{path}.seed: ")
         assert message.count("scenario.") == 1
+
+    @pytest.mark.parametrize("make", [synthetic_config, classical_pure_config],
+                             ids=lambda make: make.__name__)
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("scheme", "bogus", "unknown sampling scheme 'bogus'", id="scheme"),
+        pytest.param("horizon", -1.0, "horizon must be finite and positive, got -1.0",
+                     id="negative-horizon"),
+        pytest.param("horizon", 0, "horizon must be finite and positive, got 0.0",
+                     id="zero-horizon"),
+    ])
+    def test_a_bad_average_field_names_its_path(self, make, key, value, message):
+        # both used to name only scenario.average
+        with pytest.raises(ConfigError) as info:
+            load_scenario(with_leaf(make(), ("average", key), value))
+        assert str(info.value) == f"scenario.average.{key}: {message}"
 
     @pytest.mark.parametrize(
         "cfg",

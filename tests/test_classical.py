@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from equilib import classical
+from equilib import classical, core
 from equilib.bench import _map_node, _partition_node
 from equilib.classical import (
     MAX_ORBIT_STEPS,
@@ -745,7 +745,7 @@ class TestBlockedClassification:
     @pytest.mark.parametrize("mapping", [cat_map(), baker_map(), cat_map(lattice=8)],
                              ids=lambda m: m.name)
     def test_ensemble_block_matches_per_step_loop(self, monkeypatch, cap, mapping):
-        monkeypatch.setattr(classical, "_BLOCK_COORDS", cap)
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", cap)
         rng = np.random.default_rng(4)
         ens = ClassicalEnsemble(rng.random((5, 2)), rng.dirichlet(np.ones(5)))
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.8, 1.0]])
@@ -759,7 +759,7 @@ class TestBlockedClassification:
     def test_pure_block_matches_per_step_loop(self, monkeypatch, mapping, q, cap, with_zero):
         # ODD_TIMES asks for the 8 steps 0, 2, 4, 8, 13, 17, 29, 40; without
         # step 0 the one-point walk's first gap is 2, not 0
-        monkeypatch.setattr(classical, "_BLOCK_COORDS", cap)
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", cap)
         times = ODD_TIMES if with_zero else ODD_TIMES[np.rint(ODD_TIMES) > 0]
         steps, _ = classical._orbit_steps(times)
         block = max(1, cap // mapping.dim)
@@ -791,7 +791,7 @@ class TestBlockedClassification:
 
     def test_one_cells_call_per_block(self, monkeypatch):
         # 50 two-d points: a 1000-coordinate cap holds 10 steps per block
-        monkeypatch.setattr(classical, "_BLOCK_COORDS", 1000)
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", 1000)
         part, calls = counting_partition(QUADRANTS)
         ens = contaminated_cat_ensemble(50, 0.1, seed=1)
         ensemble_probe(ens, cat_map(), part).distributions_at(np.arange(25.0))
@@ -990,7 +990,7 @@ class TestDefectsAgainstOneHot:
     @pytest.mark.parametrize("mapping", [cat_map(), baker_map(), rotation_map((GOLDEN, 0.3))],
                              ids=lambda m: m.name)
     def test_pair_defects(self, monkeypatch, cfg, mapping):
-        monkeypatch.setattr(classical, "_BLOCK_COORDS", 60)
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", 60)
         part = grid_partition([[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]])
         pair = np.array([[0.2137, 0.5821], [0.7301, 0.1193]])
         times = sample_times(cfg)
@@ -1004,7 +1004,7 @@ class TestDefectsAgainstOneHot:
         assert same_bits(stderr, per_batch.std(axis=1, ddof=1) / math.sqrt(batches))
 
     def test_many_pairs_and_audit(self, monkeypatch):
-        monkeypatch.setattr(classical, "_BLOCK_COORDS", 500)
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", 500)
         ens = contaminated_cat_ensemble(300, delta=0.1, seed=11)
         part = grid_partition([[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]])
         cfg = TimeAverageConfig(horizon=300, samples=330, seed=3)
@@ -1036,6 +1036,16 @@ class TestEnsembles:
         a = ensemble_probe(single, cat_map(), part).distributions_at(times)
         b = classical_probe(x, cat_map(), part).distributions_at(times)
         assert np.array_equal(a, b)
+
+    def test_a_large_equal_weight_cloud_reads_one_cell_as_one(self):
+        # 200,000 weights of 1/n added one by one in a cell read 1 + 2.3e-12,
+        # past the entry tolerance, which failed the probe's own check
+        ens = contaminated_cat_ensemble(200_000, 0.1, 41)
+        one_cell = grid_partition([[0.0, 1.0], [0.0, 1.0]])
+        cfg = TimeAverageConfig(horizon=3.0, samples=3, scheme="uniform-grid")
+        probe = ensemble_probe(ens, cat_map(), one_cell)
+        assert time_average_distribution(probe, cfg).probs.tolist() == [1.0]
+        assert probe.distributions_at(sample_times(cfg)).tolist() == [[1.0]] * 3
 
     def test_two_points_convexity(self):
         part = interval_partition([0.0, 0.5, 1.0])

@@ -3,11 +3,12 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from equilib import classical, quantum
+from equilib import classical, core, quantum
 from equilib.core import (
     MAX_SAMPLES,
     AverageEstimate,
@@ -584,3 +585,100 @@ class TestSyntheticProbe:
         cfg = TimeAverageConfig(horizon=10.0, samples=32, seed=0)
         omega = time_average_distribution(probe, cfg)
         assert isinstance(average_distinguishability(probe, omega, cfg), AverageEstimate)
+
+
+def unchunked_synthetic(outcomes, seed, mode_count, times, amplitude=0.6):
+    """The synthetic block as one (M, N, modes) expression, the formula the
+    chunked block replaced, kept as its oracle: the same draws, then every
+    time's cosines at once."""
+    rng = np.random.default_rng(seed)
+    base = rng.dirichlet(np.ones(outcomes))
+    amps = rng.random((outcomes, mode_count))
+    amps *= amplitude / np.maximum(amps.sum(axis=1, keepdims=True), 1e-300)
+    freqs = rng.uniform(0.5, 3.0, mode_count)
+    phases = rng.uniform(0.0, 2.0 * np.pi, (outcomes, mode_count))
+    angles = np.multiply.outer(times, freqs)
+    factors = 1.0 + np.einsum("jm,tjm->tj", amps, np.cos(angles[:, None, :] + phases))
+    weights = base * factors
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def block_probe(kind):
+    """A probe of 4 outcomes that samples through the named block."""
+    d, n_out = 16, 4
+    rho, povm = quantum.random_mixed_state(d, 1), quantum.random_povm(d, n_out, 3)
+    grid = classical.grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
+    if kind == "bilinear":
+        return quantum.quantum_probe(rho, quantum.random_spectrum(d, 2), povm)
+    if kind == "polynomial":
+        spectrum = quantum.random_spectrum(d, 2, kind="equally-spaced", spacing=0.3)
+        return quantum.quantum_probe(rho, spectrum, povm)
+    if kind == "synthetic":
+        return synthetic_probe(n_out, seed=4, mode_count=16)
+    if kind == "cloud":
+        ens = classical.contaminated_cat_ensemble(50, 0.1, seed=4)
+        return classical.ensemble_probe(ens, classical.cat_map(), grid)
+    return classical.classical_probe(classical.PhasePoint((0.2, 0.6)), classical.cat_map(), grid)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that ``run()`` allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedBlocks:
+    """Every sample block works through its times in chunks of at most
+    ``core._CHUNK_ENTRIES`` entries a temporary: its memory beside its rows
+    does not grow with the sample count, and its bits do not depend on
+    where the chunks end."""
+
+    # per time beside the output rows: nothing for the chunked blocks; the
+    # cloud and point blocks keep their per-step histogram and step indices,
+    # N + 3 words a time at most, as the sample rule of bench charges
+    @pytest.mark.parametrize("kind, words", [
+        ("bilinear", 0), ("polynomial", 0), ("synthetic", 0), ("cloud", 4 + 3), ("point", 4 + 3),
+    ])
+    def test_no_block_memory_grows_with_the_sample_count(self, kind, words):
+        probe = block_probe(kind)
+        beside = []
+        for m in (10**4, 10**5):
+            # distinct steps for the orbit blocks, so their histograms are full
+            times = np.sort(np.random.default_rng(m).uniform(0.0, m, m))
+            probe.sample_many(times)  # once untraced, so no first-call cost is counted
+            rows = 8 * m * (probe.outcome_count + words)
+            beside.append(traced_peak(lambda: probe.sample_many(times)) - rows)
+        assert beside[1] - beside[0] < 16 * core._CHUNK_ENTRIES
+
+    @pytest.mark.parametrize("entries", [1, 200, 448, 1000])
+    @pytest.mark.parametrize("kind", ["bilinear", "polynomial", "synthetic"])
+    def test_a_block_is_the_same_in_any_chunks(self, monkeypatch, kind, entries):
+        # 300 times fit in one chunk at the real size; a lowered size splits
+        # them into chunks of 1 to 66 rows, most with a short last one
+        times = np.random.default_rng(5).uniform(0.0, 500.0, 300)
+        whole = block_probe(kind).sample_many(times)
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", entries)
+        chunked = block_probe(kind).sample_many(times)
+        if kind == "synthetic":
+            assert chunked.tobytes() == whole.tobytes()
+        else:
+            # every step but the GEMM is row by row; the GEMM's rounding
+            # depends on its shape (a 1-row chunk takes a matrix-vector
+            # kernel, a short one an edge kernel), an ulp of 1 here
+            assert np.abs(chunked - whole).max() <= 2.0**-52
+
+    @pytest.mark.parametrize("outcomes, mode_count, samples, entries", [
+        (1, 0, 50, 65_536), (3, 3, 2000, 65_536), (5, 0, 700, 16), (4, 16, 900, 1),
+        (8, 16, 5000, 1000), (64, 32, 100, 65_536),
+    ])
+    def test_synthetic_block_is_the_unchunked_formula(
+        self, monkeypatch, outcomes, mode_count, samples, entries
+    ):
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", entries)
+        times = np.random.default_rng(outcomes).uniform(0.0, 300.0, samples)
+        block = synthetic_probe(outcomes, 9, mode_count=mode_count).sample_many(times)
+        assert block.tobytes() == unchunked_synthetic(outcomes, 9, mode_count, times).tobytes()

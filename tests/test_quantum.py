@@ -857,6 +857,29 @@ class TestQuantumProbe:
             assert matches_einsum(HamiltonianSpectrum(levels, haar_unitary(d, rng)))
             assert steps == []
 
+    @pytest.mark.parametrize("n_out", [1, 4, 8])
+    @pytest.mark.parametrize("d", [2, 3, 5, 16, 33, 64])
+    def test_ladder_coefficients_are_the_label_bincount(self, d, n_out):
+        # the label-difference bincount that the row sums replaced, kept as
+        # their oracle: bin (n - m + d - 1) * N + j of the real and the
+        # imaginary parts, each bin adding its terms in increasing n
+        rho = (random_mixed_state if d % 2 else random_pure_state)(d, d + 1)
+        spec = random_spectrum(d, d, kind="equally-spaced", spacing=0.3)
+        coeff = _energy_coefficients(rho, spec, random_povm(d, n_out, d + 2).elements)
+        n, j, m = np.ogrid[:d, :n_out, :d]
+        label = ((n - m + d - 1) * n_out + j).ravel()
+        bins = (2 * d - 1) * n_out
+        c = np.bincount(label, coeff.real.ravel(), bins) + 1j * np.bincount(
+            label, coeff.imag.ravel(), bins
+        )
+        c = c.reshape(2 * d - 1, n_out)
+        # the block holds c_0 and a_q = c_q + conj(c_-q) in its closure
+        block = quantum._polynomial_block(coeff, 0.3)
+        held = {name: cell.cell_contents
+                for name, cell in zip(block.__code__.co_freevars, block.__closure__)}
+        assert held["c0"].tobytes() == c[d - 1].real.tobytes()
+        assert held["a"].tobytes() == (c[d:] + c[d - 2 :: -1].conj()).T.tobytes()
+
     def test_ladder_offset_drops_out(self):
         # the polynomial block sees only the step, so E_0 moves no bit
         rng = np.random.default_rng(53)
