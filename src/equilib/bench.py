@@ -120,35 +120,32 @@ class RunRecord:
     def from_dict(data: dict, path: str = "record") -> "RunRecord":
         """The record ``to_dict`` wrote; a missing or malformed field is a
         ConfigError naming it under ``path``."""
-        data = _obj(data, path)
+        record = _Node(data, path)
         rep = None
-        if data.get("report") is not None:
-            rpath = f"{path}.report"
-            r = _obj(data["report"], rpath)
-            values = {key: _number(r, key, rpath)
+        if record.get("report") is not None:
+            r = record.node("report")
+            values = {key: r.number(key)
                       for key in ("mean_distinguishability", "standard_error", "epsilon")}
-            vpath = f"{rpath}.bound_values"
-            bound = _obj(_require(r, "bound_values", rpath), vpath)
-            values["bound_values"] = {name: _number(bound, name, vpath) for name in bound}
-            omega = _entries(r, "equilibrium_distribution", rpath)
-            with _field(f"{rpath}.equilibrium_distribution"):
+            bound = r.node("bound_values")
+            values["bound_values"] = {name: bound.number(name) for name in bound.data}
+            omega = r.entries("equilibrium_distribution")
+            with r.field("equilibrium_distribution"):
                 omega = OutcomeDistribution(omega)
-            with _field(rpath):
+            with r.field():
                 rep = EquilibrationReport(**values, equilibrium_distribution=omega,
-                                          verdict=_require(r, "verdict", rpath))
-        bpath = f"{path}.bounds"
+                                          verdict=r.require("verdict"))
+        checks = record.node("bounds")
         bounds = {}
-        for name, chk in _obj(_require(data, "bounds", path), bpath).items():
-            cpath = f"{bpath}.{name}"
-            chk = _obj(chk, cpath)
-            value = None if _require(chk, "value", cpath) is None else _number(chk, "value", cpath)
-            bounds[name] = BoundCheck(value, _require(chk, "status", cpath))
-        fields = {key: _require(data, key, path) for key in ("scenario", "params")}
-        fields.update(wall_time=_number(data, "wall_time", path), seed=_seed(data, path))
+        for name, chk in checks.data.items():
+            chk = checks.child(chk, name)
+            value = None if chk.require("value") is None else chk.number("value")
+            bounds[name] = BoundCheck(value, chk.require("status"))
+        fields = {key: record.require(key) for key in ("scenario", "params")}
+        fields.update(wall_time=record.number("wall_time"), seed=record.seed())
         try:
-            return RunRecord(report=rep, bounds=bounds, error=data.get("error"), **fields)
+            return RunRecord(report=rep, bounds=bounds, error=record.get("error"), **fields)
         except ConfigError as exc:
-            raise ConfigError(f"{bpath}: {exc}") from None
+            raise checks.error(None, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -166,86 +163,99 @@ class Scenario:
 
 # --- config parsing ----------------------------------------------------------
 
-def _require(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}: required")
-    return cfg[key]
+class _Node:
+    """A config object and its dotted path. Each reader takes the key of a
+    field and names it as ``path.key`` in the ConfigError it raises."""
 
+    def __init__(self, data, path: str):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
+        self.data, self.path = data, path
 
-def _obj(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(node).__name__}")
-    return node
+    def __contains__(self, key: str) -> bool:
+        return key in self.data
 
+    def get(self, key: str, default=None):
+        return self.data.get(key, default)
 
-def _number(cfg: dict, key: str, path: str) -> float:
-    value = _require(cfg, key, path)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-    with _field(f"{path}.{key}"):
-        if not math.isfinite(value):
-            raise ValueError(f"must be finite, got {value!r}")
-        return float(value)
+    def error(self, key: str | None, msg: str) -> ConfigError:
+        """The ConfigError naming field ``key``, or this object when None."""
+        return ConfigError(f"{self.path if key is None else f'{self.path}.{key}'}: {msg}")
 
+    def child(self, data, key: str) -> _Node:
+        """``data``, an object, as the field ``key`` of this one."""
+        return _Node(data, f"{self.path}.{key}")
 
-def _integer(cfg: dict, key: str, path: str, least: float = -math.inf,
-             most: float = math.inf, default: int | None = None) -> int:
-    """``cfg[key]`` as an integer from ``least`` to ``most`` (an integral
-    float counts); required when no default is given."""
-    value = _require(cfg, key, path) if default is None else cfg.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{path}.{key}: must be at least {least}, got {value}")
-    if value > most:
-        raise ConfigError(f"{path}.{key}: must be at most {most}, got {value}")
-    return value
+    def node(self, key: str) -> _Node:
+        return self.child(self.require(key), key)
 
+    def require(self, key: str):
+        if key not in self.data:
+            raise self.error(key, "required")
+        return self.data[key]
 
-def _seed(cfg: dict, path: str, default: int | None = None) -> int:
-    """``cfg["seed"]``, an integer >= 0."""
-    return _integer(cfg, "seed", path, 0, default=default)
+    def number(self, key: str) -> float:
+        value = self.require(key)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise self.error(key, f"expected a number, got {type(value).__name__}")
+        with self.field(key):
+            if not math.isfinite(value):
+                raise ValueError(f"must be finite, got {value!r}")
+            return float(value)
 
+    def integer(self, key: str, least: float = -math.inf, most: float = math.inf,
+                default: int | None = None) -> int:
+        """Field ``key`` as an integer from ``least`` to ``most`` (an integral
+        float counts); required when no default is given."""
+        value = self.require(key) if default is None else self.data.get(key, default)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise self.error(key, f"expected an integer, got {value!r}")
+        if value < least:
+            raise self.error(key, f"must be at least {least}, got {value}")
+        if value > most:
+            raise self.error(key, f"must be at most {most}, got {value}")
+        return value
 
-@contextlib.contextmanager
-def _field(path: str):
-    """Decode the config field ``path``: a TypeError, ValueError or
-    OverflowError raised inside becomes a ConfigError naming it; a
-    ConfigError passes through."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    def seed(self, default: int | None = None) -> int:
+        """Field ``seed``, an integer >= 0."""
+        return self.integer("seed", 0, default=default)
 
+    @contextlib.contextmanager
+    def field(self, key: str | None = None):
+        """Decode field ``key`` (this object when None): a TypeError,
+        ValueError or OverflowError raised inside becomes a ConfigError
+        naming it; a ConfigError passes through."""
+        try:
+            yield
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise self.error(key, str(exc)) from None
 
-def _entries(
-    cfg: dict, key: str, path: str, dtype: type = float, optional: bool = False
-) -> np.ndarray | None:
-    """``cfg[key]``, a nested list of JSON numbers (or, for ``dtype`` bool,
-    JSON booleans), as the array ``typed_array`` reads, by its rule; absent
-    or null, it is None when ``optional`` and an error otherwise."""
-    if cfg.get(key) is None:
-        if optional:
-            return None
-        raise ConfigError(f"{path}.{key}: required")
-    with _field(f"{path}.{key}"):
-        return typed_array(cfg[key], key, dtype)
+    def entries(self, key: str, dtype: type = float, optional: bool = False) -> np.ndarray | None:
+        """Field ``key``, a nested list of JSON numbers (or, for ``dtype``
+        bool, JSON booleans), as the array ``typed_array`` reads, by its
+        rule; absent or null, it is None when ``optional`` and an error
+        otherwise."""
+        if self.data.get(key) is None:
+            if optional:
+                return None
+            raise self.error(key, "required")
+        with self.field(key):
+            return typed_array(self.data[key], key, dtype)
 
-
-def _pairs(cfg: dict, key: str, path: str) -> np.ndarray:
-    """``cfg[key]``, a list of [real, imag] number pairs, as a complex vector
-    holding exactly ``complex(real, imag)`` of each pair, signed zeros
-    included (``real + 1j * imag`` would not)."""
-    parts = _entries(cfg, key, path)
-    if parts.ndim != 2 or parts.shape[1] != 2:
-        raise ConfigError(f"{path}.{key}: entries must be (real, imag) pairs")
-    values = np.empty(len(parts), dtype=complex)
-    values.real, values.imag = parts.T
-    return values
+    def pairs(self, key: str) -> np.ndarray:
+        """Field ``key``, a list of [real, imag] number pairs, as a complex
+        vector holding exactly ``complex(real, imag)`` of each pair, signed
+        zeros included (``real + 1j * imag`` would not)."""
+        parts = self.entries(key)
+        if parts.ndim != 2 or parts.shape[1] != 2:
+            raise self.error(key, "entries must be (real, imag) pairs")
+        values = np.empty(len(parts), dtype=complex)
+        values.real, values.imag = parts.T
+        return values
 
 
 def _absolutize_file_refs(node, base_dir: Path) -> None:
@@ -285,35 +295,33 @@ def load_scenario(
         raise ConfigError("scenario: expected a JSON object")
     if overrides:
         raw = _apply_overrides(raw, overrides)
+    root = _Node(raw, "scenario")
     name = raw.get("name", name or "scenario")
     if not isinstance(name, str):
-        raise ConfigError(f"scenario.name: expected a string, got {type(name).__name__}")
-    kind = _require(raw, "kind", "scenario")
+        raise root.error("name", f"expected a string, got {type(name).__name__}")
+    kind = root.require("kind")
     if kind not in KINDS:
-        raise ConfigError(f"scenario.kind: unknown kind {kind!r}, expected one of {KINDS}")
+        raise root.error("kind", f"unknown kind {kind!r}, expected one of {KINDS}")
     # the base epsilon must be there, but only the epsilon a point is built
     # with is checked, in _build_runtime: a sweep may replace the base's
     for key in ("epsilon", "average", "system"):
-        _require(raw, key, "scenario")
+        root.require(key)
     if kind != "synthetic-probe":
-        _require(raw, "measurement", "scenario")
+        root.require("measurement")
     sweep = raw.get("sweep", None)
-    points: list[dict]
-    if sweep is None:
-        points = [{}]
-    else:
+    points: list[dict] = [{}]
+    if sweep is not None:
         if not isinstance(sweep, dict):
-            raise ConfigError("scenario.sweep: expected an object of path -> value list")
-        keys = sorted(sweep)
+            raise root.error("sweep", "expected an object of path -> value list")
+        sweep = root.child(sweep, "sweep")
+        keys = sorted(sweep.data)
         if "kind" in sweep:
-            raise ConfigError("scenario.sweep.kind: the scenario kind cannot be swept")
+            raise sweep.error("kind", "the scenario kind cannot be swept")
         for k in keys:
-            if not isinstance(sweep[k], list):
-                raise ConfigError(f"scenario.sweep.{k}: expected a list of values")
-        points = [
-            dict(zip(keys, combo))
-            for combo in itertools.product(*(sweep[k] for k in keys))
-        ]
+            if not isinstance(sweep.data[k], list):
+                raise sweep.error(k, "expected a list of values")
+        points = [dict(zip(keys, combo))
+                  for combo in itertools.product(*(sweep.data[k] for k in keys))]
     # every sweep point is built once, before any run starts, and checks the
     # epsilon it is built with; numeric failures are kept for run_scenario to
     # record. An empty grid still validates the base config.
@@ -326,8 +334,7 @@ def load_scenario(
         except ConfigError:
             raise
         except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            avg = _obj(resolved["average"], "scenario.average")
-            seed = _seed(avg, "scenario.average", 0)
+            seed = _Node(resolved, root.path).node("average").seed(0)
             rt = _Failure(f"{type(exc).__name__}: {exc}", seed)
         built.append((rt, time.perf_counter() - start))
     return Scenario(name=name, kind=kind, config=raw, sweep_points=tuple(points),
@@ -339,34 +346,33 @@ def _apply_overrides(raw: dict, overrides: dict) -> dict:
     null node on the way is created, any other non-object one is an error."""
     cfg = copy.deepcopy(raw)
     for dotted, value in overrides.items():
-        node = cfg
-        parts = dotted.split(".")
-        for k, part in enumerate(parts[:-1]):
+        node = _Node(cfg, "scenario")
+        *parents, key = dotted.split(".")
+        for part in parents:
             if node.get(part) is None:
-                node[part] = {}
-            node = _obj(node[part], ".".join(["scenario", *parts[:k + 1]]))
-        node[parts[-1]] = value
+                node.data[part] = {}
+            node = node.node(part)
+        node.data[key] = value
     return cfg
 
 
-def _average_config(cfg: dict, outcomes: int, spectrum=None) -> TimeAverageConfig:
+def _average_config(root: _Node, outcomes: int, spectrum=None) -> TimeAverageConfig:
     """A sample time costs 24 (N + 3) bytes with N ``outcomes`` whatever the kind,
     for the estimator's rows and the time (tracemalloc: 24-25 N + 16-56)."""
-    path = "scenario.average"
-    avg = _obj(cfg["average"], path)
+    avg = root.node("average")
     most = min(MAX_SAMPLES, MAX_BYTES // (24 * (outcomes + 3)))
-    samples = _integer(avg, "samples", path, 2, most)
-    seed = _seed(avg, path, 0)
+    samples = avg.integer("samples", 2, most)
+    seed = avg.seed(0)
     horizon = avg.get("horizon", "auto")
     if horizon == "auto":
         if spectrum is None:
-            raise ConfigError(f"{path}.horizon: 'auto' is only available for quantum scenarios")
+            raise avg.error("horizon", "'auto' is only available for quantum scenarios")
         horizon = quantum.default_average_config(spectrum).horizon
     else:
-        horizon = _number(avg, "horizon", path)
-    with _field(f"{path}.horizon"):
+        horizon = avg.number("horizon")
+    with avg.field("horizon"):
         config = TimeAverageConfig(horizon=horizon, samples=samples, seed=seed)
-    with _field(f"{path}.scheme"):
+    with avg.field("scheme"):
         return replace(config, scheme=avg.get("scheme", config.scheme))
 
 
@@ -402,76 +408,75 @@ class _Failure:
     seed: int
 
 
-def _matrix_node(node, path: str) -> np.ndarray:
+def _dim_bound() -> int:
+    # 8 complex d x d matrices beside the outcomes' (tracemalloc: 9.1 in all at N = 1)
+    return math.isqrt(MAX_BYTES // 128)
+
+
+def _matrix_node(node: _Node) -> np.ndarray:
     """A matrix given as {"rows", "cols", "data"}, its entries [real, imag]
     pairs in row-major order; inline, or in the JSON file {"file": ...}."""
-    node = _obj(node, path)
     if "file" in node:
-        with _field(f"{path}.file"):
-            ref = Path(node["file"])
+        with node.field("file"):
+            ref = Path(node.data["file"])
         try:
             inner = json.loads(ref.read_text())
         except OSError as exc:
-            raise ConfigError(f"{path}.file: cannot read {ref} ({exc})") from None
+            raise node.error("file", f"cannot read {ref} ({exc})") from None
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}.file: invalid JSON in {ref} ({exc})") from None
-        node = _obj(inner, path)
-    rows, cols = (_integer(node, key, path, 1) for key in ("rows", "cols"))
-    data = _pairs(node, "data", path)
+            raise node.error("file", f"invalid JSON in {ref} ({exc})") from None
+        node = _Node(inner, node.path)
+    rows, cols = (node.integer(key, 1, _dim_bound()) for key in ("rows", "cols"))
+    data = node.pairs("data")
     if data.size != rows * cols:
-        raise ConfigError(f"{path}.data: expected {rows * cols} pairs, got {data.size}")
+        raise node.error("data", f"expected {rows * cols} pairs, got {data.size}")
     return data.reshape(rows, cols)
 
 
-def _map_node(node, path: str) -> classical.InvertibleMap:
+def _map_node(node: _Node) -> classical.InvertibleMap:
     """A catalogue map: {"name": "rotation", "angles": [...]}, {"name":
     "cat-map", "lattice": q} (lattice optional) or {"name": "baker-map"}."""
-    node = _obj(node, path)
     name = node.get("name")
     if name == "baker-map":
         return classical.baker_map()
     if name == "rotation":
-        angles = _require(node, "angles", path)
-        with _field(f"{path}.angles"):
+        angles = node.require("angles")
+        with node.field("angles"):
             return classical.rotation_map(angles)
     if name == "cat-map":
-        with _field(f"{path}.lattice"):
+        with node.field("lattice"):
             return classical.cat_map(node.get("lattice"))
-    raise ConfigError(f"{path}.name: unknown map {name!r}")
+    raise node.error("name", f"unknown map {name!r}")
 
 
-def _partition_node(node, path: str) -> classical.Partition:
+def _partition_node(node: _Node) -> classical.Partition:
     """A box partition: {"kind": "interval", "edges": [...]} on the circle,
     or {"kind": "grid", "edges": [[...], ...]} with one edge list per
     coordinate, the lists that ``Partition.edges`` holds as arrays."""
-    node = _obj(node, path)
     kind = node.get("kind")
     if kind not in ("interval", "grid"):
-        raise ConfigError(f"{path}.kind: unknown partition kind {kind!r}")
-    edges = _require(node, "edges", path)
-    with _field(f"{path}.edges"):
+        raise node.error("kind", f"unknown partition kind {kind!r}")
+    edges = node.require("edges")
+    with node.field("edges"):
         if kind == "interval":
             return classical.interval_partition(edges)
         return classical.grid_partition(edges)
 
 
-def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
-    system = _obj(cfg["system"], "scenario.system")
-    meas = _obj(cfg["measurement"], "scenario.measurement")
-    gap_tol = None if cfg.get("gap_tol") is None else _number(cfg, "gap_tol", "scenario")
-    # 8 complex d x d matrices beside the outcomes' (tracemalloc: 9.1 in all at N = 1)
-    most_dim = math.isqrt(MAX_BYTES // 128)
-    path = "scenario.system"
+def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
+    system, meas = root.node("system"), root.node("measurement")
+    gap_tol = None if root.get("gap_tol") is None else root.number("gap_tol")
+    most_dim = _dim_bound()
     if "sampler" in system:
-        s = _obj(system["sampler"], f"{path}.sampler")
-        dim = _integer(s, "dim", f"{path}.sampler", 1, most_dim)
-        seed = _seed(s, f"{path}.sampler")
+        s = system.node("sampler")
+        dim = s.integer("dim", 1, most_dim)
+        seed = s.seed()
         spec_kind = s.get("spectrum", "generic")
-        spacing = _number(s, "spacing", f"{path}.sampler") if "spacing" in s else 1.0
+        spacing = s.number("spacing") if "spacing" in s else 1.0
         if not (spacing > 0 and math.isfinite(spacing * (dim - 1))):
-            raise ConfigError(f"{path}.sampler.spacing: must be > 0 with a finite "
-                              f"spacing * (dim - 1), got {spacing!r}")
-        with _field(f"{path}.sampler.spectrum"):
+            raise s.error("spacing", "must be > 0 with a finite "
+                          f"spacing * (dim - 1), got {spacing!r}")
+        with s.field("spectrum"):
             spectrum = quantum.random_spectrum(dim, seed, spec_kind, spacing)
         state_kind = s.get("state", "pure")
         if state_kind == "pure":
@@ -479,70 +484,68 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
         elif state_kind == "mixed":
             rho = quantum.random_mixed_state(dim, seed + 1)
         else:
-            raise ConfigError(f"{path}.sampler.state: expected 'pure' or 'mixed'")
+            raise s.error("state", "expected 'pure' or 'mixed'")
     else:
-        ham = _obj(_require(system, "hamiltonian", path), f"{path}.hamiltonian")
+        ham = system.node("hamiltonian")
         if "eigenvalues" in ham:
-            vals = _entries(ham, "eigenvalues", f"{path}.hamiltonian")
-            _integer({"eigenvalues": vals.size}, "eigenvalues", f"{path}.hamiltonian", 0, most_dim)
-            vecs = None
-            if "eigenvectors" in ham:
-                vecs = _matrix_node(ham["eigenvectors"], f"{path}.hamiltonian.eigenvectors")
-            with _field(f"{path}.hamiltonian"):
+            vals = ham.entries("eigenvalues")
+            if vals.size > most_dim:
+                raise ham.error("eigenvalues", f"must be at most {most_dim}, got {vals.size}")
+            vecs = _matrix_node(ham.node("eigenvectors")) if "eigenvectors" in ham else None
+            with ham.field():
                 spectrum = quantum.HamiltonianSpectrum(vals, vecs)
         else:
-            mat = _matrix_node(_require(ham, "matrix", f"{path}.hamiltonian"),
-                               f"{path}.hamiltonian.matrix")
-            with _field(f"{path}.hamiltonian.matrix"):
+            mat = _matrix_node(ham.node("matrix"))
+            with ham.field("matrix"):
                 spectrum = quantum.HamiltonianSpectrum.from_matrix(mat)
-        state = _obj(_require(system, "state", path), f"{path}.state")
-        with _field(f"{path}.state"):
+        state = system.node("state")
+        with state.field():
             if "vector" in state:
-                psi = _pairs(state, "vector", f"{path}.state")
-                _integer({"vector": psi.size}, "vector", f"{path}.state", 0, most_dim)
+                psi = state.pairs("vector")
+                if psi.size > most_dim:
+                    raise state.error("vector", f"must be at most {most_dim}, got {psi.size}")
                 rho = quantum.DensityMatrix.from_vector(psi)
             else:
-                rho = quantum.DensityMatrix(
-                    _matrix_node(_require(state, "matrix", f"{path}.state"), f"{path}.state.matrix")
-                )
+                rho = quantum.DensityMatrix(_matrix_node(state.node("matrix")))
 
-    mpath = "scenario.measurement"
+    # 2 complex d x (d + 3) matrices an outcome (tracemalloc: 2.0-2.46 d x d, 3.38 at d 2)
+    most = MAX_BYTES // (32 * spectrum.dim * (spectrum.dim + 3))
     if "sampler" in meas:
-        s = _obj(meas["sampler"], f"{mpath}.sampler")
-        # 2 complex d x (d + 3) matrices an outcome (tracemalloc: 2.0-2.46 d x d, 3.38 at d 2)
-        outcomes = _integer(s, "outcomes", f"{mpath}.sampler", 1,
-                            MAX_BYTES // (32 * spectrum.dim * (spectrum.dim + 3)))
-        seed = _seed(s, f"{mpath}.sampler")
+        s = meas.node("sampler")
         name = s.get("name", "random")
-        with _field(f"{mpath}.sampler"):
+        if name == "projective":
+            most = min(most, spectrum.dim)
+        outcomes = s.integer("outcomes", 2 if name == "uneven" else 1, most)
+        seed = s.seed()
+        with s.field():
             if name == "random":
                 povm = quantum.random_povm(spectrum.dim, outcomes, seed)
             elif name == "projective":
                 povm = quantum.projective_povm(spectrum.dim, outcomes, seed)
             elif name == "uneven":
-                povm = quantum.uneven_povm(
-                    spectrum.dim, outcomes, _number(s, "leak", f"{mpath}.sampler"), seed
-                )
+                leak = s.number("leak")
+                if not 0.0 <= leak < 1.0:
+                    raise s.error("leak", f"must lie in [0, 1), got {leak!r}")
+                povm = quantum.uneven_povm(spectrum.dim, outcomes, leak, seed)
             else:
-                raise ConfigError(f"{mpath}.sampler.name: unknown sampler {name!r}")
+                raise s.error("name", f"unknown sampler {name!r}")
     else:
-        elements = _require(meas, "povm", mpath)
+        elements = meas.require("povm")
         if not isinstance(elements, list) or not elements:
-            raise ConfigError(f"{mpath}.povm: expected a nonempty list of matrices")
-        with _field(f"{mpath}.povm"):
-            povm = quantum.POVM(
-                [_matrix_node(el, f"{mpath}.povm[{k}]") for k, el in enumerate(elements)]
-            )
+            raise meas.error("povm", "expected a nonempty list of matrices")
+        if len(elements) > most:
+            raise meas.error("povm", f"must be at most {most}, got {len(elements)}")
+        with meas.field("povm"):
+            povm = quantum.POVM([_matrix_node(meas.child(el, f"povm[{k}]"))
+                                 for k, el in enumerate(elements)])
 
     if povm.dim != spectrum.dim or rho.dim != spectrum.dim:
-        raise ConfigError(
-            "scenario: inconsistent dimensions "
-            f"(state {rho.dim}, hamiltonian {spectrum.dim}, measurement {povm.dim})"
-        )
+        raise root.error(None, "inconsistent dimensions "
+                         f"(state {rho.dim}, hamiltonian {spectrum.dim}, measurement {povm.dim})")
     probe = quantum.quantum_probe(rho, spectrum, povm)
-    avg = _average_config(cfg, povm.outcome_count, spectrum)
+    avg = _average_config(root, povm.outcome_count, spectrum)
     d_eff = quantum.effective_dimension(rho, spectrum)
-    with _field("scenario.gap_tol"):
+    with root.field("gap_tol"):
         table = quantum.gap_table(spectrum, gap_tol)
     params = {
         "N": povm.outcome_count,
@@ -559,69 +562,63 @@ def _build_quantum(cfg: dict, epsilon: float) -> _Runtime:
     return _Runtime(probe, avg, epsilon, params, {"thm5-spectral": bound})
 
 
-def _orbit_average_config(cfg: dict, cell_count: int) -> TimeAverageConfig:
+def _orbit_average_config(root: _Node, cell_count: int) -> TimeAverageConfig:
     """The averaging of a classical point on ``cell_count`` cells, whose
     orbit must reach the step of its last sample time within the cap."""
-    avg = _average_config(cfg, cell_count)
-    with _field("scenario.average.horizon"):
+    avg = _average_config(root, cell_count)
+    with root.node("average").field("horizon"):
         classical.check_orbit_steps(np.rint(sample_times(avg)[[0, -1]]))
     return avg
 
 
-def _map_and_partition(cfg: dict) -> tuple[dict, classical.InvertibleMap, classical.Partition]:
-    system = _obj(cfg["system"], "scenario.system")
-    meas = _obj(cfg["measurement"], "scenario.measurement")
-    mapping = _map_node(_require(system, "map", "scenario.system"), "scenario.system.map")
-    path = "scenario.measurement.partition"
-    partition = _partition_node(_require(meas, "partition", "scenario.measurement"), path)
+def _map_and_partition(root: _Node) -> tuple[_Node, classical.InvertibleMap, classical.Partition]:
+    system, meas = root.node("system"), root.node("measurement")
+    mapping = _map_node(system.node("map"))
+    cells = meas.node("partition")
+    partition = _partition_node(cells)
     if partition.dim != mapping.dim:
-        raise ConfigError(f"{path}: {partition.dim}-d partition for {mapping.dim}-d map")
+        raise cells.error(None, f"{partition.dim}-d partition for {mapping.dim}-d map")
     return system, mapping, partition
 
 
-def _build_classical_pure(cfg: dict, epsilon: float) -> _Runtime:
-    system, mapping, partition = _map_and_partition(cfg)
-    point_cfg = _require(system, "point", "scenario.system")
-    with _field("scenario.system.point"):
+def _build_classical_pure(root: _Node, epsilon: float) -> _Runtime:
+    system, mapping, partition = _map_and_partition(root)
+    point_cfg = system.require("point")
+    with system.field("point"):
         point = classical.PhasePoint(point_cfg)
     if point.dim != mapping.dim:
-        raise ConfigError(
-            f"scenario.system.point: {point.dim}-d point for {mapping.dim}-d map"
-        )
+        raise system.error("point", f"{point.dim}-d point for {mapping.dim}-d map")
     probe = classical.classical_probe(point, mapping, partition)
     params = {"N": partition.cell_count, "map": mapping.name}
-    return _Runtime(probe, _orbit_average_config(cfg, partition.cell_count), epsilon, params,
+    return _Runtime(probe, _orbit_average_config(root, partition.cell_count), epsilon, params,
                     {"thm2-necessity": 1.0 - epsilon})
 
 
-def _build_classical_ensemble(cfg: dict, epsilon: float) -> _Runtime:
-    system, mapping, partition = _map_and_partition(cfg)
-    ens_cfg = _obj(_require(system, "ensemble", "scenario.system"), "scenario.system.ensemble")
-    path = "scenario.system.ensemble"
-    with _field(path):
-        if "sampler" in ens_cfg:
-            sp = f"{path}.sampler"
-            s = _obj(ens_cfg["sampler"], sp)
+def _build_classical_ensemble(root: _Node, epsilon: float) -> _Runtime:
+    system, mapping, partition = _map_and_partition(root)
+    ens = system.node("ensemble")
+    with ens.field():
+        if "sampler" in ens:
+            s = ens.node("sampler")
             if s.get("name", "contaminated-cat") != "contaminated-cat":
-                raise ConfigError(f"{sp}.name: unknown sampler {s.get('name')!r}")
+                raise s.error("name", f"unknown sampler {s.get('name')!r}")
             # 128 bytes a point (tracemalloc: 84 at build, 105 through a run)
-            count, delta = _integer(s, "count", sp, 1, MAX_BYTES // 128), _number(s, "delta", sp)
-            seed, lattice = _seed(s, sp), _integer(s, "lattice", sp, default=4)
+            count, delta = s.integer("count", 1, MAX_BYTES // 128), s.number("delta")
+            seed, lattice = s.seed(), s.integer("lattice", default=4)
             if not 0.0 <= delta <= 1.0:
-                raise ConfigError(f"{sp}.delta: must lie in [0, 1], got {delta!r}")
+                raise s.error("delta", f"must lie in [0, 1], got {delta!r}")
             if not classical.is_sampler_lattice(lattice):
-                raise ConfigError(
-                    f"{sp}.lattice: must be a power of two from 2 to 2**51, got {lattice!r}"
-                )
+                raise s.error("lattice",
+                              f"must be a power of two from 2 to 2**51, got {lattice!r}")
             ensemble = classical.contaminated_cat_ensemble(count, delta, seed, lattice)
         else:
             ensemble = classical.ClassicalEnsemble(
-                _entries(ens_cfg, "points", path),
-                _entries(ens_cfg, "weights", path, optional=True),
-                _entries(ens_cfg, "chaotic_flags", path, bool, optional=True),
+                ens.entries("points"),
+                ens.entries("weights", optional=True),
+                ens.entries("chaotic_flags", bool, optional=True),
             )
     if ensemble.dim != mapping.dim:
-        raise ConfigError(f"{path}: {ensemble.dim}-d points for {mapping.dim}-d map")
+        raise ens.error(None, f"{ensemble.dim}-d points for {mapping.dim}-d map")
     probe = classical.ensemble_probe(ensemble, mapping, partition)
     delta = ensemble.periodic_weight
     params = {
@@ -636,7 +633,7 @@ def _build_classical_ensemble(cfg: dict, epsilon: float) -> _Runtime:
         bounds["thm3-mixing"] = classical.mixed_equilibration_bound(partition.cell_count, delta)
     return _Runtime(
         probe,
-        _orbit_average_config(cfg, partition.cell_count),
+        _orbit_average_config(root, partition.cell_count),
         epsilon,
         params,
         bounds,
@@ -646,21 +643,21 @@ def _build_classical_ensemble(cfg: dict, epsilon: float) -> _Runtime:
     )
 
 
-def _build_synthetic(cfg: dict, epsilon: float) -> _Runtime:
-    system = _obj(cfg["system"], "scenario.system")
-    recipe = _obj(_require(system, "probe", "scenario.system"), "scenario.system.probe")
-    path = "scenario.system.probe"
+def _build_synthetic(root: _Node, epsilon: float) -> _Runtime:
+    recipe = root.node("system").node("probe")
     # build: 32 B an outcome, + 2 sample rows, 16 an outcome-mode (tracemalloc: 24-32, 14-17)
-    outcomes = _integer(recipe, "outcomes", path, 1, MAX_BYTES // (32 + 2 * 24))
-    seed = _seed(recipe, path)
-    mode_count = _integer(recipe, "mode_count", path, 0, MAX_BYTES // (16 * (outcomes + 1)),
-                          default=3)
-    dominant_weight = (
-        None if recipe.get("dominant_weight") is None
-        else _number(recipe, "dominant_weight", path)
-    )
-    amplitude = _number(recipe, "amplitude", path) if "amplitude" in recipe else 0.6
-    with _field(path):
+    outcomes = recipe.integer("outcomes", 1, MAX_BYTES // (32 + 2 * 24))
+    seed = recipe.seed()
+    mode_count = recipe.integer("mode_count", 0, MAX_BYTES // (16 * (outcomes + 1)), default=3)
+    dominant_weight = None
+    if recipe.get("dominant_weight") is not None:
+        dominant_weight = recipe.number("dominant_weight")
+        if not 0.0 < dominant_weight <= 1.0:
+            raise recipe.error("dominant_weight", f"must lie in (0, 1], got {dominant_weight!r}")
+    amplitude = recipe.number("amplitude") if "amplitude" in recipe else 0.6
+    if not 0.0 <= amplitude < 1.0:
+        raise recipe.error("amplitude", f"must lie in [0, 1), got {amplitude!r}")
+    with recipe.field():
         probe = synthetic_probe(
             outcomes=outcomes,
             seed=seed,
@@ -668,7 +665,7 @@ def _build_synthetic(cfg: dict, epsilon: float) -> _Runtime:
             mode_count=mode_count,
             amplitude=amplitude,
         )
-    avg = _average_config(cfg, outcomes)
+    avg = _average_config(root, outcomes)
     return _Runtime(probe, avg, epsilon, {"N": probe.outcome_count}, {})
 
 
@@ -680,12 +677,13 @@ _BUILDERS = {
 }
 
 
-def _build_runtime(cfg: dict) -> _Runtime:
+def _build_runtime(raw: dict) -> _Runtime:
     """Build one point; its epsilon is decoded here, once, as a float."""
-    epsilon = _number(cfg, "epsilon", "scenario")
+    root = _Node(raw, "scenario")
+    epsilon = root.number("epsilon")
     if not 0.0 <= epsilon < 1.0:
-        raise ConfigError(f"scenario.epsilon: must lie in [0, 1), got {epsilon!r}")
-    return _BUILDERS[cfg["kind"]](cfg, epsilon)
+        raise root.error("epsilon", f"must lie in [0, 1), got {epsilon!r}")
+    return _BUILDERS[raw["kind"]](root, epsilon)
 
 
 # --- execution ---------------------------------------------------------------
@@ -846,7 +844,7 @@ def builtin_scenarios(overrides: dict | None = None) -> list[Scenario]:
         return {
             "rows": len(rows),
             "cols": len(rows),
-            "data": [pair for row in rows for pair in row],
+            "data": [list(pair) for row in rows for pair in row],
         }
 
     configs = [

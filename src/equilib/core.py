@@ -11,6 +11,7 @@ structure is assumed; those live in :mod:`equilib.classical` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -158,9 +159,12 @@ class TrajectoryProbe:
     ``sample_many`` maps a 1-d array of M times t >= 0 to an
     ``(M, outcome_count)`` array whose row k is the outcome distribution at
     ``times[k]``; at t = 0 it reproduces the initial state's outcome
-    statistics. It must be a pure function of the times. ``distributions_at``
-    is the one way to read it: it validates the block, keeps the last one,
-    read-only, and returns it again for exactly the same times.
+    statistics. Row k depends on ``times[k]`` alone up to rounding: a time's
+    rows in two blocks agree within a few ulps for quantum probes (the
+    block's shape picks the BLAS kernel of their contraction) and exactly
+    for classical and synthetic ones. ``distributions_at`` is the one way
+    to read it: it validates the block, keeps the last one, read-only, and
+    returns it again for exactly the same times.
     """
 
     sample_many: Callable[[np.ndarray], np.ndarray]
@@ -217,6 +221,10 @@ class TimeAverageConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise DomainError(f"horizon must be finite and positive, got {self.horizon!r}")
         if self.samples < 2:

@@ -160,6 +160,30 @@ def leaves(node, keys: tuple = ()):
         yield keys, node
 
 
+def subtrees(node, keys: tuple = ()):
+    """Every value below a JSON object or list, list entries included, with
+    its key path."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield keys + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from subtrees(value, keys + (key,))
+
+
+def config_path(keys: tuple) -> str:
+    """The path a ConfigError names for the key path ``keys``."""
+    return "scenario" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def diagonal(values, cols: int | None = None) -> dict:
+    """A matrix node of ``len(values)`` rows and ``cols`` columns (as many as
+    rows by default) holding ``values`` on its diagonal."""
+    rows = len(values)
+    cols = rows if cols is None else cols
+    data = [[values[r] if r == c else 0.0, 0.0] for r in range(rows) for c in range(cols)]
+    return {"rows": rows, "cols": cols, "data": data}
+
+
 def classical_pure_config() -> dict:
     return {
         "kind": "classical-pure",
@@ -807,6 +831,31 @@ BUDGET_BOUNDS = [
                  lambda n: {"system.hamiltonian.eigenvalues": [float(k) for k in range(12)],
                             "system.state.vector": [[1.0, 0.0]] * n},
                  id="vector-length"),
+    pytest.param(inline_quantum_config, "system.hamiltonian.matrix.rows",
+                 quantum_build_bytes(12, 0), 12,
+                 lambda n: {"system.hamiltonian": {
+                                "matrix": diagonal([float(k) for k in range(n)])},
+                            "system.state.vector": [[1.0, 0.0]] * min(n, 12)},
+                 id="hamiltonian-matrix-rows"),
+    pytest.param(inline_quantum_config, "system.hamiltonian.eigenvectors.cols",
+                 quantum_build_bytes(12, 0), 12,
+                 lambda n: {"system.hamiltonian.eigenvalues": [float(k) for k in range(12)],
+                            "system.hamiltonian.eigenvectors": diagonal([1.0] * 12, n),
+                            "system.state.vector": [[1.0, 0.0]] * 12},
+                 id="eigenvector-cols"),
+    pytest.param(inline_quantum_config, "system.state.matrix.rows", quantum_build_bytes(12, 0), 12,
+                 lambda n: {"system.hamiltonian.eigenvalues": [float(k) for k in range(12)],
+                            "system.state": {"matrix": diagonal([1 / 12] * n, 12)}},
+                 id="state-matrix-rows"),
+    pytest.param(inline_quantum_config, "measurement.povm[0].cols", quantum_build_bytes(12, 0), 12,
+                 lambda n: {"system.hamiltonian.eigenvalues": [float(k) for k in range(12)],
+                            "system.state.vector": [[1.0, 0.0]] * 12,
+                            "measurement": {"povm": [diagonal([1.0] * 12, n)]}},
+                 id="povm-element-cols"),
+    pytest.param(qubit_config, "measurement.povm", 32 * 2 * (2 + 3) * 5, 5,
+                 lambda n: {"measurement.povm": [diagonal([1 / n, 1 / n])] * n,
+                            "average.samples": 2},
+                 id="povm-length-at-dim-2"),
     pytest.param(sampled_quantum_config, "average.samples", sample_bytes(3) * 100, 100,
                  lambda n: {"average.samples": n}, id="quantum-samples-at-3-outcomes"),
     pytest.param(classical_pure_config, "average.samples", sample_bytes(4) * 64, 64,
@@ -1001,7 +1050,7 @@ class TestConfigBoundary:
 
     def test_pairs_are_complex_bit_for_bit(self):
         pairs = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [1.5, -2.25]]
-        got = bench._matrix_node({"rows": 2, "cols": 2, "data": pairs}, "matrix")
+        got = bench._matrix_node(bench._Node({"rows": 2, "cols": 2, "data": pairs}, "matrix"))
         want = np.array([complex(re, im) for re, im in pairs]).reshape(2, 2)
         assert got.tobytes() == want.tobytes()
 
@@ -1019,6 +1068,57 @@ class TestConfigBoundary:
         message = str(info.value)
         assert message.startswith(path + ": ")
         assert message.count(path) == message.count("scenario.") == 1
+
+    @pytest.mark.parametrize("make, overrides, message", [
+        pytest.param(sampled_quantum_config,
+                     {"measurement.sampler.name": "uneven", "measurement.sampler.leak": 2.0},
+                     "scenario.measurement.sampler.leak: must lie in [0, 1), got 2.0", id="leak"),
+        pytest.param(sampled_quantum_config,
+                     {"measurement.sampler.name": "uneven", "measurement.sampler.leak": 1},
+                     "scenario.measurement.sampler.leak: must lie in [0, 1), got 1.0",
+                     id="leak-1"),
+        pytest.param(synthetic_config, {"system.probe.amplitude": 1.5},
+                     "scenario.system.probe.amplitude: must lie in [0, 1), got 1.5",
+                     id="amplitude"),
+        pytest.param(synthetic_config, {"system.probe.amplitude": -0.1},
+                     "scenario.system.probe.amplitude: must lie in [0, 1), got -0.1",
+                     id="negative-amplitude"),
+        pytest.param(synthetic_config, {"system.probe.dominant_weight": 0.0},
+                     "scenario.system.probe.dominant_weight: must lie in (0, 1], got 0.0",
+                     id="dominant-weight"),
+        pytest.param(synthetic_config, {"system.probe.dominant_weight": 1.5},
+                     "scenario.system.probe.dominant_weight: must lie in (0, 1], got 1.5",
+                     id="dominant-weight-above-1"),
+        pytest.param(sampled_quantum_config, {"measurement.sampler.outcomes": 100},
+                     "scenario.measurement.sampler.outcomes: must be at most 8, got 100",
+                     id="projective-outcomes-past-dim"),
+        pytest.param(sampled_quantum_config, {"measurement.sampler.outcomes": 9},
+                     "scenario.measurement.sampler.outcomes: must be at most 8, got 9",
+                     id="projective-outcomes-dim-plus-1"),
+        pytest.param(sampled_quantum_config,
+                     {"measurement.sampler.name": "uneven", "measurement.sampler.leak": 0.1,
+                      "measurement.sampler.outcomes": 1},
+                     "scenario.measurement.sampler.outcomes: must be at least 2, got 1",
+                     id="uneven-outcomes"),
+    ])
+    def test_a_range_error_names_its_field(self, make, overrides, message):
+        # each used to name the object above the field
+        with pytest.raises(ConfigError) as info:
+            load_scenario(make(), overrides=overrides)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("make, overrides", [
+        pytest.param(sampled_quantum_config,
+                     {"measurement.sampler.name": "uneven", "measurement.sampler.leak": 0.0,
+                      "measurement.sampler.outcomes": 2}, id="uneven-leak-0-2-outcomes"),
+        pytest.param(synthetic_config, {"system.probe.amplitude": 0.0}, id="amplitude-0"),
+        pytest.param(synthetic_config, {"system.probe.dominant_weight": 1.0},
+                     id="dominant-weight-1"),
+        pytest.param(sampled_quantum_config, {"measurement.sampler.outcomes": 8},
+                     id="projective-outcomes-at-dim"),
+    ])
+    def test_a_range_edge_loads(self, make, overrides):
+        assert load_scenario(make(), overrides=overrides)
 
     @pytest.mark.parametrize(
         "make, keys",
@@ -1108,6 +1208,34 @@ class TestConfigBoundary:
         assert escapes == []
         assert loaded == []
 
+    @pytest.mark.parametrize("scenario", builtin_scenarios(), ids=lambda scn: scn.name)
+    def test_a_bad_field_names_itself_or_an_object_above_it(self, scenario):
+        # every value below the config, with the sweep removed, replaced in
+        # turn; only the dimension cross-check may name the scenario itself
+        cfg = {key: value for key, value in scenario.config.items() if key != "sweep"}
+        wrong = []
+        for keys, leaf in subtrees(cfg):
+            if isinstance(leaf, dict):
+                continue
+            named = {config_path(keys[:k]) for k in range(1, len(keys) + 1)}
+            for value in ["x", None, True, -1, [], {}, 2**70, math.nan]:
+                try:
+                    load_scenario(with_leaf(cfg, keys, value))
+                except ConfigError as exc:
+                    path, message = str(exc).split(": ", 1)
+                    if path not in named and not (
+                            path == "scenario" and message.startswith("inconsistent dimensions")):
+                        wrong.append((keys, value, str(exc)))
+                except Exception as exc:  # collected, to report every escape at once
+                    wrong.append((keys, value, repr(exc)))
+        assert wrong == []
+
+    @pytest.mark.parametrize("scenario", builtin_scenarios(), ids=lambda scn: scn.name)
+    def test_no_list_is_shared_within_a_builtin_config(self, scenario):
+        # the qubit state matrix shared its [re, im] pairs with a POVM element,
+        # so editing one edited the other
+        lists = [id(value) for _, value in subtrees(scenario.config) if isinstance(value, list)]
+        assert len(lists) == len(set(lists))
 
     @pytest.mark.parametrize("make, keys, path", NUMERIC_FIELDS, ids=NUMERIC_FIELD_IDS)
     @pytest.mark.parametrize(
@@ -1304,7 +1432,7 @@ class TestRunScenario:
         original = bench._BUILDERS["synthetic-probe"]
 
         def flaky(cfg, epsilon):
-            if cfg["system"]["probe"]["seed"] == 2:
+            if cfg.data["system"]["probe"]["seed"] == 2:
                 raise np.linalg.LinAlgError("eigendecomposition did not converge")
             return original(cfg, epsilon)
 
@@ -1322,7 +1450,7 @@ class TestRunScenario:
 
         def failing_sampler(cfg, epsilon):
             rt = original(cfg, epsilon)
-            if cfg["system"]["probe"]["seed"] != 2:
+            if cfg.data["system"]["probe"]["seed"] != 2:
                 return rt
 
             def sample_many(times):

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from equilib import classical, core
-from equilib.bench import _map_node, _partition_node
+from equilib.bench import _map_node, _Node, _partition_node
 from equilib.classical import (
     MAX_ORBIT_STEPS,
     ClassicalEnsemble,
@@ -1243,7 +1243,7 @@ class TestSerialization:
         ]],
     )
     def test_map_roundtrip(self, cfg, mapping):
-        clone = _map_node(cfg, "map")
+        clone = _map_node(_Node(cfg, "map"))
         assert clone.name == mapping.name
         pts = np.random.default_rng(0).random((16, mapping.dim))
         if "lattice" in mapping.name:
@@ -1253,14 +1253,14 @@ class TestSerialization:
     def test_partition_roundtrip(self):
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.75, 1.0]])
         node = {"kind": "grid", "edges": [e.tolist() for e in part.edges]}
-        clone = _partition_node(node, "partition")
+        clone = _partition_node(_Node(node, "partition"))
         pts = np.random.default_rng(1).random((64, 2))
         assert np.array_equal(clone.cells_of_many(pts), part.cells_of_many(pts))
 
     def test_config_errors_carry_paths(self):
         with pytest.raises(ConfigError, match="system.map.name"):
-            _map_node({"name": "hyperion"}, "scenario.system.map")
+            _map_node(_Node({"name": "hyperion"}, "scenario.system.map"))
         with pytest.raises(ConfigError, match="partition.kind"):
-            _partition_node({"kind": "voronoi"}, "partition")
+            _partition_node(_Node({"kind": "voronoi"}, "partition"))
         with pytest.raises(ConfigError, match="partition.edges"):
-            _partition_node({"kind": "interval", "edges": [0.5, 1.0]}, "partition")
+            _partition_node(_Node({"kind": "interval", "edges": [0.5, 1.0]}, "partition"))

@@ -216,6 +216,21 @@ class TestTimeAverageConfig:
         with pytest.raises(DomainError, match="seed must be >= 0"):
             TimeAverageConfig(horizon=1.0, samples=10, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2.5), ("samples", 3.0), ("samples", True),
+        ("seed", 1.5), ("seed", 2.0), ("seed", True), ("seed", np.float64(1.0)),
+    ])
+    def test_rejects_a_non_integer_count_or_seed(self, field, value):
+        # a float count of 2.5 sampled [0, 0.4, 0.8] on a uniform grid over
+        # [0, 1), and a seed of True ran as seed 1
+        fields = {"horizon": 1.0, "samples": 10, "scheme": "uniform-grid", field: value}
+        with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
+            TimeAverageConfig(**fields)
+
+    def test_accepts_numpy_integers(self):
+        cfg = TimeAverageConfig(1.0, np.int64(4), "uniform-grid", seed=np.uint32(2))
+        assert np.array_equal(sample_times(cfg), [0.0, 0.25, 0.5, 0.75])
+
     def test_uniform_grid_times(self):
         cfg = TimeAverageConfig(horizon=10.0, samples=5, scheme="uniform-grid")
         assert np.array_equal(sample_times(cfg), [0.0, 2.0, 4.0, 6.0, 8.0])
@@ -327,6 +342,22 @@ class TestProbeMemo:
         single = probe.distributions_at([11.0])
         assert np.array_equal(single[0], block[-1])
         assert probe.distributions_at([11.0]) is single
+
+    @pytest.mark.parametrize("spectrum", ["generic", "equally-spaced"],
+                             ids=["bilinear-block", "polynomial-block"])
+    def test_quantum_rows_agree_across_blocks_within_ulps(self, spectrum):
+        # a block's shape picks the BLAS kernel, so a one-time block may
+        # round its row unlike a 300-time block does, by about 1 ulp of 1
+        for seed in range(5):
+            probe = quantum.quantum_probe(
+                quantum.random_pure_state(16, seed + 1),
+                quantum.random_spectrum(16, seed, spectrum),
+                quantum.random_povm(16, 4, seed + 2),
+            )
+            times = sample_times(TimeAverageConfig(horizon=300.0, samples=300, seed=seed))
+            block = probe.distributions_at(times)
+            rows = np.array([probe.distributions_at([t])[0] for t in times])
+            np.testing.assert_allclose(rows, block, rtol=0, atol=2.3e-16)
 
     def test_block_is_read_only(self):
         probe, _ = self.counting_probe()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from equilib import quantum
-from equilib.bench import _matrix_node
+from equilib.bench import _matrix_node, _Node
 from equilib.core import (
     DimensionError,
     DomainError,
@@ -1227,16 +1227,16 @@ class TestCodecsAndExport:
         rng = np.random.default_rng(2)
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         pairs = [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
-        clone = _matrix_node({"rows": 3, "cols": 3, "data": pairs}, "matrix")
+        clone = _matrix_node(_Node({"rows": 3, "cols": 3, "data": pairs}, "matrix"))
         assert np.array_equal(clone, m)
 
     def test_matrix_from_pairs_errors(self):
         from equilib.core import ConfigError
 
         with pytest.raises(ConfigError, match="matrix.data"):
-            _matrix_node({"rows": 2, "cols": 2, "data": [[0, 0]]}, "matrix")
+            _matrix_node(_Node({"rows": 2, "cols": 2, "data": [[0, 0]]}, "matrix"))
         with pytest.raises(ConfigError, match="matrix.rows"):
-            _matrix_node({"cols": 2, "data": []}, "matrix")
+            _matrix_node(_Node({"cols": 2, "data": []}, "matrix"))
 
     def test_default_average_config(self):
         cfg = default_average_config(QUBIT_H, samples=128, seed=4)
