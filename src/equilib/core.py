@@ -225,8 +225,10 @@ class TimeAverageConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise DomainError(f"horizon must be finite and positive, got {self.horizon!r}")
+        # math takes a bool as a number, so True would run as a horizon of 1
+        h = self.horizon
+        if isinstance(h, (bool, np.bool_)) or not (math.isfinite(h) and h > 0):
+            raise DomainError(f"horizon must be finite and positive, got {h!r}")
         if self.samples < 2:
             raise DomainError(f"need at least 2 samples, got {self.samples}")
         if self.samples > MAX_SAMPLES:

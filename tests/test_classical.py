@@ -149,13 +149,20 @@ def baker_inverse(pts):
     return reference_baker(pts, False)
 
 
+# The reference loops step the float cat map and the baker map by their
+# formulas, so an engine test does not check a kernel against itself.
+REFERENCE_STEPS = {"cat-map": lambda pts: (pts @ CAT.T) % 1.0,
+                   "baker-map": lambda pts: reference_baker(pts, True)}
+
+
 def reference_cells(points, mapping, partition, times):
     """Cells of the cloud at each step round(t), classified one step at a time."""
     steps = np.rint(times).astype(np.int64)
+    forward = REFERENCE_STEPS.get(mapping.name, mapping.forward_many)
     cloud, at, by_step = points, 0, {}
     for step in sorted(set(steps.tolist())):
         for _ in range(step - at):
-            cloud = mapping.forward_many(cloud)
+            cloud = forward(cloud)
         at = step
         by_step[step] = partition.cells_of_many(cloud)
     return np.array([by_step[step] for step in steps])
@@ -573,6 +580,10 @@ class TestCatRows:
         assert same_bits(got, row_cat(pts))
         assert same_bits(got, [mapping.forward_point(tuple(p)) for p in pts.tolist()])
         assert same_bits(pts, before)
+        # a new array, and column-major for a column-major cloud, the layout
+        # the orbit engine stores without a transpose
+        assert not np.shares_memory(got, pts)
+        assert got.flags.f_contiguous or order == "C"
 
     def test_orbit_cells_of_the_row_kernel(self):
         pts = np.random.default_rng(20).random((1000, 2))
