@@ -321,32 +321,30 @@ def check_orbit_steps(steps: np.ndarray) -> None:
         )
 
 
-def _orbit_steps(times) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct steps round(t) of ``times``, ascending, and the index of
-    each time's step among them."""
-    return np.unique(np.rint(np.asarray(times, dtype=float)), return_inverse=True)
-
-
-def _block_steps(points: np.ndarray, steps: np.ndarray) -> int:
-    """Steps per block of ``_orbit_cells``: as many clouds of ``points`` as
-    one chunk of coordinates holds, at least one, at most every step."""
-    return min(steps.size, max(1, core._CHUNK_ENTRIES // points.size))
+def _block_steps(points: np.ndarray, partition: Partition, steps: np.ndarray) -> int:
+    """Steps per block of ``_orbit_cells``: as many clouds of ``points``,
+    each with its histogram row over the partition's cells, as one chunk of
+    entries holds, at least one, at most every step."""
+    per_step = points.size + partition.cell_count
+    return min(steps.size, max(1, core._CHUNK_ENTRIES // per_step))
 
 
 def _orbit_cells(
     points: np.ndarray, mapping: InvertibleMap, partition: Partition, steps: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Cells of the cloud ``points`` at each of the distinct ascending
-    ``steps``, as ``(k, n)`` blocks of k consecutive steps: the one orbit
-    engine.
+    """Cells of the cloud ``points`` at each of the non-decreasing integral
+    ``steps``, as ``(k, n)`` blocks of k consecutive requests: the one orbit
+    engine. A repeated step takes no map step, but it is classified once
+    per request.
 
     The request is checked before the first step. Then there is one map
     call per step and one ``cells_of_many`` call per block, a block
-    buffering clouds of at most one chunk of coordinates, so the memory
-    held is one block whatever the horizon. The buffer is column-major,
-    ``(dim, k, n)``: the partition reads the block as a ``(k n, dim)`` view
-    whose every coordinate column is contiguous, where its edge counts run
-    about twice as fast as on a column of a 2-d cloud.
+    buffering clouds and their histogram rows of at most one chunk of
+    entries, so the memory held is one block whatever the horizon. The
+    buffer is column-major, ``(dim, k, n)``: the partition reads the block
+    as a ``(k n, dim)`` view whose every coordinate column is contiguous,
+    where its edge counts run about twice as fast as on a column of a 2-d
+    cloud.
 
     A cloud steps through ``forward_many`` as coordinate rows, a
     column-major copy of ``points`` that the catalogue maps keep in that
@@ -366,7 +364,7 @@ def _orbit_cells(
     """
     check_orbit_steps(steps)
     n, dim = points.shape
-    block = _block_steps(points, steps)
+    block = _block_steps(points, partition, steps)
     columns = np.empty((dim, block, n))
     # each block's steps become Python ints when it is walked, so the ints
     # held are one block's, whatever the sample count
@@ -417,31 +415,30 @@ def _cloud_probe(
     n_cells = partition.cell_count
 
     def sample_many(times: np.ndarray) -> np.ndarray:
-        steps, where = _orbit_steps(times)
-        hist = np.empty((steps.size, n_cells))
+        # the engine walks the requests in time order; each block's rows go
+        # straight to the places of its requests
+        order = np.argsort(times, kind="stable")
+        steps = np.rint(times[order])
+        out = np.empty((times.size, n_cells))
         # the weights and bin offsets of a full block; a shorter last block
         # takes their heads
-        block = _block_steps(points, steps)
+        block = _block_steps(points, partition, steps)
         tiled = np.tile(weights, block)
         offsets = n_cells * np.arange(block)[:, None]
         at = 0
         for cells in _orbit_cells(points, mapping, partition, steps):
             k = len(cells)
-            # one bin per (step, cell); bincount adds each bin's weights in
-            # point order, as a histogram of each cloud on its own would. The
-            # bins are a temporary, so while the next block is classified
+            # one bin per (request, cell); bincount adds each bin's weights
+            # in point order, as a histogram of each cloud on its own would.
+            # The bins are a temporary, so while the next block is classified
             # only this block's cells are held beside the tiled weights.
-            hist[at : at + k] = np.bincount(
+            out[order[at : at + k]] = np.bincount(
                 (cells + offsets[:k]).ravel(), tiled[: k * len(weights)], k * n_cells
             ).reshape(k, n_cells)
             at += k
         # 200,000 weights of 1/n in one cell sum to 1 + 2.3e-12: past the tolerance
-        hist[hist > 1.0 + core.ENTRY_TOL] = 1.0
-        # times that ask for each distinct step once, in ascending order, as
-        # a uniform grid of unit spacing does, take the rows as they are
-        if where.size == steps.size and (where[1:] > where[:-1]).all():
-            return hist
-        return hist[where]
+        out[out > 1.0 + core.ENTRY_TOL] = 1.0
+        return out
 
     return TrajectoryProbe(sample_many=sample_many, outcome_count=n_cells)
 
@@ -579,30 +576,28 @@ def _defects(
     batches: int,
 ) -> np.ndarray:
     """Correlation defect of each orbit pair (x, y) listed in ``points``, per
-    batch of consecutive ``times``: shape (pairs, batches, cells).
+    batch of consecutive ascending ``times``: shape (pairs, batches, cells).
 
     The defect is the per-cell covariance of the two orbits' cell indicators:
     near zero for a decorrelating pair, p_j(1 - p_j) for one orbit twice.
 
     Over the L samples of a batch the defect of cell j is
-    n_xy/L - (n_x/L)(n_y/L), where n_x, n_y and n_xy count the samples with x
-    in j, y in j and both. The counts are exact integers, so this equals the
-    means of 0/1 indicators bit for bit.
+    n_xy/L - (n_x/L)(n_y/L), with n_x, n_y and n_xy the counts of samples
+    with x in j, y in j and both. The counts are exact integers, so this
+    equals the means of 0/1 indicators bit for bit.
     """
     n_cells = partition.cell_count
     pairs, per = len(points) // 2, len(times) // batches
-    steps, where = _orbit_steps(times)
     batch = np.arange(len(times)) // per
     counts = np.zeros((3, pairs * batches * n_cells), dtype=np.int64)
     at = 0
-    for cells in _orbit_cells(points, mapping, partition, steps):
-        mine = (where >= at) & (where < at + len(cells))
-        sampled = cells[where[mine] - at]
-        x, y = sampled[:, 0::2], sampled[:, 1::2]
-        bins = (np.arange(pairs) * batches + batch[mine][:, None]) * n_cells
+    for cells in _orbit_cells(points, mapping, partition, np.rint(times)):
+        k = len(cells)
+        x, y = cells[:, 0::2], cells[:, 1::2]
+        bins = (np.arange(pairs) * batches + batch[at : at + k, None]) * n_cells
         for row, hits in zip(counts, (bins + x, bins + y, (bins + x)[x == y])):
             row += np.bincount(hits.ravel(), minlength=row.size)
-        at += len(cells)
+        at += k
     n_x, n_y, n_xy = counts.reshape(3, pairs, batches, n_cells) / per
     return n_xy - n_x * n_y
 

@@ -177,7 +177,7 @@ class TrajectoryProbe:
 
     def distributions_at(self, times: np.ndarray) -> np.ndarray:
         """Stack probe samples at the given times into a read-only (M, N) array."""
-        times = np.asarray(times, dtype=float)
+        times = typed_array(times, "times")
         last = self._last[:]  # one read, so times and block always belong together
         if last and np.array_equal(last[0], times):
             return last[1]
@@ -225,9 +225,14 @@ class TimeAverageConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
-        # math takes a bool as a number, so True would run as a horizon of 1
+        # typed_array refuses a string, and a bool, which math would take as
+        # a horizon of 1
         h = self.horizon
-        if isinstance(h, (bool, np.bool_)) or not (math.isfinite(h) and h > 0):
+        try:
+            number = typed_array(h, "horizon").ndim == 0
+        except DomainError:
+            number = False
+        if not (number and h > 0):
             raise DomainError(f"horizon must be finite and positive, got {h!r}")
         if self.samples < 2:
             raise DomainError(f"need at least 2 samples, got {self.samples}")

@@ -752,7 +752,7 @@ class TestBlockedClassification:
     cap one request spans several blocks, and every block matches a
     per-step loop bit for bit."""
 
-    @pytest.mark.parametrize("cap", [2, 6, 25, 10**6])
+    @pytest.mark.parametrize("cap", [2, 6, 25, 50, 10**6])
     @pytest.mark.parametrize("mapping", [cat_map(), baker_map(), cat_map(lattice=8)],
                              ids=lambda m: m.name)
     def test_ensemble_block_matches_per_step_loop(self, monkeypatch, cap, mapping):
@@ -765,21 +765,21 @@ class TestBlockedClassification:
         assert same_bits(block, expected)
 
     @pytest.mark.parametrize("with_zero", [True, False], ids=["from-step-0", "from-step-2"])
-    @pytest.mark.parametrize("cap", [1, 4, 9, 10**6])
+    @pytest.mark.parametrize("cap", [1, 4, 9, 100, 10**6])
     @pytest.mark.parametrize("mapping, q", POINT_MAPS, ids=POINT_MAP_IDS)
     def test_pure_block_matches_per_step_loop(self, monkeypatch, mapping, q, cap, with_zero):
-        # ODD_TIMES asks for the 8 steps 0, 2, 4, 8, 13, 17, 29, 40; without
-        # step 0 the one-point walk's first gap is 2, not 0
+        # ODD_TIMES asks for the 8 steps 0, 2, 4, 8, 13, 17, 29, 40 in 13
+        # requests, each classified once, so repeats straddle some block
+        # boundaries; without step 0 the one-point walk's first gap is 2, not 0
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", cap)
         times = ODD_TIMES if with_zero else ODD_TIMES[np.rint(ODD_TIMES) > 0]
-        steps, _ = classical._orbit_steps(times)
-        block = max(1, cap // mapping.dim)
         part = grid_partition([[0.0, 0.2, 0.5, 1.0]] * mapping.dim)
+        block = max(1, cap // (mapping.dim + part.cell_count))
         for start in start_points(mapping.dim, q):
             recorder, seen = recording_partition(part)
             got = classical_probe(PhasePoint(start), mapping, recorder).distributions_at(times)
             assert [len(pts) for pts in seen] == [
-                min(block, steps.size - at) for at in range(0, steps.size, block)
+                min(block, times.size - at) for at in range(0, times.size, block)
             ]
             expected = reference_block(np.array([start]), np.ones(1), mapping, part, times)
             assert same_bits(got, expected)
@@ -787,13 +787,12 @@ class TestBlockedClassification:
     @pytest.mark.parametrize("every", [1, 7], ids=["every-step", "sparse-steps"])
     @pytest.mark.parametrize("mapping", [cat_map(), baker_map()], ids=lambda m: m.name)
     def test_workload_shaped_block_matches_per_step_loop(self, every, mapping):
-        # 1000 two-d points at the real cap: 32 steps a block, so 300 steps
+        # 1000 two-d points and 6 cells at the real cap: 32 steps a block, so 300 steps
         # make nine full blocks and a short one
         ens = contaminated_cat_ensemble(1000, 0.1, seed=9300)
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.8, 1.0]])
         times = np.arange(300.0) * every
-        steps, _ = classical._orbit_steps(times)
-        blocks = list(classical._orbit_cells(ens.points, mapping, part, steps))
+        blocks = list(classical._orbit_cells(ens.points, mapping, part, times))
         assert [len(b) for b in blocks] == [32] * 9 + [12]
         expected = reference_cells(ens.points, mapping, part, times)
         assert np.array_equal(np.concatenate(blocks), expected)
@@ -801,12 +800,12 @@ class TestBlockedClassification:
         assert same_bits(block, reference_block(ens.points, ens.weights, mapping, part, times))
 
     def test_one_cells_call_per_block(self, monkeypatch):
-        # 50 two-d points: a 1000-coordinate cap holds 10 steps per block
+        # 50 two-d points and 4 cells: a 1000-entry cap holds 9 steps per block
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", 1000)
         part, calls = counting_partition(QUADRANTS)
         ens = contaminated_cat_ensemble(50, 0.1, seed=1)
         ensemble_probe(ens, cat_map(), part).distributions_at(np.arange(25.0))
-        assert calls == [500, 500, 250]
+        assert calls == [450, 450, 350]
 
     @pytest.mark.parametrize("kind", ["pure", "ensemble"])
     def test_zero_times_is_a_dimension_error(self, kind):
@@ -831,7 +830,7 @@ def recording_partition(partition):
 
 
 def reference_orbit(coords, mapping, steps):
-    """The point at each distinct ascending step, stepped by ``forward_many``
+    """The point at each non-decreasing step, stepped by ``forward_many``
     one row at a time."""
     pts, at, orbit = np.array([coords]), 0, []
     for step in steps.astype(np.int64):
@@ -869,7 +868,7 @@ class TestPointKernels:
     def test_sparse_stratified_times(self, mapping, q):
         cfg = TimeAverageConfig(horizon=1000, samples=128, scheme="stratified-random", seed=7)
         times = sample_times(cfg)
-        steps, _ = classical._orbit_steps(times)
+        steps = np.rint(times)
         part = grid_partition([np.linspace(0.0, 1.0, 6)] * mapping.dim)
         for start in start_points(mapping.dim, q):
             recorder, seen = recording_partition(part)
@@ -882,14 +881,15 @@ class TestPointKernels:
     @pytest.mark.parametrize("mapping", [cat_map(), cat_map(lattice=2**52), baker_map()],
                              ids=lambda m: m.name)
     def test_consecutive_steps_across_a_block_boundary(self, mapping):
-        # a 2-d point fills 32,768 steps a block, so 40,000 steps take two;
-        # the per-step loop's cells give the expected one-hot rows
+        # a 2-d point on 25 cells fills 2,427 steps a block, so 40,000 steps
+        # take 16 and a short one; the per-step loop's cells give the
+        # expected one-hot rows
         times = np.arange(40_000.0)
         start = start_points(2, None)[0]
         part = grid_partition([np.linspace(0.0, 1.0, 6)] * 2)
         recorder, seen = recording_partition(part)
         block = classical_probe(PhasePoint(start), mapping, recorder).distributions_at(times)
-        assert [len(pts) for pts in seen] == [32_768, 7_232]
+        assert [len(pts) for pts in seen] == [2_427] * 16 + [1_168]
         orbit = reference_orbit(start, mapping, times)
         assert same_bits(np.concatenate(seen), orbit)
         assert same_bits(block, np.eye(part.cell_count)[part.cells_of_many(orbit)])

@@ -234,6 +234,14 @@ class TestTimeAverageConfig:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             TimeAverageConfig(horizon, 4, "uniform-grid")
 
+    @pytest.mark.parametrize("horizon", ["5", None, [5.0], 10**400],
+                             ids=["string", "none", "list", "past-the-doubles"])
+    def test_rejects_a_horizon_that_is_no_number(self, horizon):
+        # each escaped math.isfinite as a TypeError, or an OverflowError
+        message = f"horizon must be finite and positive, got {horizon!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            TimeAverageConfig(horizon, 4, "uniform-grid")
+
     def test_accepts_numpy_integers(self):
         cfg = TimeAverageConfig(1.0, np.int64(4), "uniform-grid", seed=np.uint32(2))
         assert np.array_equal(sample_times(cfg), [0.0, 0.25, 0.5, 0.75])
@@ -312,6 +320,19 @@ class TestTimeAverageDistribution:
             time_average_distribution(probe, cfg)
         with pytest.raises(DimensionError):
             probe.distributions_at([0.5])
+
+    @pytest.mark.parametrize("times, message", [
+        (["0.5", "1.5"], "times must be numbers, got '0.5'"),
+        ([True, False], "times must be numbers, got True"),
+        ([0.5, math.nan], "times has non-finite entries"),
+    ], ids=["strings", "booleans", "nan"])
+    def test_times_are_read_as_numbers(self, times, message):
+        # the strings and booleans were cast to times and sampled
+        calls = []
+        probe = TrajectoryProbe(lambda ts: calls.append(ts) or np.ones((len(ts), 1)), 1)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            probe.distributions_at(times)
+        assert calls == []
 
 
 class TestProbeMemo:
@@ -675,38 +696,48 @@ class TestChunkedBlocks:
     does not grow with the sample count, and its bits do not depend on
     where the chunks end."""
 
-    # per time beside the output rows: nothing for the chunked blocks. These
-    # times share steps, so the orbit blocks keep a histogram row per
-    # distinct step, the step indices and the sort that finds them: 3.3
-    # words a time measured for the cloud, and 5.8 for the point, whose
-    # block still grows between the two counts (within the N + 3 words of
-    # the sample rule of bench)
+    # per time beside the output rows: nothing for the chunked blocks, and
+    # for the orbit blocks the time order of the requests and their steps,
+    # 2.0 words a time measured for the cloud and the point. Both counts
+    # are past one block, so the blocks are full at both.
     @pytest.mark.parametrize("kind, words", [
-        ("bilinear", 0), ("polynomial", 0), ("synthetic", 0), ("cloud", 4), ("point", 6),
+        ("bilinear", 0), ("polynomial", 0), ("synthetic", 0), ("cloud", 2), ("point", 2),
     ])
     def test_no_block_memory_grows_with_the_sample_count(self, kind, words):
         probe = block_probe(kind)
         beside = []
-        for m in (10**4, 10**5):
-            # distinct steps for the orbit blocks, so their histograms are full
+        for m in (2 * 10**4, 12 * 10**4):
             times = np.sort(np.random.default_rng(m).uniform(0.0, m, m))
             probe.sample_many(times)  # once untraced, so no first-call cost is counted
             rows = 8 * m * (probe.outcome_count + words)
             beside.append(traced_peak(lambda: probe.sample_many(times)) - rows)
         assert beside[1] - beside[0] < 16 * core._CHUNK_ENTRIES
 
-    def test_ascending_distinct_steps_take_the_histogram_as_their_rows(self):
-        # in descending order the same times gather their rows from the
-        # histogram, a second (M, N) array; in ascending order they do not
+    def test_requests_in_any_order_hold_the_same(self):
+        # the rows of each block go straight to the places of its requests,
+        # so descending and shuffled times hold no second (M, N) array
         grid = classical.grid_partition([np.linspace(0.0, 1.0, 5)] * 2)
         ens = classical.contaminated_cat_ensemble(50, 0.1, seed=4)
         probe = classical.ensemble_probe(ens, classical.cat_map(), grid)
-        m = 30_000
+        ascending = np.arange(30_000.0)
         peaks = []
-        for times in (np.arange(float(m)), np.arange(float(m))[::-1]):
+        for times in (ascending, ascending[::-1], np.random.default_rng(1).permutation(ascending)):
             probe.sample_many(times)
             peaks.append(traced_peak(lambda: probe.sample_many(times)))
-        assert peaks[1] - peaks[0] > 8 * m * grid.cell_count / 2
+        assert max(abs(peak - peaks[0]) for peak in peaks) < 8 * core._CHUNK_ENTRIES
+
+    def test_a_point_block_is_sized_with_its_histogram_rows(self):
+        # a block step of one point holds two Python floats, its cell and
+        # its bins, far more than its coordinates: sized by coordinates
+        # alone, 20,000 steps on 16 cells held 33 words a time beside the rows
+        grid = classical.grid_partition([np.linspace(0.0, 1.0, 5)] * 2)
+        point = classical.PhasePoint((0.2, 0.6))
+        probe = classical.classical_probe(point, classical.cat_map(), grid)
+        m = 20_000
+        times = np.arange(float(m))
+        probe.sample_many(times)
+        rows = 8 * m * grid.cell_count
+        assert traced_peak(lambda: probe.sample_many(times)) - rows < 16 * 8 * m
 
     @pytest.mark.parametrize("entries", [1, 200, 448, 1000])
     @pytest.mark.parametrize("kind", ["bilinear", "polynomial", "synthetic"])
