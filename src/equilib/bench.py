@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -382,10 +381,7 @@ class _Runtime:
 
     ``params`` go into the point's record. ``bound_values`` holds the value
     of every bound that applies to the point, by name; universal sufficiency
-    applies to all and comes first. ``quadrature_error_of`` maps the measured
-    equilibrium distribution to the resolution floor of a
-    quadrature-discretized probe (0 for exact probes); it is evaluated at run
-    time, never at load.
+    applies to all and comes first.
     """
 
     probe: TrajectoryProbe
@@ -393,7 +389,6 @@ class _Runtime:
     epsilon: float
     params: dict
     bound_values: dict[str, float]
-    quadrature_error_of: Callable[[OutcomeDistribution], float] | None = None
 
     def __post_init__(self):
         universal = {"thm1-sufficiency": 1.0 - self.epsilon / 2.0}
@@ -631,16 +626,8 @@ def _build_classical_ensemble(root: _Node, epsilon: float) -> _Runtime:
     bounds = {}
     if delta <= 0.5:
         bounds["thm3-mixing"] = classical.mixed_equilibration_bound(partition.cell_count, delta)
-    return _Runtime(
-        probe,
-        _orbit_average_config(root, partition.cell_count),
-        epsilon,
-        params,
-        bounds,
-        # the cloud resolves distinguishability only down to its own
-        # sampling noise, which belongs in the reported standard error
-        quadrature_error_of=lambda omega: classical.ensemble_noise_floor(ensemble, omega),
-    )
+    return _Runtime(probe, _orbit_average_config(root, partition.cell_count), epsilon, params,
+                    bounds)
 
 
 def _build_synthetic(root: _Node, epsilon: float) -> _Runtime:
@@ -718,10 +705,9 @@ def _evaluate_bounds(report: EquilibrationReport) -> dict[str, BoundCheck]:
 def _measure(rt: _Runtime, overrides: dict) -> tuple[EquilibrationReport, dict, dict]:
     """Sample one built point: its report, bound checks and record params."""
     params = {**overrides, **rt.params}
-    report = equilibration_report(rt.probe, rt.epsilon, rt.cfg, rt.bound_values,
-                                  rt.quadrature_error_of)
-    if rt.quadrature_error_of is not None:
-        params["quadrature_floor"] = rt.quadrature_error_of(report.equilibrium_distribution)
+    report = equilibration_report(rt.probe, rt.epsilon, rt.cfg, rt.bound_values)
+    if "quadrature" in report.errors:
+        params["quadrature_floor"] = report.errors["quadrature"]
     return report, _evaluate_bounds(report), params
 
 

@@ -10,8 +10,8 @@ orbit average over integer steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -514,8 +514,10 @@ class ClassicalEnsemble:
 def ensemble_probe(
     ensemble: ClassicalEnsemble, mapping: InvertibleMap, partition: Partition
 ) -> TrajectoryProbe:
-    """Probe of a mixed classical state: the weight-averaged cell indicator."""
-    return _cloud_probe(ensemble.points, ensemble.weights, mapping, partition)
+    """Probe of a mixed classical state: the weight-averaged cell indicator;
+    its ``floor`` is the cloud's ``ensemble_noise_floor``."""
+    probe = _cloud_probe(ensemble.points, ensemble.weights, mapping, partition)
+    return replace(probe, floor=partial(ensemble_noise_floor, ensemble))
 
 
 def ensemble_noise_floor(ensemble: ClassicalEnsemble, omega: OutcomeDistribution) -> float:

@@ -164,16 +164,21 @@ class TrajectoryProbe:
     block's shape picks the BLAS kernel of their contraction) and exactly
     for classical and synthetic ones. ``distributions_at`` is the one way
     to read it: it validates the block, keeps the last one, read-only, and
-    returns it again for exactly the same times.
+    returns it again for exactly the same times. A fresh float64 array from
+    ``sample_many`` is taken over and frozen, not copied, so ``sample_many``
+    must not keep or reuse it. ``floor``, if set, maps the probe's ω to the
+    resolution floor of a finite quadrature (``classical.ensemble_probe``).
     """
 
     sample_many: Callable[[np.ndarray], np.ndarray]
     outcome_count: int
+    floor: Callable[[OutcomeDistribution], float] | None = field(default=None, compare=False)
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.outcome_count < 1:
-            raise DomainError("a probe needs at least one outcome")
+        count = self.outcome_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise DomainError(f"outcome_count must be a positive integer, got {count!r}")
 
     def distributions_at(self, times: np.ndarray) -> np.ndarray:
         """Stack probe samples at the given times into a read-only (M, N) array."""
@@ -183,7 +188,10 @@ class TrajectoryProbe:
             return last[1]
         if times.size == 0:
             raise DimensionError("a sample block needs at least one time")
-        block = np.array(self.sample_many(times), dtype=float)
+        block = self.sample_many(times)
+        if not (type(block) is np.ndarray and block.dtype == np.float64
+                and block.flags.owndata and block.flags.writeable):
+            block = np.array(block, dtype=float)
         if block.shape != (times.size, self.outcome_count):
             raise DimensionError(
                 f"sample_many returned shape {block.shape}, "
@@ -377,7 +385,8 @@ class EquilibrationReport:
 
     ``standard_error`` is the total estimator uncertainty, finite: the
     time-sampling error plus, for quadrature-discretized ensembles, their
-    resolution floor.
+    resolution floor; ``errors`` names them, summing in their order to
+    ``standard_error`` (empty on a report read back from a record).
     ``bound_values`` maps bound names to analytic values that applied to the
     run.
     """
@@ -388,6 +397,7 @@ class EquilibrationReport:
     epsilon: float
     verdict: str
     bound_values: dict[str, float] = field(default_factory=dict)
+    errors: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.mean_distinguishability <= 1.0:
@@ -407,22 +417,19 @@ def equilibration_report(
     epsilon: float,
     cfg: TimeAverageConfig,
     bound_values: dict[str, float] | None = None,
-    quadrature_error_of: Callable[[OutcomeDistribution], float] | None = None,
 ) -> EquilibrationReport:
     """Measure a probe against the epsilon-equilibration definition.
 
     Draws the times of ``cfg`` once, reads one sample block and reduces it
     in one pass: the in-sample mean is the empirical equilibrium
     distribution ω, and the distinguishability from it is averaged over the
-    same times. ``quadrature_error_of`` maps that ω to the resolution floor
-    of a probe that is itself a finite quadrature of a continuous state (see
-    ``classical.ensemble_noise_floor``); the floor is added to the
-    time-sampling standard error.
+    same times. A probe's ``floor`` is evaluated once, at that ω, and kept
+    as the ``"quadrature"`` error beside the time-sampling one.
     """
     check_epsilon(epsilon)
     omega, mean, errors = _estimate(probe.distributions_at(sample_times(cfg)))
-    if quadrature_error_of is not None:
-        floor = quadrature_error_of(omega)
+    if probe.floor is not None:
+        floor = probe.floor(omega)
         if not 0.0 <= floor < math.inf:
             raise DomainError(f"quadrature error must be finite and nonnegative, got {floor!r}")
         errors["quadrature"] = floor
@@ -434,6 +441,7 @@ def equilibration_report(
         epsilon=epsilon,
         verdict=decide_verdict(mean, stderr, epsilon),
         bound_values=dict(bound_values or {}),
+        errors=errors,
     )
 
 

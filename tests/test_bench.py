@@ -1420,6 +1420,18 @@ class TestRunScenario:
         assert "quadrature_floor" not in scenario.built[0][0].params
         assert outputs(first) == outputs(second)
 
+    def test_an_ensemble_floor_is_evaluated_once_a_record(self, monkeypatch):
+        # the record's floor is the report's "quadrature" error, evaluated once
+        floor, seen = classical.ensemble_noise_floor, []
+        monkeypatch.setattr(classical, "ensemble_noise_floor",
+                            lambda ens, omega: seen.append(omega) or floor(ens, omega))
+        cfg = ensemble_config()
+        cfg["sweep"] = {"system.ensemble.sampler.seed": [4, 5, 6]}
+        records = run_scenario(load_scenario(cfg))
+        assert [rec.report.equilibrium_distribution for rec in records] == seen
+        for rec in records:
+            assert rec.params["quadrature_floor"] == rec.report.errors["quadrature"] > 0
+
     def test_sweep_grid_size(self):
         scenario = load_scenario(
             synthetic_config(sweep={"system.probe.seed": [1, 2, 3], "epsilon": [0.2, 0.7]})

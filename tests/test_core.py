@@ -260,6 +260,21 @@ class TestTimeAverageConfig:
         assert not np.array_equal(t1, t3)
 
 
+class TestProbeOutcomeCount:
+    @pytest.mark.parametrize("count", [2.0, True, "2", None, 0, -1, np.float64(2.0)],
+                             ids=["float", "bool", "string", "none", "zero", "negative",
+                                  "numpy-float"])
+    def test_is_a_positive_integer(self, count):
+        # checked when the probe is built, not at its first read
+        message = f"outcome_count must be a positive integer, got {count!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            TrajectoryProbe(lambda ts: np.full((len(ts), 2), 0.5), count)
+
+    def test_a_numpy_integer_is_a_count(self):
+        probe = TrajectoryProbe(lambda ts: np.full((len(ts), 2), 0.5), np.int64(2))
+        assert probe.distributions_at([0.0, 1.0]).shape == (2, 2)
+
+
 class TestTimeAverageDistribution:
     def test_constant(self):
         cfg = TimeAverageConfig(horizon=10.0, samples=64, seed=1)
@@ -386,6 +401,20 @@ class TestProbeMemo:
             block = probe.distributions_at(times)
             rows = np.array([probe.distributions_at([t])[0] for t in times])
             np.testing.assert_allclose(rows, block, rtol=0, atol=2.3e-16)
+
+    @pytest.mark.parametrize("returned", ["view", "list", "float32", "read-only"])
+    def test_a_block_the_probe_may_keep_is_copied(self, returned):
+        buffer = np.full((8, 2), 0.5)
+        kept = {"view": buffer[:4], "list": buffer[:4].tolist(),
+                "float32": buffer[:4].astype(np.float32), "read-only": buffer[:4].copy()}[returned]
+        if returned == "read-only":
+            kept.setflags(write=False)
+        probe = TrajectoryProbe(lambda ts: kept, 2)
+        block = probe.distributions_at(np.arange(4.0))
+        assert block is not kept and not np.shares_memory(block, buffer)
+        assert buffer.flags.writeable and not block.flags.writeable
+        buffer[:] = 0.25  # the probe's own buffer is still its to reuse
+        assert np.all(block == 0.5)
 
     def test_block_is_read_only(self):
         probe, _ = self.counting_probe()
@@ -569,7 +598,7 @@ class TestVerdicts:
         plain = equilibration_report(probe, 0.25, cfg)
         seen = []
         padded = equilibration_report(
-            probe, 0.25, cfg, quadrature_error_of=lambda omega: seen.append(omega) or 0.01
+            dataclasses.replace(probe, floor=lambda omega: seen.append(omega) or 0.01), 0.25, cfg
         )
         assert padded.standard_error == pytest.approx(
             plain.standard_error + 0.01, abs=1e-15
@@ -587,27 +616,42 @@ class TestVerdicts:
     def test_report_rejects_a_bad_quadrature_floor(self, floor):
         cfg = TimeAverageConfig(horizon=4.0, samples=16, seed=2)
         with pytest.raises(DomainError, match="quadrature error must be finite and nonnegative"):
-            equilibration_report(constant_probe([0.3, 0.7]), 0.25, cfg,
-                                 quadrature_error_of=lambda omega: floor)
+            equilibration_report(
+                dataclasses.replace(constant_probe([0.3, 0.7]), floor=lambda omega: floor),
+                0.25, cfg,
+            )
 
     @pytest.mark.parametrize("builder", ["quantum", "classical", "ensemble", "synthetic"])
     def test_report_has_the_bits_of_the_public_reads(self, builder):
+        # only the ensemble builder sets a floor, and the public reads
+        # leave it out: their standard error is the time-sampling one
         def floor_of(omega):
             if builder != "ensemble":
                 return 0.0
             return classical.ensemble_noise_floor(builder_ensemble(), omega)
 
         cfg = TimeAverageConfig(horizon=300.0, samples=500, seed=8)
-        report = equilibration_report(builder_probes()[builder], 0.3, cfg,
-                                      quadrature_error_of=floor_of)
+        report = equilibration_report(builder_probes()[builder], 0.3, cfg)
         probe = builder_probes()[builder]  # a fresh probe, with no block kept
+        assert (probe.floor is None) == (builder != "ensemble")
         omega = time_average_distribution(probe, cfg)
         est = average_distinguishability(probe, omega, cfg)
         assert report.equilibrium_distribution.probs.tobytes() == omega.probs.tobytes()
         assert report.mean_distinguishability.hex() == est.mean.hex()
         floor = floor_of(omega)
         assert report.standard_error.hex() == (est.standard_error + floor).hex()
+        assert sum(report.errors.values()).hex() == report.standard_error.hex()
         assert builder != "ensemble" or floor > 0.0
+
+    def test_an_ensemble_probe_reports_its_own_floor(self):
+        cfg = TimeAverageConfig(horizon=300.0, samples=500, seed=8)
+        report = equilibration_report(builder_probes()["ensemble"], 0.3, cfg)
+        floor = classical.ensemble_noise_floor(builder_ensemble(), report.equilibrium_distribution)
+        assert list(report.errors) == ["time", "quadrature"]
+        assert report.errors["quadrature"] == floor > 0.0
+        # the named errors are kept out of equality and out of the repr
+        assert dataclasses.replace(report, errors={}) == report
+        assert "errors" not in repr(report)
 
 
 class TestSyntheticProbe:
@@ -696,6 +740,13 @@ class TestChunkedBlocks:
     does not grow with the sample count, and its bits do not depend on
     where the chunks end."""
 
+    @pytest.fixture
+    def small_chunk(self, monkeypatch):
+        """A chunk of 4,096 entries, a sixteenth of the real one, set before
+        the probe is built: the memory rules scale with the chunk, so they
+        show at a sixteenth of the sample counts."""
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", 4096)
+
     # per time beside the output rows: nothing for the chunked blocks, and
     # for the orbit blocks the time order of the requests and their steps,
     # 2.0 words a time measured for the cloud and the point. Both counts
@@ -703,28 +754,40 @@ class TestChunkedBlocks:
     @pytest.mark.parametrize("kind, words", [
         ("bilinear", 0), ("polynomial", 0), ("synthetic", 0), ("cloud", 2), ("point", 2),
     ])
-    def test_no_block_memory_grows_with_the_sample_count(self, kind, words):
+    def test_no_block_memory_grows_with_the_sample_count(self, small_chunk, kind, words):
         probe = block_probe(kind)
         beside = []
-        for m in (2 * 10**4, 12 * 10**4):
+        for m in (1_250, 12_500):
             times = np.sort(np.random.default_rng(m).uniform(0.0, m, m))
             probe.sample_many(times)  # once untraced, so no first-call cost is counted
             rows = 8 * m * (probe.outcome_count + words)
             beside.append(traced_peak(lambda: probe.sample_many(times)) - rows)
         assert beside[1] - beside[0] < 16 * core._CHUNK_ENTRIES
 
-    def test_requests_in_any_order_hold_the_same(self):
+    def test_requests_in_any_order_hold_the_same(self, small_chunk):
         # the rows of each block go straight to the places of its requests,
         # so descending and shuffled times hold no second (M, N) array
         grid = classical.grid_partition([np.linspace(0.0, 1.0, 5)] * 2)
         ens = classical.contaminated_cat_ensemble(50, 0.1, seed=4)
         probe = classical.ensemble_probe(ens, classical.cat_map(), grid)
-        ascending = np.arange(30_000.0)
+        ascending = np.arange(1_875.0)
         peaks = []
         for times in (ascending, ascending[::-1], np.random.default_rng(1).permutation(ascending)):
             probe.sample_many(times)
             peaks.append(traced_peak(lambda: probe.sample_many(times)))
         assert max(abs(peak - peaks[0]) for peak in peaks) < 8 * core._CHUNK_ENTRIES
+
+    def test_a_fresh_block_is_taken_over(self, small_chunk):
+        # a copy of the block would hold one more (M, N) array, 16 words
+        # a time beside the rows against 8 through sample_many
+        grid = classical.grid_partition([np.linspace(0.0, 1.0, 5)] * 2)
+        ens = classical.contaminated_cat_ensemble(50, 0.1, seed=4)
+        probe = classical.ensemble_probe(ens, classical.cat_map(), grid)
+        times = np.arange(1_875.0)
+        probe.sample_many(times)
+        direct = traced_peak(lambda: probe.sample_many(times))
+        read = traced_peak(lambda: probe.distributions_at(times))
+        assert read - direct < 2 * 8 * times.size
 
     def test_a_point_block_is_sized_with_its_histogram_rows(self):
         # a block step of one point holds two Python floats, its cell and
