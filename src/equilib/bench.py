@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import csv
 import itertools
 import json
 import math
@@ -35,8 +36,6 @@ from .core import (
     synthetic_probe,
     typed_array,
 )
-
-KINDS = ("quantum", "classical-pure", "classical-ensemble", "synthetic-probe")
 
 STATUS_SATISFIED = "satisfied"
 STATUS_VIOLATED = "violated"
@@ -153,7 +152,6 @@ class Scenario:
     point, its runtime or numeric build failure with the build's seconds."""
 
     name: str
-    kind: str
     config: dict
     sweep_points: tuple[dict, ...] = field(default_factory=tuple)
     built: tuple[tuple[_Runtime | _Failure, float], ...] = field(
@@ -271,10 +269,9 @@ def _absolutize_file_refs(node, base_dir: Path) -> None:
             _absolutize_file_refs(value, base_dir)
 
 
-def load_scenario(
-    source: dict | str | Path, name: str | None = None, overrides: dict | None = None
-) -> Scenario:
-    """Parse and validate a scenario from a dict or a JSON file path.
+def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> Scenario:
+    """Parse and validate a scenario from a dict or a JSON file path, named
+    by its ``name`` field, else by the file's stem, else ``"scenario"``.
 
     ``overrides`` maps dotted config paths to values set on the raw config
     before validation, under any sweep grid; ``source`` is not modified.
@@ -285,17 +282,17 @@ def load_scenario(
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        name = name or path.stem
+        name = path.stem
         if isinstance(raw, dict):
             _absolutize_file_refs(raw, path.resolve().parent)
     else:
-        raw = source
+        raw, name = source, "scenario"
     if not isinstance(raw, dict):
         raise ConfigError("scenario: expected a JSON object")
     if overrides:
         raw = _apply_overrides(raw, overrides)
     root = _Node(raw, "scenario")
-    name = raw.get("name", name or "scenario")
+    name = raw.get("name", name)
     if not isinstance(name, str):
         raise root.error("name", f"expected a string, got {type(name).__name__}")
     kind = root.require("kind")
@@ -336,7 +333,7 @@ def load_scenario(
             seed = _Node(resolved, root.path).node("average").seed(0)
             rt = _Failure(f"{type(exc).__name__}: {exc}", seed)
         built.append((rt, time.perf_counter() - start))
-    return Scenario(name=name, kind=kind, config=raw, sweep_points=tuple(points),
+    return Scenario(name=name, config=raw, sweep_points=tuple(points),
                     built=tuple(built[:len(points)]))
 
 
@@ -484,6 +481,8 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
         ham = system.node("hamiltonian")
         if "eigenvalues" in ham:
             vals = ham.entries("eigenvalues")
+            if vals.ndim != 1:
+                raise ham.error("eigenvalues", f"expected a flat list, got shape {vals.shape}")
             if vals.size > most_dim:
                 raise ham.error("eigenvalues", f"must be at most {most_dim}, got {vals.size}")
             vecs = _matrix_node(ham.node("eigenvectors")) if "eigenvectors" in ham else None
@@ -662,6 +661,7 @@ _BUILDERS = {
     "classical-ensemble": _build_classical_ensemble,
     "synthetic-probe": _build_synthetic,
 }
+KINDS = tuple(_BUILDERS)
 
 
 def _build_runtime(raw: dict) -> _Runtime:
@@ -777,16 +777,17 @@ def _fmt(value) -> str:
 
 
 def emit_report(records: list[RunRecord], fmt: str, path) -> None:
-    """Write records as plot-ready CSV (fixed column order) or verbatim JSON."""
+    """Write records as plot-ready CSV (fixed column order, a field quoted
+    only when it must be) or verbatim JSON."""
     if fmt == "json":
         Path(path).write_text(json.dumps([rec.to_dict() for rec in records], indent=2) + "\n")
         return
     if fmt != "csv":
         raise ConfigError(f"format: expected 'csv' or 'json', got {fmt!r}")
-    lines = [",".join(CSV_COLUMNS)]
+    rows = [CSV_COLUMNS]
     for rec in records:
         rep = rec.report
-        row = [
+        rows.append([
             rec.scenario,
             _fmt(rec.params.get("N")),
             _fmt(rec.params.get("d_eff")),
@@ -800,9 +801,9 @@ def emit_report(records: list[RunRecord], fmt: str, path) -> None:
             rec.bounds["thm2-necessity"].status,
             rep.verdict if rep else "error",
             _fmt(rec.seed),
-        ]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+        ])
+    with open(path, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
 
 
 def load_records(path) -> list[RunRecord]:

@@ -453,7 +453,8 @@ def classical_probe(
 
 @dataclass(frozen=True, eq=False)
 class ClassicalEnsemble:
-    """Weighted point cloud standing in for a smooth phase-space density.
+    """Weighted point cloud standing in for a smooth phase-space density,
+    given as an (n, dim) array of coordinates, wrapped onto the torus.
 
     The cloud is a quadrature of a continuous density (point masses proper
     are excluded by the theory), so any estimate made through it carries a
@@ -469,21 +470,18 @@ class ClassicalEnsemble:
 
     def __init__(
         self,
-        points: Sequence[PhasePoint] | np.ndarray,
+        points: Sequence[Sequence[float]] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None = None,
         chaotic_flags: Sequence[bool] | np.ndarray | None = None,
     ):
-        if len(points) and isinstance(points[0], PhasePoint):
-            arr = np.array([p.coords for p in points], dtype=float)
-        else:
-            arr = _wrapped(np.array(typed_array(points, "points")))
+        arr = _wrapped(np.array(typed_array(points, "points")))
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DomainError("ensemble needs a nonempty (n, dim) point set")
         n = arr.shape[0]
-        w = np.full(n, 1.0 / n) if weights is None else typed_array(weights, "weights")
+        w = np.full(n, 1.0 / n) if weights is None else np.array(typed_array(weights, "weights"))
         # a cast would count any non-empty string, "false" included, as True
         flags = (np.ones(n, dtype=bool) if chaotic_flags is None
-                 else typed_array(chaotic_flags, "chaotic_flags", bool))
+                 else np.array(typed_array(chaotic_flags, "chaotic_flags", bool)))
         if w.shape != (n,) or flags.shape != (n,):
             raise DimensionError("points, weights and chaotic flags must have equal length")
         if w.min() < 0.0:
@@ -491,8 +489,8 @@ class ClassicalEnsemble:
         total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_TOL:
             raise DomainError(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
+        # each array is a fresh copy, so the ensemble never aliases its caller's
         for name, val in (("points", arr), ("weights", w), ("chaotic_flags", flags)):
-            val = val.copy()
             val.setflags(write=False)
             object.__setattr__(self, name, val)
 

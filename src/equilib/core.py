@@ -104,18 +104,17 @@ def typed_array(values, name: str, dtype: type = float) -> np.ndarray:
 class OutcomeDistribution:
     """Probability vector over the outcomes of one measurement.
 
-    Entries must lie in [0, 1] within ``ENTRY_TOL`` and sum to 1 within
-    ``NORM_TOL``. The stored array is read-only.
+    Entries are read by ``typed_array``, must lie in [0, 1] within
+    ``ENTRY_TOL`` and sum to 1 within ``NORM_TOL``. The stored array is a
+    read-only copy.
     """
 
     probs: np.ndarray
 
     def __init__(self, probs: Sequence[float] | np.ndarray):
-        arr = np.asarray(probs, dtype=float)
+        arr = np.array(typed_array(probs, "distribution entries"))
         if arr.ndim != 1 or arr.size < 1:
             raise DistributionError("a distribution must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            raise DistributionError("distribution entries must be finite")
         if arr.min() < -ENTRY_TOL or arr.max() > 1.0 + ENTRY_TOL:
             raise DistributionError(
                 f"entries outside [0, 1]: min={arr.min():.3e}, max={arr.max():.3e}"
@@ -123,7 +122,6 @@ class OutcomeDistribution:
         total = float(arr.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise DistributionError(f"entries sum to {total!r}, expected 1 within {NORM_TOL}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -164,10 +162,12 @@ class TrajectoryProbe:
     block's shape picks the BLAS kernel of their contraction) and exactly
     for classical and synthetic ones. ``distributions_at`` is the one way
     to read it: it validates the block, keeps the last one, read-only, and
-    returns it again for exactly the same times. A fresh float64 array from
-    ``sample_many`` is taken over and frozen, not copied, so ``sample_many``
-    must not keep or reuse it. ``floor``, if set, maps the probe's ω to the
-    resolution floor of a finite quadrature (``classical.ensemble_probe``).
+    returns it again for exactly the same times. The block is read by
+    ``typed_array``: a fresh float64 ndarray that owns its data is taken
+    over and frozen, not copied, so ``sample_many`` must not keep or reuse
+    it; a view, a read-only array or a subclass is copied. ``floor``, if
+    set, maps the probe's ω to the resolution floor of a finite quadrature
+    (``classical.ensemble_probe``).
     """
 
     sample_many: Callable[[np.ndarray], np.ndarray]
@@ -188,17 +188,14 @@ class TrajectoryProbe:
             return last[1]
         if times.size == 0:
             raise DimensionError("a sample block needs at least one time")
-        block = self.sample_many(times)
-        if not (type(block) is np.ndarray and block.dtype == np.float64
-                and block.flags.owndata and block.flags.writeable):
-            block = np.array(block, dtype=float)
+        block = typed_array(self.sample_many(times), "a probe block")
+        if not (type(block) is np.ndarray and block.flags.owndata and block.flags.writeable):
+            block = np.array(block)
         if block.shape != (times.size, self.outcome_count):
             raise DimensionError(
                 f"sample_many returned shape {block.shape}, "
                 f"expected {(times.size, self.outcome_count)}"
             )
-        if not np.all(np.isfinite(block)):
-            raise DistributionError("probe produced non-finite probabilities")
         if block.min() < -ENTRY_TOL or block.max() > 1.0 + ENTRY_TOL:
             raise DistributionError("probe produced probabilities outside [0, 1]")
         # a matrix-vector product: numpy's reduction over a short last axis

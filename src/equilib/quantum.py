@@ -94,7 +94,9 @@ class DensityMatrix:
 
     @staticmethod
     def from_vector(psi: Sequence[complex] | np.ndarray) -> "DensityMatrix":
-        v = typed_array(psi, "a state vector", complex).reshape(-1)
+        v = typed_array(psi, "a state vector", complex)
+        if v.ndim != 1:
+            raise DomainError(f"a state vector must be 1-d, got shape {v.shape}")
         peak = max(np.abs(v.real).max(initial=0.0), np.abs(v.imag).max(initial=0.0))
         if peak == 0:
             raise DomainError("cannot build a state from the zero vector")
@@ -190,9 +192,9 @@ class HamiltonianSpectrum:
     space_of_index: np.ndarray
 
     def __init__(self, eigenvalues, eigenvectors=None):
-        vals = typed_array(eigenvalues, "eigenvalues").reshape(-1)
-        if vals.size < 1:
-            raise DomainError("need a nonempty list of eigenvalues")
+        vals = typed_array(eigenvalues, "eigenvalues")
+        if vals.ndim != 1 or vals.size < 1:
+            raise DomainError(f"eigenvalues must be a nonempty 1-d list, got shape {vals.shape}")
         if np.any(np.diff(vals) < 0):
             raise DomainError("eigenvalues must be ascending")
         d = vals.size

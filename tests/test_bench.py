@@ -1,6 +1,7 @@
 """Scenario loading, the sweep runner, report emission and the CLI."""
 
 import copy
+import csv
 import dataclasses
 import json
 import math
@@ -737,7 +738,7 @@ class TestLoadScenario:
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(synthetic_config()))
         scenario = load_scenario(path)
-        assert scenario.kind == "synthetic-probe"
+        assert scenario.config["kind"] == "synthetic-probe"
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -1014,6 +1015,8 @@ class TestConfigBoundary:
                          r"scenario\.system\.hamiltonian\.eigenvalues", id="eigenvalue-booleans"),
             pytest.param(qubit_config, ("system", "hamiltonian", "eigenvalues", 0), {},
                          r"scenario\.system\.hamiltonian\.eigenvalues", id="eigenvalue-object"),
+            pytest.param(qubit_config, ("system", "hamiltonian", "eigenvalues"), [[0, 1], [2, 3]],
+                         r"scenario\.system\.hamiltonian\.eigenvalues", id="eigenvalue-nested"),
             pytest.param(qubit_config, ("system", "state", "matrix", "data", 1), [0.5, False],
                          r"scenario\.system\.state\.matrix\.data", id="state-pair-boolean"),
             pytest.param(qubit_config, ("measurement", "povm", 1, "data", 0), [0.5, False],
@@ -1493,6 +1496,18 @@ class TestEmission:
         assert row[0] == "qubit"
         assert row[1] == "2"
 
+    def test_csv_quotes_a_name_with_special_characters(self, tmp_path):
+        # the fields were joined with "," unquoted: 14 fields under 13 columns
+        name = 'run, take "2"\nagain'
+        records = run_scenario(load_scenario(qubit_config(name=name)))
+        path = tmp_path / "out.csv"
+        emit_report(records, "csv", path)
+        with open(path, newline="") as f:
+            header, row = csv.reader(f)
+        assert header == CSV_COLUMNS
+        assert len(row) == len(CSV_COLUMNS) == 13
+        assert row[0] == name
+
     def test_csv_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_report(run_scenario(load_scenario(qubit_config())), "csv", a)
@@ -1804,7 +1819,7 @@ class TestBuiltinSuite:
     def test_builtin_scenarios_load(self):
         scenarios = builtin_scenarios()
         assert len(scenarios) >= 5
-        kinds = {s.kind for s in scenarios}
+        kinds = {s.config["kind"] for s in scenarios}
         assert kinds == {
             "quantum", "classical-pure", "classical-ensemble", "synthetic-probe",
         }
@@ -1974,6 +1989,6 @@ class TestBoundRules:
             ensemble_config(), overrides={"system.ensemble.sampler.delta": 0.9})
         for scenario in [*builtin_scenarios(), mostly_periodic]:
             for rt, _ in scenario.built:
-                own = own_bound_values(scenario.kind, rt.epsilon, rt.params)
+                own = own_bound_values(scenario.config["kind"], rt.epsilon, rt.params)
                 assert rt.bound_values == {"thm1-sufficiency": 1.0 - rt.epsilon / 2.0, **own}
                 assert list(rt.bound_values) == [n for n in BOUND_NAMES if n in rt.bound_values]

@@ -675,36 +675,38 @@ class TestOrbitEngine:
             probe.distributions_at(np.array([3.0, -2.0]))
         assert calls == []
 
-    def test_long_horizon_memory_is_bounded(self):
-        # holding every orbit state took about 320 MB here
+    # The horizons and bounds of the three memory tests are a sixteenth of
+    # those at the real chunk, as the chunk is.
+    def test_long_horizon_memory_is_bounded(self, small_chunk):
+        # holding every orbit state takes about 20 MB here
         ens = contaminated_cat_ensemble(1000, delta=0.1, seed=9300)
         probe = ensemble_probe(ens, cat_map(), QUADRANTS)
-        cfg = TimeAverageConfig(horizon=20_000, samples=500, scheme="uniform-grid")
+        cfg = TimeAverageConfig(horizon=1_250, samples=500, scheme="uniform-grid")
         tracemalloc.start()
         try:
             time_average_distribution(probe, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 50e6
+        assert peak < 50e6 / 16
 
-    def test_long_horizon_peak_is_a_few_blocks(self):
+    def test_long_horizon_peak_is_a_few_blocks(self, small_chunk):
         # the clouds or cells of all 500 sampled steps at once would pass 8 MB
         ens = contaminated_cat_ensemble(1000, delta=0.1, seed=9300)
         probe = ensemble_probe(ens, cat_map(), QUADRANTS)
-        cfg = TimeAverageConfig(horizon=20_000, samples=500, scheme="uniform-grid")
+        cfg = TimeAverageConfig(horizon=1_250, samples=500, scheme="uniform-grid")
         tracemalloc.start()
         try:
             time_average_distribution(probe, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 8e6 / 16
 
-    def test_pure_peak_does_not_grow_with_the_horizon(self):
+    def test_pure_peak_does_not_grow_with_the_horizon(self, small_chunk):
         # the one-point walk gathers only the requested steps' coordinates,
         # a block at a time, so 512 sampled steps hold as much whether they
-        # span 10^4 steps or 2 * 10^5
+        # span 625 steps or 12,500
         def peak(horizon):
             probe = classical_probe(PhasePoint((0.2137, 0.5821)), cat_map(), QUADRANTS)
             cfg = TimeAverageConfig(horizon=horizon, samples=512, scheme="uniform-grid")
@@ -716,7 +718,7 @@ class TestOrbitEngine:
                 tracemalloc.stop()
 
         peak(1000)  # one-time allocations out of the way
-        assert abs(peak(10_000) - peak(200_000)) < 64 * 1024
+        assert abs(peak(625) - peak(12_500)) < 64 * 1024 / 16
 
 
 # the maps of the one-point kernel tests, with their lattice denominators
@@ -786,10 +788,11 @@ class TestBlockedClassification:
 
     @pytest.mark.parametrize("every", [1, 7], ids=["every-step", "sparse-steps"])
     @pytest.mark.parametrize("mapping", [cat_map(), baker_map()], ids=lambda m: m.name)
-    def test_workload_shaped_block_matches_per_step_loop(self, every, mapping):
-        # 1000 two-d points and 6 cells at the real cap: 32 steps a block, so 300 steps
-        # make nine full blocks and a short one
-        ens = contaminated_cat_ensemble(1000, 0.1, seed=9300)
+    def test_workload_shaped_block_matches_per_step_loop(self, small_chunk, every, mapping):
+        # 61 two-d points and 6 cells at the lowered chunk: 32 steps a block,
+        # as 1000 points at the real one, so 300 steps make nine full blocks
+        # and a short one
+        ens = contaminated_cat_ensemble(61, 0.1, seed=9300)
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.8, 1.0]])
         times = np.arange(300.0) * every
         blocks = list(classical._orbit_cells(ens.points, mapping, part, times))
@@ -880,16 +883,16 @@ class TestPointKernels:
 
     @pytest.mark.parametrize("mapping", [cat_map(), cat_map(lattice=2**52), baker_map()],
                              ids=lambda m: m.name)
-    def test_consecutive_steps_across_a_block_boundary(self, mapping):
-        # a 2-d point on 25 cells fills 2,427 steps a block, so 40,000 steps
-        # take 16 and a short one; the per-step loop's cells give the
-        # expected one-hot rows
-        times = np.arange(40_000.0)
+    def test_consecutive_steps_across_a_block_boundary(self, small_chunk, mapping):
+        # a 2-d point on 25 cells fills 151 steps a block at the lowered
+        # chunk (2,427 at the real one), so 2,500 steps take 16 and a short
+        # one; the per-step loop's cells give the expected one-hot rows
+        times = np.arange(2_500.0)
         start = start_points(2, None)[0]
         part = grid_partition([np.linspace(0.0, 1.0, 6)] * 2)
         recorder, seen = recording_partition(part)
         block = classical_probe(PhasePoint(start), mapping, recorder).distributions_at(times)
-        assert [len(pts) for pts in seen] == [2_427] * 16 + [1_168]
+        assert [len(pts) for pts in seen] == [151] * 16 + [84]
         orbit = reference_orbit(start, mapping, times)
         assert same_bits(np.concatenate(seen), orbit)
         assert same_bits(block, np.eye(part.cell_count)[part.cells_of_many(orbit)])
@@ -1042,7 +1045,7 @@ class TestEnsembles:
     def test_single_point_reduces_to_pure_probe(self):
         part = grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
         x = PhasePoint((0.3, 0.9))
-        single = ClassicalEnsemble([x])
+        single = ClassicalEnsemble([x.coords])
         times = np.arange(30.0)
         a = ensemble_probe(single, cat_map(), part).distributions_at(times)
         b = classical_probe(x, cat_map(), part).distributions_at(times)
@@ -1060,17 +1063,17 @@ class TestEnsembles:
 
     def test_two_points_convexity(self):
         part = interval_partition([0.0, 0.5, 1.0])
-        ens = ClassicalEnsemble([PhasePoint(0.1), PhasePoint(0.7)])
+        ens = ClassicalEnsemble([[0.1], [0.7]])
         probe = ensemble_probe(ens, rotation_map(0.0), part)
         assert probe.distributions_at([0.0])[0].tolist() == [0.5, 0.5]
 
     def test_validation(self):
         with pytest.raises(DomainError, match=r"^weights sum to 0\.5, expected 1 within 1e-09$"):
-            ClassicalEnsemble([PhasePoint(0.1)], weights=[0.5])
+            ClassicalEnsemble([[0.1]], weights=[0.5])
         with pytest.raises(DimensionError):
-            ClassicalEnsemble([PhasePoint(0.1)], weights=[0.5, 0.5])
+            ClassicalEnsemble([[0.1]], weights=[0.5, 0.5])
         with pytest.raises(DomainError):
-            ClassicalEnsemble([PhasePoint(0.1), PhasePoint(0.2)], weights=[1.5, -0.5])
+            ClassicalEnsemble([[0.1], [0.2]], weights=[1.5, -0.5])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_points_and_weights_rejected(self, bad):
@@ -1100,9 +1103,30 @@ class TestEnsembles:
         with pytest.raises(DomainError, match=field):
             ClassicalEnsemble(**fields)
 
+    def test_holds_each_array_once(self):
+        # the points, weights and flags once each, beside the wrap's one
+        # temporary of the points; a second copy of all three held 1.0 MB
+        n = 20_000
+        points = np.random.default_rng(2).random((n, 2))
+        tracemalloc.start()
+        try:
+            ClassicalEnsemble(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * points.nbytes + 8 * n + n
+
+    def test_copies_what_it_is_given(self):
+        points, weights, flags = np.full((2, 2), 0.25), np.full(2, 0.5), np.ones(2, dtype=bool)
+        ens = ClassicalEnsemble(points, weights, flags)
+        for given, kept in zip((points, weights, flags),
+                               (ens.points, ens.weights, ens.chaotic_flags)):
+            assert given.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(given, kept)
+
     def test_periodic_weight(self):
         ens = ClassicalEnsemble(
-            [PhasePoint((0.1, 0.2)), PhasePoint((0.3, 0.4)), PhasePoint((0.5, 0.6))],
+            [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
             weights=[0.5, 0.25, 0.25],
             chaotic_flags=[True, False, True],
         )

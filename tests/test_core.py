@@ -90,8 +90,23 @@ class TestOutcomeDistribution:
     def test_rejects_empty_and_nan(self):
         with pytest.raises(DistributionError):
             OutcomeDistribution([])
-        with pytest.raises(DistributionError):
+        with pytest.raises(DomainError, match="non-finite"):
             OutcomeDistribution([float("nan"), 1.0])
+
+    @pytest.mark.parametrize("probs, message", [
+        (["0.5", "0.5"], "distribution entries must be numbers, got '0.5'"),
+        ([True, False], "distribution entries must be numbers, got True"),
+        (np.array([True, False]), "distribution entries must be numbers, got bool entries"),
+    ], ids=["strings", "booleans", "boolean-array"])
+    def test_entries_are_read_as_numbers(self, probs, message):
+        # numpy casts each of these to [0.5, 0.5] or [1.0, 0.0]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            OutcomeDistribution(probs)
+
+    def test_keeps_a_copy_of_an_array(self):
+        given = np.array([0.25, 0.75])
+        d = OutcomeDistribution(given)
+        assert not np.shares_memory(d.probs, given) and given.flags.writeable
 
     def test_tolerances(self):
         # within: tiny negative entry and 1e-10 normalization slack
@@ -349,6 +364,23 @@ class TestTimeAverageDistribution:
             probe.distributions_at(times)
         assert calls == []
 
+    @pytest.mark.parametrize("returned, message", [
+        ([["0.5", "0.5"]] * 4, "a probe block must be numbers, got '0.5'"),
+        ([[True, False]] * 4, "a probe block must be numbers, got True"),
+        (np.full((4, 2), "0.5"), "a probe block must be numbers, got <U3 entries"),
+        (np.eye(2, dtype=bool)[[0, 1, 0, 1]], "a probe block must be numbers, got bool entries"),
+        (np.full((4, 2), math.nan), "a probe block has non-finite entries"),
+    ], ids=["strings", "booleans", "string-array", "boolean-array", "nan"])
+    def test_a_block_is_read_as_numbers(self, returned, message):
+        probe = TrajectoryProbe(lambda ts: returned, 2)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            probe.distributions_at(np.arange(4.0))
+
+    def test_an_integer_block_is_read(self):
+        probe = TrajectoryProbe(lambda ts: np.eye(2, dtype=np.int64)[[0, 1, 0]], 2)
+        block = probe.distributions_at(np.arange(3.0))
+        assert block.dtype == np.float64 and block.tolist() == [[1, 0], [0, 1], [1, 0]]
+
 
 class TestProbeMemo:
     @staticmethod
@@ -415,6 +447,16 @@ class TestProbeMemo:
         assert buffer.flags.writeable and not block.flags.writeable
         buffer[:] = 0.25  # the probe's own buffer is still its to reuse
         assert np.all(block == 0.5)
+
+    def test_a_subclass_block_is_read_as_a_plain_copy(self):
+        class Kept(np.ndarray):
+            pass
+
+        kept = Kept((4, 2))
+        kept[:] = 0.5
+        block = TrajectoryProbe(lambda ts: kept, 2).distributions_at(np.arange(4.0))
+        assert type(block) is np.ndarray and not np.shares_memory(block, kept)
+        assert kept.flags.writeable and not block.flags.writeable
 
     def test_block_is_read_only(self):
         probe, _ = self.counting_probe()
@@ -739,13 +781,6 @@ class TestChunkedBlocks:
     ``core._CHUNK_ENTRIES`` entries a temporary: its memory beside its rows
     does not grow with the sample count, and its bits do not depend on
     where the chunks end."""
-
-    @pytest.fixture
-    def small_chunk(self, monkeypatch):
-        """A chunk of 4,096 entries, a sixteenth of the real one, set before
-        the probe is built: the memory rules scale with the chunk, so they
-        show at a sixteenth of the sample counts."""
-        monkeypatch.setattr(core, "_CHUNK_ENTRIES", 4096)
 
     # per time beside the output rows: nothing for the chunked blocks, and
     # for the orbit blocks the time order of the requests and their steps,

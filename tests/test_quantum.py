@@ -363,6 +363,16 @@ def test_constructors_refuse_strings_and_booleans(build, values):
         build(values)
 
 
+@pytest.mark.parametrize("build, values, name", [
+    (HamiltonianSpectrum, [[0, 1], [2, 3]], "eigenvalues"),
+    (DensityMatrix.from_vector, [[1, 0], [0, 1]], "a state vector"),
+])
+def test_vector_constructors_refuse_nesting(build, values, name):
+    # each used to flatten the list into a 4-vector
+    with pytest.raises(DomainError, match=rf"^{name} must be .*1-d.*, got shape \(2, 2\)$"):
+        build(values)
+
+
 class TestHamiltonianSpectrum:
     def test_requires_ascending(self):
         with pytest.raises(DomainError):
