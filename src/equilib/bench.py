@@ -17,19 +17,20 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import classical, quantum
 from .core import (
-    MAX_SAMPLES,
+    SCHEME_STRATIFIED,
     ConfigError,
     OutcomeDistribution,
     EquilibrationReport,
     TimeAverageConfig,
     TrajectoryProbe,
+    check_epsilon,
     check_sufficiency,
     equilibration_report,
     sample_times,
@@ -40,6 +41,7 @@ from .core import (
 STATUS_SATISFIED = "satisfied"
 STATUS_VIOLATED = "violated"
 STATUS_NA = "not-applicable"
+STATUSES = (STATUS_SATISFIED, STATUS_VIOLATED, STATUS_NA)
 
 # The one size budget: each size is at most MAX_BYTES over the bytes a unit
 # of it costs (a tracemalloc peak, beside its bound), given the sizes before
@@ -135,13 +137,19 @@ class RunRecord:
         checks = record.node("bounds")
         bounds = {}
         for name, chk in checks.data.items():
+            if name not in BOUND_NAMES:
+                raise checks.error(name, f"unknown bound, expected one of {BOUND_NAMES}")
             chk = checks.child(chk, name)
             value = None if chk.require("value") is None else chk.number("value")
-            bounds[name] = BoundCheck(value, chk.require("status"))
-        fields = {key: record.require(key) for key in ("scenario", "params")}
-        fields.update(wall_time=record.number("wall_time"), seed=record.seed())
+            status = chk.require("status")
+            if status not in STATUSES:
+                raise chk.error("status", f"expected one of {STATUSES}, got {status!r}")
+            bounds[name] = BoundCheck(value, status)
+        fields = dict(scenario=record.string("scenario"), params=record.node("params").data,
+                      wall_time=record.number("wall_time"), seed=record.seed(),
+                      error=None if record.get("error") is None else record.string("error"))
         try:
-            return RunRecord(report=rep, bounds=bounds, error=record.get("error"), **fields)
+            return RunRecord(report=rep, bounds=bounds, **fields)
         except ConfigError as exc:
             raise checks.error(None, str(exc)) from None
 
@@ -191,6 +199,12 @@ class _Node:
             raise self.error(key, "required")
         return self.data[key]
 
+    def string(self, key: str) -> str:
+        value = self.require(key)
+        if not isinstance(value, str):
+            raise self.error(key, f"expected a string, got {type(value).__name__}")
+        return value
+
     def number(self, key: str) -> float:
         value = self.require(key)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -223,13 +237,16 @@ class _Node:
     def field(self, key: str | None = None):
         """Decode field ``key`` (this object when None): a TypeError,
         ValueError or OverflowError raised inside becomes a ConfigError
-        naming it; a ConfigError passes through."""
+        naming the key of this object that its ``name`` gives (a library
+        DomainError names its argument), else ``key``; a ConfigError passes
+        through."""
         try:
             yield
         except ConfigError:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
-            raise self.error(key, str(exc)) from None
+            name = getattr(exc, "name", None)
+            raise self.error(name if name in self.data else key, str(exc)) from None
 
     def entries(self, key: str, dtype: type = float, optional: bool = False) -> np.ndarray | None:
         """Field ``key``, a nested list of JSON numbers (or, for ``dtype``
@@ -292,9 +309,7 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
     if overrides:
         raw = _apply_overrides(raw, overrides)
     root = _Node(raw, "scenario")
-    name = raw.get("name", name)
-    if not isinstance(name, str):
-        raise root.error("name", f"expected a string, got {type(name).__name__}")
+    name = root.string("name") if "name" in root else name
     kind = root.require("kind")
     if kind not in KINDS:
         raise root.error("kind", f"unknown kind {kind!r}, expected one of {KINDS}")
@@ -356,9 +371,8 @@ def _average_config(root: _Node, outcomes: int, spectrum=None) -> TimeAverageCon
     """A sample time costs 24 (N + 3) bytes with N ``outcomes`` whatever the kind,
     for the estimator's rows and the time (tracemalloc: 24-25 N + 16-56)."""
     avg = root.node("average")
-    most = min(MAX_SAMPLES, MAX_BYTES // (24 * (outcomes + 3)))
-    samples = avg.integer("samples", 2, most)
-    seed = avg.seed(0)
+    samples = avg.integer("samples", most=MAX_BYTES // (24 * (outcomes + 3)))
+    seed = avg.integer("seed", default=0)
     horizon = avg.get("horizon", "auto")
     if horizon == "auto":
         if spectrum is None:
@@ -366,10 +380,9 @@ def _average_config(root: _Node, outcomes: int, spectrum=None) -> TimeAverageCon
         horizon = quantum.default_average_config(spectrum).horizon
     else:
         horizon = avg.number("horizon")
-    with avg.field("horizon"):
-        config = TimeAverageConfig(horizon=horizon, samples=samples, seed=seed)
-    with avg.field("scheme"):
-        return replace(config, scheme=avg.get("scheme", config.scheme))
+    with avg.field():
+        return TimeAverageConfig(horizon=horizon, samples=samples, seed=seed,
+                                 scheme=avg.get("scheme", SCHEME_STRATIFIED))
 
 
 @dataclass(frozen=True)
@@ -461,15 +474,12 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
     most_dim = _dim_bound()
     if "sampler" in system:
         s = system.node("sampler")
-        dim = s.integer("dim", 1, most_dim)
+        dim = s.integer("dim", most=most_dim)
         seed = s.seed()
-        spec_kind = s.get("spectrum", "generic")
         spacing = s.number("spacing") if "spacing" in s else 1.0
-        if not (spacing > 0 and math.isfinite(spacing * (dim - 1))):
-            raise s.error("spacing", "must be > 0 with a finite "
-                          f"spacing * (dim - 1), got {spacing!r}")
+        # random_spectrum names this argument "kind", which is no key here
         with s.field("spectrum"):
-            spectrum = quantum.random_spectrum(dim, seed, spec_kind, spacing)
+            spectrum = quantum.random_spectrum(dim, seed, s.get("spectrum", "generic"), spacing)
         state_kind = s.get("state", "pure")
         if state_kind == "pure":
             rho = quantum.random_pure_state(dim, seed + 1)
@@ -481,8 +491,6 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
         ham = system.node("hamiltonian")
         if "eigenvalues" in ham:
             vals = ham.entries("eigenvalues")
-            if vals.ndim != 1:
-                raise ham.error("eigenvalues", f"expected a flat list, got shape {vals.shape}")
             if vals.size > most_dim:
                 raise ham.error("eigenvalues", f"must be at most {most_dim}, got {vals.size}")
             vecs = _matrix_node(ham.node("eigenvectors")) if "eigenvectors" in ham else None
@@ -507,9 +515,7 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
     if "sampler" in meas:
         s = meas.node("sampler")
         name = s.get("name", "random")
-        if name == "projective":
-            most = min(most, spectrum.dim)
-        outcomes = s.integer("outcomes", 2 if name == "uneven" else 1, most)
+        outcomes = s.integer("outcomes", most=most)
         seed = s.seed()
         with s.field():
             if name == "random":
@@ -517,10 +523,7 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
             elif name == "projective":
                 povm = quantum.projective_povm(spectrum.dim, outcomes, seed)
             elif name == "uneven":
-                leak = s.number("leak")
-                if not 0.0 <= leak < 1.0:
-                    raise s.error("leak", f"must lie in [0, 1), got {leak!r}")
-                povm = quantum.uneven_povm(spectrum.dim, outcomes, leak, seed)
+                povm = quantum.uneven_povm(spectrum.dim, outcomes, s.number("leak"), seed)
             else:
                 raise s.error("name", f"unknown sampler {name!r}")
     else:
@@ -533,10 +536,8 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
             povm = quantum.POVM([_matrix_node(meas.child(el, f"povm[{k}]"))
                                  for k, el in enumerate(elements)])
 
-    if povm.dim != spectrum.dim or rho.dim != spectrum.dim:
-        raise root.error(None, "inconsistent dimensions "
-                         f"(state {rho.dim}, hamiltonian {spectrum.dim}, measurement {povm.dim})")
-    probe = quantum.quantum_probe(rho, spectrum, povm)
+    with root.field():
+        probe = quantum.quantum_probe(rho, spectrum, povm)
     avg = _average_config(root, povm.outcome_count, spectrum)
     d_eff = quantum.effective_dimension(rho, spectrum)
     with root.field("gap_tol"):
@@ -577,12 +578,9 @@ def _map_and_partition(root: _Node) -> tuple[_Node, classical.InvertibleMap, cla
 
 def _build_classical_pure(root: _Node, epsilon: float) -> _Runtime:
     system, mapping, partition = _map_and_partition(root)
-    point_cfg = system.require("point")
+    point = system.require("point")
     with system.field("point"):
-        point = classical.PhasePoint(point_cfg)
-    if point.dim != mapping.dim:
-        raise system.error("point", f"{point.dim}-d point for {mapping.dim}-d map")
-    probe = classical.classical_probe(point, mapping, partition)
+        probe = classical.classical_probe(classical.PhasePoint(point), mapping, partition)
     params = {"N": partition.cell_count, "map": mapping.name}
     return _Runtime(probe, _orbit_average_config(root, partition.cell_count), epsilon, params,
                     {"thm2-necessity": 1.0 - epsilon})
@@ -591,29 +589,24 @@ def _build_classical_pure(root: _Node, epsilon: float) -> _Runtime:
 def _build_classical_ensemble(root: _Node, epsilon: float) -> _Runtime:
     system, mapping, partition = _map_and_partition(root)
     ens = system.node("ensemble")
-    with ens.field():
-        if "sampler" in ens:
-            s = ens.node("sampler")
-            if s.get("name", "contaminated-cat") != "contaminated-cat":
-                raise s.error("name", f"unknown sampler {s.get('name')!r}")
-            # 128 bytes a point (tracemalloc: 84 at build, 105 through a run)
-            count, delta = s.integer("count", 1, MAX_BYTES // 128), s.number("delta")
-            seed, lattice = s.seed(), s.integer("lattice", default=4)
-            if not 0.0 <= delta <= 1.0:
-                raise s.error("delta", f"must lie in [0, 1], got {delta!r}")
-            if not classical.is_sampler_lattice(lattice):
-                raise s.error("lattice",
-                              f"must be a power of two from 2 to 2**51, got {lattice!r}")
+    if "sampler" in ens:
+        s = ens.node("sampler")
+        if s.get("name", "contaminated-cat") != "contaminated-cat":
+            raise s.error("name", f"unknown sampler {s.get('name')!r}")
+        # 128 bytes a point (tracemalloc: 84 at build, 105 through a run)
+        count, delta = s.integer("count", most=MAX_BYTES // 128), s.number("delta")
+        seed, lattice = s.seed(), s.integer("lattice", default=4)
+        with s.field():
             ensemble = classical.contaminated_cat_ensemble(count, delta, seed, lattice)
-        else:
+    else:
+        with ens.field():
             ensemble = classical.ClassicalEnsemble(
                 ens.entries("points"),
                 ens.entries("weights", optional=True),
                 ens.entries("chaotic_flags", bool, optional=True),
             )
-    if ensemble.dim != mapping.dim:
-        raise ens.error(None, f"{ensemble.dim}-d points for {mapping.dim}-d map")
-    probe = classical.ensemble_probe(ensemble, mapping, partition)
+    with ens.field():
+        probe = classical.ensemble_probe(ensemble, mapping, partition)
     delta = ensemble.periodic_weight
     params = {
         "N": partition.cell_count,
@@ -632,17 +625,15 @@ def _build_classical_ensemble(root: _Node, epsilon: float) -> _Runtime:
 def _build_synthetic(root: _Node, epsilon: float) -> _Runtime:
     recipe = root.node("system").node("probe")
     # build: 32 B an outcome, + 2 sample rows, 16 an outcome-mode (tracemalloc: 24-32, 14-17)
-    outcomes = recipe.integer("outcomes", 1, MAX_BYTES // (32 + 2 * 24))
+    outcomes = recipe.integer("outcomes", most=MAX_BYTES // (32 + 2 * 24))
     seed = recipe.seed()
-    mode_count = recipe.integer("mode_count", 0, MAX_BYTES // (16 * (outcomes + 1)), default=3)
+    # synthetic_probe refuses outcomes below 1, which cost no bytes here
+    most_modes = MAX_BYTES // (16 * (max(outcomes, 0) + 1))
+    mode_count = recipe.integer("mode_count", most=most_modes, default=3)
     dominant_weight = None
     if recipe.get("dominant_weight") is not None:
         dominant_weight = recipe.number("dominant_weight")
-        if not 0.0 < dominant_weight <= 1.0:
-            raise recipe.error("dominant_weight", f"must lie in (0, 1], got {dominant_weight!r}")
     amplitude = recipe.number("amplitude") if "amplitude" in recipe else 0.6
-    if not 0.0 <= amplitude < 1.0:
-        raise recipe.error("amplitude", f"must lie in [0, 1), got {amplitude!r}")
     with recipe.field():
         probe = synthetic_probe(
             outcomes=outcomes,
@@ -668,8 +659,8 @@ def _build_runtime(raw: dict) -> _Runtime:
     """Build one point; its epsilon is decoded here, once, as a float."""
     root = _Node(raw, "scenario")
     epsilon = root.number("epsilon")
-    if not 0.0 <= epsilon < 1.0:
-        raise root.error("epsilon", f"must lie in [0, 1), got {epsilon!r}")
+    with root.field("epsilon"):
+        check_epsilon(epsilon)
     return _BUILDERS[raw["kind"]](root, epsilon)
 
 
@@ -738,7 +729,7 @@ def run_scenario(scenario: Scenario) -> list[RunRecord]:
         records.append(
             RunRecord(
                 scenario=scenario.name,
-                params=_plain(params),
+                params=params,
                 report=report,
                 bounds=checks,
                 wall_time=build_s + time.perf_counter() - start,
@@ -747,17 +738,6 @@ def run_scenario(scenario: Scenario) -> list[RunRecord]:
             )
         )
     return records
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars so records serialize and compare cleanly."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
 
 
 def any_violation(records: list[RunRecord]) -> bool:

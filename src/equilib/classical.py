@@ -717,7 +717,7 @@ def decorrelation_audit(
     return passed / pair_count, pair_count
 
 
-def is_sampler_lattice(q) -> bool:
+def _is_sampler_lattice(q) -> bool:
     """Whether ``contaminated_cat_ensemble`` takes the lattice ``q``: a power
     of two from 2 to 2**51, whose sites the float ``cat_map()`` keeps exact,
     as every 2 kx + ky < 3q is an exact double while 3q <= 2**53."""
@@ -743,11 +743,12 @@ def contaminated_cat_ensemble(
     point.
     """
     if count < 1:
-        raise DomainError("ensemble needs at least one point")
+        raise DomainError(f"ensemble needs at least one point, got {count}", name="count")
     if not 0.0 <= delta <= 1.0:
-        raise DomainError("delta must lie in [0, 1]")
-    if not is_sampler_lattice(lattice):
-        raise DomainError(f"lattice must be a power of two from 2 to 2**51, got {lattice!r}")
+        raise DomainError(f"delta must lie in [0, 1], got {delta!r}", name="delta")
+    if not _is_sampler_lattice(lattice):
+        raise DomainError(f"lattice must be a power of two from 2 to 2**51, got {lattice!r}",
+                          name="lattice")
     rng = np.random.default_rng(seed)
     n_periodic = int(round(delta * count))
     n_chaotic = count - n_periodic

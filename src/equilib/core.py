@@ -46,7 +46,12 @@ class DimensionError(ValueError):
 
 
 class DomainError(ValueError):
-    """A scalar argument lies outside its mathematical domain."""
+    """A scalar argument lies outside its mathematical domain; ``name``, if
+    given, is the argument's, as ``AttributeError.name`` is an attribute's."""
+
+    def __init__(self, message: str = "", name: str | None = None):
+        super().__init__(message)
+        self.name = name
 
 
 class DistributionError(ValueError):
@@ -60,7 +65,7 @@ class ConfigError(ValueError):
 def check_epsilon(epsilon: float) -> None:
     """Raise DomainError unless the tolerance ``epsilon`` lies in [0, 1)."""
     if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}", name="epsilon")
 
 
 # per target dtype: the entry types it reads, and the dtype kinds of the
@@ -229,7 +234,7 @@ class TimeAverageConfig:
         for name in ("samples", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+                raise DomainError(f"{name} must be an integer, got {value!r}", name=name)
         # typed_array refuses a string, and a bool, which math would take as
         # a horizon of 1
         h = self.horizon
@@ -238,15 +243,16 @@ class TimeAverageConfig:
         except DomainError:
             number = False
         if not (number and h > 0):
-            raise DomainError(f"horizon must be finite and positive, got {h!r}")
+            raise DomainError(f"horizon must be finite and positive, got {h!r}", name="horizon")
         if self.samples < 2:
-            raise DomainError(f"need at least 2 samples, got {self.samples}")
+            raise DomainError(f"need at least 2 samples, got {self.samples}", name="samples")
         if self.samples > MAX_SAMPLES:
-            raise DomainError(f"need at most {MAX_SAMPLES} samples, got {self.samples}")
+            raise DomainError(f"need at most {MAX_SAMPLES} samples, got {self.samples}",
+                              name="samples")
         if self.scheme not in (SCHEME_UNIFORM, SCHEME_STRATIFIED):
-            raise DomainError(f"unknown sampling scheme {self.scheme!r}")
+            raise DomainError(f"unknown sampling scheme {self.scheme!r}", name="scheme")
         if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+            raise DomainError(f"seed must be >= 0, got {self.seed}", name="seed")
 
 
 def sample_times(cfg: TimeAverageConfig) -> np.ndarray:
@@ -458,14 +464,17 @@ def synthetic_probe(
     empirical equilibrium distribution is highly uneven.
     """
     if outcomes < 1:
-        raise DomainError("need at least one outcome")
+        raise DomainError(f"need at least one outcome, got {outcomes}", name="outcomes")
+    if mode_count < 0:
+        raise DomainError(f"mode_count must be >= 0, got {mode_count}", name="mode_count")
     if not 0.0 <= amplitude < 1.0:
-        raise DomainError("amplitude must lie in [0, 1)")
+        raise DomainError(f"amplitude must lie in [0, 1), got {amplitude!r}", name="amplitude")
+    if dominant_weight is not None and not 0.0 < dominant_weight <= 1.0:
+        raise DomainError(f"dominant_weight must lie in (0, 1], got {dominant_weight!r}",
+                          name="dominant_weight")
     rng = np.random.default_rng(seed)
     base = rng.dirichlet(np.ones(outcomes))
     if dominant_weight is not None:
-        if not 0.0 < dominant_weight <= 1.0:
-            raise DomainError("dominant weight must lie in (0, 1]")
         rest = base[1:] / base[1:].sum() if outcomes > 1 else np.array([])
         base = np.concatenate(([dominant_weight], (1.0 - dominant_weight) * rest))
     # amplitudes normalized so each factor stays in (1 - amplitude, 1 + amplitude)

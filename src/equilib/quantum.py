@@ -11,6 +11,7 @@ coinciding energy gaps.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,9 +195,10 @@ class HamiltonianSpectrum:
     def __init__(self, eigenvalues, eigenvectors=None):
         vals = typed_array(eigenvalues, "eigenvalues")
         if vals.ndim != 1 or vals.size < 1:
-            raise DomainError(f"eigenvalues must be a nonempty 1-d list, got shape {vals.shape}")
+            raise DomainError(f"eigenvalues must be a nonempty 1-d list, got shape {vals.shape}",
+                              name="eigenvalues")
         if np.any(np.diff(vals) < 0):
-            raise DomainError("eigenvalues must be ascending")
+            raise DomainError("eigenvalues must be ascending", name="eigenvalues")
         d = vals.size
         if eigenvectors is None:
             vecs = np.eye(d, dtype=complex)
@@ -217,7 +219,7 @@ class HamiltonianSpectrum:
         if wide.size:
             raise DomainError(
                 "eigenvalue clustering is ambiguous at this tolerance "
-                f"(chained spread {wide[0]:.3e})"
+                f"(chained spread {wide[0]:.3e})", name="eigenvalues"
             )
         vals = vals.copy()
         vecs = vecs.copy()
@@ -420,7 +422,7 @@ def _energy_coefficients(
     d = spectrum.dim
     if rho.dim != d or elements.shape[1:] != (d, d):
         raise DimensionError(
-            f"dimensions differ: state {rho.dim}, spectrum {d}, "
+            f"inconsistent dimensions: state {rho.dim}, spectrum {d}, "
             f"measurement {elements.shape[-1]}"
         )
     rho_e = spectrum.to_energy_basis(rho.matrix)
@@ -635,6 +637,7 @@ def purify(rho: DensityMatrix) -> DensityMatrix:
 
 def partial_trace_ancilla(rho: DensityMatrix, system_dim: int) -> DensityMatrix:
     """Trace out an ancilla of dimension rho.dim / system_dim."""
+    _check_dim(system_dim, "system_dim")
     d = rho.dim
     if d % system_dim != 0:
         raise DimensionError(f"cannot split dimension {d} as system {system_dim} x ancilla")
@@ -648,8 +651,7 @@ def extend_hamiltonian(spectrum: HamiltonianSpectrum, ancilla_dim: int) -> Hamil
     """Spectral data of H (x) identity: the system Hamiltonian extended by a
     null ancilla. Eigenvalues repeat per ancilla level, so the distinct
     energies, and with them the gap structure, are unchanged."""
-    if ancilla_dim < 1:
-        raise DomainError("ancilla dimension must be >= 1")
+    _check_dim(ancilla_dim, "ancilla_dim")
     vals = np.repeat(spectrum.eigenvalues, ancilla_dim)
     vecs = np.kron(spectrum.eigenvectors, np.eye(ancilla_dim))
     return HamiltonianSpectrum(vals, vecs)
@@ -657,8 +659,7 @@ def extend_hamiltonian(spectrum: HamiltonianSpectrum, ancilla_dim: int) -> Hamil
 
 def extend_povm(povm: POVM, ancilla_dim: int) -> POVM:
     """The measurement M_j (x) identity acting on system plus ancilla."""
-    if ancilla_dim < 1:
-        raise DomainError("ancilla dimension must be >= 1")
+    _check_dim(ancilla_dim, "ancilla_dim")
     n, d, a = povm.outcome_count, povm.dim, ancilla_dim
     # stack[j, k, x, l, x] = (M_j)_kl: each M_j (x) I, positive semidefinite
     stack = np.zeros((n, d, a, d, a), dtype=complex)
@@ -675,9 +676,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _check_dim(dim: int) -> None:
-    if dim < 1:
-        raise DomainError(f"dimension must be >= 1, got {dim}")
+def _check_dim(dim: int, name: str = "dim") -> None:
+    """Raise a DomainError naming ``name`` unless ``dim`` is an integer >= 1."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {dim!r}", name=name)
 
 
 def random_spectrum(
@@ -691,18 +693,21 @@ def random_spectrum(
     ``kind="generic"`` draws eigenvalues uniformly over [0, dim] (all gaps
     distinct with probability one); ``kind="equally-spaced"`` builds the
     ladder 0, spacing, 2*spacing, ... whose gaps are maximally degenerate.
-    Both use a Haar-random eigenbasis.
+    Both use a Haar-random eigenbasis. ``spacing`` must be positive, with
+    a finite top level ``spacing * (dim - 1)``, whatever the kind.
     """
     _check_dim(dim)
+    if not spacing > 0:
+        raise DomainError(f"spacing must be > 0, got {spacing!r}", name="spacing")
+    if not math.isfinite(spacing * (dim - 1)):
+        raise DomainError(f"spacing {spacing!r} overflows at level {dim - 1}", name="spacing")
     rng = np.random.default_rng(seed)
     if kind == "generic":
         vals = np.sort(rng.uniform(0.0, float(dim), dim))
     elif kind == "equally-spaced":
-        if not math.isfinite(spacing * (dim - 1)):
-            raise DomainError(f"spacing {spacing!r} overflows at level {dim - 1}")
         vals = spacing * np.arange(dim, dtype=float)
     else:
-        raise DomainError(f"unknown spectrum kind {kind!r}")
+        raise DomainError(f"unknown spectrum kind {kind!r}", name="kind")
     return HamiltonianSpectrum(vals, haar_unitary(dim, rng))
 
 
@@ -727,7 +732,7 @@ def random_povm(dim: int, outcomes: int, seed: int) -> POVM:
     matrices by the inverse square root of their sum."""
     _check_dim(dim)
     if outcomes < 1:
-        raise DomainError("need at least one outcome")
+        raise DomainError(f"need at least one outcome, got {outcomes}", name="outcomes")
     rng = np.random.default_rng(seed)
     # the Gram matrices P are written into the stack, then each slot is
     # overwritten by its congruence S P S
@@ -754,7 +759,8 @@ def projective_povm(dim: int, outcomes: int, seed: int) -> POVM:
     round-robin into ``outcomes`` groups."""
     _check_dim(dim)
     if not 1 <= outcomes <= dim:
-        raise DomainError(f"projective measurement needs 1 <= outcomes <= dim, got {outcomes}")
+        raise DomainError(f"projective measurement needs 1 <= outcomes <= {dim}, got {outcomes}",
+                          name="outcomes")
     rng = np.random.default_rng(seed)
     u = haar_unitary(dim, rng)
     stack = np.empty((outcomes, dim, dim), dtype=complex)
@@ -770,9 +776,9 @@ def uneven_povm(dim: int, outcomes: int, leak: float, seed: int) -> POVM:
     (1 - leak) * identity and the rest share leak * identity randomly.
     Any state then has a dominant outcome of weight 1 - leak."""
     if not 0.0 <= leak < 1.0:
-        raise DomainError("leak must lie in [0, 1)")
+        raise DomainError(f"leak must lie in [0, 1), got {leak!r}", name="leak")
     if outcomes < 2:
-        raise DomainError("need at least two outcomes")
+        raise DomainError(f"need at least two outcomes, got {outcomes}", name="outcomes")
     rest = random_povm(dim, outcomes - 1, seed)
     # nonnegative multiples of the identity and of random_povm's elements
     stack = np.empty((outcomes, dim, dim), dtype=complex)

@@ -346,7 +346,8 @@ class TestLoadScenario:
     def test_sampler_dim_below_one_names_its_path(self, dim):
         cfg = sampled_quantum_config()
         cfg["system"]["sampler"]["dim"] = dim
-        with pytest.raises(ConfigError, match=r"scenario\.system\.sampler\.dim: must be at"):
+        message = r"scenario\.system\.sampler\.dim: dim must be an integer >= 1"
+        with pytest.raises(ConfigError, match=message):
             load_scenario(cfg)
 
     def test_spacing_scales_the_ladder(self):
@@ -447,7 +448,8 @@ class TestLoadScenario:
         assert [rt.epsilon for rt, _ in scenario.built] == [0.1, 0.2]
         # an empty grid and a scenario without a sweep build the base
         for sweep in ({"sweep": {"epsilon": []}}, {}):
-            with pytest.raises(ConfigError, match=r"scenario\.epsilon: must lie in \[0, 1\)"):
+            with pytest.raises(ConfigError,
+                               match=r"scenario\.epsilon: epsilon must lie in \[0, 1\)"):
                 load_scenario(synthetic_config(epsilon=2.0, **sweep))
 
     @pytest.mark.parametrize("config", KIND_CONFIGS, ids=KIND_IDS)
@@ -694,7 +696,11 @@ class TestLoadScenario:
         # 1, 3 and 5 loaded, with every periodic point at the origin or
         # drifting off its lattice
         path = f"system.ensemble.sampler.{field}"
-        with pytest.raises(ConfigError, match=r"scenario\." + path.replace(".", r"\.") + ": must"):
+        message = {"count": "ensemble needs at least one point",
+                   "delta": r"(delta must lie in \[0, 1\]|must be finite)",
+                   "lattice": "lattice must be a power of two"}[field]
+        with pytest.raises(ConfigError,
+                           match=r"scenario\." + path.replace(".", r"\.") + ": " + message):
             load_scenario(ensemble_config(), overrides={path: bad})
 
     @pytest.mark.parametrize("lattice", [2, 4, 2**51])
@@ -1075,33 +1081,38 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("make, overrides, message", [
         pytest.param(sampled_quantum_config,
                      {"measurement.sampler.name": "uneven", "measurement.sampler.leak": 2.0},
-                     "scenario.measurement.sampler.leak: must lie in [0, 1), got 2.0", id="leak"),
+                     "scenario.measurement.sampler.leak: leak must lie in [0, 1), got 2.0",
+                     id="leak"),
         pytest.param(sampled_quantum_config,
                      {"measurement.sampler.name": "uneven", "measurement.sampler.leak": 1},
-                     "scenario.measurement.sampler.leak: must lie in [0, 1), got 1.0",
+                     "scenario.measurement.sampler.leak: leak must lie in [0, 1), got 1.0",
                      id="leak-1"),
         pytest.param(synthetic_config, {"system.probe.amplitude": 1.5},
-                     "scenario.system.probe.amplitude: must lie in [0, 1), got 1.5",
+                     "scenario.system.probe.amplitude: amplitude must lie in [0, 1), got 1.5",
                      id="amplitude"),
         pytest.param(synthetic_config, {"system.probe.amplitude": -0.1},
-                     "scenario.system.probe.amplitude: must lie in [0, 1), got -0.1",
+                     "scenario.system.probe.amplitude: amplitude must lie in [0, 1), got -0.1",
                      id="negative-amplitude"),
         pytest.param(synthetic_config, {"system.probe.dominant_weight": 0.0},
-                     "scenario.system.probe.dominant_weight: must lie in (0, 1], got 0.0",
+                     "scenario.system.probe.dominant_weight: dominant_weight must lie in (0, 1], "
+                     "got 0.0",
                      id="dominant-weight"),
         pytest.param(synthetic_config, {"system.probe.dominant_weight": 1.5},
-                     "scenario.system.probe.dominant_weight: must lie in (0, 1], got 1.5",
+                     "scenario.system.probe.dominant_weight: dominant_weight must lie in (0, 1], "
+                     "got 1.5",
                      id="dominant-weight-above-1"),
         pytest.param(sampled_quantum_config, {"measurement.sampler.outcomes": 100},
-                     "scenario.measurement.sampler.outcomes: must be at most 8, got 100",
+                     "scenario.measurement.sampler.outcomes: projective measurement needs "
+                     "1 <= outcomes <= 8, got 100",
                      id="projective-outcomes-past-dim"),
         pytest.param(sampled_quantum_config, {"measurement.sampler.outcomes": 9},
-                     "scenario.measurement.sampler.outcomes: must be at most 8, got 9",
+                     "scenario.measurement.sampler.outcomes: projective measurement needs "
+                     "1 <= outcomes <= 8, got 9",
                      id="projective-outcomes-dim-plus-1"),
         pytest.param(sampled_quantum_config,
                      {"measurement.sampler.name": "uneven", "measurement.sampler.leak": 0.1,
                       "measurement.sampler.outcomes": 1},
-                     "scenario.measurement.sampler.outcomes: must be at least 2, got 1",
+                     "scenario.measurement.sampler.outcomes: need at least two outcomes, got 1",
                      id="uneven-outcomes"),
     ])
     def test_a_range_error_names_its_field(self, make, overrides, message):
@@ -1109,6 +1120,74 @@ class TestConfigBoundary:
         with pytest.raises(ConfigError) as info:
             load_scenario(make(), overrides=overrides)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("make, overrides, path", [
+        pytest.param(synthetic_config, {"epsilon": 1.0}, "epsilon", id="epsilon"),
+        pytest.param(synthetic_config, {"average.samples": 1}, "average.samples", id="samples-1"),
+        pytest.param(synthetic_config, {"average.samples": MAX_SAMPLES + 1}, "average.samples",
+                     id="samples-past-the-cap"),
+        pytest.param(synthetic_config, {"average.seed": -1}, "average.seed", id="average-seed"),
+        pytest.param(synthetic_config, {"average.horizon": 0}, "average.horizon", id="horizon"),
+        pytest.param(synthetic_config, {"average.scheme": "sobol"}, "average.scheme",
+                     id="scheme"),
+        pytest.param(sampled_quantum_config, {"system.sampler.dim": 0}, "system.sampler.dim",
+                     id="dim"),
+        pytest.param(sampled_quantum_config, {"system.sampler.spacing": 0.0},
+                     "system.sampler.spacing", id="generic-spacing-0"),
+        pytest.param(sampled_quantum_config, {"system.sampler.spectrum": "equally-spaced",
+                                              "system.sampler.spacing": -1.0},
+                     "system.sampler.spacing", id="ladder-spacing-negative"),
+        # the library calls this argument kind, so the field read names it
+        pytest.param(sampled_quantum_config, {"system.sampler.spectrum": "gaussian"},
+                     "system.sampler.spectrum", id="unknown-spectrum-kind"),
+        pytest.param(sampled_quantum_config, {"measurement.sampler.name": "random",
+                                              "measurement.sampler.outcomes": 0},
+                     "measurement.sampler.outcomes", id="random-outcomes-0"),
+        pytest.param(sampled_quantum_config, {"measurement.sampler.outcomes": 9},
+                     "measurement.sampler.outcomes", id="projective-outcomes-past-dim"),
+        pytest.param(sampled_quantum_config, {"measurement.sampler.name": "uneven",
+                                              "measurement.sampler.outcomes": 1,
+                                              "measurement.sampler.leak": 0.1},
+                     "measurement.sampler.outcomes", id="uneven-outcomes-1"),
+        pytest.param(sampled_quantum_config, {"measurement.sampler.name": "uneven",
+                                              "measurement.sampler.leak": 1.0},
+                     "measurement.sampler.leak", id="leak"),
+        pytest.param(qubit_config, {"system.hamiltonian.eigenvalues": []},
+                     "system.hamiltonian.eigenvalues", id="eigenvalues-empty"),
+        pytest.param(qubit_config, {"system.hamiltonian.eigenvalues": [[0.0, 1.0]]},
+                     "system.hamiltonian.eigenvalues", id="eigenvalues-nested"),
+        pytest.param(qubit_config, {"system.hamiltonian.eigenvalues": [1.0, 0.0]},
+                     "system.hamiltonian.eigenvalues", id="eigenvalues-descending"),
+        pytest.param(ensemble_config, {"system.ensemble.sampler.count": 0},
+                     "system.ensemble.sampler.count", id="count"),
+        pytest.param(ensemble_config, {"system.ensemble.sampler.delta": 1.5},
+                     "system.ensemble.sampler.delta", id="delta"),
+        pytest.param(ensemble_config, {"system.ensemble.sampler.lattice": 6},
+                     "system.ensemble.sampler.lattice", id="lattice"),
+        pytest.param(synthetic_config, {"system.probe.outcomes": 0}, "system.probe.outcomes",
+                     id="synthetic-outcomes"),
+        pytest.param(synthetic_config, {"system.probe.mode_count": -1},
+                     "system.probe.mode_count", id="mode-count"),
+        pytest.param(synthetic_config, {"system.probe.amplitude": 1.0}, "system.probe.amplitude",
+                     id="amplitude"),
+        pytest.param(synthetic_config, {"system.probe.dominant_weight": 0.0},
+                     "system.probe.dominant_weight", id="dominant-weight"),
+        # the dimension checks of the probe constructors, at their old paths
+        pytest.param(qubit_config, {"system.hamiltonian.eigenvalues": [0.0, 1.0, 2.0]}, None,
+                     id="inconsistent-dimensions"),
+        pytest.param(classical_pure_config, {"system.point": [0.2]}, "system.point",
+                     id="point-for-map"),
+        pytest.param(ensemble_config, {"system.map": {"name": "rotation", "angles": [0.25]},
+                                       "measurement.partition.edges": [[0.0, 0.5, 1.0]]},
+                     "system.ensemble", id="ensemble-for-map"),
+    ])
+    def test_the_library_rule_names_the_field(self, make, overrides, path):
+        # bench keeps no copy of these rules: the constructor that takes the
+        # argument raises, and the error's name picks the field
+        with pytest.raises(ConfigError) as info:
+            load_scenario(make(), overrides=overrides)
+        assert str(info.value).split(": ", 1)[0] == config_path(
+            () if path is None else tuple(path.split(".")))
 
     @pytest.mark.parametrize("make, overrides", [
         pytest.param(sampled_quantum_config,
@@ -1302,7 +1381,35 @@ class TestConfigBoundary:
             assert load_scenario(cfg, overrides=overrides).built[0][0].cfg.samples == 400
 
 
+def plain_json(value) -> bool:
+    """Whether ``value`` is built of the values ``json.loads`` returns alone:
+    dicts with string keys, lists, strings, ints, floats, booleans and None."""
+    if isinstance(value, dict):
+        return all(type(k) is str and plain_json(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(plain_json(v) for v in value)
+    return value is None or type(value) in (str, int, float, bool)
+
+
 class TestRunScenario:
+    def test_params_hold_only_plain_json_values(self):
+        # records keep their params as the builders made them, with no
+        # conversion pass: no numpy scalar, whose JSON form may fail, and no
+        # tuple, which reads back from a file as a list. The params are made
+        # at build, so the built-in suite runs here at a few samples
+        scenarios = [load_scenario(make()) for make in KIND_CONFIGS]
+        scenarios += builtin_scenarios({"average.samples": 64})
+        for scenario in scenarios:
+            for record in run_scenario(scenario):
+                assert record.error is None
+                assert plain_json(record.params), (scenario.name, record.params)
+
+    def test_the_plain_check_sees_numpy_scalars_and_tuples(self):
+        assert plain_json({"N": 3, "d_eff": 1.5, "map": "cat-map", "x": [None, True, {}]})
+        for bad in ({"N": np.int64(3)}, {"d_eff": np.float64(1.5)}, {"s": (1, 2)},
+                    {"D_G_sensitivity": {"1x": np.int64(1)}}, {1: 2}):
+            assert not plain_json(bad)
+
     def test_qubit_record(self):
         records = run_scenario(load_scenario(qubit_config()))
         assert len(records) == 1
@@ -1573,11 +1680,25 @@ class TestEmission:
                 verdict="inconclusive")),
              r"^records\[1\]\.report: verdict 'inconclusive' disagrees with the estimate's "
              r"'equilibrates'$"),
+            # values that to_dict never writes; each used to load
+            (edit_record(0, lambda r: r["bounds"]["thm2-necessity"].update(status="violatd")),
+             r"^records\[0\]\.bounds\.thm2-necessity\.status: expected one of \('satisfied', "
+             r"'violated', 'not-applicable'\), got 'violatd'$"),
+            (edit_record(1, lambda r: r["bounds"].update(
+                {"thm9-extra": {"value": None, "status": "not-applicable"}})),
+             r"^records\[1\]\.bounds\.thm9-extra: unknown bound, expected one of \("),
+            (edit_record(0, lambda r: r.update(scenario=5)),
+             r"^records\[0\]\.scenario: expected a string, got int$"),
+            (edit_record(1, lambda r: r.update(params=[["N", 3]])),
+             r"^records\[1\]\.params: expected an object, got list$"),
+            (edit_record(0, lambda r: r.update(error=3)),
+             r"^records\[0\]\.error: expected a string, got int$"),
         ],
         ids=["missing-field", "nan-stderr", "top-level-object", "bad-json", "missing-bound",
              "boolean-seed", "string-wall-time", "string-bound-value", "string-bound-values-entry",
              "string-omega", "boolean-omega", "boolean-mean", "nan-wall-time",
-             "infinite-bound-value", "infinite-bound-values-entry", "inconsistent-verdict"],
+             "infinite-bound-value", "infinite-bound-values-entry", "inconsistent-verdict",
+             "unknown-status", "unknown-bound", "number-scenario", "list-params", "number-error"],
     )
     def test_load_records_names_the_malformed_field(self, tmp_path, defect, message):
         path = tmp_path / "out.json"

@@ -1159,7 +1159,7 @@ class TestEnsembles:
         for _ in range(60):
             floats, sites = cat_map().forward_many(floats), cat_map(q).forward_many(sites)
             agree &= np.array_equal(floats, sites)
-        assert agree == classical.is_sampler_lattice(q)
+        assert agree == classical._is_sampler_lattice(q)
 
     def test_noise_floor_formula(self):
         ens = contaminated_cat_ensemble(1000, delta=0.0, seed=1)

@@ -696,6 +696,38 @@ class TestVerdicts:
         assert "errors" not in repr(report)
 
 
+class TestArgumentNames:
+    # a DomainError of a range rule carries the argument's name, which a
+    # scenario reader turns into the field path
+    @pytest.mark.parametrize("build, name", [
+        (lambda: core.check_epsilon(1.0), "epsilon"),
+        (lambda: TimeAverageConfig(horizon=0.0, samples=10), "horizon"),
+        (lambda: TimeAverageConfig(horizon=1.0, samples=1), "samples"),
+        (lambda: TimeAverageConfig(horizon=1.0, samples=MAX_SAMPLES + 1), "samples"),
+        (lambda: TimeAverageConfig(horizon=1.0, samples=2.5), "samples"),
+        (lambda: TimeAverageConfig(horizon=1.0, samples=10, seed=-1), "seed"),
+        (lambda: TimeAverageConfig(horizon=1.0, samples=10, scheme="sobol"), "scheme"),
+        (lambda: synthetic_probe(0, seed=1), "outcomes"),
+        # used to fail as numpy's "negative dimensions are not allowed"
+        (lambda: synthetic_probe(3, seed=1, mode_count=-1), "mode_count"),
+        (lambda: synthetic_probe(3, seed=1, amplitude=1.0), "amplitude"),
+        (lambda: synthetic_probe(3, seed=1, dominant_weight=0.0), "dominant_weight"),
+        (lambda: classical.contaminated_cat_ensemble(0, 0.1, 1), "count"),
+        (lambda: classical.contaminated_cat_ensemble(10, 1.5, 1), "delta"),
+        (lambda: classical.contaminated_cat_ensemble(10, 0.1, 1, lattice=3), "lattice"),
+    ], ids=["epsilon", "horizon", "samples-1", "samples-past-cap", "samples-float", "seed",
+            "scheme", "synthetic-outcomes", "mode_count", "amplitude", "dominant_weight",
+            "count", "delta", "lattice"])
+    def test_a_domain_error_names_its_argument(self, build, name):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert info.value.name == name
+
+    def test_an_unnamed_domain_error_has_no_name(self):
+        assert DomainError("x").name is None
+        assert DomainError("x", name="leak").args == ("x",)
+
+
 class TestSyntheticProbe:
     def test_valid_and_deterministic(self):
         p1 = synthetic_probe(4, seed=9)

@@ -936,7 +936,7 @@ class TestEnergyCoefficients:
                 assert np.array_equal(coeff[:, j], rho_e * (vecs.conj().T @ m @ vecs).T)
 
     def test_dimension_mismatch(self):
-        message = "dimensions differ: state 2, spectrum 3, measurement 3"
+        message = "inconsistent dimensions: state 2, spectrum 3, measurement 3"
         with pytest.raises(DimensionError, match=message):
             _energy_coefficients(PLUS, random_spectrum(3, 0), random_povm(3, 2, 1).elements)
         with pytest.raises(DimensionError, match="state 2, spectrum 2, measurement 3"):
@@ -1169,8 +1169,41 @@ class TestValidByConstruction:
             lambda: uneven_povm(dim, 3, 0.1, 0),
         ]
         for sample in samplers:
-            with pytest.raises(DomainError, match=f"dimension must be >= 1, got {dim}"):
+            with pytest.raises(DomainError, match=f"dim must be an integer >= 1, got {dim}"):
                 sample()
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: random_spectrum(0, 0), "dim"),
+        (lambda: random_spectrum(3, 0, spacing=0.0), "spacing"),
+        # used to fail as "eigenvalues must be ascending"
+        (lambda: random_spectrum(3, 0, kind="equally-spaced", spacing=-1.0), "spacing"),
+        (lambda: random_spectrum(3, 0, kind="gaussian"), "kind"),
+        (lambda: random_povm(3, 0, 0), "outcomes"),
+        (lambda: projective_povm(3, 4, 0), "outcomes"),
+        (lambda: uneven_povm(3, 1, 0.1, 0), "outcomes"),
+        (lambda: uneven_povm(3, 3, 1.0, 0), "leak"),
+        (lambda: HamiltonianSpectrum([]), "eigenvalues"),
+        (lambda: HamiltonianSpectrum([1.0, 0.0]), "eigenvalues"),
+    ], ids=["dim", "spacing-0", "spacing-negative", "kind", "random-outcomes",
+            "projective-outcomes", "uneven-outcomes", "leak", "eigenvalues-empty",
+            "eigenvalues-descending"])
+    def test_a_domain_error_names_its_argument(self, build, name):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert info.value.name == name
+
+    @pytest.mark.parametrize("value", [0, -2, 2.5, True], ids=["0", "-2", "2.5", "True"])
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: partial_trace_ancilla(purify(PLUS), v), "system_dim"),
+        (lambda v: extend_hamiltonian(QUBIT_H, v), "ancilla_dim"),
+        (lambda v: extend_povm(SIGMA_X_POVM, v), "ancilla_dim"),
+    ], ids=["partial_trace_ancilla", "extend_hamiltonian", "extend_povm"])
+    def test_the_ancilla_helpers_refuse_a_dimension_below_one(self, call, name, value):
+        # partial_trace_ancilla's 0 was a ZeroDivisionError and its -2 a
+        # reshape ValueError; 2.5 was a bare TypeError in both extensions
+        with pytest.raises(DomainError, match=f"^{name} must be an integer >= 1, got ") as info:
+            call(value)
+        assert info.value.name == name
 
     def test_ladder_spacing_must_not_overflow(self):
         with pytest.raises(DomainError, match="overflows"):

@@ -3,8 +3,10 @@
 It parses as the oldest Python that pyproject.toml declares, so syntax newer
 than ``requires-python`` fails here even when the suite runs on a later
 interpreter. (``feature_version`` is the parser's best effort: it rejects,
-for one, ``except*`` and ``match`` below their versions.) And
-``core.typed_array`` is its one converter of outside numbers."""
+for one, ``except*`` and ``match`` below their versions.)
+``core.typed_array`` is its one converter of outside numbers, and
+``bench`` writes out no range rule: each lives in the library function
+that takes the argument."""
 
 import ast
 import re
@@ -14,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "equilib").glob("*.py"))
+BENCH = ROOT / "src" / "equilib" / "bench.py"
 
 
 def oldest_python() -> tuple[int, int]:
@@ -48,3 +51,28 @@ def test_typed_array_is_the_one_numeric_cast(path):
 def test_the_cast_check_sees_a_cast():
     source = "x = np.asarray(v, dtype=float)\ny = np.array(\n    v, dtype=complex)\nz = np.array(v)\n"
     assert numeric_casts(ast.parse(source)) == [1, 2]
+
+
+def constant_ranges(tree: ast.AST) -> list[int]:
+    """Lines of the chained comparisons with two numeric constants among
+    their operands, such as ``0.0 <= x < 1.0``: a range rule written out."""
+    def numeric(node: ast.expr) -> bool:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and len(node.ops) > 1
+            and sum(map(numeric, [node.left, *node.comparators])) >= 2]
+
+
+def test_bench_writes_out_no_range_rule():
+    # a copy of a constructor's range drifts from it; the constructor's
+    # DomainError names its argument, and bench names the field by it
+    assert constant_ranges(ast.parse(BENCH.read_text())) == []
+
+
+def test_the_range_check_sees_a_range():
+    source = ("a = 0.0 <= x < 1.0\nb = -1 < y <= +2\nc = 0 <= x\nd = lo < x < hi\n"
+              "e = 0 < x < hi\nf = (0.5 < x <\n     1)\n")
+    assert constant_ranges(ast.parse(source)) == [1, 2, 6]
