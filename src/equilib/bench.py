@@ -272,6 +272,21 @@ class _Node:
         return values
 
 
+def _is_json(value) -> bool:
+    """Whether ``value`` is a JSON value of the types ``json.loads`` makes,
+    so a record holding it reads back equal: null, a boolean, an integer, a
+    finite float, a string, or a list or string-keyed dict of such values."""
+    if value is None or type(value) in (bool, int, str):
+        return True
+    if type(value) is float:
+        return math.isfinite(value)
+    if type(value) is list:
+        return all(_is_json(v) for v in value)
+    if type(value) is dict:
+        return all(type(k) is str and _is_json(v) for k, v in value.items())
+    return False
+
+
 def _absolutize_file_refs(node, base_dir: Path) -> None:
     """Rewrite relative {"file": ...} matrix references against the config's
     own directory, in place."""
@@ -331,6 +346,10 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
         for k in keys:
             if not isinstance(sweep.data[k], list):
                 raise sweep.error(k, "expected a list of values")
+            # the values go into the records' params as given
+            if not _is_json(sweep.data[k]):
+                raise sweep.error(k, "expected JSON values: null, booleans, finite numbers, "
+                                     "strings, lists and string-keyed objects")
         points = [dict(zip(keys, combo))
                   for combo in itertools.product(*(sweep.data[k] for k in keys))]
     # every sweep point is built once, before any run starts, and checks the
@@ -377,7 +396,9 @@ def _average_config(root: _Node, outcomes: int, spectrum=None) -> TimeAverageCon
     if horizon == "auto":
         if spectrum is None:
             raise avg.error("horizon", "'auto' is only available for quantum scenarios")
-        horizon = quantum.default_average_config(spectrum).horizon
+        # a smallest gap so small that the horizon overflows is this field's error
+        with avg.field("horizon"):
+            horizon = quantum.default_average_config(spectrum).horizon
     else:
         horizon = avg.number("horizon")
     with avg.field():

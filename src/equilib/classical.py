@@ -58,24 +58,29 @@ class InvertibleMap:
     """Reversible discrete-time dynamics on the torus, stepped forward only,
     since time averages run over t >= 0.
 
-    ``forward_many`` acts on an (n, dim) array of points of any memory
-    layout, which it leaves as it is, and returns a new (n, dim) array, of
-    any layout. ``forward_point`` is the step of one point as a tuple of
-    Python floats, returning a new tuple; for every point of the torus it
-    gives the bits of the one-row ``forward_many``, so a one-point orbit is
-    the same whichever kernel steps it.
+    ``forward_many(rows, out, scratch)`` steps a cloud held as coordinate
+    rows: the three arguments are C-contiguous (dim, n) float arrays that
+    share no memory. It reads ``rows`` and leaves them as they are, writes
+    the wrapped step into ``out``, may overwrite ``scratch``, and returns
+    nothing, so the orbit engine steps a cloud straight into its block.
+    ``forward_point`` is the step of one point as a tuple of Python floats,
+    returning a new tuple; for every point of the torus it gives the bits of
+    the one-column ``forward_many``, so a one-point orbit is the same
+    whichever kernel steps it.
     """
 
     name: str
     dim: int
-    forward_many: Callable[[np.ndarray], np.ndarray]
+    forward_many: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     forward_point: Callable[[tuple[float, ...]], tuple[float, ...]]
 
 
 def _wrapped(v: np.ndarray) -> np.ndarray:
     """``v`` mod 1, in place. For finite entries ``v - floor(v)`` is bit for
     bit numpy's ``v % 1.0``, negative entries and -0.0 included, and much
-    cheaper.
+    cheaper. The cloud kernels wrap their output the same way, with the
+    floor in their scratch rows: ``np.floor(out, out=scratch); out -=
+    scratch``.
 
     The point kernels wrap one float with Python's ``v % 1.0``, which gives
     the same bits: an exact fmod, then at most one rounded addition of 1.0,
@@ -88,17 +93,11 @@ def _wrapped(v: np.ndarray) -> np.ndarray:
 
 
 # The cat map's matrix, C-ordered. It acts on the coordinate rows of a cloud,
-# ``np.dot(M, pts.T)``: every entry is 1 or 2, so each output entry is one
-# rounded sum of two exact products, whatever order BLAS adds them in. On a
-# column-major cloud, as the orbit engine steps, ``pts.T`` is a C-ordered
-# (2, n) block and the result's ``.T`` is column-major again, the layout of
-# the engine's block buffer. At these sizes a step costs mostly dispatch:
-# ``np.dot`` enters the same dgemm as ``@`` without the matmul ufunc's
-# overhead, and the wrap runs in place on the product. On a 2-vCPU Xeon
-# (numpy 2.4) a step of 1000 points took a median 2.9 us this way, against
-# 3.5 us for ``M @ pts.T`` wrapped by ``_wrapped`` and 4.1 us for
-# ``pts @ M.T`` on a C-ordered cloud; storing the stepped cloud took 1.3 us
-# against 1.8 for a C-ordered one.
+# ``np.dot(M, rows, out=out)``: every entry is 1 or 2, so each output entry is
+# one rounded sum of two exact products, whatever order BLAS adds them in. At
+# these sizes a step costs mostly dispatch: ``np.dot`` enters the same dgemm
+# as ``@`` without the matmul ufunc's overhead, it writes the product straight
+# into the orbit engine's block slot, and the wrap runs in place on it.
 _CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 
 
@@ -112,8 +111,12 @@ def rotation_map(angles: Sequence[float] | float) -> InvertibleMap:
     if shift.ndim != 1 or shift.size == 0:
         raise DomainError("rotation needs a nonempty list of angles")
 
-    def fwd(pts: np.ndarray) -> np.ndarray:
-        return _wrapped(pts + shift)
+    column = shift[:, None]
+
+    def fwd(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        np.add(rows, column, out=out)
+        np.floor(out, out=scratch)
+        out -= scratch
 
     shifts = tuple(shift.tolist())
     if len(shifts) == 1:
@@ -147,10 +150,10 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
     """
     if lattice is None:
 
-        def fwd(pts: np.ndarray) -> np.ndarray:
-            v = np.dot(_CAT, pts.T)
-            v -= np.floor(v)
-            return v.T
+        def fwd(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+            np.dot(_CAT, rows, out=out)
+            np.floor(out, out=scratch)
+            out -= scratch
 
         def fwd_point(coords: tuple[float, ...]) -> tuple[float, ...]:
             # each entry of the product is one rounded sum of exact terms
@@ -168,15 +171,12 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
             f"lattice denominator must be at most 2**52 for exact orbits, got {lattice!r}"
         )
 
-    def fwd(pts: np.ndarray) -> np.ndarray:
+    def fwd(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         # (2 kx + ky, kx + ky) mod q on the integer lattice coordinates
-        k = np.rint(pts * q).astype(np.int64)
-        kx, ky = k[:, 0], k[:, 1]
-        out = np.empty_like(k)
-        out[:, 0] = 2 * kx + ky
-        out[:, 1] = kx + ky
-        out %= q
-        return out / q
+        np.multiply(rows, q, out=scratch)
+        kx, ky = np.rint(scratch, out=scratch).astype(np.int64)
+        np.true_divide((2 * kx + ky) % q, q, out=out[0])
+        np.true_divide((kx + ky) % q, q, out=out[1])
 
     def fwd_point(coords: tuple[float, ...]) -> tuple[float, ...]:
         # Python ints never overflow, nor does the int64 kernel while
@@ -193,12 +193,14 @@ def baker_map() -> InvertibleMap:
     Invertible away from the measure-zero cut lines.
     """
 
-    def fwd(pts: np.ndarray) -> np.ndarray:
-        x, y = pts[:, 0], pts[:, 1]
-        out = np.empty_like(pts)
-        out[:, 0] = 2.0 * x
-        out[:, 1] = (y + np.floor(out[:, 0])) / 2.0
-        return _wrapped(out)
+    def fwd(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        # x' = 2x and y' = (y + floor(2x)) / 2, both wrapped
+        np.multiply(2.0, rows[0], out=out[0])
+        np.floor(out[0], out=scratch[0])
+        np.add(rows[1], scratch[0], out=out[1])
+        out[1] /= 2.0
+        np.floor(out, out=scratch)
+        out -= scratch
 
     def fwd_point(coords: tuple[float, ...]) -> tuple[float, ...]:
         # math.floor's int drops the sign of a -0.0 floor; the sum it changes,
@@ -217,8 +219,10 @@ class Partition:
 
     ``edges`` holds one read-only float array per coordinate, increasing
     strictly from 0.0 to 1.0; the cells are the boxes of that grid, indexed
-    in row-major order. ``cells_of_many`` maps an (n, dim) array of points,
-    of any memory layout, to their 0-based int64 cell indices.
+    in row-major order. ``cells_of_many`` maps an (..., dim) array of
+    points, of any memory layout, to their 0-based int64 cell indices, an
+    array of the leading shape: the orbit engine hands it a (steps, n, dim)
+    view of its block.
     """
 
     edges: tuple[np.ndarray, ...]
@@ -256,25 +260,27 @@ def _box_partition(axes: tuple[np.ndarray, ...]) -> Partition:
     most half the cell count, so it fits that type, where the count of a
     lone axis may not (256 is no uint8, even to scale an index of zeros).
 
-    On the contiguous columns of the orbit engine's blocks, counting into a
-    uint8 index costs about 0.3-0.5 ns per edge per point (2-vCPU Xeon,
-    32,000 points), where an int64 index cost 1 ns, so it beats
-    ``searchsorted`` up to some 250 inner edges; the partitions in use have
-    at most a few. An 8-cell grid classifies a block of 32 steps of 1000
-    points in a median 69 us, against 165 us with an int64 index.
+    On a contiguous column, counting into a uint8 index costs about 0.3-0.5
+    ns per edge per point (2-vCPU Xeon, 32,000 points), where an int64 index
+    cost 1 ns, so it beats ``searchsorted`` up to some 250 inner edges; the
+    partitions in use have at most a few. On the orbit engine's block view a
+    coordinate is a (steps, n) array of contiguous rows, which numpy's
+    ufuncs copy through their buffers: there an 8-cell grid classifies a
+    block of 32 steps of 1000 points in a median 78 us, against 46 us on
+    contiguous columns.
     """
     counts = [e.size - 1 for e in axes]
     factors = [(d, c, e[1:-1]) for d, (c, e) in enumerate(zip(counts, axes)) if c > 1]
     index_type = np.min_scalar_type(math.prod(counts) - 1)
 
     def cells(pts: np.ndarray) -> np.ndarray:
-        if pts.shape[1] != len(axes):
-            raise DimensionError(f"partition is {len(axes)}-d, points are {pts.shape[1]}-d")
-        idx = np.zeros(pts.shape[0], dtype=index_type)
+        if pts.shape[-1] != len(axes):
+            raise DimensionError(f"partition is {len(axes)}-d, points are {pts.shape[-1]}-d")
+        idx = np.zeros(pts.shape[:-1], dtype=index_type)
         for i, (d, count, inner) in enumerate(factors):
             if i:
                 idx *= count
-            values = pts[:, d]
+            values = pts[..., d]
             for e in inner:
                 idx += values > e
         return idx.astype(np.int64)
@@ -341,37 +347,41 @@ def _orbit_cells(
     call per step and one ``cells_of_many`` call per block, a block
     buffering clouds and their histogram rows of at most one chunk of
     entries, so the memory held is one block whatever the horizon. The
-    buffer is column-major, ``(dim, k, n)``: the partition reads the block
-    as a ``(k n, dim)`` view whose every coordinate column is contiguous,
-    where its edge counts run about twice as fast as on a column of a 2-d
-    cloud.
+    buffer is step-major, ``(block, dim, n)``: slot k holds the coordinate
+    rows of the block's request k, and the partition reads the block as
+    its ``(k, n, dim)`` view, without a copy.
 
-    A cloud steps through ``forward_many`` as coordinate rows, a
-    column-major copy of ``points`` that the catalogue maps keep in that
-    layout, so each stepped cloud goes into the buffer without a transpose.
+    A cloud steps through ``forward_many`` as C-contiguous coordinate rows.
+    The last step of each request's gap writes straight into its slot; the
+    steps before it alternate between two scratch rows, with the slot as
+    the kernel's scratch, so the engine allocates and copies nothing per
+    step. Only a repeated step (or step 0) copies its cloud into the slot,
+    and the cloud of a block's last request is carried into the first row
+    before the next block overwrites the slots.
 
     A single point steps as a tuple of Python floats through
     ``forward_point``, which gives the same bits at a fraction of the cost
-    of numpy calls on a one-row array. Per step the walk makes that call and
-    extends a list with the new coordinates; the block reaches the buffer in
-    one array write, since a numpy store of each step's tuple cost more than
-    the step. The walk follows the gaps between requested steps, so a run
-    of consecutive steps builds no ``range`` per step. On a 2-vCPU Xeon,
-    4,096 consecutive steps with their classification took 0.8-1.3 ms for
-    the golden rotation and 1.9-2.0 ms for the cat map, where a row store
-    per step took 3.0-5.8 ms. The list holds one block of float objects,
-    about 32 bytes a coordinate, so it too is bounded by the block.
+    of numpy calls on a one-column array. Per step the walk makes that call
+    and extends a list with the new coordinates; the block reaches the
+    buffer in one array write, since a numpy store of each step's tuple
+    cost more than the step. The walk follows the gaps between requested
+    steps, so a run of consecutive steps builds no ``range`` per step. On a
+    2-vCPU Xeon, 4,096 consecutive steps with their classification took
+    0.8-1.3 ms for the golden rotation and 1.9-2.0 ms for the cat map,
+    where a row store per step took 3.0-5.8 ms. The list holds one block of
+    float objects, about 32 bytes a coordinate, so it too is bounded by the
+    block.
     """
     check_orbit_steps(steps)
     n, dim = points.shape
     block = _block_steps(points, partition, steps)
-    columns = np.empty((dim, block, n))
+    buf = np.empty((block, dim, n))
     # each block's steps become Python ints when it is walked, so the ints
     # held are one block's, whatever the sample count
     starts = range(0, steps.size, block or 1)
 
     def classify(k: int) -> np.ndarray:
-        return partition.cells_of_many(columns[:, :k].reshape(dim, k * n).T).reshape(k, n)
+        return partition.cells_of_many(buf[:k].transpose(0, 2, 1))
 
     def point_walk(state, forward=mapping.forward_point):
         for start in starts:
@@ -386,24 +396,35 @@ def _orbit_cells(
                         state = forward(state)
                 coords.extend(state)
             k = len(coords) // dim
-            columns[:, :k, 0] = np.array(coords).reshape(k, dim).T
+            buf[:k, :, 0] = np.array(coords).reshape(k, dim)
             yield classify(k)
 
-    def cloud_walk(cloud, forward=mapping.forward_many, at=0):
-        # rows[k] is the (n, dim) cloud of the block's step k
-        rows = columns.transpose(1, 2, 0)
+    def cloud_walk(forward=mapping.forward_many, at=0):
+        # between blocks the cloud at step ``at`` is held in row a
+        a, b = np.empty((2, dim, n))
+        a[...] = points.T
+        slots = list(buf)
         for start in starts:
             chunk = steps[start : start + block].astype(np.int64).tolist()
-            for k, step in enumerate(chunk):
-                for _ in range(step - at):
-                    cloud = forward(cloud)
-                at = step
-                rows[k] = cloud
+            cloud = a
+            for slot, step in zip(slots, chunk):
+                gap = step - at
+                if gap > 1:  # a consecutive step builds no range
+                    for _ in range(gap - 1):
+                        row = b if cloud is a else a
+                        forward(cloud, row, slot)
+                        cloud = row
+                if gap:
+                    forward(cloud, slot, b if cloud is a else a)
+                else:
+                    slot[...] = cloud
+                cloud, at = slot, step
+            a[...] = cloud
             yield classify(len(chunk))
 
     if n == 1:
         return point_walk(tuple(points[0].tolist()))
-    return cloud_walk(np.asfortranarray(points))
+    return cloud_walk()
 
 
 def _cloud_probe(

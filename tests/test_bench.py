@@ -730,6 +730,37 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="horizon"):
             load_scenario(cfg)
 
+    @pytest.mark.parametrize("average", [{"horizon": "auto", "samples": 100}, {"samples": 100}],
+                             ids=["auto", "default"])
+    def test_auto_horizon_that_overflows_names_the_horizon(self, average):
+        # 1000 periods of a subnormal smallest gap pass the largest double
+        cfg = qubit_config(average=average)
+        cfg["system"]["hamiltonian"]["eigenvalues"] = [0.0, 5e-324]
+        with pytest.raises(ConfigError,
+                           match=r"^scenario\.average\.horizon: horizon must be finite"):
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize("values", [
+        [(0.25,), (0.3,)], [[0.25], (0.3,)], [[0.25], [math.nan]], [[0.25], [math.inf]],
+        [[np.float64(0.25)]], [{1: 0.25}],
+    ], ids=["tuples", "nested-tuple", "nan", "inf", "numpy-float", "integer-key"])
+    def test_sweep_values_must_be_json_values(self, values):
+        # a record holds its sweep values as given, and a non-JSON one would
+        # read back unequal from its file
+        cfg = rotation_config()
+        cfg["sweep"] = {"system.map.angles": values}
+        with pytest.raises(ConfigError, match=r"^scenario\.sweep\.system\.map\.angles: "):
+            load_scenario(cfg)
+
+    def test_swept_lists_read_back_equal(self, tmp_path):
+        cfg = rotation_config()
+        cfg["sweep"] = {"system.map.angles": [[0.25], [0.3]], "epsilon": [0.2, 0]}
+        records = run_scenario(load_scenario(cfg))
+        assert [r.params["system.map.angles"] for r in records] == [[0.25], [0.3]] * 2
+        path = tmp_path / "out.json"
+        emit_report(records, "json", path)
+        assert load_records(path) == records
+
     def test_sweep_expansion_order(self):
         cfg = synthetic_config(
             sweep={"system.probe.seed": [1, 2], "epsilon": [0.3, 0.6]}

@@ -1,12 +1,14 @@
 """Classical maps, partitions, probes and the pure/mixed-state results."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +52,24 @@ STEPS = lambda m: TimeAverageConfig(horizon=m, samples=m, scheme="uniform-grid")
 QUADRANTS = grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
 
 
+def forward(mapping, pts):
+    """One ``forward_many`` step of the (n, dim) cloud ``pts``: the kernel
+    steps a C-contiguous copy of its coordinate rows into fresh rows, and
+    the stepped cloud comes back as an (n, dim) view of them."""
+    rows = np.array(np.asarray(pts, dtype=float).T, order="C")
+    out, scratch = np.empty_like(rows), np.empty_like(rows)
+    mapping.forward_many(rows, out, scratch)
+    return out.T
+
+
 def counting_map(mapping):
     """``mapping`` with a ``forward_many`` and a ``forward_point`` that log
     each call's point count (1 for a point)."""
     calls = []
 
-    def forward_many(pts):
-        calls.append(len(pts))
-        return mapping.forward_many(pts)
+    def forward_many(rows, out, scratch):
+        calls.append(rows.shape[1])
+        mapping.forward_many(rows, out, scratch)
 
     def forward_point(coords):
         calls.append(1)
@@ -68,11 +80,12 @@ def counting_map(mapping):
 
 
 def counting_partition(partition):
-    """``partition`` with a ``cells_of_many`` that logs each call's point count."""
+    """``partition`` with a ``cells_of_many`` that logs each call's leading
+    shape: (steps, points) for an orbit block."""
     calls = []
 
     def cells_of_many(pts):
-        calls.append(len(pts))
+        calls.append(pts.shape[:-1])
         return partition.cells_of_many(pts)
 
     return dataclasses.replace(partition, cells_of_many=cells_of_many), calls
@@ -81,10 +94,12 @@ def counting_partition(partition):
 def compose(*maps):
     """The maps applied left to right."""
 
-    def fwd(pts):
-        for m in maps:
-            pts = m.forward_many(pts)
-        return pts
+    def fwd(rows, out, scratch):
+        for m in maps[:-1]:
+            stepped = np.empty_like(rows)
+            m.forward_many(rows, stepped, scratch)
+            rows = stepped
+        maps[-1].forward_many(rows, out, scratch)
 
     def fwd_point(coords):
         for m in maps:
@@ -101,7 +116,8 @@ def cell_of(partition, coords):
 
 
 def iterate(coords, step, steps):
-    """``coords`` after ``steps`` applications of the array kernel ``step``."""
+    """``coords`` after ``steps`` applications of ``step``, a function of an
+    (n, dim) cloud."""
     pts = np.array([coords], dtype=float)
     for _ in range(steps):
         pts = step(pts)
@@ -158,11 +174,11 @@ REFERENCE_STEPS = {"cat-map": lambda pts: (pts @ CAT.T) % 1.0,
 def reference_cells(points, mapping, partition, times):
     """Cells of the cloud at each step round(t), classified one step at a time."""
     steps = np.rint(times).astype(np.int64)
-    forward = REFERENCE_STEPS.get(mapping.name, mapping.forward_many)
+    step_cloud = REFERENCE_STEPS.get(mapping.name, partial(forward, mapping))
     cloud, at, by_step = points, 0, {}
     for step in sorted(set(steps.tolist())):
         for _ in range(step - at):
-            cloud = forward(cloud)
+            cloud = step_cloud(cloud)
         at = step
         by_step[step] = partition.cells_of_many(cloud)
     return np.array([by_step[step] for step in steps])
@@ -222,13 +238,13 @@ class TestMaps:
 
     def test_rotation_example(self):
         # 0.1 + 2 * 0.25 mod 1 = 0.6
-        out = iterate([0.1], rotation_map(0.25).forward_many, 2)
+        out = iterate([0.1], partial(forward, rotation_map(0.25)), 2)
         assert out[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_negative_steps_are_backward(self):
         x = (0.3, 0.8)
         cm = cat_map()
-        assert wrap_distance(iterate(iterate(x, cm.forward_many, 5), cat_inverse, 5), x) < 1e-12
+        assert wrap_distance(iterate(iterate(x, partial(forward, cm), 5), cat_inverse, 5), x) < 1e-12
 
     @pytest.mark.parametrize(
         "mapping, inverse",
@@ -249,19 +265,19 @@ class TestMaps:
         pts = rng.random((1000, mapping.dim))
         if "lattice" in mapping.name:
             pts = np.rint(pts * 64) / 64 % 1.0
-        back = inverse(mapping.forward_many(pts))
+        back = inverse(forward(mapping, pts))
         assert wrap_distance(back, pts) < 1e-9
 
     def test_cat_roundtrip_seven_steps(self):
         x = (0.137, 0.912)
-        y = iterate(iterate(x, cat_map().forward_many, 7), cat_inverse, 7)
+        y = iterate(iterate(x, partial(forward, cat_map()), 7), cat_inverse, 7)
         assert wrap_distance(x, y) < 1e-9
 
     def test_lattice_cat_is_periodic(self):
         # the cat matrix has order 3 mod 4, so 1/4-lattice orbits close in 3 steps
         m = cat_map(lattice=4)
         x = (0.25, 0.5)
-        assert tuple(iterate(x, m.forward_many, 3)) == x
+        assert tuple(iterate(x, partial(forward, m), 3)) == x
 
     def test_dimension_check(self):
         with pytest.raises(DimensionError):
@@ -322,7 +338,7 @@ class TestKernels:
     @pytest.mark.parametrize("label", ["random", "edges", "outside"])
     def test_cat(self, label):
         pts = clouds(2)[label]
-        assert same_bits(cat_map().forward_many(pts), (pts @ CAT.T) % 1.0)
+        assert same_bits(forward(cat_map(), pts), (pts @ CAT.T) % 1.0)
 
     @pytest.mark.parametrize("q", [4, 7, 64])
     @pytest.mark.parametrize("label", ["lattice", "random", "edges"])
@@ -331,7 +347,7 @@ class TestKernels:
         rng = np.random.default_rng(q)
         pts = rng.integers(0, q, (2000, 2)) / q if label == "lattice" else clouds(2)[label]
         m = cat_map(lattice=q)
-        assert same_bits(m.forward_many(pts), reference_lattice(pts, CAT, q))
+        assert same_bits(forward(m, pts), reference_lattice(pts, CAT, q))
 
     @pytest.mark.parametrize(
         "angles", [(GOLDEN,), (0.3, 0.711), (-0.37, -2.6), (2.71, 1e6 + 0.3), (-1e-20,)]
@@ -342,12 +358,12 @@ class TestKernels:
         pts = clouds(len(angles))[label]
         shift = np.array(angles)
         m = rotation_map(angles)
-        assert same_bits(m.forward_many(pts), (pts + shift) % 1.0)
+        assert same_bits(forward(m, pts), (pts + shift) % 1.0)
 
     @pytest.mark.parametrize("label", ["random", "edges", "outside"])
     def test_baker(self, label):
         pts = clouds(2)[label]
-        assert same_bits(baker_map().forward_many(pts), reference_baker(pts, True))
+        assert same_bits(forward(baker_map(), pts), reference_baker(pts, True))
 
     def test_wrap_of_negatives_and_signed_zero(self):
         v = np.array([-0.0, 0.0, -1e-20, -0.25, -1.0, -2.5, -3.7, 1.0, 2.0**52 + 1, -(2.0**53)])
@@ -357,7 +373,7 @@ class TestKernels:
         pts = np.random.default_rng(5).random((1000, 2))
         new = ref = pts
         for _ in range(20_000):
-            new = cat_map().forward_many(new)
+            new = forward(cat_map(), new)
             ref = (ref @ CAT.T) % 1.0
         assert same_bits(new, ref)
 
@@ -520,19 +536,27 @@ CATALOGUE = [cat_map(), cat_map(lattice=7), rotation_map(GOLDEN), rotation_map((
              baker_map()]
 
 
-class TestLayouts:
-    """Maps and partitions read their input in any memory layout, and give
-    the same bits for each."""
+class TestRowKernels:
+    """``forward_many`` steps C-contiguous coordinate rows into ``out``:
+    point by point the bits of ``forward_point``, with ``rows`` left as
+    they were."""
 
     @pytest.mark.parametrize("mapping", CATALOGUE, ids=lambda m: m.name)
     @pytest.mark.parametrize("label", ["random", "edges", "outside"])
-    def test_maps(self, mapping, label):
+    def test_rows_step_as_points(self, mapping, label):
         pts = clouds(mapping.dim)[label]
-        expected = mapping.forward_many(np.ascontiguousarray(pts))
-        for layout, arr in layouts(pts).items():
-            before = arr.copy()
-            assert same_bits(mapping.forward_many(arr), expected), layout
-            assert same_bits(arr, before), layout
+        rows = np.ascontiguousarray(pts.T)
+        before = rows.copy()
+        # the kernel reads neither out nor scratch before it writes them
+        out, scratch = np.full_like(rows, np.nan), np.full_like(rows, np.nan)
+        assert mapping.forward_many(rows, out, scratch) is None
+        assert same_bits(rows, before)
+        assert same_bits(out.T, [mapping.forward_point(tuple(p)) for p in pts.tolist()])
+
+
+class TestLayouts:
+    """Partitions read points of any memory layout and any leading shape,
+    and give the same cells for each."""
 
     @pytest.mark.parametrize("edges", TestCountClassification.EDGE_SETS,
                              ids=lambda e: f"{len(e) - 2}-inner")
@@ -550,6 +574,17 @@ class TestLayouts:
             for layout, arr in layouts(pts).items():
                 assert np.array_equal(partition.cells_of_many(arr), expected), layout
 
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_leading_shape(self, n):
+        # the orbit engine hands over the (steps, n, dim) view of its
+        # step-major (steps, dim, n) block
+        part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.8, 1.0]])
+        block = np.random.default_rng(n).random((7, 2, n))
+        cells = part.cells_of_many(block.transpose(0, 2, 1))
+        assert cells.shape == (7, n) and cells.dtype == np.int64
+        for k, rows in enumerate(block):
+            assert np.array_equal(cells[k], searchsorted_cells(rows.T, part.edges)), k
+
 
 def row_cat(pts):
     """The float cat kernel as it stood before it stepped coordinate rows:
@@ -559,31 +594,23 @@ def row_cat(pts):
 
 
 class TestCatRows:
-    """The cat map steps a cloud as coordinate rows, ``M @ pts.T``; each
+    """The cat map steps a cloud as coordinate rows, ``M @ rows``; each
     entry is still one rounded sum of two exact terms, so it gives the bits
-    of the row kernel for clouds of any size and layout."""
+    of the row kernel for clouds of any size."""
 
     # the first two rows alone hold 0.0, 0.5 and the largest double below 1.0
     TOP = np.nextafter(1.0, 0.0)
     SPECIAL = [(0.0, 0.5), (TOP, 0.0), (0.5, TOP), (0.0, 0.0), (0.5, 0.5), (TOP, TOP),
                (0.5, 0.0), (TOP, 0.5), (0.0, TOP)]
 
-    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [2, 3, 1000])
-    def test_cloud_step(self, n, order):
+    def test_cloud_step(self, n):
         pts = np.random.default_rng(n).random((n, 2))
         pts[: len(self.SPECIAL)] = self.SPECIAL[:n]
-        pts = np.array(pts, order=order)
-        before = pts.copy()
         mapping = cat_map()
-        got = mapping.forward_many(pts)
+        got = forward(mapping, pts)
         assert same_bits(got, row_cat(pts))
         assert same_bits(got, [mapping.forward_point(tuple(p)) for p in pts.tolist()])
-        assert same_bits(pts, before)
-        # a new array, and column-major for a column-major cloud, the layout
-        # the orbit engine stores without a transpose
-        assert not np.shares_memory(got, pts)
-        assert got.flags.f_contiguous or order == "C"
 
     def test_orbit_cells_of_the_row_kernel(self):
         pts = np.random.default_rng(20).random((1000, 2))
@@ -652,6 +679,46 @@ class TestOrbitEngine:
         probe = ensemble_probe(contaminated_cat_ensemble(50, 0.1, seed=1), mapping, QUADRANTS)
         probe.distributions_at(np.array([10.0, 3.0, 3.4, 0.0]))
         assert calls == [50] * 10
+
+    def test_steps_in_place_into_the_block_and_two_rows(self, monkeypatch):
+        # 50 two-d points and 4 cells: a 1000-entry cap holds 9 steps per
+        # block, so these 20 requests, with gaps and a repeat, make 3 blocks
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", 1000)
+        steps = np.array([0, 1, 2, 5, 6, 7, 12, 13, 20, 21, 22, 30, 31, 31, 40, 41, 42, 50, 51,
+                          60.0])
+        kernel, blocks = [], []
+
+        def forward_many(rows, out, scratch):
+            kernel.append((rows, out, scratch))
+            cat_map().forward_many(rows, out, scratch)
+
+        def cells_of_many(pts):
+            blocks.append(pts)
+            return QUADRANTS.cells_of_many(pts)
+
+        mapping = dataclasses.replace(cat_map(), forward_many=forward_many)
+        part = dataclasses.replace(QUADRANTS, cells_of_many=cells_of_many)
+        ens = contaminated_cat_ensemble(50, 0.1, seed=1)
+        got = list(classical._orbit_cells(ens.points, mapping, part, steps))
+        expected = reference_cells(ens.points, cat_map(), QUADRANTS, steps)
+        assert np.array_equal(np.concatenate(got), expected)
+        # one kernel call per map step, one partition call per block
+        assert len(kernel) == 60
+        assert [b.shape for b in blocks] == [(9, 50, 2), (9, 50, 2), (2, 50, 2)]
+        # the first block views the whole buffer, and every later one views it too
+        buffer = blocks[0]
+        assert all(np.shares_memory(b, buffer) for b in blocks)
+        rows = {}
+        for args in kernel:
+            for arr in args:
+                assert arr.shape == (2, 50) and arr.flags.c_contiguous
+                if not np.shares_memory(arr, buffer):
+                    rows.setdefault(arr.ctypes.data, arr)
+            for x, y in itertools.combinations(args, 2):
+                assert not np.shares_memory(x, y)
+        # beside the block the kernel reads and writes two rows, nothing else
+        assert len(rows) == 2
+        assert not np.shares_memory(*rows.values())
 
     @pytest.mark.parametrize("kind", ["pure", "ensemble"])
     def test_step_cap_checked_before_any_map_call(self, kind):
@@ -808,7 +875,7 @@ class TestBlockedClassification:
         part, calls = counting_partition(QUADRANTS)
         ens = contaminated_cat_ensemble(50, 0.1, seed=1)
         ensemble_probe(ens, cat_map(), part).distributions_at(np.arange(25.0))
-        assert calls == [450, 450, 350]
+        assert calls == [(9, 50), (9, 50), (7, 50)]
 
     @pytest.mark.parametrize("kind", ["pure", "ensemble"])
     def test_zero_times_is_a_dimension_error(self, kind):
@@ -822,11 +889,11 @@ class TestBlockedClassification:
 
 def recording_partition(partition):
     """``partition`` with a ``cells_of_many`` that keeps a copy of each
-    call's points."""
+    call's points as (points, dim) rows."""
     seen = []
 
     def cells_of_many(pts):
-        seen.append(np.array(pts))
+        seen.append(np.array(pts).reshape(-1, partition.dim))
         return partition.cells_of_many(pts)
 
     return dataclasses.replace(partition, cells_of_many=cells_of_many), seen
@@ -834,11 +901,11 @@ def recording_partition(partition):
 
 def reference_orbit(coords, mapping, steps):
     """The point at each non-decreasing step, stepped by ``forward_many``
-    one row at a time."""
+    as a one-point cloud."""
     pts, at, orbit = np.array([coords]), 0, []
     for step in steps.astype(np.int64):
         for _ in range(step - at):
-            pts = mapping.forward_many(pts)
+            pts = forward(mapping, pts)
         at = step
         orbit.append(pts[0])
     return np.array(orbit)
@@ -846,7 +913,7 @@ def reference_orbit(coords, mapping, steps):
 
 class TestPointKernels:
     """A single point steps through ``forward_point`` in Python floats; every
-    kernel gives the bits of its one-row ``forward_many``, and the one-point
+    kernel gives the bits of its one-column ``forward_many``, and the one-point
     probe those of the per-step array loop."""
 
     @pytest.mark.parametrize("mapping, q", POINT_MAPS, ids=POINT_MAP_IDS)
@@ -865,7 +932,7 @@ class TestPointKernels:
             for p in pts:
                 point = mapping.forward_point(tuple(p.tolist()))
                 assert type(point) is tuple and all(type(c) is float for c in point)
-                assert same_bits(np.array([point]), mapping.forward_many(p[None, :])), p
+                assert same_bits(np.array([point]), forward(mapping, p[None, :])), p
 
     @pytest.mark.parametrize("mapping, q", POINT_MAPS, ids=POINT_MAP_IDS)
     def test_sparse_stratified_times(self, mapping, q):
@@ -900,7 +967,7 @@ class TestPointKernels:
     @pytest.mark.parametrize("n, unused", [(1, "forward_many"), (2, "forward_point")])
     def test_the_point_count_chooses_the_kernel(self, n, unused):
         # a one-point ensemble is stepped as a point too
-        def refuse(_):
+        def refuse(*_):
             raise AssertionError(f"{unused} called")
 
         mapping = dataclasses.replace(cat_map(), **{unused: refuse})
@@ -1141,7 +1208,7 @@ class TestEnsembles:
         m = cat_map()
         rolled = periodic.copy()
         for _ in range(3):
-            rolled = m.forward_many(rolled)
+            rolled = forward(m, rolled)
         assert np.array_equal(rolled, periodic)
 
     @pytest.mark.parametrize("lattice", [0, -3, 1, 3, 5, 6, 2**52, 2**64, 4.0, True])
@@ -1157,7 +1224,7 @@ class TestEnsembles:
         floats, sites = pts, pts
         agree = True
         for _ in range(60):
-            floats, sites = cat_map().forward_many(floats), cat_map(q).forward_many(sites)
+            floats, sites = forward(cat_map(), floats), forward(cat_map(q), sites)
             agree &= np.array_equal(floats, sites)
         assert agree == classical._is_sampler_lattice(q)
 
@@ -1283,7 +1350,7 @@ class TestSerialization:
         pts = np.random.default_rng(0).random((16, mapping.dim))
         if "lattice" in mapping.name:
             pts = np.rint(pts * 8) / 8 % 1.0
-        assert np.array_equal(clone.forward_many(pts), mapping.forward_many(pts))
+        assert np.array_equal(forward(clone, pts), forward(mapping, pts))
 
     def test_partition_roundtrip(self):
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.75, 1.0]])
