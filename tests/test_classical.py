@@ -625,6 +625,99 @@ class TestCatRows:
         assert seen == steps.size
 
 
+SITES = 2**51  # the float cat map's lattice: multiples of 2**-51
+
+
+def on_lattice(cloud):
+    """Whether every coordinate of ``cloud`` is a multiple of 2**-51."""
+    scaled = np.asarray(cloud) * SITES
+    return bool(np.all(np.floor(scaled) == scaled))
+
+
+def integer_cat(pts):
+    """One step of the integer cat map mod 2**51 on a cloud of the lattice."""
+    k = (np.asarray(pts) * SITES).astype(np.int64)
+    return ((k @ CAT.astype(np.int64).T) % SITES) / SITES
+
+
+def leap(pts, steps):
+    """The cat map's leap of the (n, dim) cloud ``pts``, or None where it
+    declines; the cloud's rows must come back unchanged."""
+    rows = np.array(np.asarray(pts).T, order="C")
+    before, out = rows.copy(), np.empty_like(rows)
+    done = cat_map().leap(rows, out, steps)
+    assert same_bits(rows, before)
+    return out.T if done else None
+
+
+class TestCatLeap:
+    """The float cat map takes a cloud of the 2**-51 lattice any number of
+    steps in one leap, with the bits of as many steps of its formula."""
+
+    @staticmethod
+    def settled_cloud():
+        """Random points stepped past the float map's transient, then the
+        sites k/4, a 1.0 that wraps a tiny negative, -0.0 and a negative
+        site."""
+        pts = np.random.default_rng(35).random((200, 2))
+        for _ in range(200):
+            pts = REFERENCE_STEPS["cat-map"](pts)
+        sites = np.stack(np.meshgrid(np.arange(4), np.arange(4)), -1).reshape(-1, 2) / 4
+        one = ClassicalEnsemble([[-1e-20, 0.5]]).points
+        special = np.array([[-0.0, 0.25], [0.75, -0.0], [-0.0, -0.0], [-0.375, 0.5]])
+        cloud = np.vstack([pts, sites, one, special])
+        assert on_lattice(cloud) and one[0, 0] == 1.0
+        return cloud
+
+    def test_leaps_equal_formula_steps(self):
+        cloud = self.settled_cloud()
+        gaps = [2, 3, 40, 1000, 99991]
+        leaps = {g: leap(cloud, g) for g in gaps}
+        stepped = cloud
+        for step in range(1, gaps[-1] + 1):
+            stepped = REFERENCE_STEPS["cat-map"](stepped)
+            if step in leaps:
+                assert same_bits(leaps[step], stepped), step
+
+    def test_declines_off_the_lattice_and_writes_nothing(self):
+        fresh = np.random.default_rng(3).random((1000, 2))
+        assert not on_lattice(fresh)
+        beyond = np.array([[0.5, 0.25], [1.5, 0.0]])  # on the lattice, but past 1, where 2x + y may pass 4
+        for pts in (fresh, beyond):
+            rows = np.array(pts.T, order="C")
+            out = np.full_like(rows, np.nan)
+            assert not cat_map().leap(rows, out, 40)
+            assert np.isnan(out).all()
+
+    def test_a_float_step_on_the_lattice_is_the_integer_map(self):
+        rng = np.random.default_rng(51)
+        pts = rng.integers(-SITES, SITES + 1, (4000, 2)) / SITES
+        top = (SITES - 1) / SITES
+        pts[:4] = [[1.0, top], [top, 1.0], [-0.0, 0.5], [-1.0, -top]]
+        stepped = forward(cat_map(), pts)
+        assert same_bits(stepped, integer_cat(pts))
+        assert same_bits(stepped, (pts @ CAT.T) % 1.0)
+
+    def test_orbit_cells_with_leaps(self, monkeypatch):
+        # the cloud reaches the lattice within the first gaps of 50 steps, so
+        # its early leaps decline and the later ones go through
+        tried = []
+
+        def counted(rows, out, steps):
+            tried.append(cat_map().leap(rows, out, steps))
+            return tried[-1]
+
+        mapping = dataclasses.replace(cat_map(), leap=counted)
+        ens = contaminated_cat_ensemble(300, 0.1, seed=7)
+        steps = np.concatenate([np.arange(0.0, 500.0, 50.0), [500.0, 501.0, 509.0, 509.0],
+                                np.arange(600.0, 5000.0, 97.0)])
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", 4096)
+        got = np.concatenate(list(classical._orbit_cells(ens.points, mapping, QUADRANTS, steps)))
+        assert np.array_equal(got, reference_cells(ens.points, cat_map(), QUADRANTS, steps))
+        assert False in tried and True in tried
+        assert tried == sorted(tried)
+
+
 class TestClassicalProbe:
     def test_initial_indicator(self):
         part = interval_partition([0.0, 0.5, 1.0])
@@ -686,28 +779,49 @@ class TestOrbitEngine:
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", 1000)
         steps = np.array([0, 1, 2, 5, 6, 7, 12, 13, 20, 21, 22, 30, 31, 31, 40, 41, 42, 50, 51,
                           60.0])
-        kernel, blocks = [], []
+        kernel, leaps, blocks = [], [], []
 
         def forward_many(rows, out, scratch):
             kernel.append((rows, out, scratch))
             cat_map().forward_many(rows, out, scratch)
 
+        def leap(rows, out, gap):
+            done = cat_map().leap(rows, out, gap)
+            leaps.append((gap, done, rows, out))
+            return done
+
         def cells_of_many(pts):
             blocks.append(pts)
             return QUADRANTS.cells_of_many(pts)
 
-        mapping = dataclasses.replace(cat_map(), forward_many=forward_many)
+        mapping = dataclasses.replace(cat_map(), forward_many=forward_many, leap=leap)
         part = dataclasses.replace(QUADRANTS, cells_of_many=cells_of_many)
         ens = contaminated_cat_ensemble(50, 0.1, seed=1)
         got = list(classical._orbit_cells(ens.points, mapping, part, steps))
         expected = reference_cells(ens.points, cat_map(), QUADRANTS, steps)
         assert np.array_equal(np.concatenate(got), expected)
-        # one kernel call per map step, one partition call per block
-        assert len(kernel) == 60
+        # each gap of at least _LEAP_MIN steps tries one leap, which goes
+        # through where the formula's cloud at the gap's start is on the
+        # 2**-51 lattice (it is by step 22 here); every other step is one
+        # kernel call, and there is one partition call per block
+        predicted, cloud, at = [], ens.points, 0
+        for step in np.unique(steps).astype(int):
+            if step - at >= classical._LEAP_MIN:
+                predicted.append((step - at, on_lattice(cloud)))
+            for _ in range(step - at):
+                cloud = REFERENCE_STEPS["cat-map"](cloud)
+            at = step
+        assert [(gap, done) for gap, done, *_ in leaps] == predicted == [
+            (8, True), (9, True), (8, True), (9, True)]
+        assert len(kernel) == 60 - sum(gap for gap, done in predicted if done)
         assert [b.shape for b in blocks] == [(9, 50, 2), (9, 50, 2), (2, 50, 2)]
         # the first block views the whole buffer, and every later one views it too
         buffer = blocks[0]
         assert all(np.shares_memory(b, buffer) for b in blocks)
+        # a leap reads a row or a slot and writes its own slot
+        for *_, src, out in leaps:
+            assert out.shape == src.shape == (2, 50) and out.flags.c_contiguous
+            assert np.shares_memory(out, buffer) and not np.shares_memory(src, out)
         rows = {}
         for args in kernel:
             for arr in args:
