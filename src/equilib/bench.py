@@ -24,7 +24,6 @@ import numpy as np
 
 from . import classical, quantum
 from .core import (
-    SCHEME_STRATIFIED,
     ConfigError,
     OutcomeDistribution,
     EquilibrationReport,
@@ -169,19 +168,20 @@ class Scenario:
 # --- config parsing ----------------------------------------------------------
 
 class _Node:
-    """A config object and its dotted path. Each reader takes the key of a
-    field and names it as ``path.key`` in the ConfigError it raises."""
+    """A config object, its dotted path and the directory its file
+    references are read from. Each reader takes the key of a field and
+    names it as ``path.key`` in the ConfigError it raises."""
 
-    def __init__(self, data, path: str):
+    def __init__(self, data, path: str, base: Path = Path()):
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-        self.data, self.path = data, path
+        self.data, self.path, self.base = data, path, base
 
     def __contains__(self, key: str) -> bool:
         return key in self.data
 
-    def get(self, key: str, default=None):
-        return self.data.get(key, default)
+    def get(self, key: str):
+        return self.data.get(key)
 
     def error(self, key: str | None, msg: str) -> ConfigError:
         """The ConfigError naming field ``key``, or this object when None."""
@@ -189,7 +189,7 @@ class _Node:
 
     def child(self, data, key: str) -> _Node:
         """``data``, an object, as the field ``key`` of this one."""
-        return _Node(data, f"{self.path}.{key}")
+        return _Node(data, f"{self.path}.{key}", self.base)
 
     def node(self, key: str) -> _Node:
         return self.child(self.require(key), key)
@@ -214,11 +214,10 @@ class _Node:
                 raise ValueError(f"must be finite, got {value!r}")
             return float(value)
 
-    def integer(self, key: str, least: float = -math.inf, most: float = math.inf,
-                default: int | None = None) -> int:
+    def integer(self, key: str, least: float = -math.inf, most: float = math.inf) -> int:
         """Field ``key`` as an integer from ``least`` to ``most`` (an integral
-        float counts); required when no default is given."""
-        value = self.require(key) if default is None else self.data.get(key, default)
+        float counts)."""
+        value = self.require(key)
         if isinstance(value, float) and value.is_integer():
             value = int(value)
         if not isinstance(value, int) or isinstance(value, bool):
@@ -229,9 +228,17 @@ class _Node:
             raise self.error(key, f"must be at most {most}, got {value}")
         return value
 
-    def seed(self, default: int | None = None) -> int:
-        """Field ``seed``, an integer >= 0."""
-        return self.integer("seed", 0, default=default)
+    def seed(self, key: str = "seed") -> int:
+        """Field ``key``, an integer >= 0."""
+        return self.integer(key, 0)
+
+    def given(self, **readers) -> dict:
+        """Each field named by a keyword that is given and not null, read by
+        that keyword's reader (called with the key): the keyword arguments
+        of a library call, so that for a field left out the default of the
+        library's signature applies, and this module holds no copy of it."""
+        return {key: read(key) for key, read in readers.items()
+                if self.data.get(key) is not None}
 
     @contextlib.contextmanager
     def field(self, key: str | None = None):
@@ -248,14 +255,11 @@ class _Node:
             name = getattr(exc, "name", None)
             raise self.error(name if name in self.data else key, str(exc)) from None
 
-    def entries(self, key: str, dtype: type = float, optional: bool = False) -> np.ndarray | None:
+    def entries(self, key: str, dtype: type = float) -> np.ndarray:
         """Field ``key``, a nested list of JSON numbers (or, for ``dtype``
         bool, JSON booleans), as the array ``typed_array`` reads, by its
-        rule; absent or null, it is None when ``optional`` and an error
-        otherwise."""
+        rule."""
         if self.data.get(key) is None:
-            if optional:
-                return None
             raise self.error(key, "required")
         with self.field(key):
             return typed_array(self.data[key], key, dtype)
@@ -287,26 +291,14 @@ def _is_json(value) -> bool:
     return False
 
 
-def _absolutize_file_refs(node, base_dir: Path) -> None:
-    """Rewrite relative {"file": ...} matrix references against the config's
-    own directory, in place."""
-    if isinstance(node, dict):
-        ref = node.get("file")
-        if isinstance(ref, str) and not Path(ref).is_absolute():
-            node["file"] = str(base_dir / ref)
-        for value in node.values():
-            _absolutize_file_refs(value, base_dir)
-    elif isinstance(node, list):
-        for value in node:
-            _absolutize_file_refs(value, base_dir)
-
-
 def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> Scenario:
     """Parse and validate a scenario from a dict or a JSON file path, named
     by its ``name`` field, else by the file's stem, else ``"scenario"``.
 
     ``overrides`` maps dotted config paths to values set on the raw config
-    before validation, under any sweep grid; ``source`` is not modified.
+    before validation, under any sweep grid; ``source`` is not modified. A
+    relative matrix ``{"file": ...}`` is read from the file's directory,
+    else from the working directory, and recorded as given.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -314,11 +306,9 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        name = path.stem
-        if isinstance(raw, dict):
-            _absolutize_file_refs(raw, path.resolve().parent)
+        name, base = path.stem, path.parent
     else:
-        raw, name = source, "scenario"
+        raw, name, base = source, "scenario", Path()
     if not isinstance(raw, dict):
         raise ConfigError("scenario: expected a JSON object")
     if overrides:
@@ -360,11 +350,12 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
         resolved = _apply_overrides(raw, point)
         start = time.perf_counter()
         try:
-            rt = _build_runtime(resolved)
+            rt = _build_runtime(resolved, base)
         except ConfigError:
             raise
         except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            seed = _Node(resolved, root.path).node("average").seed(0)
+            avg = _Node(resolved, root.path).node("average")
+            seed = avg.given(seed=avg.seed).get("seed", TimeAverageConfig.seed)
             rt = _Failure(f"{type(exc).__name__}: {exc}", seed)
         built.append((rt, time.perf_counter() - start))
     return Scenario(name=name, config=raw, sweep_points=tuple(points),
@@ -391,8 +382,8 @@ def _average_config(root: _Node, outcomes: int, spectrum=None) -> TimeAverageCon
     for the estimator's rows and the time (tracemalloc: 24-25 N + 16-56)."""
     avg = root.node("average")
     samples = avg.integer("samples", most=MAX_BYTES // (24 * (outcomes + 3)))
-    seed = avg.integer("seed", default=0)
-    horizon = avg.get("horizon", "auto")
+    given = avg.given(seed=avg.seed, scheme=avg.require)
+    horizon = avg.data.get("horizon", "auto")
     if horizon == "auto":
         if spectrum is None:
             raise avg.error("horizon", "'auto' is only available for quantum scenarios")
@@ -402,8 +393,7 @@ def _average_config(root: _Node, outcomes: int, spectrum=None) -> TimeAverageCon
     else:
         horizon = avg.number("horizon")
     with avg.field():
-        return TimeAverageConfig(horizon=horizon, samples=samples, seed=seed,
-                                 scheme=avg.get("scheme", SCHEME_STRATIFIED))
+        return TimeAverageConfig(horizon=horizon, samples=samples, **given)
 
 
 @dataclass(frozen=True)
@@ -444,7 +434,7 @@ def _matrix_node(node: _Node) -> np.ndarray:
     pairs in row-major order; inline, or in the JSON file {"file": ...}."""
     if "file" in node:
         with node.field("file"):
-            ref = Path(node.data["file"])
+            ref = node.base / node.data["file"]
         try:
             inner = json.loads(ref.read_text())
         except OSError as exc:
@@ -471,7 +461,7 @@ def _map_node(node: _Node) -> classical.InvertibleMap:
             return classical.rotation_map(angles)
     if name == "cat-map":
         with node.field("lattice"):
-            return classical.cat_map(node.get("lattice"))
+            return classical.cat_map(**node.given(lattice=node.require))
     raise node.error("name", f"unknown map {name!r}")
 
 
@@ -491,17 +481,20 @@ def _partition_node(node: _Node) -> classical.Partition:
 
 def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
     system, meas = root.node("system"), root.node("measurement")
-    gap_tol = None if root.get("gap_tol") is None else root.number("gap_tol")
+    gap_tol = root.given(gap_tol=root.number)
     most_dim = _dim_bound()
     if "sampler" in system:
         s = system.node("sampler")
         dim = s.integer("dim", most=most_dim)
         seed = s.seed()
-        spacing = s.number("spacing") if "spacing" in s else 1.0
-        # random_spectrum names this argument "kind", which is no key here
+        given = s.given(spectrum=s.require, spacing=s.number)
+        # random_spectrum names the spectrum field's argument "kind", which
+        # is no key here, so the field names its own error
+        if "spectrum" in given:
+            given["kind"] = given.pop("spectrum")
         with s.field("spectrum"):
-            spectrum = quantum.random_spectrum(dim, seed, s.get("spectrum", "generic"), spacing)
-        state_kind = s.get("state", "pure")
+            spectrum = quantum.random_spectrum(dim, seed, **given)
+        state_kind = s.data.get("state", "pure")
         if state_kind == "pure":
             rho = quantum.random_pure_state(dim, seed + 1)
         elif state_kind == "mixed":
@@ -535,7 +528,7 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
     most = MAX_BYTES // (32 * spectrum.dim * (spectrum.dim + 3))
     if "sampler" in meas:
         s = meas.node("sampler")
-        name = s.get("name", "random")
+        name = s.data.get("name", "random")
         outcomes = s.integer("outcomes", most=most)
         seed = s.seed()
         with s.field():
@@ -562,7 +555,7 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
     avg = _average_config(root, povm.outcome_count, spectrum)
     d_eff = quantum.effective_dimension(rho, spectrum)
     with root.field("gap_tol"):
-        table = quantum.gap_table(spectrum, gap_tol)
+        table = quantum.gap_table(spectrum, **gap_tol)
     params = {
         "N": povm.outcome_count,
         "d": spectrum.dim,
@@ -599,9 +592,9 @@ def _map_and_partition(root: _Node) -> tuple[_Node, classical.InvertibleMap, cla
 
 def _build_classical_pure(root: _Node, epsilon: float) -> _Runtime:
     system, mapping, partition = _map_and_partition(root)
-    point = system.require("point")
+    point = system.entries("point")
     with system.field("point"):
-        probe = classical.classical_probe(classical.PhasePoint(point), mapping, partition)
+        probe = classical.classical_probe(point, mapping, partition)
     params = {"N": partition.cell_count, "map": mapping.name}
     return _Runtime(probe, _orbit_average_config(root, partition.cell_count), epsilon, params,
                     {"thm2-necessity": 1.0 - epsilon})
@@ -612,20 +605,19 @@ def _build_classical_ensemble(root: _Node, epsilon: float) -> _Runtime:
     ens = system.node("ensemble")
     if "sampler" in ens:
         s = ens.node("sampler")
-        if s.get("name", "contaminated-cat") != "contaminated-cat":
+        if s.data.get("name", "contaminated-cat") != "contaminated-cat":
             raise s.error("name", f"unknown sampler {s.get('name')!r}")
         # 128 bytes a point (tracemalloc: 84 at build, 105 through a run)
         count, delta = s.integer("count", most=MAX_BYTES // 128), s.number("delta")
-        seed, lattice = s.seed(), s.integer("lattice", default=4)
+        seed, given = s.seed(), s.given(lattice=s.integer)
         with s.field():
-            ensemble = classical.contaminated_cat_ensemble(count, delta, seed, lattice)
+            ensemble = classical.contaminated_cat_ensemble(count, delta, seed, **given)
     else:
+        points = ens.entries("points")
+        given = ens.given(weights=ens.entries,
+                          chaotic_flags=lambda key: ens.entries(key, bool))
         with ens.field():
-            ensemble = classical.ClassicalEnsemble(
-                ens.entries("points"),
-                ens.entries("weights", optional=True),
-                ens.entries("chaotic_flags", bool, optional=True),
-            )
+            ensemble = classical.ClassicalEnsemble(points, **given)
     with ens.field():
         probe = classical.ensemble_probe(ensemble, mapping, partition)
     delta = ensemble.periodic_weight
@@ -650,19 +642,10 @@ def _build_synthetic(root: _Node, epsilon: float) -> _Runtime:
     seed = recipe.seed()
     # synthetic_probe refuses outcomes below 1, which cost no bytes here
     most_modes = MAX_BYTES // (16 * (max(outcomes, 0) + 1))
-    mode_count = recipe.integer("mode_count", most=most_modes, default=3)
-    dominant_weight = None
-    if recipe.get("dominant_weight") is not None:
-        dominant_weight = recipe.number("dominant_weight")
-    amplitude = recipe.number("amplitude") if "amplitude" in recipe else 0.6
+    given = recipe.given(mode_count=lambda key: recipe.integer(key, most=most_modes),
+                         dominant_weight=recipe.number, amplitude=recipe.number)
     with recipe.field():
-        probe = synthetic_probe(
-            outcomes=outcomes,
-            seed=seed,
-            dominant_weight=dominant_weight,
-            mode_count=mode_count,
-            amplitude=amplitude,
-        )
+        probe = synthetic_probe(outcomes=outcomes, seed=seed, **given)
     avg = _average_config(root, outcomes)
     return _Runtime(probe, avg, epsilon, {"N": probe.outcome_count}, {})
 
@@ -676,9 +659,10 @@ _BUILDERS = {
 KINDS = tuple(_BUILDERS)
 
 
-def _build_runtime(raw: dict) -> _Runtime:
-    """Build one point; its epsilon is decoded here, once, as a float."""
-    root = _Node(raw, "scenario")
+def _build_runtime(raw: dict, base: Path = Path()) -> _Runtime:
+    """Build one point, its file references read from ``base``; its epsilon
+    is decoded here, once, as a float."""
+    root = _Node(raw, "scenario", base)
     epsilon = root.number("epsilon")
     with root.field("epsilon"):
         check_epsilon(epsilon)

@@ -34,26 +34,6 @@ MAX_LATTICE = 2**52    # largest cat-map lattice denominator with exact orbits
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """A pure classical state: coordinates on the unit torus [0, 1)^d."""
-
-    coords: tuple[float, ...]
-
-    def __init__(self, coords: Sequence[float] | float):
-        arr = np.atleast_1d(typed_array(coords, "coordinates"))
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("a phase point needs at least one coordinate")
-        object.__setattr__(self, "coords", tuple(float(c) % 1.0 for c in arr))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords)
-
-
-@dataclass(frozen=True)
 class InvertibleMap:
     """Reversible discrete-time dynamics on the torus, stepped forward only,
     since time averages run over t >= 0.
@@ -371,10 +351,12 @@ def grid_partition(edges_by_dim: Sequence[Sequence[float]]) -> Partition:
     return _box_partition(axes)
 
 
-# Chaotic maps amplify rounding exponentially; beyond this many steps a
-# double-precision orbit is pure noise, so probes refuse to go there.
-# Lattice arithmetic (cat_map(lattice=q)) is exempt from the concern but the
-# cap is enforced uniformly for predictability.
+# The longest orbit a probe steps. Chaotic maps amplify rounding
+# exponentially, so a double-precision orbit soon leaves the exact orbit of
+# its start, though not into noise: a float cat orbit becomes an exact
+# orbit of the integer cat map mod 2**51 (see cat_map). The cap bounds the
+# cost of each orbit, and holds for every map alike, lattice maps included,
+# for predictability.
 MAX_ORBIT_STEPS = 1_000_000
 
 
@@ -540,11 +522,16 @@ def _cloud_probe(
 
 
 def classical_probe(
-    x: PhasePoint, mapping: InvertibleMap, partition: Partition
+    coords: Sequence[float] | np.ndarray | float, mapping: InvertibleMap, partition: Partition
 ) -> TrajectoryProbe:
-    """Probe of a single pure state: its row at time t is the indicator of
-    the cell occupied at step round(t)."""
-    return _cloud_probe(x.as_array()[None, :], np.ones(1), mapping, partition)
+    """Probe of a single pure state, its coordinates on the unit torus
+    (a scalar is one coordinate), read and wrapped as ``ClassicalEnsemble``
+    reads its points: its row at time t is the indicator of the cell
+    occupied at step round(t)."""
+    point = _wrapped(np.array(typed_array(coords, "coordinates"), ndmin=1))
+    if point.ndim != 1 or point.size == 0:
+        raise DomainError("a point is a nonempty flat list of coordinates")
+    return _cloud_probe(point[None, :], np.ones(1), mapping, partition)
 
 
 @dataclass(frozen=True, eq=False)

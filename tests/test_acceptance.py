@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from equilib.classical import (
-    PhasePoint,
     cat_map,
     check_necessity,
     classical_probe,
@@ -256,7 +255,7 @@ def _classical_pure_cases(count, rng):
             mapping = rotation_map(GOLDEN if trial % 4 == 0 else float(rng.uniform(0.05, 0.95)))
             edges = np.sort(rng.uniform(0.02, 0.98, size=n_cells - 1))
             partition = interval_partition([0.0, *edges, 1.0])
-            x = PhasePoint(float(rng.uniform(0, 1)))
+            x = float(rng.uniform(0, 1))
         else:
             mapping = cat_map()
             rows = n_cells // 2 if n_cells % 2 == 0 else n_cells
@@ -264,7 +263,7 @@ def _classical_pure_cases(count, rng):
             xedges = [0.0, *np.sort(rng.uniform(0.1, 0.9, size=rows - 1)), 1.0]
             yedges = [0.0, *np.sort(rng.uniform(0.1, 0.9, size=cols - 1)), 1.0]
             partition = grid_partition([xedges, yedges])
-            x = PhasePoint((float(rng.uniform(0, 1)), float(rng.uniform(0, 1))))
+            x = (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
         probe = classical_probe(x, mapping, partition)
         omega = time_average_distribution(probe, cfg)
         est = average_distinguishability(probe, omega, cfg)
@@ -340,7 +339,7 @@ class TestCriterion6:
             eps = float(rng.uniform(0.1, 0.6))
             partition = interval_partition([0.0, 1.0 - eps / 3.0, 1.0])
             probe = classical_probe(
-                PhasePoint(float(rng.uniform(0, 1))),
+                float(rng.uniform(0, 1)),
                 rotation_map(GOLDEN),
                 partition,
             )

@@ -3,9 +3,12 @@
 import copy
 import csv
 import dataclasses
+import functools
+import inspect
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -799,6 +802,24 @@ class TestLoadScenario:
         assert rec.error is None
         assert rec.report.mean_distinguishability == pytest.approx(1 / math.pi, abs=0.01)
 
+    def test_a_swept_file_reference_is_recorded_as_given(self, tmp_path):
+        # the same scenario in two directories records the same params: a
+        # relative reference is read from the scenario's directory, and kept
+        cfg = explicit_quantum_config()
+        hamiltonians = [diagonal([0.0, 1.0]), diagonal([0.0, 2.0])]
+        refs = [{"file": f"sub/h{k}.json"} for k in range(len(hamiltonians))]
+        cfg["sweep"] = {"system.hamiltonian.matrix": refs}
+        runs = []
+        for where in ("a", "b"):
+            (tmp_path / where / "sub").mkdir(parents=True)
+            for ref, matrix in zip(refs, hamiltonians):
+                (tmp_path / where / ref["file"]).write_text(json.dumps(matrix))
+            (tmp_path / where / "scn.json").write_text(json.dumps(cfg))
+            runs.append(outputs(run_scenario(load_scenario(tmp_path / where / "scn.json"))))
+        assert runs[0] == runs[1]
+        assert [rec["params"]["system.hamiltonian.matrix"] for rec in runs[0]] == refs
+        assert all(rec["error"] is None for rec in runs[0])
+
     def test_missing_file_reference(self, tmp_path):
         cfg = qubit_config()
         cfg["system"]["state"] = {"matrix": {"file": "nowhere.json"}}
@@ -1410,6 +1431,76 @@ class TestConfigBoundary:
         del absent["average"]
         for cfg in (absent, synthetic_config(average=None)):
             assert load_scenario(cfg, overrides=overrides).built[0][0].cfg.samples == 400
+
+
+def spy_on(monkeypatch, module, name: str) -> list[dict]:
+    """Replace ``module.name`` by a spy that calls it and logs, for each call
+    made from ``bench``, the arguments passed to it by parameter name."""
+    original = getattr(module, name)
+    signature = inspect.signature(original)
+    calls = []
+
+    def spy(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == bench.__name__:
+            calls.append(signature.bind(*args, **kwargs).arguments)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+# every optional scenario field that a library argument stands for: the
+# config it sits in, its key path, a value to give, the module and name of
+# the library call that takes it, the argument's name there and the decoded
+# value passed
+OPTIONAL_FIELDS = [
+    (synthetic_config, ("average", "seed"), 7, bench, "TimeAverageConfig", "seed", 7),
+    (synthetic_config, ("average", "scheme"), "uniform-grid", bench, "TimeAverageConfig",
+     "scheme", "uniform-grid"),
+    (sampled_quantum_config, ("system", "sampler", "spectrum"), "equally-spaced", quantum,
+     "random_spectrum", "kind", "equally-spaced"),
+    (sampled_quantum_config, ("system", "sampler", "spacing"), 2, quantum, "random_spectrum",
+     "spacing", 2.0),
+    (sampled_quantum_config, ("gap_tol",), 1e-6, quantum, "gap_table", "gap_tol", 1e-6),
+    (classical_pure_config, ("system", "map", "lattice"), 64, classical, "cat_map", "lattice",
+     64),
+    (ensemble_config, ("system", "ensemble", "sampler", "lattice"), 8.0, classical,
+     "contaminated_cat_ensemble", "lattice", 8),
+    (explicit_ensemble_config, ("system", "ensemble", "weights"), [0.25, 0.25, 0.5], classical,
+     "ClassicalEnsemble", "weights", np.array([0.25, 0.25, 0.5])),
+    (explicit_ensemble_config, ("system", "ensemble", "chaotic_flags"), [True, False, False],
+     classical, "ClassicalEnsemble", "chaotic_flags", np.array([True, False, False])),
+    (synthetic_config, ("system", "probe", "dominant_weight"), 0.9, bench, "synthetic_probe",
+     "dominant_weight", 0.9),
+    (synthetic_config, ("system", "probe", "mode_count"), 2, bench, "synthetic_probe",
+     "mode_count", 2),
+    (synthetic_config, ("system", "probe", "amplitude"), 0.4, bench, "synthetic_probe",
+     "amplitude", 0.4),
+]
+
+
+class TestOptionalFields:
+    """An optional field is passed to the library call that takes it only
+    when the scenario gives it, so that the library's default is the one
+    default."""
+
+    @pytest.mark.parametrize("make, keys, value, module, name, arg, decoded", OPTIONAL_FIELDS,
+                             ids=[".".join(f[1]) for f in OPTIONAL_FIELDS])
+    @pytest.mark.parametrize("state", ["absent", "null", "given"])
+    def test_only_a_given_field_is_passed(self, monkeypatch, state, make, keys, value, module,
+                                          name, arg, decoded):
+        cfg = with_leaf(make(), keys, None if state == "null" else value)
+        if state == "absent":
+            parent = functools.reduce(dict.__getitem__, keys[:-1], cfg)
+            del parent[keys[-1]]
+        calls = spy_on(monkeypatch, module, name)
+        load_scenario(cfg)
+        (passed,) = calls
+        if state == "given":
+            assert np.asarray(passed[arg]).dtype == np.asarray(decoded).dtype
+            assert np.array_equal(passed[arg], decoded)
+        else:
+            assert arg not in passed
 
 
 def plain_json(value) -> bool:

@@ -21,7 +21,6 @@ from equilib.classical import (
     MAX_ORBIT_STEPS,
     ClassicalEnsemble,
     InvertibleMap,
-    PhasePoint,
     baker_map,
     cat_map,
     check_necessity,
@@ -112,7 +111,7 @@ def compose(*maps):
 
 def cell_of(partition, coords):
     """The cell of one phase point."""
-    return int(partition.cells_of_many(PhasePoint(coords).as_array()[None, :])[0])
+    return int(partition.cells_of_many(np.array(coords, dtype=float, ndmin=2))[0])
 
 
 def iterate(coords, step, steps):
@@ -201,22 +200,38 @@ def reference_defects(points, mapping, partition, times, batches):
     return (bxs * bys).mean(axis=2) - bxs.mean(axis=2) * bys.mean(axis=2)
 
 
-class TestPhasePoint:
+class TestPointCoordinates:
+    """``classical_probe`` reads a point's coordinates as ``ClassicalEnsemble``
+    reads its points, by ``typed_array``, and wraps them onto the torus."""
+
+    @staticmethod
+    def start(coords, mapping=cat_map(), partition=QUADRANTS):
+        """The point the probe of ``coords`` classifies at step 0."""
+        recorder, seen = recording_partition(partition)
+        classical_probe(coords, mapping, recorder).distributions_at([0.0])
+        return tuple(seen[0][0].tolist())
+
     def test_wraps(self):
-        assert PhasePoint((1.25, -0.25)).coords == (0.25, 0.75)
+        assert self.start((1.25, -0.25)) == (0.25, 0.75)
 
     def test_scalar(self):
-        assert PhasePoint(0.5).coords == (0.5,)
+        part = interval_partition([0.0, 0.5, 1.0])
+        assert self.start(0.5, rotation_map(GOLDEN), part) == (0.5,)
 
     def test_empty(self):
         with pytest.raises(DomainError):
-            PhasePoint(())
+            classical_probe((), cat_map(), QUADRANTS)
+
+    def test_nested(self):
+        # one point is one flat list, as a scenario's system.point is
+        with pytest.raises(DomainError, match="flat list"):
+            classical_probe([[0.2, 0.6]], cat_map(), QUADRANTS)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         # inf % 1.0 is nan, so an unchecked point would carry nan into every orbit
         with pytest.raises(DomainError, match="finite"):
-            PhasePoint((bad, 0.3))
+            classical_probe((bad, 0.3), cat_map(), QUADRANTS)
 
     @pytest.mark.parametrize(
         "bad", [["0.2", "0.6"], [True, 0.6], [0.2, np.True_], True, "0.3"],
@@ -225,14 +240,14 @@ class TestPhasePoint:
     def test_non_numbers_rejected(self, bad):
         # float() would read "0.2" as 0.2 and True as 1.0
         with pytest.raises(DomainError, match="coordinates must be numbers"):
-            PhasePoint(bad)
+            classical_probe(bad, cat_map(), QUADRANTS)
 
 
 class TestMaps:
     def test_evolve_zero_steps(self):
         # step 0 of an orbit is the initial point, reached without a map call
         mapping, calls = counting_map(rotation_map(0.1))
-        probe = classical_probe(PhasePoint(0.3), mapping, interval_partition([0.0, 0.5, 1.0]))
+        probe = classical_probe(0.3, mapping, interval_partition([0.0, 0.5, 1.0]))
         assert probe.distributions_at([0.0])[0].tolist() == [1.0, 0.0]
         assert calls == []
 
@@ -281,7 +296,7 @@ class TestMaps:
 
     def test_dimension_check(self):
         with pytest.raises(DimensionError):
-            classical_probe(PhasePoint(0.5), cat_map(), QUADRANTS)
+            classical_probe(0.5, cat_map(), QUADRANTS)
 
     @pytest.mark.parametrize(
         "angles",
@@ -721,25 +736,25 @@ class TestCatLeap:
 class TestClassicalProbe:
     def test_initial_indicator(self):
         part = interval_partition([0.0, 0.5, 1.0])
-        probe = classical_probe(PhasePoint(0.7), rotation_map(GOLDEN), part)
+        probe = classical_probe(0.7, rotation_map(GOLDEN), part)
         assert probe.distributions_at([0.0])[0].tolist() == [0.0, 1.0]
 
     def test_golden_rotation_equidistributes(self):
         part = interval_partition([0.0, 0.5, 1.0])
-        probe = classical_probe(PhasePoint(0.123), rotation_map(GOLDEN), part)
+        probe = classical_probe(0.123, rotation_map(GOLDEN), part)
         omega = time_average_distribution(probe, STEPS(4096))
         assert omega.allclose(OutcomeDistribution([0.5, 0.5]), atol=5e-3)
 
     def test_rational_orbit_stays_in_cell(self):
         # orbit {0.05, 0.3, 0.55, 0.8} never leaves [0, 0.9)
         part = interval_partition([0.0, 0.9, 1.0])
-        probe = classical_probe(PhasePoint(0.05), rotation_map(0.25), part)
+        probe = classical_probe(0.05, rotation_map(0.25), part)
         omega = time_average_distribution(probe, STEPS(512))
         assert omega == OutcomeDistribution([1.0, 0.0])
 
     def test_scalar_vector_agree(self):
         part = grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
-        probe = classical_probe(PhasePoint((0.2, 0.6)), cat_map(), part)
+        probe = classical_probe((0.2, 0.6), cat_map(), part)
         times = np.arange(20.0)
         block = probe.distributions_at(times)
         for k, t in enumerate(times):
@@ -747,7 +762,7 @@ class TestClassicalProbe:
 
     def test_rejects_negative_time(self):
         part = interval_partition([0.0, 0.5, 1.0])
-        probe = classical_probe(PhasePoint(0.1), rotation_map(GOLDEN), part)
+        probe = classical_probe(0.1, rotation_map(GOLDEN), part)
         with pytest.raises(DomainError):
             probe.distributions_at([-1.0])
 
@@ -763,7 +778,7 @@ class TestOrbitEngine:
         block = ensemble_probe(ens, cat_map(), part).distributions_at(times)
         expected = np.zeros_like(block)
         for point, weight in zip(ens.points, ens.weights):
-            pure = classical_probe(PhasePoint(tuple(point)), cat_map(), part)
+            pure = classical_probe(tuple(point), cat_map(), part)
             expected = expected + weight * pure.distributions_at(times)
         assert np.array_equal(block, expected)
 
@@ -838,7 +853,7 @@ class TestOrbitEngine:
     def test_step_cap_checked_before_any_map_call(self, kind):
         mapping, calls = counting_map(cat_map())
         if kind == "pure":
-            probe = classical_probe(PhasePoint((0.2, 0.6)), mapping, QUADRANTS)
+            probe = classical_probe((0.2, 0.6), mapping, QUADRANTS)
         else:
             probe = ensemble_probe(contaminated_cat_ensemble(50, 0.1, seed=1), mapping, QUADRANTS)
         with pytest.raises(DomainError, match="cap"):
@@ -889,7 +904,7 @@ class TestOrbitEngine:
         # a block at a time, so 512 sampled steps hold as much whether they
         # span 625 steps or 12,500
         def peak(horizon):
-            probe = classical_probe(PhasePoint((0.2137, 0.5821)), cat_map(), QUADRANTS)
+            probe = classical_probe((0.2137, 0.5821), cat_map(), QUADRANTS)
             cfg = TimeAverageConfig(horizon=horizon, samples=512, scheme="uniform-grid")
             tracemalloc.start()
             try:
@@ -960,7 +975,7 @@ class TestBlockedClassification:
         block = max(1, cap // (mapping.dim + part.cell_count))
         for start in start_points(mapping.dim, q):
             recorder, seen = recording_partition(part)
-            got = classical_probe(PhasePoint(start), mapping, recorder).distributions_at(times)
+            got = classical_probe(start, mapping, recorder).distributions_at(times)
             assert [len(pts) for pts in seen] == [
                 min(block, times.size - at) for at in range(0, times.size, block)
             ]
@@ -994,7 +1009,7 @@ class TestBlockedClassification:
     @pytest.mark.parametrize("kind", ["pure", "ensemble"])
     def test_zero_times_is_a_dimension_error(self, kind):
         if kind == "pure":
-            probe = classical_probe(PhasePoint((0.2, 0.6)), cat_map(), QUADRANTS)
+            probe = classical_probe((0.2, 0.6), cat_map(), QUADRANTS)
         else:
             probe = ensemble_probe(contaminated_cat_ensemble(50, 0.1, seed=1), cat_map(), QUADRANTS)
         with pytest.raises(DimensionError):
@@ -1056,7 +1071,7 @@ class TestPointKernels:
         part = grid_partition([np.linspace(0.0, 1.0, 6)] * mapping.dim)
         for start in start_points(mapping.dim, q):
             recorder, seen = recording_partition(part)
-            probe = classical_probe(PhasePoint(start), mapping, recorder)
+            probe = classical_probe(start, mapping, recorder)
             block = probe.distributions_at(times)
             assert same_bits(np.concatenate(seen), reference_orbit(start, mapping, steps))
             expected = reference_block(np.array([start]), np.ones(1), mapping, part, times)
@@ -1072,7 +1087,7 @@ class TestPointKernels:
         start = start_points(2, None)[0]
         part = grid_partition([np.linspace(0.0, 1.0, 6)] * 2)
         recorder, seen = recording_partition(part)
-        block = classical_probe(PhasePoint(start), mapping, recorder).distributions_at(times)
+        block = classical_probe(start, mapping, recorder).distributions_at(times)
         assert [len(pts) for pts in seen] == [151] * 16 + [84]
         orbit = reference_orbit(start, mapping, times)
         assert same_bits(np.concatenate(seen), orbit)
@@ -1111,7 +1126,7 @@ class TestPureClosedForm:
         from equilib.core import average_distinguishability
 
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.6, 1.0]])
-        probe = classical_probe(PhasePoint((0.21, 0.43)), cat_map(), part)
+        probe = classical_probe((0.21, 0.43), cat_map(), part)
         cfg = STEPS(2048)
         omega = time_average_distribution(probe, cfg)
         est = average_distinguishability(probe, omega, cfg)
@@ -1225,8 +1240,8 @@ class TestDefectsAgainstOneHot:
 class TestEnsembles:
     def test_single_point_reduces_to_pure_probe(self):
         part = grid_partition([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
-        x = PhasePoint((0.3, 0.9))
-        single = ClassicalEnsemble([x.coords])
+        x = (0.3, 0.9)
+        single = ClassicalEnsemble([x])
         times = np.arange(30.0)
         a = ensemble_probe(single, cat_map(), part).distributions_at(times)
         b = classical_probe(x, cat_map(), part).distributions_at(times)

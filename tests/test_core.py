@@ -45,9 +45,7 @@ def builder_probes():
         "quantum": quantum.quantum_probe(
             quantum.random_mixed_state(4, 1), spec, quantum.random_povm(4, 3, 3)
         ),
-        "classical": classical.classical_probe(
-            classical.PhasePoint((0.2, 0.6)), classical.cat_map(), grid
-        ),
+        "classical": classical.classical_probe((0.2, 0.6), classical.cat_map(), grid),
         "ensemble": classical.ensemble_probe(builder_ensemble(), classical.cat_map(), grid),
         "synthetic": synthetic_probe(3, seed=4),
     }
@@ -795,7 +793,7 @@ def block_probe(kind):
     if kind == "cloud":
         ens = classical.contaminated_cat_ensemble(50, 0.1, seed=4)
         return classical.ensemble_probe(ens, classical.cat_map(), grid)
-    return classical.classical_probe(classical.PhasePoint((0.2, 0.6)), classical.cat_map(), grid)
+    return classical.classical_probe((0.2, 0.6), classical.cat_map(), grid)
 
 
 def traced_peak(run) -> int:
@@ -861,7 +859,7 @@ class TestChunkedBlocks:
         # its bins, far more than its coordinates: sized by coordinates
         # alone, 20,000 steps on 16 cells held 33 words a time beside the rows
         grid = classical.grid_partition([np.linspace(0.0, 1.0, 5)] * 2)
-        point = classical.PhasePoint((0.2, 0.6))
+        point = (0.2, 0.6)
         probe = classical.classical_probe(point, classical.cat_map(), grid)
         m = 20_000
         times = np.arange(float(m))

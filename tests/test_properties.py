@@ -7,7 +7,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from equilib.classical import (
-    PhasePoint,
     cat_map,
     check_necessity,
     classical_probe,
@@ -180,12 +179,12 @@ class TestClassicalTheoremSweeps:
                 mapping = rotation_map(float(rng.uniform(0.1, 0.9)))
                 edges = np.sort(rng.uniform(0.05, 0.95, size=int(rng.integers(1, 4))))
                 partition = interval_partition([0.0, *edges, 1.0])
-                x = PhasePoint(float(rng.uniform(0, 1)))
+                x = float(rng.uniform(0, 1))
             else:
                 mapping = cat_map()
                 cut = lambda: [0.0, float(rng.uniform(0.2, 0.8)), 1.0]  # noqa: E731
                 partition = grid_partition([cut(), cut()])
-                x = PhasePoint((float(rng.uniform(0, 1)), float(rng.uniform(0, 1))))
+                x = (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
             probe = classical_probe(x, mapping, partition)
             for eps in (0.05, 0.2, 0.5, 0.8):
                 report = equilibration_report(probe, eps, cfg)
@@ -206,9 +205,7 @@ class TestClassicalTheoremSweeps:
             eps = float(rng.uniform(0.1, 0.6))
             big = 1.0 - eps / 3.0  # cell [0, big) occupation ~ big >= 1 - eps/2
             partition = interval_partition([0.0, big, 1.0])
-            probe = classical_probe(
-                PhasePoint(float(rng.uniform(0, 1))), rotation_map(golden), partition
-            )
+            probe = classical_probe(float(rng.uniform(0, 1)), rotation_map(golden), partition)
             report = equilibration_report(probe, eps, cfg)
             if check_sufficiency(report.equilibrium_distribution, eps):
                 checked += 1

@@ -2,6 +2,7 @@
 say, and the scenario config loads and equilibrates."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -56,3 +57,41 @@ def test_every_cited_name_exists():
         assert hasattr(modules[module], name), f"{module}.{name}"
     for name in re.findall(r"`(MAX_\w+)", text):
         assert any(hasattr(m, name) for m in modules.values()), name
+
+
+# the library function that takes each scenario field the README gives a
+# default for
+DEFAULT_TAKERS = {
+    "lattice": classical.contaminated_cat_ensemble,
+    "mode_count": core.synthetic_probe,
+    "amplitude": core.synthetic_probe,
+}
+
+
+def stated_defaults(text: str) -> dict:
+    """Each "by default" value the README states for a field, as
+    "`field` ... 3 by default", by field."""
+    return {name: float(value) for name, value in
+            re.findall(r"`(\w+)`[^`]*?\b(\d+(?:\.\d+)?) by default", text)}
+
+
+def drifted_defaults(text: str) -> list:
+    """The fields whose stated default differs from the default of the
+    library argument that takes them."""
+    stated = stated_defaults(text)
+    assert set(stated) == set(DEFAULT_TAKERS)
+    return [name for name, value in stated.items()
+            if inspect.signature(DEFAULT_TAKERS[name]).parameters[name].default != value]
+
+
+def test_every_stated_default_is_the_library_default():
+    # bench passes only the fields a scenario gives, so the signature's
+    # default is the one that applies
+    assert stated_defaults(README.read_text()) == {"lattice": 4, "mode_count": 3,
+                                                   "amplitude": 0.6}
+    assert drifted_defaults(README.read_text()) == []
+
+
+def test_the_default_check_sees_a_drift():
+    text = README.read_text().replace("(3 by default)", "(4 by default)")
+    assert drifted_defaults(text) == ["mode_count"]
