@@ -180,8 +180,10 @@ class _Node:
     def __contains__(self, key: str) -> bool:
         return key in self.data
 
-    def get(self, key: str):
-        return self.data.get(key)
+    def get(self, key: str, default=None):
+        """Field ``key``, or ``default`` when it is absent or null."""
+        value = self.data.get(key)
+        return default if value is None else value
 
     def error(self, key: str | None, msg: str) -> ConfigError:
         """The ConfigError naming field ``key``, or this object when None."""
@@ -314,7 +316,7 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
     if overrides:
         raw = _apply_overrides(raw, overrides)
     root = _Node(raw, "scenario")
-    name = root.string("name") if "name" in root else name
+    name = name if root.get("name") is None else root.string("name")
     kind = root.require("kind")
     if kind not in KINDS:
         raise root.error("kind", f"unknown kind {kind!r}, expected one of {KINDS}")
@@ -383,7 +385,7 @@ def _average_config(root: _Node, outcomes: int, spectrum=None) -> TimeAverageCon
     avg = root.node("average")
     samples = avg.integer("samples", most=MAX_BYTES // (24 * (outcomes + 3)))
     given = avg.given(seed=avg.seed, scheme=avg.require)
-    horizon = avg.data.get("horizon", "auto")
+    horizon = avg.get("horizon", "auto")
     if horizon == "auto":
         if spectrum is None:
             raise avg.error("horizon", "'auto' is only available for quantum scenarios")
@@ -494,7 +496,7 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
             given["kind"] = given.pop("spectrum")
         with s.field("spectrum"):
             spectrum = quantum.random_spectrum(dim, seed, **given)
-        state_kind = s.data.get("state", "pure")
+        state_kind = s.get("state", "pure")
         if state_kind == "pure":
             rho = quantum.random_pure_state(dim, seed + 1)
         elif state_kind == "mixed":
@@ -507,7 +509,8 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
             vals = ham.entries("eigenvalues")
             if vals.size > most_dim:
                 raise ham.error("eigenvalues", f"must be at most {most_dim}, got {vals.size}")
-            vecs = _matrix_node(ham.node("eigenvectors")) if "eigenvectors" in ham else None
+            vecs = ham.get("eigenvectors")
+            vecs = None if vecs is None else _matrix_node(ham.node("eigenvectors"))
             with ham.field():
                 spectrum = quantum.HamiltonianSpectrum(vals, vecs)
         else:
@@ -528,7 +531,7 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
     most = MAX_BYTES // (32 * spectrum.dim * (spectrum.dim + 3))
     if "sampler" in meas:
         s = meas.node("sampler")
-        name = s.data.get("name", "random")
+        name = s.get("name", "random")
         outcomes = s.integer("outcomes", most=most)
         seed = s.seed()
         with s.field():
@@ -605,7 +608,7 @@ def _build_classical_ensemble(root: _Node, epsilon: float) -> _Runtime:
     ens = system.node("ensemble")
     if "sampler" in ens:
         s = ens.node("sampler")
-        if s.data.get("name", "contaminated-cat") != "contaminated-cat":
+        if s.get("name", "contaminated-cat") != "contaminated-cat":
             raise s.error("name", f"unknown sampler {s.get('name')!r}")
         # 128 bytes a point (tracemalloc: 84 at build, 105 through a run)
         count, delta = s.integer("count", most=MAX_BYTES // 128), s.number("delta")

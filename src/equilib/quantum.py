@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -52,9 +52,12 @@ def _as_square_complex(matrix, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Quantum state: Hermitian, unit-trace, positive semidefinite matrix."""
+    """Quantum state: Hermitian, unit-trace, positive semidefinite matrix.
+    A state built by ``from_vector`` also keeps its read-only unit vector,
+    ``vector``, out of equality and repr; any other state keeps None."""
 
     matrix: np.ndarray
+    vector: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, matrix):
         # the one copy: the state never aliases the caller's array
@@ -63,6 +66,7 @@ class DensityMatrix:
         if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
             raise DomainError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "vector", None)
 
     @classmethod
     def _by_construction(cls, matrix: np.ndarray) -> "DensityMatrix":
@@ -79,6 +83,7 @@ class DensityMatrix:
         arr.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", arr)
+        object.__setattr__(rho, "vector", None)
         return rho
 
     @property
@@ -111,7 +116,10 @@ class DensityMatrix:
         np.ldexp(v.imag, -exp, out=scaled.imag)
         v = scaled / np.linalg.norm(scaled)
         # v v^H is positive semidefinite for every finite v
-        return DensityMatrix._by_construction(np.outer(v, v.conj()))
+        rho = DensityMatrix._by_construction(np.outer(v, v.conj()))
+        v.setflags(write=False)
+        object.__setattr__(rho, "vector", v)
+        return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,6 +419,20 @@ def max_outcomes_for_equilibration(
     return int(math.floor(value + 1e-12))
 
 
+def _check_dimensions(
+    rho: DensityMatrix, spectrum: HamiltonianSpectrum, elements: np.ndarray
+) -> int:
+    """The dimension d that the state, the spectrum and the ``(N, d, d)``
+    element stack share, else a DimensionError naming all three."""
+    d = spectrum.dim
+    if rho.dim != d or elements.shape[1:] != (d, d):
+        raise DimensionError(
+            f"inconsistent dimensions: state {rho.dim}, spectrum {d}, "
+            f"measurement {elements.shape[-1]}"
+        )
+    return d
+
+
 def _energy_coefficients(
     rho: DensityMatrix, spectrum: HamiltonianSpectrum, elements: np.ndarray
 ) -> np.ndarray:
@@ -419,12 +441,7 @@ def _energy_coefficients(
     place an element enters that basis. tr(M_j rho_t) is
     sum_{nm} coeff[n, j, m] exp(-i (E_n - E_m) t), and the entries with n in
     eigenspace a and m in b sum to the gap amplitude tr(rho_ab M_j,ba)."""
-    d = spectrum.dim
-    if rho.dim != d or elements.shape[1:] != (d, d):
-        raise DimensionError(
-            f"inconsistent dimensions: state {rho.dim}, spectrum {d}, "
-            f"measurement {elements.shape[-1]}"
-        )
+    d = _check_dimensions(rho, spectrum, elements)
     rho_e = spectrum.to_energy_basis(rho.matrix)
     coeff = np.empty((d, len(elements), d), dtype=complex)
     for j, m in enumerate(elements):
@@ -445,16 +462,15 @@ def _ladder_step(eigenvalues: np.ndarray) -> float:
 
 def _unit_phases(tau: np.ndarray, r: np.ndarray, u: np.ndarray) -> None:
     """Write u = exp(-i theta) from tau = theta / 2, which it overwrites with
-    tan(theta / 2); with r = 1 / (1 + tau^2), cos theta = 2r - 1 and
-    sin theta = 2 tau r."""
+    tan(theta / 2); with r = -2 / (1 + tau^2), cos theta = -1 - r and
+    sin theta = -tau r. Scaling by 2 is exact, so these are the bits of
+    2 / (1 + tau^2) - 1 and -2 tau / (1 + tau^2) in five passes."""
     np.tan(tau, out=tau)
     np.multiply(tau, tau, out=r)
     r += 1.0
-    np.reciprocal(r, out=r)
-    np.multiply(r, 2.0, out=u.real)
-    u.real -= 1.0
+    np.divide(-2.0, r, out=r)
+    np.subtract(-1.0, r, out=u.real)
     np.multiply(tau, r, out=u.imag)
-    u.imag *= -2.0
 
 
 def quantum_probe(
@@ -463,23 +479,69 @@ def quantum_probe(
     """Probe whose row at time t lists tr(M_j rho_t) for the POVM elements.
 
     An exactly equally spaced spectrum samples through the polynomial block,
-    every other one through the bilinear block; the spectrum decides."""
-    coeff = _energy_coefficients(rho, spectrum, povm.elements)
+    every other one through the bilinear block; the spectrum decides. There
+    a state built from its vector rotates that vector in short blocks and
+    builds the coefficient tensor in its first long one (``_pure_block``)."""
+    elements = povm.elements
     step = _ladder_step(spectrum.eigenvalues)
     if step:
-        block = _polynomial_block(coeff, step)
+        block = _polynomial_block(_energy_coefficients(rho, spectrum, elements), step)
+    elif rho.vector is None:
+        block = _coefficient_block(rho, spectrum, elements)
     else:
-        block = _bilinear_block(coeff, spectrum.eigenvalues)
+        block = _pure_block(rho, spectrum, elements)
     return TrajectoryProbe(sample_many=block, outcome_count=povm.outcome_count)
 
 
-def _bilinear_block(coeff: np.ndarray, eigenvalues: np.ndarray):
-    """Sample block of any spectrum: p_j(t) = Re sum_n conj(u_n) sum_m
-    coeff[n, j, m] u_m with u = exp(-i E t), in O(N d^2) per time."""
+def _coefficient_block(rho: DensityMatrix, spectrum: HamiltonianSpectrum, elements: np.ndarray):
+    """The bilinear block over the energy-basis coefficient tensor."""
+    coeff = _energy_coefficients(rho, spectrum, elements)
     d, n_out = coeff.shape[:2]
     # flat[n, j*d + m] = coeff[n, j, m], a view of the contiguous tensor, so
     # the sum over n is one GEMM per chunk of times
-    flat = coeff.reshape(d, n_out * d)
+    return _bilinear_block(coeff.reshape(d, n_out * d), spectrum.eigenvalues)
+
+
+def _pure_block(rho: DensityMatrix, spectrum: HamiltonianSpectrum, elements: np.ndarray):
+    """Sample block of a pure state psi on a spectrum that is no ladder.
+
+    A block of M < 2 (N + 1) d times rotates the vector: phi(t) = V (psi~ o
+    exp(-i E t)) with psi~ = V^H psi, and p_j = Re phi^H M_j phi, read from
+    the element stack as given. That costs 8 (N + 1) d^2 flops a time
+    against the tensor's 8 N d^2, but skips the tensor's 2 (N + 1) complex
+    d^3 basis changes, 16 (N + 1) d^3 flops. The first longer block builds
+    the tensor, which then samples every later block, as for any state."""
+    d = _check_dimensions(rho, spectrum, elements)
+    n_out = len(elements)
+    vecs = spectrum.eigenvectors
+    # psi~ = V^H psi without a conjugate copy of V
+    amplitudes = np.conj(rho.vector.conj() @ vecs)
+    # flat[b, j*d + a] = (M_j)_ab, a transposed view of the stack: no copy
+    rotate = _bilinear_block(elements.reshape(n_out * d, d).T, spectrum.eigenvalues,
+                             amplitudes, vecs.T)
+    long_block = 2 * (n_out + 1) * d
+    tensor = None
+
+    def _block(times: np.ndarray) -> np.ndarray:
+        nonlocal tensor
+        if tensor is None and times.size < long_block:
+            return rotate(times)
+        if tensor is None:
+            tensor = _coefficient_block(rho, spectrum, elements)
+        return tensor(times)
+
+    return _block
+
+
+def _bilinear_block(flat: np.ndarray, eigenvalues: np.ndarray,
+                    amplitudes: np.ndarray | None = None, basis: np.ndarray | None = None):
+    """Sample block of any spectrum, in O(N d^2) per time: with rows w(t)
+    and the ``(d, N*d)`` operand ``flat``, p_j(t) = Re sum_m conj(w_m)
+    (w flat)[j*d + m]. The rows are u = exp(-i E t) against the coefficient
+    matrix, or, given ``amplitudes`` psi~ and ``basis`` V^T, phi = (psi~ o u)
+    V^T against the transposed element stack."""
+    d = eigenvalues.size
+    n_out = flat.shape[1] // d
     # A constant shift of the spectrum is a global phase, which moves no
     # probability, but an offset far beyond the spread costs E t the low bits
     # that tell the levels apart. So phases are taken from the lowest level
@@ -501,20 +563,24 @@ def _bilinear_block(coeff: np.ndarray, eigenvalues: np.ndarray):
         rows = min(chunk, times.size)
         tau_buf, r_buf = np.empty((rows, d)), np.empty((rows, d))
         u_buf = np.empty((rows, d), dtype=complex)
+        phi_buf = u_buf if amplitudes is None else np.empty((rows, d), dtype=complex)
         x_buf = np.empty((rows, n_out * d), dtype=complex)
         for start in range(0, times.size, chunk):
             ts = times[start : start + chunk]
             m = ts.size
-            tau, r, u, x = tau_buf[:m], r_buf[:m], u_buf[:m], x_buf[:m]
+            tau, r, u, w, x = tau_buf[:m], r_buf[:m], u_buf[:m], phi_buf[:m], x_buf[:m]
             np.multiply(ts[:, None], half, out=tau)
             _unit_phases(tau, r, u)
-            np.matmul(u, flat, out=x)
-            # Re(x conj(u)) = x_re u_re + x_im u_im: one real contraction over
+            if amplitudes is not None:
+                u *= amplitudes
+                np.matmul(u, basis, out=w)
+            np.matmul(w, flat, out=x)
+            # Re(x conj(w)) = x_re w_re + x_im w_im: one real contraction over
             # the interleaved (re, im) views, with no conjugate copy
             np.einsum(
                 "tjm,tm->tj",
                 x.view(float).reshape(m, n_out, 2 * d),
-                u.view(float),
+                w.view(float),
                 out=out[start : start + m],
             )
         # clip 1-ulp excursions so strict downstream validation stays happy
@@ -669,9 +735,17 @@ def extend_povm(povm: POVM, ancilla_dim: int) -> POVM:
 
 # --- seeded generators for random instances ---------------------------------
 
+def _complex_gaussian(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the complex array ``out`` with a + ib, a drawn before b: the
+    stream and the bits of ``a + 1j * b``, without its complex temporaries."""
+    out.real = rng.normal(size=out.shape)
+    out.imag = rng.normal(size=out.shape)
+    return out
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    z = _complex_gaussian(rng, np.empty((dim, dim), dtype=complex))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -714,14 +788,14 @@ def random_spectrum(
 def random_pure_state(dim: int, seed: int) -> DensityMatrix:
     _check_dim(dim)
     rng = np.random.default_rng(seed)
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi = _complex_gaussian(rng, np.empty(dim, dtype=complex))
     return DensityMatrix.from_vector(psi)
 
 
 def random_mixed_state(dim: int, seed: int) -> DensityMatrix:
     _check_dim(dim)
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = _complex_gaussian(rng, np.empty((dim, dim), dtype=complex))
     m = g @ g.conj().T
     # a Gram matrix over its trace
     return DensityMatrix._by_construction(m / np.trace(m))
@@ -738,10 +812,11 @@ def random_povm(dim: int, outcomes: int, seed: int) -> POVM:
     # overwritten by its congruence S P S
     stack = np.empty((outcomes, dim, dim), dtype=complex)
     total = np.zeros((dim, dim), dtype=complex)
+    g = np.empty((dim, dim), dtype=complex)
     for p in stack:
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        np.matmul(g, g.conj().T, out=p)
+        np.matmul(_complex_gaussian(rng, g), g.conj().T, out=p)
         total += p
+    del g
     vals, vecs = np.linalg.eigh(total)
     inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
     del vals, vecs

@@ -1479,6 +1479,25 @@ OPTIONAL_FIELDS = [
 ]
 
 
+# optional fields whose default bench holds itself, as no library call takes
+# them: each used to fail when null (a NoneType, not 'pure' or 'mixed', an
+# unknown sampler None, an object expected, a string expected)
+NULLABLE_FIELDS = [
+    (sampled_quantum_config, ("average", "horizon")),
+    (sampled_quantum_config, ("system", "sampler", "state")),
+    (sampled_quantum_config, ("measurement", "sampler", "name")),
+    (ensemble_config, ("system", "ensemble", "sampler", "name")),
+    (eigenbasis_quantum_config, ("system", "hamiltonian", "eigenvectors")),
+    (synthetic_config, ("name",)),
+]
+
+
+def record_dicts(cfg: dict) -> list[dict]:
+    """The records of a scenario run, without their wall times."""
+    return [{k: v for k, v in rec.to_dict().items() if k != "wall_time"}
+            for rec in run_scenario(load_scenario(cfg))]
+
+
 class TestOptionalFields:
     """An optional field is passed to the library call that takes it only
     when the scenario gives it, so that the library's default is the one
@@ -1501,6 +1520,14 @@ class TestOptionalFields:
             assert np.array_equal(passed[arg], decoded)
         else:
             assert arg not in passed
+
+    @pytest.mark.parametrize("make, keys", NULLABLE_FIELDS,
+                             ids=[".".join(f[1]) for f in NULLABLE_FIELDS])
+    def test_a_null_bench_field_loads_as_absent(self, make, keys):
+        absent = make()
+        parent = functools.reduce(dict.__getitem__, keys[:-1], absent)
+        parent.pop(keys[-1], None)
+        assert record_dicts(with_leaf(absent, keys, None)) == record_dicts(absent)
 
 
 def plain_json(value) -> bool:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equilib import quantum
+from equilib import core, quantum
 from equilib.bench import _matrix_node, _Node
 from equilib.core import (
     DimensionError,
@@ -220,6 +220,16 @@ class TestDensityMatrix:
         rho = DensityMatrix.from_vector([3.0, 4.0])
         assert rho.is_pure
         assert np.trace(rho.matrix) == pytest.approx(1.0)
+
+    def test_only_a_state_from_a_vector_keeps_it(self):
+        rho = DensityMatrix.from_vector([3.0, 4.0j])
+        assert np.abs(rho.vector - [0.6, 0.8j]).max() < 1e-15
+        assert np.array_equal(rho.matrix, np.outer(rho.vector, rho.vector.conj()))
+        assert not rho.vector.flags.writeable
+        assert "vector" not in repr(rho)
+        assert DensityMatrix(rho.matrix).vector is None
+        assert random_mixed_state(3, 0).vector is None
+        assert dephase(rho, QUBIT_H).vector is None
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324, 1.7e308])
     def test_from_vector_at_extreme_scales(self, scale):
@@ -772,6 +782,11 @@ class TestQuantumProbe:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             quantum_probe(PLUS, random_spectrum(3, 0), SIGMA_X_POVM)
+        # pure states from a vector, which build no tensor, name all three
+        with pytest.raises(DimensionError, match="state 2, spectrum 3, measurement 3"):
+            quantum_probe(PLUS, random_spectrum(3, 0), random_povm(3, 2, 1))
+        with pytest.raises(DimensionError, match="state 3, spectrum 3, measurement 2"):
+            quantum_probe(random_pure_state(3, 0), random_spectrum(3, 0), SIGMA_X_POVM)
 
     @pytest.mark.parametrize("offset", [2.0**10, 2.0**20, 2.0**30, -(2.0**30)])
     def test_energy_offset_is_a_global_phase(self, offset):
@@ -915,11 +930,142 @@ class TestQuantumProbe:
         assert traced_peak(lambda: probe.sample_many(times)) < 4e6
 
     def test_build_memory_at_d_256(self):
-        # flat, the (d, N*d) GEMM operand, is written in place: 4.2 MB plus
-        # one element's basis change (7.3 MB measured); a stacked coefficient
-        # tensor reshaped into flat would peak at 9.4 MB
+        # a pure state from its vector builds no tensor here (9 kB measured);
+        # TestPureRoute bounds the tensor where it is built
         rho, spec, povm = random_pure_state(256, 1), random_spectrum(256, 2), random_povm(256, 4, 3)
         assert traced_peak(lambda: quantum_probe(rho, spec, povm)) < 8.4e6
+
+
+def tensors_built(monkeypatch) -> list:
+    """Spy on ``quantum._energy_coefficients``: one entry per tensor built."""
+    built = []
+    energy_coefficients = quantum._energy_coefficients
+
+    def spy(*args):
+        built.append(args)
+        return energy_coefficients(*args)
+
+    monkeypatch.setattr(quantum, "_energy_coefficients", spy)
+    return built
+
+
+def seven_pass_block(rho, spectrum, povm, times):
+    """The coefficient tensor's bilinear block as written before the
+    pure-state route, kept as the oracle of its bits: phase rows 2r - 1 and
+    -2 tau r from r = 1 / (1 + tau^2), then per chunk of times one GEMM and
+    the real-view contraction."""
+    coeff = _energy_coefficients(rho, spectrum, povm.elements)
+    d, n_out = coeff.shape[:2]
+    flat = coeff.reshape(d, n_out * d)
+    low, high = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]
+    within_two = 0.0 < low and high <= 2.0 * low or high < 0.0 and 2.0 * high <= low
+    half = 0.5 * (spectrum.eigenvalues - (low if within_two else 0.0))
+    chunk = max(1, core._CHUNK_ENTRIES // (n_out * d))
+    out = np.empty((times.size, n_out))
+    for start in range(0, times.size, chunk):
+        tau = np.tan(times[start : start + chunk, None] * half)
+        r = 1.0 / (tau * tau + 1.0)
+        u = np.empty(tau.shape, dtype=complex)
+        u.real = r * 2.0 - 1.0
+        u.imag = (tau * r) * -2.0
+        x = u @ flat
+        out[start : start + len(u)] = np.einsum(
+            "tjm,tm->tj", x.view(float).reshape(len(u), n_out, 2 * d), u.view(float))
+    return np.clip(out, 0.0, 1.0)
+
+
+class TestPureRoute:
+    """A state built from its vector, on a spectrum that is no ladder,
+    samples a block of M < 2 (N + 1) d times by rotating its vector and
+    builds the coefficient tensor in its first longer block."""
+
+    @pytest.mark.parametrize("d, n_out", [(8, 3), (64, 2)])
+    def test_both_sides_of_the_threshold_match_the_evolution(self, monkeypatch, d, n_out):
+        rho, spec = random_pure_state(d, d), random_spectrum(d, d + 1)
+        povm = random_povm(d, n_out, d + 2)
+        long_block = 2 * (n_out + 1) * d
+        times = np.random.default_rng(d).uniform(0.0, 500.0, long_block)
+        tensor = quantum_probe(DensityMatrix(rho.matrix), spec, povm)
+        built = tensors_built(monkeypatch)
+        for m, tensors in ((long_block - 1, 0), (long_block, 1)):
+            rows = assert_probe_matches_evolution(rho, spec, povm, times[:m])
+            assert len(built) == tensors
+            assert np.abs(rows - tensor.sample_many(times[:m])).max() < 1e-12
+        rotated = quantum_probe(rho, spec, povm).sample_many(times[:-1])
+        assert np.abs(rotated - tensor.sample_many(times[:-1])).max() < 1e-12
+        assert len(built) == 1
+
+    def test_a_probe_sampled_below_then_above_keeps_its_rows(self, monkeypatch):
+        d, n_out = 16, 3
+        rho, spec, povm = random_pure_state(d, 1), random_spectrum(d, 2), random_povm(d, n_out, 3)
+        times = np.random.default_rng(4).uniform(0.0, 500.0, 2 * (n_out + 1) * d)
+        built = tensors_built(monkeypatch)
+        probe = quantum_probe(rho, spec, povm)
+        short = probe.sample_many(times[:40])
+        assert not built
+        full = probe.sample_many(times)
+        again = probe.sample_many(times[:40])
+        # the first long block built the tensor, which samples every later block
+        assert len(built) == 1
+        assert np.abs(full[:40] - short).max() < 1e-12
+        assert np.abs(again - short).max() < 1e-12
+        tensor = quantum_probe(DensityMatrix(rho.matrix), spec, povm)
+        assert np.array_equal(again, tensor.sample_many(times[:40]))
+        assert np.array_equal(full, tensor.sample_many(times))
+
+    @pytest.mark.parametrize("state", ["mixed", "matrix", "long-pure"])
+    @pytest.mark.parametrize("d, n_out, samples", [(1, 2, 8), (12, 3, 300), (33, 4, 700)])
+    def test_a_tensor_block_keeps_its_bits(self, state, d, n_out, samples):
+        # 700 times at d 33, N 4 span two chunks of 496
+        rho = (random_mixed_state if state == "mixed" else random_pure_state)(d, 5)
+        if state == "matrix":
+            rho = DensityMatrix(rho.matrix)
+        spec, povm = random_spectrum(d, 6), random_povm(d, n_out, 7)
+        if state == "long-pure":
+            samples = 2 * (n_out + 1) * d
+        times = np.random.default_rng(8).uniform(0.0, 500.0, samples)
+        block = quantum_probe(rho, spec, povm).sample_many(times)
+        assert block.tobytes() == seven_pass_block(rho, spec, povm, times).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 9, 32])
+    def test_a_ladder_ignores_the_vector(self, monkeypatch, d):
+        rho = random_pure_state(d, 9)
+        spec, povm = random_spectrum(d, 10, kind="equally-spaced"), random_povm(d, 3, 11)
+        times = np.random.default_rng(12).uniform(0.0, 500.0, 20)
+        built = tensors_built(monkeypatch)
+        block = quantum_probe(rho, spec, povm).sample_many(times)
+        assert len(built) == 1
+        matrix = quantum_probe(DensityMatrix(rho.matrix), spec, povm).sample_many(times)
+        assert block.tobytes() == matrix.tobytes()
+
+    def test_memory_at_d_256(self):
+        # the pure build holds psi~ and views; the tensor, built in place in
+        # the first long block or at a matrix state's build, peaks at 7.3 MB
+        rho, spec, povm = random_pure_state(256, 1), random_spectrum(256, 2), random_povm(256, 4, 3)
+        assert traced_peak(lambda: quantum_probe(rho, spec, povm)) < 1e5
+        probe = quantum_probe(rho, spec, povm)
+        assert traced_peak(lambda: probe.sample_many(np.linspace(0.0, 9.0, 500))) < 2.5e6
+        assert traced_peak(lambda: probe.sample_many(np.linspace(0.0, 9.0, 3000))) < 8.4e6
+        matrix = DensityMatrix(rho.matrix)
+        assert traced_peak(lambda: quantum_probe(matrix, spec, povm)) < 8.4e6
+
+    def test_unit_phases_are_the_seven_pass_bits(self):
+        tau = np.concatenate([sign * np.logspace(-3, 12, 20_000) for sign in (1.0, -1.0)])
+        tau = np.concatenate([tau, [0.0, -0.0]])
+        u, r = np.empty(tau.size, dtype=complex), np.empty(tau.size)
+        quantum._unit_phases(tau.copy(), r, u)
+        t = np.tan(tau)
+        ref = 1.0 / (t * t + 1.0)
+        assert u.real.tobytes() == (ref * 2.0 - 1.0).tobytes()
+        assert u.imag.tobytes() == ((t * ref) * -2.0).tobytes()
+
+    @pytest.mark.parametrize("shape", [(17,), (17, 17), (64, 64)])
+    def test_complex_draws_are_the_sum_form(self, shape):
+        old, new = np.random.default_rng(3), np.random.default_rng(3)
+        expected = old.normal(size=shape) + 1j * old.normal(size=shape)
+        drawn = quantum._complex_gaussian(new, np.empty(shape, dtype=complex))
+        assert drawn.tobytes() == expected.tobytes()
+        assert new.normal() == old.normal()
 
 
 class TestEnergyCoefficients:
@@ -1215,7 +1361,7 @@ class TestValidByConstruction:
 class TestSamplerMemory:
     """At d = 256 one element is 1.05 MB and N = 4 elements 4.2 MB. Each
     sampler writes its elements into one stack that the POVM takes over, so
-    it holds about two element sets at its peak (measured: random 10.5 MB,
+    it holds about two element sets at its peak (measured: random 9.4 MB,
     uneven 10.6 MB, projective 8.5 MB). A sampler that built a list of
     elements for the POVM to copy would peak at 19.5, 16.4 and 12.2 MB."""
 

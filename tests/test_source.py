@@ -4,9 +4,10 @@ It parses as the oldest Python that pyproject.toml declares, so syntax newer
 than ``requires-python`` fails here even when the suite runs on a later
 interpreter. (``feature_version`` is the parser's best effort: it rejects,
 for one, ``except*`` and ``match`` below their versions.)
-``core.typed_array`` is its one converter of outside numbers, and
+``core.typed_array`` is its one converter of outside numbers,
 ``bench`` writes out no range rule: each lives in the library function
-that takes the argument."""
+that takes the argument, and a matrix enters the energy basis in
+``quantum._energy_coefficients`` and ``quantum.dephase`` alone."""
 
 import ast
 import re
@@ -76,3 +77,39 @@ def test_the_range_check_sees_a_range():
     source = ("a = 0.0 <= x < 1.0\nb = -1 < y <= +2\nc = 0 <= x\nd = lo < x < hi\n"
               "e = 0 < x < hi\nf = (0.5 < x <\n     1)\n")
     assert constant_ranges(ast.parse(source)) == [1, 2, 6]
+
+
+def energy_basis_callers(tree: ast.AST) -> list[str]:
+    """The innermost function around each ``.to_energy_basis(`` call, in
+    source order; a call outside every function counts as ``<module>``."""
+    callers = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "to_energy_basis"):
+            callers.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_a_matrix_enters_the_energy_basis_in_two_places():
+    # _energy_coefficients changes the basis of the state and of each
+    # measurement element, dephase that of the state alone; the pure-state
+    # route reads the elements as given, so a basis change anywhere else is
+    # a second copy of the coefficient tensor's cost
+    callers = {caller for path in SOURCES
+               for caller in energy_basis_callers(ast.parse(path.read_text()))}
+    assert callers == {"_energy_coefficients", "dephase"}
+
+
+def test_the_basis_check_sees_a_stray_call():
+    source = ("def _energy_coefficients(s, m):\n    return s.to_energy_basis(m)\n"
+              "def probe(s, m):\n    def inner():\n        return s.to_energy_basis(m)\n"
+              "    return inner\n"
+              "x = spec.to_energy_basis(m)\ny = spec.from_energy_basis(m)\n")
+    assert energy_basis_callers(ast.parse(source)) == ["_energy_coefficients", "inner", "<module>"]
