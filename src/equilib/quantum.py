@@ -371,10 +371,15 @@ def eigenspace_weights(rho: DensityMatrix, spectrum: HamiltonianSpectrum) -> np.
     """Population of each energy eigenspace, tr(P_s rho)."""
     if rho.dim != spectrum.dim:
         raise DimensionError(f"state is {rho.dim}-d, spectrum is {spectrum.dim}-d")
-    # the diagonal of V^H rho V alone, (V^H rho V)_nn = sum_a conj(V_an)
-    # (rho V)_an: one d^3 product instead of two
     vecs = spectrum.eigenvectors
-    diag = (vecs.conj() * (rho.matrix @ vecs)).sum(axis=0).real
+    if rho.vector is not None:
+        # a pure state's weights are |psi^H V|^2, one d^2 product
+        amplitudes = rho.vector.conj() @ vecs
+        diag = amplitudes.real**2 + amplitudes.imag**2
+    else:
+        # the diagonal of V^H rho V alone, (V^H rho V)_nn = sum_a conj(V_an)
+        # (rho V)_an: one d^3 product instead of two
+        diag = (vecs.conj() * (rho.matrix @ vecs)).sum(axis=0).real
     return np.bincount(spectrum.space_of_index, weights=diag)
 
 
@@ -818,7 +823,10 @@ def random_povm(dim: int, outcomes: int, seed: int) -> POVM:
         total += p
     del g
     vals, vecs = np.linalg.eigh(total)
-    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    # S = V diag(vals^-1/2) V^H with S the one new d x d array: the scaled
+    # columns go into total's buffer and V into its own conjugate
+    np.multiply(vecs, 1.0 / np.sqrt(vals), out=total)
+    inv_sqrt = total @ np.conjugate(vecs, out=vecs).T
     del vals, vecs
     for p in stack:
         # total's buffer holds each S P in turn

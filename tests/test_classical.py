@@ -500,7 +500,7 @@ class TestCountClassification:
     def test_interval_partition(self, edges):
         pts = self.values(edges)[:, None]
         cells = interval_partition(edges).cells_of_many(pts)
-        assert cells.dtype == np.int64
+        assert cells.dtype == np.min_scalar_type(len(edges) - 2)
         assert np.array_equal(cells, searchsorted_cells(pts, [edges]))
 
     @pytest.mark.parametrize("second", EDGE_SETS, ids=lambda e: f"{len(e) - 2}-inner")
@@ -509,8 +509,9 @@ class TestCountClassification:
         rng = np.random.default_rng(9)
         for axes in ([first, second], [second, first], [first, second, self.EDGE_SETS[2]]):
             cloud = np.column_stack([rng.choice(self.values(e), 8000) for e in axes])
-            cells = grid_partition(axes).cells_of_many(cloud)
-            assert cells.dtype == np.int64
+            part = grid_partition(axes)
+            cells = part.cells_of_many(cloud)
+            assert cells.dtype == np.min_scalar_type(part.cell_count - 1)
             assert np.array_equal(cells, searchsorted_cells(cloud, axes))
 
     # Cell counts at the edges of the uint8 and uint16 index types, in both
@@ -534,9 +535,35 @@ class TestCountClassification:
         corners = [np.zeros(2), np.full(2, np.nextafter(1.0, 0.0)), np.ones(2)]
         cloud = np.vstack([np.column_stack(columns), *corners])
         cells = grid_partition(axes).cells_of_many(cloud)
-        assert cells.dtype == np.int64
+        assert cells.dtype == np.min_scalar_type(math.prod(shape) - 1)
         assert np.array_equal(cells, searchsorted_cells(cloud, axes))
         assert cells.max() == math.prod(shape) - 1
+
+    # The engine's consumers add the narrow index to bin offsets of the
+    # narrowest type that holds their last bin; the reference widens the
+    # index to int64 before they see it. 65,537 cells take one step a
+    # block, so the requests are few.
+    @pytest.mark.parametrize("shape", [
+        (255, 1), (256, 1), (257, 1), (255, 257), (256, 256), (65_537, 1),
+    ], ids=lambda s: "x".join(map(str, s)))
+    def test_engine_bins_at_the_index_widths(self, shape):
+        part = grid_partition([np.linspace(0.0, 1.0, count + 1).tolist() for count in shape])
+        wide = dataclasses.replace(
+            part, cells_of_many=lambda pts: part.cells_of_many(pts).astype(np.int64))
+        rng = np.random.default_rng(sum(shape))
+        points = rng.random((400, 2))
+        weights = rng.random(400)
+        weights /= weights.sum()
+        assert part.cells_of_many(points).dtype == np.min_scalar_type(part.cell_count - 1)
+        hists = [classical._cloud_probe(points, weights, cat_map(), p).sample_many(
+            np.array([3.0, 0.0, 3.0])) for p in (part, wide)]
+        assert same_bits(*hists)
+        # each orbit paired with itself has a defect p_j(1 - p_j) in every
+        # cell it visits in a batch
+        twins = np.repeat(points[:4], 2, axis=0)
+        defects = [classical._defects(twins, cat_map(), p, np.array([0.0, 1.0, 3.0, 4.0]), 2)
+                   for p in (part, wide)]
+        assert np.count_nonzero(defects[1]) and same_bits(*defects)
 
 
 def layouts(pts):
@@ -596,7 +623,7 @@ class TestLayouts:
         part = grid_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.8, 1.0]])
         block = np.random.default_rng(n).random((7, 2, n))
         cells = part.cells_of_many(block.transpose(0, 2, 1))
-        assert cells.shape == (7, n) and cells.dtype == np.int64
+        assert cells.shape == (7, n) and cells.dtype == np.min_scalar_type(part.cell_count - 1)
         for k, rows in enumerate(block):
             assert np.array_equal(cells[k], searchsorted_cells(rows.T, part.edges)), k
 
