@@ -40,7 +40,6 @@ from .core import (
 STATUS_SATISFIED = "satisfied"
 STATUS_VIOLATED = "violated"
 STATUS_NA = "not-applicable"
-STATUSES = (STATUS_SATISFIED, STATUS_VIOLATED, STATUS_NA)
 
 # The one size budget: each size is at most MAX_BYTES over the bytes a unit
 # of it costs (a tracemalloc peak, beside its bound), given the sizes before
@@ -77,20 +76,25 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One executed sweep point: parameters, measurement, bound statuses."""
+    """One executed sweep point: parameters and either its measurement or
+    the error that stopped it. ``bounds`` and the report's verdict are
+    derived from the report, so a record cannot contradict its numbers."""
 
     scenario: str
     params: dict
     report: EquilibrationReport | None
-    bounds: dict[str, BoundCheck]
     wall_time: float
     seed: int
     error: str | None = None
 
     def __post_init__(self):
-        missing = [name for name in BOUND_NAMES if name not in self.bounds]
-        if missing:
-            raise ConfigError(f"record is missing bound entries: {missing}")
+        if (self.report is None) == (self.error is None):
+            raise ValueError("a record holds exactly one of a report and an error")
+
+    @property
+    def bounds(self) -> dict[str, BoundCheck]:
+        """The check of every bound in ``BOUND_NAMES``, by its theorem's rule."""
+        return _evaluate_bounds(self.report)
 
     def to_dict(self) -> dict:
         rep = None
@@ -117,7 +121,8 @@ class RunRecord:
 
     @staticmethod
     def from_dict(data: dict, path: str = "record") -> "RunRecord":
-        """The record ``to_dict`` wrote; a missing or malformed field is a
+        """The record ``to_dict`` wrote; a missing or malformed field, or a
+        verdict or bound entry other than the one the report gives, is a
         ConfigError naming it under ``path``."""
         record = _Node(data, path)
         rep = None
@@ -125,32 +130,37 @@ class RunRecord:
             r = record.node("report")
             values = {key: r.number(key)
                       for key in ("mean_distinguishability", "standard_error", "epsilon")}
-            bound = r.node("bound_values")
+            bound = _bound_names(r.node("bound_values"))
             values["bound_values"] = {name: bound.number(name) for name in bound.data}
             omega = r.entries("equilibrium_distribution")
             with r.field("equilibrium_distribution"):
                 omega = OutcomeDistribution(omega)
             with r.field():
-                rep = EquilibrationReport(**values, equilibrium_distribution=omega,
-                                          verdict=r.require("verdict"))
-        checks = record.node("bounds")
-        bounds = {}
-        for name, chk in checks.data.items():
-            if name not in BOUND_NAMES:
-                raise checks.error(name, f"unknown bound, expected one of {BOUND_NAMES}")
-            chk = checks.child(chk, name)
-            value = None if chk.require("value") is None else chk.number("value")
-            status = chk.require("status")
-            if status not in STATUSES:
-                raise chk.error("status", f"expected one of {STATUSES}, got {status!r}")
-            bounds[name] = BoundCheck(value, status)
-        fields = dict(scenario=record.string("scenario"), params=record.node("params").data,
-                      wall_time=record.number("wall_time"), seed=record.seed(),
-                      error=None if record.get("error") is None else record.string("error"))
-        try:
-            return RunRecord(report=rep, bounds=bounds, **fields)
-        except ConfigError as exc:
-            raise checks.error(None, str(exc)) from None
+                rep = EquilibrationReport(**values, equilibrium_distribution=omega)
+            _check_derived(r, "verdict", rep.verdict)
+        checks = _bound_names(record.node("bounds"))
+        for name, chk in _evaluate_bounds(rep).items():
+            _check_derived(checks, name, chk.to_dict())
+        with record.field():
+            return RunRecord(
+                scenario=record.string("scenario"), params=record.node("params").data,
+                report=rep, wall_time=record.number("wall_time"), seed=record.seed(),
+                error=None if record.get("error") is None else record.string("error"))
+
+
+def _bound_names(node: _Node) -> _Node:
+    """``node``, an object keyed by names in ``BOUND_NAMES``."""
+    for name in node.data:
+        if name not in BOUND_NAMES:
+            raise node.error(name, f"unknown bound, expected one of {BOUND_NAMES}")
+    return node
+
+
+def _check_derived(node: _Node, key: str, derived) -> None:
+    """Refuse field ``key`` of ``node`` unless it is ``derived``, the value
+    the record's report gives it."""
+    if node.require(key) != derived:
+        raise node.error(key, f"the report gives {derived!r}, got {node.data[key]!r}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +170,8 @@ class Scenario:
 
     name: str
     config: dict
-    sweep_points: tuple[dict, ...] = field(default_factory=tuple)
-    built: tuple[tuple[_Runtime | _Failure, float], ...] = field(
-        default=(), compare=False, repr=False)
+    sweep_points: tuple[dict, ...]
+    built: tuple[tuple[_Runtime | _Failure, float], ...] = field(compare=False, repr=False)
 
 
 # --- config parsing ----------------------------------------------------------
@@ -674,14 +683,16 @@ def _build_runtime(raw: dict, base: Path = Path()) -> _Runtime:
 
 # --- execution ---------------------------------------------------------------
 
-def _evaluate_bounds(report: EquilibrationReport) -> dict[str, BoundCheck]:
+def _evaluate_bounds(report: EquilibrationReport | None) -> dict[str, BoundCheck]:
     """Check each bound in ``report.bound_values`` by its theorem's rule;
-    every other bound is not-applicable."""
+    every other bound, and every bound of no report, is not-applicable."""
+    checks = {name: BoundCheck(value=None, status=STATUS_NA) for name in BOUND_NAMES}
+    if report is None:
+        return checks
     mean = report.mean_distinguishability
     err = report.standard_error
     eps = report.epsilon
     omega = report.equilibrium_distribution
-    checks = {name: BoundCheck(value=None, status=STATUS_NA) for name in BOUND_NAMES}
     for name, value in report.bound_values.items():
         if name == "thm1-sufficiency":
             if not check_sufficiency(omega, eps):
@@ -701,13 +712,13 @@ def _evaluate_bounds(report: EquilibrationReport) -> dict[str, BoundCheck]:
     return checks
 
 
-def _measure(rt: _Runtime, overrides: dict) -> tuple[EquilibrationReport, dict, dict]:
-    """Sample one built point: its report, bound checks and record params."""
+def _measure(rt: _Runtime, overrides: dict) -> tuple[EquilibrationReport, dict]:
+    """Sample one built point: its report and record params."""
     params = {**overrides, **rt.params}
     report = equilibration_report(rt.probe, rt.epsilon, rt.cfg, rt.bound_values)
     if "quadrature" in report.errors:
         params["quadrature_floor"] = report.errors["quadrature"]
-    return report, _evaluate_bounds(report), params
+    return report, params
 
 
 def run_scenario(scenario: Scenario) -> list[RunRecord]:
@@ -722,7 +733,6 @@ def run_scenario(scenario: Scenario) -> list[RunRecord]:
     for overrides, (rt, build_s) in zip(scenario.sweep_points, scenario.built, strict=True):
         start = time.perf_counter()
         params, report, error = dict(overrides), None, None
-        checks = {name: BoundCheck(None, STATUS_NA) for name in BOUND_NAMES}
         if isinstance(rt, _Failure):
             seed, error = rt.seed, rt.error
         else:
@@ -731,7 +741,7 @@ def run_scenario(scenario: Scenario) -> list[RunRecord]:
                 # the float the point was built with, not the swept JSON number
                 params["epsilon"] = rt.epsilon
             try:
-                report, checks, params = _measure(rt, params)
+                report, params = _measure(rt, params)
             except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
         records.append(
@@ -739,7 +749,6 @@ def run_scenario(scenario: Scenario) -> list[RunRecord]:
                 scenario=scenario.name,
                 params=params,
                 report=report,
-                bounds=checks,
                 wall_time=build_s + time.perf_counter() - start,
                 seed=seed,
                 error=error,
@@ -774,7 +783,7 @@ def emit_report(records: list[RunRecord], fmt: str, path) -> None:
         raise ConfigError(f"format: expected 'csv' or 'json', got {fmt!r}")
     rows = [CSV_COLUMNS]
     for rec in records:
-        rep = rec.report
+        rep, checks = rec.report, rec.bounds
         rows.append([
             rec.scenario,
             _fmt(rec.params.get("N")),
@@ -783,10 +792,10 @@ def emit_report(records: list[RunRecord], fmt: str, path) -> None:
             _fmt(rep.epsilon if rep else None),
             _fmt(rep.mean_distinguishability if rep else None),
             _fmt(rep.standard_error if rep else None),
-            _fmt(rec.bounds["thm5-spectral"].value),
-            _fmt(rec.bounds["thm3-mixing"].value),
-            rec.bounds["thm1-sufficiency"].status,
-            rec.bounds["thm2-necessity"].status,
+            _fmt(checks["thm5-spectral"].value),
+            _fmt(checks["thm3-mixing"].value),
+            checks["thm1-sufficiency"].status,
+            checks["thm2-necessity"].status,
             rep.verdict if rep else "error",
             _fmt(rec.seed),
         ])

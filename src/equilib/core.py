@@ -307,9 +307,11 @@ def average_distinguishability(
     """Estimate the time-averaged distinguishability from ``omega``.
 
     The standard error is the sample standard deviation of the
-    distinguishability time series divided by sqrt(samples). For strongly
-    correlated trajectories this is a heuristic, not an exact error bar;
-    stratified sampling keeps it conservative in practice.
+    distinguishability time series divided by sqrt(samples): it counts the
+    scatter of the sampled times only. It holds no finite-horizon bias and
+    no serial correlation between the samples, so it is not an error bar
+    on the infinite time average: a deterministic orbit can sit more than
+    two of it from the exact average, and a constant series reads 0.
     """
     _, mean, errors = _estimate(probe.distributions_at(sample_times(cfg)), omega)
     return AverageEstimate(mean, sum(errors.values()))
@@ -398,7 +400,6 @@ class EquilibrationReport:
     standard_error: float
     equilibrium_distribution: OutcomeDistribution
     epsilon: float
-    verdict: str
     bound_values: dict[str, float] = field(default_factory=dict)
     errors: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
@@ -410,9 +411,11 @@ class EquilibrationReport:
                 f"standard error must be finite and nonnegative, got {self.standard_error!r}"
             )
         check_epsilon(self.epsilon)
-        verdict = decide_verdict(self.mean_distinguishability, self.standard_error, self.epsilon)
-        if self.verdict != verdict:
-            raise DomainError(f"verdict {self.verdict!r} disagrees with the estimate's {verdict!r}")
+
+    @property
+    def verdict(self) -> str:
+        """The three-valued verdict that the estimate gives."""
+        return decide_verdict(self.mean_distinguishability, self.standard_error, self.epsilon)
 
 
 def equilibration_report(
@@ -436,13 +439,11 @@ def equilibration_report(
         if not 0.0 <= floor < math.inf:
             raise DomainError(f"quadrature error must be finite and nonnegative, got {floor!r}")
         errors["quadrature"] = floor
-    stderr = sum(errors.values())
     return EquilibrationReport(
         mean_distinguishability=mean,
-        standard_error=stderr,
+        standard_error=sum(errors.values()),
         equilibrium_distribution=omega,
         epsilon=epsilon,
-        verdict=decide_verdict(mean, stderr, epsilon),
         bound_values=dict(bound_values or {}),
         errors=errors,
     )

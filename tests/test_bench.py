@@ -38,7 +38,6 @@ from equilib.core import (
     EquilibrationReport,
     OutcomeDistribution,
     check_sufficiency,
-    decide_verdict,
 )
 
 
@@ -250,6 +249,14 @@ def edit_record(k: int, mutate):
         return json.dumps(records)
 
     return defect
+
+
+def thm5_record(bound: float) -> RunRecord:
+    """A record whose mean, 0.3 with no error, checks against a spectral
+    bound of ``bound``: violated below 0.3, satisfied from it on."""
+    report = EquilibrationReport(0.3, 0.0, OutcomeDistribution([0.5, 0.5]), 0.35,
+                                 {"thm5-spectral": bound})
+    return RunRecord(scenario="s", params={"N": 2}, report=report, wall_time=0.0, seed=0)
 
 
 def outputs(records) -> list:
@@ -1541,6 +1548,11 @@ def plain_json(value) -> bool:
 
 
 class TestRunScenario:
+    def test_a_scenario_needs_its_points_and_builds(self):
+        # with empty defaults, a hand-built scenario ran to no records at all
+        with pytest.raises(TypeError):
+            bench.Scenario("x", {"kind": "quantum"})
+
     def test_params_hold_only_plain_json_values(self):
         # records keep their params as the builders made them, with no
         # conversion pass: no numpy scalar, whose JSON form may fail, and no
@@ -1797,14 +1809,15 @@ class TestEmission:
              r"out\.json: expected a JSON list of records, got dict$"),
             (lambda text: text[:-3], r"out\.json: invalid JSON \("),
             (lambda text: json.dumps([{**json.loads(text)[0], "bounds": {}}]),
-             r"^records\[0\]\.bounds: record is missing bound entries"),
+             r"^records\[0\]\.bounds\.thm1-sufficiency: required$"),
             # each of these used to load
             (edit_record(1, lambda r: r.update(seed=True)),
              r"^records\[1\]\.seed: expected an integer, got True$"),
             (edit_record(0, lambda r: r.update(wall_time="slow")),
              r"^records\[0\]\.wall_time: expected a number, got str$"),
             (edit_record(1, lambda r: r["bounds"]["thm1-sufficiency"].update(value="0.8")),
-             r"^records\[1\]\.bounds\.thm1-sufficiency\.value: expected a number, got str$"),
+             r"^records\[1\]\.bounds\.thm1-sufficiency: the report gives \{'value': 0\.75, "
+             r"'status': 'not-applicable'\}, got \{'value': '0\.8', "),
             (edit_record(0, lambda r: r["report"]["bound_values"].update(
                 {"thm1-sufficiency": "0.8"})),
              r"^records\[0\]\.report\.bound_values\.thm1-sufficiency: expected a number, "
@@ -1820,19 +1833,20 @@ class TestEmission:
             (edit_record(0, lambda r: r.update(wall_time=math.nan)),
              r"^records\[0\]\.wall_time: must be finite, got nan$"),
             (edit_record(1, lambda r: r["bounds"]["thm1-sufficiency"].update(value=math.inf)),
-             r"^records\[1\]\.bounds\.thm1-sufficiency\.value: must be finite, got inf$"),
+             r"^records\[1\]\.bounds\.thm1-sufficiency: the report gives \{'value': 0\.75, "
+             r"'status': 'not-applicable'\}, got \{'value': inf, "),
             (edit_record(0, lambda r: r["report"]["bound_values"].update(
                 {"thm1-sufficiency": -math.inf})),
              r"^records\[0\]\.report\.bound_values\.thm1-sufficiency: must be finite, got -inf$"),
             (edit_record(1, lambda r: r["report"].update(
                 mean_distinguishability=0.1, standard_error=0.01, epsilon=0.5,
                 verdict="inconclusive")),
-             r"^records\[1\]\.report: verdict 'inconclusive' disagrees with the estimate's "
-             r"'equilibrates'$"),
+             r"^records\[1\]\.report\.verdict: the report gives 'equilibrates', "
+             r"got 'inconclusive'$"),
             # values that to_dict never writes; each used to load
             (edit_record(0, lambda r: r["bounds"]["thm2-necessity"].update(status="violatd")),
-             r"^records\[0\]\.bounds\.thm2-necessity\.status: expected one of \('satisfied', "
-             r"'violated', 'not-applicable'\), got 'violatd'$"),
+             r"^records\[0\]\.bounds\.thm2-necessity: the report gives \{'value': None, "
+             r"'status': 'not-applicable'\}, got \{'value': None, 'status': 'violatd'\}$"),
             (edit_record(1, lambda r: r["bounds"].update(
                 {"thm9-extra": {"value": None, "status": "not-applicable"}})),
              r"^records\[1\]\.bounds\.thm9-extra: unknown bound, expected one of \("),
@@ -1842,12 +1856,19 @@ class TestEmission:
              r"^records\[1\]\.params: expected an object, got list$"),
             (edit_record(0, lambda r: r.update(error=3)),
              r"^records\[0\]\.error: expected a string, got int$"),
+            # a record holds exactly one of a report and an error
+            (edit_record(0, lambda r: r.update(error="x")),
+             r"^records\[0\]: a record holds exactly one of a report and an error$"),
+            (edit_record(1, lambda r: r.update(report=None, bounds={
+                name: {"value": None, "status": "not-applicable"} for name in BOUND_NAMES})),
+             r"^records\[1\]: a record holds exactly one of a report and an error$"),
         ],
         ids=["missing-field", "nan-stderr", "top-level-object", "bad-json", "missing-bound",
              "boolean-seed", "string-wall-time", "string-bound-value", "string-bound-values-entry",
              "string-omega", "boolean-omega", "boolean-mean", "nan-wall-time",
              "infinite-bound-value", "infinite-bound-values-entry", "inconsistent-verdict",
-             "unknown-status", "unknown-bound", "number-scenario", "list-params", "number-error"],
+             "unknown-status", "unknown-bound", "number-scenario", "list-params", "number-error",
+             "report-and-error", "neither-report-nor-error"],
     )
     def test_load_records_names_the_malformed_field(self, tmp_path, defect, message):
         path = tmp_path / "out.json"
@@ -1855,6 +1876,27 @@ class TestEmission:
             sweep={"system.probe.seed": [1, 2]}))), "json", path)
         path.write_text(defect(path.read_text()))
         with pytest.raises(ConfigError, match=message):
+            load_records(path)
+
+    @pytest.mark.parametrize("tamper, field", [
+        (lambda r: r["bounds"]["thm5-spectral"].update(status="violated"),
+         "bounds.thm5-spectral"),
+        (lambda r: r["bounds"]["thm5-spectral"].update(value=0.0), "bounds.thm5-spectral"),
+        (lambda r: r["bounds"].update(
+            {"thm2-necessity": {"value": 0.5, "status": "satisfied"}}), "bounds.thm2-necessity"),
+        (lambda r: r.update(report=None, error="x", bounds={
+            **r["bounds"], "thm1-sufficiency": {"value": None, "status": "not-applicable"}}),
+         "bounds.thm5-spectral"),
+        (lambda r: r["report"]["bound_values"].update({"thm9-extra": 0.1}),
+         "report.bound_values.thm9-extra"),
+    ], ids=["flipped-status", "zero-value", "inapplicable-thm2", "no-report", "unknown-value"])
+    def test_load_records_refuses_what_the_report_does_not_give(self, tmp_path, tamper, field):
+        # each of these loaded, and the flipped status made any_violation True
+        (scenario,) = [s for s in builtin_scenarios() if s.name == "qubit-benchmark"]
+        path = tmp_path / "out.json"
+        emit_report(run_scenario(scenario), "json", path)
+        path.write_text(edit_record(0, tamper)(path.read_text()))
+        with pytest.raises(ConfigError, match=rf"^records\[0\]\.{re.escape(field)}: "):
             load_records(path)
 
     def test_record_equality_compares_every_field(self):
@@ -1865,19 +1907,30 @@ class TestEmission:
         assert RunRecord.from_dict(data) != rec
         data = rec.to_dict()
         data["report"]["bound_values"]["thm1-sufficiency"] = 0.0
+        data["bounds"]["thm1-sufficiency"]["value"] = 0.0
         assert RunRecord.from_dict(data) != rec
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError, match="format"):
             emit_report([], "yaml", tmp_path / "x")
 
-    def test_record_requires_every_bound(self):
-        with pytest.raises(ConfigError, match="missing bound"):
-            RunRecord(
-                scenario="s", params={}, report=None,
-                bounds={"thm1-sufficiency": BoundCheck(None, STATUS_NA)},
-                wall_time=0.0, seed=0,
-            )
+    def test_record_holds_a_report_or_an_error(self):
+        report = thm5_record(0.5).report
+        for rep, error in [(None, None), (report, "x")]:
+            with pytest.raises(ValueError, match="exactly one of a report and an error"):
+                RunRecord(scenario="s", params={}, report=rep, wall_time=0.0, seed=0,
+                          error=error)
+
+    def test_record_takes_no_bounds(self):
+        # a record once stored its checks beside the report: an error record
+        # with every bound violated constructed, and any_violation read True
+        violated = {name: BoundCheck(0.1, STATUS_VIOLATED) for name in BOUND_NAMES}
+        with pytest.raises(TypeError):
+            RunRecord(scenario="s", params={}, report=None, bounds=violated,
+                      wall_time=0.0, seed=0, error="x")
+        failed = RunRecord(scenario="s", params={}, report=None, wall_time=0.0, seed=0,
+                           error="x")
+        assert failed.bounds == {name: BoundCheck(None, STATUS_NA) for name in BOUND_NAMES}
 
 
 class TestCli:
@@ -2011,14 +2064,8 @@ class TestCli:
         assert a.output != c.output
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
-        violated = RunRecord(
-            scenario="s", params={"N": 2}, report=None,
-            bounds={
-                name: BoundCheck(0.1, STATUS_VIOLATED if name == "thm5-spectral" else STATUS_NA)
-                for name in BOUND_NAMES
-            },
-            wall_time=0.0, seed=0, error="forced",
-        )
+        violated = thm5_record(0.1)
+        assert violated.bounds["thm5-spectral"] == BoundCheck(0.1, STATUS_VIOLATED)
         monkeypatch.setattr(bench, "run_scenario", lambda s: [violated])
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(synthetic_config()))
@@ -2077,12 +2124,12 @@ class TestCli:
         assert "D_G=3," in result.output
 
     def test_any_violation_helper(self):
-        ok = RunRecord(
-            scenario="s", params={}, report=None,
-            bounds={name: BoundCheck(None, STATUS_NA) for name in BOUND_NAMES},
-            wall_time=0.0, seed=0, error="x",
-        )
-        assert not any_violation([ok])
+        failed = RunRecord(scenario="s", params={}, report=None, wall_time=0.0, seed=0,
+                           error="x")
+        satisfied, violated = thm5_record(0.5), thm5_record(0.1)
+        assert satisfied.bounds["thm5-spectral"] == BoundCheck(0.5, STATUS_SATISFIED)
+        assert not any_violation([failed, satisfied])
+        assert any_violation([failed, violated, satisfied])
 
 
 class TestBuiltinSuite:
@@ -2194,10 +2241,7 @@ class TestBoundRules:
         `mean <= b + 3 err` and the shared `not mean - 3 err > b` disagree."""
         own = own_bound_values(kind, epsilon, params)
         bound_values = bench._Runtime(None, None, epsilon, params, own).bound_values
-        report = EquilibrationReport(
-            mean, err, OutcomeDistribution(probs), epsilon,
-            decide_verdict(mean, err, epsilon), bound_values,
-        )
+        report = EquilibrationReport(mean, err, OutcomeDistribution(probs), epsilon, bound_values)
         new, ref = bench._evaluate_bounds(report), reference_bounds(kind, params, report)
         b = own.get("thm3-mixing")
         flipped = b is not None and (mean <= b + 3.0 * err) == (mean - 3.0 * err > b)

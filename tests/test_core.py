@@ -549,7 +549,7 @@ class TestCheckSufficiency:
 EPSILON_CALLERS = {
     "check_sufficiency": lambda eps: check_sufficiency(OutcomeDistribution([1.0]), eps),
     "EquilibrationReport": lambda eps: EquilibrationReport(
-        0.0, 0.0, OutcomeDistribution([1.0]), eps, "equilibrates"),
+        0.0, 0.0, OutcomeDistribution([1.0]), eps),
     "equilibration_report": lambda eps: equilibration_report(
         constant_probe([1.0]), eps, TimeAverageConfig(horizon=1.0, samples=4)),
     "check_necessity": lambda eps: classical.check_necessity(OutcomeDistribution([1.0]), eps),
@@ -609,17 +609,15 @@ class TestVerdicts:
 
     def test_report_invariants(self):
         omega = OutcomeDistribution([0.5, 0.5])
-        with pytest.raises(DomainError):
-            EquilibrationReport(0.5, 0.0, omega, 0.1, "equilibrates")
-        with pytest.raises(DomainError):
-            EquilibrationReport(0.05, 0.1, omega, 0.2, "does-not-equilibrate")
-        rep = EquilibrationReport(0.05, 0.01, omega, 0.2, "equilibrates")
-        assert rep.verdict == "equilibrates"
-        # the verdict must be decide_verdict's; "inconclusive" used to pass here
-        for verdict in ("inconclusive", "does-not-equilibrate", "bogus"):
-            with pytest.raises(DomainError, match=rf"^verdict '{verdict}' disagrees with the "
-                                                  r"estimate's 'equilibrates'$"):
-                EquilibrationReport(0.1, 0.01, omega, 0.5, verdict)
+        # the verdict is decide_verdict's, derived from the estimate
+        assert EquilibrationReport(0.5, 0.0, omega, 0.1).verdict == "does-not-equilibrate"
+        assert EquilibrationReport(0.05, 0.1, omega, 0.2).verdict == "inconclusive"
+        assert EquilibrationReport(0.05, 0.01, omega, 0.2).verdict == "equilibrates"
+        assert EquilibrationReport(0.1, 0.01, omega, 0.5).verdict == "equilibrates"
+        with pytest.raises(TypeError):
+            EquilibrationReport(0.1, 0.01, omega, 0.5, verdict="inconclusive")
+        with pytest.raises(DomainError, match="mean distinguishability"):
+            EquilibrationReport(1.5, 0.0, omega, 0.1)
 
     def test_report_builder(self):
         probe = constant_probe([0.3, 0.7])
@@ -650,7 +648,7 @@ class TestVerdicts:
     def test_report_rejects_a_non_finite_standard_error(self, stderr):
         omega = OutcomeDistribution([0.5, 0.5])
         with pytest.raises(DomainError, match="standard error must be finite"):
-            EquilibrationReport(0.1, stderr, omega, 0.2, "inconclusive")
+            EquilibrationReport(0.1, stderr, omega, 0.2)
 
     @pytest.mark.parametrize("floor", [math.nan, math.inf, -0.01])
     def test_report_rejects_a_bad_quadrature_floor(self, floor):
