@@ -179,18 +179,21 @@ class Scenario:
 class _Node:
     """A config object, its dotted path and the directory its file
     references are read from. Each reader takes the key of a field and
-    names it as ``path.key`` in the ConfigError it raises."""
+    names it as ``path.key`` in the ConfigError it raises; ``read`` holds
+    the keys the readers were asked for."""
 
     def __init__(self, data, path: str, base: Path = Path()):
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
         self.data, self.path, self.base = data, path, base
+        self.read: set[str] = set()
 
     def __contains__(self, key: str) -> bool:
         return key in self.data
 
     def get(self, key: str, default=None):
         """Field ``key``, or ``default`` when it is absent or null."""
+        self.read.add(key)
         value = self.data.get(key)
         return default if value is None else value
 
@@ -206,6 +209,7 @@ class _Node:
         return self.child(self.require(key), key)
 
     def require(self, key: str):
+        self.read.add(key)
         if key not in self.data:
             raise self.error(key, "required")
         return self.data[key]
@@ -256,21 +260,21 @@ class _Node:
         """Decode field ``key`` (this object when None): a TypeError,
         ValueError or OverflowError raised inside becomes a ConfigError
         naming the key of this object that its ``name`` gives (a library
-        DomainError names its argument), else ``key``; a ConfigError passes
-        through."""
+        DomainError names its argument) when a reader has read that key,
+        else ``key``; a ConfigError passes through."""
         try:
             yield
         except ConfigError:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
             name = getattr(exc, "name", None)
-            raise self.error(name if name in self.data else key, str(exc)) from None
+            raise self.error(name if name in self.read else key, str(exc)) from None
 
     def entries(self, key: str, dtype: type = float) -> np.ndarray:
         """Field ``key``, a nested list of JSON numbers (or, for ``dtype``
         bool, JSON booleans), as the array ``typed_array`` reads, by its
         rule."""
-        if self.data.get(key) is None:
+        if self.get(key) is None:
             raise self.error(key, "required")
         with self.field(key):
             return typed_array(self.data[key], key, dtype)
@@ -500,7 +504,7 @@ def _build_quantum(root: _Node, epsilon: float) -> _Runtime:
         seed = s.seed()
         given = s.given(spectrum=s.require, spacing=s.number)
         # random_spectrum names the spectrum field's argument "kind", which
-        # is no key here, so the field names its own error
+        # is no key read here, so the field names its own error
         if "spectrum" in given:
             given["kind"] = given.pop("spectrum")
         with s.field("spectrum"):

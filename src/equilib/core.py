@@ -145,11 +145,6 @@ class OutcomeDistribution:
         # + 0.0 maps -0.0 to 0.0, as == does
         return hash((self.probs + 0.0).tobytes())
 
-    def allclose(self, other: "OutcomeDistribution", atol: float = 1e-9) -> bool:
-        return len(self) == len(other) and bool(
-            np.allclose(self.probs, other.probs, rtol=0.0, atol=atol)
-        )
-
     @property
     def max_probability(self) -> float:
         return float(self.probs.max())

@@ -483,59 +483,46 @@ def quantum_probe(
 ) -> TrajectoryProbe:
     """Probe whose row at time t lists tr(M_j rho_t) for the POVM elements.
 
-    An exactly equally spaced spectrum samples through the polynomial block,
-    every other one through the bilinear block; the spectrum decides. There
-    a state built from its vector rotates that vector in short blocks and
-    builds the coefficient tensor in its first long one (``_pure_block``)."""
+    One build rule: this call checks the dimensions and builds nothing
+    else, and the first block that needs the energy-basis coefficient
+    tensor builds it, once. Every later block samples through it, by the
+    polynomial block on an exactly equally spaced spectrum (the spectrum
+    decides) and by the bilinear block on any other. Every block needs the
+    tensor but one kind: on a spectrum that is no ladder, a state built
+    from its vector samples a block of M < 2 (N + 1) d times, while no
+    tensor exists, by rotating that vector. phi(t) = V (psi~ o exp(-i E t))
+    with psi~ = V^H psi, and p_j = Re phi^H M_j phi, read from the element
+    stack as given. That costs 8 (N + 1) d^2 flops a time against the
+    tensor's 8 N d^2, but skips the tensor's 2 (N + 1) complex d^3 basis
+    changes, 16 (N + 1) d^3 flops."""
     elements = povm.elements
-    step = _ladder_step(spectrum.eigenvalues)
-    if step:
-        block = _polynomial_block(_energy_coefficients(rho, spectrum, elements), step)
-    elif rho.vector is None:
-        block = _coefficient_block(rho, spectrum, elements)
-    else:
-        block = _pure_block(rho, spectrum, elements)
-    return TrajectoryProbe(sample_many=block, outcome_count=povm.outcome_count)
-
-
-def _coefficient_block(rho: DensityMatrix, spectrum: HamiltonianSpectrum, elements: np.ndarray):
-    """The bilinear block over the energy-basis coefficient tensor."""
-    coeff = _energy_coefficients(rho, spectrum, elements)
-    d, n_out = coeff.shape[:2]
-    # flat[n, j*d + m] = coeff[n, j, m], a view of the contiguous tensor, so
-    # the sum over n is one GEMM per chunk of times
-    return _bilinear_block(coeff.reshape(d, n_out * d), spectrum.eigenvalues)
-
-
-def _pure_block(rho: DensityMatrix, spectrum: HamiltonianSpectrum, elements: np.ndarray):
-    """Sample block of a pure state psi on a spectrum that is no ladder.
-
-    A block of M < 2 (N + 1) d times rotates the vector: phi(t) = V (psi~ o
-    exp(-i E t)) with psi~ = V^H psi, and p_j = Re phi^H M_j phi, read from
-    the element stack as given. That costs 8 (N + 1) d^2 flops a time
-    against the tensor's 8 N d^2, but skips the tensor's 2 (N + 1) complex
-    d^3 basis changes, 16 (N + 1) d^3 flops. The first longer block builds
-    the tensor, which then samples every later block, as for any state."""
     d = _check_dimensions(rho, spectrum, elements)
-    n_out = len(elements)
-    vecs = spectrum.eigenvectors
-    # psi~ = V^H psi without a conjugate copy of V
-    amplitudes = np.conj(rho.vector.conj() @ vecs)
-    # flat[b, j*d + a] = (M_j)_ab, a transposed view of the stack: no copy
-    rotate = _bilinear_block(elements.reshape(n_out * d, d).T, spectrum.eigenvalues,
-                             amplitudes, vecs.T)
+    n_out = povm.outcome_count
+    step = _ladder_step(spectrum.eigenvalues)
+    rotate = None
+    if not step and rho.vector is not None:
+        vecs = spectrum.eigenvectors
+        # psi~ = V^H psi without a conjugate copy of V
+        amplitudes = np.conj(rho.vector.conj() @ vecs)
+        # flat[b, j*d + a] = (M_j)_ab, a transposed view of the stack: no copy
+        rotate = _bilinear_block(elements.reshape(n_out * d, d).T, spectrum.eigenvalues,
+                                 amplitudes, vecs.T)
     long_block = 2 * (n_out + 1) * d
     tensor = None
 
     def _block(times: np.ndarray) -> np.ndarray:
         nonlocal tensor
-        if tensor is None and times.size < long_block:
-            return rotate(times)
         if tensor is None:
-            tensor = _coefficient_block(rho, spectrum, elements)
+            if rotate is not None and times.size < long_block:
+                return rotate(times)
+            coeff = _energy_coefficients(rho, spectrum, elements)
+            # flat[n, j*d + m] = coeff[n, j, m], a view of the contiguous
+            # tensor, so the sum over n is one GEMM per chunk of times
+            tensor = (_polynomial_block(coeff, step) if step else
+                      _bilinear_block(coeff.reshape(d, n_out * d), spectrum.eigenvalues))
         return tensor(times)
 
-    return _block
+    return TrajectoryProbe(sample_many=_block, outcome_count=n_out)
 
 
 def _bilinear_block(flat: np.ndarray, eigenvalues: np.ndarray,

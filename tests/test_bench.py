@@ -1199,6 +1199,10 @@ class TestConfigBoundary:
         # the library calls this argument kind, so the field read names it
         pytest.param(sampled_quantum_config, {"system.sampler.spectrum": "gaussian"},
                      "system.sampler.spectrum", id="unknown-spectrum-kind"),
+        # an unread key that shares the argument's name does not take the error over
+        pytest.param(sampled_quantum_config, {"system.sampler.spectrum": "gaussian",
+                                              "system.sampler.kind": "x"},
+                     "system.sampler.spectrum", id="unknown-spectrum-kind-beside-a-stray-kind"),
         pytest.param(sampled_quantum_config, {"measurement.sampler.name": "random",
                                               "measurement.sampler.outcomes": 0},
                      "measurement.sampler.outcomes", id="random-outcomes-0"),

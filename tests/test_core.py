@@ -292,7 +292,7 @@ class TestTimeAverageDistribution:
     def test_constant(self):
         cfg = TimeAverageConfig(horizon=10.0, samples=64, seed=1)
         avg = time_average_distribution(constant_probe([0.4, 0.6]), cfg)
-        assert avg.allclose(OutcomeDistribution([0.4, 0.6]), atol=1e-14)
+        np.testing.assert_allclose(avg.probs, [0.4, 0.6], rtol=0.0, atol=1e-14)
 
     def test_cosine_full_periods(self):
         # closed form: the cosine integrates to zero over whole periods
@@ -300,7 +300,7 @@ class TestTimeAverageDistribution:
             horizon=2 * math.pi * 1e3, samples=10_000, scheme="uniform-grid"
         )
         avg = time_average_distribution(cosine_probe(), cfg)
-        assert avg.allclose(OutcomeDistribution([0.5, 0.5]), atol=2e-3)
+        np.testing.assert_allclose(avg.probs, [0.5, 0.5], rtol=0.0, atol=2e-3)
 
     def test_occupation_fraction(self):
         # indicator trajectory cycling cell 0 once per 4 steps
@@ -314,7 +314,7 @@ class TestTimeAverageDistribution:
         probe = TrajectoryProbe(many, 2)
         cfg = TimeAverageConfig(horizon=4096, samples=4096, scheme="uniform-grid")
         avg = time_average_distribution(probe, cfg)
-        assert avg.allclose(OutcomeDistribution([0.25, 0.75]), atol=1e-12)
+        np.testing.assert_allclose(avg.probs, [0.25, 0.75], rtol=0.0, atol=1e-12)
 
     def test_invalid_probe_data_propagates(self):
         def bad(times):
@@ -625,9 +625,8 @@ class TestVerdicts:
         rep = equilibration_report(probe, 0.25, cfg, bound_values={"demo": 0.5})
         assert rep.mean_distinguishability == 0.0
         assert rep.verdict == "equilibrates"
-        assert rep.equilibrium_distribution.allclose(
-            OutcomeDistribution([0.3, 0.7]), atol=1e-14
-        )
+        np.testing.assert_allclose(rep.equilibrium_distribution.probs, [0.3, 0.7],
+                                   rtol=0.0, atol=1e-14)
         assert rep.bound_values == {"demo": 0.5}
 
     def test_report_quadrature_error_enters_stderr(self):

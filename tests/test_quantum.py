@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from equilib import core, quantum
-from equilib.bench import _matrix_node, _Node
+from equilib.bench import STATUS_SATISFIED, _matrix_node, _Node, load_scenario, run_scenario
 from equilib.core import (
     DimensionError,
     DomainError,
@@ -290,7 +290,7 @@ class TestPOVM:
     def test_valid(self):
         assert SIGMA_X_POVM.outcome_count == 2
         probs = SIGMA_X_POVM.probabilities(PLUS)
-        assert probs.allclose(OutcomeDistribution([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(probs.probs, [1.0, 0.0], rtol=0.0, atol=1e-12)
 
     def test_rejects_incomplete(self):
         with pytest.raises(DomainError):
@@ -783,7 +783,7 @@ class TestQuantumProbe:
         povm = random_povm(5, 3, 10)
         probe = quantum_probe(rho, spec, povm)
         first = OutcomeDistribution(probe.distributions_at([0.0])[0])
-        assert first.allclose(povm.probabilities(rho), atol=1e-12)
+        np.testing.assert_allclose(first.probs, povm.probabilities(rho).probs, rtol=0.0, atol=1e-12)
 
     def test_scalar_vector_agree(self):
         rho = random_mixed_state(4, 1)
@@ -992,9 +992,11 @@ def seven_pass_block(rho, spectrum, povm, times):
 
 
 class TestPureRoute:
-    """A state built from its vector, on a spectrum that is no ladder,
-    samples a block of M < 2 (N + 1) d times by rotating its vector and
-    builds the coefficient tensor in its first longer block."""
+    """The first block that needs the coefficient tensor builds it: any
+    block on a ladder or of a state without a vector. A state built from its
+    vector, on a spectrum that is no ladder, samples a block of
+    M < 2 (N + 1) d times by rotating its vector and builds the tensor in
+    its first longer block."""
 
     @pytest.mark.parametrize("d, n_out", [(8, 3), (64, 2)])
     def test_both_sides_of_the_threshold_match_the_evolution(self, monkeypatch, d, n_out):
@@ -1002,15 +1004,19 @@ class TestPureRoute:
         povm = random_povm(d, n_out, d + 2)
         long_block = 2 * (n_out + 1) * d
         times = np.random.default_rng(d).uniform(0.0, 500.0, long_block)
-        tensor = quantum_probe(DensityMatrix(rho.matrix), spec, povm)
         built = tensors_built(monkeypatch)
-        for m, tensors in ((long_block - 1, 0), (long_block, 1)):
+        tensor = quantum_probe(DensityMatrix(rho.matrix), spec, povm)
+        # a state without a vector builds its tensor in its first block, of any length
+        assert not built
+        tensor.sample_many(times[:1])
+        assert len(built) == 1
+        for m, tensors in ((long_block - 1, 1), (long_block, 2)):
             rows = assert_probe_matches_evolution(rho, spec, povm, times[:m])
             assert len(built) == tensors
             assert np.abs(rows - tensor.sample_many(times[:m])).max() < 1e-12
         rotated = quantum_probe(rho, spec, povm).sample_many(times[:-1])
         assert np.abs(rotated - tensor.sample_many(times[:-1])).max() < 1e-12
-        assert len(built) == 1
+        assert len(built) == 2
 
     def test_a_probe_sampled_below_then_above_keeps_its_rows(self, monkeypatch):
         d, n_out = 16, 3
@@ -1055,16 +1061,26 @@ class TestPureRoute:
         matrix = quantum_probe(DensityMatrix(rho.matrix), spec, povm).sample_many(times)
         assert block.tobytes() == matrix.tobytes()
 
-    def test_memory_at_d_256(self):
-        # the pure build holds psi~ and views; the tensor, built in place in
-        # the first long block or at a matrix state's build, peaks at 7.3 MB
-        rho, spec, povm = random_pure_state(256, 1), random_spectrum(256, 2), random_povm(256, 4, 3)
+    @pytest.mark.parametrize("state, kind", [("mixed", "generic"), ("matrix", "generic"),
+                                             ("vector", "equally-spaced"), ("vector", "generic")])
+    def test_the_build_holds_no_tensor_at_d_256(self, state, kind):
+        # the build checks dimensions and, for a vector state on no ladder,
+        # holds psi~ and views; the 7.3 MB tensor build waits for a block
+        rho = (random_mixed_state if state == "mixed" else random_pure_state)(256, 1)
+        if state == "matrix":
+            rho = DensityMatrix(rho.matrix)
+        spec, povm = random_spectrum(256, 2, kind=kind), random_povm(256, 4, 3)
         assert traced_peak(lambda: quantum_probe(rho, spec, povm)) < 1e5
+
+    def test_memory_at_d_256(self):
+        # the tensor, built in place in a matrix state's first block or a
+        # vector state's first long one, peaks at 7.3 MB
+        rho, spec, povm = random_pure_state(256, 1), random_spectrum(256, 2), random_povm(256, 4, 3)
         probe = quantum_probe(rho, spec, povm)
         assert traced_peak(lambda: probe.sample_many(np.linspace(0.0, 9.0, 500))) < 2.5e6
         assert traced_peak(lambda: probe.sample_many(np.linspace(0.0, 9.0, 3000))) < 8.4e6
-        matrix = DensityMatrix(rho.matrix)
-        assert traced_peak(lambda: quantum_probe(matrix, spec, povm)) < 8.4e6
+        matrix = quantum_probe(DensityMatrix(rho.matrix), spec, povm)
+        assert traced_peak(lambda: matrix.sample_many(np.linspace(0.0, 9.0, 500))) < 8.4e6
 
     def test_unit_phases_are_the_seven_pass_bits(self):
         tau = np.concatenate([sign * np.logspace(-3, 12, 20_000) for sign in (1.0, -1.0)])
@@ -1192,6 +1208,64 @@ class TestSecondMoment:
         series = (block[:, 0] - omega_p) ** 2
         stderr = series.std(ddof=1) / math.sqrt(series.size)
         assert abs(series.mean() - exact) <= 3.0 * stderr + 1e-12
+
+
+def pairs_of(values) -> list:
+    """Complex entries, flattened, as a scenario's [real, imag] pairs."""
+    return [[float(z.real), float(z.imag)] for z in np.ravel(values)]
+
+
+def matrix_field(matrix) -> dict:
+    return {"rows": matrix.shape[0], "cols": matrix.shape[1], "data": pairs_of(matrix)}
+
+
+def tight_scenario(d, n_out, seed):
+    """A member of the family where the spectral bound is tight: a generic
+    spectrum (D_G = 1), a pure state flat in the energy basis with random
+    phases (d_eff = d), and projectors onto the energy-basis Fourier
+    vectors dealt round-robin into n_out groups, all conjugated by one Haar
+    unitary. Each projector has rank r = d / n_out and the flat diagonal
+    r / d, so m2_j = (N - 1) / (N^2 d) for every j and the certificate
+    C = 1/2 sum_j sqrt(m2_j) is 1/2 sqrt((N - 1) / d), the bound itself.
+    Returns the scenario and the state, spectrum and elements it holds."""
+    rng = np.random.default_rng(seed)
+    vals = np.sort(rng.uniform(0.0, float(d), d))
+    basis = haar_unitary(d, rng)
+    psi = basis @ (np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d)) / math.sqrt(d))
+    fourier = np.exp(2j * math.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d)
+    groups = [basis @ fourier[:, j::n_out] for j in range(n_out)]
+    elements = [g @ g.conj().T for g in groups]
+    config = {
+        "name": "tight", "kind": "quantum", "epsilon": 0.5,
+        "average": {"horizon": "auto", "samples": 20_000, "seed": seed + 1},
+        "system": {"hamiltonian": {"eigenvalues": vals.tolist(), "eigenvectors": matrix_field(basis)},
+                   "state": {"vector": pairs_of(psi)}},
+        "measurement": {"povm": [matrix_field(m) for m in elements]},
+    }
+    return config, DensityMatrix.from_vector(psi), HamiltonianSpectrum(vals, basis), elements
+
+
+class TestTightFamily:
+    """Where the spectral bound's Cauchy-Schwarz steps over outcomes and
+    gap pairs are equalities, only <|X|> <= sqrt(<X^2>) is slack, so the
+    mean sits near sqrt(2 / pi) ~ 0.80 of the bound. A vector state on a
+    generic spectrum: its 20,000-time block builds the tensor lazily."""
+
+    @pytest.mark.parametrize("d, n_out", [(4, 2), (6, 3), (8, 2), (8, 4), (12, 3), (16, 2),
+                                          (16, 4), (24, 3), (32, 2), (32, 8)])
+    def test_the_check_runs_near_the_bound(self, d, n_out):
+        config, rho, spectrum, elements = tight_scenario(d, n_out, 100 * d + n_out)
+        (record,) = run_scenario(load_scenario(config))
+        assert record.error is None
+        check = record.bounds["thm5-spectral"]
+        assert record.params["D_G"] == 1
+        assert record.params["d_eff"] == pytest.approx(d, rel=1e-12)
+        certificate = 0.5 * sum(math.sqrt(projector_second_moment(rho, m, spectrum))
+                                for m in elements)
+        assert abs(certificate - check.value) < 1e-12
+        assert abs(check.value - 0.5 * math.sqrt((n_out - 1) / d)) < 1e-12
+        assert check.status == STATUS_SATISFIED
+        assert record.report.mean_distinguishability >= 0.75 * check.value
 
 
 class TestPurification:

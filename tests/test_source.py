@@ -6,8 +6,9 @@ interpreter. (``feature_version`` is the parser's best effort: it rejects,
 for one, ``except*`` and ``match`` below their versions.)
 ``core.typed_array`` is its one converter of outside numbers,
 ``bench`` writes out no range rule: each lives in the library function
-that takes the argument, and a matrix enters the energy basis in
-``quantum._energy_coefficients`` and ``quantum.dephase`` alone."""
+that takes the argument, a matrix enters the energy basis in
+``quantum._energy_coefficients`` and ``quantum.dephase`` alone, and the
+coefficient tensor is built in two places."""
 
 import ast
 import re
@@ -113,3 +114,35 @@ def test_the_basis_check_sees_a_stray_call():
               "    return inner\n"
               "x = spec.to_energy_basis(m)\ny = spec.from_energy_basis(m)\n")
     assert energy_basis_callers(ast.parse(source)) == ["_energy_coefficients", "inner", "<module>"]
+
+
+def tensor_builders(tree: ast.AST) -> list[str]:
+    """The module-level function or class around each ``_energy_coefficients``
+    call, in source order, a closure counting as the function that holds it;
+    a call outside every function and class counts as ``<module>``."""
+    def builds(node: ast.AST) -> bool:
+        func = getattr(node, "func", None)
+        return (isinstance(node, ast.Call)
+                and getattr(func, "id", getattr(func, "attr", None)) == "_energy_coefficients")
+
+    return [getattr(owner, "name", "<module>")
+            for owner in tree.body for node in ast.walk(owner) if builds(node)]
+
+
+def test_the_coefficient_tensor_is_built_in_two_places():
+    # a probe's first block that needs the tensor builds it inside
+    # quantum_probe's closure, and the second moment reads it for one
+    # element; a build anywhere else is a second build rule
+    builders = {caller for path in SOURCES
+                for caller in tensor_builders(ast.parse(path.read_text()))}
+    assert builders == {"quantum_probe", "projector_second_moment"}
+
+
+def test_the_build_check_sees_a_stray_build():
+    source = ("def quantum_probe(r, s, e):\n    def block(t):\n"
+              "        return _energy_coefficients(r, s, e)\n    return block\n"
+              "class Probe:\n    def build(self):\n        return _energy_coefficients(*self.parts)\n"
+              "def helper(r, s, e):\n    return _energy_coefficients(r, s, e)\n"
+              "tensor = _energy_coefficients(r, s, e)\nother = quantum._energy_coefficients(r, s, e)\n")
+    assert tensor_builders(ast.parse(source)) == ["quantum_probe", "Probe", "helper",
+                                                  "<module>", "<module>"]
