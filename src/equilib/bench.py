@@ -306,6 +306,19 @@ def _is_json(value) -> bool:
     return False
 
 
+def _read_json(path: Path, field: str | None = None):
+    """The JSON value in the UTF-8 file ``path``. A file that cannot be read,
+    or holds no such value, is a ConfigError naming the file, after the
+    scenario ``field`` that references it when one does."""
+    lead = str(path) if field is None else f"{field}: {path}"
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{lead}: cannot read ({exc})") from None
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ConfigError(f"{lead}: invalid JSON ({exc})") from None
+
+
 def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> Scenario:
     """Parse and validate a scenario from a dict or a JSON file path, named
     by its ``name`` field, else by the file's stem, else ``"scenario"``.
@@ -317,10 +330,7 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        raw = _read_json(path)
         name, base = path.stem, path.parent
     else:
         raw, name, base = source, "scenario", Path()
@@ -450,13 +460,7 @@ def _matrix_node(node: _Node) -> np.ndarray:
     if "file" in node:
         with node.field("file"):
             ref = node.base / node.data["file"]
-        try:
-            inner = json.loads(ref.read_text())
-        except OSError as exc:
-            raise node.error("file", f"cannot read {ref} ({exc})") from None
-        except json.JSONDecodeError as exc:
-            raise node.error("file", f"invalid JSON in {ref} ({exc})") from None
-        node = _Node(inner, node.path)
+        node = _Node(_read_json(ref, f"{node.path}.file"), node.path)
     rows, cols = (node.integer(key, 1, _dim_bound()) for key in ("rows", "cols"))
     data = node.pairs("data")
     if data.size != rows * cols:
@@ -465,11 +469,9 @@ def _matrix_node(node: _Node) -> np.ndarray:
 
 
 def _map_node(node: _Node) -> classical.InvertibleMap:
-    """A catalogue map: {"name": "rotation", "angles": [...]}, {"name":
-    "cat-map", "lattice": q} (lattice optional) or {"name": "baker-map"}."""
+    """A catalogue map: {"name": "rotation", "angles": [...]} or {"name":
+    "cat-map", "lattice": q} (lattice optional)."""
     name = node.get("name")
-    if name == "baker-map":
-        return classical.baker_map()
     if name == "rotation":
         angles = node.require("angles")
         with node.field("angles"):
@@ -811,10 +813,7 @@ def load_records(path) -> list[RunRecord]:
     """The records of a JSON report that ``emit_report`` wrote. A malformed
     file is a ConfigError naming the file, or the field of record k as
     ``records[k].<field>``."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    data = _read_json(Path(path))
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a JSON list of records, got {type(data).__name__}")
     return [RunRecord.from_dict(d, f"records[{k}]") for k, d in enumerate(data)]

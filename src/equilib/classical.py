@@ -229,28 +229,12 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
 
 
 def baker_map() -> InvertibleMap:
-    """Baker's map on the 2-torus: stretch x by 2, stack the halves in y.
-
-    Invertible away from the measure-zero cut lines.
-    """
-
-    def fwd(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        # x' = 2x and y' = (y + floor(2x)) / 2, both wrapped
-        np.multiply(2.0, rows[0], out=out[0])
-        np.floor(out[0], out=scratch[0])
-        np.add(rows[1], scratch[0], out=out[1])
-        out[1] /= 2.0
-        np.floor(out, out=scratch)
-        out -= scratch
-
-    def fwd_point(coords: tuple[float, ...]) -> tuple[float, ...]:
-        # math.floor's int drops the sign of a -0.0 floor; the sum it changes,
-        # -0.0 + -0.0, wraps to +0.0 either way
-        x, y = coords
-        u = 2.0 * x
-        return (u % 1.0, (y + math.floor(u)) / 2.0 % 1.0)
-
-    return InvertibleMap("baker-map", 2, fwd, fwd_point)
+    """Withdrawn, and raises DomainError. A double is a dyadic rational, so
+    doubling x makes it exactly 0 within 53 steps and y then halves toward
+    0: every float orbit of the baker map collapses to the origin. The name
+    stays only while ``perfbench/tracing.py`` wraps it by name."""
+    raise DomainError("the float baker map is withdrawn: every double orbit collapses "
+                      "to the origin")
 
 
 @dataclass(frozen=True, eq=False)
@@ -724,10 +708,12 @@ def _batched_defects(
     if batches < 2:
         raise DomainError("need at least 2 batches")
     times = sample_times(cfg)
-    usable = (times.size // batches) * batches
-    if usable == 0:
-        raise DomainError("fewer samples than batches")
-    per_batch = _defects(points, mapping, partition, times[:usable], batches)
+    per = times.size // batches
+    # one sample makes every batch's covariance 0, whatever the orbits do
+    if per < 2:
+        raise DomainError(f"need at least 2 samples a batch, got {times.size} samples "
+                          f"for {batches} batches")
+    per_batch = _defects(points, mapping, partition, times[: per * batches], batches)
     return per_batch.mean(axis=1), per_batch.std(axis=1, ddof=1) / math.sqrt(batches)
 
 
@@ -807,6 +793,12 @@ def decorrelation_audit(
     batch-means t threshold corrected (Sidak) so the per-pair false-alarm
     rate is ``family_risk``. Returns (fraction of pairs consistent with
     zero, number of pairs tested).
+
+    Two rules keep a pair that shows no decorrelation from passing. Every
+    batch needs at least 2 of the ``cfg`` samples, else DomainError: a
+    one-sample batch has a covariance of 0 by construction. And a frozen
+    pair, whose defect and batch scatter are both zero in every cell, as
+    for a pair with a point that never changes cell, fails.
     """
     idx = np.flatnonzero(np.asarray(ensemble.chaotic_flags))
     if idx.size < 2:
@@ -824,7 +816,8 @@ def decorrelation_audit(
     per_outcome = 1.0 - (1.0 - family_risk) ** (1.0 / partition.cell_count)
     threshold = _t_quantile(per_outcome, batches - 1)
     z = np.abs(defect) / np.maximum(stderr, 1e-300)
-    passed = int(np.all(z <= threshold, axis=1).sum())
+    frozen = np.all((defect == 0.0) & (stderr == 0.0), axis=1)
+    passed = int((np.all(z <= threshold, axis=1) & ~frozen).sum())
     return passed / pair_count, pair_count
 
 

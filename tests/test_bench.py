@@ -835,6 +835,41 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="cannot read"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("field", ["hamiltonian", "state"])
+    def test_a_file_reference_not_in_utf8(self, tmp_path, field):
+        # a Hamiltonian file used to become a run-time error record, and a
+        # state file an error naming scenario.system.state
+        cfg = explicit_quantum_config()
+        cfg["system"][field] = {"matrix": {"file": "m.json"}}
+        (tmp_path / "m.json").write_bytes(b'{"rows": 1, "cols": 1, "data": [["\xff"]]}')
+        (tmp_path / "scn.json").write_text(json.dumps(cfg))
+        message = rf"^scenario\.system\.{field}\.matrix\.file: .*m\.json: invalid JSON \("
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(tmp_path / "scn.json")
+
+    def test_the_baker_map_is_withdrawn(self):
+        # every double orbit of the float baker map collapsed to the origin
+        cfg = classical_pure_config()
+        cfg["system"]["map"] = {"name": "baker-map"}
+        with pytest.raises(ConfigError,
+                           match=r"^scenario\.system\.map\.name: unknown map 'baker-map'$"):
+            load_scenario(cfg)
+        with pytest.raises(core.DomainError, match="withdrawn"):
+            classical.baker_map()
+
+    @pytest.mark.parametrize("load", [load_scenario, load_records], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("content, message", [
+        (None, r"in\.json: cannot read \("),
+        (b'["\xff"]', r"in\.json: invalid JSON \("),
+    ], ids=["missing", "not-utf8"])
+    def test_unreadable_file(self, tmp_path, load, content, message):
+        # each used to escape as a bare OSError or UnicodeDecodeError
+        path = tmp_path / "in.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=message):
+            load(path)
+
 
 class TestOrbitCap:
     @pytest.mark.parametrize("make", [classical_pure_config, ensemble_config],

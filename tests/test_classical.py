@@ -21,7 +21,6 @@ from equilib.classical import (
     MAX_ORBIT_STEPS,
     ClassicalEnsemble,
     InvertibleMap,
-    baker_map,
     cat_map,
     check_necessity,
     classical_probe,
@@ -146,28 +145,16 @@ def reference_lattice(pts, mat, q):
     return ((k @ mat.astype(np.int64).T) % q) / q
 
 
-def reference_baker(pts, forward):
-    x, y = pts[:, 0], pts[:, 1]
-    if forward:
-        half = np.floor(2.0 * x)
-        return np.column_stack(((2.0 * x) % 1.0, (y + half) / 2.0 % 1.0))
-    half = np.floor(2.0 * y)
-    return np.column_stack(((x + half) / 2.0 % 1.0, (2.0 * y) % 1.0))
-
-
 # Maps step forward only; the round-trip tests step back through these.
 def cat_inverse(pts):
     return (pts @ CAT_INV.T) % 1.0
 
 
-def baker_inverse(pts):
-    return reference_baker(pts, False)
-
-
-# The reference loops step the float cat map and the baker map by their
-# formulas, so an engine test does not check a kernel against itself.
+# The reference loops step the float cat map and the 2**20 lattice cat map,
+# the exact 2-d kernel without a leap, by their formulas, so an engine test
+# does not check a kernel against itself.
 REFERENCE_STEPS = {"cat-map": lambda pts: (pts @ CAT.T) % 1.0,
-                   "baker-map": lambda pts: reference_baker(pts, True)}
+                   "cat-map(lattice=1048576)": lambda pts: reference_lattice(pts, CAT, 2**20)}
 
 
 def reference_cells(points, mapping, partition, times):
@@ -270,8 +257,8 @@ class TestMaps:
                 (rotation_map((0.3, 0.711)), lambda pts: (pts - np.array([0.3, 0.711])) % 1.0),
                 (cat_map(), cat_inverse),
                 (cat_map(lattice=64), lambda pts: reference_lattice(pts, CAT_INV, 64)),
-                (baker_map(), baker_inverse),
-                (compose(cat_map(), baker_map()), lambda pts: cat_inverse(baker_inverse(pts))),
+                (compose(cat_map(), rotation_map((0.3, 0.711))),
+                 lambda pts: cat_inverse((pts - np.array([0.3, 0.711])) % 1.0)),
             ]
         ],
     )
@@ -374,11 +361,6 @@ class TestKernels:
         shift = np.array(angles)
         m = rotation_map(angles)
         assert same_bits(forward(m, pts), (pts + shift) % 1.0)
-
-    @pytest.mark.parametrize("label", ["random", "edges", "outside"])
-    def test_baker(self, label):
-        pts = clouds(2)[label]
-        assert same_bits(forward(baker_map(), pts), reference_baker(pts, True))
 
     def test_wrap_of_negatives_and_signed_zero(self):
         v = np.array([-0.0, 0.0, -1e-20, -0.25, -1.0, -2.5, -3.7, 1.0, 2.0**52 + 1, -(2.0**53)])
@@ -574,8 +556,7 @@ def layouts(pts):
             "strided": wide[::2, 1::2]}
 
 
-CATALOGUE = [cat_map(), cat_map(lattice=7), rotation_map(GOLDEN), rotation_map((0.3, 0.711)),
-             baker_map()]
+CATALOGUE = [cat_map(), cat_map(lattice=7), rotation_map(GOLDEN), rotation_map((0.3, 0.711))]
 
 
 class TestRowKernels:
@@ -953,7 +934,6 @@ POINT_MAPS = [
     (cat_map(lattice=2**20), 2**20),
     (cat_map(lattice=3**32), 3**32),
     (cat_map(lattice=2**52), 2**52),
-    (baker_map(), None),
 ]
 POINT_MAP_IDS = [m.name for m, _ in POINT_MAPS]
 
@@ -978,7 +958,7 @@ class TestBlockedClassification:
     per-step loop bit for bit."""
 
     @pytest.mark.parametrize("cap", [2, 6, 25, 50, 10**6])
-    @pytest.mark.parametrize("mapping", [cat_map(), baker_map(), cat_map(lattice=8)],
+    @pytest.mark.parametrize("mapping", [cat_map(), cat_map(lattice=2**20), cat_map(lattice=8)],
                              ids=lambda m: m.name)
     def test_ensemble_block_matches_per_step_loop(self, monkeypatch, cap, mapping):
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", cap)
@@ -1010,7 +990,8 @@ class TestBlockedClassification:
             assert same_bits(got, expected)
 
     @pytest.mark.parametrize("every", [1, 7], ids=["every-step", "sparse-steps"])
-    @pytest.mark.parametrize("mapping", [cat_map(), baker_map()], ids=lambda m: m.name)
+    @pytest.mark.parametrize("mapping", [cat_map(), cat_map(lattice=2**20)],
+                             ids=lambda m: m.name)
     def test_workload_shaped_block_matches_per_step_loop(self, small_chunk, every, mapping):
         # 61 two-d points and 6 cells at the lowered chunk: 32 steps a block,
         # as 1000 points at the real one, so 300 steps make nine full blocks
@@ -1104,7 +1085,7 @@ class TestPointKernels:
             expected = reference_block(np.array([start]), np.ones(1), mapping, part, times)
             assert same_bits(block, expected)
 
-    @pytest.mark.parametrize("mapping", [cat_map(), cat_map(lattice=2**52), baker_map()],
+    @pytest.mark.parametrize("mapping", [cat_map(), cat_map(lattice=2**52), cat_map(lattice=2**20)],
                              ids=lambda m: m.name)
     def test_consecutive_steps_across_a_block_boundary(self, small_chunk, mapping):
         # a 2-d point on 25 cells fills 151 steps a block at the lowered
@@ -1224,7 +1205,8 @@ class TestDefectsAgainstOneHot:
     ]
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["grid", "stratified", "repeated"])
-    @pytest.mark.parametrize("mapping", [cat_map(), baker_map(), rotation_map((GOLDEN, 0.3))],
+    @pytest.mark.parametrize("mapping",
+                             [cat_map(), cat_map(lattice=2**20), rotation_map((GOLDEN, 0.3))],
                              ids=lambda m: m.name)
     def test_pair_defects(self, monkeypatch, cfg, mapping):
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", 60)
@@ -1258,7 +1240,9 @@ class TestDefectsAgainstOneHot:
         assert same_bits(got[0], defect) and same_bits(got[1], stderr)
         per_outcome = 1.0 - (1.0 - risk) ** (1.0 / part.cell_count)
         threshold = stats.t.ppf(1.0 - per_outcome / 2.0, df=batches - 1)
-        passed = int(np.all(np.abs(defect) / np.maximum(stderr, 1e-300) <= threshold, axis=1).sum())
+        frozen = np.all((defect == 0.0) & (stderr == 0.0), axis=1)
+        passed = int((np.all(np.abs(defect) / np.maximum(stderr, 1e-300) <= threshold, axis=1)
+                      & ~frozen).sum())
         assert 0 < passed < pair_count
         audit = decorrelation_audit(ens, cat_map(), part, cfg, pair_count, seed, batches, risk)
         assert audit == (passed / pair_count, pair_count)
@@ -1405,7 +1389,9 @@ class TestEnsembles:
             i, j = rng.choice(idx, size=2, replace=False)
             pair = ens.points[[i, j]]
             defect, stderr = classical._batched_defects(pair, cat_map(), part, cfg, batches)
-            passed += bool(np.all(np.abs(defect) / np.maximum(stderr, 1e-300) <= threshold))
+            frozen = np.all((defect == 0.0) & (stderr == 0.0))
+            passed += bool(np.all(np.abs(defect) / np.maximum(stderr, 1e-300) <= threshold)
+                           and not frozen)
         assert 0 < passed < pair_count
         audit = decorrelation_audit(ens, cat_map(), part, cfg, pair_count, seed, batches, risk)
         assert audit == (passed / pair_count, pair_count)
@@ -1418,6 +1404,51 @@ class TestEnsembles:
         )
         assert tested == 25
         assert frac >= 0.96
+
+    @pytest.mark.parametrize("samples", [64, 127])
+    @pytest.mark.parametrize("mapping", [cat_map(), rotation_map((0.0, 0.0))],
+                             ids=lambda m: m.name)
+    def test_audit_needs_two_samples_a_batch(self, mapping, samples):
+        # one sample a batch makes every batch covariance 0, so every pair
+        # used to pass on any map, the identity included
+        ens = contaminated_cat_ensemble(200, delta=0.0, seed=3)
+        with pytest.raises(DomainError, match="at least 2 samples a batch"):
+            decorrelation_audit(ens, mapping, QUADRANTS, STEPS(samples), 10)
+        assert decorrelation_audit(ens, cat_map(), QUADRANTS, STEPS(128), 10)[1] == 10
+
+    @pytest.mark.parametrize(
+        "mapping, points",
+        [(rotation_map((0.0, 0.0)), np.random.default_rng(3).random((50, 2))),
+         (cat_map(), np.zeros((3, 2)))],
+        ids=["identity-rotation", "cat-fixed-origin"],
+    )
+    def test_a_frozen_pair_fails(self, mapping, points):
+        # two points that never change cell have a zero defect with zero
+        # batch scatter: no evidence that they decorrelate
+        ens = ClassicalEnsemble(points)
+        assert decorrelation_audit(ens, mapping, QUADRANTS, STEPS(1024), 20) == (0.0, 20)
+
+    def test_only_the_frozen_pairs_of_a_cloud_fail(self):
+        # half the cloud sits on the cat map's fixed origin. A pair with a
+        # point there has a zero defect with zero scatter in every cell,
+        # whatever the other point does, so it fails; the pairs of two
+        # moving points are judged by their z scores
+        rng = np.random.default_rng(4)
+        ens = ClassicalEnsemble(np.vstack([rng.random((10, 2)), np.zeros((10, 2))]))
+        pair_count, seed, batches = 40, 5, 16
+        cfg = STEPS(1024)
+        rng = np.random.default_rng(seed)
+        pairs = [rng.choice(ens.size, size=2, replace=False) for _ in range(pair_count)]
+        moving = [pair for pair in pairs if (pair < 10).all()]
+        frozen = pair_count - len(moving)
+        defect, stderr = classical._batched_defects(ens.points[np.concatenate(moving)], cat_map(),
+                                                    QUADRANTS, cfg, batches)
+        per_outcome = 1.0 - (1.0 - 1e-3) ** (1.0 / QUADRANTS.cell_count)
+        threshold = stats.t.isf(per_outcome / 2.0, df=batches - 1)
+        passed = int(np.all(np.abs(defect) / stderr <= threshold, axis=1).sum())
+        assert frozen > 0 and passed > 0
+        audit = decorrelation_audit(ens, cat_map(), QUADRANTS, cfg, pair_count, seed, batches)
+        assert audit == (passed / pair_count, pair_count)
 
 
 class TestTQuantile:
@@ -1497,7 +1528,6 @@ class TestSerialization:
             ({"name": "rotation", "angles": [GOLDEN]}, rotation_map(GOLDEN)),
             ({"name": "cat-map"}, cat_map()),
             ({"name": "cat-map", "lattice": 8}, cat_map(lattice=8)),
-            ({"name": "baker-map"}, baker_map()),
         ]],
     )
     def test_map_roundtrip(self, cfg, mapping):

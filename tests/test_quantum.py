@@ -645,6 +645,14 @@ class TestGapDegeneracy:
     def test_two_levels(self):
         assert max_gap_degeneracy(QUBIT_H) == 1
 
+    @pytest.mark.parametrize("delta, expected", [(1e-8, 1), (1e-10, 2)])
+    def test_default_tolerance_is_a_billionth_of_the_range(self, delta, expected):
+        # the gaps 1 and 1 + 2 delta differ by delta times the spectral range
+        # 2 + 2 delta, so a default tolerance of 1e-9 of the range parts them
+        # at delta 1e-8 and joins them at 1e-10
+        spec = HamiltonianSpectrum([0.0, 1.0, 2.0 + 2.0 * delta])
+        assert max_gap_degeneracy(spec) == expected
+
     def test_single_eigenspace_convention(self):
         assert max_gap_degeneracy(HamiltonianSpectrum([1.0, 1.0])) == 1
 

@@ -57,6 +57,38 @@ def test_every_cited_name_exists():
         assert hasattr(modules[module], name), f"{module}.{name}"
     for name in re.findall(r"`(MAX_\w+)", text):
         assert any(hasattr(m, name) for m in modules.values()), name
+    # and every map name offered for `system.map` loads
+    assert offered_map_names(text) == ["rotation", "cat-map"]
+    assert unknown_map_names(text) == []
+
+
+def offered_map_names(text: str) -> list:
+    """The names the `kind: classical-pure` bullet offers for `system.map`:
+    the first code span of each ";"-separated clause of the parenthesis
+    that follows it."""
+    start = text.index("(", text.index("`kind: classical-pure` takes `system.map`"))
+    depth = 0
+    for end, char in enumerate(text[start:], start):
+        depth += {"(": 1, ")": -1}.get(char, 0)
+        if depth == 0:
+            break
+    return [re.search(r"`([\w-]+)`", clause)[1] for clause in text[start + 1 : end].split(";")]
+
+
+def unknown_map_names(text: str) -> list:
+    """The offered map names that ``bench._map_node`` does not load."""
+    unknown = []
+    for name in offered_map_names(text):
+        try:
+            bench._map_node(bench._Node({"name": name, "angles": [0.25]}, "map"))
+        except core.ConfigError:
+            unknown.append(name)
+    return unknown
+
+
+def test_the_map_check_sees_a_withdrawn_name():
+    text = README.read_text().replace("loses some k)", "loses some k; or `baker-map`)")
+    assert unknown_map_names(text) == ["baker-map"]
 
 
 # the library function that takes each scenario field the README gives a
