@@ -342,7 +342,9 @@ class TestKernels:
         pts = clouds(2)[label]
         assert same_bits(forward(cat_map(), pts), (pts @ CAT.T) % 1.0)
 
-    @pytest.mark.parametrize("q", [4, 7, 64])
+    # 2**20 is the lattice the engine tests step as their 2-d kernel without
+    # a leap, so it is checked against its formula here too
+    @pytest.mark.parametrize("q", [4, 7, 64, 2**20])
     @pytest.mark.parametrize("label", ["lattice", "random", "edges"])
     def test_lattice_cat(self, q, label):
         # off-lattice inputs are snapped to the nearest lattice point first
@@ -556,7 +558,8 @@ def layouts(pts):
             "strided": wide[::2, 1::2]}
 
 
-CATALOGUE = [cat_map(), cat_map(lattice=7), rotation_map(GOLDEN), rotation_map((0.3, 0.711))]
+CATALOGUE = [cat_map(), cat_map(lattice=7), cat_map(lattice=2**20), rotation_map(GOLDEN),
+             rotation_map((0.3, 0.711))]
 
 
 class TestRowKernels:
