@@ -121,9 +121,9 @@ class RunRecord:
 
     @staticmethod
     def from_dict(data: dict, path: str = "record") -> "RunRecord":
-        """The record ``to_dict`` wrote; a missing or malformed field, or a
-        verdict or bound entry other than the one the report gives, is a
-        ConfigError naming it under ``path``."""
+        """The record ``to_dict`` wrote; a missing, malformed or unknown field,
+        or a verdict or bound entry other than the one the report gives, is a
+        ConfigError naming it under ``path``. ``params`` is a free object."""
         record = _Node(data, path)
         rep = None
         if record.get("report") is not None:
@@ -138,14 +138,17 @@ class RunRecord:
             with r.field():
                 rep = EquilibrationReport(**values, equilibrium_distribution=omega)
             _check_derived(r, "verdict", rep.verdict)
+            r.refuse_unread()
         checks = _bound_names(record.node("bounds"))
         for name, chk in _evaluate_bounds(rep).items():
             _check_derived(checks, name, chk.to_dict())
         with record.field():
-            return RunRecord(
+            rec = RunRecord(
                 scenario=record.string("scenario"), params=record.node("params").data,
                 report=rep, wall_time=record.number("wall_time"), seed=record.seed(),
                 error=None if record.get("error") is None else record.string("error"))
+        record.refuse_unread()
+        return rec
 
 
 def _bound_names(node: _Node) -> _Node:
@@ -180,13 +183,15 @@ class _Node:
     """A config object, its dotted path and the directory its file
     references are read from. Each reader takes the key of a field and
     names it as ``path.key`` in the ConfigError it raises; ``read`` holds
-    the keys the readers were asked for."""
+    the keys the readers were asked for, and ``children`` the nodes that
+    ``child`` made."""
 
     def __init__(self, data, path: str, base: Path = Path()):
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
         self.data, self.path, self.base = data, path, base
         self.read: set[str] = set()
+        self.children: list[_Node] = []
 
     def __contains__(self, key: str) -> bool:
         return key in self.data
@@ -203,10 +208,27 @@ class _Node:
 
     def child(self, data, key: str) -> _Node:
         """``data``, an object, as the field ``key`` of this one."""
-        return _Node(data, f"{self.path}.{key}", self.base)
+        node = _Node(data, f"{self.path}.{key}", self.base)
+        self.children.append(node)
+        return node
 
     def node(self, key: str) -> _Node:
         return self.child(self.require(key), key)
+
+    def read_paths(self) -> set[str]:
+        """The dotted path, below this node, of every field that a reader of
+        this node or of one that ``child`` made from it read."""
+        paths = set(self.read)
+        for node in self.children:
+            key = node.path[len(self.path) + 1:]
+            paths.update(f"{key}.{path}" for path in node.read_paths())
+        return paths
+
+    def refuse_unread(self) -> None:
+        """Refuse a field of this object that no reader read."""
+        for key in self.data:
+            if key not in self.read:
+                raise self.error(key, "unknown field" + _nearest(key, self.read))
 
     def require(self, key: str):
         self.read.add(key)
@@ -291,6 +313,14 @@ class _Node:
         return values
 
 
+def _nearest(key: str, known: set[str]) -> str:
+    """The hint naming the key of ``known`` nearest ``key``, if any is near."""
+    import difflib  # an error path's import, kept out of every load
+
+    match = difflib.get_close_matches(key, sorted(known), n=1)
+    return f"; did you mean {match[0]!r}?" if match else ""
+
+
 def _is_json(value) -> bool:
     """Whether ``value`` is a JSON value of the types ``json.loads`` makes,
     so a record holding it reads back equal: null, a boolean, an integer, a
@@ -369,19 +399,27 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
                   for combo in itertools.product(*(sweep.data[k] for k in keys))]
     # every sweep point is built once, before any run starts, and checks the
     # epsilon it is built with; numeric failures are kept for run_scenario to
-    # record. An empty grid still validates the base config.
+    # record. An empty grid still validates the base config. A point that
+    # builds must have read the last key of every path it sweeps to a value,
+    # else the path sweeps nothing
     built = []
     for point in points or [{}]:
-        resolved = _apply_overrides(raw, point)
+        resolved = _Node(_apply_overrides(raw, point), root.path, base)
         start = time.perf_counter()
         try:
-            rt = _build_runtime(resolved, base)
+            rt = _build(resolved)
         except ConfigError:
             raise
         except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            avg = _Node(resolved, root.path).node("average")
+            avg = resolved.node("average")
             seed = avg.given(seed=avg.seed).get("seed", TimeAverageConfig.seed)
             rt = _Failure(f"{type(exc).__name__}: {exc}", seed)
+        else:
+            read = resolved.read_paths()
+            for dotted, value in point.items():
+                if value is not None and dotted not in read:
+                    raise sweep.error(dotted, "the build reads no such field"
+                                      + _nearest(dotted, read))
         built.append((rt, time.perf_counter() - start))
     return Scenario(name=name, config=raw, sweep_points=tuple(points),
                     built=tuple(built[:len(points)]))
@@ -459,7 +497,7 @@ def _matrix_node(node: _Node) -> np.ndarray:
     pairs in row-major order; inline, or in the JSON file {"file": ...}."""
     if "file" in node:
         with node.field("file"):
-            ref = node.base / node.data["file"]
+            ref = node.base / node.require("file")
         node = _Node(_read_json(ref, f"{node.path}.file"), node.path)
     rows, cols = (node.integer(key, 1, _dim_bound()) for key in ("rows", "cols"))
     data = node.pairs("data")
@@ -678,13 +716,17 @@ KINDS = tuple(_BUILDERS)
 
 
 def _build_runtime(raw: dict, base: Path = Path()) -> _Runtime:
-    """Build one point, its file references read from ``base``; its epsilon
-    is decoded here, once, as a float."""
-    root = _Node(raw, "scenario", base)
+    """Build one point, its file references read from ``base``."""
+    return _build(_Node(raw, "scenario", base))
+
+
+def _build(root: _Node) -> _Runtime:
+    """Build the point ``root`` holds; its epsilon is decoded here, once, as
+    a float."""
     epsilon = root.number("epsilon")
     with root.field("epsilon"):
         check_epsilon(epsilon)
-    return _BUILDERS[raw["kind"]](root, epsilon)
+    return _BUILDERS[root.data["kind"]](root, epsilon)
 
 
 # --- execution ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -53,11 +53,14 @@ def _as_square_complex(matrix, what: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Quantum state: Hermitian, unit-trace, positive semidefinite matrix.
-    A state built by ``from_vector`` also keeps its read-only unit vector,
-    ``vector``, out of equality and repr; any other state keeps None."""
 
-    matrix: np.ndarray
-    vector: np.ndarray | None = field(default=None, compare=False, repr=False)
+    A state built by ``from_vector`` holds only its read-only unit vector,
+    ``vector``. Its ``matrix``, v v^H, is formed read-only each time it is
+    read and is not kept, so a reader that needs it twice reads it once. Any
+    other state holds its matrix, and its ``vector`` is None."""
+
+    _matrix: np.ndarray | None
+    vector: np.ndarray | None
 
     def __init__(self, matrix):
         # the one copy: the state never aliases the caller's array
@@ -65,7 +68,7 @@ class DensityMatrix:
         arr = self._by_construction(numbers).matrix
         if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
             raise DomainError("density matrix has a negative eigenvalue")
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "_matrix", arr)
         object.__setattr__(self, "vector", None)
 
     @classmethod
@@ -82,17 +85,30 @@ class DensityMatrix:
             raise DomainError(f"density matrix has trace {tr!r}, expected 1")
         arr.setflags(write=False)
         rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", arr)
+        object.__setattr__(rho, "_matrix", arr)
         object.__setattr__(rho, "vector", None)
         return rho
 
+    def __repr__(self) -> str:
+        return f"DensityMatrix(matrix={self.matrix!r})"
+
+    @property
+    def matrix(self) -> np.ndarray:
+        v = self.vector
+        if v is None:
+            return self._matrix
+        arr = np.outer(v, v.conj())
+        arr.setflags(write=False)
+        return arr
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._matrix.shape[0] if self.vector is None else self.vector.size
 
     @property
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        arr = self.matrix
+        return float(np.real(np.trace(arr @ arr)))
 
     @property
     def is_pure(self) -> bool:
@@ -115,9 +131,11 @@ class DensityMatrix:
         np.ldexp(v.real, -exp, out=scaled.real)
         np.ldexp(v.imag, -exp, out=scaled.imag)
         v = scaled / np.linalg.norm(scaled)
-        # v v^H is positive semidefinite for every finite v
-        rho = DensityMatrix._by_construction(np.outer(v, v.conj()))
+        # v v^H is square, finite, Hermitian, of unit trace and positive
+        # semidefinite for every finite unit v, so no d x d check runs here
         v.setflags(write=False)
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "_matrix", None)
         object.__setattr__(rho, "vector", v)
         return rho
 

@@ -762,6 +762,21 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=r"^scenario\.sweep\.system\.map\.angles: "):
             load_scenario(cfg)
 
+    @pytest.mark.parametrize("path, message", [
+        ("average.sampels", r"the build reads no such field; did you mean 'average\.samples'\?$"),
+        ("system.map.lattice", r"the build reads no such field"),
+        ("nam", r"the build reads no such field$"),
+    ], ids=["misspelt", "another-kind", "unread-top-level"])
+    def test_a_sweep_path_that_no_build_reads_fails(self, path, message):
+        # each point ran the base config, and its params labelled it a sweep
+        cfg = rotation_config()
+        cfg["sweep"] = {path: [16, 32, 48]}
+        with pytest.raises(ConfigError, match=rf"^scenario\.sweep\.{re.escape(path)}: {message}"):
+            load_scenario(cfg)
+        # a swept null means the field is absent
+        cfg["sweep"] = {path: [None], "average.seed": [None, 3]}
+        assert [rt.cfg.seed for rt, _ in load_scenario(cfg).built] == [0, 3]
+
     def test_swept_lists_read_back_equal(self, tmp_path):
         cfg = rotation_config()
         cfg["sweep"] = {"system.map.angles": [[0.25], [0.3]], "epsilon": [0.2, 0]}
@@ -1057,6 +1072,26 @@ class TestSizeBudget:
         cfg["measurement"]["sampler"].update(name=name, outcomes=n, leak=0.1)
         bench._build_runtime(cfg)  # once untraced, so no first-call cost is counted
         assert traced_peak(lambda: bench._build_runtime(cfg)) <= quantum_build_bytes(d, n)
+
+    def test_a_pure_point_holds_its_vector_for_its_matrix(self):
+        # scenario-pipeline's d = 256 point: its state holds v, and its probe
+        # psi~ = V^H v and the rotation's phases, where a mixed state holds a
+        # complex d x d matrix (16 d (d - 2.7) bytes more measured; both held
+        # the matrix before)
+        d, held = 256, {}
+        for state in ("pure", "mixed"):
+            cfg = sampled_quantum_config()
+            cfg["system"]["sampler"].update(dim=d, spectrum="generic", state=state)
+            cfg["measurement"]["sampler"].update(name="random", outcomes=4)
+            bench._build_runtime(cfg)
+            tracemalloc.start()
+            try:
+                runtime = bench._build_runtime(cfg)
+                held[state] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert runtime.probe.outcome_count == 4
+        assert held["mixed"] - held["pure"] >= 16 * d * (d - 4)
 
     @pytest.mark.parametrize("make, overrides, n, points", [
         pytest.param(sampled_quantum_config,
@@ -1936,6 +1971,23 @@ class TestEmission:
         emit_report(run_scenario(scenario), "json", path)
         path.write_text(edit_record(0, tamper)(path.read_text()))
         with pytest.raises(ConfigError, match=rf"^records\[0\]\.{re.escape(field)}: "):
+            load_records(path)
+
+    @pytest.mark.parametrize("tamper, field", [
+        (lambda r: r.update(walltime=1.0), "walltime: unknown field; did you mean 'wall_time'?"),
+        (lambda r: r["report"].update(mean_distinguishabilty=0.1),
+         "report.mean_distinguishabilty: unknown field; did you mean 'mean_distinguishability'?"),
+    ], ids=["record", "report"])
+    def test_load_records_refuses_an_unknown_key(self, tmp_path, tamper, field):
+        # each loaded equal to the clean record; params stays a free object
+        path = tmp_path / "out.json"
+        records = run_scenario(load_scenario(synthetic_config()))
+        emit_report(records, "json", path)
+        path.write_text(edit_record(0, lambda r: r["params"].update(walltime=1.0))(
+            path.read_text()))
+        assert load_records(path)[0].params["walltime"] == 1.0
+        path.write_text(edit_record(0, tamper)(path.read_text()))
+        with pytest.raises(ConfigError, match=rf"^records\[0\]\.{re.escape(field)}$"):
             load_records(path)
 
     def test_record_equality_compares_every_field(self):

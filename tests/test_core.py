@@ -591,6 +591,32 @@ class TestMultiMeasurement:
         assert est.mean.hex() == float(series.mean()).hex()
         assert est.standard_error.hex() == float(series.std(ddof=1) / math.sqrt(512)).hex()
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_the_chain_near_its_edge(self, k):
+        # Criterion 10's chain, <max_k D_k> <= eps given each <D_k> <= eps / K,
+        # on one orbit of a K-torus rotation: partition k splits coordinate k
+        # at a = eps / (2K). At equidistribution each <D_k> = 2a(1 - a) and
+        # <max_k D_k> = a(1 - P) + (1 - a) P with P = 1 - (1 - a)^K, which
+        # reads 0.66, 0.59 and 0.54 of eps, where a mean over k reads 0.46,
+        # 0.32 and 0.19
+        eps = 0.3
+        a = eps / (2 * k)
+        angles = [(math.sqrt(5) - 1) / 2, math.sqrt(2) - 1, math.sqrt(3) - 1,
+                  math.sqrt(7) - 2, math.sqrt(11) - 3][:k]
+        mapping = classical.rotation_map(angles)
+        point = np.random.default_rng(k).random(k)
+        probes = [classical.classical_probe(point, mapping, classical.grid_partition(
+            [[0.0, a, 1.0] if axis == split else [0.0, 1.0] for axis in range(k)]))
+            for split in range(k)]
+        cfg = TimeAverageConfig(horizon=20_000, samples=20_000, scheme="uniform-grid")
+        omegas = [time_average_distribution(p, cfg) for p in probes]
+        for p, w in zip(probes, omegas):
+            assert average_distinguishability(p, w, cfg).mean <= eps / k
+        chain = average_multi_distinguishability(probes, omegas, cfg).mean
+        assert chain <= eps
+        closed = 1.0 - (1.0 - a) ** k
+        assert abs(chain / eps - (a * (1.0 - closed) + (1.0 - a) * closed) / eps) <= 0.005
+
     def test_average_max_dimension_mismatch(self):
         cfg = TimeAverageConfig(horizon=10.0, samples=8)
         probes = [synthetic_probe(3, 1), synthetic_probe(2, 2)]

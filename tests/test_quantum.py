@@ -231,6 +231,24 @@ class TestDensityMatrix:
         assert random_mixed_state(3, 0).vector is None
         assert dephase(rho, QUBIT_H).vector is None
 
+    def test_a_state_from_a_vector_forms_its_matrix_when_read(self):
+        rho = DensityMatrix.from_vector([3.0, 4.0j, -1.0 + 2.0j])
+        first, second = rho.matrix, rho.matrix
+        # formed at each read and not kept on the state
+        assert first is not second
+        assert not any(np.ndim(value) == 2 for value in vars(rho).values())
+        outer = np.outer(rho.vector, rho.vector.conj())
+        for arr in (first, second):
+            assert arr.tobytes() == outer.tobytes()
+            assert not arr.flags.writeable
+        assert rho.dim == 3
+
+    def test_from_vector_at_the_largest_dimension_holds_no_matrix(self):
+        # v v^H at d = 2048 is 67 MB, and it peaked at 201.5 MB being formed
+        # and checked; the vector and its scaled copy are 33 kB each
+        v = np.random.default_rng(0).normal(size=2048) + 0j
+        assert traced_peak(lambda: DensityMatrix.from_vector(v)) < 1e6
+
     @pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324, 1.7e308])
     def test_from_vector_at_extreme_scales(self, scale):
         # |v| itself underflows to 0 or overflows to inf for each of these
@@ -974,6 +992,21 @@ def tensors_built(monkeypatch) -> list:
     return built
 
 
+def matrices_formed(monkeypatch) -> list:
+    """Spy on ``DensityMatrix.matrix``: one entry per matrix formed from a
+    state's vector."""
+    formed = []
+    read = DensityMatrix.matrix
+
+    def spy(rho):
+        if rho.vector is not None:
+            formed.append(rho)
+        return read.fget(rho)
+
+    monkeypatch.setattr(DensityMatrix, "matrix", property(spy))
+    return formed
+
+
 def seven_pass_block(rho, spectrum, povm, times):
     """The coefficient tensor's bilinear block as written before the
     pure-state route, kept as the oracle of its bits: phase rows 2r - 1 and
@@ -1089,6 +1122,25 @@ class TestPureRoute:
         assert traced_peak(lambda: probe.sample_many(np.linspace(0.0, 9.0, 3000))) < 8.4e6
         matrix = quantum_probe(DensityMatrix(rho.matrix), spec, povm)
         assert traced_peak(lambda: matrix.sample_many(np.linspace(0.0, 9.0, 500))) < 8.4e6
+
+    @pytest.mark.parametrize("spectrum, samples, formed", [
+        ("generic", 500, 0), ("equally-spaced", 500, 1), ("generic", 2 * 5 * 256, 1),
+    ], ids=["rotation", "ladder", "long-block"])
+    def test_where_a_pure_point_forms_its_matrix(self, monkeypatch, spectrum, samples, formed):
+        # scenario-pipeline's d = 256 point reads its state's vector alone; a
+        # ladder, or a block of 2 (N + 1) d times, forms v v^H once, for the
+        # tensor
+        scenario = {
+            "kind": "quantum", "epsilon": 0.3,
+            "average": {"horizon": "auto", "samples": samples, "seed": 2},
+            "system": {"sampler": {"dim": 256, "seed": 1, "spectrum": spectrum,
+                                   "state": "pure"}},
+            "measurement": {"sampler": {"name": "random", "outcomes": 4, "seed": 3}},
+        }
+        reads = matrices_formed(monkeypatch)
+        (record,) = run_scenario(load_scenario(scenario))
+        assert record.error is None
+        assert len(reads) == formed
 
     def test_unit_phases_are_the_seven_pass_bits(self):
         tau = np.concatenate([sign * np.logspace(-3, 12, 20_000) for sign in (1.0, -1.0)])
