@@ -191,7 +191,7 @@ class _Node:
             raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
         self.data, self.path, self.base = data, path, base
         self.read: set[str] = set()
-        self.children: list[_Node] = []
+        self.children: dict[str, _Node] = {}
 
     def __contains__(self, key: str) -> bool:
         return key in self.data
@@ -207,9 +207,11 @@ class _Node:
         return ConfigError(f"{self.path if key is None else f'{self.path}.{key}'}: {msg}")
 
     def child(self, data, key: str) -> _Node:
-        """``data``, an object, as the field ``key`` of this one."""
-        node = _Node(data, f"{self.path}.{key}", self.base)
-        self.children.append(node)
+        """``data``, an object, as the field ``key`` of this one: the same
+        node each time, so that every reader of the field reads into it."""
+        node = self.children.get(key)
+        if node is None:
+            node = self.children[key] = _Node(data, f"{self.path}.{key}", self.base)
         return node
 
     def node(self, key: str) -> _Node:
@@ -219,16 +221,25 @@ class _Node:
         """The dotted path, below this node, of every field that a reader of
         this node or of one that ``child`` made from it read."""
         paths = set(self.read)
-        for node in self.children:
-            key = node.path[len(self.path) + 1:]
+        for key, node in self.children.items():
             paths.update(f"{key}.{path}" for path in node.read_paths())
         return paths
 
-    def refuse_unread(self) -> None:
-        """Refuse a field of this object that no reader read."""
+    def refuse_unread(self, exempt: frozenset[str] | set[str] = frozenset()) -> None:
+        """Refuse a field of this object that no reader read, unless its key
+        is in ``exempt``."""
         for key in self.data:
-            if key not in self.read:
+            if key not in self.read and key not in exempt:
                 raise self.error(key, "unknown field" + _nearest(key, self.read))
+
+    def refuse_unread_below(self, exempt: set[str]) -> None:
+        """``refuse_unread`` on this node and on every node that ``child``
+        made from it, sparing the fields at the dotted paths ``exempt``
+        below this node."""
+        self.refuse_unread(exempt)
+        for key, node in self.children.items():
+            node.refuse_unread_below({path[len(key) + 1:] for path in exempt
+                                      if path.startswith(f"{key}.")})
 
     def require(self, key: str):
         self.read.add(key)
@@ -273,7 +284,9 @@ class _Node:
         """Each field named by a keyword that is given and not null, read by
         that keyword's reader (called with the key): the keyword arguments
         of a library call, so that for a field left out the default of the
-        library's signature applies, and this module holds no copy of it."""
+        library's signature applies, and this module holds no copy of it.
+        Every keyword counts as read, so a null field is no unknown one."""
+        self.read.update(readers)
         return {key: read(key) for key, read in readers.items()
                 if self.data.get(key) is not None}
 
@@ -379,7 +392,7 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
         root.require(key)
     if kind != "synthetic-probe":
         root.require("measurement")
-    sweep = raw.get("sweep", None)
+    sweep = root.get("sweep")
     points: list[dict] = [{}]
     if sweep is not None:
         if not isinstance(sweep, dict):
@@ -401,7 +414,10 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
     # epsilon it is built with; numeric failures are kept for run_scenario to
     # record. An empty grid still validates the base config. A point that
     # builds must have read the last key of every path it sweeps to a value,
-    # else the path sweeps nothing
+    # else the path sweeps nothing, and every other field it holds but those
+    # on a swept path, which may be null, or on the path of an override,
+    # which a CLI flag sets on every kind, whether it reads the field or not
+    overridden = _dotted_prefixes(overrides or {})
     built = []
     for point in points or [{}]:
         resolved = _Node(_apply_overrides(raw, point), root.path, base)
@@ -420,9 +436,18 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
                 if value is not None and dotted not in read:
                     raise sweep.error(dotted, "the build reads no such field"
                                       + _nearest(dotted, read))
+            # the name and the sweep grid are read off the base config
+            resolved.read.update(root.read)
+            resolved.refuse_unread_below(overridden | _dotted_prefixes(point))
         built.append((rt, time.perf_counter() - start))
     return Scenario(name=name, config=raw, sweep_points=tuple(points),
                     built=tuple(built[:len(points)]))
+
+
+def _dotted_prefixes(paths) -> set[str]:
+    """Each dotted path of ``paths`` and every path above it."""
+    return {".".join(parts[:k]) for parts in (path.split(".") for path in paths)
+            for k in range(1, len(parts) + 1)}
 
 
 def _apply_overrides(raw: dict, overrides: dict) -> dict:
@@ -503,6 +528,8 @@ def _matrix_node(node: _Node) -> np.ndarray:
     data = node.pairs("data")
     if data.size != rows * cols:
         raise node.error("data", f"expected {rows * cols} pairs, got {data.size}")
+    # a file's node is no child of the scenario's, so it refuses its own strays
+    node.refuse_unread()
     return data.reshape(rows, cols)
 
 
@@ -726,7 +753,7 @@ def _build(root: _Node) -> _Runtime:
     epsilon = root.number("epsilon")
     with root.field("epsilon"):
         check_epsilon(epsilon)
-    return _BUILDERS[root.data["kind"]](root, epsilon)
+    return _BUILDERS[root.require("kind")](root, epsilon)
 
 
 # --- execution ---------------------------------------------------------------

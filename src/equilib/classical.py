@@ -277,6 +277,11 @@ def _edges(edges) -> np.ndarray:
     return e
 
 
+# The inner-edge count from which an axis is classified by binary search
+# rather than by counting (see _box_partition).
+_SEARCH_MIN_EDGES = 128
+
+
 def _box_partition(axes: tuple[np.ndarray, ...]) -> Partition:
     """The partition into the boxes of the validated edge arrays ``axes``.
 
@@ -288,22 +293,25 @@ def _box_partition(axes: tuple[np.ndarray, ...]) -> Partition:
     that holds ``cell_count - 1``: each factor after the first is then at
     most half the cell count, so it fits that type, where the count of a
     lone axis may not (256 is no uint8, even to scale an index of zeros).
-    The index is returned in that type. Each edge is compared into one
-    reused bool array, which a uint8 index adds as its uint8 view, in its
-    own type rather than through numpy's casting loop.
+    The index is returned in that type.
 
-    On a contiguous column, counting into a uint8 index costs about 0.2-0.5
-    ns per edge per point (2-vCPU Xeon, 32,000 points), where an int64 index
-    cost 1 ns, so it beats ``searchsorted`` up to some 250 inner edges; the
-    partitions in use have at most a few. On the orbit engine's block view a
-    coordinate is a (steps, n) array of contiguous rows, not one contiguous
-    array, and each comparison costs about twice as much: an 8-cell grid
-    classifies a block of 32 steps of 1000 points in a median 54 us (68 us
-    with the bool add and int64 return), against 28 us (42 us) on
-    contiguous columns.
+    Each axis picks its counter when the partition is built. An axis of
+    fewer than ``_SEARCH_MIN_EDGES`` inner edges compares each edge into one
+    reused bool array, which a uint8 index adds as its uint8 view, in its
+    own type rather than through numpy's casting loop. A wider axis takes
+    ``searchsorted(inner, x, 'left')``, whose int64 result fits the index
+    type, since it is below the axis's cell count. The two agree on every
+    value but NaN, which counts as below every edge and searches as above.
+    On the orbit engine's block view a coordinate is a (steps, n) array of
+    contiguous rows; there a block of 32 steps of 1000 points took about
+    20 us per inner edge counted, against 0.6 ms searched at one inner edge
+    and 2.1-2.8 ms at 64-384, and the two met near 128 (2.0 against 2.1 ms;
+    2-vCPU Xeon). The partitions in use have at most a few inner edges an
+    axis, so they count.
     """
     counts = [e.size - 1 for e in axes]
-    factors = [(d, c, e[1:-1]) for d, (c, e) in enumerate(zip(counts, axes)) if c > 1]
+    factors = [(d, c, e[1:-1], c - 1 >= _SEARCH_MIN_EDGES)
+               for d, (c, e) in enumerate(zip(counts, axes)) if c > 1]
     index_type = np.min_scalar_type(math.prod(counts) - 1)
 
     def cells(pts: np.ndarray) -> np.ndarray:
@@ -312,10 +320,13 @@ def _box_partition(axes: tuple[np.ndarray, ...]) -> Partition:
         idx = np.zeros(pts.shape[:-1], dtype=index_type)
         above = np.empty(idx.shape, dtype=bool)
         step = above.view(np.uint8) if index_type == np.uint8 else above
-        for i, (d, count, inner) in enumerate(factors):
+        for i, (d, count, inner, search) in enumerate(factors):
             if i:
                 idx *= count
             values = pts[..., d]
+            if search:
+                np.add(idx, np.searchsorted(inner, values, "left"), out=idx, casting="unsafe")
+                continue
             for e in inner:
                 np.greater(values, e, out=above)
                 idx += step

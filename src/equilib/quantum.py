@@ -107,8 +107,12 @@ class DensityMatrix:
 
     @property
     def purity(self) -> float:
-        arr = self.matrix
-        return float(np.real(np.trace(arr @ arr)))
+        """tr rho^2, with no d x d product: |v|^4 for a state held as its
+        vector, else sum |rho_ij|^2, which is tr rho^2 for a Hermitian rho."""
+        v = self.vector
+        if v is not None:
+            return float(np.vdot(v, v).real ** 2)
+        return float(np.vdot(self._matrix, self._matrix).real)
 
     @property
     def is_pure(self) -> bool:
@@ -568,17 +572,26 @@ def _bilinear_block(flat: np.ndarray, eigenvalues: np.ndarray,
 
     def _block(times: np.ndarray) -> np.ndarray:
         out = np.empty((times.size, n_out))
-        # one set of chunk buffers per block: fresh temporaries per chunk cost
-        # page faults and raised peak memory
+        # Two chunk buffers per block, the GEMM's rows w and its product x,
+        # 16 d (N + 1) bytes a row: every other temporary lives in one of
+        # them and dies before it is written. On the tensor route u is w,
+        # and tau and r (m d doubles each) lie in x. On the rotation route
+        # tau and r fill w (2 m d doubles) and u lies in x, until
+        # phi = (psi~ o u) V^T overwrites w and the GEMM x.
         rows = min(chunk, times.size)
-        tau_buf, r_buf = np.empty((rows, d)), np.empty((rows, d))
-        u_buf = np.empty((rows, d), dtype=complex)
-        phi_buf = u_buf if amplitudes is None else np.empty((rows, d), dtype=complex)
-        x_buf = np.empty((rows, n_out * d), dtype=complex)
+        w_buf = np.empty(rows * d, dtype=complex)
+        x_buf = np.empty(rows * n_out * d, dtype=complex)
         for start in range(0, times.size, chunk):
             ts = times[start : start + chunk]
             m = ts.size
-            tau, r, u, w, x = tau_buf[:m], r_buf[:m], u_buf[:m], phi_buf[:m], x_buf[:m]
+            w = w_buf[: m * d].reshape(m, d)
+            x = x_buf[: m * n_out * d].reshape(m, n_out * d)
+            if amplitudes is None:
+                u, scratch = w, x_buf.view(float)
+            else:
+                u, scratch = x_buf[: m * d].reshape(m, d), w_buf.view(float)
+            tau = scratch[: m * d].reshape(m, d)
+            r = scratch[m * d : 2 * m * d].reshape(m, d)
             np.multiply(ts[:, None], half, out=tau)
             _unit_phases(tau, r, u)
             if amplitudes is not None:

@@ -650,10 +650,13 @@ class TestLoadScenario:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         cfg = config()
         if config is sampled_quantum_config:
-            cfg["measurement"]["sampler"]["leak"] = 0.2
+            # only the uneven sampler reads a leak, so it alone is given one
+            sampler = cfg["measurement"]["sampler"]
             cfg["sweep"] = {
                 "system.sampler.state": ["pure", "mixed"],
-                "measurement.sampler.name": ["random", "projective", "uneven"],
+                "measurement.sampler": [{**sampler, "name": "random"},
+                                        {**sampler, "name": "projective"},
+                                        {**sampler, "name": "uneven", "leak": 0.2}],
             }
         built = load_scenario(cfg).built
         assert all(isinstance(rt, bench._Runtime) for rt, _ in built)
@@ -776,6 +779,60 @@ class TestLoadScenario:
         # a swept null means the field is absent
         cfg["sweep"] = {path: [None], "average.seed": [None, 3]}
         assert [rt.cfg.seed for rt, _ in load_scenario(cfg).built] == [0, 3]
+
+    @pytest.mark.parametrize("config, keys, path, message", [
+        (synthetic_config, ("averag",), "averag", r"unknown field; did you mean 'average'\?$"),
+        (synthetic_config, ("system", "probe", "amplitud"), "system.probe.amplitud",
+         r"unknown field; did you mean 'amplitude'\?$"),
+        (rotation_config, ("system", "map", "lattice"), "system.map.lattice", r"unknown field$"),
+        (qubit_config, ("measurement", "povm", 1, "note"), "measurement.povm[1].note",
+         r"unknown field$"),
+    ], ids=["top-level", "nested", "another-kind", "in-a-list"])
+    def test_a_field_that_no_build_reads_fails(self, config, keys, path, message):
+        # at the parent each of these loaded and ran as if it were absent
+        cfg = config()
+        *parents, key = keys
+        target = cfg
+        for part in parents:
+            target = target[part]
+        target[key] = {"horizon": 10.0} if key == "averag" else 1.5
+        with pytest.raises(ConfigError, match=rf"^scenario\.{re.escape(path)}: {message}"):
+            load_scenario(cfg)
+        # every point of a sweep is checked
+        cfg = synthetic_config(sweep={"epsilon": [0.4, 0.5]})
+        cfg["system"]["probe"]["amplitud"] = 1.5
+        with pytest.raises(ConfigError, match=r"^scenario\.system\.probe\.amplitud: "):
+            load_scenario(cfg)
+
+    def test_a_matrix_file_refuses_a_field_it_does_not_read(self, tmp_path):
+        matrix = {"rows": 2, "cols": 2, "data": [[0.5, 0.0]] * 4, "colls": 2}
+        (tmp_path / "plus.json").write_text(json.dumps(matrix))
+        cfg = qubit_config()
+        cfg["system"]["state"] = {"matrix": {"file": "plus.json"}}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=r"^scenario\.system\.state\.matrix\.colls: "
+                                              r"unknown field; did you mean 'cols'\?$"):
+            load_scenario(path)
+        # beside a file reference, an inline field is one no reader reads
+        cfg["system"]["state"] = {"matrix": {"file": "plus.json", "rows": 2}}
+        del matrix["colls"]
+        (tmp_path / "plus.json").write_text(json.dumps(matrix))
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=r"^scenario\.system\.state\.matrix\.rows: "):
+            load_scenario(path)
+
+    def test_an_override_may_set_a_field_its_kind_does_not_read(self):
+        # a CLI flag sets gap_tol on every kind, classical ones included
+        for config in (rotation_config, synthetic_config):
+            (rt, _), = load_scenario(config(), overrides={"gap_tol": 1e-6}).built
+            assert isinstance(rt, bench._Runtime)
+        with pytest.raises(ConfigError, match=r"^scenario\.gap_tol: unknown field"):
+            load_scenario({**rotation_config(), "gap_tol": 1e-6})
+        # a null field is absent, whichever reader would read it
+        cfg = sampled_quantum_config()
+        cfg["system"]["sampler"]["spacing"] = None
+        assert isinstance(load_scenario(cfg).built[0][0], bench._Runtime)
 
     def test_swept_lists_read_back_equal(self, tmp_path):
         cfg = rotation_config()
@@ -2105,6 +2162,14 @@ class TestCli:
         result = CliRunner().invoke(cli.main, ["run", str(path), "--samples", str(samples)])
         assert result.exit_code == 1
         assert "scenario.average.samples" in result.output
+
+    def test_gap_tol_flag_runs_a_classical_scenario(self, tmp_path):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(rotation_config()))
+        result = CliRunner().invoke(cli.main, ["run", str(path), "--gap-tol", "1e-6"])
+        assert result.exit_code == 0, result.output
+        result = CliRunner().invoke(cli.main, ["verify", "--gap-tol", "1e-6", "--samples", "500"])
+        assert result.exit_code == 0, result.output
 
     def test_non_finite_gap_tol_flag_fails(self, tmp_path):
         path = tmp_path / "scn.json"

@@ -498,6 +498,33 @@ class TestCountClassification:
             assert cells.dtype == np.min_scalar_type(part.cell_count - 1)
             assert np.array_equal(cells, searchsorted_cells(cloud, axes))
 
+    # An axis counts below classical._SEARCH_MIN_EDGES inner edges and
+    # searches from there, so these grids put one axis on each side of the
+    # switch beside a narrow one, in both orders, and read the engine's
+    # strided (steps, n, dim) view with points exactly on every inner edge.
+    @pytest.mark.parametrize("wide", [classical._SEARCH_MIN_EDGES - 1,
+                                      classical._SEARCH_MIN_EDGES, 300])
+    def test_a_wide_axis_beside_a_narrow_one(self, wide):
+        narrow = [0.0, 0.25, 0.5, np.nextafter(0.75, 1.0), 1.0]
+        wide_edges = np.sort(np.random.default_rng(wide).random(wide)).tolist()
+        wide_edges = [0.0, *wide_edges, 1.0]
+        rng = np.random.default_rng(11)
+        size = 4 * len(self.values(wide_edges))
+        for axes in ([wide_edges, narrow], [narrow, wide_edges]):
+            # each column holds every value of its axis, shuffled
+            columns = [rng.permutation(np.resize(self.values(e), size)) for e in axes]
+            block = np.stack([np.column_stack(columns)[k::4].T for k in range(4)])
+            view = block.transpose(0, 2, 1)
+            part = grid_partition(axes)
+            cells = part.cells_of_many(view)
+            assert cells.dtype == np.min_scalar_type(part.cell_count - 1)
+            for k in range(4):
+                assert np.array_equal(cells[k], searchsorted_cells(view[k], axes))
+            # every inner edge of each axis is met exactly, beside a point
+            # just above it
+            for d, e in enumerate(axes):
+                assert np.isin(e[1:-1], view[..., d]).all()
+
     # Cell counts at the edges of the uint8 and uint16 index types, in both
     # axis orders: a lone axis of 256 cells must not scale a uint8 index by
     # 256, nor one of 65,536 cells a uint16 index by 65,536.

@@ -249,6 +249,26 @@ class TestDensityMatrix:
         v = np.random.default_rng(0).normal(size=2048) + 0j
         assert traced_peak(lambda: DensityMatrix.from_vector(v)) < 1e6
 
+    def test_purity_at_the_largest_dimension_forms_no_matrix(self):
+        # v v^H times itself peaked at 134 MB here; |v|^4 reads the vector
+        rho = random_pure_state(2048, 0)
+        purity = []
+        assert traced_peak(lambda: purity.append(rho.purity)) < 1e5
+        assert abs(purity[0] - 1.0) <= quantum.PURITY_TOL
+        assert rho.is_pure
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 40])
+    def test_purity_is_the_trace_of_the_square(self, d):
+        for seed in range(3):
+            rho = random_mixed_state(d, seed)
+            assert abs(rho.purity - np.trace(rho.matrix @ rho.matrix).real) < 1e-12
+        # a mixture of a pure and a maximally mixed state, purity (1 + 3 p^2) / 4
+        psi = random_pure_state(4, 9).matrix
+        for p in (0.0, 0.3, 1.0):
+            rho = DensityMatrix(p * psi + (1 - p) * np.eye(4) / 4)
+            assert abs(rho.purity - (1 + 3 * p * p) / 4) < 1e-12
+            assert rho.is_pure == (p == 1.0)
+
     @pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324, 1.7e308])
     def test_from_vector_at_extreme_scales(self, scale):
         # |v| itself underflows to 0 or overflows to inf for each of these
@@ -1159,6 +1179,89 @@ class TestPureRoute:
         drawn = quantum._complex_gaussian(new, np.empty(shape, dtype=complex))
         assert drawn.tobytes() == expected.tobytes()
         assert new.normal() == old.normal()
+
+
+def five_buffer_block(flat, eigenvalues, amplitudes=None, basis=None):
+    """``quantum._bilinear_block`` as written before its chunk temporaries
+    shared storage, kept as the oracle of its bits: per block, one fresh
+    buffer each for tau, r, u, the rows phi (u itself on the tensor route)
+    and the GEMM's product x."""
+    d = eigenvalues.size
+    n_out = flat.shape[1] // d
+    low, high = eigenvalues[0], eigenvalues[-1]
+    within_two = 0.0 < low and high <= 2.0 * low or high < 0.0 and 2.0 * high <= low
+    half = 0.5 * (eigenvalues - (low if within_two else 0.0))
+    chunk = max(1, core._CHUNK_ENTRIES // (n_out * d))
+
+    def block(times):
+        out = np.empty((times.size, n_out))
+        rows = min(chunk, times.size)
+        tau_buf, r_buf = np.empty((rows, d)), np.empty((rows, d))
+        u_buf = np.empty((rows, d), dtype=complex)
+        phi_buf = u_buf if amplitudes is None else np.empty((rows, d), dtype=complex)
+        x_buf = np.empty((rows, n_out * d), dtype=complex)
+        for start in range(0, times.size, chunk):
+            ts = times[start : start + chunk]
+            m = ts.size
+            tau, r, u, w, x = tau_buf[:m], r_buf[:m], u_buf[:m], phi_buf[:m], x_buf[:m]
+            np.multiply(ts[:, None], half, out=tau)
+            quantum._unit_phases(tau, r, u)
+            if amplitudes is not None:
+                u *= amplitudes
+                np.matmul(u, basis, out=w)
+            np.matmul(w, flat, out=x)
+            np.einsum("tjm,tm->tj", x.view(float).reshape(m, n_out, 2 * d), w.view(float),
+                      out=out[start : start + m])
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    return block
+
+
+def bilinear_operands(d, n_out, seed):
+    """The ``_bilinear_block`` arguments of both routes, as ``quantum_probe``
+    passes them: a mixed state's tensor, and a pure state's rotation."""
+    spec, povm = random_spectrum(d, seed), random_povm(d, n_out, seed + 1)
+    coeff = _energy_coefficients(random_mixed_state(d, seed + 2), spec, povm.elements)
+    amplitudes = np.conj(random_pure_state(d, seed + 3).vector.conj() @ spec.eigenvectors)
+    return {
+        "tensor": (coeff.reshape(d, n_out * d), spec.eigenvalues),
+        "rotation": (povm.elements.reshape(n_out * d, d).T, spec.eigenvalues, amplitudes,
+                     spec.eigenvectors.T),
+    }
+
+
+class TestBilinearBlock:
+    """A block keeps two chunk buffers, w and x, and every other temporary
+    lives in one of them, with the bits of the five-buffer loop."""
+
+    # N = 1 fills x with tau and r exactly; the long blocks cross a chunk
+    # boundary (65,536 rows at d = N = 1, 13,107 at d = 5, 1,365 at d 16, N 3)
+    @pytest.mark.parametrize("route", ["tensor", "rotation"])
+    @pytest.mark.parametrize("d, n_out, samples", [
+        (1, 1, 70_000), (1, 3, 100), (5, 1, 14_000), (16, 3, 1500), (64, 2, 300),
+    ])
+    def test_rows_are_the_five_buffer_bits(self, route, d, n_out, samples):
+        args = bilinear_operands(d, n_out, d + n_out)[route]
+        times = np.random.default_rng(samples).uniform(0.0, 500.0, samples)
+        block = quantum._bilinear_block(*args)
+        expected = five_buffer_block(*args)(times)
+        assert block(times).tobytes() == expected.tobytes()
+        # and a shorter block, inside one chunk, its first rows
+        assert block(times[:7]).tobytes() == expected[:7].tobytes()
+
+    # the parent's five buffers peaked at 2.28 and 1.67 MB, two buffers at
+    # 1.75 and 1.06 MB
+    @pytest.mark.parametrize("state, d, samples, bound", [
+        ("mixed", 32, 3000, 2.0e6), ("pure", 64, 300, 1.35e6),
+    ], ids=["tensor", "rotation"])
+    def test_a_block_holds_two_chunk_buffers(self, state, d, samples, bound):
+        rho = (random_mixed_state if state == "mixed" else random_pure_state)(d, 1)
+        probe = quantum_probe(rho, random_spectrum(d, 2), random_povm(d, 2, 3))
+        times = np.linspace(0.0, 9.0, samples)
+        # the tensor route's first block builds the tensor; the rotation
+        # route's builds none
+        probe.sample_many(times[:1])
+        assert traced_peak(lambda: probe.sample_many(times)) < bound
 
 
 class TestEnergyCoefficients:
