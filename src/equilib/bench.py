@@ -144,7 +144,9 @@ class RunRecord:
             _check_derived(checks, name, chk.to_dict())
         with record.field():
             rec = RunRecord(
-                scenario=record.string("scenario"), params=record.node("params").data,
+                scenario=record.string("scenario"),
+                # a free object: its node is no child of the record's, so no tally sees it
+                params=_Node(record.require("params"), f"{record.path}.params").data,
                 report=rep, wall_time=record.number("wall_time"), seed=record.seed(),
                 error=None if record.get("error") is None else record.string("error"))
         record.refuse_unread()
@@ -183,15 +185,16 @@ class _Node:
     """A config object, its dotted path and the directory its file
     references are read from. Each reader takes the key of a field and
     names it as ``path.key`` in the ConfigError it raises; ``read`` holds
-    the keys the readers were asked for, and ``children`` the nodes that
-    ``child`` made."""
+    the keys that readers of this node asked for, and ``children`` every
+    node that ``child`` made from it, in order, a fresh one each call, so
+    two nodes may hold one field. ``tally`` meets their reads by path."""
 
     def __init__(self, data, path: str, base: Path = Path()):
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
         self.data, self.path, self.base = data, path, base
         self.read: set[str] = set()
-        self.children: dict[str, _Node] = {}
+        self.children: list[_Node] = []
 
     def __contains__(self, key: str) -> bool:
         return key in self.data
@@ -207,39 +210,28 @@ class _Node:
         return ConfigError(f"{self.path if key is None else f'{self.path}.{key}'}: {msg}")
 
     def child(self, data, key: str) -> _Node:
-        """``data``, an object, as the field ``key`` of this one: the same
-        node each time, so that every reader of the field reads into it."""
-        node = self.children.get(key)
-        if node is None:
-            node = self.children[key] = _Node(data, f"{self.path}.{key}", self.base)
-        return node
+        """``data``, an object, as the field ``key`` of this one."""
+        self.children.append(_Node(data, f"{self.path}.{key}", self.base))
+        return self.children[-1]
 
     def node(self, key: str) -> _Node:
         return self.child(self.require(key), key)
 
-    def read_paths(self) -> set[str]:
-        """The dotted path, below this node, of every field that a reader of
-        this node or of one that ``child`` made from it read."""
-        paths = set(self.read)
-        for key, node in self.children.items():
-            paths.update(f"{key}.{path}" for path in node.read_paths())
-        return paths
+    def tally(self, read: set[str], unread: dict) -> tuple[set[str], dict]:
+        """``read`` and ``unread`` with this node's tree added: to ``read``
+        the dotted path of each field that a reader of this node, or of a
+        node that ``child`` made from it, asked for, and to ``unread``, in
+        the order of the walk, that of each field given to one of them that
+        its readers did not ask for, with the node and the key."""
+        read.update(f"{self.path}.{key}" for key in self.read)
+        unread.update((f"{self.path}.{k}", (self, k)) for k in self.data if k not in self.read)
+        for node in self.children:
+            node.tally(read, unread)
+        return read, unread
 
-    def refuse_unread(self, exempt: frozenset[str] | set[str] = frozenset()) -> None:
-        """Refuse a field of this object that no reader read, unless its key
-        is in ``exempt``."""
-        for key in self.data:
-            if key not in self.read and key not in exempt:
-                raise self.error(key, "unknown field" + _nearest(key, self.read))
-
-    def refuse_unread_below(self, exempt: set[str]) -> None:
-        """``refuse_unread`` on this node and on every node that ``child``
-        made from it, sparing the fields at the dotted paths ``exempt``
-        below this node."""
-        self.refuse_unread(exempt)
-        for key, node in self.children.items():
-            node.refuse_unread_below({path[len(key) + 1:] for path in exempt
-                                      if path.startswith(f"{key}.")})
+    def refuse_unread(self) -> None:
+        """Refuse a field of this node's tree that no reader read."""
+        _refuse(*self.tally(set(), {}))
 
     def require(self, key: str):
         self.read.add(key)
@@ -326,6 +318,18 @@ class _Node:
         return values
 
 
+def _refuse(read: set[str], unread: dict, spared=()) -> None:
+    """Raise the first field of a tally's ``unread`` that is not in its
+    ``read``, or whose key holds a dot and so spells a path that no reader
+    asked for, unless a dotted path of ``spared`` runs through it; the hint
+    is the nearest key read beside it."""
+    for path, (node, key) in unread.items():
+        if ("." in key or path not in read) and not any(
+                f"{s}.".startswith(f"{path}.") for s in spared):
+            known = {p[len(node.path) + 1:] for p in read if p.rpartition(".")[0] == node.path}
+            raise node.error(key, "unknown field" + _nearest(key, known))
+
+
 def _nearest(key: str, known: set[str]) -> str:
     """The hint naming the key of ``known`` nearest ``key``, if any is near."""
     import difflib  # an error path's import, kept out of every load
@@ -387,7 +391,7 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
     if kind not in KINDS:
         raise root.error("kind", f"unknown kind {kind!r}, expected one of {KINDS}")
     # the base epsilon must be there, but only the epsilon a point is built
-    # with is checked, in _build_runtime: a sweep may replace the base's
+    # with is checked, in _build: a sweep may replace the base's
     for key in ("epsilon", "average", "system"):
         root.require(key)
     if kind != "synthetic-probe":
@@ -416,8 +420,9 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
     # builds must have read the last key of every path it sweeps to a value,
     # else the path sweeps nothing, and every other field it holds but those
     # on a swept path, which may be null, or on the path of an override,
-    # which a CLI flag sets on every kind, whether it reads the field or not
-    overridden = _dotted_prefixes(overrides or {})
+    # which a CLI flag sets on every kind, whether it reads the field or not;
+    # the name and the sweep grid are read off the base config
+    spared = [f"{root.path}.{path}" for path in ("name", "sweep", *(overrides or {}))]
     built = []
     for point in points or [{}]:
         resolved = _Node(_apply_overrides(raw, point), root.path, base)
@@ -431,23 +436,15 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
             seed = avg.given(seed=avg.seed).get("seed", TimeAverageConfig.seed)
             rt = _Failure(f"{type(exc).__name__}: {exc}", seed)
         else:
-            read = resolved.read_paths()
+            read, unread = resolved.tally(set(), {})
             for dotted, value in point.items():
-                if value is not None and dotted not in read:
-                    raise sweep.error(dotted, "the build reads no such field"
-                                      + _nearest(dotted, read))
-            # the name and the sweep grid are read off the base config
-            resolved.read.update(root.read)
-            resolved.refuse_unread_below(overridden | _dotted_prefixes(point))
+                if value is not None and f"{root.path}.{dotted}" not in read:
+                    raise sweep.error(dotted, "the build reads no such field" + _nearest(
+                        dotted, {path.partition(".")[2] for path in read}))
+            _refuse(read, unread, [*spared, *(f"{root.path}.{path}" for path in point)])
         built.append((rt, time.perf_counter() - start))
     return Scenario(name=name, config=raw, sweep_points=tuple(points),
                     built=tuple(built[:len(points)]))
-
-
-def _dotted_prefixes(paths) -> set[str]:
-    """Each dotted path of ``paths`` and every path above it."""
-    return {".".join(parts[:k]) for parts in (path.split(".") for path in paths)
-            for k in range(1, len(parts) + 1)}
 
 
 def _apply_overrides(raw: dict, overrides: dict) -> dict:
@@ -740,11 +737,6 @@ _BUILDERS = {
     "synthetic-probe": _build_synthetic,
 }
 KINDS = tuple(_BUILDERS)
-
-
-def _build_runtime(raw: dict, base: Path = Path()) -> _Runtime:
-    """Build one point, its file references read from ``base``."""
-    return _build(_Node(raw, "scenario", base))
 
 
 def _build(root: _Node) -> _Runtime:

@@ -787,7 +787,9 @@ class TestLoadScenario:
         (rotation_config, ("system", "map", "lattice"), "system.map.lattice", r"unknown field$"),
         (qubit_config, ("measurement", "povm", 1, "note"), "measurement.povm[1].note",
          r"unknown field$"),
-    ], ids=["top-level", "nested", "another-kind", "in-a-list"])
+        # a key holding dots spells the path of a field the build reads
+        (synthetic_config, ("system.probe.seed",), "system.probe.seed", r"unknown field$"),
+    ], ids=["top-level", "nested", "another-kind", "in-a-list", "dotted-key"])
     def test_a_field_that_no_build_reads_fails(self, config, keys, path, message):
         # at the parent each of these loaded and ran as if it were absent
         cfg = config()
@@ -803,6 +805,34 @@ class TestLoadScenario:
         cfg["system"]["probe"]["amplitud"] = 1.5
         with pytest.raises(ConfigError, match=r"^scenario\.system\.probe\.amplitud: "):
             load_scenario(cfg)
+
+    def test_a_sweep_across_sampler_kinds_sweeps_the_whole_object(self):
+        # each point is checked on its own, and the random sampler reads no
+        # leak, so a swept name leaves the uneven sampler's leak unread
+        cfg = sampled_quantum_config()
+        sampler = {**cfg["measurement"]["sampler"], "name": "uneven", "leak": 0.1}
+        cfg["measurement"]["sampler"] = sampler
+        cfg["sweep"] = {"measurement.sampler.name": ["uneven", "random"]}
+        with pytest.raises(ConfigError,
+                           match=r"^scenario\.measurement\.sampler\.leak: unknown field$"):
+            load_scenario(cfg)
+        no_leak = {key: value for key, value in sampler.items() if key != "leak"}
+        cfg["sweep"] = {"measurement.sampler": [sampler, {**no_leak, "name": "random"}]}
+        built = load_scenario(cfg).built
+        assert [rt.params["N"] for rt, _ in built] == [3, 3]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda cfg: [cfg], "scenario: expected a JSON object"),
+        (lambda cfg: {**cfg, "sweep": [["epsilon", [0.3]]]},
+         "scenario.sweep: expected an object of path -> value list"),
+        (lambda cfg: {**cfg, "sweep": {"epsilon": 0.3}},
+         "scenario.sweep.epsilon: expected a list of values"),
+    ], ids=["json-list", "sweep-not-an-object", "sweep-value-not-a-list"])
+    def test_a_malformed_scenario_file_names_its_fault(self, tmp_path, change, message):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(change(synthetic_config())))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_scenario(path)
 
     def test_a_matrix_file_refuses_a_field_it_does_not_read(self, tmp_path):
         matrix = {"rows": 2, "cols": 2, "data": [[0.5, 0.0]] * 4, "colls": 2}
@@ -1127,8 +1157,10 @@ class TestSizeBudget:
         cfg = sampled_quantum_config()
         cfg["system"]["sampler"].update(dim=d, spectrum=spectrum, state=state)
         cfg["measurement"]["sampler"].update(name=name, outcomes=n, leak=0.1)
-        bench._build_runtime(cfg)  # once untraced, so no first-call cost is counted
-        assert traced_peak(lambda: bench._build_runtime(cfg)) <= quantum_build_bytes(d, n)
+        # once untraced, so no first-call cost is counted
+        bench._build(bench._Node(cfg, "scenario"))
+        assert (traced_peak(lambda: bench._build(bench._Node(cfg, "scenario")))
+                <= quantum_build_bytes(d, n))
 
     def test_a_pure_point_holds_its_vector_for_its_matrix(self):
         # scenario-pipeline's d = 256 point: its state holds v, and its probe
@@ -1140,10 +1172,10 @@ class TestSizeBudget:
             cfg = sampled_quantum_config()
             cfg["system"]["sampler"].update(dim=d, spectrum="generic", state=state)
             cfg["measurement"]["sampler"].update(name="random", outcomes=4)
-            bench._build_runtime(cfg)
+            bench._build(bench._Node(cfg, "scenario"))
             tracemalloc.start()
             try:
-                runtime = bench._build_runtime(cfg)
+                runtime = bench._build(bench._Node(cfg, "scenario"))
                 held[state] = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
@@ -1779,16 +1811,16 @@ class TestRunScenario:
 
     def test_one_gap_table_per_tolerance(self, monkeypatch):
         calls = count_gap_tables(monkeypatch)
-        params = bench._build_runtime(sampled_quantum_config()).params
+        params = bench._build(bench._Node(sampled_quantum_config(), "scenario")).params
         assert len(calls) == 1
         assert params["D_G_sensitivity"]["1x"] == params["D_G"]
 
     def test_zero_gap_tol_is_the_tolerance_used(self):
         cfg = sampled_quantum_config()
         cfg["system"]["sampler"]["spectrum"] = "equally-spaced"
-        assert bench._build_runtime(cfg).params["D_G"] == 7
+        assert bench._build(bench._Node(cfg, "scenario")).params["D_G"] == 7
         cfg["gap_tol"] = 0
-        params = bench._build_runtime(cfg).params
+        params = bench._build(bench._Node(cfg, "scenario")).params
         assert params["gap_tolerance"] == 0.0
         # at a literal zero tolerance every gap is its own class
         assert params["D_G"] == 1
@@ -2228,6 +2260,20 @@ class TestCli:
         result = CliRunner().invoke(cli.main, ["run", str(path)])
         assert result.exit_code == 2
 
+    def test_an_error_record_is_printed(self, tmp_path, monkeypatch):
+        failed = RunRecord(scenario="s", params={"epsilon": 0.2}, report=None, wall_time=0.0,
+                           seed=0, error="ValueError: x")
+        monkeypatch.setattr(bench, "run_scenario", lambda s: [failed])
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(synthetic_config()))
+        result = CliRunner().invoke(cli.main, ["run", str(path)])
+        assert result.output == "s {'epsilon': 0.2}: ERROR ValueError: x\n"
+
+    def test_verify_with_one_sample_fails(self):
+        result = CliRunner().invoke(cli.main, ["verify", "--samples", "1"])
+        assert result.exit_code == 1
+        assert result.output == "Error: scenario.average.samples: need at least 2 samples, got 1\n"
+
     def test_bounds_command(self):
         result = CliRunner().invoke(
             cli.main,
@@ -2257,6 +2303,12 @@ class TestCli:
         assert result.exit_code == 1
         assert "Error: 4 d_eff eps^2 / D_G + 1 exceeds the largest float" in result.output
         assert "Traceback" not in result.output
+
+    def test_bounds_notes_a_vacuous_bound(self):
+        result = CliRunner().invoke(cli.main, ["bounds", "-n", "3", "--effective-dimension", "1"])
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith(
+            "note: effective dimension 1 makes this bound vacuous (>= 1/2)\n")
 
     def test_bounds_epsilon_needs_the_effective_dimension(self):
         result = CliRunner().invoke(cli.main, ["bounds", "--outcomes", "2", "--epsilon", "0.3"])

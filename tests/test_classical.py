@@ -1,9 +1,12 @@
 """Classical maps, partitions, probes and the pure/mixed-state results."""
 
+import bisect
+import collections
 import dataclasses
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -1197,6 +1200,66 @@ class TestMixedBound:
             mixed_equilibration_bound(0, 0.1)
 
 
+def visits_cells_evenly(site, q, edges):
+    """Whether one period of the integer cat-map orbit of the lattice site
+    ``site`` / ``q``, stepped (k, l) -> (2k + l, k + l) mod q, visits every
+    cell of the grid ``edges`` equally often."""
+    visits = collections.Counter()
+    k, l = site
+    while True:
+        visits[tuple(bisect.bisect_right(axis, c / q) - 1 for axis, c in zip(edges, (k, l)))] += 1
+        k, l = (2 * k + l) % q, (k + l) % q
+        if (k, l) == site:
+            cells = math.prod(len(axis) - 1 for axis in edges)
+            return len(visits) == cells and len(set(visits.values())) == 1
+
+
+class TestMixedBoundNearItsEdge:
+    """The whole periodic weight δ on one lattice orbit that visits the N
+    cells evenly, beside 1,000 random chaotic points. For an exactly uniform
+    chaotic part ⟨D⟩ = δ (1 - 1/N), so mean/bound is (1 - 1/N) sqrt(2δ/N):
+    0.16, 0.17 and 0.14 at δ = 0.1, and 0.35, 0.38 and 0.31 at δ = 0.5, for
+    N = 2, 4 and 8, where contaminated_cat_ensemble's spread sites read
+    0.04-0.05 at δ = 0.1."""
+
+    PARTITIONS = {
+        2: [[0.0, 0.5, 1.0], [0.0, 1.0]],
+        4: [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]],
+        8: [[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]],
+    }
+
+    def even_site(self, n_cells):
+        """(1/16, 1/8) on N = 2 cells, else the first of seeded random q = 32
+        sites whose orbit visits every cell equally often."""
+        if n_cells == 2:
+            return (1, 2), 16
+        rng = np.random.default_rng(24)
+        while True:
+            site = (int(rng.integers(32)), int(rng.integers(32)))
+            if visits_cells_evenly(site, 32, self.PARTITIONS[n_cells]):
+                return site, 32
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5])
+    @pytest.mark.parametrize("n_cells", [2, 4, 8])
+    def test_the_check_runs_near_the_bound(self, n_cells, delta):
+        partition = grid_partition(self.PARTITIONS[n_cells])
+        (k, l), q = self.even_site(n_cells)
+        assert visits_cells_evenly((k, l), q, self.PARTITIONS[n_cells])
+        chaotic = np.random.default_rng(1000 + n_cells).random((1000, 2))
+        ensemble = ClassicalEnsemble(
+            np.vstack([chaotic, [[k / q, l / q]]]),
+            np.append(np.full(1000, (1.0 - delta) / 1000), delta),
+            np.arange(1001) < 1000,
+        )
+        assert ensemble.periodic_weight == pytest.approx(delta, abs=1e-15)
+        probe = ensemble_probe(ensemble, cat_map(), partition)
+        cfg = STEPS(1024)
+        est = core.average_distinguishability(probe, time_average_distribution(probe, cfg), cfg)
+        bound = mixed_equilibration_bound(n_cells, ensemble.periodic_weight)
+        assert est.mean <= bound
+        assert est.mean / bound >= 0.8 * (1 - 1 / n_cells) * math.sqrt(2 * delta / n_cells)
+
+
 class TestCorrelationDefect:
     def test_same_orbit_fully_correlated(self):
         # same periodic orbit: defect_j = p_j (1 - p_j) with p_j = 1/4
@@ -1369,6 +1432,11 @@ class TestEnsembles:
         )
         assert ens.periodic_weight == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("points", [np.empty((0, 2)), [0.1, 0.2]], ids=["empty", "flat"])
+    def test_an_ensemble_needs_a_point_set(self, points):
+        with pytest.raises(DomainError, match=r"^ensemble needs a nonempty \(n, dim\) point set$"):
+            ClassicalEnsemble(points)
+
     def test_contaminated_ensemble(self):
         ens = contaminated_cat_ensemble(200, delta=0.1, seed=5, lattice=4)
         assert ens.size == 200
@@ -1530,6 +1598,25 @@ class TestTQuantile:
         ens = contaminated_cat_ensemble(50, delta=0.0, seed=1)
         with pytest.raises(DomainError, match="family risk"):
             decorrelation_audit(ens, cat_map(), QUADRANTS, STEPS(64), 5, family_risk=risk)
+
+    @pytest.mark.parametrize("ensemble, mapping, partition, kwargs, error, message", [
+        pytest.param(ClassicalEnsemble([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+                                       chaotic_flags=[True, False, False]),
+                     cat_map(), QUADRANTS, {}, DomainError,
+                     "need at least two chaotic-flagged points to audit", id="one-chaotic"),
+        pytest.param(None, cat_map(), QUADRANTS, {"pair_count": 0}, DomainError,
+                     "need at least one pair to audit, got 0", id="no-pairs"),
+        pytest.param(None, rotation_map(0.25), interval_partition([0.0, 0.5, 1.0]), {},
+                     DimensionError, "ensemble is 2-d, map is 1-d", id="dimension"),
+        pytest.param(None, cat_map(), QUADRANTS, {"batches": 1}, DomainError,
+                     "need at least 2 batches", id="one-batch"),
+    ])
+    def test_audit_refuses_what_it_cannot_audit(self, ensemble, mapping, partition, kwargs,
+                                                error, message):
+        ensemble = ensemble or contaminated_cat_ensemble(50, delta=0.0, seed=1)
+        kwargs = {"pair_count": 5, **kwargs}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            decorrelation_audit(ensemble, mapping, partition, STEPS(64), **kwargs)
 
     def test_audit_imports_no_scipy(self):
         script = textwrap.dedent("""

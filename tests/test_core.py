@@ -119,6 +119,11 @@ class TestOutcomeDistribution:
         assert a == b
         assert len({a, b}) == 1
 
+    def test_equals_no_other_type(self):
+        d = OutcomeDistribution([0.5, 0.5])
+        assert d.__eq__([0.5, 0.5]) is NotImplemented
+        assert d != [0.5, 0.5]
+
     def test_immutable(self):
         d = OutcomeDistribution([0.5, 0.5])
         with pytest.raises(ValueError):
@@ -339,6 +344,14 @@ class TestTimeAverageDistribution:
                 probe.distributions_at(np.arange(4.0))
         else:
             assert probe.distributions_at(np.arange(4.0))[2, 0] == 0.5 + excess
+
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [-0.5, 1.5]], ids=["above-1", "below-0"])
+    def test_entries_outside_the_unit_interval(self, row):
+        # each row sums to 1, so only the range gate sees it
+        probe = TrajectoryProbe(lambda times: np.tile(row, (len(times), 1)), 2)
+        with pytest.raises(DistributionError,
+                           match=r"^probe produced probabilities outside \[0, 1\]$"):
+            probe.distributions_at(np.arange(4.0))
 
     def test_wrong_length_sample(self):
         # a block of one outcome per time from a probe declaring two

@@ -1,6 +1,7 @@
 """Quantum spectra, probes, dephasing, bounds and proof-object operations."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -419,6 +420,31 @@ def test_vector_constructors_refuse_nesting(build, values, name):
     # each used to flatten the list into a 4-vector
     with pytest.raises(DomainError, match=rf"^{name} must be .*1-d.*, got shape \(2, 2\)$"):
         build(values)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: DensityMatrix(np.ones((2, 3)) / 3), DimensionError,
+                 "a density matrix must be a square matrix, got shape (2, 3)", id="non-square"),
+    pytest.param(lambda: DensityMatrix.from_vector([0.0, -0.0]), DomainError,
+                 "cannot build a state from the zero vector", id="zero-vector"),
+    pytest.param(lambda: POVM([]), DomainError, "a measurement needs at least one element",
+                 id="no-elements"),
+    pytest.param(lambda: SIGMA_X_POVM.probabilities(random_pure_state(3, 0)), DimensionError,
+                 "state is 3-d, measurement is 2-d", id="probabilities-dimension"),
+    pytest.param(lambda: dephase(random_pure_state(3, 0), QUBIT_H), DimensionError,
+                 "state is 3-d, spectrum is 2-d", id="dephase-dimension"),
+    pytest.param(lambda: eigenspace_weights(random_pure_state(3, 0), QUBIT_H), DimensionError,
+                 "state is 3-d, spectrum is 2-d", id="weights-dimension"),
+    pytest.param(lambda: HamiltonianSpectrum([0.0, 1.0], np.eye(3)), DimensionError,
+                 "eigenvector matrix does not match the eigenvalues", id="eigenvector-size"),
+    pytest.param(lambda: max_outcomes_for_equilibration(0.5, 2.0, 0), DomainError,
+                 "gap degeneracy must be >= 1, got 0", id="gap-degeneracy"),
+    pytest.param(lambda: partial_trace_ancilla(random_pure_state(3, 0), 2), DimensionError,
+                 "cannot split dimension 3 as system 2 x ancilla", id="indivisible"),
+])
+def test_each_refusal_names_its_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestHamiltonianSpectrum:
