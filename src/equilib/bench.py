@@ -35,6 +35,7 @@ from .core import (
     sample_times,
     synthetic_probe,
     typed_array,
+    typed_scalar,
 )
 
 STATUS_SATISFIED = "satisfied"
@@ -182,17 +183,18 @@ class Scenario:
 # --- config parsing ----------------------------------------------------------
 
 class _Node:
-    """A config object, its dotted path and the directory its file
-    references are read from. Each reader takes the key of a field and
-    names it as ``path.key`` in the ConfigError it raises; ``read`` holds
-    the keys that readers of this node asked for, and ``children`` every
-    node that ``child`` made from it, in order, a fresh one each call, so
-    two nodes may hold one field. ``tally`` meets their reads by path."""
+    """A config object, its dotted path, that path as the tuple ``keys`` of
+    the keys that lead to it, and the directory its file references are
+    read from. Each reader takes the key of a field and names it as
+    ``path.key`` in the ConfigError it raises; ``read`` holds the keys that
+    readers of this node asked for, and ``children`` every node that
+    ``child`` made from it, in order, a fresh one each call, so two nodes
+    may hold one field. ``tally`` meets their reads by ``keys``."""
 
     def __init__(self, data, path: str, base: Path = Path()):
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-        self.data, self.path, self.base = data, path, base
+        self.data, self.path, self.base, self.keys = data, path, base, (path,)
         self.read: set[str] = set()
         self.children: list[_Node] = []
 
@@ -211,20 +213,22 @@ class _Node:
 
     def child(self, data, key: str) -> _Node:
         """``data``, an object, as the field ``key`` of this one."""
-        self.children.append(_Node(data, f"{self.path}.{key}", self.base))
-        return self.children[-1]
+        node = _Node(data, f"{self.path}.{key}", self.base)
+        node.keys = (*self.keys, key)
+        self.children.append(node)
+        return node
 
     def node(self, key: str) -> _Node:
         return self.child(self.require(key), key)
 
-    def tally(self, read: set[str], unread: dict) -> tuple[set[str], dict]:
+    def tally(self, read: set[tuple], unread: dict) -> tuple[set[tuple], dict]:
         """``read`` and ``unread`` with this node's tree added: to ``read``
-        the dotted path of each field that a reader of this node, or of a
-        node that ``child`` made from it, asked for, and to ``unread``, in
-        the order of the walk, that of each field given to one of them that
-        its readers did not ask for, with the node and the key."""
-        read.update(f"{self.path}.{key}" for key in self.read)
-        unread.update((f"{self.path}.{k}", (self, k)) for k in self.data if k not in self.read)
+        the keys of each field that a reader of this node, or of a node that
+        ``child`` made from it, asked for, and to ``unread``, in the order of
+        the walk, those of each field given to one of them that its readers
+        did not ask for, with the node and the key."""
+        read.update((*self.keys, key) for key in self.read)
+        unread.update(((*self.keys, k), (self, k)) for k in self.data if k not in self.read)
         for node in self.children:
             node.tally(read, unread)
         return read, unread
@@ -246,24 +250,20 @@ class _Node:
         return value
 
     def number(self, key: str) -> float:
+        """Field ``key`` as the float ``typed_scalar`` reads."""
         value = self.require(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise self.error(key, f"expected a number, got {type(value).__name__}")
         with self.field(key):
-            if not math.isfinite(value):
-                raise ValueError(f"must be finite, got {value!r}")
-            return float(value)
+            return typed_scalar(value, key)
 
-    def integer(self, key: str, least: float = -math.inf, most: float = math.inf) -> int:
-        """Field ``key`` as an integer from ``least`` to ``most`` (an integral
-        float counts)."""
+    def integer(self, key: str, least: int | None = None, most: float = math.inf) -> int:
+        """Field ``key`` as the integer ``typed_scalar`` reads, from ``least``
+        to ``most``, the byte budget; JSON's integral float, such as 8.0, is
+        an integer."""
         value = self.require(key)
         if isinstance(value, float) and value.is_integer():
             value = int(value)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise self.error(key, f"expected an integer, got {value!r}")
-        if value < least:
-            raise self.error(key, f"must be at least {least}, got {value}")
+        with self.field(key):
+            value = typed_scalar(value, key, int, least)
         if value > most:
             raise self.error(key, f"must be at most {most}, got {value}")
         return value
@@ -318,15 +318,14 @@ class _Node:
         return values
 
 
-def _refuse(read: set[str], unread: dict, spared=()) -> None:
+def _refuse(read: set[tuple], unread: dict, spared=()) -> None:
     """Raise the first field of a tally's ``unread`` that is not in its
-    ``read``, or whose key holds a dot and so spells a path that no reader
-    asked for, unless a dotted path of ``spared`` runs through it; the hint
-    is the nearest key read beside it."""
+    ``read``, unless a path of ``spared``, a tuple of keys, runs through it.
+    A key that holds a dot is one key, so it never spells a read or spared
+    path. The hint is the nearest key read beside it."""
     for path, (node, key) in unread.items():
-        if ("." in key or path not in read) and not any(
-                f"{s}.".startswith(f"{path}.") for s in spared):
-            known = {p[len(node.path) + 1:] for p in read if p.rpartition(".")[0] == node.path}
+        if path not in read and not any(s[:len(path)] == path for s in spared):
+            known = {p[-1] for p in read if p[:-1] == node.keys}
             raise node.error(key, "unknown field" + _nearest(key, known))
 
 
@@ -422,7 +421,7 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
     # on a swept path, which may be null, or on the path of an override,
     # which a CLI flag sets on every kind, whether it reads the field or not;
     # the name and the sweep grid are read off the base config
-    spared = [f"{root.path}.{path}" for path in ("name", "sweep", *(overrides or {}))]
+    spared = [(root.path, *path.split(".")) for path in ("name", "sweep", *(overrides or {}))]
     built = []
     for point in points or [{}]:
         resolved = _Node(_apply_overrides(raw, point), root.path, base)
@@ -438,10 +437,10 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
         else:
             read, unread = resolved.tally(set(), {})
             for dotted, value in point.items():
-                if value is not None and f"{root.path}.{dotted}" not in read:
+                if value is not None and (root.path, *dotted.split(".")) not in read:
                     raise sweep.error(dotted, "the build reads no such field" + _nearest(
-                        dotted, {path.partition(".")[2] for path in read}))
-            _refuse(read, unread, [*spared, *(f"{root.path}.{path}" for path in point)])
+                        dotted, {".".join(path[1:]) for path in read}))
+            _refuse(read, unread, [*spared, *((root.path, *path.split(".")) for path in point)])
         built.append((rt, time.perf_counter() - start))
     return Scenario(name=name, config=raw, sweep_points=tuple(points),
                     built=tuple(built[:len(points)]))
@@ -540,7 +539,7 @@ def _map_node(node: _Node) -> classical.InvertibleMap:
             return classical.rotation_map(angles)
     if name == "cat-map":
         with node.field("lattice"):
-            return classical.cat_map(**node.given(lattice=node.require))
+            return classical.cat_map(**node.given(lattice=node.integer))
     raise node.error("name", f"unknown map {name!r}")
 
 

@@ -26,7 +26,9 @@ from .core import (
     THRESHOLD_SLACK,
     check_epsilon,
     sample_times,
+    seeded_rng,
     typed_array,
+    typed_scalar,
 )
 
 WEIGHT_TOL = 1e-9      # ensemble weights must sum to 1 within this
@@ -203,14 +205,11 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
 
         return InvertibleMap("cat-map", 2, fwd, fwd_point, _cat_leap)
 
-    number = isinstance(lattice, (int, float, np.integer, np.floating))
-    if isinstance(lattice, bool) or not (number and float(lattice).is_integer() and lattice >= 1):
-        raise DomainError(f"lattice denominator must be an integer >= 1, got {lattice!r}")
-    q = int(lattice)
+    q = typed_scalar(lattice, "lattice", int, least=1)
     if q > MAX_LATTICE:
         raise DomainError(
-            f"lattice denominator must be at most 2**52 for exact orbits, got {lattice!r}"
-        )
+            f"lattice denominator must be at most 2**52 for exact orbits, got {lattice!r}",
+            name="lattice")
 
     def fwd(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         # (2 kx + ky, kx + ky) mod q on the integer lattice coordinates
@@ -653,10 +652,9 @@ def mixed_equilibration_bound(cell_count: int, delta: float) -> float:
     bound sqrt(cell_count * delta / 2) holds whenever delta <= 1/2 and the
     chaotic pairs genuinely decorrelate.
     """
-    if cell_count < 1:
-        raise DomainError(f"cell count must be >= 1, got {cell_count}")
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
+    typed_scalar(cell_count, "cell_count", int, least=1)
+    if not 0.0 <= typed_scalar(delta, "delta") <= 0.5:
+        raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}", name="delta")
     return math.sqrt(cell_count * delta / 2.0)
 
 
@@ -716,8 +714,8 @@ def _batched_defects(
     batches: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch-means defect and standard error of each orbit pair (x, y) listed in ``points``."""
-    if batches < 2:
-        raise DomainError("need at least 2 batches")
+    if typed_scalar(batches, "batches", int) < 2:
+        raise DomainError("need at least 2 batches", name="batches")
     times = sample_times(cfg)
     per = times.size // batches
     # one sample makes every batch's covariance 0, whatever the orbits do
@@ -814,13 +812,14 @@ def decorrelation_audit(
     idx = np.flatnonzero(np.asarray(ensemble.chaotic_flags))
     if idx.size < 2:
         raise DomainError("need at least two chaotic-flagged points to audit")
-    if pair_count < 1:
-        raise DomainError(f"need at least one pair to audit, got {pair_count}")
-    if not 0.0 < family_risk < 1.0:
-        raise DomainError(f"family risk must lie in (0, 1), got {family_risk!r}")
+    if typed_scalar(pair_count, "pair_count", int) < 1:
+        raise DomainError(f"need at least one pair to audit, got {pair_count}", name="pair_count")
+    if not 0.0 < typed_scalar(family_risk, "family_risk") < 1.0:
+        raise DomainError(f"family risk must lie in (0, 1), got {family_risk!r}",
+                          name="family_risk")
     if ensemble.dim != mapping.dim:
         raise DimensionError(f"ensemble is {ensemble.dim}-d, map is {mapping.dim}-d")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     pairs = np.concatenate([rng.choice(idx, size=2, replace=False) for _ in range(pair_count)])
     defect, stderr = _batched_defects(ensemble.points[pairs], mapping, partition, cfg, batches)
     # Sidak split of the per-pair risk over the outcomes tested jointly
@@ -832,12 +831,11 @@ def decorrelation_audit(
     return passed / pair_count, pair_count
 
 
-def _is_sampler_lattice(q) -> bool:
-    """Whether ``contaminated_cat_ensemble`` takes the lattice ``q``: a power
-    of two from 2 to 2**51, whose sites the float ``cat_map()`` keeps exact,
-    as every 2 kx + ky < 3q is an exact double while 3q <= 2**53."""
-    number = isinstance(q, (int, np.integer)) and not isinstance(q, bool)
-    return number and 2 <= q <= 2**51 and q & (q - 1) == 0
+def _is_sampler_lattice(q: int) -> bool:
+    """Whether ``contaminated_cat_ensemble`` takes the integer lattice ``q``:
+    a power of two from 2 to 2**51, whose sites the float ``cat_map()``
+    keeps exact, as every 2 kx + ky < 3q is an exact double while 3q <= 2**53."""
+    return 2 <= q <= 2**51 and q & (q - 1) == 0
 
 
 def contaminated_cat_ensemble(
@@ -857,14 +855,13 @@ def contaminated_cat_ensemble(
     of them to the wrong site, and at q = 1 all sit on the origin's fixed
     point.
     """
-    if count < 1:
-        raise DomainError(f"ensemble needs at least one point, got {count}", name="count")
-    if not 0.0 <= delta <= 1.0:
+    typed_scalar(count, "count", int, least=1)
+    if not 0.0 <= typed_scalar(delta, "delta") <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta!r}", name="delta")
-    if not _is_sampler_lattice(lattice):
+    if not _is_sampler_lattice(typed_scalar(lattice, "lattice", int)):
         raise DomainError(f"lattice must be a power of two from 2 to 2**51, got {lattice!r}",
                           name="lattice")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     n_periodic = int(round(delta * count))
     n_chaotic = count - n_periodic
     pts = rng.random((n_chaotic, 2))

@@ -2,7 +2,7 @@
 
 Exit codes follow the theorem-checking contract: 0 when every evaluated
 bound is respected, 2 when any bound is violated beyond its statistical
-tolerance, 1 on execution errors.
+tolerance, 1 on execution errors, a record that holds one included.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import click
 from . import bench, classical, quantum
 from .core import ConfigError
 
+EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 
 
@@ -49,6 +50,8 @@ def _finish(records, out, fmt):
         except OSError as exc:
             raise click.ClickException(f"cannot write {out} ({exc.strerror})") from exc
         click.echo(f"wrote {len(records)} record(s) to {out}")
+    if any(rec.error is not None for rec in records):
+        sys.exit(EXIT_ERROR)
     if bench.any_violation(records):
         click.echo("bound VIOLATED beyond statistical tolerance", err=True)
         sys.exit(EXIT_VIOLATION)

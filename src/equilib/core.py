@@ -11,7 +11,6 @@ structure is assumed; those live in :mod:`equilib.classical` and
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -64,28 +63,50 @@ class ConfigError(ValueError):
 
 def check_epsilon(epsilon: float) -> None:
     """Raise DomainError unless the tolerance ``epsilon`` lies in [0, 1)."""
-    if not 0.0 <= epsilon < 1.0:
+    if not 0.0 <= typed_scalar(epsilon, "epsilon") < 1.0:
         raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}", name="epsilon")
 
 
 # per target dtype: the entry types it reads, and the dtype kinds of the
 # arrays it takes as they are
 _ENTRY_RULES = {float: ((int, float, np.integer, np.floating), "iuf"),
+                int: ((int, np.integer), "iu"),
                 complex: ((int, float, complex, np.number), "iufc"),
                 bool: ((bool, np.bool_), "b")}
 
 
+def typed_scalar(value, name: str, dtype: type = float, least: float | None = None):
+    """``value`` as a Python ``dtype`` (float or int) of at least ``least``,
+    if given, else a DomainError naming ``name``: the one reader of every
+    outside scalar, by ``typed_array``'s table and without an array. A
+    string, None or a boolean fails; a float must be finite, and one past
+    the double range fails. An int is an int or a numpy integer, never a
+    float, so ``8.0`` is no count: JSON's integral floats are converted by
+    ``bench``, which reads scenario and record files."""
+    if isinstance(value, _ENTRY_RULES[dtype][0]) and not isinstance(value, bool):
+        try:
+            number = dtype(value)
+        except OverflowError:  # an int past the double range
+            number = math.nan
+        if (dtype is int or math.isfinite(number)) and (least is None or number >= least):
+            return number
+    what = "an integer" if dtype is int else "a finite number"
+    bound = "" if least is None else f" >= {least}"
+    raise DomainError(f"{name} must be {what}{bound}, got {value!r}", name=name)
+
+
 def typed_array(values, name: str, dtype: type = float) -> np.ndarray:
-    """``values`` as an array of ``dtype`` (float, complex or bool), else a
-    DomainError naming ``name``: the one reader of every outside number, in
-    scenario fields, record files and Python calls alike. Any int or float
-    is a number, one past int64 too, read as the nearest double; one past
-    the double range fails. A string, None, a boolean among numbers or a
-    number among booleans fails, though numpy would convert it, and float
-    and complex entries must be finite. An array already of ``dtype`` comes
-    back as it is, without a copy."""
+    """``values`` as an array of ``dtype`` (float, int, complex or bool),
+    else a DomainError naming ``name``: the one reader of every outside
+    array, in scenario fields, record files and Python calls alike, whose
+    table ``typed_scalar`` reads scalars by. Any int or float is a number,
+    one past int64 too, read as the nearest double; one past the double
+    range fails. A string, None, a boolean among numbers or a number among
+    booleans fails, though numpy would convert it, and float and complex
+    entries must be finite. An array already of ``dtype`` comes back as it
+    is, without a copy."""
     types, kinds = _ENTRY_RULES[dtype]
-    what = "booleans" if dtype is bool else "numbers"
+    what = {bool: "booleans", int: "integers"}.get(dtype, "numbers")
     if not isinstance(values, np.ndarray) or values.dtype == object:
         # one test per entry type: numpy would promote a boolean among
         # numbers and keep an integer past int64 as an object
@@ -99,7 +120,8 @@ def typed_array(values, name: str, dtype: type = float) -> np.ndarray:
     try:
         arr = values.astype(dtype, copy=False)
     except OverflowError:
-        raise DomainError(f"{name} has an integer beyond the double range") from None
+        limit = "int64" if dtype is int else "double"
+        raise DomainError(f"{name} has an integer beyond the {limit} range") from None
     if dtype is not bool and not np.isfinite(arr).all():
         raise DomainError(f"{name} has non-finite entries")
     return arr
@@ -176,9 +198,7 @@ class TrajectoryProbe:
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        count = self.outcome_count
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise DomainError(f"outcome_count must be a positive integer, got {count!r}")
+        typed_scalar(self.outcome_count, "outcome_count", int, least=1)
 
     def distributions_at(self, times: np.ndarray) -> np.ndarray:
         """Stack probe samples at the given times into a read-only (M, N) array."""
@@ -226,28 +246,24 @@ class TimeAverageConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}", name=name)
-        # typed_array refuses a string, and a bool, which math would take as
-        # a horizon of 1
-        h = self.horizon
-        try:
-            number = typed_array(h, "horizon").ndim == 0
-        except DomainError:
-            number = False
-        if not (number and h > 0):
-            raise DomainError(f"horizon must be finite and positive, got {h!r}", name="horizon")
-        if self.samples < 2:
+        if not typed_scalar(self.horizon, "horizon") > 0:
+            raise DomainError(f"horizon must be finite and positive, got {self.horizon!r}",
+                              name="horizon")
+        typed_scalar(self.seed, "seed", int, least=0)
+        if typed_scalar(self.samples, "samples", int) < 2:
             raise DomainError(f"need at least 2 samples, got {self.samples}", name="samples")
         if self.samples > MAX_SAMPLES:
             raise DomainError(f"need at most {MAX_SAMPLES} samples, got {self.samples}",
                               name="samples")
         if self.scheme not in (SCHEME_UNIFORM, SCHEME_STRATIFIED):
             raise DomainError(f"unknown sampling scheme {self.scheme!r}", name="scheme")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}", name="seed")
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of ``seed``, an integer >= 0 by ``typed_scalar``: every
+    sampler draws from one, so a seed of 2.5, True or -1 fails as a
+    DomainError naming ``seed``."""
+    return np.random.default_rng(typed_scalar(seed, "seed", int, least=0))
 
 
 def sample_times(cfg: TimeAverageConfig) -> np.ndarray:
@@ -372,6 +388,9 @@ def decide_verdict(mean: float, standard_error: float, epsilon: float) -> str:
     statement, hence the "inconclusive" band of width 2 standard errors on
     each side.
     """
+    typed_scalar(mean, "mean")
+    typed_scalar(standard_error, "standard_error")
+    typed_scalar(epsilon, "epsilon")
     if mean + 2.0 * standard_error <= epsilon:
         return VERDICT_EQUILIBRATES
     if mean - 2.0 * standard_error > epsilon:
@@ -399,12 +418,9 @@ class EquilibrationReport:
     errors: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.mean_distinguishability <= 1.0:
+        if not 0.0 <= typed_scalar(self.mean_distinguishability, "mean_distinguishability") <= 1.0:
             raise DomainError("mean distinguishability must lie in [0, 1]")
-        if not 0.0 <= self.standard_error < math.inf:
-            raise DomainError(
-                f"standard error must be finite and nonnegative, got {self.standard_error!r}"
-            )
+        typed_scalar(self.standard_error, "standard_error", least=0.0)
         check_epsilon(self.epsilon)
 
     @property
@@ -459,16 +475,15 @@ def synthetic_probe(
     weight of outcome 0, which makes it easy to construct probes whose
     empirical equilibrium distribution is highly uneven.
     """
-    if outcomes < 1:
-        raise DomainError(f"need at least one outcome, got {outcomes}", name="outcomes")
-    if mode_count < 0:
-        raise DomainError(f"mode_count must be >= 0, got {mode_count}", name="mode_count")
-    if not 0.0 <= amplitude < 1.0:
+    typed_scalar(outcomes, "outcomes", int, least=1)
+    typed_scalar(mode_count, "mode_count", int, least=0)
+    if not 0.0 <= typed_scalar(amplitude, "amplitude") < 1.0:
         raise DomainError(f"amplitude must lie in [0, 1), got {amplitude!r}", name="amplitude")
-    if dominant_weight is not None and not 0.0 < dominant_weight <= 1.0:
-        raise DomainError(f"dominant_weight must lie in (0, 1], got {dominant_weight!r}",
-                          name="dominant_weight")
-    rng = np.random.default_rng(seed)
+    if dominant_weight is not None:
+        if not 0.0 < typed_scalar(dominant_weight, "dominant_weight") <= 1.0:
+            raise DomainError(f"dominant_weight must lie in (0, 1], got {dominant_weight!r}",
+                              name="dominant_weight")
+    rng = seeded_rng(seed)
     base = rng.dirichlet(np.ones(outcomes))
     if dominant_weight is not None:
         rest = base[1:] / base[1:].sum() if outcomes > 1 else np.array([])

@@ -11,7 +11,6 @@ coinciding energy gaps.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,9 @@ from .core import (
     TimeAverageConfig,
     TrajectoryProbe,
     check_epsilon,
+    seeded_rng,
     typed_array,
+    typed_scalar,
 )
 
 HERMITIAN_TOL = 1e-10
@@ -333,8 +334,8 @@ def gap_table(spectrum: HamiltonianSpectrum, gap_tol: float | None = None) -> Ga
     """
     if gap_tol is None:
         gap_tol = GAP_REL_TOL * spectrum.spectral_range
-    elif not (math.isfinite(gap_tol) and gap_tol >= 0):
-        raise DomainError(f"gap tolerance must be finite and nonnegative, got {gap_tol!r}")
+    else:
+        gap_tol = typed_scalar(gap_tol, "gap_tol", least=0.0)
     energies = spectrum.eigenspace_energies
     s = energies.size
     n, j = np.nonzero(~np.eye(s, dtype=bool))
@@ -420,12 +421,9 @@ def effective_dimension(rho: DensityMatrix, spectrum: HamiltonianSpectrum) -> fl
 def equilibration_bound(outcomes: int, gap_degeneracy: int, effective_dim: float) -> float:
     """Bound on the time-averaged distinguishability from spectral data:
     (1/2) sqrt(gap_degeneracy * (outcomes - 1) / effective_dim)."""
-    if outcomes < 1:
-        raise DomainError(f"outcome count must be >= 1, got {outcomes}")
-    if gap_degeneracy < 1:
-        raise DomainError(f"gap degeneracy must be >= 1, got {gap_degeneracy}")
-    if not 1.0 <= effective_dim < math.inf:
-        raise DomainError(f"effective dimension must be finite and >= 1, got {effective_dim!r}")
+    typed_scalar(outcomes, "outcomes", int, least=1)
+    typed_scalar(gap_degeneracy, "gap_degeneracy", int, least=1)
+    typed_scalar(effective_dim, "effective_dim", least=1.0)
     return 0.5 * math.sqrt(gap_degeneracy * (outcomes - 1) / effective_dim)
 
 
@@ -435,10 +433,8 @@ def max_outcomes_for_equilibration(
     """Largest measurement size that still guarantees epsilon-equilibration:
     floor(4 * effective_dim * epsilon^2 / gap_degeneracy + 1)."""
     check_epsilon(epsilon)
-    if not 1.0 <= effective_dim < math.inf:
-        raise DomainError(f"effective dimension must be finite and >= 1, got {effective_dim!r}")
-    if gap_degeneracy < 1:
-        raise DomainError(f"gap degeneracy must be >= 1, got {gap_degeneracy}")
+    typed_scalar(effective_dim, "effective_dim", least=1.0)
+    typed_scalar(gap_degeneracy, "gap_degeneracy", int, least=1)
     value = 4.0 * effective_dim * epsilon * epsilon / gap_degeneracy + 1.0
     if not math.isfinite(value):
         raise DomainError(f"4 d_eff eps^2 / D_G + 1 exceeds the largest float, "
@@ -726,7 +722,7 @@ def purify(rho: DensityMatrix) -> DensityMatrix:
 
 def partial_trace_ancilla(rho: DensityMatrix, system_dim: int) -> DensityMatrix:
     """Trace out an ancilla of dimension rho.dim / system_dim."""
-    _check_dim(system_dim, "system_dim")
+    typed_scalar(system_dim, "system_dim", int, least=1)
     d = rho.dim
     if d % system_dim != 0:
         raise DimensionError(f"cannot split dimension {d} as system {system_dim} x ancilla")
@@ -740,7 +736,7 @@ def extend_hamiltonian(spectrum: HamiltonianSpectrum, ancilla_dim: int) -> Hamil
     """Spectral data of H (x) identity: the system Hamiltonian extended by a
     null ancilla. Eigenvalues repeat per ancilla level, so the distinct
     energies, and with them the gap structure, are unchanged."""
-    _check_dim(ancilla_dim, "ancilla_dim")
+    typed_scalar(ancilla_dim, "ancilla_dim", int, least=1)
     vals = np.repeat(spectrum.eigenvalues, ancilla_dim)
     vecs = np.kron(spectrum.eigenvectors, np.eye(ancilla_dim))
     return HamiltonianSpectrum(vals, vecs)
@@ -748,7 +744,7 @@ def extend_hamiltonian(spectrum: HamiltonianSpectrum, ancilla_dim: int) -> Hamil
 
 def extend_povm(povm: POVM, ancilla_dim: int) -> POVM:
     """The measurement M_j (x) identity acting on system plus ancilla."""
-    _check_dim(ancilla_dim, "ancilla_dim")
+    typed_scalar(ancilla_dim, "ancilla_dim", int, least=1)
     n, d, a = povm.outcome_count, povm.dim, ancilla_dim
     # stack[j, k, x, l, x] = (M_j)_kl: each M_j (x) I, positive semidefinite
     stack = np.zeros((n, d, a, d, a), dtype=complex)
@@ -768,15 +764,10 @@ def _complex_gaussian(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    typed_scalar(dim, "dim", int, least=1)
     z = _complex_gaussian(rng, np.empty((dim, dim), dtype=complex))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _check_dim(dim: int, name: str = "dim") -> None:
-    """Raise a DomainError naming ``name`` unless ``dim`` is an integer >= 1."""
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {dim!r}", name=name)
 
 
 def random_spectrum(
@@ -793,12 +784,12 @@ def random_spectrum(
     Both use a Haar-random eigenbasis. ``spacing`` must be positive, with
     a finite top level ``spacing * (dim - 1)``, whatever the kind.
     """
-    _check_dim(dim)
-    if not spacing > 0:
+    typed_scalar(dim, "dim", int, least=1)
+    if not typed_scalar(spacing, "spacing") > 0:
         raise DomainError(f"spacing must be > 0, got {spacing!r}", name="spacing")
     if not math.isfinite(spacing * (dim - 1)):
         raise DomainError(f"spacing {spacing!r} overflows at level {dim - 1}", name="spacing")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     if kind == "generic":
         vals = np.sort(rng.uniform(0.0, float(dim), dim))
     elif kind == "equally-spaced":
@@ -809,15 +800,15 @@ def random_spectrum(
 
 
 def random_pure_state(dim: int, seed: int) -> DensityMatrix:
-    _check_dim(dim)
-    rng = np.random.default_rng(seed)
+    typed_scalar(dim, "dim", int, least=1)
+    rng = seeded_rng(seed)
     psi = _complex_gaussian(rng, np.empty(dim, dtype=complex))
     return DensityMatrix.from_vector(psi)
 
 
 def random_mixed_state(dim: int, seed: int) -> DensityMatrix:
-    _check_dim(dim)
-    rng = np.random.default_rng(seed)
+    typed_scalar(dim, "dim", int, least=1)
+    rng = seeded_rng(seed)
     g = _complex_gaussian(rng, np.empty((dim, dim), dtype=complex))
     m = g @ g.conj().T
     # a Gram matrix over its trace
@@ -827,10 +818,9 @@ def random_mixed_state(dim: int, seed: int) -> DensityMatrix:
 def random_povm(dim: int, outcomes: int, seed: int) -> POVM:
     """Random positive decomposition of the identity: normalize random PSD
     matrices by the inverse square root of their sum."""
-    _check_dim(dim)
-    if outcomes < 1:
-        raise DomainError(f"need at least one outcome, got {outcomes}", name="outcomes")
-    rng = np.random.default_rng(seed)
+    typed_scalar(dim, "dim", int, least=1)
+    typed_scalar(outcomes, "outcomes", int, least=1)
+    rng = seeded_rng(seed)
     # the Gram matrices P are written into the stack, then each slot is
     # overwritten by its congruence S P S
     stack = np.empty((outcomes, dim, dim), dtype=complex)
@@ -858,11 +848,11 @@ def random_povm(dim: int, outcomes: int, seed: int) -> POVM:
 def projective_povm(dim: int, outcomes: int, seed: int) -> POVM:
     """Projective measurement from a Haar-random basis, its vectors dealt
     round-robin into ``outcomes`` groups."""
-    _check_dim(dim)
-    if not 1 <= outcomes <= dim:
+    typed_scalar(dim, "dim", int, least=1)
+    if not 1 <= typed_scalar(outcomes, "outcomes", int) <= dim:
         raise DomainError(f"projective measurement needs 1 <= outcomes <= {dim}, got {outcomes}",
                           name="outcomes")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     u = haar_unitary(dim, rng)
     stack = np.empty((outcomes, dim, dim), dtype=complex)
     for j, p in enumerate(stack):
@@ -876,9 +866,9 @@ def uneven_povm(dim: int, outcomes: int, leak: float, seed: int) -> POVM:
     """Measurement with one near-identity element: element 0 is
     (1 - leak) * identity and the rest share leak * identity randomly.
     Any state then has a dominant outcome of weight 1 - leak."""
-    if not 0.0 <= leak < 1.0:
+    if not 0.0 <= typed_scalar(leak, "leak") < 1.0:
         raise DomainError(f"leak must lie in [0, 1), got {leak!r}", name="leak")
-    if outcomes < 2:
+    if typed_scalar(outcomes, "outcomes", int) < 2:
         raise DomainError(f"need at least two outcomes, got {outcomes}", name="outcomes")
     rest = random_povm(dim, outcomes - 1, seed)
     # nonnegative multiples of the identity and of random_povm's elements

@@ -99,21 +99,6 @@ def ensemble_config():
     }
 
 
-# every integer field of the scenario samplers, with a valid value
-INTEGER_FIELDS = [
-    (sampled_quantum_config, "system.sampler.dim", 8),
-    (sampled_quantum_config, "system.sampler.seed", 21),
-    (sampled_quantum_config, "measurement.sampler.outcomes", 3),
-    (sampled_quantum_config, "measurement.sampler.seed", 22),
-    (ensemble_config, "system.ensemble.sampler.count", 100),
-    (ensemble_config, "system.ensemble.sampler.seed", 4),
-    (ensemble_config, "system.ensemble.sampler.lattice", 4),
-    (synthetic_config, "system.probe.outcomes", 3),
-    (synthetic_config, "system.probe.seed", 5),
-    (synthetic_config, "system.probe.mode_count", 3),
-]
-
-
 def explicit_quantum_config():
     """The qubit scenario with its Hamiltonian as a matrix and its state as a
     vector."""
@@ -207,6 +192,28 @@ def rotation_config() -> dict:
         "system": {"map": {"name": "rotation", "angles": [0.25]}, "point": [0.2]},
         "measurement": {"partition": {"kind": "interval", "edges": [0.0, 0.5, 1.0]}},
     }
+
+
+# every integer field of the scenario samplers, and the counts read beside
+# them, with a valid value
+INTEGER_FIELDS = [
+    (sampled_quantum_config, "system.sampler.dim", 8),
+    (sampled_quantum_config, "system.sampler.seed", 21),
+    (sampled_quantum_config, "measurement.sampler.outcomes", 3),
+    (sampled_quantum_config, "measurement.sampler.seed", 22),
+    (ensemble_config, "system.ensemble.sampler.count", 100),
+    (ensemble_config, "system.ensemble.sampler.seed", 4),
+    (ensemble_config, "system.ensemble.sampler.lattice", 4),
+    (synthetic_config, "system.probe.outcomes", 3),
+    (synthetic_config, "system.probe.seed", 5),
+    (synthetic_config, "system.probe.mode_count", 3),
+    (synthetic_config, "average.samples", 400),
+    (synthetic_config, "average.seed", 3),
+    # the library refuses a float lattice; a JSON 8.0 is read as 8 on the way
+    (classical_pure_config, "system.map.lattice", 8),
+    (explicit_quantum_config, "system.hamiltonian.matrix.rows", 2),
+    (explicit_quantum_config, "system.hamiltonian.matrix.cols", 2),
+]
 
 
 # every numeric array field of a scenario: the config it sits in, the key
@@ -709,8 +716,8 @@ class TestLoadScenario:
         # 1, 3 and 5 loaded, with every periodic point at the origin or
         # drifting off its lattice
         path = f"system.ensemble.sampler.{field}"
-        message = {"count": "ensemble needs at least one point",
-                   "delta": r"(delta must lie in \[0, 1\]|must be finite)",
+        message = {"count": "count must be an integer >= 1",
+                   "delta": r"(delta must lie in \[0, 1\]|delta must be a finite number)",
                    "lattice": "lattice must be a power of two"}[field]
         with pytest.raises(ConfigError,
                            match=r"scenario\." + path.replace(".", r"\.") + ": " + message):
@@ -750,7 +757,8 @@ class TestLoadScenario:
         cfg = qubit_config(average=average)
         cfg["system"]["hamiltonian"]["eigenvalues"] = [0.0, 5e-324]
         with pytest.raises(ConfigError,
-                           match=r"^scenario\.average\.horizon: horizon must be finite"):
+                           match=r"^scenario\.average\.horizon: horizon must be a finite "
+                                 r"number, got inf$"):
             load_scenario(cfg)
 
     @pytest.mark.parametrize("values", [
@@ -805,6 +813,15 @@ class TestLoadScenario:
         cfg["system"]["probe"]["amplitud"] = 1.5
         with pytest.raises(ConfigError, match=r"^scenario\.system\.probe\.amplitud: "):
             load_scenario(cfg)
+        # a key that holds dots is no path that a sweep or an override spares,
+        # though its text spells one: under either it loaded one point
+        cfg = rotation_config()
+        cfg["system"]["map.name"] = "x"
+        for sweep, overrides in (({"system.map.name": ["rotation"]}, None),
+                                 (None, {"system.map.name": "rotation"})):
+            cfg["sweep"] = sweep
+            with pytest.raises(ConfigError, match=r"^scenario\.system\.map\.name: unknown field$"):
+                load_scenario(cfg, overrides)
 
     def test_a_sweep_across_sampler_kinds_sweeps_the_whole_object(self):
         # each point is checked on its own, and the random sampler reads no
@@ -1967,7 +1984,8 @@ class TestEmission:
             (lambda text: json.dumps([json.loads(text)[0], {
                 **json.loads(text)[1],
                 "report": {**json.loads(text)[1]["report"], "standard_error": math.nan}}]),
-             r"^records\[1\]\.report\.standard_error: must be finite, got nan$"),
+             r"^records\[1\]\.report\.standard_error: standard_error must be a finite number, "
+             r"got nan$"),
             (lambda text: json.dumps({"records": json.loads(text)}),
              r"out\.json: expected a JSON list of records, got dict$"),
             (lambda text: text[:-3], r"out\.json: invalid JSON \("),
@@ -1975,16 +1993,16 @@ class TestEmission:
              r"^records\[0\]\.bounds\.thm1-sufficiency: required$"),
             # each of these used to load
             (edit_record(1, lambda r: r.update(seed=True)),
-             r"^records\[1\]\.seed: expected an integer, got True$"),
+             r"^records\[1\]\.seed: seed must be an integer >= 0, got True$"),
             (edit_record(0, lambda r: r.update(wall_time="slow")),
-             r"^records\[0\]\.wall_time: expected a number, got str$"),
+             r"^records\[0\]\.wall_time: wall_time must be a finite number, got 'slow'$"),
             (edit_record(1, lambda r: r["bounds"]["thm1-sufficiency"].update(value="0.8")),
              r"^records\[1\]\.bounds\.thm1-sufficiency: the report gives \{'value': 0\.75, "
              r"'status': 'not-applicable'\}, got \{'value': '0\.8', "),
             (edit_record(0, lambda r: r["report"]["bound_values"].update(
                 {"thm1-sufficiency": "0.8"})),
-             r"^records\[0\]\.report\.bound_values\.thm1-sufficiency: expected a number, "
-             r"got str$"),
+             r"^records\[0\]\.report\.bound_values\.thm1-sufficiency: thm1-sufficiency must be "
+             r"a finite number, got '0\.8'$"),
             (edit_record(1, lambda r: r["report"].update(equilibrium_distribution=["0.5", "0.5"])),
              r"^records\[1\]\.report\.equilibrium_distribution: equilibrium_distribution must "
              r"be numbers, got '0\.5'$"),
@@ -1992,15 +2010,17 @@ class TestEmission:
              r"^records\[0\]\.report\.equilibrium_distribution: equilibrium_distribution must "
              r"be numbers, got True$"),
             (edit_record(1, lambda r: r["report"].update(mean_distinguishability=True)),
-             r"^records\[1\]\.report\.mean_distinguishability: expected a number, got bool$"),
+             r"^records\[1\]\.report\.mean_distinguishability: mean_distinguishability must be "
+             r"a finite number, got True$"),
             (edit_record(0, lambda r: r.update(wall_time=math.nan)),
-             r"^records\[0\]\.wall_time: must be finite, got nan$"),
+             r"^records\[0\]\.wall_time: wall_time must be a finite number, got nan$"),
             (edit_record(1, lambda r: r["bounds"]["thm1-sufficiency"].update(value=math.inf)),
              r"^records\[1\]\.bounds\.thm1-sufficiency: the report gives \{'value': 0\.75, "
              r"'status': 'not-applicable'\}, got \{'value': inf, "),
             (edit_record(0, lambda r: r["report"]["bound_values"].update(
                 {"thm1-sufficiency": -math.inf})),
-             r"^records\[0\]\.report\.bound_values\.thm1-sufficiency: must be finite, got -inf$"),
+             r"^records\[0\]\.report\.bound_values\.thm1-sufficiency: thm1-sufficiency must be "
+             r"a finite number, got -inf$"),
             (edit_record(1, lambda r: r["report"].update(
                 mean_distinguishability=0.1, standard_error=0.01, epsilon=0.5,
                 verdict="inconclusive")),
@@ -2269,6 +2289,27 @@ class TestCli:
         result = CliRunner().invoke(cli.main, ["run", str(path)])
         assert result.output == "s {'epsilon': 0.2}: ERROR ValueError: x\n"
 
+    def test_an_error_record_exits_1(self, tmp_path, monkeypatch):
+        # it exited 0 after printing ERROR; the records are printed and
+        # written first, and an error outranks a violated bound
+        failed = RunRecord(scenario="s", params={}, report=None, wall_time=0.0, seed=0,
+                           error="ValueError: x")
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(synthetic_config()))
+        out = tmp_path / "records.json"
+        for records in ([failed], [thm5_record(0.1), failed]):
+            monkeypatch.setattr(bench, "run_scenario", lambda s, records=records: records)
+            result = CliRunner().invoke(cli.main, ["run", str(path), "--out", str(out),
+                                                   "--format", "json"])
+            assert result.exit_code == 1
+            assert "s {}: ERROR ValueError: x\n" in result.output
+            assert load_records(out) == records
+        monkeypatch.setattr(bench, "run_scenario", lambda s: [failed])
+        monkeypatch.setattr(bench, "builtin_scenarios", lambda overrides: [None])
+        result = CliRunner().invoke(cli.main, ["verify"])
+        assert result.exit_code == 1
+        assert "checked 0 bound evaluations across 1 runs, 0 violated" in result.output
+
     def test_verify_with_one_sample_fails(self):
         result = CliRunner().invoke(cli.main, ["verify", "--samples", "1"])
         assert result.exit_code == 1
@@ -2292,7 +2333,7 @@ class TestCli:
     def test_bounds_rejects_a_non_finite_effective_dimension(self, flags):
         result = CliRunner().invoke(cli.main, ["bounds", "--outcomes", "2", *flags])
         assert result.exit_code == 1
-        assert "Error: effective dimension must be finite" in result.output
+        assert "Error: effective_dim must be a finite number" in result.output
         assert "bound (" not in result.output
 
     def test_bounds_max_outcomes_beyond_the_float_range(self):

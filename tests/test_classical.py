@@ -303,12 +303,19 @@ class TestMaps:
         with pytest.raises(DomainError, match="lattice"):
             cat_map(lattice=lattice)
 
-    def test_integral_float_lattice_is_the_integer_lattice(self):
-        assert cat_map(lattice=8.0).name == cat_map(lattice=8).name == "cat-map(lattice=8)"
+    def test_a_float_lattice_is_no_integer(self):
+        # the library reads no float as a count; a scenario's integral 8.0 is
+        # converted by the config reader
+        with pytest.raises(DomainError, match=r"^lattice must be an integer >= 1, got 8\.0$"):
+            cat_map(lattice=8.0)
+        assert cat_map(lattice=np.int64(8)).name == cat_map(lattice=8).name == "cat-map(lattice=8)"
 
     @pytest.mark.parametrize("lattice", [2**52 + 1, 3**33, 2**62, 2**63, 2.0**60, np.int64(2**62)])
     def test_lattice_is_at_most_2_to_the_52(self, lattice):
-        with pytest.raises(DomainError, match=r"at most 2\*\*52"):
+        # a float is no integer, before it is too large
+        rule = "lattice must be an integer >= 1, got " if isinstance(lattice, float) else (
+            r"at most 2\*\*52")
+        with pytest.raises(DomainError, match=rule):
             cat_map(lattice=lattice)
 
     def test_lattice_sites_round_trip_up_to_the_bound(self):
@@ -1596,7 +1603,8 @@ class TestTQuantile:
     @pytest.mark.parametrize("risk", [0.0, 1.0, 1.5, math.nan])
     def test_audit_family_risk_domain(self, risk):
         ens = contaminated_cat_ensemble(50, delta=0.0, seed=1)
-        with pytest.raises(DomainError, match="family risk"):
+        rule = "family_risk must be a finite number" if math.isnan(risk) else "family risk"
+        with pytest.raises(DomainError, match=rule):
             decorrelation_audit(ens, cat_map(), QUADRANTS, STEPS(64), 5, family_risk=risk)
 
     @pytest.mark.parametrize("ensemble, mapping, partition, kwargs, error, message", [

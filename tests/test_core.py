@@ -29,6 +29,7 @@ from equilib.core import (
     synthetic_probe,
     time_average_distribution,
     typed_array,
+    typed_scalar,
 )
 
 
@@ -132,7 +133,8 @@ class TestOutcomeDistribution:
 
 class TestTypedArray:
     def test_reads_each_dtype(self):
-        for values, dtype in (([1, 2.5], float), ([1, 2.5, 3j], complex), ([True], bool)):
+        for values, dtype in (([1, 2.5], float), ([1, 2.5, 3j], complex), ([True], bool),
+                              ([1, -2**62], int)):
             arr = typed_array(values, "x", dtype)
             assert arr.dtype == dtype
             assert arr.tolist() == values
@@ -156,14 +158,14 @@ class TestTypedArray:
         "dtype, bad",
         [(float, "0.5"), (float, None), (float, True), (float, np.True_), (float, 1j),
          (float, [0.5]), (complex, "1"), (complex, False), (bool, 1), (bool, 0.0),
-         (bool, "true"), (bool, None)],
+         (bool, "true"), (bool, None), (int, 2.0), (int, True), (int, "1")],
     )
     def test_refuses_an_entry_of_another_type(self, dtype, bad):
         # numpy would read every one of these
-        what = "booleans" if dtype is bool else "numbers"
+        what = {bool: "booleans", int: "integers"}.get(dtype, "numbers")
         message = rf"^x must be {what}, got {re.escape(repr(bad))}$"
         with pytest.raises(DomainError, match=message):
-            typed_array([[0.5, bad]] if dtype is not bool else [[True, bad]], "x", dtype)
+            typed_array([[{bool: True, int: 1}.get(dtype, 0.5), bad]], "x", dtype)
 
     @pytest.mark.parametrize(
         "values, dtype, kind",
@@ -182,6 +184,50 @@ class TestTypedArray:
             for values in ([0.5, bad], np.array([0.5, bad])):
                 with pytest.raises(DomainError, match=r"^x has non-finite entries$"):
                     typed_array(values, "x", dtype)
+
+
+class TestTypedScalar:
+    @pytest.mark.parametrize("value, dtype, expected", [
+        (0.25, float, 0.25), (3, float, 3.0), (np.float32(0.5), float, 0.5),
+        (np.int64(-2), float, -2.0), (2**70, float, 2.0**70), (-0.0, float, -0.0),
+        (7, int, 7), (np.int64(7), int, 7), (np.uint8(255), int, 255), (2**70, int, 2**70),
+    ])
+    def test_reads_a_python_scalar(self, value, dtype, expected):
+        number = typed_scalar(value, "x", dtype)
+        assert type(number) is dtype
+        assert number == expected and math.copysign(1.0, number) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("dtype, bad", [
+        (float, "0.5"), (float, None), (float, True), (float, np.True_), (float, 1j),
+        (float, [0.5]), (float, np.array(0.5)), (float, math.nan), (float, -math.inf),
+        (float, np.float64(math.inf)), (float, 10**400),
+        (int, "3"), (int, None), (int, False), (int, np.True_), (int, 3.0), (int, 2.5),
+        (int, np.float64(3.0)), (int, math.inf),
+    ])
+    def test_refuses_what_is_no_scalar_of_the_dtype(self, dtype, bad):
+        what = "an integer" if dtype is int else "a finite number"
+        message = f"x must be {what}, got {bad!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as info:
+            typed_scalar(bad, "x", dtype)
+        assert info.value.name == "x"
+
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_least_is_the_lower_bound(self, dtype):
+        assert typed_scalar(dtype(1), "x", dtype, least=1) == 1
+        what = "an integer" if dtype is int else "a finite number"
+        with pytest.raises(DomainError, match=rf"^x must be {what} >= 1, got 0") as info:
+            typed_scalar(dtype(0), "x", dtype, least=1)
+        assert info.value.name == "x"
+
+    def test_allocates_no_array(self):
+        typed_scalar(0.5, "x")
+        tracemalloc.start()
+        try:
+            for value, dtype in ((0.5, float), (np.float64(0.5), float), (7, int)):
+                typed_scalar(value, "x", dtype)
+            assert tracemalloc.get_traced_memory()[1] < 1024
+        finally:
+            tracemalloc.stop()
 
 
 class TestDistinguishability:
@@ -231,7 +277,7 @@ class TestTimeAverageConfig:
                 TimeAverageConfig(horizon=1.0, samples=samples)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(DomainError, match="seed must be >= 0"):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0, got -1"):
             TimeAverageConfig(horizon=1.0, samples=10, seed=-1)
 
     @pytest.mark.parametrize("field, value", [
@@ -242,13 +288,14 @@ class TestTimeAverageConfig:
         # a float count of 2.5 sampled [0, 0.4, 0.8] on a uniform grid over
         # [0, 1), and a seed of True ran as seed 1
         fields = {"horizon": 1.0, "samples": 10, "scheme": "uniform-grid", field: value}
-        with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
+        rule = {"samples": "an integer", "seed": "an integer >= 0"}[field]
+        with pytest.raises(DomainError, match=f"^{field} must be {rule}, got "):
             TimeAverageConfig(**fields)
 
     @pytest.mark.parametrize("horizon", [True, False, np.True_], ids=repr)
     def test_rejects_a_boolean_horizon(self, horizon):
         # True sampled [0, 0.25, 0.5, 0.75] as a horizon of 1
-        message = f"horizon must be finite and positive, got {horizon!r}"
+        message = f"horizon must be a finite number, got {horizon!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             TimeAverageConfig(horizon, 4, "uniform-grid")
 
@@ -256,7 +303,7 @@ class TestTimeAverageConfig:
                              ids=["string", "none", "list", "past-the-doubles"])
     def test_rejects_a_horizon_that_is_no_number(self, horizon):
         # each escaped math.isfinite as a TypeError, or an OverflowError
-        message = f"horizon must be finite and positive, got {horizon!r}"
+        message = f"horizon must be a finite number, got {horizon!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             TimeAverageConfig(horizon, 4, "uniform-grid")
 
@@ -284,7 +331,7 @@ class TestProbeOutcomeCount:
                                   "numpy-float"])
     def test_is_a_positive_integer(self, count):
         # checked when the probe is built, not at its first read
-        message = f"outcome_count must be a positive integer, got {count!r}"
+        message = f"outcome_count must be an integer >= 1, got {count!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             TrajectoryProbe(lambda ts: np.full((len(ts), 2), 0.5), count)
 
@@ -573,8 +620,11 @@ EPSILON_CALLERS = {
 
 @pytest.mark.parametrize("caller", EPSILON_CALLERS)
 def test_one_epsilon_domain(caller):
-    for eps in (-0.1, 1.0, math.nan, math.inf):
+    for eps in (-0.1, 1.0):
         with pytest.raises(DomainError, match=r"epsilon must lie in \[0, 1\)"):
+            EPSILON_CALLERS[caller](eps)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"epsilon must be a finite number"):
             EPSILON_CALLERS[caller](eps)
     for eps in (0.0, 0.5, math.nextafter(1.0, 0.0)):
         EPSILON_CALLERS[caller](eps)
@@ -685,7 +735,7 @@ class TestVerdicts:
     @pytest.mark.parametrize("stderr", [math.nan, math.inf])
     def test_report_rejects_a_non_finite_standard_error(self, stderr):
         omega = OutcomeDistribution([0.5, 0.5])
-        with pytest.raises(DomainError, match="standard error must be finite"):
+        with pytest.raises(DomainError, match="standard_error must be a finite number"):
             EquilibrationReport(0.1, stderr, omega, 0.2)
 
     @pytest.mark.parametrize("floor", [math.nan, math.inf, -0.01])

@@ -438,7 +438,7 @@ def test_vector_constructors_refuse_nesting(build, values, name):
     pytest.param(lambda: HamiltonianSpectrum([0.0, 1.0], np.eye(3)), DimensionError,
                  "eigenvector matrix does not match the eigenvalues", id="eigenvector-size"),
     pytest.param(lambda: max_outcomes_for_equilibration(0.5, 2.0, 0), DomainError,
-                 "gap degeneracy must be >= 1, got 0", id="gap-degeneracy"),
+                 "gap_degeneracy must be an integer >= 1, got 0", id="gap-degeneracy"),
     pytest.param(lambda: partial_trace_ancilla(random_pure_state(3, 0), 2), DimensionError,
                  "cannot split dimension 3 as system 2 x ancilla", id="indivisible"),
 ])
@@ -773,7 +773,7 @@ class TestGapTable:
     @pytest.mark.parametrize("gap_tol", [math.nan, math.inf, -1e-12])
     def test_a_bad_tolerance_is_refused(self, gap_tol):
         # a NaN tolerance used to put every gap in one class: D_G 6, not 1
-        with pytest.raises(DomainError, match=r"^gap tolerance must be finite and nonnegative"):
+        with pytest.raises(DomainError, match=r"^gap_tol must be a finite number >= 0\.0, got "):
             gap_table(HamiltonianSpectrum([0.0, 1.0, 3.0]), gap_tol)
         assert gap_table(HamiltonianSpectrum([0.0, 1.0, 3.0])).max_degeneracy == 1
 

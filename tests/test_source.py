@@ -4,8 +4,9 @@ It parses as the oldest Python that pyproject.toml declares, so syntax newer
 than ``requires-python`` fails here even when the suite runs on a later
 interpreter. (``feature_version`` is the parser's best effort: it rejects,
 for one, ``except*`` and ``match`` below their versions.)
-``core.typed_array`` is its one converter of outside numbers,
-``bench`` writes out no range rule: each lives in the library function
+``core.typed_array`` is its one converter of outside numbers, and
+``core.typed_scalar`` beside it, on the same table, its one type rule of
+outside scalars; ``bench`` writes out no range rule: each lives in the library function
 that takes the argument, a matrix enters the energy basis in
 ``quantum._energy_coefficients`` and ``quantum.dephase`` alone, and the
 coefficient tensor is built in two places."""
@@ -146,3 +147,30 @@ def test_the_build_check_sees_a_stray_build():
               "tensor = _energy_coefficients(r, s, e)\nother = quantum._energy_coefficients(r, s, e)\n")
     assert tensor_builders(ast.parse(source)) == ["quantum_probe", "Probe", "helper",
                                                   "<module>", "<module>"]
+
+
+def type_tests(tree: ast.AST) -> list[int]:
+    """Lines of the hand-written scalar type rules: an ``isinstance`` call
+    whose types name ``bool``, and any ``bool_`` or ``Integral`` attribute,
+    such as ``np.bool_`` or ``numbers.Integral``."""
+    def names_bool(node: ast.AST) -> bool:
+        return any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node))
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                   and len(node.args) == 2 and names_bool(node.args[1])
+                   or isinstance(node, ast.Attribute) and node.attr in ("bool_", "Integral")})
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name)
+def test_scalars_are_typed_in_core_alone(path):
+    # core.typed_scalar refuses a string, None and a boolean and tells an
+    # int from a float, by typed_array's table; a second rule drifts from it
+    assert type_tests(ast.parse(path.read_text())) == []
+
+
+def test_the_type_check_sees_a_stray_rule():
+    source = ("a = isinstance(x, bool)\nb = isinstance(x, (int, bool))\n"
+              "c = isinstance(x, numbers.Integral)\nd = x.dtype == np.bool_\n"
+              "e = isinstance(x, int)\nf = np.ones(3, dtype=bool)\ng = type(x) is bool\n")
+    assert type_tests(ast.parse(source)) == [1, 2, 3, 4]
