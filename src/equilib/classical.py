@@ -205,11 +205,7 @@ def cat_map(lattice: int | None = None) -> InvertibleMap:
 
         return InvertibleMap("cat-map", 2, fwd, fwd_point, _cat_leap)
 
-    q = typed_scalar(lattice, "lattice", int, least=1)
-    if q > MAX_LATTICE:
-        raise DomainError(
-            f"lattice denominator must be at most 2**52 for exact orbits, got {lattice!r}",
-            name="lattice")
+    q = typed_scalar(lattice, "lattice", int, least=1, most=MAX_LATTICE)
 
     def fwd(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         # (2 kx + ky, kx + ky) mod q on the integer lattice coordinates
@@ -653,8 +649,7 @@ def mixed_equilibration_bound(cell_count: int, delta: float) -> float:
     chaotic pairs genuinely decorrelate.
     """
     typed_scalar(cell_count, "cell_count", int, least=1)
-    if not 0.0 <= typed_scalar(delta, "delta") <= 0.5:
-        raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}", name="delta")
+    typed_scalar(delta, "delta", least=0.0, most=0.5)
     return math.sqrt(cell_count * delta / 2.0)
 
 
@@ -714,8 +709,7 @@ def _batched_defects(
     batches: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch-means defect and standard error of each orbit pair (x, y) listed in ``points``."""
-    if typed_scalar(batches, "batches", int) < 2:
-        raise DomainError("need at least 2 batches", name="batches")
+    typed_scalar(batches, "batches", int, least=2)
     times = sample_times(cfg)
     per = times.size // batches
     # one sample makes every batch's covariance 0, whatever the orbits do
@@ -769,8 +763,7 @@ def _t_tail(t: float, df: int) -> float:
 def _t_quantile(tail: float, df: int) -> float:
     """The t > 0 with P(|T| > t) = ``tail`` for Student's t with integer
     ``df`` >= 1: the two-sided quantile, by bisection down to adjacent doubles."""
-    if not 0.0 < tail < 1.0:
-        raise DomainError(f"tail probability must lie in (0, 1), got {tail!r}")
+    typed_scalar(tail, "tail", above=0.0, below=1.0)
     hi = 1.0
     while _t_tail(hi, df) > tail:
         hi *= 2.0
@@ -812,11 +805,8 @@ def decorrelation_audit(
     idx = np.flatnonzero(np.asarray(ensemble.chaotic_flags))
     if idx.size < 2:
         raise DomainError("need at least two chaotic-flagged points to audit")
-    if typed_scalar(pair_count, "pair_count", int) < 1:
-        raise DomainError(f"need at least one pair to audit, got {pair_count}", name="pair_count")
-    if not 0.0 < typed_scalar(family_risk, "family_risk") < 1.0:
-        raise DomainError(f"family risk must lie in (0, 1), got {family_risk!r}",
-                          name="family_risk")
+    typed_scalar(pair_count, "pair_count", int, least=1)
+    typed_scalar(family_risk, "family_risk", above=0.0, below=1.0)
     if ensemble.dim != mapping.dim:
         raise DimensionError(f"ensemble is {ensemble.dim}-d, map is {mapping.dim}-d")
     rng = seeded_rng(seed)
@@ -856,8 +846,7 @@ def contaminated_cat_ensemble(
     point.
     """
     typed_scalar(count, "count", int, least=1)
-    if not 0.0 <= typed_scalar(delta, "delta") <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta!r}", name="delta")
+    typed_scalar(delta, "delta", least=0.0, most=1.0)
     if not _is_sampler_lattice(typed_scalar(lattice, "lattice", int)):
         raise DomainError(f"lattice must be a power of two from 2 to 2**51, got {lattice!r}",
                           name="lattice")

@@ -17,6 +17,12 @@ from .core import ConfigError
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 
+# the flag of each argument that `bounds` passes a flag's value as, by the
+# name that its DomainError gives
+_BOUNDS_FLAGS = {"outcomes": "--outcomes", "cell_count": "--outcomes",
+                 "effective_dim": "--effective-dimension", "gap_degeneracy": "--gap-degeneracy",
+                 "epsilon": "--epsilon", "delta": "--delta", "eigenvalues": "--eigenvalues"}
+
 
 def _flag_overrides(seed, horizon, samples, gap_tol) -> dict:
     """The config overrides of the flags that are set."""
@@ -166,7 +172,8 @@ def bounds(outcomes, d_eff, d_g, epsilon, delta, eigenvalues):
             value = classical.mixed_equilibration_bound(outcomes, delta)
             click.echo(f"mixing bound (N={outcomes}, delta={delta:g}): {value:.10g}")
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+        flag = _BOUNDS_FLAGS.get(getattr(exc, "name", None))
+        raise click.ClickException(f"{flag}: {exc}" if flag else str(exc)) from exc
 
 
 if __name__ == "__main__":

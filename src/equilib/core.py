@@ -63,8 +63,7 @@ class ConfigError(ValueError):
 
 def check_epsilon(epsilon: float) -> None:
     """Raise DomainError unless the tolerance ``epsilon`` lies in [0, 1)."""
-    if not 0.0 <= typed_scalar(epsilon, "epsilon") < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}", name="epsilon")
+    typed_scalar(epsilon, "epsilon", least=0.0, below=1.0)
 
 
 # per target dtype: the entry types it reads, and the dtype kinds of the
@@ -73,26 +72,41 @@ _ENTRY_RULES = {float: ((int, float, np.integer, np.floating), "iuf"),
                 int: ((int, np.integer), "iu"),
                 complex: ((int, float, complex, np.number), "iufc"),
                 bool: ((bool, np.bool_), "b")}
+# the bracket of each end of an interval in a refusal
+_BRACKETS = {">=": "[", ">": "(", "<=": "]", "<": ")"}
 
 
-def typed_scalar(value, name: str, dtype: type = float, least: float | None = None):
-    """``value`` as a Python ``dtype`` (float or int) of at least ``least``,
-    if given, else a DomainError naming ``name``: the one reader of every
+def typed_scalar(value, name: str, dtype: type = float, least=None, most=None,
+                 above=None, below=None):
+    """``value`` as a Python ``dtype`` (float or int) in the interval that
+    ``least`` and ``most`` (inclusive) and ``above`` and ``below``
+    (exclusive) give, at most one end a side, else a DomainError whose
+    ``name`` is ``name``: the one reader, and the one range rule, of every
     outside scalar, by ``typed_array``'s table and without an array. A
     string, None or a boolean fails; a float must be finite, and one past
     the double range fails. An int is an int or a numpy integer, never a
     float, so ``8.0`` is no count: JSON's integral floats are converted by
-    ``bench``, which reads scenario and record files."""
+    ``bench``, which reads scenario and record files. Every refusal reads
+    ``{name} must be {what}``, as in ``epsilon must be a finite number in
+    [0.0, 1.0), got 2.0`` or ``dim must be an integer >= 1, got 0``."""
     if isinstance(value, _ENTRY_RULES[dtype][0]) and not isinstance(value, bool):
         try:
             number = dtype(value)
         except OverflowError:  # an int past the double range
             number = math.nan
-        if (dtype is int or math.isfinite(number)) and (least is None or number >= least):
+        if ((dtype is int or math.isfinite(number))
+                and (least is None or number >= least) and (above is None or number > above)
+                and (most is None or number <= most) and (below is None or number < below)):
             return number
     what = "an integer" if dtype is int else "a finite number"
-    bound = "" if least is None else f" >= {least}"
-    raise DomainError(f"{name} must be {what}{bound}, got {value!r}", name=name)
+    ends = [(op, end) for op, end in ((">=", least), (">", above), ("<=", most), ("<", below))
+            if end is not None]
+    if len(ends) == 2:
+        (low, lo), (high, hi) = ends
+        what += f" in {_BRACKETS[low]}{lo}, {hi}{_BRACKETS[high]}"
+    else:
+        what += "".join(f" {op} {end}" for op, end in ends)
+    raise DomainError(f"{name} must be {what}, got {value!r}", name=name)
 
 
 def typed_array(values, name: str, dtype: type = float) -> np.ndarray:
@@ -114,16 +128,16 @@ def typed_array(values, name: str, dtype: type = float) -> np.ndarray:
         for t in set(map(type, values.flat)):
             if not issubclass(t, types) or (dtype is not bool and issubclass(t, bool)):
                 bad = next(v for v in values.flat if type(v) is t)
-                raise DomainError(f"{name} must be {what}, got {bad!r}")
+                raise DomainError(f"{name} must be {what}, got {bad!r}", name=name)
     elif values.dtype.kind not in kinds:
-        raise DomainError(f"{name} must be {what}, got {values.dtype} entries")
+        raise DomainError(f"{name} must be {what}, got {values.dtype} entries", name=name)
     try:
         arr = values.astype(dtype, copy=False)
     except OverflowError:
         limit = "int64" if dtype is int else "double"
-        raise DomainError(f"{name} has an integer beyond the {limit} range") from None
+        raise DomainError(f"{name} has an integer beyond the {limit} range", name=name) from None
     if dtype is not bool and not np.isfinite(arr).all():
-        raise DomainError(f"{name} has non-finite entries")
+        raise DomainError(f"{name} has non-finite entries", name=name)
     return arr
 
 
@@ -246,15 +260,9 @@ class TimeAverageConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not typed_scalar(self.horizon, "horizon") > 0:
-            raise DomainError(f"horizon must be finite and positive, got {self.horizon!r}",
-                              name="horizon")
+        typed_scalar(self.horizon, "horizon", above=0.0)
         typed_scalar(self.seed, "seed", int, least=0)
-        if typed_scalar(self.samples, "samples", int) < 2:
-            raise DomainError(f"need at least 2 samples, got {self.samples}", name="samples")
-        if self.samples > MAX_SAMPLES:
-            raise DomainError(f"need at most {MAX_SAMPLES} samples, got {self.samples}",
-                              name="samples")
+        typed_scalar(self.samples, "samples", int, least=2, most=MAX_SAMPLES)
         if self.scheme not in (SCHEME_UNIFORM, SCHEME_STRATIFIED):
             raise DomainError(f"unknown sampling scheme {self.scheme!r}", name="scheme")
 
@@ -418,10 +426,11 @@ class EquilibrationReport:
     errors: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= typed_scalar(self.mean_distinguishability, "mean_distinguishability") <= 1.0:
-            raise DomainError("mean distinguishability must lie in [0, 1]")
+        typed_scalar(self.mean_distinguishability, "mean_distinguishability", least=0.0, most=1.0)
         typed_scalar(self.standard_error, "standard_error", least=0.0)
         check_epsilon(self.epsilon)
+        for bound, value in self.bound_values.items():
+            typed_scalar(value, bound)
 
     @property
     def verdict(self) -> str:
@@ -446,10 +455,7 @@ def equilibration_report(
     check_epsilon(epsilon)
     omega, mean, errors = _estimate(probe.distributions_at(sample_times(cfg)))
     if probe.floor is not None:
-        floor = probe.floor(omega)
-        if not 0.0 <= floor < math.inf:
-            raise DomainError(f"quadrature error must be finite and nonnegative, got {floor!r}")
-        errors["quadrature"] = floor
+        errors["quadrature"] = typed_scalar(probe.floor(omega), "quadrature", least=0.0)
     return EquilibrationReport(
         mean_distinguishability=mean,
         standard_error=sum(errors.values()),
@@ -477,12 +483,9 @@ def synthetic_probe(
     """
     typed_scalar(outcomes, "outcomes", int, least=1)
     typed_scalar(mode_count, "mode_count", int, least=0)
-    if not 0.0 <= typed_scalar(amplitude, "amplitude") < 1.0:
-        raise DomainError(f"amplitude must lie in [0, 1), got {amplitude!r}", name="amplitude")
+    typed_scalar(amplitude, "amplitude", least=0.0, below=1.0)
     if dominant_weight is not None:
-        if not 0.0 < typed_scalar(dominant_weight, "dominant_weight") <= 1.0:
-            raise DomainError(f"dominant_weight must lie in (0, 1], got {dominant_weight!r}",
-                              name="dominant_weight")
+        typed_scalar(dominant_weight, "dominant_weight", above=0.0, most=1.0)
     rng = seeded_rng(seed)
     base = rng.dirichlet(np.ones(outcomes))
     if dominant_weight is not None:

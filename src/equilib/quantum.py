@@ -714,10 +714,7 @@ def purify(rho: DensityMatrix) -> DensityMatrix:
     """
     vals, vecs = np.linalg.eigh(rho.matrix)
     # psi[k*d + i] = sqrt(lambda_i) (v_i)_k: eigenvector i paired with ancilla level i
-    psi = (vecs * np.sqrt(np.clip(vals, 0.0, None))).reshape(-1)
-    psi /= np.linalg.norm(psi)
-    # psi psi^H is positive semidefinite
-    return DensityMatrix._by_construction(np.outer(psi, psi.conj()))
+    return DensityMatrix.from_vector((vecs * np.sqrt(np.clip(vals, 0.0, None))).reshape(-1))
 
 
 def partial_trace_ancilla(rho: DensityMatrix, system_dim: int) -> DensityMatrix:
@@ -785,8 +782,7 @@ def random_spectrum(
     a finite top level ``spacing * (dim - 1)``, whatever the kind.
     """
     typed_scalar(dim, "dim", int, least=1)
-    if not typed_scalar(spacing, "spacing") > 0:
-        raise DomainError(f"spacing must be > 0, got {spacing!r}", name="spacing")
+    typed_scalar(spacing, "spacing", above=0.0)
     if not math.isfinite(spacing * (dim - 1)):
         raise DomainError(f"spacing {spacing!r} overflows at level {dim - 1}", name="spacing")
     rng = seeded_rng(seed)
@@ -849,9 +845,7 @@ def projective_povm(dim: int, outcomes: int, seed: int) -> POVM:
     """Projective measurement from a Haar-random basis, its vectors dealt
     round-robin into ``outcomes`` groups."""
     typed_scalar(dim, "dim", int, least=1)
-    if not 1 <= typed_scalar(outcomes, "outcomes", int) <= dim:
-        raise DomainError(f"projective measurement needs 1 <= outcomes <= {dim}, got {outcomes}",
-                          name="outcomes")
+    typed_scalar(outcomes, "outcomes", int, least=1, most=dim)
     rng = seeded_rng(seed)
     u = haar_unitary(dim, rng)
     stack = np.empty((outcomes, dim, dim), dtype=complex)
@@ -866,10 +860,8 @@ def uneven_povm(dim: int, outcomes: int, leak: float, seed: int) -> POVM:
     """Measurement with one near-identity element: element 0 is
     (1 - leak) * identity and the rest share leak * identity randomly.
     Any state then has a dominant outcome of weight 1 - leak."""
-    if not 0.0 <= typed_scalar(leak, "leak") < 1.0:
-        raise DomainError(f"leak must lie in [0, 1), got {leak!r}", name="leak")
-    if typed_scalar(outcomes, "outcomes", int) < 2:
-        raise DomainError(f"need at least two outcomes, got {outcomes}", name="outcomes")
+    typed_scalar(leak, "leak", least=0.0, below=1.0)
+    typed_scalar(outcomes, "outcomes", int, least=2)
     rest = random_povm(dim, outcomes - 1, seed)
     # nonnegative multiples of the identity and of random_povm's elements
     stack = np.empty((outcomes, dim, dim), dtype=complex)

@@ -466,7 +466,8 @@ class TestLoadScenario:
         # an empty grid and a scenario without a sweep build the base
         for sweep in ({"sweep": {"epsilon": []}}, {}):
             with pytest.raises(ConfigError,
-                               match=r"scenario\.epsilon: epsilon must lie in \[0, 1\)"):
+                               match=r"^scenario\.epsilon: epsilon must be a finite number "
+                                     r"in \[0\.0, 1\.0\), got 2\.0$"):
                 load_scenario(synthetic_config(epsilon=2.0, **sweep))
 
     @pytest.mark.parametrize("config", KIND_CONFIGS, ids=KIND_IDS)
@@ -717,7 +718,7 @@ class TestLoadScenario:
         # drifting off its lattice
         path = f"system.ensemble.sampler.{field}"
         message = {"count": "count must be an integer >= 1",
-                   "delta": r"(delta must lie in \[0, 1\]|delta must be a finite number)",
+                   "delta": r"delta must be a finite number( in \[0\.0, 1\.0\])?, got",
                    "lattice": "lattice must be a power of two"}[field]
         with pytest.raises(ConfigError,
                            match=r"scenario\." + path.replace(".", r"\.") + ": " + message):
@@ -758,7 +759,7 @@ class TestLoadScenario:
         cfg["system"]["hamiltonian"]["eigenvalues"] = [0.0, 5e-324]
         with pytest.raises(ConfigError,
                            match=r"^scenario\.average\.horizon: horizon must be a finite "
-                                 r"number, got inf$"):
+                                 r"number > 0\.0, got inf$"):
             load_scenario(cfg)
 
     @pytest.mark.parametrize("values", [
@@ -1316,38 +1317,43 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("make, overrides, message", [
         pytest.param(sampled_quantum_config,
                      {"measurement.sampler.name": "uneven", "measurement.sampler.leak": 2.0},
-                     "scenario.measurement.sampler.leak: leak must lie in [0, 1), got 2.0",
+                     "scenario.measurement.sampler.leak: "
+                     "leak must be a finite number in [0.0, 1.0), got 2.0",
                      id="leak"),
         pytest.param(sampled_quantum_config,
                      {"measurement.sampler.name": "uneven", "measurement.sampler.leak": 1},
-                     "scenario.measurement.sampler.leak: leak must lie in [0, 1), got 1.0",
+                     "scenario.measurement.sampler.leak: "
+                     "leak must be a finite number in [0.0, 1.0), got 1.0",
                      id="leak-1"),
         pytest.param(synthetic_config, {"system.probe.amplitude": 1.5},
-                     "scenario.system.probe.amplitude: amplitude must lie in [0, 1), got 1.5",
+                     "scenario.system.probe.amplitude: "
+                     "amplitude must be a finite number in [0.0, 1.0), got 1.5",
                      id="amplitude"),
         pytest.param(synthetic_config, {"system.probe.amplitude": -0.1},
-                     "scenario.system.probe.amplitude: amplitude must lie in [0, 1), got -0.1",
+                     "scenario.system.probe.amplitude: "
+                     "amplitude must be a finite number in [0.0, 1.0), got -0.1",
                      id="negative-amplitude"),
         pytest.param(synthetic_config, {"system.probe.dominant_weight": 0.0},
-                     "scenario.system.probe.dominant_weight: dominant_weight must lie in (0, 1], "
-                     "got 0.0",
+                     "scenario.system.probe.dominant_weight: "
+                     "dominant_weight must be a finite number in (0.0, 1.0], got 0.0",
                      id="dominant-weight"),
         pytest.param(synthetic_config, {"system.probe.dominant_weight": 1.5},
-                     "scenario.system.probe.dominant_weight: dominant_weight must lie in (0, 1], "
-                     "got 1.5",
+                     "scenario.system.probe.dominant_weight: "
+                     "dominant_weight must be a finite number in (0.0, 1.0], got 1.5",
                      id="dominant-weight-above-1"),
         pytest.param(sampled_quantum_config, {"measurement.sampler.outcomes": 100},
-                     "scenario.measurement.sampler.outcomes: projective measurement needs "
-                     "1 <= outcomes <= 8, got 100",
+                     "scenario.measurement.sampler.outcomes: "
+                     "outcomes must be an integer in [1, 8], got 100",
                      id="projective-outcomes-past-dim"),
         pytest.param(sampled_quantum_config, {"measurement.sampler.outcomes": 9},
-                     "scenario.measurement.sampler.outcomes: projective measurement needs "
-                     "1 <= outcomes <= 8, got 9",
+                     "scenario.measurement.sampler.outcomes: "
+                     "outcomes must be an integer in [1, 8], got 9",
                      id="projective-outcomes-dim-plus-1"),
         pytest.param(sampled_quantum_config,
                      {"measurement.sampler.name": "uneven", "measurement.sampler.leak": 0.1,
                       "measurement.sampler.outcomes": 1},
-                     "scenario.measurement.sampler.outcomes: need at least two outcomes, got 1",
+                     "scenario.measurement.sampler.outcomes: "
+                     "outcomes must be an integer >= 2, got 1",
                      id="uneven-outcomes"),
     ])
     def test_a_range_error_names_its_field(self, make, overrides, message):
@@ -1486,9 +1492,9 @@ class TestConfigBoundary:
                              ids=lambda make: make.__name__)
     @pytest.mark.parametrize("key, value, message", [
         pytest.param("scheme", "bogus", "unknown sampling scheme 'bogus'", id="scheme"),
-        pytest.param("horizon", -1.0, "horizon must be finite and positive, got -1.0",
+        pytest.param("horizon", -1.0, "horizon must be a finite number > 0.0, got -1.0",
                      id="negative-horizon"),
-        pytest.param("horizon", 0, "horizon must be finite and positive, got 0.0",
+        pytest.param("horizon", 0, "horizon must be a finite number > 0.0, got 0.0",
                      id="zero-horizon"),
     ])
     def test_a_bad_average_field_names_its_path(self, make, key, value, message):
@@ -2313,7 +2319,8 @@ class TestCli:
     def test_verify_with_one_sample_fails(self):
         result = CliRunner().invoke(cli.main, ["verify", "--samples", "1"])
         assert result.exit_code == 1
-        assert result.output == "Error: scenario.average.samples: need at least 2 samples, got 1\n"
+        assert result.output == ("Error: scenario.average.samples: samples must be an integer "
+                                 "in [2, 1000000], got 1\n")
 
     def test_bounds_command(self):
         result = CliRunner().invoke(
@@ -2333,8 +2340,32 @@ class TestCli:
     def test_bounds_rejects_a_non_finite_effective_dimension(self, flags):
         result = CliRunner().invoke(cli.main, ["bounds", "--outcomes", "2", *flags])
         assert result.exit_code == 1
-        assert "Error: effective_dim must be a finite number" in result.output
+        assert ("Error: --effective-dimension: effective_dim must be a finite number"
+                in result.output)
         assert "bound (" not in result.output
+
+    @pytest.mark.parametrize("flags, message", [
+        (["-n", "0", "--delta", "0.1"],
+         "--outcomes: cell_count must be an integer >= 1, got 0"),
+        (["-n", "0", "--effective-dimension", "4"],
+         "--outcomes: outcomes must be an integer >= 1, got 0"),
+        (["-n", "2", "--effective-dimension", "0.5"],
+         "--effective-dimension: effective_dim must be a finite number >= 1.0, got 0.5"),
+        (["-n", "2", "--effective-dimension", "4", "--gap-degeneracy", "0"],
+         "--gap-degeneracy: gap_degeneracy must be an integer >= 1, got 0"),
+        (["-n", "2", "--effective-dimension", "4", "--epsilon", "1"],
+         "--epsilon: epsilon must be a finite number in [0.0, 1.0), got 1.0"),
+        (["-n", "2", "--delta", "0.6"],
+         "--delta: delta must be a finite number in [0.0, 0.5], got 0.6"),
+        (["-n", "2", "--eigenvalues", "0,nan"],
+         "--eigenvalues: eigenvalues has non-finite entries"),
+    ], ids=["outcomes-mixing", "outcomes-spectral", "effective-dimension", "gap-degeneracy",
+            "epsilon", "delta", "eigenvalues"])
+    def test_bounds_names_the_flag_of_a_refusal(self, flags, message):
+        # each named the library's argument alone, as cell_count for --outcomes
+        result = CliRunner().invoke(cli.main, ["bounds", *flags])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == f"Error: {message}"
 
     def test_bounds_max_outcomes_beyond_the_float_range(self):
         result = CliRunner().invoke(

@@ -306,17 +306,19 @@ class TestMaps:
     def test_a_float_lattice_is_no_integer(self):
         # the library reads no float as a count; a scenario's integral 8.0 is
         # converted by the config reader
-        with pytest.raises(DomainError, match=r"^lattice must be an integer >= 1, got 8\.0$"):
+        with pytest.raises(DomainError, match=rf"^lattice must be an integer in \[1, {2**52}\], "
+                                              r"got 8\.0$"):
             cat_map(lattice=8.0)
         assert cat_map(lattice=np.int64(8)).name == cat_map(lattice=8).name == "cat-map(lattice=8)"
 
     @pytest.mark.parametrize("lattice", [2**52 + 1, 3**33, 2**62, 2**63, 2.0**60, np.int64(2**62)])
     def test_lattice_is_at_most_2_to_the_52(self, lattice):
-        # a float is no integer, before it is too large
-        rule = "lattice must be an integer >= 1, got " if isinstance(lattice, float) else (
-            r"at most 2\*\*52")
-        with pytest.raises(DomainError, match=rule):
+        # a float is no integer, and an integer past 2**52 is out of range:
+        # one refusal names both
+        rule = rf"^lattice must be an integer in \[1, {2**52}\], got {re.escape(repr(lattice))}$"
+        with pytest.raises(DomainError, match=rule) as info:
             cat_map(lattice=lattice)
+        assert info.value.name == "lattice"
 
     def test_lattice_sites_round_trip_up_to_the_bound(self):
         # the map reads a site k/q back as rint(k/q * q); up to 2**52 that is
@@ -1603,9 +1605,10 @@ class TestTQuantile:
     @pytest.mark.parametrize("risk", [0.0, 1.0, 1.5, math.nan])
     def test_audit_family_risk_domain(self, risk):
         ens = contaminated_cat_ensemble(50, delta=0.0, seed=1)
-        rule = "family_risk must be a finite number" if math.isnan(risk) else "family risk"
-        with pytest.raises(DomainError, match=rule):
+        rule = rf"^family_risk must be a finite number in \(0\.0, 1\.0\), got {risk!r}$"
+        with pytest.raises(DomainError, match=rule) as info:
             decorrelation_audit(ens, cat_map(), QUADRANTS, STEPS(64), 5, family_risk=risk)
+        assert info.value.name == "family_risk"
 
     @pytest.mark.parametrize("ensemble, mapping, partition, kwargs, error, message", [
         pytest.param(ClassicalEnsemble([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
@@ -1613,11 +1616,11 @@ class TestTQuantile:
                      cat_map(), QUADRANTS, {}, DomainError,
                      "need at least two chaotic-flagged points to audit", id="one-chaotic"),
         pytest.param(None, cat_map(), QUADRANTS, {"pair_count": 0}, DomainError,
-                     "need at least one pair to audit, got 0", id="no-pairs"),
+                     "pair_count must be an integer >= 1, got 0", id="no-pairs"),
         pytest.param(None, rotation_map(0.25), interval_partition([0.0, 0.5, 1.0]), {},
                      DimensionError, "ensemble is 2-d, map is 1-d", id="dimension"),
         pytest.param(None, cat_map(), QUADRANTS, {"batches": 1}, DomainError,
-                     "need at least 2 batches", id="one-batch"),
+                     "batches must be an integer >= 2, got 1", id="one-batch"),
     ])
     def test_audit_refuses_what_it_cannot_audit(self, ensemble, mapping, partition, kwargs,
                                                 error, message):

@@ -273,8 +273,10 @@ class TestTimeAverageConfig:
     def test_sample_count_cap(self):
         assert TimeAverageConfig(horizon=1.0, samples=MAX_SAMPLES).samples == MAX_SAMPLES
         for samples in (MAX_SAMPLES + 1, 10**15):
-            with pytest.raises(DomainError, match="at most"):
+            message = rf"^samples must be an integer in \[2, {MAX_SAMPLES}\], got {samples}$"
+            with pytest.raises(DomainError, match=message) as info:
                 TimeAverageConfig(horizon=1.0, samples=samples)
+            assert info.value.name == "samples"
 
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed must be an integer >= 0, got -1"):
@@ -288,14 +290,14 @@ class TestTimeAverageConfig:
         # a float count of 2.5 sampled [0, 0.4, 0.8] on a uniform grid over
         # [0, 1), and a seed of True ran as seed 1
         fields = {"horizon": 1.0, "samples": 10, "scheme": "uniform-grid", field: value}
-        rule = {"samples": "an integer", "seed": "an integer >= 0"}[field]
+        rule = {"samples": r"an integer in \[2, 1000000\]", "seed": "an integer >= 0"}[field]
         with pytest.raises(DomainError, match=f"^{field} must be {rule}, got "):
             TimeAverageConfig(**fields)
 
     @pytest.mark.parametrize("horizon", [True, False, np.True_], ids=repr)
     def test_rejects_a_boolean_horizon(self, horizon):
         # True sampled [0, 0.25, 0.5, 0.75] as a horizon of 1
-        message = f"horizon must be a finite number, got {horizon!r}"
+        message = f"horizon must be a finite number > 0.0, got {horizon!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             TimeAverageConfig(horizon, 4, "uniform-grid")
 
@@ -303,7 +305,7 @@ class TestTimeAverageConfig:
                              ids=["string", "none", "list", "past-the-doubles"])
     def test_rejects_a_horizon_that_is_no_number(self, horizon):
         # each escaped math.isfinite as a TypeError, or an OverflowError
-        message = f"horizon must be a finite number, got {horizon!r}"
+        message = f"horizon must be a finite number > 0.0, got {horizon!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             TimeAverageConfig(horizon, 4, "uniform-grid")
 
@@ -620,12 +622,12 @@ EPSILON_CALLERS = {
 
 @pytest.mark.parametrize("caller", EPSILON_CALLERS)
 def test_one_epsilon_domain(caller):
-    for eps in (-0.1, 1.0):
-        with pytest.raises(DomainError, match=r"epsilon must lie in \[0, 1\)"):
+    for eps in (-0.1, 1.0, math.nan, math.inf):
+        message = (r"^epsilon must be a finite number in \[0\.0, 1\.0\), "
+                   rf"got {re.escape(repr(eps))}$")
+        with pytest.raises(DomainError, match=message) as info:
             EPSILON_CALLERS[caller](eps)
-    for eps in (math.nan, math.inf):
-        with pytest.raises(DomainError, match=r"epsilon must be a finite number"):
-            EPSILON_CALLERS[caller](eps)
+        assert info.value.name == "epsilon"
     for eps in (0.0, 0.5, math.nextafter(1.0, 0.0)):
         EPSILON_CALLERS[caller](eps)
 
@@ -705,8 +707,10 @@ class TestVerdicts:
         assert EquilibrationReport(0.1, 0.01, omega, 0.5).verdict == "equilibrates"
         with pytest.raises(TypeError):
             EquilibrationReport(0.1, 0.01, omega, 0.5, verdict="inconclusive")
-        with pytest.raises(DomainError, match="mean distinguishability"):
+        with pytest.raises(DomainError, match=r"^mean_distinguishability must be a finite "
+                                              r"number in \[0\.0, 1\.0\], got 1\.5$") as info:
             EquilibrationReport(1.5, 0.0, omega, 0.1)
+        assert info.value.name == "mean_distinguishability"
 
     def test_report_builder(self):
         probe = constant_probe([0.3, 0.7])
@@ -738,14 +742,26 @@ class TestVerdicts:
         with pytest.raises(DomainError, match="standard_error must be a finite number"):
             EquilibrationReport(0.1, stderr, omega, 0.2)
 
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_report_reads_each_bound_value(self, value):
+        # True built a report whose bound read satisfied at value True, and
+        # "0.1" one whose record's bounds raised a bare TypeError
+        message = rf"^thm5-spectral must be a finite number, got {re.escape(repr(value))}$"
+        with pytest.raises(DomainError, match=message) as info:
+            EquilibrationReport(0.3, 0.0, OutcomeDistribution([0.5, 0.5]), 0.35,
+                                {"thm5-spectral": value})
+        assert info.value.name == "thm5-spectral"
+
     @pytest.mark.parametrize("floor", [math.nan, math.inf, -0.01])
     def test_report_rejects_a_bad_quadrature_floor(self, floor):
         cfg = TimeAverageConfig(horizon=4.0, samples=16, seed=2)
-        with pytest.raises(DomainError, match="quadrature error must be finite and nonnegative"):
+        message = rf"^quadrature must be a finite number >= 0\.0, got {re.escape(repr(floor))}$"
+        with pytest.raises(DomainError, match=message) as info:
             equilibration_report(
                 dataclasses.replace(constant_probe([0.3, 0.7]), floor=lambda omega: floor),
                 0.25, cfg,
             )
+        assert info.value.name == "quadrature"
 
     @pytest.mark.parametrize("builder", ["quantum", "classical", "ensemble", "synthetic"])
     def test_report_has_the_bits_of_the_public_reads(self, builder):

@@ -1481,7 +1481,9 @@ class TestPurification:
         states = [random_mixed_state(d, d), random_pure_state(d, d + 1),
                   dephase(random_pure_state(d, d + 2), random_spectrum(d, d + 3))]
         for rho in states:
-            assert np.array_equal(purify(rho).matrix, kron_purify(rho))
+            pure = purify(rho)
+            assert pure.vector is not None
+            assert np.array_equal(pure.matrix, kron_purify(rho))
 
     @pytest.mark.parametrize("d, ancilla", [(1, 1), (2, 3), (5, 2), (4, 4)])
     def test_extend_povm_is_m_kron_identity(self, d, ancilla):

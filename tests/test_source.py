@@ -5,9 +5,10 @@ than ``requires-python`` fails here even when the suite runs on a later
 interpreter. (``feature_version`` is the parser's best effort: it rejects,
 for one, ``except*`` and ``match`` below their versions.)
 ``core.typed_array`` is its one converter of outside numbers, and
-``core.typed_scalar`` beside it, on the same table, its one type rule of
-outside scalars; ``bench`` writes out no range rule: each lives in the library function
-that takes the argument, a matrix enters the energy basis in
+``core.typed_scalar`` beside it, on the same table, its one type and range
+rule of outside scalars, so no module writes a range out: each range is the
+bounds that the function taking the argument passes to it. A matrix enters
+the energy basis in
 ``quantum._energy_coefficients`` and ``quantum.dephase`` alone, and the
 coefficient tensor is built in two places."""
 
@@ -19,7 +20,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "equilib").glob("*.py"))
-BENCH = ROOT / "src" / "equilib" / "bench.py"
 
 
 def oldest_python() -> tuple[int, int]:
@@ -56,29 +56,52 @@ def test_the_cast_check_sees_a_cast():
     assert numeric_casts(ast.parse(source)) == [1, 2]
 
 
-def constant_ranges(tree: ast.AST) -> list[int]:
-    """Lines of the chained comparisons with two numeric constants among
-    their operands, such as ``0.0 <= x < 1.0``: a range rule written out."""
+def range_rules(tree: ast.AST) -> list[int]:
+    """Lines of the range rules written out: a comparison with a
+    ``typed_scalar(...)`` call among its operands, such as
+    ``typed_scalar(n, "n", int) < 2``, and a chained comparison with two
+    numeric constants among its operands, such as ``0.0 <= x < 1.0``.
+    ``typed_scalar``'s own body, which holds the one rule, is exempt."""
     def numeric(node: ast.expr) -> bool:
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             node = node.operand
         return isinstance(node, ast.Constant) and type(node.value) in (int, float)
 
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Compare) and len(node.ops) > 1
-            and sum(map(numeric, [node.left, *node.comparators])) >= 2]
+    def reads_a_scalar(node: ast.expr) -> bool:
+        func = getattr(node, "func", None)
+        return (isinstance(node, ast.Call)
+                and getattr(func, "id", getattr(func, "attr", None)) == "typed_scalar")
+
+    exempt = {id(node) for owner in ast.walk(tree)
+              if isinstance(owner, ast.FunctionDef) and owner.name == "typed_scalar"
+              for node in ast.walk(owner)}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in exempt:
+            operands = [node.left, *node.comparators]
+            if (any(map(reads_a_scalar, operands))
+                    or len(node.ops) > 1 and sum(map(numeric, operands)) >= 2):
+                lines.add(node.lineno)
+    return sorted(lines)
 
 
-def test_bench_writes_out_no_range_rule():
-    # a copy of a constructor's range drifts from it; the constructor's
-    # DomainError names its argument, and bench names the field by it
-    assert constant_ranges(ast.parse(BENCH.read_text())) == []
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_range_rule_is_written_out(path):
+    # each range lives in the bounds that its constructor passes to
+    # typed_scalar, whose DomainError names the argument; a rule written
+    # out beside it gives its own message or none, and a copy in bench
+    # drifts from the constructor's
+    assert range_rules(ast.parse(path.read_text())) == []
 
 
 def test_the_range_check_sees_a_range():
     source = ("a = 0.0 <= x < 1.0\nb = -1 < y <= +2\nc = 0 <= x\nd = lo < x < hi\n"
-              "e = 0 < x < hi\nf = (0.5 < x <\n     1)\n")
-    assert constant_ranges(ast.parse(source)) == [1, 2, 6]
+              "e = 0 < x < hi\nf = (0.5 < x <\n     1)\n"
+              "if not 0.0 < typed_scalar(x, \"x\") <= 1.0:\n    pass\n"
+              "if typed_scalar(n, \"n\", int) < 2:\n    pass\n"
+              "g = core.typed_scalar(x, \"x\") > lo\nh = typed_scalar(x, \"x\", least=0.0)\n"
+              "def typed_scalar(value, name, least):\n    return 0.0 <= value < 1.0\n")
+    assert range_rules(ast.parse(source)) == [1, 2, 6, 8, 10, 12]
 
 
 def energy_basis_callers(tree: ast.AST) -> list[str]:
