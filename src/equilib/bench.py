@@ -131,16 +131,16 @@ class RunRecord:
             r = record.node("report")
             values = {key: r.number(key)
                       for key in ("mean_distinguishability", "standard_error", "epsilon")}
-            bound = _bound_names(r.node("bound_values"))
-            values["bound_values"] = {name: bound.number(name) for name in bound.data}
+            bound = r.node("bound_values")
+            values["bound_values"] = {name: bound.number(name)
+                                      for name in BOUND_NAMES if name in bound}
             omega = r.entries("equilibrium_distribution")
             with r.field("equilibrium_distribution"):
                 omega = OutcomeDistribution(omega)
             with r.field():
                 rep = EquilibrationReport(**values, equilibrium_distribution=omega)
             _check_derived(r, "verdict", rep.verdict)
-            r.refuse_unread()
-        checks = _bound_names(record.node("bounds"))
+        checks = record.node("bounds")
         for name, chk in _evaluate_bounds(rep).items():
             _check_derived(checks, name, chk.to_dict())
         with record.field():
@@ -152,14 +152,6 @@ class RunRecord:
                 error=None if record.get("error") is None else record.string("error"))
         record.refuse_unread()
         return rec
-
-
-def _bound_names(node: _Node) -> _Node:
-    """``node``, an object keyed by names in ``BOUND_NAMES``."""
-    for name in node.data:
-        if name not in BOUND_NAMES:
-            raise node.error(name, f"unknown bound, expected one of {BOUND_NAMES}")
-    return node
 
 
 def _check_derived(node: _Node, key: str, derived) -> None:
@@ -322,19 +314,15 @@ def _refuse(read: set[tuple], unread: dict, spared=()) -> None:
     """Raise the first field of a tally's ``unread`` that is not in its
     ``read``, unless a path of ``spared``, a tuple of keys, runs through it.
     A key that holds a dot is one key, so it never spells a read or spared
-    path. The hint is the nearest key read beside it."""
+    path. The hint is the nearest key read beside it, if any is near."""
     for path, (node, key) in unread.items():
         if path not in read and not any(s[:len(path)] == path for s in spared):
-            known = {p[-1] for p in read if p[:-1] == node.keys}
-            raise node.error(key, "unknown field" + _nearest(key, known))
+            import difflib  # an error path's import, kept out of every load
 
-
-def _nearest(key: str, known: set[str]) -> str:
-    """The hint naming the key of ``known`` nearest ``key``, if any is near."""
-    import difflib  # an error path's import, kept out of every load
-
-    match = difflib.get_close_matches(key, sorted(known), n=1)
-    return f"; did you mean {match[0]!r}?" if match else ""
+            known = sorted({p[-1] for p in read if p[:-1] == node.keys})
+            match = difflib.get_close_matches(key, known, n=1)
+            hint = f"; did you mean {match[0]!r}?" if match else ""
+            raise node.error(key, "unknown field" + hint)
 
 
 def _is_json(value) -> bool:
@@ -415,14 +403,12 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
                   for combo in itertools.product(*(sweep.data[k] for k in keys))]
     # every sweep point is built once, before any run starts, and checks the
     # epsilon it is built with; numeric failures are kept for run_scenario to
-    # record. An empty grid still validates the base config. A point that
-    # builds must have read the last key of every path it sweeps to a value,
-    # else the path sweeps nothing, and every other field it holds but those
-    # on a swept path, which may be null, or on the path of an override,
-    # which a CLI flag sets on every kind, whether it reads the field or not;
-    # the name and the sweep grid are read off the base config
+    # record. An empty grid still validates the base config. Every field,
+    # swept ones included, must be read by the build of some point; spared
+    # are those on the path of an override, which a CLI flag sets on every
+    # kind, and the name and the sweep grid, read off the base config
     spared = [(root.path, *path.split(".")) for path in ("name", "sweep", *(overrides or {}))]
-    built = []
+    read, unread, built = set(), {}, []
     for point in points or [{}]:
         resolved = _Node(_apply_overrides(raw, point), root.path, base)
         start = time.perf_counter()
@@ -435,20 +421,17 @@ def load_scenario(source: dict | str | Path, overrides: dict | None = None) -> S
             seed = avg.given(seed=avg.seed).get("seed", TimeAverageConfig.seed)
             rt = _Failure(f"{type(exc).__name__}: {exc}", seed)
         else:
-            read, unread = resolved.tally(set(), {})
-            for dotted, value in point.items():
-                if value is not None and (root.path, *dotted.split(".")) not in read:
-                    raise sweep.error(dotted, "the build reads no such field" + _nearest(
-                        dotted, {".".join(path[1:]) for path in read}))
-            _refuse(read, unread, [*spared, *((root.path, *path.split(".")) for path in point)])
+            resolved.tally(read, unread)
         built.append((rt, time.perf_counter() - start))
+    _refuse(read, unread, spared)
     return Scenario(name=name, config=raw, sweep_points=tuple(points),
                     built=tuple(built[:len(points)]))
 
 
 def _apply_overrides(raw: dict, overrides: dict) -> dict:
-    """A copy of ``raw`` with each dotted path set to its value; an absent or
-    null node on the way is created, any other non-object one is an error."""
+    """A copy of ``raw`` with each dotted path set to its value, or removed
+    for a null one; an absent or null node on the way is created, any other
+    non-object one is an error."""
     cfg = copy.deepcopy(raw)
     for dotted, value in overrides.items():
         node = _Node(cfg, "scenario")
@@ -458,6 +441,8 @@ def _apply_overrides(raw: dict, overrides: dict) -> dict:
                 node.data[part] = {}
             node = node.node(part)
         node.data[key] = value
+        if value is None:
+            del node.data[key]
     return cfg
 
 

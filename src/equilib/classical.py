@@ -715,7 +715,7 @@ def _batched_defects(
     # one sample makes every batch's covariance 0, whatever the orbits do
     if per < 2:
         raise DomainError(f"need at least 2 samples a batch, got {times.size} samples "
-                          f"for {batches} batches")
+                          f"for {batches} batches", name="batches")
     per_batch = _defects(points, mapping, partition, times[: per * batches], batches)
     return per_batch.mean(axis=1), per_batch.std(axis=1, ddof=1) / math.sqrt(batches)
 
@@ -804,7 +804,7 @@ def decorrelation_audit(
     """
     idx = np.flatnonzero(np.asarray(ensemble.chaotic_flags))
     if idx.size < 2:
-        raise DomainError("need at least two chaotic-flagged points to audit")
+        raise DomainError("need at least two chaotic-flagged points to audit", name="ensemble")
     typed_scalar(pair_count, "pair_count", int, least=1)
     typed_scalar(family_risk, "family_risk", above=0.0, below=1.0)
     if ensemble.dim != mapping.dim:

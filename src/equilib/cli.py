@@ -12,7 +12,7 @@ import sys
 import click
 
 from . import bench, classical, quantum
-from .core import ConfigError
+from .core import ConfigError, DomainError
 
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
@@ -153,7 +153,10 @@ def bounds(outcomes, d_eff, d_g, epsilon, delta, eigenvalues):
         raise click.UsageError("--epsilon needs --effective-dimension")
     try:
         if eigenvalues is not None:
-            values = [float(v) for v in eigenvalues.split(",")]
+            try:
+                values = [float(v) for v in eigenvalues.split(",")]
+            except ValueError as exc:
+                raise DomainError(str(exc), name="eigenvalues") from None
             table = quantum.gap_table(quantum.HamiltonianSpectrum(sorted(values)))
             for factor, deg in quantum.gap_degeneracy_sensitivity(table).items():
                 click.echo(f"gap-degeneracy @ {factor:g}x tolerance "

@@ -438,7 +438,8 @@ def max_outcomes_for_equilibration(
     value = 4.0 * effective_dim * epsilon * epsilon / gap_degeneracy + 1.0
     if not math.isfinite(value):
         raise DomainError(f"4 d_eff eps^2 / D_G + 1 exceeds the largest float, "
-                          f"{sys.float_info.max:.3e}, at d_eff={effective_dim!r}")
+                          f"{sys.float_info.max:.3e}, at d_eff={effective_dim!r}",
+                          name="effective_dim")
     return int(math.floor(value + 1e-12))
 
 

@@ -775,15 +775,16 @@ class TestLoadScenario:
             load_scenario(cfg)
 
     @pytest.mark.parametrize("path, message", [
-        ("average.sampels", r"the build reads no such field; did you mean 'average\.samples'\?$"),
-        ("system.map.lattice", r"the build reads no such field"),
-        ("nam", r"the build reads no such field$"),
+        ("average.sampels", r"unknown field; did you mean 'samples'\?$"),
+        ("system.map.lattice", r"unknown field$"),
+        ("nam", r"unknown field$"),
     ], ids=["misspelt", "another-kind", "unread-top-level"])
     def test_a_sweep_path_that_no_build_reads_fails(self, path, message):
-        # each point ran the base config, and its params labelled it a sweep
+        # each point ran the base config, and its params labelled it a sweep;
+        # a swept value is a field like any other, refused at its own path
         cfg = rotation_config()
         cfg["sweep"] = {path: [16, 32, 48]}
-        with pytest.raises(ConfigError, match=rf"^scenario\.sweep\.{re.escape(path)}: {message}"):
+        with pytest.raises(ConfigError, match=rf"^scenario\.{re.escape(path)}: {message}"):
             load_scenario(cfg)
         # a swept null means the field is absent
         cfg["sweep"] = {path: [None], "average.seed": [None, 3]}
@@ -824,20 +825,57 @@ class TestLoadScenario:
             with pytest.raises(ConfigError, match=r"^scenario\.system\.map\.name: unknown field$"):
                 load_scenario(cfg, overrides)
 
-    def test_a_sweep_across_sampler_kinds_sweeps_the_whole_object(self):
-        # each point is checked on its own, and the random sampler reads no
-        # leak, so a swept name leaves the uneven sampler's leak unread
+    def test_a_sweep_across_sampler_kinds_loads(self):
+        # a field is unknown only when no point reads it: the uneven point
+        # reads the base leak, which the random point leaves unread
         cfg = sampled_quantum_config()
         sampler = {**cfg["measurement"]["sampler"], "name": "uneven", "leak": 0.1}
         cfg["measurement"]["sampler"] = sampler
         cfg["sweep"] = {"measurement.sampler.name": ["uneven", "random"]}
-        with pytest.raises(ConfigError,
-                           match=r"^scenario\.measurement\.sampler\.leak: unknown field$"):
-            load_scenario(cfg)
+        records = run_scenario(load_scenario(cfg))
+        assert [rec.params["measurement.sampler.name"] for rec in records] == ["uneven", "random"]
+        assert [rec.error for rec in records] == [None, None]
+        # the uneven sampler's dominant outcome has weight 1 - leak
+        omega = records[0].report.equilibrium_distribution.probs
+        assert omega[0] == pytest.approx(0.9, abs=1e-12)
+        # sweeping the whole object still loads
         no_leak = {key: value for key, value in sampler.items() if key != "leak"}
         cfg["sweep"] = {"measurement.sampler": [sampler, {**no_leak, "name": "random"}]}
         built = load_scenario(cfg).built
         assert [rt.params["N"] for rt, _ in built] == [3, 3]
+
+    def test_a_base_field_that_no_point_reads_fails(self):
+        # neither the random nor the projective sampler reads a leak
+        cfg = sampled_quantum_config()
+        cfg["measurement"]["sampler"]["leak"] = 0.1
+        cfg["sweep"] = {"measurement.sampler.name": ["random", "projective"]}
+        with pytest.raises(ConfigError,
+                           match=r"^scenario\.measurement\.sampler\.leak: unknown field$"):
+            load_scenario(cfg)
+
+    def test_a_sweep_across_map_kinds_loads(self):
+        # the rotation reads the base angles, the cat map the base lattice
+        cfg = rotation_config()
+        cfg["system"] = {"map": {"name": "rotation", "angles": [0.25, 0.5**0.5], "lattice": 8},
+                         "point": [0.25, 0.5]}
+        cfg["measurement"]["partition"] = {"kind": "grid",
+                                           "edges": [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]}
+        cfg["sweep"] = {"system.map.name": ["rotation", "cat-map"]}
+        built = load_scenario(cfg).built
+        assert [rt.params["map"] for rt, _ in built] == ["rotation(0.25,0.707107)",
+                                                         "cat-map(lattice=8)"]
+
+    def test_a_null_override_or_sweep_value_removes_its_field(self):
+        # a null reaches no reader, so the rule needs no sparing for it
+        cfg = synthetic_config(sweep={"system.probe.amplitude": [None, 0.5]})
+        scenario = load_scenario(cfg, overrides={"average.seed": None})
+        # the null stays only in the sweep grid, as given
+        base = {key: value for key, value in scenario.config.items() if key != "sweep"}
+        assert "null" not in json.dumps(base)
+        assert "seed" not in scenario.config["average"]
+        records = run_scenario(scenario)
+        assert [rec.params["system.probe.amplitude"] for rec in records] == [None, 0.5]
+        assert [rec.seed for rec in records] == [core.TimeAverageConfig.seed] * 2
 
     @pytest.mark.parametrize("change, message", [
         (lambda cfg: [cfg], "scenario: expected a JSON object"),
@@ -2038,7 +2076,9 @@ class TestEmission:
              r"'status': 'not-applicable'\}, got \{'value': None, 'status': 'violatd'\}$"),
             (edit_record(1, lambda r: r["bounds"].update(
                 {"thm9-extra": {"value": None, "status": "not-applicable"}})),
-             r"^records\[1\]\.bounds\.thm9-extra: unknown bound, expected one of \("),
+             r"^records\[1\]\.bounds\.thm9-extra: unknown field; did you mean 'thm5-spectral'\?$"),
+            (edit_record(0, lambda r: r["report"]["bound_values"].update({"thm9-extra": 0.1})),
+             r"^records\[0\]\.report\.bound_values\.thm9-extra: unknown field$"),
             (edit_record(0, lambda r: r.update(scenario=5)),
              r"^records\[0\]\.scenario: expected a string, got int$"),
             (edit_record(1, lambda r: r.update(params=[["N", 3]])),
@@ -2056,8 +2096,8 @@ class TestEmission:
              "boolean-seed", "string-wall-time", "string-bound-value", "string-bound-values-entry",
              "string-omega", "boolean-omega", "boolean-mean", "nan-wall-time",
              "infinite-bound-value", "infinite-bound-values-entry", "inconsistent-verdict",
-             "unknown-status", "unknown-bound", "number-scenario", "list-params", "number-error",
-             "report-and-error", "neither-report-nor-error"],
+             "unknown-status", "unknown-bound", "unknown-bound-value", "number-scenario",
+             "list-params", "number-error", "report-and-error", "neither-report-nor-error"],
     )
     def test_load_records_names_the_malformed_field(self, tmp_path, defect, message):
         path = tmp_path / "out.json"
@@ -2359,8 +2399,14 @@ class TestCli:
          "--delta: delta must be a finite number in [0.0, 0.5], got 0.6"),
         (["-n", "2", "--eigenvalues", "0,nan"],
          "--eigenvalues: eigenvalues has non-finite entries"),
+        # each of these two printed no flag
+        (["-n", "2", "--effective-dimension", "1e308", "--epsilon", "0.9"],
+         "--effective-dimension: 4 d_eff eps^2 / D_G + 1 exceeds the largest float, "
+         "1.798e+308, at d_eff=1e+308"),
+        (["-n", "2", "--eigenvalues", "a,1"],
+         "--eigenvalues: could not convert string to float: 'a'"),
     ], ids=["outcomes-mixing", "outcomes-spectral", "effective-dimension", "gap-degeneracy",
-            "epsilon", "delta", "eigenvalues"])
+            "epsilon", "delta", "eigenvalues", "max-outcomes-overflow", "eigenvalue-not-a-number"])
     def test_bounds_names_the_flag_of_a_refusal(self, flags, message):
         # each named the library's argument alone, as cell_count for --outcomes
         result = CliRunner().invoke(cli.main, ["bounds", *flags])
@@ -2373,7 +2419,8 @@ class TestCli:
             ["bounds", "-n", "2", "--effective-dimension", "1e308", "--epsilon", "0.9"],
         )
         assert result.exit_code == 1
-        assert "Error: 4 d_eff eps^2 / D_G + 1 exceeds the largest float" in result.output
+        assert ("Error: --effective-dimension: 4 d_eff eps^2 / D_G + 1 exceeds the largest float"
+                in result.output)
         assert "Traceback" not in result.output
 
     def test_bounds_notes_a_vacuous_bound(self):

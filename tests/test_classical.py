@@ -1519,8 +1519,9 @@ class TestEnsembles:
         # one sample a batch makes every batch covariance 0, so every pair
         # used to pass on any map, the identity included
         ens = contaminated_cat_ensemble(200, delta=0.0, seed=3)
-        with pytest.raises(DomainError, match="at least 2 samples a batch"):
+        with pytest.raises(DomainError, match="at least 2 samples a batch") as info:
             decorrelation_audit(ens, mapping, QUADRANTS, STEPS(samples), 10)
+        assert info.value.name == "batches"
         assert decorrelation_audit(ens, cat_map(), QUADRANTS, STEPS(128), 10)[1] == 10
 
     @pytest.mark.parametrize(
@@ -1610,24 +1611,25 @@ class TestTQuantile:
             decorrelation_audit(ens, cat_map(), QUADRANTS, STEPS(64), 5, family_risk=risk)
         assert info.value.name == "family_risk"
 
-    @pytest.mark.parametrize("ensemble, mapping, partition, kwargs, error, message", [
+    @pytest.mark.parametrize("ensemble, mapping, partition, kwargs, error, name, message", [
         pytest.param(ClassicalEnsemble([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
                                        chaotic_flags=[True, False, False]),
-                     cat_map(), QUADRANTS, {}, DomainError,
+                     cat_map(), QUADRANTS, {}, DomainError, "ensemble",
                      "need at least two chaotic-flagged points to audit", id="one-chaotic"),
-        pytest.param(None, cat_map(), QUADRANTS, {"pair_count": 0}, DomainError,
+        pytest.param(None, cat_map(), QUADRANTS, {"pair_count": 0}, DomainError, "pair_count",
                      "pair_count must be an integer >= 1, got 0", id="no-pairs"),
         pytest.param(None, rotation_map(0.25), interval_partition([0.0, 0.5, 1.0]), {},
-                     DimensionError, "ensemble is 2-d, map is 1-d", id="dimension"),
-        pytest.param(None, cat_map(), QUADRANTS, {"batches": 1}, DomainError,
+                     DimensionError, None, "ensemble is 2-d, map is 1-d", id="dimension"),
+        pytest.param(None, cat_map(), QUADRANTS, {"batches": 1}, DomainError, "batches",
                      "batches must be an integer >= 2, got 1", id="one-batch"),
     ])
     def test_audit_refuses_what_it_cannot_audit(self, ensemble, mapping, partition, kwargs,
-                                                error, message):
+                                                error, name, message):
         ensemble = ensemble or contaminated_cat_ensemble(50, delta=0.0, seed=1)
         kwargs = {"pair_count": 5, **kwargs}
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
             decorrelation_audit(ensemble, mapping, partition, STEPS(64), **kwargs)
+        assert getattr(info.value, "name", None) == name
 
     def test_audit_imports_no_scipy(self):
         script = textwrap.dedent("""

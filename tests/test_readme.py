@@ -1,5 +1,6 @@
 """The README's examples run as written: the API tour prints what its comments
-say, and the scenario config loads and equilibrates."""
+say, the scenario config loads and equilibrates, and each `equilib bounds`
+line runs, or prints the refusal quoted beside it."""
 
 import contextlib
 import inspect
@@ -7,9 +8,12 @@ import io
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
-from equilib import bench, classical, core, quantum
+from click.testing import CliRunner
+
+from equilib import bench, classical, cli, core, quantum
 from equilib.bench import STATUS_SATISFIED, load_scenario, run_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,6 +47,54 @@ def test_scenario_example_equilibrates():
     assert record.error is None
     assert record.report.verdict == "equilibrates"
     assert record.bounds["thm5-spectral"].status == STATUS_SATISFIED
+
+
+def bounds_lines(text: str) -> list:
+    """The arguments of each `equilib bounds` line of the CLI block."""
+    (block,) = re.findall(r"## CLI\n\n```sh\n(.*?)```", text, flags=re.S)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("equilib bounds")]
+
+
+def test_every_bounds_line_runs():
+    lines = bounds_lines(README.read_text())
+    assert [args[:3] for args in lines] == [["bounds", "-n", "5"], ["bounds", "-n", "4"]]
+    for args in lines:
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 0, result.output
+
+
+def quoted_refusals(text: str) -> dict:
+    """Each refusal the README quotes as "`equilib bounds ...` prints
+    `Error: ...`", by command, its line breaks read as spaces."""
+    return {" ".join(command.split()): " ".join(message.split()) for command, message in
+            re.findall(r"`(equilib bounds [^`]*)` prints `(Error: [^`]*)`", text)}
+
+
+def misquoted_refusals(text: str) -> list:
+    """The quoted commands that do not exit 1 printing, last, what the
+    README quotes."""
+    wrong = []
+    for command, message in quoted_refusals(text).items():
+        result = CliRunner().invoke(cli.main, shlex.split(command)[1:])
+        if result.exit_code != 1 or result.output.splitlines()[-1] != message:
+            wrong.append(command)
+    return wrong
+
+
+def test_every_quoted_refusal_is_printed():
+    assert quoted_refusals(README.read_text()) == {
+        "equilib bounds -n 0 --delta 0.1":
+            "Error: --outcomes: cell_count must be an integer >= 1, got 0",
+        "equilib bounds -n 2 --eigenvalues a,1":
+            "Error: --eigenvalues: could not convert string to float: 'a'",
+    }
+    assert misquoted_refusals(README.read_text()) == []
+
+
+def test_the_refusal_check_sees_a_drift():
+    text = README.read_text().replace("got 0`", "got 1`")
+    assert misquoted_refusals(text) == ["equilib bounds -n 0 --delta 0.1"]
 
 
 def test_every_cited_name_exists():
